@@ -9,8 +9,8 @@ use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Duration;
 
-use eram_core::executor::{execute_count, ExecParams};
-use eram_core::{OneAtATimeInterval, Profiler, StoppingCriterion, Tracer};
+use eram_core::executor::execute_count;
+use eram_core::{OneAtATimeInterval, Profiler, QueryConfig, Tracer};
 use eram_relalg::{Catalog, CmpOp, Expr, Predicate};
 use eram_storage::{ColumnType, DeviceProfile, Disk, HeapFile, Schema, SimClock, Tuple, Value};
 
@@ -33,30 +33,33 @@ fn paper_setup() -> (Arc<Disk>, Catalog, Expr) {
     (disk, cat, expr)
 }
 
+/// Engine defaults (hard deadline, observers off) under the paper's
+/// one-at-a-time-interval strategy.
+fn paper_config() -> QueryConfig {
+    QueryConfig {
+        strategy: Box::new(OneAtATimeInterval::new(12.0)),
+        ..QueryConfig::default()
+    }
+}
+
 fn bench_tracer_disabled(c: &mut Criterion) {
     let (disk, cat, expr) = paper_setup();
-    let strategy = OneAtATimeInterval::new(12.0);
     c.bench_function("execute_count_tracer_disabled", |b| {
         b.iter(|| {
-            let mut params = ExecParams::new(&strategy);
-            params.stopping = StoppingCriterion::HardDeadline;
-            params.seed = 7;
-            black_box(execute_count(&disk, &cat, &expr, Duration::from_secs(2), params).unwrap())
+            let cfg = paper_config();
+            black_box(execute_count(&disk, &cat, &expr, Duration::from_secs(2), &cfg, 7).unwrap())
         })
     });
 }
 
 fn bench_tracer_recording(c: &mut Criterion) {
     let (disk, cat, expr) = paper_setup();
-    let strategy = OneAtATimeInterval::new(12.0);
     c.bench_function("execute_count_tracer_recording", |b| {
         b.iter(|| {
-            let mut params = ExecParams::new(&strategy);
-            params.stopping = StoppingCriterion::HardDeadline;
-            params.seed = 7;
-            params.tracer = Tracer::recording(disk.clock().clone());
-            params.collect_metrics = true;
-            black_box(execute_count(&disk, &cat, &expr, Duration::from_secs(2), params).unwrap())
+            let mut cfg = paper_config();
+            cfg.tracer = Tracer::recording(disk.clock().clone());
+            cfg.collect_metrics = true;
+            black_box(execute_count(&disk, &cat, &expr, Duration::from_secs(2), &cfg, 7).unwrap())
         })
     });
 }
@@ -64,31 +67,25 @@ fn bench_tracer_recording(c: &mut Criterion) {
 /// The flight recorder's disabled path: every phase site takes the
 /// `Option::None` branch and never calls `Instant::now()`, so this
 /// must track `execute_count_tracer_disabled` (both are the default
-/// `ExecParams`, spelled out here so the contract is explicit).
+/// `QueryConfig`, spelled out here so the contract is explicit).
 fn bench_profiler_disabled(c: &mut Criterion) {
     let (disk, cat, expr) = paper_setup();
-    let strategy = OneAtATimeInterval::new(12.0);
     c.bench_function("execute_count_profiler_disabled", |b| {
         b.iter(|| {
-            let mut params = ExecParams::new(&strategy);
-            params.stopping = StoppingCriterion::HardDeadline;
-            params.seed = 7;
-            params.profiler = Profiler::disabled();
-            black_box(execute_count(&disk, &cat, &expr, Duration::from_secs(2), params).unwrap())
+            let mut cfg = paper_config();
+            cfg.profiler = Profiler::disabled();
+            black_box(execute_count(&disk, &cat, &expr, Duration::from_secs(2), &cfg, 7).unwrap())
         })
     });
 }
 
 fn bench_profiler_recording(c: &mut Criterion) {
     let (disk, cat, expr) = paper_setup();
-    let strategy = OneAtATimeInterval::new(12.0);
     c.bench_function("execute_count_profiler_recording", |b| {
         b.iter(|| {
-            let mut params = ExecParams::new(&strategy);
-            params.stopping = StoppingCriterion::HardDeadline;
-            params.seed = 7;
-            params.profiler = Profiler::recording(disk.clock().clone());
-            black_box(execute_count(&disk, &cat, &expr, Duration::from_secs(2), params).unwrap())
+            let mut cfg = paper_config();
+            cfg.profiler = Profiler::recording(disk.clock().clone());
+            black_box(execute_count(&disk, &cat, &expr, Duration::from_secs(2), &cfg, 7).unwrap())
         })
     });
 }

@@ -13,7 +13,7 @@
 //! Every cell is also run under both `--concurrency` modes and the
 //! stripped outcomes cross-checked for equality, surfacing the
 //! sharing win: on the overlapping-tenant grid the interleaved
-//! turnstile feeds co-resident scans from one pool, so the simulated
+//! schedule feeds co-resident scans from one pool, so the simulated
 //! makespan and physical block count drop strictly below the
 //! sequential oracle's while per-job results stay byte-identical.
 //!

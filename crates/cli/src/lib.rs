@@ -99,8 +99,8 @@ pub struct Cli {
     /// the `--serve` outcome. Pure observation: the job table, trace,
     /// and the rest of the outcome are identical with or without it.
     pub ledger: bool,
-    /// Lane scheduling for `--serve` (`seq` = the sequential oracle,
-    /// `interleaved` = turnstile stages + shared block draws).
+    /// Lane scheduling for `--serve` (`seq` = one lane at a time,
+    /// `interleaved` = least-virtual-time stages + shared block draws).
     /// Per-job reports and traces are byte-identical in either mode;
     /// only the schedule report and sharing counters differ.
     pub concurrency: Concurrency,

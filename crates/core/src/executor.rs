@@ -7,14 +7,16 @@
 //! and evaluating the sample tuples, and computing an estimate of
 //! COUNT(E)."
 //!
-//! [`execute_count`] drives the loop: it rewrites `COUNT(E)` by
-//! inclusion–exclusion, compiles each term to a [`PhysTree`], arms
-//! the [`Deadline`], and then alternates
+//! [`StageRun`] is the loop: `start` rewrites `COUNT(E)` by
+//! inclusion–exclusion, compiles each term to a [`PhysTree`] and arms
+//! the [`Deadline`]; each `step` is one stage —
 //! Revise-Selectivities → Sample-Size-Determine → sample → evaluate →
-//! estimate, adapting the cost-model coefficients from each stage's
-//! measured step timings. Under a hard constraint the in-flight stage
-//! is aborted the moment the quota expires (the paper's timer
-//! interrupt) and its work is discarded from the answer.
+//! estimate, adapting the cost-model coefficients from the stage's
+//! measured step timings; `finish` assembles the report.
+//! [`execute_count`] steps one run to completion. Under a hard
+//! constraint the in-flight stage is aborted the moment the quota
+//! expires (the paper's timer interrupt) and its work is discarded
+//! from the answer.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -32,18 +34,13 @@ use crate::aggregate::{
     avg_estimate, sum_estimate, AggregateFn, GroupSnapshot, GroupedAccumulator, TermValues,
 };
 use crate::costs::{CostCoeff, CostModel};
-use crate::obs::{MetricsRegistry, MetricsSnapshot, Phase, Profiler, Tracer};
-use crate::ops::{
-    BlockLayout, Fulfillment, MemoryMode, PhysTree, PlanOptions, StageEnv, StageError, StageHealth,
-    DEFAULT_RUN_CACHE_TUPLES,
-};
+use crate::obs::{MetricsRegistry, MetricsSnapshot, Phase, SpanGuard, Tracer};
+use crate::ops::{Fulfillment, PhysTree, PlanOptions, StageEnv, StageError, StageHealth};
 use crate::predict::{solve_fraction_with, SelPolicy};
 use crate::report::{ExecutionReport, GroupReport, ReportHealth, StageReport};
-use crate::retry::RetryPolicy;
-use crate::seltrack::SelectivityDefaults;
+use crate::session::QueryConfig;
 use crate::stopping::StoppingCriterion;
 use crate::strategy::StagePlan;
-use crate::strategy::TimeControlStrategy;
 
 /// Errors from setting up or running a time-constrained count.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -92,107 +89,6 @@ impl From<StorageError> for EngineError {
     }
 }
 
-/// Everything a time-constrained execution needs besides the query.
-pub struct ExecParams<'a> {
-    /// The time-control strategy.
-    pub strategy: &'a dyn TimeControlStrategy,
-    /// When to stop.
-    pub stopping: StoppingCriterion,
-    /// Initial cost-model coefficients (adapted during the run unless
-    /// frozen).
-    pub cost_model: CostModel,
-    /// Stage-1 selectivity assumptions.
-    pub defaults: SelectivityDefaults,
-    /// Full or partial fulfillment for binary operators.
-    pub fulfillment: Fulfillment,
-    /// Disk-resident (the prototype) or main-memory evaluation.
-    pub memory: MemoryMode,
-    /// Seed for the block samplers.
-    pub seed: u64,
-    /// Safety cap on the number of stages.
-    pub max_stages: usize,
-    /// Distinct-count estimator for projection roots (the paper uses
-    /// Goodman's).
-    pub distinct: DistinctEstimator,
-    /// When the leftover cannot fund a full-fulfillment stage, try a
-    /// cheaper partial-fulfillment stage before giving up — the
-    /// paper's suggestion ("the partial fulfillment sampling plan may
-    /// have its place here to use the small amount of time left").
-    pub hybrid_leftover: bool,
-    /// Apply selection pushdown before compiling (on by default;
-    /// semantically equivalence-preserving).
-    pub optimize: bool,
-    /// How transient storage faults are retried. Backoff is charged
-    /// to the clock, so retries consume quota like real I/O.
-    pub retry: RetryPolicy,
-    /// Trace sink for stage-loop spans and events. Disabled by
-    /// default; every emission site is a single branch when disabled.
-    pub tracer: Tracer,
-    /// Collect a [`MetricsSnapshot`] into `ExecutionReport::metrics`.
-    /// Off by default; collection happens outside the stage loop
-    /// (baseline before, deltas after), so it never touches the hot
-    /// path.
-    pub collect_metrics: bool,
-    /// Phase profiler for the performance flight recorder. Disabled
-    /// by default (one branch per site); when recording, a
-    /// [`ProfileSnapshot`](crate::obs::ProfileSnapshot) lands in
-    /// `ExecutionReport::profile`. Profiling is pure observation:
-    /// seeded results are byte-identical with it on or off.
-    pub profiler: Profiler,
-    /// Worker threads for the pure-CPU portions of each stage (block
-    /// decode, run merges). Charges, trace events, and deadline
-    /// checks stay on the calling thread in canonical order, so a
-    /// seeded run is byte-identical at any worker count; `1` (the
-    /// default) runs everything inline.
-    pub workers: usize,
-    /// Bound (in tuples) on each binary node's decoded-run cache;
-    /// `0` disables it. Old runs are still charged their block reads
-    /// from file metadata and only skip the re-decode, so the cache
-    /// is a wall-clock optimization: seeded results are
-    /// byte-identical with it on or off.
-    pub run_cache_tuples: usize,
-    /// Decode target for sampled blocks: row tuples (the original
-    /// path) or per-column typed arrays with bitmap selection. Like
-    /// `workers`, a wall-clock-only choice — seeded reports and
-    /// traces are byte-identical under either layout.
-    pub block_layout: BlockLayout,
-    /// Cooperative stage gate for interleaved serving: when set, the
-    /// stage loop calls it once at the top of every iteration, letting
-    /// the query server park this job until its turn at the (virtual)
-    /// device comes up. Purely a scheduling hook — it must not charge
-    /// the clock — so execution under a gate is byte-identical to
-    /// `None` (the default, which runs stages back-to-back).
-    pub stage_yield: Option<&'a (dyn Fn() + Sync)>,
-}
-
-impl<'a> ExecParams<'a> {
-    /// Defaults: hard deadline, generic cost model, Figure 3.3
-    /// selectivities, full fulfillment.
-    pub fn new(strategy: &'a dyn TimeControlStrategy) -> Self {
-        ExecParams {
-            strategy,
-            stopping: StoppingCriterion::HardDeadline,
-            cost_model: CostModel::generic_default(),
-            defaults: SelectivityDefaults::default(),
-            fulfillment: Fulfillment::Full,
-            memory: MemoryMode::DiskResident,
-            seed: 0,
-            max_stages: 1_000,
-            distinct: DistinctEstimator::Goodman,
-            hybrid_leftover: false,
-            optimize: true,
-            retry: RetryPolicy::default(),
-            tracer: Tracer::disabled(),
-            collect_metrics: false,
-            profiler: Profiler::disabled(),
-            workers: 1,
-            run_cache_tuples: DEFAULT_RUN_CACHE_TUPLES,
-            block_layout: BlockLayout::default(),
-            stage_yield: None,
-        }
-    }
-}
-
 /// The result of a time-constrained count.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExecOutcome {
@@ -201,15 +97,6 @@ pub struct ExecOutcome {
     pub estimate: CountEstimate,
     /// Full accounting of the run.
     pub report: ExecutionReport,
-}
-
-fn zero_estimate() -> CountEstimate {
-    CountEstimate {
-        estimate: 0.0,
-        variance: 0.0,
-        points_sampled: 0.0,
-        total_points: 0.0,
-    }
 }
 
 /// The count estimate for one compiled term in its current state —
@@ -376,164 +263,230 @@ pub fn execute_count(
     catalog: &Catalog,
     expr: &Expr,
     quota: Duration,
-    params: ExecParams<'_>,
+    config: &QueryConfig,
+    seed: u64,
 ) -> Result<ExecOutcome, EngineError> {
-    execute_aggregate(disk, catalog, expr, AggregateFn::Count, quota, params)
+    execute_aggregate(disk, catalog, expr, AggregateFn::Count, quota, config, seed)
 }
 
 /// Runs `f(expr)` within `quota`, where `f` is COUNT, SUM, or AVG —
 /// the paper's general problem statement with its COUNT restriction
 /// lifted. SUM shares COUNT's machinery (it is additive, so the
 /// inclusion–exclusion rewrite applies); AVG requires a
-/// union/difference-free expression and no projection root.
+/// union/difference-free expression and no projection root. `seed`
+/// seeds the block samplers; spans and events go to `config.tracer`.
 pub fn execute_aggregate(
     disk: &Arc<Disk>,
     catalog: &Catalog,
     expr: &Expr,
     agg: AggregateFn,
     quota: Duration,
-    params: ExecParams<'_>,
+    config: &QueryConfig,
+    seed: u64,
 ) -> Result<ExecOutcome, EngineError> {
-    agg.validate(expr, catalog)?;
-    // Normalize (selection pushdown shrinks every sorted run the
-    // full-fulfillment plan re-merges), then transform f(E) into
-    // Σᵢ cᵢ·f(Eᵢ') (Section 2).
-    let optimized;
-    let expr = if params.optimize {
-        optimized = push_selections(expr.clone(), &|name| {
-            catalog.schema_of(name).map(eram_storage::Schema::arity)
-        });
-        &optimized
-    } else {
-        expr
-    };
-    let rewrite = PieRewrite::rewrite(expr)?;
-    if matches!(agg, AggregateFn::Avg { .. }) && !rewrite.is_trivial() {
-        return Err(EngineError::UnsupportedAggregate(
-            "AVG is not additive: the expression must be free of union/difference".into(),
-        ));
-    }
-    if agg.group_by().is_some() && !rewrite.is_trivial() {
-        return Err(EngineError::UnsupportedAggregate(
-            "GROUP BY requires a union/difference-free expression".into(),
-        ));
-    }
-    let mut rng = StdRng::seed_from_u64(params.seed);
-    let mut trees: Vec<PhysTree> = Vec::with_capacity(rewrite.terms.len());
-    let mut coefficients: Vec<i64> = Vec::with_capacity(rewrite.terms.len());
-    for term in &rewrite.terms {
-        trees.push(PhysTree::build(
-            &term.expr,
-            catalog,
-            disk,
-            &params.defaults,
-            PlanOptions {
-                fulfillment: params.fulfillment,
-                memory: params.memory,
-                run_cache_tuples: params.run_cache_tuples,
-                block_layout: params.block_layout,
-            },
-            &mut rng,
-        )?);
-        coefficients.push(term.coefficient);
-    }
-    if (agg.column().is_some() || agg.group_by().is_some())
-        && trees.iter().any(PhysTree::projection_root)
-    {
-        return Err(EngineError::UnsupportedAggregate(
-            "SUM/AVG/GROUP BY over a projection's distinct groups is not supported".into(),
-        ));
-    }
-    let mut values = vec![TermValues::default(); trees.len()];
-    // GROUP BY state: the accumulator partitions qualifying tuples by
-    // key, the bound (if any) drives per-group freezing, and the
-    // delivered snapshots trail the last stage whose answer the
-    // stopping discipline lets us hand out.
-    let mut grouped = agg.group_by().map(|_| GroupedAccumulator::new());
-    let group_bound = params.stopping.group_error_bound();
-    let mut delivered_groups: Vec<GroupSnapshot> = Vec::new();
-    let mut groups_converged = false;
+    let tracer = config.tracer.clone();
+    let mut run = StageRun::start(disk, catalog, expr, agg, quota, config, seed, tracer)?;
+    while run.step()? {}
+    Ok(run.finish())
+}
 
-    let tracer = params.tracer.clone();
-    let profiler = params.profiler.clone();
-    let baseline: Option<MetricsBaseline> = params
-        .collect_metrics
-        .then(|| (disk.stats(), disk.cache_stats(), disk.fault_stats()));
-    let deadline = Deadline::new(disk.clock().clone(), quota);
-    // The root span opens at the same clock instant the deadline is
-    // armed and closes right as `total_elapsed` is read, so its
-    // duration equals the report's elapsed time exactly.
-    let root_span = tracer.span("execute");
-    let hard = params.stopping.is_hard();
-    // Value-function tail ([AbGM 88]): past the quota, keep going
-    // only while the next stage is expected to raise
-    // value(t) × precision. Ignored under a hard constraint.
-    let value_tail = if hard {
-        None
-    } else {
-        params
-            .stopping
-            .value_function()
-            .filter(|zero_at| *zero_at > quota)
-    };
-    let mut model = params.cost_model;
-    let mut stages: Vec<StageReport> = Vec::new();
-    let mut history: Vec<CountEstimate> = Vec::new();
-    let mut health = StageHealth::default();
-    let mut hard_estimate = {
-        let _phase = profiler.phase(Phase::EstimatorMath);
-        combine(&coefficients, &trees, &values, agg, params.distinct)
-    };
+/// The stage loop of Figure 3.1 as a resumable state machine: the
+/// loop's state lives here, so a caller may pause between stages.
+/// [`execute_aggregate`] steps one run to completion; the query
+/// server steps several, a stage at a time, to interleave lanes on
+/// one thread. Pausing charges nothing and observes nothing, so a run
+/// stepped in any alternation with others is byte-identical to the
+/// same run driven alone.
+pub struct StageRun<'a> {
+    disk: Arc<Disk>,
+    config: &'a QueryConfig,
+    agg: AggregateFn,
+    tracer: Tracer,
+    trees: Vec<PhysTree>,
+    coefficients: Vec<i64>,
+    values: Vec<TermValues>,
+    /// GROUP BY state: the accumulator partitions qualifying tuples
+    /// by key, and the delivered snapshots trail the last stage whose
+    /// answer the stopping discipline lets us hand out.
+    grouped: Option<GroupedAccumulator>,
+    delivered_groups: Vec<GroupSnapshot>,
+    groups_converged: bool,
+    baseline: Option<MetricsBaseline>,
+    deadline: Deadline,
+    /// Opens at the same clock instant the deadline is armed and
+    /// closes right as `total_elapsed` is read, so its duration
+    /// equals the report's elapsed time exactly.
+    root_span: SpanGuard,
+    /// Value-function tail ([AbGM 88]): past the quota, keep going
+    /// only while the next stage is expected to raise
+    /// value(t) × precision. `None` under a hard constraint.
+    value_tail: Option<Duration>,
+    model: CostModel,
+    stages: Vec<StageReport>,
+    history: Vec<CountEstimate>,
+    health: StageHealth,
+    hard_estimate: CountEstimate,
+    stop_reason: &'static str,
+}
 
-    if trees.is_empty() {
-        // The rewrite proved COUNT(E) = 0 (e.g. E = A − A).
-        tracer.event("stop", || {
-            vec![("reason", JsonValue::from("empty_rewrite"))]
-        });
-        let metrics = baseline.map(|b| metrics_snapshot(disk, b, &stages, &health, 0));
-        drop(root_span);
-        let report = ExecutionReport {
-            schema_version: crate::obs::SCHEMA_VERSION,
-            quota,
-            stages,
-            total_elapsed: deadline.spent(),
-            final_estimate: zero_estimate(),
-            groups: Vec::new(),
-            health: ReportHealth::default(),
-            metrics,
-            profile: profiler.snapshot(),
+impl<'a> StageRun<'a> {
+    /// Validates and compiles `agg(expr)`, arms the deadline and
+    /// opens the root span. `tracer` receives the run's spans and
+    /// events (the server hands each lane its own; `config.tracer` is
+    /// not consulted).
+    #[allow(clippy::too_many_arguments)]
+    pub fn start(
+        disk: &Arc<Disk>,
+        catalog: &Catalog,
+        expr: &Expr,
+        agg: AggregateFn,
+        quota: Duration,
+        config: &'a QueryConfig,
+        seed: u64,
+        tracer: Tracer,
+    ) -> Result<Self, EngineError> {
+        agg.validate(expr, catalog)?;
+        // Normalize (selection pushdown shrinks every sorted run the
+        // full-fulfillment plan re-merges), then transform f(E) into
+        // Σᵢ cᵢ·f(Eᵢ') (Section 2).
+        let optimized;
+        let expr = if config.optimize {
+            optimized = push_selections(expr.clone(), &|name| {
+                catalog.schema_of(name).map(eram_storage::Schema::arity)
+            });
+            &optimized
+        } else {
+            expr
         };
-        return Ok(ExecOutcome {
-            estimate: zero_estimate(),
-            report,
-        });
+        let rewrite = PieRewrite::rewrite(expr)?;
+        if matches!(agg, AggregateFn::Avg { .. }) && !rewrite.is_trivial() {
+            return Err(EngineError::UnsupportedAggregate(
+                "AVG is not additive: the expression must be free of union/difference".into(),
+            ));
+        }
+        if agg.group_by().is_some() && !rewrite.is_trivial() {
+            return Err(EngineError::UnsupportedAggregate(
+                "GROUP BY requires a union/difference-free expression".into(),
+            ));
+        }
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut trees: Vec<PhysTree> = Vec::with_capacity(rewrite.terms.len());
+        let mut coefficients: Vec<i64> = Vec::with_capacity(rewrite.terms.len());
+        for term in &rewrite.terms {
+            trees.push(PhysTree::build(
+                &term.expr,
+                catalog,
+                disk,
+                &config.defaults,
+                PlanOptions {
+                    fulfillment: config.fulfillment,
+                    memory: config.memory,
+                    run_cache_tuples: config.run_cache_tuples,
+                    block_layout: config.block_layout,
+                },
+                &mut rng,
+            )?);
+            coefficients.push(term.coefficient);
+        }
+        if (agg.column().is_some() || agg.group_by().is_some())
+            && trees.iter().any(PhysTree::projection_root)
+        {
+            return Err(EngineError::UnsupportedAggregate(
+                "SUM/AVG/GROUP BY over a projection's distinct groups is not supported".into(),
+            ));
+        }
+        let values = vec![TermValues::default(); trees.len()];
+        let baseline: Option<MetricsBaseline> = config
+            .collect_metrics
+            .then(|| (disk.stats(), disk.cache_stats(), disk.fault_stats()));
+        let deadline = Deadline::new(disk.clock().clone(), quota);
+        let root_span = tracer.span("execute");
+        let value_tail = if config.stopping.is_hard() {
+            None
+        } else {
+            config
+                .stopping
+                .value_function()
+                .filter(|zero_at| *zero_at > quota)
+        };
+        let hard_estimate = {
+            let _phase = config.profiler.phase(Phase::EstimatorMath);
+            combine(&coefficients, &trees, &values, agg, config.distinct)
+        };
+        Ok(StageRun {
+            disk: disk.clone(),
+            config,
+            agg,
+            tracer,
+            trees,
+            coefficients,
+            values,
+            grouped: agg.group_by().map(|_| GroupedAccumulator::new()),
+            delivered_groups: Vec::new(),
+            groups_converged: false,
+            baseline,
+            deadline,
+            root_span,
+            value_tail,
+            model: config.cost_model.clone(),
+            stages: Vec::new(),
+            history: Vec::new(),
+            health: StageHealth::default(),
+            hard_estimate,
+            stop_reason: "max_stages",
+        })
     }
 
-    let mut stop_reason = "max_stages";
-    while stages.len() < params.max_stages {
-        if let Some(gate) = params.stage_yield {
-            gate();
+    /// The composite estimate over everything sampled so far.
+    fn estimate_now(&self) -> CountEstimate {
+        let _phase = self.config.profiler.phase(Phase::EstimatorMath);
+        combine(
+            &self.coefficients,
+            &self.trees,
+            &self.values,
+            self.agg,
+            self.config.distinct,
+        )
+    }
+
+    /// Runs one stage: revise selectivities, size the sample, draw,
+    /// evaluate, check the stopping criterion. Returns whether another
+    /// stage follows; after `Ok(false)` call [`StageRun::finish`]. An
+    /// error is an unrecoverable storage fault and ends the run.
+    pub fn step(&mut self) -> Result<bool, EngineError> {
+        let config = self.config;
+        let (tracer, profiler) = (&self.tracer, &config.profiler);
+        let hard = config.stopping.is_hard();
+        let value_tail = self.value_tail;
+        if self.trees.is_empty() {
+            // The rewrite proved COUNT(E) = 0 (e.g. E = A − A).
+            self.stop_reason = "empty_rewrite";
+            return Ok(false);
         }
-        if trees.iter().all(PhysTree::exhausted) {
-            stop_reason = "census_complete";
-            break; // census complete — the estimate is exact
+        if self.stages.len() >= config.max_stages {
+            return Ok(false);
         }
-        let in_tail = value_tail.is_some() && deadline.expired();
+        if self.trees.iter().all(PhysTree::exhausted) {
+            self.stop_reason = "census_complete";
+            return Ok(false); // census complete — the estimate is exact
+        }
+        let in_tail = value_tail.is_some() && self.deadline.expired();
         let remaining = match value_tail {
-            Some(zero_at) if in_tail => zero_at.saturating_sub(deadline.spent()),
-            _ => deadline.remaining(),
+            Some(zero_at) if in_tail => zero_at.saturating_sub(self.deadline.spent()),
+            _ => self.deadline.remaining(),
         };
         if remaining.is_zero() {
-            stop_reason = "quota_exhausted";
-            break;
+            self.stop_reason = "quota_exhausted";
+            return Ok(false);
         }
-        let stage_no = stages.len() + 1;
+        let stage_no = self.stages.len() + 1;
         tracer.set_stage(stage_no);
         profiler.set_stage(stage_no);
         {
             let _phase = profiler.phase(Phase::SelectivityRevision);
             tracer.event("revise_selectivities", || {
-                let sels = trees
+                let sels = self
+                    .trees
                     .iter()
                     .map(|tree| {
                         let mut per_tree = Vec::new();
@@ -556,49 +509,50 @@ pub fn execute_aggregate(
         } else {
             remaining
         };
-        // The guard covers the hybrid re-planning fallback too; on a
-        // `break` out of the match it closes with the loop scope.
+        // The guard covers the hybrid re-planning fallback too; on an
+        // early return out of the match it closes with the function.
         let planning_phase = profiler.phase(Phase::Planning);
-        let plan = match params
-            .strategy
-            .plan_stage(&trees, &model, planning_remaining, stage_no)
-        {
-            Some(plan) => plan,
-            None if params.hybrid_leftover
-                && params.fulfillment == Fulfillment::Full
-                && stage_no > 1 =>
+        let plan =
+            match config
+                .strategy
+                .plan_stage(&self.trees, &self.model, planning_remaining, stage_no)
             {
-                // A full-fulfillment stage no longer fits; see if a
-                // partial one squeezes into the leftover.
-                let policy = SelPolicy::Mean;
-                match solve_fraction_with(
-                    &trees,
-                    &model,
-                    &policy,
-                    remaining.as_secs_f64(),
-                    0.05,
-                    Some(Fulfillment::Partial),
-                ) {
-                    Some((fraction, p)) => {
-                        stage_fulfillment = Some(Fulfillment::Partial);
-                        StagePlan {
-                            fraction,
-                            predicted: Duration::from_secs_f64(p.cost_secs.max(0.0)),
-                            predicted_blocks: p.blocks_drawn,
+                Some(plan) => plan,
+                None if config.hybrid_leftover
+                    && config.fulfillment == Fulfillment::Full
+                    && stage_no > 1 =>
+                {
+                    // A full-fulfillment stage no longer fits; see if a
+                    // partial one squeezes into the leftover.
+                    let policy = SelPolicy::Mean;
+                    match solve_fraction_with(
+                        &self.trees,
+                        &self.model,
+                        &policy,
+                        remaining.as_secs_f64(),
+                        0.05,
+                        Some(Fulfillment::Partial),
+                    ) {
+                        Some((fraction, p)) => {
+                            stage_fulfillment = Some(Fulfillment::Partial);
+                            StagePlan {
+                                fraction,
+                                predicted: Duration::from_secs_f64(p.cost_secs.max(0.0)),
+                                predicted_blocks: p.blocks_drawn,
+                            }
+                        }
+                        None => {
+                            self.stop_reason = "leftover_too_small";
+                            return Ok(false);
                         }
                     }
-                    None => {
-                        stop_reason = "leftover_too_small";
-                        break;
-                    }
                 }
-            }
-            None => {
-                // Leftover too small for another stage → wasted.
-                stop_reason = "leftover_too_small";
-                break;
-            }
-        };
+                None => {
+                    // Leftover too small for another stage → wasted.
+                    self.stop_reason = "leftover_too_small";
+                    return Ok(false);
+                }
+            };
         drop(planning_phase);
         tracer.event("plan_stage", || {
             vec![
@@ -622,18 +576,15 @@ pub fn execute_aggregate(
             // decayed value of a later, more precise answer beats
             // delivering the current one now.
             let zero_at = value_tail.expect("in_tail implies a tail");
-            let now = deadline.spent();
-            let current_est = {
-                let _phase = profiler.phase(Phase::EstimatorMath);
-                combine(&coefficients, &trees, &values, agg, params.distinct)
-            };
+            let (quota, now) = (self.deadline.quota(), self.deadline.spent());
+            let current_est = self.estimate_now();
             let precision_now = 1.0 / (1.0 + current_est.relative_half_width(0.95).min(1e9));
             let utility_now =
                 StoppingCriterion::completion_value(quota, zero_at, now) * precision_now;
             // The CI half-width shrinks like √(m/(m+Δm)).
             let m = current_est.points_sampled.max(1.0);
             let dm = if current_est.points_sampled > 0.0 {
-                let blocks_so_far: u64 = trees.iter().map(PhysTree::blocks_drawn).sum();
+                let blocks_so_far: u64 = self.trees.iter().map(PhysTree::blocks_drawn).sum();
                 plan.predicted_blocks / (blocks_so_far.max(1) as f64) * m
             } else {
                 m
@@ -644,45 +595,50 @@ pub fn execute_aggregate(
             let utility_after =
                 StoppingCriterion::completion_value(quota, zero_at, t_after) / (1.0 + projected_hw);
             if utility_after <= utility_now {
-                stop_reason = "value_tail_unprofitable";
-                break;
+                self.stop_reason = "value_tail_unprofitable";
+                return Ok(false);
             }
         }
 
-        let stage_start = deadline.spent();
+        let stage_start = self.deadline.spent();
         // Every charge this stage makes (overhead, reads, CPU, retry
         // backoff) lands between this span's endpoints, so its
         // duration equals `StageReport::actual_cost` and the stage
         // spans partition the run's charged time.
         let stage_span = tracer.span("stage");
-        let blocks_before: u64 = trees.iter().map(PhysTree::blocks_drawn).sum();
+        let blocks_before: u64 = self.trees.iter().map(PhysTree::blocks_drawn).sum();
 
         // The fixed per-stage bookkeeping, measured at run time.
-        let t0 = disk.clock().elapsed();
-        disk.charge(DeviceOp::StageOverhead);
-        let overhead = disk.clock().elapsed() - t0;
+        let t0 = self.disk.clock().elapsed();
+        self.disk.charge(DeviceOp::StageOverhead);
+        let overhead = self.disk.clock().elapsed() - t0;
 
-        let mut env = StageEnv::new(disk.clone(), hard.then_some(&deadline), plan.fraction);
+        let mut env = StageEnv::new(
+            self.disk.clone(),
+            hard.then_some(&self.deadline),
+            plan.fraction,
+        );
         env.fulfillment_override = stage_fulfillment;
-        env.retry = params.retry;
+        env.retry = config.retry;
         env.tracer = tracer.clone();
         env.profiler = profiler.clone();
-        env.workers = params.workers.max(1);
+        env.workers = config.workers.max(1);
+        let agg = self.agg;
         let mut aborted = false;
         let mut storage_failure: Option<StorageError> = None;
-        for (tree, tv) in trees.iter_mut().zip(values.iter_mut()) {
+        for (tree, tv) in self.trees.iter_mut().zip(self.values.iter_mut()) {
             match tree.advance(&mut env) {
                 Ok(delta) => {
                     // Value/group accumulation walks row tuples; a
                     // columnar delta (bare-leaf root under the
                     // columnar layout) materializes here. COUNT
                     // queries never look at the rows at all.
-                    if agg.column().is_some() || grouped.is_some() {
+                    if agg.column().is_some() || self.grouped.is_some() {
                         let rows = delta.into_rows();
                         if let Some(col) = agg.column() {
                             tv.absorb(&rows, col);
                         }
-                        if let Some(acc) = grouped.as_mut() {
+                        if let Some(acc) = self.grouped.as_mut() {
                             let group = agg.group_by().expect("grouped accumulator implies a key");
                             acc.absorb(&rows, group, agg.column());
                         }
@@ -698,7 +654,7 @@ pub fn execute_aggregate(
                 }
             }
         }
-        health.absorb(env.health);
+        self.health.absorb(env.health);
         if let Some(e) = storage_failure {
             // Not degradable (unknown file, schema mismatch, …): the
             // caller gets the error, not a silently wrong estimate.
@@ -706,20 +662,17 @@ pub fn execute_aggregate(
         }
 
         // Adapt the cost formulas from this stage's measured steps.
-        model.observe(CostCoeff::StageOverhead, 1.0, overhead);
+        self.model.observe(CostCoeff::StageOverhead, 1.0, overhead);
         for obs in &env.observations {
-            model.observe(obs.coeff, obs.units, obs.elapsed);
+            self.model.observe(obs.coeff, obs.units, obs.elapsed);
         }
 
-        let actual = deadline.spent() - stage_start;
+        let actual = self.deadline.spent() - stage_start;
         drop(stage_span);
-        let blocks_after: u64 = trees.iter().map(PhysTree::blocks_drawn).sum();
-        let estimate = {
-            let _phase = profiler.phase(Phase::EstimatorMath);
-            combine(&coefficients, &trees, &values, agg, params.distinct)
-        };
-        let within = !aborted && deadline.spent() <= quota;
-        stages.push(StageReport {
+        let blocks_after: u64 = self.trees.iter().map(PhysTree::blocks_drawn).sum();
+        let estimate = self.estimate_now();
+        let within = !aborted && self.deadline.spent() <= self.deadline.quota();
+        self.stages.push(StageReport {
             stage: stage_no,
             fraction: plan.fraction,
             predicted_cost: plan.predicted,
@@ -729,20 +682,21 @@ pub fn execute_aggregate(
             estimate,
         });
         if within {
-            hard_estimate = estimate;
-            history.push(estimate);
+            self.hard_estimate = estimate;
+            self.history.push(estimate);
         } else if !hard {
             // Soft constraint: the overrunning stage still delivers.
-            history.push(estimate);
+            self.history.push(estimate);
         }
-        if let Some(acc) = grouped.as_mut() {
+        if let Some(acc) = self.grouped.as_mut() {
             // Grouped runs have a trivial rewrite, so the one term's
             // (N, m) accounting backs every group's estimator.
-            let n = trees[0].total_points();
-            let m = trees[0].points_covered();
+            let n = self.trees[0].total_points();
+            let m = self.trees[0].points_covered();
             if within {
-                if let Some((target, confidence, min_tuples)) = group_bound {
-                    groups_converged =
+                if let Some((target, confidence, min_tuples)) = config.stopping.group_error_bound()
+                {
+                    self.groups_converged =
                         acc.check_convergence(stage_no, agg, n, m, target, confidence, min_tuples);
                 }
             }
@@ -750,7 +704,7 @@ pub fn execute_aggregate(
                 // Mirror the estimate-history rule: a hard-deadline
                 // abort must not leak post-quota group state, so the
                 // delivered snapshots stay at the last banked stage.
-                delivered_groups = acc.snapshots(agg, n, m);
+                self.delivered_groups = acc.snapshots(agg, n, m);
             }
             tracer.stage_record("group_convergence", || {
                 let snaps = acc.snapshots(agg, n, m);
@@ -777,13 +731,13 @@ pub fn execute_aggregate(
                     ("rel_half_widths", JsonValue::Array(widths)),
                     ("tuples_seen", JsonValue::Array(tuples)),
                     ("frozen_flags", JsonValue::Array(frozen)),
-                    ("all_converged", JsonValue::from(groups_converged)),
+                    ("all_converged", JsonValue::from(self.groups_converged)),
                 ]
             });
         }
         tracer.stage_record("convergence", || {
             let mut sels = Vec::new();
-            for tree in &trees {
+            for tree in &self.trees {
                 tree.for_each_tracker(&mut |t| {
                     sels.push(JsonValue::from(t.revised_selectivity()));
                 });
@@ -804,104 +758,115 @@ pub fn execute_aggregate(
                 ("fraction", JsonValue::from(plan.fraction)),
                 (
                     "spent_ns",
-                    JsonValue::from(deadline.spent().as_nanos() as u64),
+                    JsonValue::from(self.deadline.spent().as_nanos() as u64),
                 ),
                 (
                     "remaining_ns",
-                    JsonValue::from(deadline.remaining().as_nanos() as u64),
+                    JsonValue::from(self.deadline.remaining().as_nanos() as u64),
                 ),
                 ("within_quota", JsonValue::from(within)),
                 ("selectivities", JsonValue::Array(sels)),
             ]
         });
         // One stopping check per executed stage, with the decision
-        // recorded before the equivalent breaks run. `expired` and
+        // recorded before the equivalent returns run. `expired` and
         // `precision_satisfied` are pure reads, so pre-evaluating
         // them does not change loop behaviour.
         let stopping_phase = profiler.phase(Phase::StoppingCheck);
-        let expired_now = deadline.expired() && value_tail.is_none();
+        let expired_now = self.deadline.expired() && value_tail.is_none();
         // For grouped runs, per-group convergence (every group frozen)
         // is a precision stop: the remaining quota has no loose group
         // left to spend on.
-        let precision = params.stopping.precision_satisfied(&history) || groups_converged;
+        let precision = config.stopping.precision_satisfied(&self.history) || self.groups_converged;
+        let stop = aborted || expired_now || precision;
         tracer.event("stopping_check", || {
             vec![
                 ("aborted", JsonValue::from(aborted)),
                 ("deadline_expired", JsonValue::from(expired_now)),
                 ("precision_satisfied", JsonValue::from(precision)),
-                ("stop", JsonValue::from(aborted || expired_now || precision)),
+                ("stop", JsonValue::from(stop)),
             ]
         });
         drop(stopping_phase);
         if aborted {
-            stop_reason = "aborted";
-            break;
+            self.stop_reason = "aborted";
+        } else if expired_now {
+            self.stop_reason = "quota_expired";
+        } else if precision {
+            self.stop_reason = "precision_satisfied";
         }
-        if expired_now {
-            stop_reason = "quota_expired";
-            break;
-        }
-        if precision {
-            stop_reason = "precision_satisfied";
-            break;
+        Ok(!stop)
+    }
+
+    /// Closes the run: emits the stop reason, shuts the root span and
+    /// assembles the report from the stages banked so far.
+    pub fn finish(self) -> ExecOutcome {
+        let stop_reason = self.stop_reason;
+        self.tracer
+            .event("stop", || vec![("reason", JsonValue::from(stop_reason))]);
+
+        let delivered = if self.config.stopping.is_hard() {
+            self.hard_estimate
+        } else {
+            self.history.last().copied().unwrap_or(self.hard_estimate)
+        };
+        let health = ReportHealth {
+            faults_seen: self.health.faults_seen,
+            retries: self.health.retries,
+            blocks_lost: self.health.blocks_lost,
+            degraded: self.health.blocks_lost > 0,
+            refusal: None,
+        };
+        let blocks_drawn: u64 = self.trees.iter().map(PhysTree::blocks_drawn).sum();
+        let metrics = self
+            .baseline
+            .map(|b| metrics_snapshot(&self.disk, b, &self.stages, &self.health, blocks_drawn));
+        // A completed census makes every still-live group's estimate
+        // exact (its variance formulas collapse at m = N) — the
+        // small-group fallback. Frozen groups keep their honest sampled
+        // snapshot from the stage they converged.
+        let census = stop_reason == "census_complete";
+        let groups: Vec<GroupReport> = self
+            .delivered_groups
+            .iter()
+            .map(|g| GroupReport {
+                key: g.key,
+                estimate: g.estimate,
+                tuples_seen: g.tuples_seen,
+                converged_at_stage: g.converged_at,
+                exact: census && !g.frozen,
+            })
+            .collect();
+        drop(self.root_span);
+        let report = ExecutionReport {
+            schema_version: crate::obs::SCHEMA_VERSION,
+            quota: self.deadline.quota(),
+            stages: self.stages,
+            total_elapsed: self.deadline.spent(),
+            final_estimate: self.hard_estimate,
+            groups,
+            health,
+            metrics,
+            profile: self.config.profiler.snapshot(),
+        };
+        ExecOutcome {
+            estimate: delivered,
+            report,
         }
     }
-    tracer.event("stop", || vec![("reason", JsonValue::from(stop_reason))]);
-
-    let delivered = if hard {
-        hard_estimate
-    } else {
-        history.last().copied().unwrap_or(hard_estimate)
-    };
-    let health_report = ReportHealth {
-        faults_seen: health.faults_seen,
-        retries: health.retries,
-        blocks_lost: health.blocks_lost,
-        degraded: health.blocks_lost > 0,
-        refusal: None,
-    };
-    let blocks_drawn: u64 = trees.iter().map(PhysTree::blocks_drawn).sum();
-    let metrics = baseline.map(|b| metrics_snapshot(disk, b, &stages, &health, blocks_drawn));
-    // A completed census makes every still-live group's estimate
-    // exact (its variance formulas collapse at m = N) — the
-    // small-group fallback. Frozen groups keep their honest sampled
-    // snapshot from the stage they converged.
-    let census = stop_reason == "census_complete";
-    let groups: Vec<GroupReport> = delivered_groups
-        .iter()
-        .map(|g| GroupReport {
-            key: g.key,
-            estimate: g.estimate,
-            tuples_seen: g.tuples_seen,
-            converged_at_stage: g.converged_at,
-            exact: census && !g.frozen,
-        })
-        .collect();
-    drop(root_span);
-    let report = ExecutionReport {
-        schema_version: crate::obs::SCHEMA_VERSION,
-        quota,
-        stages,
-        total_elapsed: deadline.spent(),
-        final_estimate: hard_estimate,
-        groups,
-        health: health_report,
-        metrics,
-        profile: profiler.snapshot(),
-    };
-    Ok(ExecOutcome {
-        estimate: delivered,
-        report,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::obs::{TraceKind, TraceRecord};
+    use crate::obs::{Profiler, TraceKind, TraceRecord};
+    use crate::seltrack::SelectivityDefaults;
     use crate::strategy::OneAtATimeInterval;
     use eram_relalg::{eval, CmpOp, Predicate};
-    use eram_storage::{ColumnType, DeviceProfile, HeapFile, Schema, SimClock, Tuple, Value};
+    use eram_storage::{
+        Clock, ColumnType, DeviceProfile, HeapFile, Schema, SharedDrawBroker, SimClock, Tuple,
+        Value,
+    };
 
     fn setup(jitter: bool) -> (Arc<Disk>, Catalog) {
         let profile = if jitter {
@@ -925,6 +890,14 @@ mod tests {
         (disk, cat)
     }
 
+    /// Engine defaults under `OneAtATimeInterval(d_beta)`.
+    fn config(d_beta: f64) -> QueryConfig {
+        QueryConfig {
+            strategy: Box::new(OneAtATimeInterval::new(d_beta)),
+            ..QueryConfig::default()
+        }
+    }
+
     fn run(
         disk: &Arc<Disk>,
         cat: &Catalog,
@@ -933,11 +906,9 @@ mod tests {
         stopping: StoppingCriterion,
         d_beta: f64,
     ) -> ExecOutcome {
-        let strategy = OneAtATimeInterval::new(d_beta);
-        let mut params = ExecParams::new(&strategy);
-        params.stopping = stopping;
-        params.seed = 99;
-        execute_count(disk, cat, expr, quota, params).unwrap()
+        let mut cfg = config(d_beta);
+        cfg.stopping = stopping;
+        execute_count(disk, cat, expr, quota, &cfg, 99).unwrap()
     }
 
     #[test]
@@ -1146,12 +1117,10 @@ mod tests {
             let expr = Expr::relation("r")
                 .join(Expr::relation("s"), vec![(0, 0)])
                 .select(Predicate::col_cmp(1, CmpOp::Lt, 1));
-            let strategy = OneAtATimeInterval::new(12.0);
-            let mut params = ExecParams::new(&strategy);
-            params.stopping = StoppingCriterion::SoftDeadline;
-            params.seed = 3;
-            params.optimize = optimize;
-            execute_count(&disk, &cat, &expr, Duration::from_secs(5), params).unwrap()
+            let mut cfg = config(12.0);
+            cfg.stopping = StoppingCriterion::SoftDeadline;
+            cfg.optimize = optimize;
+            execute_count(&disk, &cat, &expr, Duration::from_secs(5), &cfg, 3).unwrap()
         };
         let plain = run(false);
         let pushed = run(true);
@@ -1169,13 +1138,11 @@ mod tests {
         let expr = Expr::relation("r").select(Predicate::col_cmp(1, CmpOp::Lt, 50));
         let quota = Duration::from_secs(4);
         let zero_at = Duration::from_secs(12);
-        let strategy = OneAtATimeInterval::new(12.0);
-        let mut params = ExecParams::new(&strategy);
-        params.stopping = StoppingCriterion::ValueFunction {
+        let mut cfg = config(12.0);
+        cfg.stopping = StoppingCriterion::ValueFunction {
             zero_value_at: zero_at,
         };
-        params.seed = 21;
-        let out = execute_count(&disk, &cat, &expr, quota, params).unwrap();
+        let out = execute_count(&disk, &cat, &expr, quota, &cfg, 21).unwrap();
         // The decaying tail may buy extra stages past the quota, but
         // running to the zero-value point would be irrational.
         assert!(out.report.total_elapsed < zero_at);
@@ -1191,14 +1158,12 @@ mod tests {
         let (disk, cat) = setup(false);
         let expr = Expr::relation("r").select(Predicate::col_cmp(1, CmpOp::Lt, 50));
         let quota = Duration::from_secs(4);
-        let strategy = OneAtATimeInterval::new(12.0);
-        let mut params = ExecParams::new(&strategy);
+        let mut cfg = config(12.0);
         // zero_value_at == quota: the filter drops the tail entirely.
-        params.stopping = StoppingCriterion::ValueFunction {
+        cfg.stopping = StoppingCriterion::ValueFunction {
             zero_value_at: quota,
         };
-        params.seed = 5;
-        let out = execute_count(&disk, &cat, &expr, quota, params).unwrap();
+        let out = execute_count(&disk, &cat, &expr, quota, &cfg, 5).unwrap();
         assert!(out.report.total_elapsed <= quota + Duration::from_secs(1));
     }
 
@@ -1210,12 +1175,10 @@ mod tests {
         let run = |hybrid: bool| {
             let (disk, cat) = setup(false);
             let expr = Expr::relation("r").intersect(Expr::relation("s"));
-            let strategy = OneAtATimeInterval::new(48.0);
-            let mut params = ExecParams::new(&strategy);
-            params.stopping = StoppingCriterion::SoftDeadline;
-            params.seed = 13;
-            params.hybrid_leftover = hybrid;
-            execute_count(&disk, &cat, &expr, Duration::from_secs_f64(2.5), params).unwrap()
+            let mut cfg = config(48.0);
+            cfg.stopping = StoppingCriterion::SoftDeadline;
+            cfg.hybrid_leftover = hybrid;
+            execute_count(&disk, &cat, &expr, Duration::from_secs_f64(2.5), &cfg, 13).unwrap()
         };
         let plain = run(false);
         let hybrid = run(true);
@@ -1303,12 +1266,10 @@ mod tests {
         let (disk, cat) = setup(false);
         let expr = Expr::relation("r").select(Predicate::col_cmp(1, CmpOp::Lt, 50));
         let tracer = Tracer::recording(disk.clock().clone());
-        let strategy = OneAtATimeInterval::new(12.0);
-        let mut params = ExecParams::new(&strategy);
-        params.seed = 99;
-        params.tracer = tracer.clone();
-        params.collect_metrics = true;
-        let out = execute_count(&disk, &cat, &expr, Duration::from_secs(10), params).unwrap();
+        let mut cfg = config(12.0);
+        cfg.tracer = tracer.clone();
+        cfg.collect_metrics = true;
+        let out = execute_count(&disk, &cat, &expr, Duration::from_secs(10), &cfg, 99).unwrap();
 
         let records = tracer.records();
         assert!(!records.is_empty());
@@ -1375,13 +1336,11 @@ mod tests {
         };
         let traced = {
             let (disk, cat) = setup(false);
-            let strategy = OneAtATimeInterval::new(12.0);
-            let mut params = ExecParams::new(&strategy);
-            params.stopping = StoppingCriterion::HardDeadline;
-            params.seed = 99;
-            params.tracer = Tracer::recording(disk.clock().clone());
-            params.collect_metrics = true;
-            execute_count(&disk, &cat, &expr, Duration::from_secs(5), params).unwrap()
+            let mut cfg = config(12.0);
+            cfg.stopping = StoppingCriterion::HardDeadline;
+            cfg.tracer = Tracer::recording(disk.clock().clone());
+            cfg.collect_metrics = true;
+            execute_count(&disk, &cat, &expr, Duration::from_secs(5), &cfg, 99).unwrap()
         };
         // Tracing/metrics are pure observation: identical clock
         // charges, identical estimate.
@@ -1402,17 +1361,15 @@ mod tests {
         let expr = Expr::relation("r").select(Predicate::col_cmp(1, CmpOp::Lt, 50));
         let run_with = |profile: bool, workers: usize| {
             let (disk, cat) = setup(false);
-            let strategy = OneAtATimeInterval::new(12.0);
-            let mut params = ExecParams::new(&strategy);
-            params.stopping = StoppingCriterion::HardDeadline;
-            params.seed = 99;
-            params.workers = workers;
+            let mut cfg = config(12.0);
+            cfg.stopping = StoppingCriterion::HardDeadline;
+            cfg.workers = workers;
             let tracer = Tracer::recording(disk.clock().clone());
-            params.tracer = tracer.clone();
+            cfg.tracer = tracer.clone();
             if profile {
-                params.profiler = Profiler::recording(disk.clock().clone());
+                cfg.profiler = Profiler::recording(disk.clock().clone());
             }
-            let out = execute_count(&disk, &cat, &expr, Duration::from_secs(5), params).unwrap();
+            let out = execute_count(&disk, &cat, &expr, Duration::from_secs(5), &cfg, 99).unwrap();
             (out, tracer.to_jsonl())
         };
         let (base, base_trace) = run_with(false, 1);
@@ -1444,12 +1401,10 @@ mod tests {
     fn profile_snapshot_attributes_the_stage_loop() {
         let (disk, cat) = setup(false);
         let expr = Expr::relation("r").select(Predicate::col_cmp(1, CmpOp::Lt, 50));
-        let strategy = OneAtATimeInterval::new(12.0);
-        let mut params = ExecParams::new(&strategy);
-        params.stopping = StoppingCriterion::HardDeadline;
-        params.seed = 99;
-        params.profiler = Profiler::recording(disk.clock().clone());
-        let out = execute_count(&disk, &cat, &expr, Duration::from_secs(5), params).unwrap();
+        let mut cfg = config(12.0);
+        cfg.stopping = StoppingCriterion::HardDeadline;
+        cfg.profiler = Profiler::recording(disk.clock().clone());
+        let out = execute_count(&disk, &cat, &expr, Duration::from_secs(5), &cfg, 99).unwrap();
         let snap = out.report.profile.as_ref().unwrap();
         assert_eq!(snap.schema_version, crate::obs::SCHEMA_VERSION);
         // Engine-level phases fire once per stage at minimum.
@@ -1485,16 +1440,82 @@ mod tests {
         }
     }
 
+    /// Two runs over lane views of one disk, stepped in an arbitrary
+    /// alternation through one shared draw pool, each report and
+    /// trace exactly what the same run does driven alone.
+    #[test]
+    fn alternated_stepping_matches_running_alone() {
+        let (disk, cat) = setup(true);
+        let exprs = [
+            Expr::relation("r").select(Predicate::col_cmp(1, CmpOp::Lt, 50)),
+            Expr::relation("r").join(Expr::relation("s"), vec![(0, 0)]),
+        ];
+        let quotas = [Duration::from_secs(6), Duration::from_secs(20)];
+        // A lane: private clock, jitter stream and trace buffer over
+        // the shared backend bytes.
+        let lane = |i: usize, broker: Option<Arc<SharedDrawBroker>>| {
+            let clock: Arc<dyn Clock> = Arc::new(SimClock::new());
+            let tracer = Tracer::recording(clock.clone());
+            (
+                disk.lane_view(clock, 40 + i as u64, i as u64, broker),
+                tracer,
+            )
+        };
+        let alone: Vec<(ExecOutcome, Vec<TraceRecord>)> = (0..2)
+            .map(|i| {
+                let (disk, tracer) = lane(i, None);
+                let mut cfg = config(12.0);
+                cfg.tracer = tracer.clone();
+                let out =
+                    execute_count(&disk, &cat, &exprs[i], quotas[i], &cfg, 7 + i as u64).unwrap();
+                (out, tracer.records())
+            })
+            .collect();
+
+        let broker = SharedDrawBroker::new(["r", "s"].map(|n| cat.relation(n).unwrap().file_id()));
+        let cfg = config(12.0);
+        let lanes: Vec<(Arc<Disk>, Tracer)> =
+            (0..2).map(|i| lane(i, Some(broker.clone()))).collect();
+        let mut runs: Vec<Option<StageRun<'_>>> = lanes
+            .iter()
+            .enumerate()
+            .map(|(i, (disk, tracer))| {
+                let (agg, seed) = (AggregateFn::Count, 7 + i as u64);
+                let tracer = tracer.clone();
+                Some(
+                    StageRun::start(disk, &cat, &exprs[i], agg, quotas[i], &cfg, seed, tracer)
+                        .unwrap(),
+                )
+            })
+            .collect();
+        let mut stepped: Vec<Option<ExecOutcome>> = vec![None, None];
+        for &i in [1usize, 1, 0, 1, 0, 0].iter().cycle() {
+            if let Some(mut run) = runs[i].take() {
+                if run.step().unwrap() {
+                    runs[i] = Some(run);
+                } else {
+                    stepped[i] = Some(run.finish());
+                }
+            }
+            if runs.iter().all(Option::is_none) {
+                break;
+            }
+        }
+        for i in 0..2 {
+            assert!(alone[i].0.report.stages.len() > 1, "lane {i} must step");
+            assert_eq!(stepped[i].as_ref(), Some(&alone[i].0), "lane {i} report");
+            assert_eq!(lanes[i].1.records(), alone[i].1, "lane {i} trace");
+        }
+    }
+
     #[test]
     fn join_query_estimates_reasonably() {
         let (disk, cat) = setup(false);
         let expr = Expr::relation("r").join(Expr::relation("s"), vec![(0, 0)]);
         let truth = eval::exact_count(&expr, &cat).unwrap() as f64; // 5000
-        let strategy = OneAtATimeInterval::new(12.0);
-        let mut params = ExecParams::new(&strategy);
-        params.defaults = SelectivityDefaults::paper_join_experiment();
-        params.seed = 7;
-        let out = execute_count(&disk, &cat, &expr, Duration::from_secs(30), params).unwrap();
+        let mut cfg = config(12.0);
+        cfg.defaults = SelectivityDefaults::paper_join_experiment();
+        let out = execute_count(&disk, &cat, &expr, Duration::from_secs(30), &cfg, 7).unwrap();
         assert!(out.report.completed_stages() >= 1);
         // Join sampling on a sparse key space is noisy; require the
         // right order of magnitude.

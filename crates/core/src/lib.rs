@@ -70,7 +70,6 @@ pub mod parallel;
 pub mod predict;
 pub mod report;
 pub mod retry;
-pub mod scheduler;
 pub mod seltrack;
 pub mod server;
 pub mod session;
@@ -81,6 +80,7 @@ pub use aggregate::{AggregateFn, GroupSnapshot, GroupState, GroupedAccumulator, 
 pub use costs::{CostCoeff, CostModel};
 pub use executor::{
     execute_aggregate, execute_count, term_estimate, term_estimate_with, EngineError, ExecOutcome,
+    StageRun,
 };
 pub use kernel::{
     merge_keyed, merge_reference, sort_run, sort_run_with_keys, KeyColumn, KeySpec, MergeKind,
@@ -97,11 +97,10 @@ pub use ops::{
 pub use parallel::map_ordered;
 pub use report::{ExecutionReport, GroupReport, RefusalReason, ReportHealth, StageReport};
 pub use retry::RetryPolicy;
-pub use scheduler::{EdfScheduler, JobOutcome, JobStatus, QueryJob, DEFAULT_MIN_QUOTA};
 pub use server::{
     Concurrency, DecisionAction, DecisionRecord, JobReport, JobState, LaneWindow, QueryServer,
     RefitSample, ScheduleReport, ServerConfig, ServerJob, ServerOutcome, ServerStats, TenantLedger,
-    TenantSlo,
+    TenantSlo, DEFAULT_MIN_QUOTA,
 };
 pub use session::{CountQuery, Database, PreparedQuery, QueryConfig, TimedCount};
 pub use stopping::{error_bound_satisfied, StoppingCriterion};

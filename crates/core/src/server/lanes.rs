@@ -1,4 +1,4 @@
-//! Per-job execution lanes and the deterministic stage turnstile.
+//! Per-job execution lanes and the deterministic turn order.
 //!
 //! A *lane* is one admitted job's private execution context: its own
 //! virtual clock, its own jitter RNG and fault-injector instance
@@ -13,22 +13,25 @@
 //! byte-identical per-job results: both modes run the *same* lanes,
 //! they only schedule them differently.
 //!
-//! The [`StageGate`] serializes interleaved lanes at stage
-//! granularity: exactly one lane executes between yield points, and
-//! the next turn goes to the waiting lane with the least charged
-//! virtual time (ties to the lower canonical EDF index — a pure
-//! stable-EDF pick would replay sequential order verbatim and
-//! interleave nothing). The resulting schedule is deterministic — a
-//! pure function of the lanes' charge streams — so the shared-draw
-//! pool fills in the same order on every run and the sharing counters
+//! A lane is a resumable state machine around the engine's
+//! [`StageRun`], stepped on the calling thread one *turn* at a time:
+//! the first turn compiles the query, every later turn runs one
+//! stage. Sequential serving drains a lane's turns back to back;
+//! interleaved serving hands the next turn to the unfinished lane
+//! with the least charged virtual time (ties to the lower canonical
+//! EDF index — a pure stable-EDF pick would replay sequential order
+//! verbatim and interleave nothing). The resulting schedule is a pure
+//! function of the lanes' charge streams, so the shared-draw pool
+//! fills in the same order on every run and the sharing counters
 //! replay exactly.
 
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::Arc;
 use std::time::Duration;
 
-use eram_storage::{Clock, SharedDrawBroker, SimClock};
+use eram_relalg::Catalog;
+use eram_storage::{Clock, Disk, SharedDrawBroker, SimClock};
 
-use crate::executor::EngineError;
+use crate::executor::{EngineError, StageRun};
 use crate::obs::{TraceRecord, Tracer};
 use crate::session::{Database, PreparedQuery, TimedCount};
 
@@ -58,282 +61,210 @@ pub(super) struct LaneOutcome {
     pub charge_saved_ns: u64,
 }
 
-/// Runs one prepared job on its own lane of `db`'s disk.
+/// Where a lane stands between turns. One per lane and moved only
+/// between turns, so the variants' sizes are of no account.
+#[allow(clippy::large_enum_variant)]
+enum Progress<'a> {
+    /// No turn taken yet.
+    Fresh,
+    /// Compiled; the next turn runs one stage.
+    Running(StageRun<'a>),
+    /// Finished (or failed); takes no more turns.
+    Done(Result<TimedCount, EngineError>),
+}
+
+/// One prepared job on its own lane of the database's disk.
 ///
 /// On a simulated clock the lane gets a fresh [`SimClock`] at zero
-/// and (when `server_tracer` records) a private recording tracer, so
-/// its charge stream and trace bytes are independent of every other
-/// lane; the caller splices the records into the shared stream at the
-/// job's canonical start offset. On a wall clock there is no virtual
-/// time to isolate: the lane runs on the shared clock and tracer
-/// directly (and `records` stays empty).
-pub(super) fn run_lane(
-    db: &Database,
-    spec: &PreparedQuery,
-    lane: usize,
-    server_tracer: &Tracer,
-    broker: Option<Arc<SharedDrawBroker>>,
-    gate: Option<&StageGate>,
-) -> LaneOutcome {
-    let root_clock = db.disk().clock().clone();
-    let (clock, tracer, own_trace): (Arc<dyn Clock>, Tracer, bool) = if root_clock.is_simulated() {
-        let clock: Arc<dyn Clock> = Arc::new(SimClock::new());
-        let tracer = if server_tracer.is_enabled() {
-            Tracer::recording(clock.clone())
+/// and (when the server tracer records) a private recording tracer,
+/// so its charge stream and trace bytes are independent of every
+/// other lane; the caller splices the records into the shared stream
+/// at the job's canonical start offset. On a wall clock there is no
+/// virtual time to isolate: the lane runs on the shared clock and
+/// tracer directly (and its outcome's `records` stay empty).
+pub(super) struct Lane<'a> {
+    spec: &'a PreparedQuery,
+    catalog: &'a Catalog,
+    clock: Arc<dyn Clock>,
+    disk: Arc<Disk>,
+    tracer: Tracer,
+    start: Duration,
+    progress: Progress<'a>,
+}
+
+impl<'a> Lane<'a> {
+    pub(super) fn new(
+        db: &'a Database,
+        spec: &'a PreparedQuery,
+        lane: usize,
+        server_tracer: &Tracer,
+        broker: Option<Arc<SharedDrawBroker>>,
+    ) -> Self {
+        let root_clock = db.disk().clock().clone();
+        let (clock, tracer): (Arc<dyn Clock>, Tracer) = if root_clock.is_simulated() {
+            let clock: Arc<dyn Clock> = Arc::new(SimClock::new());
+            let tracer = if server_tracer.is_enabled() {
+                Tracer::recording(clock.clone())
+            } else {
+                Tracer::disabled()
+            };
+            (clock, tracer)
         } else {
-            Tracer::disabled()
+            (root_clock, server_tracer.clone())
         };
-        (clock, tracer, true)
-    } else {
-        (root_clock, server_tracer.clone(), false)
-    };
-    let disk = db.disk().lane_view(
-        clock.clone(),
-        spec.seed ^ LANE_JITTER_SALT,
-        lane as u64,
-        broker,
-    );
-    let start = clock.elapsed();
-    let result = match gate {
-        Some(gate) => {
-            // Hold the turnstile from the first instruction: planning
-            // reads must not race other lanes into the draw pool.
-            gate.enter(lane);
-            let _done = DoneGuard { gate, lane };
-            let yield_clock = clock.clone();
-            let stage_yield = move || gate.yield_turn(lane, yield_clock.elapsed());
-            spec.run_on(&disk, db.catalog(), tracer.clone(), Some(&stage_yield))
+        let disk = db.disk().lane_view(
+            clock.clone(),
+            spec.seed ^ LANE_JITTER_SALT,
+            lane as u64,
+            broker,
+        );
+        Lane {
+            spec,
+            catalog: db.catalog(),
+            start: clock.elapsed(),
+            clock,
+            disk,
+            tracer,
+            progress: Progress::Fresh,
         }
-        None => spec.run_on(&disk, db.catalog(), tracer.clone(), None),
-    };
-    let spent = clock.elapsed().saturating_sub(start);
-    let (blocks_shared, charge_saved_ns) = disk.sharing();
-    LaneOutcome {
-        result,
-        spent,
-        records: if own_trace {
-            tracer.records()
-        } else {
-            Vec::new()
-        },
-        reads: disk.stats().block_reads,
-        blocks_shared,
-        charge_saved_ns,
+    }
+
+    /// The lane's bid for the next turn — its charged virtual time —
+    /// or `None` once it has finished. Only the lane's own turns move
+    /// its clock, so this is the time at the end of its last turn
+    /// (zero before the first).
+    fn bid(&self) -> Option<Duration> {
+        match self.progress {
+            Progress::Done(_) => None,
+            _ => Some(self.clock.elapsed().saturating_sub(self.start)),
+        }
+    }
+
+    /// Takes one turn: compiles the query if the lane is fresh, runs
+    /// one stage otherwise. A stage that ends the loop closes the run
+    /// in the same turn.
+    fn turn(&mut self) {
+        self.progress = match std::mem::replace(&mut self.progress, Progress::Fresh) {
+            Progress::Fresh => {
+                match self
+                    .spec
+                    .start_on(&self.disk, self.catalog, self.tracer.clone())
+                {
+                    Ok(run) => Progress::Running(run),
+                    Err(e) => Progress::Done(Err(e)),
+                }
+            }
+            Progress::Running(mut run) => match run.step() {
+                Ok(true) => Progress::Running(run),
+                Ok(false) => Progress::Done(Ok(run.finish())),
+                Err(e) => Progress::Done(Err(e)),
+            },
+            done => done,
+        };
+    }
+
+    /// Takes turns until the lane finishes, then reads off what it
+    /// produced.
+    pub(super) fn drain(mut self) -> LaneOutcome {
+        loop {
+            match self.progress {
+                Progress::Done(result) => {
+                    let (blocks_shared, charge_saved_ns) = self.disk.sharing();
+                    return LaneOutcome {
+                        result,
+                        spent: self.clock.elapsed().saturating_sub(self.start),
+                        // A wall-clock lane traced straight into
+                        // the shared stream; only a private buffer
+                        // is handed back for splicing.
+                        records: if self.clock.is_simulated() {
+                            self.tracer.records()
+                        } else {
+                            Vec::new()
+                        },
+                        reads: self.disk.stats().block_reads,
+                        blocks_shared,
+                        charge_saved_ns,
+                    };
+                }
+                _ => self.turn(),
+            }
+        }
     }
 }
 
-/// Runs every prepared lane to completion under the turnstile and
-/// returns the outcomes in lane order plus the dispatch order (the
-/// sequence in which lanes received their *first* turn).
-///
-/// One OS thread per lane, but the gate admits exactly one at a time,
-/// so the schedule — and therefore the shared-draw pool's fill order
-/// and every sharing counter — is deterministic.
+/// The lane that takes the next turn: the least bid, ties to the
+/// lower canonical index; `None` once every lane has finished
+/// (finished lanes bid `None`).
+fn next_turn(bids: impl Iterator<Item = Option<Duration>>) -> Option<usize> {
+    bids.enumerate()
+        .filter_map(|(lane, bid)| Some((bid?, lane)))
+        .min()
+        .map(|(_, lane)| lane)
+}
+
+/// Runs every prepared lane to completion, one turn at a time in
+/// least-virtual-time order, and returns the outcomes in lane order
+/// plus the dispatch order (the sequence in which lanes received
+/// their *first* turn). A fresh lane bids zero, so when a lane's
+/// compile charges nothing it takes its second turn before the next
+/// lane's first.
 pub(super) fn run_interleaved(
     db: &Database,
     specs: &[PreparedQuery],
     server_tracer: &Tracer,
-    broker: Option<Arc<SharedDrawBroker>>,
+    broker: Arc<SharedDrawBroker>,
 ) -> (Vec<LaneOutcome>, Vec<usize>) {
-    let gate = StageGate::new(specs.len());
-    let mut outcomes: Vec<Option<LaneOutcome>> = Vec::with_capacity(specs.len());
-    outcomes.resize_with(specs.len(), || None);
-    std::thread::scope(|scope| {
-        let gate = &gate;
-        let handles: Vec<_> = specs
-            .iter()
-            .enumerate()
-            .map(|(lane, spec)| {
-                let broker = broker.clone();
-                scope.spawn(move || run_lane(db, spec, lane, server_tracer, broker, Some(gate)))
-            })
-            .collect();
-        for (lane, handle) in handles.into_iter().enumerate() {
-            match handle.join() {
-                Ok(out) => outcomes[lane] = Some(out),
-                Err(panic) => std::panic::resume_unwind(panic),
-            }
-        }
-    });
-    let outcomes = outcomes
-        .into_iter()
-        .map(|o| o.expect("every lane joined"))
+    let mut lanes: Vec<Lane<'_>> = specs
+        .iter()
+        .enumerate()
+        .map(|(lane, spec)| Lane::new(db, spec, lane, server_tracer, Some(broker.clone())))
         .collect();
-    (outcomes, gate.dispatch_order())
-}
-
-/// A lane's position in the turnstile protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LaneStatus {
-    /// Thread not yet at the gate (spawn in flight).
-    Starting,
-    /// Parked at the gate, bidding with its virtual time.
-    Waiting,
-    /// Holds the (single) execution turn.
-    Running,
-    /// Finished (or unwound); never bids again.
-    Done,
-}
-
-struct GateState {
-    status: Vec<LaneStatus>,
-    /// Each lane's charged virtual time at its last yield — the bid.
-    vtime_ns: Vec<u64>,
-    /// Lanes in the order they received their first turn.
-    order: Vec<usize>,
-}
-
-/// The stage turnstile: grants the single execution turn to the
-/// waiting lane with the least charged virtual time, ties to the
-/// lower canonical index. No turn is granted while any lane is still
-/// `Starting`, so the first pick already sees every bidder and the
-/// schedule cannot depend on thread-spawn timing.
-pub(super) struct StageGate {
-    state: Mutex<GateState>,
-    turn: Condvar,
-}
-
-impl StageGate {
-    fn new(lanes: usize) -> Self {
-        StageGate {
-            state: Mutex::new(GateState {
-                status: vec![LaneStatus::Starting; lanes],
-                vtime_ns: vec![0; lanes],
-                order: Vec::with_capacity(lanes),
-            }),
-            turn: Condvar::new(),
+    let mut order = Vec::with_capacity(lanes.len());
+    while let Some(lane) = next_turn(lanes.iter().map(Lane::bid)) {
+        if matches!(lanes[lane].progress, Progress::Fresh) {
+            order.push(lane);
         }
+        lanes[lane].turn();
     }
-
-    /// Locks the gate state, shrugging off poison: a lane that
-    /// panicked mid-unwind must not strand the survivors (the state
-    /// itself stays consistent — every mutation is a single-field
-    /// status/bid write).
-    fn lock(&self) -> MutexGuard<'_, GateState> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// First arrival: registers the lane as a bidder (virtual time
-    /// zero) and blocks until it is granted its first turn.
-    fn enter(&self, lane: usize) {
-        let mut state = self.lock();
-        state.status[lane] = LaneStatus::Waiting;
-        state.vtime_ns[lane] = 0;
-        Self::grant_next(&mut state);
-        self.wait_for_turn(lane, state);
-    }
-
-    /// Stage boundary: surrenders the turn, re-bids with the lane's
-    /// current virtual time, and blocks until granted again. Called
-    /// from the engine's `stage_yield` hook, which charges nothing —
-    /// parked wall time never reaches the lane clock.
-    fn yield_turn(&self, lane: usize, elapsed: Duration) {
-        let mut state = self.lock();
-        state.status[lane] = LaneStatus::Waiting;
-        state.vtime_ns[lane] = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
-        Self::grant_next(&mut state);
-        self.wait_for_turn(lane, state);
-    }
-
-    /// Parks until `lane` holds the turn (waking the lane the grant
-    /// actually went to first, if it was someone else).
-    fn wait_for_turn(&self, lane: usize, mut state: MutexGuard<'_, GateState>) {
-        if state.status[lane] != LaneStatus::Running {
-            self.turn.notify_all();
-            while state.status[lane] != LaneStatus::Running {
-                state = self.turn.wait(state).unwrap_or_else(|e| e.into_inner());
-            }
-        }
-    }
-
-    /// Terminal: the lane stops bidding and the turn moves on.
-    fn done(&self, lane: usize) {
-        let mut state = self.lock();
-        state.status[lane] = LaneStatus::Done;
-        Self::grant_next(&mut state);
-        self.turn.notify_all();
-    }
-
-    /// The lanes in first-turn order (the interleaved dispatch order).
-    fn dispatch_order(&self) -> Vec<usize> {
-        self.lock().order.clone()
-    }
-
-    /// Grants the turn to the best waiting bidder, if the gate is
-    /// quiescent (nobody starting, nobody running).
-    fn grant_next(state: &mut GateState) {
-        if state
-            .status
-            .iter()
-            .any(|s| matches!(s, LaneStatus::Starting | LaneStatus::Running))
-        {
-            return;
-        }
-        let next = state
-            .status
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| **s == LaneStatus::Waiting)
-            .min_by_key(|&(lane, _)| (state.vtime_ns[lane], lane))
-            .map(|(lane, _)| lane);
-        if let Some(lane) = next {
-            state.status[lane] = LaneStatus::Running;
-            if !state.order.contains(&lane) {
-                state.order.push(lane);
-            }
-        }
-    }
-}
-
-/// Releases the lane's turnstile slot even if the engine unwinds —
-/// a panicking lane must not strand the other bidders.
-struct DoneGuard<'a> {
-    gate: &'a StageGate,
-    lane: usize,
-}
-
-impl Drop for DoneGuard<'_> {
-    fn drop(&mut self) {
-        self.gate.done(self.lane);
-    }
+    (lanes.into_iter().map(Lane::drain).collect(), order)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Drives the gate from plain threads (no engine): three lanes
-    /// with scripted per-stage charges must interleave in
-    /// least-virtual-time order regardless of spawn timing.
+    /// Scripted lanes (no engine): lane `i` charges `charges[i][k]`
+    /// on its `k`-th turn and finishes with its last. Returns each
+    /// turn as `(lane, virtual time at turn start)` plus the order of
+    /// first turns, driving [`next_turn`] exactly as
+    /// [`run_interleaved`] does.
+    fn schedule(charges: &[Vec<u64>]) -> (Vec<(usize, u64)>, Vec<usize>) {
+        let mut vt = vec![0u64; charges.len()];
+        let mut turns = vec![0usize; charges.len()];
+        let (mut log, mut order) = (Vec::new(), Vec::new());
+        while let Some(lane) = next_turn(
+            (0..charges.len())
+                .map(|l| (turns[l] < charges[l].len()).then(|| Duration::from_nanos(vt[l]))),
+        ) {
+            if turns[lane] == 0 {
+                order.push(lane);
+            }
+            log.push((lane, vt[lane]));
+            vt[lane] += charges[lane][turns[lane]];
+            turns[lane] += 1;
+        }
+        (log, order)
+    }
+
     #[test]
-    fn gate_schedules_by_least_virtual_time_with_index_ties() {
-        // Per-lane stage charges (ns). Bids after each stage:
+    fn turns_go_by_least_virtual_time_with_index_ties() {
+        // Virtual time at each lane's turn starts:
         //   lane 0: 0, 100, 200      lane 1: 0, 60, 300
         //   lane 2: 0, 250
-        // Expected turn sequence by (vtime, lane):
-        //   first turns 0,1,2 (all bid 0; index breaks ties),
-        //   then 1 (60) , 0 (100), 0 done, 1 (300 after 2's 250)...
-        let charges: Vec<Vec<u64>> = vec![vec![100, 100], vec![60, 240], vec![250]];
-        let gate = StageGate::new(3);
-        let log = Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            for (lane, stages) in charges.iter().enumerate() {
-                let gate = &gate;
-                let log = &log;
-                scope.spawn(move || {
-                    gate.enter(lane);
-                    let _done = DoneGuard { gate, lane };
-                    let mut vt = 0u64;
-                    for charge in stages {
-                        log.lock().unwrap().push((lane, vt));
-                        vt += charge;
-                        gate.yield_turn(lane, Duration::from_nanos(vt));
-                    }
-                    log.lock().unwrap().push((lane, vt));
-                });
-            }
-        });
-        let got = log.lock().unwrap().clone();
+        // Expected by (vtime, lane): first turns 0,1,2 (all bid 0;
+        // index breaks ties), then 1 (60), 0 (100), 0 (200), 2 (250),
+        // 1 (300). Every lane's last turn closes it without a charge.
+        let (log, order) = schedule(&[vec![100, 100, 0], vec![60, 240, 0], vec![250, 0]]);
         let want = vec![
             (0, 0),
             (1, 0),
@@ -344,31 +275,17 @@ mod tests {
             (2, 250),
             (1, 300),
         ];
-        assert_eq!(got, want);
-        assert_eq!(gate.dispatch_order(), vec![0, 1, 2]);
+        assert_eq!(log, want);
+        assert_eq!(order, vec![0, 1, 2]);
     }
 
-    /// A lane that unwinds mid-turn must not deadlock the rest.
+    /// A compile that charges nothing leaves lane 0 bidding zero
+    /// again, so it takes its second turn before lane 1's first.
     #[test]
-    fn panicking_lane_releases_the_gate() {
-        let gate = StageGate::new(2);
-        let survived = std::thread::scope(|scope| {
-            let gate = &gate;
-            let bad = scope.spawn(move || {
-                gate.enter(0);
-                let _done = DoneGuard { gate, lane: 0 };
-                panic!("lane 0 exploded");
-            });
-            let good = scope.spawn(move || {
-                gate.enter(1);
-                let _done = DoneGuard { gate, lane: 1 };
-                gate.yield_turn(1, Duration::from_nanos(10));
-                true
-            });
-            let crashed = bad.join().is_err();
-            let survived = good.join().expect("lane 1 must complete");
-            crashed && survived
-        });
-        assert!(survived);
+    fn zero_charge_first_turn_keeps_the_turn() {
+        let (log, order) = schedule(&[vec![0, 80, 0], vec![0, 50, 0]]);
+        let want = vec![(0, 0), (0, 0), (1, 0), (1, 0), (1, 50), (0, 80)];
+        assert_eq!(log, want);
+        assert_eq!(order, vec![0, 1]);
     }
 }

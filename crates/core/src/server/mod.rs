@@ -2,9 +2,8 @@
 //! per-job fault isolation over one shared storage backend.
 //!
 //! The paper's closing argument is that fixing query execution times
-//! makes transaction deadlines *schedulable*. [`crate::scheduler`]
-//! demonstrates that for a single batch; this module promotes it to a
-//! serving discipline. A [`QueryServer`] accepts N concurrent
+//! makes transaction deadlines *schedulable*. This module turns that
+//! into a serving discipline. A [`QueryServer`] accepts N concurrent
 //! deadline-bound jobs and guarantees that every one of them ends in
 //! exactly one of three states — **answered by its deadline**,
 //! **refused with a structured reason**, or **shed with a structured
@@ -64,10 +63,10 @@
 //! stay byte-identical. The server then *replays* the canonical EDF
 //! control loop (shed sweeps, refit, ledger, trace stamps) over the
 //! lane outcomes on a virtual timeline, so
-//! [`Concurrency::Sequential`] (lanes run lazily at dispatch, the
-//! oracle) and [`Concurrency::Interleaved`] (all admitted lanes run
-//! up front, stages interleaved under a deterministic least-virtual-
-//! time turnstile, base-relation draws pooled through a
+//! [`Concurrency::Sequential`] (each lane drained lazily at its
+//! dispatch point) and [`Concurrency::Interleaved`] (all admitted
+//! lanes stepped up front on the calling thread, one stage per turn
+//! in least-virtual-time order, base-relation draws pooled through a
 //! [`SharedDrawBroker`]) produce byte-identical per-job reports,
 //! traces, and schedule-stripped outcomes. Only
 //! [`ServerOutcome::schedule`] and the tenants' sharing counters —
@@ -101,7 +100,6 @@ use crate::ops::{Fulfillment, PhysTree};
 use crate::predict::{predict_stage, SelPolicy};
 use crate::report::{ExecutionReport, RefusalReason, ReportHealth};
 use crate::retry::RetryPolicy;
-use crate::scheduler::{QueryJob, DEFAULT_MIN_QUOTA};
 use crate::seltrack::SelectivityDefaults;
 use crate::session::{Database, PreparedQuery};
 use crate::stopping::StoppingCriterion;
@@ -109,11 +107,59 @@ use crate::stopping::StoppingCriterion;
 mod lanes;
 pub mod ledger;
 
-pub use crate::scheduler::Concurrency;
 pub use ledger::{DecisionAction, DecisionRecord, RefitSample, TenantLedger, TenantSlo};
 
-use lanes::{run_interleaved, run_lane, LaneOutcome};
+use lanes::{run_interleaved, Lane, LaneOutcome};
 use ledger::duration_ns;
+
+/// How [`QueryServer`] executes its admitted batch.
+///
+/// Both modes produce byte-identical per-job reports, traces, and
+/// (schedule-stripped) outcomes — per-job charges live on private
+/// lanes either way. The modes differ only in device-level totals:
+/// interleaving admits cross-job block sharing, which sequential
+/// execution cannot exploit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[serde(rename_all = "snake_case")]
+pub enum Concurrency {
+    /// Drain each admitted job to completion in stable-EDF order.
+    #[default]
+    Sequential,
+    /// Step all admitted jobs a stage at a time (least lane progress
+    /// first, stable-EDF tiebreak), with the shared-draw broker
+    /// pooling base-relation reads across live jobs.
+    Interleaved,
+}
+
+impl Concurrency {
+    /// Stable lowercase token (`seq` / `interleaved`), as accepted by
+    /// [`Concurrency::parse`] and the CLI `--concurrency` flag.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Concurrency::Sequential => "seq",
+            Concurrency::Interleaved => "interleaved",
+        }
+    }
+
+    /// Parses a CLI token; accepts `seq`/`sequential` and
+    /// `interleaved`.
+    pub fn parse(s: &str) -> Option<Self> {
+        match s {
+            "seq" | "sequential" => Some(Concurrency::Sequential),
+            "interleaved" => Some(Concurrency::Interleaved),
+            _ => None,
+        }
+    }
+}
+
+/// Default minimum useful quota for [`ServerJob::new`]: below 100 ms
+/// on the paper's SUN 3/60 profile not even one block read fits, so
+/// an answer under this quota is worthless and admission control
+/// should refuse the job instead. Override per job with
+/// [`ServerJob::with_min_quota`] when the device or the application's
+/// notion of "worthless" differs (e.g. millisecond-scale minimums on
+/// the modern profile).
+pub const DEFAULT_MIN_QUOTA: Duration = Duration::from_millis(100);
 
 /// One tenant's deadline-bound aggregate request.
 #[derive(Debug, Clone)]
@@ -184,21 +230,6 @@ impl ServerJob {
     pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
         self.retry = Some(retry);
         self
-    }
-}
-
-impl From<QueryJob> for ServerJob {
-    fn from(job: QueryJob) -> Self {
-        ServerJob {
-            name: job.name,
-            agg: job.agg,
-            expr: job.expr,
-            deadline: job.deadline,
-            desired_quota: job.desired_quota,
-            min_quota: job.min_quota,
-            value: 1.0,
-            retry: None,
-        }
     }
 }
 
@@ -432,9 +463,8 @@ pub struct ScheduleReport {
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Fraction of the slack granted as quota; the rest is scheduling
-    /// margin for the engine's block-granularity abort overshoot.
-    /// Lower than [`crate::scheduler::EdfScheduler`]'s default
-    /// because the server must also absorb fault-storm overshoot.
+    /// margin for the engine's block-granularity abort overshoot
+    /// and fault-storm overshoot.
     pub slack_margin: f64,
     /// Worker threads per job for the pure-CPU stage work (results
     /// are byte-identical at any count).
@@ -471,14 +501,14 @@ pub struct ServerConfig {
     /// trace stream is identical either way.
     pub collect_ledger: bool,
     /// How admitted lanes are scheduled: [`Concurrency::Sequential`]
-    /// (the oracle — one lane at a time, in canonical EDF order) or
+    /// (one lane at a time, in canonical EDF order) or
     /// [`Concurrency::Interleaved`] (stages from all admitted lanes
     /// interleaved, base-relation draws shared). Per-job reports,
     /// traces, and the schedule-stripped outcome are byte-identical
     /// across modes; only [`ServerOutcome::schedule`] and the
     /// tenants' sharing counters differ. On a wall clock the server
     /// always runs sequentially (there is no virtual time to order
-    /// the turnstile by).
+    /// the turns by).
     pub concurrency: Concurrency,
 }
 
@@ -827,7 +857,7 @@ impl QueryServer {
         }
         let db = &*db;
 
-        // Interleaving needs a virtual clock to define the turnstile
+        // Interleaving needs a virtual clock to define the turn
         // order; a wall clock always serves sequentially.
         let mode = if clock.is_simulated() {
             cfg.concurrency
@@ -835,13 +865,13 @@ impl QueryServer {
             Concurrency::Sequential
         };
 
-        // Interleaved mode runs every admitted lane up front — stages
-        // interleaved under the deterministic turnstile, co-resident
+        // Interleaved mode runs every admitted lane up front — one
+        // stage per turn in least-virtual-time order, co-resident
         // base-relation draws pooled through the broker — and the
         // control replay below consumes the outcomes in canonical
-        // order. Sequential mode (the oracle) runs each lane lazily
-        // at its dispatch point, so jobs shed before dispatch never
-        // execute at all.
+        // order. Sequential mode drains each lane lazily at its
+        // dispatch point, so jobs shed before dispatch never execute
+        // at all.
         let (mut lane_slots, mut dispatch): (Vec<Option<LaneOutcome>>, Vec<usize>) = match mode {
             Concurrency::Interleaved => {
                 let broker = SharedDrawBroker::new(
@@ -851,7 +881,7 @@ impl QueryServer {
                         .filter_map(|name| db.catalog().relation(name))
                         .map(|file| file.file_id()),
                 );
-                let (outs, order) = run_interleaved(db, &specs, &tracer, Some(broker));
+                let (outs, order) = run_interleaved(db, &specs, &tracer, broker);
                 (outs.into_iter().map(Some).collect(), order)
             }
             Concurrency::Sequential => {
@@ -970,7 +1000,7 @@ impl QueryServer {
             }
             let mut attempt = lane_slots[lane]
                 .take()
-                .unwrap_or_else(|| run_lane(db, &specs[lane], lane, &tracer, None, None));
+                .unwrap_or_else(|| Lane::new(db, &specs[lane], lane, &tracer, None).drain());
             // Dispatch-time deflation. Admission fixed this quota
             // against a projected start, but the actual timeline may
             // have slipped (earlier lanes overran under device
@@ -1002,7 +1032,7 @@ impl QueryServer {
                     charge_saved_ns += attempt.charge_saved_ns;
                     quota = deflated;
                     specs[lane].quota = deflated;
-                    attempt = run_lane(db, &specs[lane], lane, &tracer, None, None);
+                    attempt = Lane::new(db, &specs[lane], lane, &tracer, None).drain();
                 }
             }
             let LaneOutcome {
@@ -2090,5 +2120,17 @@ mod tests {
         assert_eq!(stormy, Duration::from_secs_f64(4.5));
         // The factor never inflates a grant past the margined slack.
         assert_eq!(grant_for(&job, Duration::ZERO, 0.9, 0.5), clean);
+        // A desired quota caps the grant even when slack is plentiful.
+        let modest = job.with_desired_quota(Duration::from_secs(2));
+        assert_eq!(
+            grant_for(&modest, Duration::ZERO, 0.9, 1.0),
+            Duration::from_secs(2)
+        );
+    }
+
+    #[test]
+    #[should_panic]
+    fn margin_bounds_enforced() {
+        let _ = QueryServer::new().slack_margin(1.5);
     }
 }

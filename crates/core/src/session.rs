@@ -16,7 +16,7 @@ use eram_storage::{
 
 use crate::aggregate::AggregateFn;
 use crate::costs::CostModel;
-use crate::executor::{execute_aggregate, EngineError, ExecOutcome, ExecParams};
+use crate::executor::{execute_aggregate, EngineError, ExecOutcome, StageRun};
 use crate::obs::{Profiler, Tracer};
 use crate::ops::{BlockLayout, Fulfillment, MemoryMode, DEFAULT_RUN_CACHE_TUPLES};
 use crate::retry::RetryPolicy;
@@ -348,7 +348,7 @@ impl Database {
     /// Prepares a time-constrained aggregate without borrowing the
     /// database for its whole lifetime: the per-query seed is drawn
     /// now (in call order), and the returned spec can later be run on
-    /// any view of this database's disk via [`PreparedQuery::run_on`].
+    /// any view of this database's disk via [`PreparedQuery::start_on`].
     /// The query server prepares every admitted job up front in
     /// canonical admission order, then executes each on its own lane.
     pub fn prepare(&mut self, agg: AggregateFn, expr: Expr) -> PreparedQuery {
@@ -515,34 +515,14 @@ impl CountQuery<'_> {
 
     /// Runs the stage loop.
     pub fn run(self) -> Result<TimedCount, EngineError> {
-        let params = ExecParams {
-            strategy: self.config.strategy.as_ref(),
-            stopping: self.config.stopping,
-            cost_model: self.config.cost_model,
-            defaults: self.config.defaults,
-            fulfillment: self.config.fulfillment,
-            memory: self.config.memory,
-            seed: self.seed,
-            max_stages: self.config.max_stages,
-            distinct: self.config.distinct,
-            hybrid_leftover: self.config.hybrid_leftover,
-            optimize: self.config.optimize,
-            retry: self.config.retry,
-            tracer: self.config.tracer,
-            collect_metrics: self.config.collect_metrics,
-            profiler: self.config.profiler,
-            workers: self.config.workers,
-            run_cache_tuples: self.config.run_cache_tuples,
-            block_layout: self.config.block_layout,
-            stage_yield: None,
-        };
         execute_aggregate(
             &self.db.disk,
             &self.db.catalog,
             &self.expr,
             self.agg,
             self.quota,
-            params,
+            &self.config,
+            self.seed,
         )
     }
 }
@@ -551,7 +531,7 @@ impl CountQuery<'_> {
 /// expression, a quota, a per-query seed already drawn from the
 /// database's seed sequence, and a full [`QueryConfig`]. Built by
 /// [`Database::prepare`]; executed — possibly on a per-job lane view
-/// of the shared disk — via [`PreparedQuery::run_on`].
+/// of the shared disk — via [`PreparedQuery::start_on`].
 pub struct PreparedQuery {
     /// The aggregate to estimate.
     pub agg: AggregateFn,
@@ -566,42 +546,28 @@ pub struct PreparedQuery {
 }
 
 impl PreparedQuery {
-    /// Runs the stage loop against `disk` and `catalog`. The catalog's
-    /// relations are re-based onto `disk` for sampling (see the leaf
-    /// handling in the executor), so passing a lane view of the
-    /// loading disk charges this query's own clock while reading the
-    /// shared backend bytes. `tracer` overrides the config's tracer;
-    /// `stage_yield` is the server's interleaving gate (`None` runs
-    /// stages back-to-back).
-    pub fn run_on(
+    /// Opens the stage loop against `disk` and `catalog` as a
+    /// [`StageRun`] the caller steps. The catalog's relations are
+    /// re-based onto `disk` for sampling (see the leaf handling in the
+    /// executor), so passing a lane view of the loading disk charges
+    /// this query's own clock while reading the shared backend bytes.
+    /// `tracer` replaces the config's tracer.
+    pub fn start_on(
         &self,
         disk: &Arc<Disk>,
         catalog: &Catalog,
         tracer: Tracer,
-        stage_yield: Option<&(dyn Fn() + Sync)>,
-    ) -> Result<TimedCount, EngineError> {
-        let params = ExecParams {
-            strategy: self.config.strategy.as_ref(),
-            stopping: self.config.stopping.clone(),
-            cost_model: self.config.cost_model.clone(),
-            defaults: self.config.defaults,
-            fulfillment: self.config.fulfillment,
-            memory: self.config.memory,
-            seed: self.seed,
-            max_stages: self.config.max_stages,
-            distinct: self.config.distinct,
-            hybrid_leftover: self.config.hybrid_leftover,
-            optimize: self.config.optimize,
-            retry: self.config.retry,
+    ) -> Result<StageRun<'_>, EngineError> {
+        StageRun::start(
+            disk,
+            catalog,
+            &self.expr,
+            self.agg,
+            self.quota,
+            &self.config,
+            self.seed,
             tracer,
-            collect_metrics: self.config.collect_metrics,
-            profiler: self.config.profiler.clone(),
-            workers: self.config.workers,
-            run_cache_tuples: self.config.run_cache_tuples,
-            block_layout: self.config.block_layout,
-            stage_yield,
-        };
-        execute_aggregate(disk, catalog, &self.expr, self.agg, self.quota, params)
+        )
     }
 }
 

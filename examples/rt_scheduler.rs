@@ -15,27 +15,29 @@
 //! * **exact-first**: each query is evaluated exactly (a full scan) —
 //!   execution time is whatever it is, and queue delay cascades into
 //!   missed deadlines;
-//! * **quota-EDF**: earliest-deadline-first, with each query's time
-//!   quota *fixed in advance* to fit its slack — every transaction
-//!   meets its deadline and pays for it only in estimate precision.
+//! * **quota-EDF**: earliest-deadline-first through the library's
+//!   [`QueryServer`], with each query's time quota *fixed in advance*
+//!   to fit its slack — every transaction meets its deadline and pays
+//!   for it only in estimate precision.
 
 use std::time::Duration;
 
-use eram_core::{Database, EdfScheduler, QueryJob};
+use eram_core::{Database, JobState, QueryServer, ServerJob};
 use eram_relalg::{CmpOp, Expr, Predicate};
 use eram_storage::{ColumnType, Schema, Tuple, Value};
 
-fn jobs() -> Vec<QueryJob> {
+/// The queue, in deadline order.
+fn jobs() -> Vec<ServerJob> {
     let sel = |k: i64| Expr::relation("events").select(Predicate::col_cmp(1, CmpOp::Lt, k));
     vec![
-        QueryJob::count("dash-alpha", sel(2_000), Duration::from_secs(8)),
-        QueryJob::count("dash-beta", sel(5_000), Duration::from_secs(16)),
-        QueryJob::count(
+        ServerJob::count("dash-alpha", sel(2_000), Duration::from_secs(8)),
+        ServerJob::count("dash-beta", sel(5_000), Duration::from_secs(16)),
+        ServerJob::count(
             "audit-gamma",
             Expr::relation("events").intersect(Expr::relation("mirror")),
             Duration::from_secs(26),
         ),
-        QueryJob::count("dash-delta", sel(500), Duration::from_secs(34)),
+        ServerJob::count("dash-delta", sel(500), Duration::from_secs(34)),
     ]
 }
 
@@ -64,6 +66,38 @@ fn fresh_db() -> Database {
     db
 }
 
+/// One job's line: when it finished against its deadline, and what it
+/// answered (`None` when admission refused it). Returns whether the
+/// deadline was met.
+fn print_row(
+    job: &ServerJob,
+    finished_at: Duration,
+    answer: Option<(f64, usize)>,
+    truth: f64,
+) -> bool {
+    let met = answer.is_some() && finished_at <= job.deadline;
+    let (estimate, note) = match answer {
+        Some((e, stages)) => {
+            let rel = if truth > 0.0 {
+                format!("rel.err {:.1}%", 100.0 * (e - truth).abs() / truth)
+            } else {
+                "truth 0".into()
+            };
+            (e, format!("{stages} stages, {rel}"))
+        }
+        None => (f64::NAN, "refused at admission".into()),
+    };
+    println!(
+        "  {:<12} deadline {:>5.1}s  finished {:>6.1}s  {}  answer ≈ {:>6.0} ({note})",
+        job.name,
+        job.deadline.as_secs_f64(),
+        finished_at.as_secs_f64(),
+        if met { "MET   " } else { "MISSED" },
+        estimate,
+    );
+    met
+}
+
 fn run_policy(quota_edf: bool) -> (usize, usize) {
     let mut db = fresh_db();
     println!(
@@ -75,65 +109,38 @@ fn run_policy(quota_edf: bool) -> (usize, usize) {
         }
     );
 
-    let mut queue = jobs();
-    if !quota_edf {
-        // Exact evaluation: an effectively unbounded quota, so each
-        // query runs to a census and queue delay cascades.
-        for job in &mut queue {
-            job.desired_quota = Duration::from_secs(1_000_000);
-            job.min_quota = Duration::ZERO;
-        }
-    }
+    let queue = jobs();
     let truths: Vec<f64> = queue
         .iter()
         .map(|j| db.exact_count(&j.expr).unwrap() as f64)
         .collect();
-    let deadlines: Vec<Duration> = queue.iter().map(|j| j.deadline).collect();
-
-    // The library's EDF scheduler with slack-based admission; the
-    // exact-first policy abuses it by demanding census-sized quotas.
-    let scheduler = EdfScheduler::new(0.98);
-    let outcomes = if quota_edf {
-        scheduler.run(&mut db, queue)
-    } else {
-        // Without quota fixing, admission control cannot help: grant
-        // whatever each job asks for.
-        let mut relaxed = queue;
-        for job in &mut relaxed {
-            job.deadline = Duration::from_secs(1_000_000);
-        }
-        scheduler.run(&mut db, relaxed)
-    };
 
     let mut met = 0;
-    for ((o, truth), deadline) in outcomes.iter().zip(&truths).zip(&deadlines) {
-        let ok = o.result.is_some() && o.finished_at <= *deadline;
-        if ok {
-            met += 1;
+    if quota_edf {
+        // The library's admission-controlled EDF server: every quota
+        // is fixed up front to fit the job's slack.
+        let outcome = QueryServer::new().run(&mut db, queue.clone());
+        for ((job, report), truth) in queue.iter().zip(&outcome.jobs).zip(&truths) {
+            let answer = match (&report.state, &report.estimate, &report.report) {
+                (JobState::Done, Some(e), Some(r)) => Some((e.estimate, r.completed_stages())),
+                _ => None,
+            };
+            met += usize::from(print_row(job, report.finished_at, answer, *truth));
         }
-        let (answer, note) = match &o.result {
-            Some(out) => {
-                let e = out.estimate.estimate;
-                let rel = if *truth > 0.0 {
-                    format!("rel.err {:.1}%", 100.0 * (e - truth).abs() / truth)
-                } else {
-                    "truth 0".into()
-                };
-                (
-                    e,
-                    format!("{} stages, {rel}", out.report.completed_stages()),
-                )
-            }
-            None => (f64::NAN, "refused at admission".into()),
-        };
-        println!(
-            "  {:<12} deadline {:>5.1}s  finished {:>6.1}s  {}  answer ≈ {:>6.0} ({note})",
-            o.name,
-            deadline.as_secs_f64(),
-            o.finished_at.as_secs_f64(),
-            if ok { "MET   " } else { "MISSED" },
-            answer,
-        );
+    } else {
+        // Exact evaluation: an effectively unbounded quota, so each
+        // query runs to a census and queue delay cascades.
+        let clock = db.disk().clock().clone();
+        let start = clock.elapsed();
+        for (job, truth) in queue.iter().zip(&truths) {
+            let out = db
+                .aggregate(job.agg, job.expr.clone())
+                .within(Duration::from_secs(1_000_000))
+                .run()
+                .unwrap();
+            let answer = Some((out.estimate.estimate, out.report.completed_stages()));
+            met += usize::from(print_row(job, clock.elapsed() - start, answer, *truth));
+        }
     }
     println!();
     (met, truths.len())

@@ -51,10 +51,12 @@ fn tmp(name: &str) -> PathBuf {
 }
 
 /// Writes the fixture in all three formats and returns
-/// `(format, path)` pairs. Caller removes the files.
-fn write_fixtures(n: usize) -> Vec<(IngestFormat, PathBuf)> {
+/// `(format, path)` pairs. Caller removes the files. `tag` names the
+/// calling test: tests run on parallel threads of one process, so
+/// each needs paths of its own.
+fn write_fixtures(tag: &str, n: usize) -> Vec<(IngestFormat, PathBuf)> {
     let rows = rows(n);
-    let csv_path = tmp("fixture.csv");
+    let csv_path = tmp(&format!("{tag}.csv"));
     let csv: String = std::iter::once("id,price,ok,name\n".to_string())
         .chain(rows.iter().map(|t| {
             format!(
@@ -68,7 +70,7 @@ fn write_fixtures(n: usize) -> Vec<(IngestFormat, PathBuf)> {
         .collect();
     std::fs::write(&csv_path, csv).unwrap();
 
-    let jsonl_path = tmp("fixture.jsonl");
+    let jsonl_path = tmp(&format!("{tag}.jsonl"));
     let jsonl: String = rows
         .iter()
         .map(|t| {
@@ -83,7 +85,7 @@ fn write_fixtures(n: usize) -> Vec<(IngestFormat, PathBuf)> {
         .collect();
     std::fs::write(&jsonl_path, jsonl).unwrap();
 
-    let parquet_path = tmp("fixture.parquet");
+    let parquet_path = tmp(&format!("{tag}.parquet"));
     std::fs::write(
         &parquet_path,
         write_parquet_subset(&schema(), &rows).unwrap(),
@@ -99,7 +101,7 @@ fn write_fixtures(n: usize) -> Vec<(IngestFormat, PathBuf)> {
 
 #[test]
 fn all_formats_load_byte_identical_heap_files() {
-    let fixtures = write_fixtures(137); // partial tail block on purpose
+    let fixtures = write_fixtures("pages", 137); // partial tail block on purpose
     let mut page_images: Vec<(IngestFormat, Vec<Vec<u8>>)> = Vec::new();
     for (format, path) in &fixtures {
         let mut db = Database::sim_default(1);
@@ -134,7 +136,7 @@ fn all_formats_load_byte_identical_heap_files() {
 
 #[test]
 fn queries_over_any_format_are_identical_across_layouts_and_workers() {
-    let fixtures = write_fixtures(600);
+    let fixtures = write_fixtures("queries", 600);
     let run = |format: IngestFormat, path: &PathBuf, layout: BlockLayout, workers: usize| {
         let mut db = Database::sim_default(5);
         db.load_ingest("r", schema(), path, format).unwrap();
