@@ -22,10 +22,8 @@ use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
 
-use serde::{Deserialize, Serialize};
-use serde_json::Value;
-
 use eram_core::{Histogram, ProfileSnapshot};
+use eram_storage::{json, json_record, Json, ToJson};
 
 use crate::harness::MeasuredRow;
 
@@ -35,7 +33,7 @@ use crate::harness::MeasuredRow;
 pub const BENCH_SCHEMA_VERSION: u32 = eram_core::SCHEMA_VERSION;
 
 /// Host wall-clock statistics over one row's trials, in seconds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WallStats {
     /// Number of timed trials.
     pub runs: usize,
@@ -50,6 +48,15 @@ pub struct WallStats {
     /// Slowest trial.
     pub max_secs: f64,
 }
+
+json_record!(WallStats {
+    runs: required,
+    mean_secs: required,
+    median_secs: required,
+    p95_secs: required,
+    min_secs: required,
+    max_secs: required,
+});
 
 impl WallStats {
     /// Aggregates per-trial wall durations; `None` for an empty slice.
@@ -70,7 +77,7 @@ impl WallStats {
 }
 
 /// One sweep row of a [`BenchReport`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BenchRow {
     /// Row label (the swept parameter rendering, unique per report).
     pub label: String,
@@ -78,32 +85,41 @@ pub struct BenchRow {
     /// `bench-diff`. Usually a serialized
     /// [`RowStats`](crate::harness::RowStats); special sweeps
     /// (convergence, estimator accuracy) store their own shapes.
-    pub simulated: Value,
+    pub simulated: Json,
     /// Host wall-clock stats — threshold-compared.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub wall: Option<WallStats>,
     /// Phase profile of the row's first trial — informational.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub profile: Option<ProfileSnapshot>,
 }
 
+json_record!(BenchRow {
+    label: required,
+    simulated: required,
+    wall: omit_empty,
+    profile: omit_empty,
+});
+
 /// The `BENCH_<suite>.json` document.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BenchReport {
     /// Schema version ([`BENCH_SCHEMA_VERSION`]).
-    #[serde(default)]
     pub schema_version: u32,
     /// Suite name — the experiment binary, e.g. `fig5_1_select`.
     pub suite: String,
     /// The sweep configuration (quota, runs, swept values...). Part
     /// of the exact comparison: rows from different configs are not
     /// comparable, so a config change must re-bless the baseline.
-    #[serde(default)]
-    pub config: BTreeMap<String, Value>,
+    pub config: BTreeMap<String, Json>,
     /// The sweep rows, in emission order.
-    #[serde(default)]
     pub rows: Vec<BenchRow>,
 }
+
+json_record!(BenchReport {
+    schema_version: default,
+    suite: required,
+    config: default,
+    rows: default,
+});
 
 impl BenchReport {
     /// An empty report for `suite` at the current schema version.
@@ -117,7 +133,7 @@ impl BenchReport {
     }
 
     /// Records one configuration key.
-    pub fn config_kv(&mut self, key: &str, value: impl Into<Value>) {
+    pub fn config_kv(&mut self, key: &str, value: impl Into<Json>) {
         self.config.insert(key.to_string(), value.into());
     }
 
@@ -125,15 +141,10 @@ impl BenchReport {
     /// aggregated stats become the exact-compared `simulated` value,
     /// the per-trial walls collapse to [`WallStats`], and the trial-0
     /// profile rides along.
-    ///
-    /// Under the offline serde stand-ins (which cannot serialize) the
-    /// simulated payload degrades to `null` so the experiment binaries
-    /// still run and print their tables; `BENCH_*.json` files are only
-    /// ever written with real serde.
     pub fn push_measured(&mut self, label: impl Into<String>, row: &MeasuredRow) {
         self.rows.push(BenchRow {
             label: label.into(),
-            simulated: serde_json::to_value(row.stats).unwrap_or(Value::Null),
+            simulated: row.stats.to_json(),
             wall: WallStats::from_trials(&row.wall_secs),
             profile: row.profile.clone(),
         });
@@ -144,7 +155,7 @@ impl BenchReport {
     pub fn push_value(
         &mut self,
         label: impl Into<String>,
-        simulated: Value,
+        simulated: Json,
         wall_secs: &[f64],
         profile: Option<ProfileSnapshot>,
     ) {
@@ -160,7 +171,7 @@ impl BenchReport {
     /// contents: struct field order is fixed and all maps are
     /// `BTreeMap`s.
     pub fn to_json(&self) -> String {
-        let mut out = serde_json::to_string_pretty(self).expect("bench report serializes");
+        let mut out = json::to_string_pretty(self);
         out.push('\n');
         out
     }
@@ -178,7 +189,7 @@ impl BenchReport {
     /// Reads a report back from `path`.
     pub fn read(path: &Path) -> io::Result<BenchReport> {
         let text = std::fs::read_to_string(path)?;
-        serde_json::from_str(&text).map_err(|e| {
+        json::from_str(&text).map_err(|e| {
             io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("{}: {e}", path.display()),
@@ -206,16 +217,12 @@ mod tests {
 
     #[test]
     fn report_round_trips_and_renders_deterministically() {
-        if serde_json::to_string(&0u32).is_err() {
-            eprintln!("skipped: offline serde stub cannot serialize");
-            return;
-        }
         let mut r = BenchReport::new("fig5_x");
         r.config_kv("quota_secs", 10.0);
-        r.config_kv("runs", 200);
+        r.config_kv("runs", 200u64);
         r.push_value(
             "d_beta=12",
-            serde_json::json!({"stages": 2.0, "blocks": 126.0}),
+            json!({"stages": 2.0, "blocks": 126.0}),
             &[0.5, 0.7, 0.6],
             None,
         );
@@ -223,7 +230,7 @@ mod tests {
         let b = r.to_json();
         assert_eq!(a, b);
         assert!(a.ends_with('\n'));
-        let back: BenchReport = serde_json::from_str(&a).unwrap();
+        let back: BenchReport = json::from_str(&a).unwrap();
         assert_eq!(back, r);
         assert_eq!(back.schema_version, BENCH_SCHEMA_VERSION);
         assert_eq!(back.rows[0].wall.unwrap().runs, 3);
@@ -231,14 +238,10 @@ mod tests {
 
     #[test]
     fn write_and_read_round_trip_on_disk() {
-        if serde_json::to_string(&0u32).is_err() {
-            eprintln!("skipped: offline serde stub cannot serialize");
-            return;
-        }
         let dir = std::env::temp_dir().join(format!("eram-bench-json-{}", std::process::id()));
         let path = dir.join("nested").join("BENCH_test.json");
         let mut r = BenchReport::new("test");
-        r.push_value("row", serde_json::json!(1), &[0.1], None);
+        r.push_value("row", Json::U64(1), &[0.1], None);
         r.write(&path).unwrap();
         let back = BenchReport::read(&path).unwrap();
         assert_eq!(back, r);

@@ -25,7 +25,7 @@ use std::time::Duration;
 
 use eram_core::{Concurrency, Database, QueryServer, ServerJob, ServerOutcome};
 use eram_relalg::{CmpOp, Expr, Predicate};
-use eram_storage::{ColumnType, FaultPlan, Schema, Tuple, Value};
+use eram_storage::{json, ColumnType, FaultPlan, Schema, Tuple, Value};
 
 mod common;
 
@@ -257,7 +257,7 @@ fn main() {
         );
         bench.push_value(
             cell.label,
-            serde_json::json!({
+            json!({
                 "offered": sums[0],
                 "admitted": sums[1],
                 "refused": sums[2],

@@ -20,6 +20,7 @@ use std::time::{Duration, Instant};
 
 use eram_bench::{BenchReport, Workload, WorkloadKind};
 use eram_core::{Profiler, StoppingCriterion, TraceKind, Tracer};
+use eram_storage::json;
 
 mod common;
 
@@ -94,14 +95,14 @@ fn main() {
         if opts.jsonl {
             eprintln!("# convergence d_beta {d_beta}");
             for rec in &convergence {
-                eprintln!("{}", serde_json::to_string(rec).expect("record serializes"));
+                eprintln!("{}", json::to_string(rec));
             }
         }
         // The trajectory is clock-charged, so it belongs to the
         // exact-compared simulated payload.
         bench.push_value(
             format!("d_beta={d_beta}"),
-            serde_json::json!({
+            json!({
                 "truth": workload.truth,
                 "final_estimate": out.estimate.estimate,
                 "stages": out.report.stages.len(),

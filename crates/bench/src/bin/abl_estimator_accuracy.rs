@@ -16,9 +16,7 @@ use eram_bench::{BenchReport, Workload, WorkloadKind};
 use eram_core::{ops, term_estimate, term_estimate_with, SelectivityDefaults};
 use eram_relalg::PieRewrite;
 use eram_sampling::DistinctEstimator;
-use eram_storage::SeedSeq;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use eram_storage::{json, Rng, SeedSeq};
 
 mod common;
 
@@ -47,7 +45,7 @@ fn measure(
             // Drive the physical tree directly at a fixed fraction —
             // no time control, pure estimator quality.
             let rewrite = PieRewrite::rewrite(&w.expr).unwrap();
-            let mut rng = StdRng::seed_from_u64(seed ^ 0xFACE);
+            let mut rng = Rng::seed_from_u64(seed ^ 0xFACE);
             let mut tree = ops::PhysTree::build(
                 &rewrite.terms[0].expr,
                 w.db.catalog(),
@@ -73,7 +71,7 @@ fn measure(
         println!("{fraction:>9.3} | {mean_rel_err:>12.4} | {coverage_pct:>10.1}");
         bench.push_value(
             format!("{name} f={fraction}"),
-            serde_json::json!({
+            json!({
                 "fraction": fraction,
                 "mean_rel_err": mean_rel_err,
                 "coverage_pct": coverage_pct,
@@ -105,7 +103,7 @@ fn measure_distinct(fractions: &[f64], runs: usize, bench: &mut BenchReport) {
             let w = Workload::build(kind, seed);
             let truth = w.truth as f64;
             let rewrite = PieRewrite::rewrite(&w.expr).unwrap();
-            let mut rng = StdRng::seed_from_u64(seed ^ 0xFACE);
+            let mut rng = Rng::seed_from_u64(seed ^ 0xFACE);
             let mut tree = ops::PhysTree::build(
                 &rewrite.terms[0].expr,
                 w.db.catalog(),
@@ -133,7 +131,7 @@ fn measure_distinct(fractions: &[f64], runs: usize, bench: &mut BenchReport) {
         println!("{fraction:>9.3} | {goodman:>14.3} | {chao1:>14.3} | {jackknife1:>14.3}");
         bench.push_value(
             format!("distinct f={fraction}"),
-            serde_json::json!({
+            json!({
                 "fraction": fraction,
                 "goodman": goodman,
                 "chao1": chao1,

@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 use eram_bench::BenchReport;
 use eram_core::{AggregateFn, Database, StoppingCriterion};
 use eram_relalg::{eval, CmpOp, Expr, Predicate};
-use eram_storage::{ColumnType, Schema, SeedSeq, Tuple, Value};
+use eram_storage::{json, ColumnType, Schema, SeedSeq, Tuple, Value};
 
 mod common;
 
@@ -125,7 +125,7 @@ fn measure_precision_sweep(runs: usize, bench: &mut BenchReport) {
         println!("{target:>7.2} | {frozen:>10.2} | {rel_err:>12.4} | {sim_ms:>12.1}");
         bench.push_value(
             format!("precision target={target}"),
-            serde_json::json!({
+            json!({
                 "target": target,
                 "groups_frozen": frozen,
                 "mean_rel_err": rel_err,
@@ -185,7 +185,7 @@ fn measure_deadline_sweep(runs: usize, bench: &mut BenchReport) {
         println!("{quota_s:>7} | {rel_err:>12.4} | {coverage_pct:>10.1} | {sim_ms:>12.1}");
         bench.push_value(
             format!("deadline quota={quota_s}s"),
-            serde_json::json!({
+            json!({
                 "quota_s": quota_s,
                 "mean_rel_err": rel_err,
                 "coverage_pct": coverage_pct,

@@ -17,6 +17,8 @@
 //! [`diff_reports`] returns the list of human-readable findings; the
 //! `bench-diff` binary turns a non-empty list into exit code 1.
 
+use eram_storage::json;
+
 use crate::bench_json::{BenchReport, BENCH_SCHEMA_VERSION};
 
 /// Rejects a report whose `schema_version` is newer than this build
@@ -98,8 +100,8 @@ pub fn diff_reports(
     if baseline.config != candidate.config {
         issues.push(format!(
             "config mismatch (sweeps are only comparable at identical configs): baseline {} vs candidate {}",
-            serde_json::to_string(&baseline.config).unwrap_or_default(),
-            serde_json::to_string(&candidate.config).unwrap_or_default()
+            json::to_string(&baseline.config),
+            json::to_string(&candidate.config)
         ));
     }
     if baseline.rows.len() != candidate.rows.len() {
@@ -121,8 +123,8 @@ pub fn diff_reports(
             issues.push(format!(
                 "row {:?}: simulated columns diverged (seeded runs must be byte-identical):\n  baseline:  {}\n  candidate: {}",
                 b.label,
-                serde_json::to_string(&b.simulated).unwrap_or_default(),
-                serde_json::to_string(&c.simulated).unwrap_or_default()
+                json::to_string(&b.simulated),
+                json::to_string(&c.simulated)
             ));
         }
         if opts.check_wall {
@@ -210,7 +212,7 @@ mod tests {
         r.config_kv("quota_secs", 10.0);
         r.push_value(
             "d_beta=12",
-            serde_json::json!({"stages": stages, "blocks": 126.0}),
+            json!({"stages": stages, "blocks": 126.0}),
             &[],
             None,
         );

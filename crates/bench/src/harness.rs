@@ -13,18 +13,16 @@
 
 use std::time::{Duration, Instant};
 
-use serde::{Deserialize, Serialize};
-
 use eram_core::{
     BlockLayout, CostModel, ExecutionReport, Fulfillment, MemoryMode, ProfileSnapshot, Profiler,
     QueryConfig, SelectivityDefaults, StoppingCriterion, TimeControlStrategy,
 };
-use eram_storage::{FaultPlan, SeedSeq};
+use eram_storage::{json_record, FaultPlan, SeedSeq};
 
 use crate::workload::{Workload, WorkloadKind};
 
 /// What one trial produced, in the paper's units.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrialResult {
     /// Stages completed within the quota.
     pub stages: usize,
@@ -54,6 +52,20 @@ pub struct TrialResult {
     pub degraded: bool,
 }
 
+json_record!(TrialResult {
+    stages: required,
+    overspent: required,
+    ovsp_secs: required,
+    utilization: required,
+    blocks: required,
+    estimate: required,
+    rel_error: required,
+    rel_half_width: required,
+    faults: required,
+    blocks_lost: required,
+    degraded: required,
+});
+
 impl TrialResult {
     /// Extracts the paper's columns from a report.
     pub fn from_report(report: &ExecutionReport, truth: u64) -> TrialResult {
@@ -80,7 +92,7 @@ impl TrialResult {
 }
 
 /// Aggregates over the trials of one table row.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RowStats {
     /// Number of trials.
     pub runs: usize,
@@ -108,6 +120,20 @@ pub struct RowStats {
     /// Percentage of trials that degraded (lost at least one block).
     pub degraded_pct: f64,
 }
+
+json_record!(RowStats {
+    runs: required,
+    stages: required,
+    risk_pct: required,
+    ovsp_secs: required,
+    utilization_pct: required,
+    blocks: required,
+    mean_rel_error: required,
+    mean_rel_hw: required,
+    faults: required,
+    blocks_lost: required,
+    degraded_pct: required,
+});
 
 impl RowStats {
     /// Aggregates trial results.

@@ -6,18 +6,23 @@
 //! [`PaperRow`] pairs a measured row with the paper's published
 //! values so EXPERIMENTS.md can show paper-vs-measured side by side.
 
-use serde::{Deserialize, Serialize};
+use eram_storage::{json, json_record};
 
 use crate::harness::RowStats;
 
 /// One rendered row: the sweep parameter and the measured stats.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PaperRow {
     /// The swept `d_β` (or other parameter) label.
     pub label: String,
     /// Measured statistics.
     pub stats: RowStats,
 }
+
+json_record!(PaperRow {
+    label: required,
+    stats: required,
+});
 
 /// Renders a Section 5-style table to a string. When any row saw
 /// storage faults, three health columns (`faults`, `lost`,
@@ -73,7 +78,7 @@ pub fn render_table(title: &str, param_name: &str, rows: &[PaperRow]) -> String 
 /// EXPERIMENTS.md).
 pub fn render_jsonl(rows: &[PaperRow]) -> String {
     rows.iter()
-        .map(|r| serde_json::to_string(r).expect("row serializes"))
+        .map(json::to_string)
         .collect::<Vec<_>>()
         .join("\n")
 }
@@ -150,10 +155,6 @@ mod tests {
 
     #[test]
     fn jsonl_round_trips() {
-        if serde_json::to_string(&0u32).is_err() {
-            eprintln!("skipped: offline serde stub cannot serialize");
-            return;
-        }
         let rows = vec![
             PaperRow {
                 label: "0".into(),
@@ -166,7 +167,7 @@ mod tests {
         ];
         let jsonl = render_jsonl(&rows);
         assert_eq!(jsonl.lines().count(), 2);
-        let back: PaperRow = serde_json::from_str(jsonl.lines().next().unwrap()).unwrap();
+        let back: PaperRow = json::from_str(jsonl.lines().next().unwrap()).unwrap();
         assert_eq!(back.label, "0");
     }
 }

@@ -9,10 +9,7 @@
 
 use eram_core::Database;
 use eram_relalg::{CmpOp, Expr, Predicate};
-use eram_storage::{ColumnType, Schema, Tuple, Value};
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use eram_storage::{ColumnType, Rng, Schema, Tuple, Value};
 
 /// Paper geometry: tuples per relation.
 pub const RELATION_TUPLES: u64 = 10_000;
@@ -85,11 +82,11 @@ fn paper_schema() -> Schema {
 fn paper_tuples(join_keys: Vec<i64>, seed: u64) -> Vec<Tuple> {
     let n = RELATION_TUPLES as i64;
     assert_eq!(join_keys.len() as i64, n);
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     let mut sel_keys: Vec<i64> = (0..n).collect();
-    sel_keys.shuffle(&mut rng);
+    rng.shuffle(&mut sel_keys);
     let mut join_keys = join_keys;
-    join_keys.shuffle(&mut rng);
+    rng.shuffle(&mut join_keys);
     (0..n)
         .map(|i| {
             Tuple::new(vec![
@@ -166,9 +163,9 @@ impl Workload {
                 // exactly `overlap` tuples in common. All three columns
                 // are functions of id so whole tuples match.
                 let make = |offset: i64, seed: u64| -> Vec<Tuple> {
-                    let mut rng = StdRng::seed_from_u64(seed);
+                    let mut rng = Rng::seed_from_u64(seed);
                     let mut ids: Vec<i64> = (offset..offset + n).collect();
-                    ids.shuffle(&mut rng);
+                    rng.shuffle(&mut ids);
                     ids.into_iter()
                         .map(|i| Tuple::new(vec![Value::Int(i), Value::Int(i), Value::Int(i)]))
                         .collect()

@@ -29,8 +29,7 @@ use eram_core::{
     QueryServer, ReportHealth, ServerJob, ServerOutcome, Tracer,
 };
 use eram_relalg::parse_expr;
-use eram_storage::{parse_schema_spec, DeviceProfile, FaultPlan, IngestFormat};
-use serde::Deserialize;
+use eram_storage::{json, json_record, parse_schema_spec, DeviceProfile, FaultPlan, IngestFormat};
 
 /// Which simulated device profile to run on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -565,7 +564,7 @@ pub fn run_one_shot(db: &mut Database, cli: &Cli) -> Result<String, CliError> {
 ///    "min_quota_secs": 2.0, "desired_secs": 8.0, "value": 0.5, "agg": "sum:1"}
 /// ]
 /// ```
-#[derive(Debug, Clone, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct JobSpec {
     /// Label for reporting.
     pub name: String,
@@ -575,19 +574,25 @@ pub struct JobSpec {
     pub deadline_secs: f64,
     /// Minimum useful quota in seconds (default: the engine's
     /// documented 100 ms).
-    #[serde(default)]
     pub min_quota_secs: Option<f64>,
     /// Desired quota cap in seconds (default: the full deadline).
-    #[serde(default)]
     pub desired_secs: Option<f64>,
     /// Relative worth under overload shedding (default 1.0).
-    #[serde(default)]
     pub value: Option<f64>,
     /// Aggregate: `count` | `sum:COL` | `avg:COL`, each optionally
     /// suffixed `:by:G` for GROUP BY (default `count`).
-    #[serde(default)]
     pub agg: Option<String>,
 }
+
+json_record!(JobSpec {
+    name: required,
+    expr: required,
+    deadline_secs: required,
+    min_quota_secs: omit_empty,
+    desired_secs: omit_empty,
+    value: omit_empty,
+    agg: omit_empty,
+});
 
 impl JobSpec {
     /// Lowers the spec into a [`ServerJob`].
@@ -606,7 +611,9 @@ impl JobSpec {
             ("desired_secs", self.desired_secs),
         ] {
             if let Some(v) = v {
-                if !v.is_finite() || v < 0.0 {
+                // Rejects negative, NaN, infinite and out-of-range
+                // values alike; `from_secs_f64` below would panic.
+                if Duration::try_from_secs_f64(v).is_err() {
                     return Err(err(format!(
                         "job {}: {field} must be a non-negative number of seconds",
                         self.name
@@ -683,7 +690,7 @@ pub fn run_serve(db: &mut Database, cli: &Cli) -> Result<String, CliError> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| err(format!("--serve {}: {e}", path.display())))?;
     let specs: Vec<JobSpec> =
-        serde_json::from_str(&text).map_err(|e| err(format!("--serve {}: {e}", path.display())))?;
+        json::from_str(&text).map_err(|e| err(format!("--serve {}: {e}", path.display())))?;
     let jobs: Vec<ServerJob> = specs
         .into_iter()
         .map(JobSpec::into_job)
@@ -837,6 +844,7 @@ pub fn dispatch(db: &mut Database, input: &str) -> Result<Option<String>, CliErr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eram_storage::Json;
 
     fn write_csv(name: &str, content: &str) -> PathBuf {
         let path = std::env::temp_dir().join(format!("eram-cli-{name}-{}.csv", std::process::id()));
@@ -1042,6 +1050,39 @@ mod tests {
         let _ = std::fs::remove_file(jsonl);
     }
 
+    /// Deeply nested JSON on either JSON-reading flag is a clean
+    /// error, never a stack overflow.
+    #[test]
+    fn nesting_bombs_on_ingest_and_serve_are_clean_errors() {
+        let bomb = "[".repeat(100_000);
+        let jsonl = write_csv("bomb-jsonl", &format!("[1, 2]\n{bomb}\n"));
+        let cli = Cli::parse([
+            "--load".to_string(),
+            format!("t={}:k:int,v:int", jsonl.display()),
+            "--ingest".to_string(),
+            "jsonl".to_string(),
+        ])
+        .unwrap();
+        let e = build_database(&cli).map(|_| ()).unwrap_err().to_string();
+        assert!(e.contains("line 2") && e.contains("nesting deeper"), "{e}");
+
+        let csv = write_csv("bomb-csv", "1,2\n");
+        let jobs = write_csv("bomb-jobs", &bomb);
+        let cli = Cli::parse([
+            "--load".to_string(),
+            format!("t={}:k:int,v:int", csv.display()),
+            "--serve".to_string(),
+            jobs.display().to_string(),
+        ])
+        .unwrap();
+        let mut db = build_database(&cli).unwrap();
+        let e = run_serve(&mut db, &cli).unwrap_err().to_string();
+        assert!(e.contains("--serve") && e.contains("nesting deeper"), "{e}");
+        for path in [jsonl, csv, jobs] {
+            let _ = std::fs::remove_file(path);
+        }
+    }
+
     #[test]
     fn parses_fault_flags_into_a_plan() {
         let cli = Cli::parse([
@@ -1107,10 +1148,6 @@ mod tests {
 
     #[test]
     fn serve_runs_a_batch_and_writes_the_outcome() {
-        if serde_json::to_string(&0u32).is_err() {
-            eprintln!("skipped: offline serde stub cannot serialize");
-            return;
-        }
         let rows: String = (0..512).map(|i| format!("{i},{}\n", i % 100)).collect();
         let csv = write_csv("served", &rows);
         let jobs_path =
@@ -1141,10 +1178,9 @@ mod tests {
         assert!(rendered.contains("done (met)"), "{rendered}");
         assert!(rendered.contains("refused: infeasible"), "{rendered}");
         assert!(rendered.contains("offered 3 | admitted 2"), "{rendered}");
-        let outcome: serde_json::Value =
-            serde_json::from_str(&std::fs::read_to_string(&out_path).unwrap()).unwrap();
-        assert_eq!(outcome["stats"]["offered"], 3);
-        assert_eq!(outcome["stats"]["refused"], 1);
+        let outcome: Json = json::from_str(&std::fs::read_to_string(&out_path).unwrap()).unwrap();
+        assert_eq!(outcome["stats"]["offered"], Json::U64(3));
+        assert_eq!(outcome["stats"]["refused"], Json::U64(1));
         assert_eq!(outcome["jobs"].as_array().unwrap().len(), 3);
         let _ = std::fs::remove_file(csv);
         let _ = std::fs::remove_file(jobs_path);
@@ -1153,10 +1189,6 @@ mod tests {
 
     #[test]
     fn serve_with_ledger_rides_the_outcome_without_perturbing_it() {
-        if serde_json::to_string(&0u32).is_err() {
-            eprintln!("skipped: offline serde stub cannot serialize");
-            return;
-        }
         let rows: String = (0..512).map(|i| format!("{i},{}\n", i % 100)).collect();
         let csv = write_csv("served-ledger", &rows);
         let jobs_path =
@@ -1195,12 +1227,18 @@ mod tests {
             ledger_render.contains("ledger: 2 tenant(s)"),
             "{ledger_render}"
         );
-        let outcome: serde_json::Value = serde_json::from_str(&ledger_json).unwrap();
-        assert_eq!(outcome["ledger"]["tenants"]["dash"]["completed"], 1);
-        assert_eq!(outcome["ledger"]["tenants"]["tiny"]["refused"], 1);
+        let outcome: Json = json::from_str(&ledger_json).unwrap();
+        assert_eq!(
+            outcome["ledger"]["tenants"]["dash"]["completed"],
+            Json::U64(1)
+        );
+        assert_eq!(
+            outcome["ledger"]["tenants"]["tiny"]["refused"],
+            Json::U64(1)
+        );
         // Pure observation: stripping the ledger restores the exact
         // bytes of the ledger-off outcome.
-        let mut stripped: eram_core::ServerOutcome = serde_json::from_str(&ledger_json).unwrap();
+        let mut stripped: eram_core::ServerOutcome = json::from_str(&ledger_json).unwrap();
         stripped.ledger = None;
         assert_eq!(stripped.to_json(), plain_json);
         let _ = std::fs::remove_file(csv);
@@ -1210,24 +1248,26 @@ mod tests {
 
     #[test]
     fn job_spec_validation_rejects_bad_fields() {
-        if serde_json::to_string(&0u32).is_err() {
-            eprintln!("skipped: offline serde stub cannot serialize");
-            return;
-        }
-        let spec: JobSpec = serde_json::from_str(
-            r#"{"name": "x", "expr": "not a query ((", "deadline_secs": 1.0}"#,
-        )
-        .unwrap();
+        let spec: JobSpec =
+            json::from_str(r#"{"name": "x", "expr": "not a query ((", "deadline_secs": 1.0}"#)
+                .unwrap();
         assert!(spec.into_job().is_err());
         let spec: JobSpec =
-            serde_json::from_str(r#"{"name": "x", "expr": "t", "deadline_secs": -1.0}"#).unwrap();
+            json::from_str(r#"{"name": "x", "expr": "t", "deadline_secs": -1.0}"#).unwrap();
         assert!(spec.into_job().is_err());
-        let spec: JobSpec = serde_json::from_str(
+        let spec: JobSpec = json::from_str(
             r#"{"name": "x", "expr": "t", "deadline_secs": 1.0, "agg": "median:1"}"#,
         )
         .unwrap();
         assert!(spec.into_job().is_err());
-        let spec: JobSpec = serde_json::from_str(
+        for secs in ["1e300", "null"] {
+            let spec: JobSpec = json::from_str(&format!(
+                r#"{{"name": "x", "expr": "t", "deadline_secs": {secs}}}"#
+            ))
+            .unwrap();
+            assert!(spec.into_job().is_err(), "deadline_secs {secs}");
+        }
+        let spec: JobSpec = json::from_str(
             r#"{"name": "x", "expr": "t", "deadline_secs": 5.0,
                 "min_quota_secs": 0.5, "desired_secs": 2.0, "value": 3.0, "agg": "avg:1"}"#,
         )
@@ -1277,10 +1317,6 @@ mod tests {
 
     #[test]
     fn one_shot_trace_writes_parseable_jsonl_and_metrics_render() {
-        if serde_json::to_string(&0u32).is_err() {
-            eprintln!("skipped: offline serde stub cannot serialize");
-            return;
-        }
         let rows: String = (0..256).map(|i| format!("{i},{}\n", i % 100)).collect();
         let csv = write_csv("traced", &rows);
         let trace_path =
@@ -1306,13 +1342,13 @@ mod tests {
         assert!(!trace.is_empty());
         // First line is the schema header, every later line a record.
         let mut lines = trace.lines();
-        let header: serde_json::Value = serde_json::from_str(lines.next().unwrap()).unwrap();
+        let header: Json = json::from_str(lines.next().unwrap()).unwrap();
         assert_eq!(
             header.get("schema_version").and_then(|v| v.as_u64()),
             Some(u64::from(eram_core::SCHEMA_VERSION))
         );
         for line in lines {
-            let v: serde_json::Value = serde_json::from_str(line).unwrap();
+            let v: Json = json::from_str(line).unwrap();
             assert!(v.get("t_ns").is_some(), "every record is stamped: {line}");
             assert!(v.get("kind").is_some(), "{line}");
         }

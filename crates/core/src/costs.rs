@@ -19,12 +19,10 @@
 
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
-
 use eram_storage::DeviceProfile;
 
 /// The per-unit coefficients of the operator cost formulas.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CostCoeff {
     /// Seconds per disk block read while drawing a sample.
     BlockRead,
@@ -68,7 +66,7 @@ fn index(c: CostCoeff) -> usize {
 }
 
 /// Adaptive per-unit cost coefficients.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CostModel {
     /// Seconds per unit, indexed by [`CostCoeff`].
     per_unit: [f64; 6],

@@ -25,10 +25,7 @@ use eram_relalg::{push_selections, Catalog, Expr, ExprError, PieRewrite};
 use eram_sampling::{
     AggregateEstimator, CountEstimate, DistinctCount, DistinctEstimator, Linear, SrsCount,
 };
-use eram_storage::{Deadline, DeviceOp, Disk, DiskStats, FaultStats, StorageError};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use serde_json::Value as JsonValue;
+use eram_storage::{Deadline, DeviceOp, Disk, DiskStats, FaultStats, Json, Rng, StorageError};
 
 use crate::aggregate::{
     avg_estimate, sum_estimate, AggregateFn, GroupSnapshot, GroupedAccumulator, TermValues,
@@ -369,7 +366,7 @@ impl<'a> StageRun<'a> {
                 "GROUP BY requires a union/difference-free expression".into(),
             ));
         }
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         let mut trees: Vec<PhysTree> = Vec::with_capacity(rewrite.terms.len());
         let mut coefficients: Vec<i64> = Vec::with_capacity(rewrite.terms.len());
         for term in &rewrite.terms {
@@ -491,12 +488,12 @@ impl<'a> StageRun<'a> {
                     .map(|tree| {
                         let mut per_tree = Vec::new();
                         tree.for_each_tracker(&mut |t| {
-                            per_tree.push(JsonValue::from(t.revised_selectivity()));
+                            per_tree.push(Json::from(t.revised_selectivity()));
                         });
-                        JsonValue::Array(per_tree)
+                        Json::Arr(per_tree)
                     })
                     .collect();
-                vec![("selectivities", JsonValue::Array(sels))]
+                vec![("selectivities", Json::Arr(sels))]
             });
         }
         let mut stage_fulfillment: Option<Fulfillment> = None;
@@ -556,15 +553,12 @@ impl<'a> StageRun<'a> {
         drop(planning_phase);
         tracer.event("plan_stage", || {
             vec![
-                ("fraction", JsonValue::from(plan.fraction)),
-                (
-                    "predicted_ns",
-                    JsonValue::from(plan.predicted.as_nanos() as u64),
-                ),
-                ("predicted_blocks", JsonValue::from(plan.predicted_blocks)),
+                ("fraction", Json::from(plan.fraction)),
+                ("predicted_ns", Json::from(plan.predicted.as_nanos() as u64)),
+                ("predicted_blocks", Json::from(plan.predicted_blocks)),
                 (
                     "fulfillment",
-                    JsonValue::from(match stage_fulfillment {
+                    Json::from(match stage_fulfillment {
                         Some(Fulfillment::Partial) => "partial",
                         _ => "full",
                     }),
@@ -714,24 +708,24 @@ impl<'a> StageRun<'a> {
                 let mut tuples = Vec::with_capacity(snaps.len());
                 let mut frozen = Vec::with_capacity(snaps.len());
                 for g in &snaps {
-                    keys.push(JsonValue::from(g.key));
-                    estimates.push(JsonValue::from(g.estimate.estimate));
-                    widths.push(JsonValue::from(g.estimate.relative_half_width(0.95)));
-                    tuples.push(JsonValue::from(g.tuples_seen));
-                    frozen.push(JsonValue::from(g.frozen));
+                    keys.push(Json::from(g.key));
+                    estimates.push(Json::from(g.estimate.estimate));
+                    widths.push(Json::from(g.estimate.relative_half_width(0.95)));
+                    tuples.push(Json::from(g.tuples_seen));
+                    frozen.push(Json::from(g.frozen));
                 }
                 vec![
-                    ("groups", JsonValue::from(snaps.len() as u64)),
+                    ("groups", Json::from(snaps.len() as u64)),
                     (
                         "frozen",
-                        JsonValue::from(snaps.iter().filter(|g| g.frozen).count() as u64),
+                        Json::from(snaps.iter().filter(|g| g.frozen).count() as u64),
                     ),
-                    ("keys", JsonValue::Array(keys)),
-                    ("estimates", JsonValue::Array(estimates)),
-                    ("rel_half_widths", JsonValue::Array(widths)),
-                    ("tuples_seen", JsonValue::Array(tuples)),
-                    ("frozen_flags", JsonValue::Array(frozen)),
-                    ("all_converged", JsonValue::from(self.groups_converged)),
+                    ("keys", Json::Arr(keys)),
+                    ("estimates", Json::Arr(estimates)),
+                    ("rel_half_widths", Json::Arr(widths)),
+                    ("tuples_seen", Json::Arr(tuples)),
+                    ("frozen_flags", Json::Arr(frozen)),
+                    ("all_converged", Json::from(self.groups_converged)),
                 ]
             });
         }
@@ -739,33 +733,30 @@ impl<'a> StageRun<'a> {
             let mut sels = Vec::new();
             for tree in &self.trees {
                 tree.for_each_tracker(&mut |t| {
-                    sels.push(JsonValue::from(t.revised_selectivity()));
+                    sels.push(Json::from(t.revised_selectivity()));
                 });
             }
             vec![
-                ("estimate", JsonValue::from(estimate.estimate)),
-                ("variance", JsonValue::from(estimate.variance)),
+                ("estimate", Json::from(estimate.estimate)),
+                ("variance", Json::from(estimate.variance)),
                 (
                     "rel_half_width",
-                    JsonValue::from(estimate.relative_half_width(0.95)),
+                    Json::from(estimate.relative_half_width(0.95)),
                 ),
-                ("points_sampled", JsonValue::from(estimate.points_sampled)),
-                ("blocks_total", JsonValue::from(blocks_after)),
-                (
-                    "blocks_stage",
-                    JsonValue::from(blocks_after - blocks_before),
-                ),
-                ("fraction", JsonValue::from(plan.fraction)),
+                ("points_sampled", Json::from(estimate.points_sampled)),
+                ("blocks_total", Json::from(blocks_after)),
+                ("blocks_stage", Json::from(blocks_after - blocks_before)),
+                ("fraction", Json::from(plan.fraction)),
                 (
                     "spent_ns",
-                    JsonValue::from(self.deadline.spent().as_nanos() as u64),
+                    Json::from(self.deadline.spent().as_nanos() as u64),
                 ),
                 (
                     "remaining_ns",
-                    JsonValue::from(self.deadline.remaining().as_nanos() as u64),
+                    Json::from(self.deadline.remaining().as_nanos() as u64),
                 ),
-                ("within_quota", JsonValue::from(within)),
-                ("selectivities", JsonValue::Array(sels)),
+                ("within_quota", Json::from(within)),
+                ("selectivities", Json::Arr(sels)),
             ]
         });
         // One stopping check per executed stage, with the decision
@@ -781,10 +772,10 @@ impl<'a> StageRun<'a> {
         let stop = aborted || expired_now || precision;
         tracer.event("stopping_check", || {
             vec![
-                ("aborted", JsonValue::from(aborted)),
-                ("deadline_expired", JsonValue::from(expired_now)),
-                ("precision_satisfied", JsonValue::from(precision)),
-                ("stop", JsonValue::from(stop)),
+                ("aborted", Json::from(aborted)),
+                ("deadline_expired", Json::from(expired_now)),
+                ("precision_satisfied", Json::from(precision)),
+                ("stop", Json::from(stop)),
             ]
         });
         drop(stopping_phase);
@@ -803,7 +794,7 @@ impl<'a> StageRun<'a> {
     pub fn finish(self) -> ExecOutcome {
         let stop_reason = self.stop_reason;
         self.tracer
-            .event("stop", || vec![("reason", JsonValue::from(stop_reason))]);
+            .event("stop", || vec![("reason", Json::from(stop_reason))]);
 
         let delivered = if self.config.stopping.is_hard() {
             self.hard_estimate
@@ -863,6 +854,7 @@ mod tests {
     use crate::seltrack::SelectivityDefaults;
     use crate::strategy::OneAtATimeInterval;
     use eram_relalg::{eval, CmpOp, Predicate};
+    use eram_storage::ToJson;
     use eram_storage::{
         Clock, ColumnType, DeviceProfile, HeapFile, Schema, SharedDrawBroker, SimClock, Tuple,
         Value,
@@ -1354,10 +1346,6 @@ mod tests {
 
     #[test]
     fn profiling_is_pure_observation_at_any_worker_count() {
-        if serde_json::to_string(&0u32).is_err() {
-            eprintln!("skipped: offline serde stub cannot serialize");
-            return;
-        }
         let expr = Expr::relation("r").select(Predicate::col_cmp(1, CmpOp::Lt, 50));
         let run_with = |profile: bool, workers: usize| {
             let (disk, cat) = setup(false);
@@ -1388,10 +1376,10 @@ mod tests {
             assert_eq!(base_trace, prof_trace, "workers={workers}");
             // The report differs only in the profile payload: strip
             // it and the JSON must match byte for byte.
-            let mut a = serde_json::to_value(&base.report).unwrap();
-            let mut b = serde_json::to_value(&prof.report).unwrap();
-            a.as_object_mut().unwrap().remove("profile");
-            b.as_object_mut().unwrap().remove("profile");
+            let mut a = base.report.to_json();
+            let mut b = prof.report.to_json();
+            a.remove("profile");
+            b.remove("profile");
             assert_eq!(a, b, "workers={workers}");
             assert!(prof.report.profile.is_some());
         }

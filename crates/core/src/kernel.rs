@@ -13,9 +13,8 @@
 //! the group-end scans ever allocate a key.
 //!
 //! [`merge_reference`] keeps the original extract-per-comparison
-//! algorithm as the Criterion baseline (`benches/kernels.rs`) and as
-//! the property-test oracle: both merges must agree tuple for tuple
-//! on any pair of key-sorted runs.
+//! algorithm as the property-test oracle: both merges must agree
+//! tuple for tuple on any pair of key-sorted runs.
 //!
 //! Everything here is pure CPU — no clock, no tracer, no deadline —
 //! which is what lets the executor fan pair merges across worker
@@ -248,8 +247,7 @@ fn emit(kind: MergeKind, left: &[Tuple], right: &[Tuple], out: &mut Vec<Tuple>) 
 /// The original merge algorithm: extracts (allocates) both keys at
 /// every comparison step, including once per probed tuple in the
 /// group-end scans — quadratic key extractions on wide equal-key
-/// groups. Kept as the Criterion baseline and as the property-test
-/// oracle for [`merge_keyed`].
+/// groups. Kept as the property-test oracle for [`merge_keyed`].
 pub fn merge_reference(
     kind: MergeKind,
     lspec: &KeySpec,

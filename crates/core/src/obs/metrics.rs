@@ -13,14 +13,14 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
+use eram_storage::json_record;
 
 /// Summary statistics of an observed series: count, sum, min, max,
 /// plus the retained samples for quantile queries.
 ///
 /// Non-finite observations are ignored (a raw `NaN` would make the
 /// snapshot unserializable as JSON).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Histogram {
     /// Number of finite observations.
     pub count: u64,
@@ -33,9 +33,16 @@ pub struct Histogram {
     /// Every finite observation, in arrival order (quantiles sort a
     /// copy on demand). Omitted from JSON when empty, so snapshots
     /// from before this field deserialize unchanged.
-    #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub samples: Vec<f64>,
 }
+
+json_record!(Histogram {
+    count: required,
+    sum: required,
+    min: required,
+    max: required,
+    samples: omit_empty,
+});
 
 impl Histogram {
     /// Records one observation; non-finite values are dropped.
@@ -141,20 +148,23 @@ impl MetricsRegistry {
 /// Sorted maps keep serialization deterministic; the snapshot rides
 /// on [`ExecutionReport`](crate::ExecutionReport) behind
 /// `Option` so reports without metrics serialize exactly as before.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct MetricsSnapshot {
     /// Observability schema version (see
     /// [`SCHEMA_VERSION`](crate::obs::SCHEMA_VERSION)); 0 when the
     /// snapshot predates versioning.
-    #[serde(default)]
     pub schema_version: u32,
     /// Monotone counters by name.
-    #[serde(default)]
     pub counters: BTreeMap<String, u64>,
     /// Histograms by name.
-    #[serde(default)]
     pub histograms: BTreeMap<String, Histogram>,
 }
+
+json_record!(MetricsSnapshot {
+    schema_version: default,
+    counters: default,
+    histograms: default,
+});
 
 impl MetricsSnapshot {
     /// The named counter's value, 0 when absent.
@@ -176,6 +186,7 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eram_storage::json;
 
     #[test]
     fn counters_accumulate_and_default_to_zero() {
@@ -280,11 +291,8 @@ mod tests {
         reg.observe("stage.fraction", 0.3);
         let snap = reg.snapshot();
         assert_eq!(snap.schema_version, crate::obs::SCHEMA_VERSION);
-        let Ok(json) = serde_json::to_string(&snap) else {
-            eprintln!("skipped: offline serde stub cannot serialize");
-            return;
-        };
-        let back: MetricsSnapshot = serde_json::from_str(&json).unwrap();
+        let json = json::to_string(&snap);
+        let back: MetricsSnapshot = json::from_str(&json).unwrap();
         assert_eq!(back, snap);
         assert!(!snap.is_empty());
         assert!(MetricsSnapshot::default().is_empty());
@@ -295,10 +303,7 @@ mod tests {
         // A snapshot serialized before `schema_version` and histogram
         // `samples` existed: both default cleanly.
         let old = r#"{"counters":{"core.stages":2},"histograms":{"stage.fraction":{"count":1,"sum":0.25,"min":0.25,"max":0.25}}}"#;
-        let Ok(snap) = serde_json::from_str::<MetricsSnapshot>(old) else {
-            eprintln!("skipped: offline serde stub cannot deserialize");
-            return;
-        };
+        let snap: MetricsSnapshot = json::from_str(old).unwrap();
         assert_eq!(snap.schema_version, 0);
         let h = snap.histogram("stage.fraction").unwrap();
         assert_eq!(h.count, 1);

@@ -26,8 +26,8 @@
 //!
 //! The layer is zero-cost when disabled: a disabled [`Tracer`] or
 //! [`Profiler`] is a `None` behind a cheap clone, so every emission
-//! site is a single branch (verified by the `obs` criterion
-//! micro-bench in `eram-bench`).
+//! site is a single branch (its measured cost is the benchmark's
+//! `core.obs.{tracer,profiler}_overhead_pct`).
 //!
 //! # Span taxonomy
 //!
@@ -59,7 +59,7 @@ mod tracer;
 /// [`ServerOutcome`](crate::server::ServerOutcome) JSON, and the
 /// bench suite's `BENCH_*.json` files. Bump it whenever any of those
 /// schemas changes shape. Additive extensions — new event names, new
-/// optional fields with serde defaults — do not bump it: the serving
+/// optional fields that default when absent — do not bump it: the serving
 /// layer's `server.*` trace events, `server.*` metrics counters, and
 /// the optional `refusal` field on
 /// [`ReportHealth`](crate::ReportHealth) all ride schema v1, which

@@ -44,10 +44,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
-
-use eram_storage::Clock;
+use eram_storage::{json_record, json_unit_enum, Clock, Mutex};
 
 use super::metrics::Histogram;
 use super::SCHEMA_VERSION;
@@ -58,8 +55,7 @@ pub const ENGINE_OPERATOR: &str = "engine";
 
 /// The fixed phase taxonomy (see the module docs for where each
 /// phase is charged).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Phase {
     /// Decoding fetched blocks into typed tuples.
     BlockDecode,
@@ -81,6 +77,18 @@ pub enum Phase {
     StoppingCheck,
 }
 
+json_unit_enum!(Phase {
+    BlockDecode = "block_decode",
+    RunMerge = "run_merge",
+    EstimatorMath = "estimator_math",
+    RngDraw = "rng_draw",
+    Cache = "cache",
+    RetryBackoff = "retry_backoff",
+    SelectivityRevision = "selectivity_revision",
+    Planning = "planning",
+    StoppingCheck = "stopping_check",
+});
+
 impl Phase {
     /// Every phase, in a fixed order.
     pub const ALL: [Phase; 9] = [
@@ -95,7 +103,7 @@ impl Phase {
         Phase::StoppingCheck,
     ];
 
-    /// The phase's snake_case name (matches the serde rendering).
+    /// The phase's snake_case name (the JSON wire form).
     pub fn name(self) -> &'static str {
         match self {
             Phase::BlockDecode => "block_decode",
@@ -113,7 +121,7 @@ impl Phase {
 
 /// Accumulated totals for one (stage, operator, phase) cell or one
 /// rolled-up view of such cells.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PhaseTotals {
     /// Number of guard open/close pairs.
     pub calls: u64,
@@ -122,6 +130,12 @@ pub struct PhaseTotals {
     /// Total wall-clock time inside the phase, nanoseconds.
     pub wall_ns: u64,
 }
+
+json_record!(PhaseTotals {
+    calls: required,
+    sim_ns: required,
+    wall_ns: required,
+});
 
 impl PhaseTotals {
     fn add(&mut self, sim_ns: u64, wall_ns: u64) {
@@ -134,7 +148,7 @@ impl PhaseTotals {
 /// Aggregated statistics for one phase across the whole run: the
 /// totals plus wall-clock distribution figures over the individual
 /// guard durations.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PhaseStats {
     /// Number of guard open/close pairs.
     pub calls: u64,
@@ -152,30 +166,43 @@ pub struct PhaseStats {
     pub wall_p95_ns: u64,
 }
 
+json_record!(PhaseStats {
+    calls: required,
+    sim_ns: required,
+    wall_ns: required,
+    wall_min_ns: required,
+    wall_max_ns: required,
+    wall_p50_ns: required,
+    wall_p95_ns: required,
+});
+
 /// The frozen output of a recording [`Profiler`]: per-phase
 /// statistics plus per-stage and per-operator breakdowns. Rides on
 /// [`ExecutionReport`](crate::ExecutionReport) behind an `Option`.
 ///
 /// The `sim_ns` columns are deterministic for a seeded run; the
 /// `wall_*` columns are host measurements and vary run to run.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ProfileSnapshot {
     /// Observability schema version (see
     /// [`SCHEMA_VERSION`](crate::obs::SCHEMA_VERSION)).
-    #[serde(default)]
     pub schema_version: u32,
     /// Whole-run statistics by phase name.
-    #[serde(default)]
     pub phases: BTreeMap<String, PhaseStats>,
     /// Per-stage totals by phase name (stage 0 collects work done
     /// before the first stage opens).
-    #[serde(default)]
     pub per_stage: BTreeMap<usize, BTreeMap<String, PhaseTotals>>,
     /// Per-operator totals by phase name; engine-level phases land
     /// under [`ENGINE_OPERATOR`].
-    #[serde(default)]
     pub per_operator: BTreeMap<String, BTreeMap<String, PhaseTotals>>,
 }
+
+json_record!(ProfileSnapshot {
+    schema_version: default,
+    phases: default,
+    per_stage: default,
+    per_operator: default,
+});
 
 impl ProfileSnapshot {
     /// Total wall nanoseconds across every phase.
@@ -405,6 +432,7 @@ fn duration_ns(d: std::time::Duration) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eram_storage::json;
     use std::time::Duration;
 
     use eram_storage::SimClock;
@@ -530,11 +558,8 @@ mod tests {
             clock.charge(Duration::from_micros(250));
         }
         let snap = p.snapshot().unwrap();
-        let Ok(json) = serde_json::to_string(&snap) else {
-            eprintln!("skipped: offline serde stub cannot serialize");
-            return;
-        };
-        let back: ProfileSnapshot = serde_json::from_str(&json).unwrap();
+        let json = json::to_string(&snap);
+        let back: ProfileSnapshot = json::from_str(&json).unwrap();
         assert_eq!(back, snap);
         assert!(json.contains("\"rng_draw\""));
     }
@@ -542,10 +567,7 @@ mod tests {
     #[test]
     fn phase_names_match_the_serde_rendering() {
         for phase in Phase::ALL {
-            let Ok(json) = serde_json::to_string(&phase) else {
-                eprintln!("skipped: offline serde stub cannot serialize");
-                return;
-            };
+            let json = json::to_string(&phase);
             assert_eq!(json, format!("\"{}\"", phase.name()));
         }
     }

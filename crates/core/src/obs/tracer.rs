@@ -11,15 +11,10 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
-use serde_json::Value;
-
-use eram_storage::Clock;
+use eram_storage::{json, json_record, json_unit_enum, Clock, Json, Mutex};
 
 /// What a [`TraceRecord`] denotes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceKind {
     /// A span opened (matched by a later `End` with the same name).
     Begin,
@@ -31,13 +26,20 @@ pub enum TraceKind {
     Stage,
 }
 
+json_unit_enum!(TraceKind {
+    Begin = "begin",
+    End = "end",
+    Event = "event",
+    Stage = "stage",
+});
+
 /// One line of a JSONL trace.
 ///
 /// Field order is fixed by this struct and map keys are sorted
 /// (`BTreeMap`), so serialization is byte-deterministic. Non-finite
-/// floats must be inserted via [`Value::from`], which maps them to
+/// floats must be inserted via [`Json::from`], which maps them to
 /// `null` (raw non-finite `f64`s are unserializable in JSON).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceRecord {
     /// Clock-charged timestamp: nanoseconds of session-clock elapsed
     /// time at emission.
@@ -49,12 +51,19 @@ pub struct TraceRecord {
     /// Stage number the record belongs to (0 before the first stage).
     pub stage: usize,
     /// Charged span duration — `End` records only.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub dur_ns: Option<u64>,
     /// Free-form payload, sorted by key.
-    #[serde(default, skip_serializing_if = "BTreeMap::is_empty")]
-    pub fields: BTreeMap<String, Value>,
+    pub fields: BTreeMap<String, Json>,
 }
+
+json_record!(TraceRecord {
+    t_ns: required,
+    kind: required,
+    name: required,
+    stage: required,
+    dur_ns: omit_empty,
+    fields: omit_empty,
+});
 
 #[derive(Default)]
 struct TraceState {
@@ -127,7 +136,7 @@ impl Tracer {
     /// recording, so building the payload is free when disabled.
     pub fn event<F>(&self, name: &'static str, fields: F)
     where
-        F: FnOnce() -> Vec<(&'static str, Value)>,
+        F: FnOnce() -> Vec<(&'static str, Json)>,
     {
         self.emit(TraceKind::Event, name, fields);
     }
@@ -136,7 +145,7 @@ impl Tracer {
     /// convergence trajectory.
     pub fn stage_record<F>(&self, name: &'static str, fields: F)
     where
-        F: FnOnce() -> Vec<(&'static str, Value)>,
+        F: FnOnce() -> Vec<(&'static str, Json)>,
     {
         self.emit(TraceKind::Stage, name, fields);
     }
@@ -147,7 +156,7 @@ impl Tracer {
     /// advanced along yet.
     pub fn event_at<F>(&self, t_ns: u64, name: &'static str, fields: F)
     where
-        F: FnOnce() -> Vec<(&'static str, Value)>,
+        F: FnOnce() -> Vec<(&'static str, Json)>,
     {
         if let Some(inner) = &self.inner {
             let fields = fields()
@@ -185,7 +194,7 @@ impl Tracer {
 
     fn emit<F>(&self, kind: TraceKind, name: &'static str, fields: F)
     where
-        F: FnOnce() -> Vec<(&'static str, Value)>,
+        F: FnOnce() -> Vec<(&'static str, Json)>,
     {
         if let Some(inner) = &self.inner {
             let t_ns = duration_ns(inner.clock.elapsed());
@@ -262,7 +271,7 @@ impl Tracer {
         }
         let mut out = format!("{{\"schema_version\":{}}}\n", super::SCHEMA_VERSION);
         for record in self.records() {
-            out.push_str(&serde_json::to_string(&record).expect("trace records always serialize"));
+            out.push_str(&json::to_string(&record));
             out.push('\n');
         }
         out
@@ -360,10 +369,6 @@ mod tests {
 
     #[test]
     fn jsonl_is_deterministic_and_round_trips() {
-        if serde_json::to_string(&0u32).is_err() {
-            eprintln!("skipped: offline serde stub cannot serialize");
-            return;
-        }
         let mk = || {
             let clock = sim();
             let t = Tracer::recording(clock.clone());
@@ -372,8 +377,8 @@ mod tests {
             clock.charge(Duration::from_millis(7));
             t.event("plan_stage", || {
                 vec![
-                    ("fraction", Value::from(0.25)),
-                    ("bad", Value::from(f64::NAN)),
+                    ("fraction", Json::from(0.25)),
+                    ("bad", Json::from(f64::NAN)),
                 ]
             });
             drop(g);
@@ -391,8 +396,8 @@ mod tests {
             "first line is the schema-version header"
         );
         for line in lines {
-            let rec: TraceRecord = serde_json::from_str(line).unwrap();
-            let back = serde_json::to_string(&rec).unwrap();
+            let rec: TraceRecord = json::from_str(line).unwrap();
+            let back = json::to_string(&rec);
             assert_eq!(back, line, "round trip must be lossless");
         }
         // Non-finite floats degrade to null instead of poisoning the line.

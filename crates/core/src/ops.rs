@@ -32,11 +32,9 @@ use std::time::Duration;
 use eram_relalg::{Catalog, Expr, ExprError, OpKind, Predicate};
 use eram_sampling::BlockSampler;
 use eram_storage::{
-    Block, ColumnarBlock, Deadline, DeviceOp, Disk, HeapFile, RunCache, Schema, StorageError, Tuple,
+    Block, ColumnarBlock, Deadline, DeviceOp, Disk, HeapFile, Json, Rng, RunCache, Schema,
+    StorageError, Tuple,
 };
-use rand::rngs::StdRng;
-use rand::Rng;
-use serde_json::Value as JsonValue;
 
 use crate::costs::CostCoeff;
 use crate::kernel::{merge_keyed, sort_run, sort_run_with_keys, KeyColumn, KeySpec, MergeKind};
@@ -545,8 +543,8 @@ fn read_block_resilient_raw(
                     env.health.blocks_lost += 1;
                     env.tracer.event("block_lost", || {
                         vec![
-                            ("block", JsonValue::from(index)),
-                            ("reason", JsonValue::from("retry_exhausted")),
+                            ("block", Json::from(index)),
+                            ("reason", Json::from("retry_exhausted")),
                         ]
                     });
                     return Ok(None);
@@ -555,8 +553,8 @@ fn read_block_resilient_raw(
                 let backoff = policy.backoff_for(attempt);
                 env.tracer.event("retry", || {
                     vec![
-                        ("attempt", JsonValue::from(attempt)),
-                        ("backoff_ns", JsonValue::from(backoff.as_nanos() as u64)),
+                        ("attempt", Json::from(attempt)),
+                        ("backoff_ns", Json::from(backoff.as_nanos() as u64)),
                     ]
                 });
                 {
@@ -572,8 +570,8 @@ fn read_block_resilient_raw(
                 env.health.blocks_lost += 1;
                 env.tracer.event("block_lost", || {
                     vec![
-                        ("block", JsonValue::from(index)),
-                        ("reason", JsonValue::from("corrupt")),
+                        ("block", Json::from(index)),
+                        ("reason", Json::from("corrupt")),
                     ]
                 });
                 return Ok(None);
@@ -1226,7 +1224,7 @@ impl PhysTree {
         disk: &Arc<Disk>,
         defaults: &SelectivityDefaults,
         options: impl Into<PlanOptions>,
-        rng: &mut StdRng,
+        rng: &mut Rng,
     ) -> Result<PhysTree, ExprError> {
         let options = options.into();
         expr.output_schema(catalog)?; // full validation up front
@@ -1257,7 +1255,7 @@ impl PhysTree {
         disk: &Arc<Disk>,
         defaults: &SelectivityDefaults,
         options: PlanOptions,
-        rng: &mut StdRng,
+        rng: &mut Rng,
         total_points: &mut f64,
         total_space_blocks: &mut f64,
     ) -> Result<Node, ExprError> {
@@ -1274,8 +1272,8 @@ impl PhysTree {
                     .with_disk(disk.clone());
                 *total_points *= file.num_tuples() as f64;
                 *total_space_blocks *= file.num_blocks() as f64;
-                let seed: u64 = rng.gen();
-                let mut leaf_rng = <StdRng as rand::SeedableRng>::seed_from_u64(seed);
+                let seed = rng.next_u64();
+                let mut leaf_rng = Rng::seed_from_u64(seed);
                 let sampler = BlockSampler::new(file.num_blocks(), &mut leaf_rng);
                 Ok(Node::Leaf(LeafNode {
                     file,
@@ -1385,7 +1383,7 @@ impl PhysTree {
         disk: &Arc<Disk>,
         defaults: &SelectivityDefaults,
         options: PlanOptions,
-        rng: &mut StdRng,
+        rng: &mut Rng,
         total_points: &mut f64,
         total_space_blocks: &mut f64,
     ) -> Result<Node, ExprError> {
@@ -1515,7 +1513,6 @@ mod tests {
     use super::*;
     use eram_relalg::CmpOp;
     use eram_storage::{ColumnType, DeviceProfile, SimClock, Value};
-    use rand::SeedableRng;
 
     fn setup(rows: &[(&str, Vec<(i64, i64)>)]) -> (Arc<Disk>, Catalog) {
         let clock = Arc::new(SimClock::new());
@@ -1554,7 +1551,7 @@ mod tests {
             &disk,
             &SelectivityDefaults::default(),
             Fulfillment::Full,
-            &mut StdRng::seed_from_u64(1),
+            &mut Rng::seed_from_u64(1),
         )
         .unwrap();
         let mut e = env(&disk, 1.0);
@@ -1574,7 +1571,7 @@ mod tests {
             &disk,
             &SelectivityDefaults::default(),
             Fulfillment::Full,
-            &mut StdRng::seed_from_u64(2),
+            &mut Rng::seed_from_u64(2),
         )
         .unwrap();
         let mut covered = 0.0;
@@ -1600,7 +1597,7 @@ mod tests {
             &disk,
             &SelectivityDefaults::default(),
             Fulfillment::Full,
-            &mut StdRng::seed_from_u64(3),
+            &mut Rng::seed_from_u64(3),
         )
         .unwrap();
         // Multiple stages with full fulfillment must still find every
@@ -1626,7 +1623,7 @@ mod tests {
             &disk,
             &SelectivityDefaults::default(),
             Fulfillment::Full,
-            &mut StdRng::seed_from_u64(4),
+            &mut Rng::seed_from_u64(4),
         )
         .unwrap();
         for _ in 0..2 {
@@ -1652,7 +1649,7 @@ mod tests {
                 disk,
                 &SelectivityDefaults::default(),
                 f,
-                &mut StdRng::seed_from_u64(seed),
+                &mut Rng::seed_from_u64(seed),
             )
             .unwrap()
         };
@@ -1682,7 +1679,7 @@ mod tests {
             &disk,
             &SelectivityDefaults::default(),
             Fulfillment::Full,
-            &mut StdRng::seed_from_u64(5),
+            &mut Rng::seed_from_u64(5),
         )
         .unwrap();
         assert!(tree.projection_root());
@@ -1704,7 +1701,7 @@ mod tests {
             &disk,
             &SelectivityDefaults::default(),
             Fulfillment::Full,
-            &mut StdRng::seed_from_u64(6),
+            &mut Rng::seed_from_u64(6),
         )
         .unwrap();
         let before = disk.clock().elapsed();
@@ -1728,7 +1725,7 @@ mod tests {
             &disk,
             &SelectivityDefaults::default(),
             Fulfillment::Full,
-            &mut StdRng::seed_from_u64(7),
+            &mut Rng::seed_from_u64(7),
         )
         .unwrap();
         // Quota shorter than the stage needs (2000 blocks at ~30 ms).
@@ -1755,7 +1752,7 @@ mod tests {
             &disk,
             &SelectivityDefaults::default(),
             Fulfillment::Full,
-            &mut StdRng::seed_from_u64(23),
+            &mut Rng::seed_from_u64(23),
         )
         .unwrap();
         // 1 s quota vs a 2000-block full draw (~30 ms/block): the
@@ -1799,7 +1796,7 @@ mod tests {
                 &disk,
                 &SelectivityDefaults::default(),
                 Fulfillment::Full,
-                &mut StdRng::seed_from_u64(29),
+                &mut Rng::seed_from_u64(29),
             )
             .unwrap();
             let mut outputs = Vec::new();
@@ -1826,7 +1823,7 @@ mod tests {
             &disk,
             &SelectivityDefaults::default(),
             Fulfillment::Full,
-            &mut StdRng::seed_from_u64(8),
+            &mut Rng::seed_from_u64(8),
         )
         .unwrap();
         let mut e = env(&disk, 1e-9);
@@ -1851,7 +1848,7 @@ mod tests {
                     memory,
                     ..PlanOptions::default()
                 },
-                &mut StdRng::seed_from_u64(77),
+                &mut Rng::seed_from_u64(77),
             )
             .unwrap()
         };
@@ -1902,7 +1899,7 @@ mod tests {
                     run_cache_tuples: cache_tuples,
                     ..PlanOptions::default()
                 },
-                &mut StdRng::seed_from_u64(31),
+                &mut Rng::seed_from_u64(31),
             )
             .unwrap();
             let mut outputs = Vec::new();
@@ -1937,7 +1934,7 @@ mod tests {
                     run_cache_tuples: cache_tuples,
                     ..PlanOptions::default()
                 },
-                &mut StdRng::seed_from_u64(37),
+                &mut Rng::seed_from_u64(37),
             )
             .unwrap();
             let mut outputs = Vec::new();
@@ -1960,7 +1957,7 @@ mod tests {
             &disk,
             &SelectivityDefaults::default(),
             Fulfillment::Full,
-            &mut StdRng::seed_from_u64(10),
+            &mut Rng::seed_from_u64(10),
         )
         .unwrap();
         disk.set_fault_plan(eram_storage::FaultPlan::new(13).with_transient(0.4));
@@ -1986,7 +1983,7 @@ mod tests {
             &disk,
             &SelectivityDefaults::default(),
             Fulfillment::Full,
-            &mut StdRng::seed_from_u64(11),
+            &mut Rng::seed_from_u64(11),
         )
         .unwrap();
         // Half the sites rot: the census loses clusters but finishes.
@@ -2012,7 +2009,7 @@ mod tests {
             &disk,
             &SelectivityDefaults::default(),
             Fulfillment::Full,
-            &mut StdRng::seed_from_u64(12),
+            &mut Rng::seed_from_u64(12),
         )
         .unwrap();
         disk.set_fault_plan(eram_storage::FaultPlan::new(19).with_corruption(1.0));
@@ -2033,7 +2030,7 @@ mod tests {
             &disk,
             &SelectivityDefaults::default(),
             Fulfillment::Full,
-            &mut StdRng::seed_from_u64(14),
+            &mut Rng::seed_from_u64(14),
         )
         .unwrap();
         // Every attempt fails: each block burns its full retry budget
@@ -2059,7 +2056,7 @@ mod tests {
             &disk,
             &SelectivityDefaults::default(),
             Fulfillment::Full,
-            &mut StdRng::seed_from_u64(9),
+            &mut Rng::seed_from_u64(9),
         );
         assert!(res.is_err());
     }

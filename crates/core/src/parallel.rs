@@ -16,7 +16,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use parking_lot::Mutex;
+use eram_storage::Mutex;
 
 /// Applies `f` to every item, using up to `workers` scoped threads,
 /// and returns the results in the items' original order.

@@ -325,9 +325,8 @@ mod tests {
     use crate::ops::{Fulfillment, PhysTree};
     use crate::seltrack::SelectivityDefaults;
     use eram_relalg::{Catalog, CmpOp, Expr, Predicate};
+    use eram_storage::Rng;
     use eram_storage::{ColumnType, DeviceProfile, Disk, HeapFile, Schema, SimClock, Tuple, Value};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
     use std::sync::Arc;
 
     fn setup(n: i64) -> (Arc<Disk>, Catalog) {
@@ -365,7 +364,7 @@ mod tests {
             disk,
             &SelectivityDefaults::default(),
             Fulfillment::Full,
-            &mut StdRng::seed_from_u64(11),
+            &mut Rng::seed_from_u64(11),
         )
         .unwrap()
     }

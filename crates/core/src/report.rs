@@ -7,14 +7,13 @@
 
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
-
 use eram_sampling::CountEstimate;
+use eram_storage::{json_record, json_unit_enum};
 
 use crate::obs::{MetricsSnapshot, ProfileSnapshot};
 
 /// What one stage of the loop did.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StageReport {
     /// 1-based stage number.
     pub stage: usize,
@@ -35,14 +34,23 @@ pub struct StageReport {
     pub estimate: CountEstimate,
 }
 
+json_record!(StageReport {
+    stage: required,
+    fraction: required,
+    predicted_cost: required,
+    actual_cost: required,
+    blocks_drawn: required,
+    within_quota: required,
+    estimate: required,
+});
+
 /// Why an admission-controlled job was denied an answer.
 ///
 /// The server (see [`crate::server`]) never lets a job silently blow
 /// its deadline: a job that gets no estimate carries exactly one of
 /// these so the caller can tell "your request was impossible" from
 /// "the system was busy" from "a fault storm forced triage".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RefusalReason {
     /// The job could not meet its minimum quota even on an idle
     /// server: its own deadline (times the scheduling margin) or the
@@ -59,8 +67,14 @@ pub enum RefusalReason {
     Shed,
 }
 
+json_unit_enum!(RefusalReason {
+    Infeasible = "infeasible",
+    Overloaded = "overloaded",
+    Shed = "shed",
+});
+
 impl RefusalReason {
-    /// Stable lowercase label (matches the serde wire form).
+    /// Stable lowercase label (the JSON wire form).
     pub fn as_str(&self) -> &'static str {
         match self {
             RefusalReason::Infeasible => "infeasible",
@@ -84,31 +98,34 @@ impl std::fmt::Display for RefusalReason {
 /// answer stays unbiased but its variance grows. `degraded` flags
 /// exactly that situation so callers can tell a clean estimate from
 /// one delivered despite data loss.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReportHealth {
     /// Storage faults observed (transient errors and checksum
     /// mismatches), counted per failed read attempt.
-    #[serde(default)]
     pub faults_seen: u64,
     /// Retries issued by the retry policy; each one charged its
     /// backoff to the query clock.
-    #[serde(default)]
     pub retries: u64,
     /// Blocks abandoned after corruption or retry exhaustion. Each is
     /// a cluster dropped from the sample.
-    #[serde(default)]
     pub blocks_lost: u64,
     /// True iff `blocks_lost > 0`: the estimate was delivered over a
     /// reduced sample.
-    #[serde(default)]
     pub degraded: bool,
     /// Set when admission control denied the job an answer (refused
     /// at admission or shed mid-batch); `None` for every executed
-    /// query. `skip_serializing_if` keeps pre-existing report JSON
-    /// byte-identical for executed queries.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
+    /// query, and then left off the wire, so report JSON for executed
+    /// queries is byte-identical to pre-refusal writers'.
     pub refusal: Option<RefusalReason>,
 }
+
+json_record!(ReportHealth {
+    faults_seen: default,
+    retries: default,
+    blocks_lost: default,
+    degraded: default,
+    refusal: omit_empty,
+});
 
 impl ReportHealth {
     /// The health object of a job that was never run: clean counters
@@ -122,7 +139,7 @@ impl ReportHealth {
 }
 
 /// One group's answer in a GROUP BY execution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GroupReport {
     /// The group key (the Int value of the grouping column).
     pub key: i64,
@@ -132,22 +149,27 @@ pub struct GroupReport {
     pub tuples_seen: u64,
     /// Stage at which the group's CI converged and it stopped
     /// drawing (freeing quota for looser groups), if it did.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub converged_at_stage: Option<usize>,
     /// True when the estimate is exact: the run completed its census
     /// with this group still live, so every qualifying tuple was
     /// seen (the small-group fallback).
-    #[serde(default)]
     pub exact: bool,
 }
 
+json_record!(GroupReport {
+    key: required,
+    estimate: required,
+    tuples_seen: required,
+    converged_at_stage: omit_empty,
+    exact: default,
+});
+
 /// A complete account of one time-constrained query execution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExecutionReport {
     /// Observability schema version (see
     /// [`SCHEMA_VERSION`](crate::obs::SCHEMA_VERSION)); 0 when the
     /// report was serialized before versioning.
-    #[serde(default)]
     pub schema_version: u32,
     /// The time quota `T`.
     pub quota: Duration,
@@ -162,26 +184,34 @@ pub struct ExecutionReport {
     pub final_estimate: CountEstimate,
     /// Per-group answers for GROUP BY aggregates, in key order (taken
     /// at the same completed stage as `final_estimate` under a hard
-    /// deadline). Empty for scalar aggregates; `skip_serializing_if`
-    /// keeps non-grouped report JSON byte-identical.
-    #[serde(default, skip_serializing_if = "Vec::is_empty")]
+    /// deadline). Empty for scalar aggregates, and then left off the
+    /// wire, which keeps non-grouped report JSON byte-identical.
     pub groups: Vec<GroupReport>,
-    /// Fault-tolerance accounting. `#[serde(default)]` keeps reports
-    /// serialized before this field existed deserializable.
-    #[serde(default)]
+    /// Fault-tolerance accounting; absent in reports serialized
+    /// before this field existed, which load with the default.
     pub health: ReportHealth,
     /// Counters/histograms collected during the run, when metrics
     /// collection was requested. `None` serializes to nothing, so
     /// metrics-free reports keep their pre-existing JSON shape.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub metrics: Option<MetricsSnapshot>,
     /// Per-phase timing breakdown, when a recording
     /// [`Profiler`](crate::obs::Profiler) was attached. The `sim_ns`
     /// columns are seed-deterministic; the `wall_*` columns are host
     /// measurements. `None` serializes to nothing.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub profile: Option<ProfileSnapshot>,
 }
+
+json_record!(ExecutionReport {
+    schema_version: default,
+    quota: required,
+    stages: required,
+    total_elapsed: required,
+    final_estimate: required,
+    groups: omit_empty,
+    health: default,
+    metrics: omit_empty,
+    profile: omit_empty,
+});
 
 impl ExecutionReport {
     /// Stages completed within the quota — the paper's "stages"
@@ -243,6 +273,7 @@ impl ExecutionReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eram_storage::json::{self, FromJson, ToJson};
 
     fn est(v: f64) -> CountEstimate {
         CountEstimate {
@@ -417,13 +448,10 @@ mod tests {
             metrics: None,
             profile: None,
         };
-        let Ok(mut json) = serde_json::to_value(&r) else {
-            eprintln!("skipped: offline serde stub cannot serialize");
-            return;
-        };
+        let mut json = r.to_json();
         // Simulate a report written before the health field existed.
-        json.as_object_mut().unwrap().remove("health");
-        let back: ExecutionReport = serde_json::from_value(json).unwrap();
+        json.remove("health");
+        let back = ExecutionReport::from_json(&json).unwrap();
         assert_eq!(back.health, ReportHealth::default());
     }
 
@@ -440,13 +468,10 @@ mod tests {
             metrics: None,
             profile: None,
         };
-        let Ok(json) = serde_json::to_string(&r) else {
-            eprintln!("skipped: offline serde stub cannot serialize");
-            return;
-        };
+        let json = json::to_string(&r);
         // `None` metrics stay out of the wire format entirely.
         assert!(!json.contains("metrics"));
-        let back: ExecutionReport = serde_json::from_str(&json).unwrap();
+        let back: ExecutionReport = json::from_str(&json).unwrap();
         assert_eq!(back, r);
     }
 
@@ -454,16 +479,13 @@ mod tests {
     fn refusal_rides_health_and_stays_off_the_wire_when_none() {
         // Executed queries keep their pre-refusal JSON shape…
         let clean = ReportHealth::default();
-        let Ok(json) = serde_json::to_string(&clean) else {
-            eprintln!("skipped: offline serde stub cannot serialize");
-            return;
-        };
+        let json = json::to_string(&clean);
         assert!(!json.contains("refusal"), "{json}");
         // …while a denied job carries the structured reason.
         let refused = ReportHealth::refused(RefusalReason::Overloaded);
-        let json = serde_json::to_string(&refused).unwrap();
+        let json = json::to_string(&refused);
         assert!(json.contains(r#""refusal":"overloaded""#), "{json}");
-        let back: ReportHealth = serde_json::from_str(&json).unwrap();
+        let back: ReportHealth = json::from_str(&json).unwrap();
         assert_eq!(back, refused);
         assert_eq!(RefusalReason::Shed.to_string(), "shed");
         assert_eq!(RefusalReason::Infeasible.as_str(), "infeasible");
@@ -474,10 +496,7 @@ mod tests {
         // A partially-populated health object (e.g. from an older
         // writer that knew fewer fields) fills the rest with defaults
         // instead of rejecting the document.
-        let Ok(h) = serde_json::from_str::<ReportHealth>(r#"{"faults_seen": 3}"#) else {
-            eprintln!("skipped: offline serde stub cannot deserialize");
-            return;
-        };
+        let h: ReportHealth = json::from_str(r#"{"faults_seen": 3}"#).unwrap();
         assert_eq!(
             h,
             ReportHealth {
@@ -489,7 +508,7 @@ mod tests {
 
     #[test]
     fn schema_version_defaults_for_old_reports_and_profile_rides() {
-        let json = serde_json::to_value(ExecutionReport {
+        let mut json = ExecutionReport {
             schema_version: crate::obs::SCHEMA_VERSION,
             quota: Duration::from_secs(2),
             stages: vec![],
@@ -499,17 +518,17 @@ mod tests {
             health: ReportHealth::default(),
             metrics: None,
             profile: Some(ProfileSnapshot::default()),
-        });
-        let Ok(mut json) = json else {
-            eprintln!("skipped: offline serde stub cannot serialize");
-            return;
-        };
-        assert_eq!(json["schema_version"], crate::obs::SCHEMA_VERSION);
+        }
+        .to_json();
+        assert_eq!(
+            json["schema_version"].as_u64(),
+            Some(crate::obs::SCHEMA_VERSION.into())
+        );
         assert!(json.get("profile").is_some());
         // A report written before versioning existed.
-        json.as_object_mut().unwrap().remove("schema_version");
-        json.as_object_mut().unwrap().remove("profile");
-        let back: ExecutionReport = serde_json::from_value(json).unwrap();
+        json.remove("schema_version");
+        json.remove("profile");
+        let back = ExecutionReport::from_json(&json).unwrap();
         assert_eq!(back.schema_version, 0);
         assert!(back.profile.is_none());
     }
@@ -530,11 +549,8 @@ mod tests {
             metrics: Some(reg.snapshot()),
             profile: None,
         };
-        let Ok(json) = serde_json::to_string(&r) else {
-            eprintln!("skipped: offline serde stub cannot serialize");
-            return;
-        };
-        let back: ExecutionReport = serde_json::from_str(&json).unwrap();
+        let json = json::to_string(&r);
+        let back: ExecutionReport = json::from_str(&json).unwrap();
         assert_eq!(back, r);
         assert_eq!(back.metrics.unwrap().counter("core.stages"), 2);
     }

@@ -16,10 +16,10 @@
 
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
+use eram_storage::json_record;
 
 /// How the executor retries transient storage faults.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Total attempts per block read (first try included). `1` means
     /// no retries; `0` is treated as `1`.
@@ -29,6 +29,12 @@ pub struct RetryPolicy {
     /// Multiplier applied to the backoff after each failed attempt.
     pub backoff_factor: f64,
 }
+
+json_record!(RetryPolicy {
+    max_attempts: required,
+    backoff: required,
+    backoff_factor: required,
+});
 
 impl RetryPolicy {
     /// No retries: the first transient fault loses the block.
@@ -67,6 +73,7 @@ impl Default for RetryPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eram_storage::json;
 
     #[test]
     fn backoff_grows_geometrically() {
@@ -97,11 +104,8 @@ mod tests {
     #[test]
     fn serializes_round_trip() {
         let p = RetryPolicy::default();
-        let Ok(json) = serde_json::to_string(&p) else {
-            eprintln!("skipped: offline serde stub cannot serialize");
-            return;
-        };
-        let back: RetryPolicy = serde_json::from_str(&json).unwrap();
+        let json = json::to_string(&p);
+        let back: RetryPolicy = json::from_str(&json).unwrap();
         assert_eq!(back, p);
     }
 }

@@ -17,9 +17,9 @@
 //!
 //! The ledger is **pure observation**: building it draws no blocks,
 //! charges no clock time, and consumes no RNG. It rides
-//! [`ServerOutcome`](super::ServerOutcome) behind an `Option` with
-//! serde defaults, so outcome JSON from before the ledger existed
-//! deserializes unchanged and a ledger-free outcome serializes
+//! [`ServerOutcome`](super::ServerOutcome) behind an `Option` that
+//! may be absent, so outcome JSON from before the ledger existed
+//! loads unchanged and a ledger-free outcome serializes
 //! byte-identically to the pre-ledger wire form (schema v1 is
 //! preserved — see [`crate::obs::SCHEMA_VERSION`]). Each decision is
 //! also mirrored as a `server.decision` trace event when a recording
@@ -29,16 +29,15 @@
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
-use serde_json::Value as JsonValue;
+use eram_storage::{json_record, json_unit_enum, Json};
 
 use crate::report::RefusalReason;
 
 /// What kind of serving decision a [`DecisionRecord`] captures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DecisionAction {
     /// The job passed predictive admission.
+    #[default]
     Admit,
     /// The job was refused at admission (`reason` says why).
     Refuse,
@@ -60,8 +59,19 @@ pub enum DecisionAction {
     Done,
 }
 
+json_unit_enum!(DecisionAction {
+    Admit = "admit",
+    Refuse = "refuse",
+    Fail = "fail",
+    Grant = "grant",
+    Refit = "refit",
+    Shed = "shed",
+    Watchdog = "watchdog",
+    Done = "done",
+});
+
 impl DecisionAction {
-    /// Stable lowercase label (matches the serde wire form).
+    /// Stable lowercase label (the JSON wire form).
     pub fn as_str(&self) -> &'static str {
         match self {
             DecisionAction::Admit => "admit",
@@ -83,10 +93,9 @@ impl DecisionAction {
 /// round-trip byte-identically through JSON. Timestamps are charged
 /// session-clock nanoseconds, the same timebase as
 /// [`TraceRecord::t_ns`](crate::obs::TraceRecord::t_ns).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct DecisionRecord {
     /// Clock-charged timestamp of the decision.
-    #[serde(default)]
     pub t_ns: u64,
     /// What was decided.
     pub action: DecisionAction,
@@ -94,52 +103,52 @@ pub struct DecisionRecord {
     /// names the job whose observed ratio drove it.
     pub job: String,
     /// Structured refusal reason (refuse/shed records).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub reason: Option<RefusalReason>,
     /// Slack to the job's deadline at decision time.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub slack_ns: Option<u64>,
     /// The (projected or actual) grant.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub grant_ns: Option<u64>,
     /// The job's declared minimum quota.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub min_quota_ns: Option<u64>,
     /// Projected start offset used by admission.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub projected_start_ns: Option<u64>,
     /// QCOST floor of the job's expression, when screening computed
     /// one (seconds, the cost model's native unit).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub predicted_cost_secs: Option<f64>,
     /// The slack margin in force.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub margin: Option<f64>,
     /// The overrun refit factor in force (grant/refit records).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub overrun: Option<f64>,
     /// The observed `spent / granted` ratio (refit records).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub ratio: Option<f64>,
     /// Time the job actually consumed (refit/watchdog/done records).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub spent_ns: Option<u64>,
     /// The job's shedding value (shed records).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub value: Option<f64>,
     /// Whether the job finished by its deadline (done records).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub met: Option<bool>,
     /// The rendered engine error (fail records).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub error: Option<String>,
 }
 
-impl Default for DecisionAction {
-    fn default() -> Self {
-        DecisionAction::Admit
-    }
-}
+json_record!(DecisionRecord {
+    t_ns: default,
+    action: required,
+    job: required,
+    reason: omit_empty,
+    slack_ns: omit_empty,
+    grant_ns: omit_empty,
+    min_quota_ns: omit_empty,
+    projected_start_ns: omit_empty,
+    predicted_cost_secs: omit_empty,
+    margin: omit_empty,
+    overrun: omit_empty,
+    ratio: omit_empty,
+    spent_ns: omit_empty,
+    value: omit_empty,
+    met: omit_empty,
+    error: omit_empty,
+});
 
 impl DecisionRecord {
     /// A record of `action` about `job` at charged time `t_ns`, all
@@ -156,13 +165,13 @@ impl DecisionRecord {
     /// The record's populated fields as trace-event payload, in the
     /// struct's (fixed) field order — the `server.decision` event
     /// mirrors the audit-log entry exactly.
-    pub fn trace_fields(&self) -> Vec<(&'static str, JsonValue)> {
+    pub fn trace_fields(&self) -> Vec<(&'static str, Json)> {
         let mut fields = vec![
-            ("action", JsonValue::from(self.action.as_str())),
-            ("job", JsonValue::from(self.job.clone())),
+            ("action", Json::from(self.action.as_str())),
+            ("job", Json::from(self.job.clone())),
         ];
         if let Some(reason) = self.reason {
-            fields.push(("reason", JsonValue::from(reason.as_str())));
+            fields.push(("reason", Json::from(reason.as_str())));
         }
         let u64s: [(&'static str, Option<u64>); 5] = [
             ("slack_ns", self.slack_ns),
@@ -173,7 +182,7 @@ impl DecisionRecord {
         ];
         for (name, v) in u64s {
             if let Some(v) = v {
-                fields.push((name, JsonValue::from(v)));
+                fields.push((name, Json::from(v)));
             }
         }
         let f64s: [(&'static str, Option<f64>); 5] = [
@@ -185,14 +194,14 @@ impl DecisionRecord {
         ];
         for (name, v) in f64s {
             if let Some(v) = v {
-                fields.push((name, JsonValue::from(v)));
+                fields.push((name, Json::from(v)));
             }
         }
         if let Some(met) = self.met {
-            fields.push(("met", JsonValue::from(met)));
+            fields.push(("met", Json::from(met)));
         }
         if let Some(error) = &self.error {
-            fields.push(("error", JsonValue::from(error.clone())));
+            fields.push(("error", Json::from(error.clone())));
         }
         fields
     }
@@ -201,10 +210,9 @@ impl DecisionRecord {
 /// One observed overrun-refit step: the raw material of the EWMA that
 /// deflates future grants (Section 4's adaptive-coefficient idea, one
 /// level up).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct RefitSample {
     /// Clock-charged timestamp of the refit.
-    #[serde(default)]
     pub t_ns: u64,
     /// The job whose observed ratio drove this step.
     pub job: String,
@@ -214,66 +222,76 @@ pub struct RefitSample {
     pub overrun: f64,
 }
 
+json_record!(RefitSample {
+    t_ns: default,
+    job: required,
+    ratio: required,
+    overrun: required,
+});
+
 /// Per-tenant service-level counters, aggregated from the session
 /// clock as the batch runs.
 ///
 /// Invariants (locked by unit tests): `offered = admitted + refused +
 /// failed-at-admission`, `admitted = completed + shed +
 /// failed-mid-run`, `completed = deadlines_met + deadlines_missed`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct TenantSlo {
     /// Jobs this tenant submitted.
-    #[serde(default)]
     pub offered: u64,
     /// Jobs that passed admission.
-    #[serde(default)]
     pub admitted: u64,
     /// Jobs refused at admission (infeasible or overloaded).
-    #[serde(default)]
     pub refused: u64,
     /// Admitted jobs evicted mid-batch by overload shedding.
-    #[serde(default)]
     pub shed: u64,
     /// Jobs that hit an engine (or admission-screening) error.
-    #[serde(default)]
     pub failed: u64,
     /// Admitted jobs that ran to completion.
-    #[serde(default)]
     pub completed: u64,
     /// Completed jobs that answered by their deadline.
-    #[serde(default)]
     pub deadlines_met: u64,
     /// Completed jobs that answered late.
-    #[serde(default)]
     pub deadlines_missed: u64,
     /// Engine runs that overshot their grant past the watchdog grace.
-    #[serde(default)]
     pub watchdog_overruns: u64,
     /// Total quota granted across this tenant's jobs.
-    #[serde(default)]
     pub granted_ns: u64,
     /// Total engine time this tenant's jobs actually consumed.
-    #[serde(default)]
     pub spent_ns: u64,
     /// Σ `value × (deadline − finished_at)` in seconds over completed
     /// jobs: how much *worth-weighted* headroom the tenant's answers
     /// banked. High value-weighted slack means the tenant's important
     /// answers landed early; ~0 means they landed at the wire.
-    #[serde(default)]
     pub value_weighted_slack_secs: f64,
     /// Block draws this tenant's jobs satisfied from a co-resident
     /// job's charged read (interleaved serving only; always 0 under
     /// the sequential oracle). Stripped by
     /// `ServerOutcome::stripped_of_schedule` for cross-mode diffs.
-    #[serde(default)]
     pub blocks_shared: u64,
     /// Simulated I/O time those shared draws would have cost had the
     /// disk profile been charged again (the broker still charges the
     /// subscriber's own lane, so this is savings *attributable*, not
     /// savings already deducted from per-job clocks).
-    #[serde(default)]
     pub charge_saved_ns: u64,
 }
+
+json_record!(TenantSlo {
+    offered: default,
+    admitted: default,
+    refused: default,
+    shed: default,
+    failed: default,
+    completed: default,
+    deadlines_met: default,
+    deadlines_missed: default,
+    watchdog_overruns: default,
+    granted_ns: default,
+    spent_ns: default,
+    value_weighted_slack_secs: default,
+    blocks_shared: default,
+    charge_saved_ns: default,
+});
 
 impl TenantSlo {
     /// Fraction of granted quota actually consumed (0 when nothing
@@ -289,24 +307,27 @@ impl TenantSlo {
 
 /// The deadline-forensics plane of one serving batch: per-tenant SLO
 /// rows plus the append-only decision audit log.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TenantLedger {
     /// Observability schema version (see
     /// [`SCHEMA_VERSION`](crate::obs::SCHEMA_VERSION)); 0 when the
     /// ledger was serialized before versioning.
-    #[serde(default)]
     pub schema_version: u32,
     /// Per-tenant SLO counters, keyed by job name (sorted map —
     /// serialization is deterministic).
-    #[serde(default)]
     pub tenants: BTreeMap<String, TenantSlo>,
     /// Every serving decision, in decision order.
-    #[serde(default)]
     pub decisions: Vec<DecisionRecord>,
     /// The overrun-refit trajectory, in observation order.
-    #[serde(default)]
     pub refits: Vec<RefitSample>,
 }
+
+json_record!(TenantLedger {
+    schema_version: default,
+    tenants: default,
+    decisions: default,
+    refits: default,
+});
 
 impl TenantLedger {
     /// An empty ledger at the current schema version.
@@ -394,6 +415,7 @@ pub(super) fn duration_ns(d: Duration) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eram_storage::json;
 
     #[test]
     fn record_folds_into_the_tenant_row() {
@@ -466,10 +488,6 @@ mod tests {
 
     #[test]
     fn ledger_json_round_trips_byte_identically() {
-        if serde_json::to_string(&0u32).is_err() {
-            eprintln!("skipped: offline serde stub cannot serialize");
-            return;
-        }
         let mut ledger = TenantLedger::new();
         ledger.offer("t1");
         ledger.record(DecisionRecord {
@@ -487,10 +505,10 @@ mod tests {
             overrun: Some(1.15),
             ..DecisionRecord::new(4, DecisionAction::Refit, "t1")
         });
-        let json = serde_json::to_string(&ledger).unwrap();
-        let back: TenantLedger = serde_json::from_str(&json).unwrap();
+        let json = json::to_string(&ledger);
+        let back: TenantLedger = json::from_str(&json).unwrap();
         assert_eq!(back, ledger);
-        assert_eq!(serde_json::to_string(&back).unwrap(), json);
+        assert_eq!(json::to_string(&back), json);
         // Unset inputs stay off the wire entirely.
         assert!(!json.contains("\"error\""));
         assert!(!json.contains("\"met\""));
@@ -498,14 +516,10 @@ mod tests {
 
     #[test]
     fn pre_ledger_outcome_fields_default() {
-        if serde_json::to_string(&0u32).is_err() {
-            eprintln!("skipped: offline serde stub cannot serialize");
-            return;
-        }
         // A ledger serialized by an older writer that knew fewer
         // fields still deserializes.
         let old = r#"{"tenants":{"a":{"offered":2}}}"#;
-        let ledger: TenantLedger = serde_json::from_str(old).unwrap();
+        let ledger: TenantLedger = json::from_str(old).unwrap();
         assert_eq!(ledger.schema_version, 0);
         assert_eq!(ledger.tenants.get("a").unwrap().offered, 2);
         assert!(ledger.decisions.is_empty());

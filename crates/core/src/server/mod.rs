@@ -84,13 +84,9 @@
 use std::time::Duration;
 
 use eram_relalg::{push_selections, Expr, PieRewrite};
-use eram_storage::SharedDrawBroker;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
-use serde_json::Value as JsonValue;
-
 use eram_sampling::CountEstimate;
+use eram_storage::json::{unknown_variant, FromJson, JsonError, ToJson};
+use eram_storage::{json, json_record, json_unit_enum, Json, Rng, SharedDrawBroker};
 
 use crate::aggregate::AggregateFn;
 use crate::costs::CostModel;
@@ -119,8 +115,7 @@ use ledger::duration_ns;
 /// lanes either way. The modes differ only in device-level totals:
 /// interleaving admits cross-job block sharing, which sequential
 /// execution cannot exploit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Concurrency {
     /// Drain each admitted job to completion in stable-EDF order.
     #[default]
@@ -130,6 +125,11 @@ pub enum Concurrency {
     /// pooling base-relation reads across live jobs.
     Interleaved,
 }
+
+json_unit_enum!(Concurrency {
+    Sequential = "sequential",
+    Interleaved = "interleaved",
+});
 
 impl Concurrency {
     /// Stable lowercase token (`seq` / `interleaved`), as accepted by
@@ -234,8 +234,7 @@ impl ServerJob {
 }
 
 /// Terminal state of one served job.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[serde(tag = "kind", rename_all = "snake_case")]
+#[derive(Debug, Clone, PartialEq)]
 pub enum JobState {
     /// The engine returned an estimate.
     Done,
@@ -252,6 +251,33 @@ pub enum JobState {
         /// The rendered [`EngineError`].
         error: String,
     },
+}
+
+/// `{"kind": "done"}`, `{"kind": "refused", "reason": …}`,
+/// `{"kind": "failed", "error": …}`.
+impl ToJson for JobState {
+    fn to_json(&self) -> Json {
+        match self {
+            JobState::Done => json!({"kind": "done"}),
+            JobState::Refused { reason } => json!({"kind": "refused", "reason": reason}),
+            JobState::Failed { error } => json!({"kind": "failed", "error": error}),
+        }
+    }
+}
+
+impl FromJson for JobState {
+    fn from_json(value: &Json) -> Result<Self, JsonError> {
+        match value.field::<String>("kind")?.as_str() {
+            "done" => Ok(JobState::Done),
+            "refused" => Ok(JobState::Refused {
+                reason: value.field("reason")?,
+            }),
+            "failed" => Ok(JobState::Failed {
+                error: value.field("error")?,
+            }),
+            other => Err(unknown_variant("JobState", other)),
+        }
+    }
 }
 
 impl JobState {
@@ -279,7 +305,7 @@ impl JobState {
 }
 
 /// How one served job fared — the per-tenant answer sheet.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobReport {
     /// The job's label.
     pub name: String,
@@ -290,9 +316,13 @@ pub struct JobReport {
     /// When it started, relative to the batch start (for refused and
     /// shed jobs: when the decision was made).
     pub started_at: Duration,
-    /// When it finished (equals `started_at` for refused/shed jobs).
+    /// When it finished. Equals `started_at` for a job refused or shed
+    /// before it ran; a job shed because its answer landed past the
+    /// deadline keeps its real finish time.
     pub finished_at: Duration,
-    /// The quota it was granted (zero if refused or shed).
+    /// The quota it was granted: zero if refused or shed before it
+    /// ran, the executed grant otherwise (the late-shed case
+    /// included).
     pub granted_quota: Duration,
     /// Terminal state.
     pub state: JobState,
@@ -300,12 +330,23 @@ pub struct JobReport {
     /// `refusal` field carries the structured reason.
     pub health: ReportHealth,
     /// The estimate, when the job ran to completion.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub estimate: Option<CountEstimate>,
     /// The full engine report, when the job ran to completion.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub report: Option<ExecutionReport>,
 }
+
+json_record!(JobReport {
+    name: required,
+    deadline: required,
+    value: required,
+    started_at: required,
+    finished_at: required,
+    granted_quota: required,
+    state: required,
+    health: required,
+    estimate: omit_empty,
+    report: omit_empty,
+});
 
 impl JobReport {
     /// True if the job produced an answer by its deadline.
@@ -317,7 +358,7 @@ impl JobReport {
 /// Batch-level accounting: every offered job lands in exactly one of
 /// admitted/refused buckets, and every admitted job in exactly one of
 /// completed/shed/failed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServerStats {
     /// Jobs submitted.
     pub offered: u64,
@@ -346,8 +387,20 @@ pub struct ServerStats {
     pub watchdog_overruns: u64,
 }
 
+json_record!(ServerStats {
+    offered: required,
+    admitted: required,
+    refused: required,
+    shed: required,
+    failed: required,
+    completed: required,
+    deadlines_met: required,
+    deadlines_missed: required,
+    watchdog_overruns: required,
+});
+
 /// Everything one serving batch produced.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServerOutcome {
     /// Observability schema version (see
     /// [`crate::obs::SCHEMA_VERSION`]).
@@ -359,13 +412,11 @@ pub struct ServerOutcome {
     pub stats: ServerStats,
     /// Server-loop counters and histograms, when
     /// [`ServerConfig::collect_metrics`] was set.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub metrics: Option<MetricsSnapshot>,
     /// Per-tenant SLO counters and the decision audit log, when
     /// [`ServerConfig::collect_ledger`] was set. Pure observation:
     /// with the flag off this field stays off the wire and the
     /// outcome JSON is byte-identical to pre-ledger writers.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub ledger: Option<TenantLedger>,
     /// How the batch was scheduled: per-lane windows, makespan, and
     /// shared-draw accounting. The only part of the outcome that is
@@ -373,15 +424,23 @@ pub struct ServerOutcome {
     /// within each mode); everything else is byte-identical across
     /// `--concurrency seq|interleaved`. Absent in outcomes from
     /// pre-concurrency writers.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub schedule: Option<ScheduleReport>,
 }
+
+json_record!(ServerOutcome {
+    schema_version: required,
+    jobs: required,
+    stats: required,
+    metrics: omit_empty,
+    ledger: omit_empty,
+    schedule: omit_empty,
+});
 
 impl ServerOutcome {
     /// Deterministic pretty JSON (the replay artifact: byte-identical
     /// across worker counts and repeated seeded runs).
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("server outcome serializes")
+        eram_storage::json::to_string_pretty(self)
     }
 
     /// The outcome minus everything mode-dependent: the schedule
@@ -405,13 +464,12 @@ impl ServerOutcome {
 }
 
 /// One lane's slice of the batch schedule.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LaneWindow {
     /// The job that ran on this lane.
     pub job: String,
     /// Rank at which the lane received its first turn (`None` for a
     /// lane that never ran — sequential mode sheds before dispatch).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub dispatch_order: Option<u64>,
     /// Charged time on the lane's own clock (zero if it never ran).
     pub spent: Duration,
@@ -424,13 +482,22 @@ pub struct LaneWindow {
     pub discarded: bool,
 }
 
+json_record!(LaneWindow {
+    job: required,
+    dispatch_order: omit_empty,
+    spent: required,
+    blocks_shared: required,
+    charge_saved_ns: required,
+    discarded: required,
+});
+
 /// The batch's scheduling story: what concurrency bought (or cost).
 ///
 /// Per-job correctness lives in [`ServerOutcome::jobs`] and is
 /// mode-invariant; this report carries the mode-*dependent* half —
 /// simulated makespan, shared physical reads, wasted speculation —
 /// in one deterministic structure.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScheduleReport {
     /// The mode that produced this schedule.
     pub concurrency: Concurrency,
@@ -458,6 +525,18 @@ pub struct ScheduleReport {
     /// Per-lane windows, in canonical admission order.
     pub lanes: Vec<LaneWindow>,
 }
+
+json_record!(ScheduleReport {
+    concurrency: required,
+    makespan: required,
+    virtual_makespan: required,
+    charged_blocks: required,
+    physical_blocks: required,
+    blocks_shared: required,
+    charge_saved_ns: required,
+    wasted: required,
+    lanes: required,
+});
 
 /// Tunables for a [`QueryServer`].
 #[derive(Debug, Clone)]
@@ -687,8 +766,8 @@ impl QueryServer {
                 };
                 tracer.event("server.refuse", || {
                     vec![
-                        ("job", JsonValue::from(job.name.clone())),
-                        ("reason", JsonValue::from(reason.as_str())),
+                        ("job", Json::from(job.name.clone())),
+                        ("reason", Json::from(reason.as_str())),
                         ("grant_ns", json_ns(grant)),
                         ("min_quota_ns", json_ns(job.min_quota)),
                     ]
@@ -720,8 +799,8 @@ impl QueryServer {
                 let error = EngineError::Expr(e).to_string();
                 tracer.event("server.job_failed", || {
                     vec![
-                        ("job", JsonValue::from(job.name.clone())),
-                        ("error", JsonValue::from(error.clone())),
+                        ("job", Json::from(job.name.clone())),
+                        ("error", Json::from(error.clone())),
                     ]
                 });
                 decide(
@@ -750,10 +829,10 @@ impl QueryServer {
                             };
                             tracer.event("server.refuse", || {
                                 vec![
-                                    ("job", JsonValue::from(job.name.clone())),
-                                    ("reason", JsonValue::from(reason.as_str())),
+                                    ("job", Json::from(job.name.clone())),
+                                    ("reason", Json::from(reason.as_str())),
                                     ("grant_ns", json_ns(grant)),
-                                    ("qcost_floor_secs", JsonValue::from(floor_secs)),
+                                    ("qcost_floor_secs", Json::from(floor_secs)),
                                 ]
                             });
                             decide(
@@ -787,8 +866,8 @@ impl QueryServer {
                         let error = e.to_string();
                         tracer.event("server.job_failed", || {
                             vec![
-                                ("job", JsonValue::from(job.name.clone())),
-                                ("error", JsonValue::from(error.clone())),
+                                ("job", Json::from(job.name.clone())),
+                                ("error", Json::from(error.clone())),
                             ]
                         });
                         decide(
@@ -809,7 +888,7 @@ impl QueryServer {
             }
             tracer.event("server.admit", || {
                 vec![
-                    ("job", JsonValue::from(job.name.clone())),
+                    ("job", Json::from(job.name.clone())),
                     ("grant_ns", json_ns(grant)),
                     ("projected_start_ns", json_ns(projected)),
                 ]
@@ -933,10 +1012,10 @@ impl QueryServer {
                 windows[vlane].discarded = true;
                 tracer.event_at(duration_ns(start + t), "server.shed", || {
                     vec![
-                        ("job", JsonValue::from(victim.name.clone())),
-                        ("reason", JsonValue::from(RefusalReason::Shed.as_str())),
+                        ("job", Json::from(victim.name.clone())),
+                        ("reason", Json::from(RefusalReason::Shed.as_str())),
                         ("now_ns", json_ns(t)),
-                        ("value", JsonValue::from(victim.value)),
+                        ("value", Json::from(victim.value)),
                     ]
                 });
                 decide(
@@ -973,9 +1052,9 @@ impl QueryServer {
             let mut quota = grants[idx];
             tracer.event_at(duration_ns(start + started_at), "server.job_start", || {
                 vec![
-                    ("job", JsonValue::from(job.name.clone())),
+                    ("job", Json::from(job.name.clone())),
                     ("quota_ns", json_ns(quota)),
-                    ("overrun_x1000", JsonValue::from((factor * 1000.0) as u64)),
+                    ("overrun_x1000", Json::from((factor * 1000.0) as u64)),
                 ]
             });
             decide(
@@ -1020,7 +1099,7 @@ impl QueryServer {
                 if deflated < quota && deflated >= job.min_quota {
                     tracer.event_at(duration_ns(start + started_at), "server.deflate", || {
                         vec![
-                            ("job", JsonValue::from(job.name.clone())),
+                            ("job", Json::from(job.name.clone())),
                             ("quota_ns", json_ns(quota)),
                             ("deflated_ns", json_ns(deflated)),
                             ("discarded_ns", json_ns(attempt.spent)),
@@ -1074,8 +1153,8 @@ impl QueryServer {
                 let logged = overrun;
                 tracer.event_at(duration_ns(start + finished_at), "server.refit", || {
                     vec![
-                        ("ratio", JsonValue::from(ratio)),
-                        ("overrun", JsonValue::from(logged)),
+                        ("ratio", Json::from(ratio)),
+                        ("overrun", Json::from(logged)),
                     ]
                 });
                 decide(
@@ -1098,7 +1177,7 @@ impl QueryServer {
             if spent > scale(quota, cfg.watchdog_grace) {
                 tracer.event_at(duration_ns(start + finished_at), "server.watchdog", || {
                     vec![
-                        ("job", JsonValue::from(job.name.clone())),
+                        ("job", Json::from(job.name.clone())),
                         ("quota_ns", json_ns(quota)),
                         ("spent_ns", json_ns(spent)),
                     ]
@@ -1132,8 +1211,8 @@ impl QueryServer {
                     windows[lane].discarded = true;
                     tracer.event_at(duration_ns(start + finished_at), "server.shed", || {
                         vec![
-                            ("job", JsonValue::from(job.name.clone())),
-                            ("reason", JsonValue::from(RefusalReason::Shed.as_str())),
+                            ("job", Json::from(job.name.clone())),
+                            ("reason", Json::from(RefusalReason::Shed.as_str())),
                             ("late_ns", json_ns(finished_at.saturating_sub(job.deadline))),
                             ("now_ns", json_ns(finished_at)),
                         ]
@@ -1174,9 +1253,9 @@ impl QueryServer {
                     }
                     tracer.event_at(duration_ns(start + finished_at), "server.job_done", || {
                         vec![
-                            ("job", JsonValue::from(job.name.clone())),
+                            ("job", Json::from(job.name.clone())),
                             ("elapsed_ns", json_ns(spent)),
-                            ("met", JsonValue::from(met)),
+                            ("met", Json::from(met)),
                         ]
                     });
                     decide(
@@ -1227,8 +1306,8 @@ impl QueryServer {
                         "server.job_failed",
                         || {
                             vec![
-                                ("job", JsonValue::from(job.name.clone())),
-                                ("error", JsonValue::from(error.clone())),
+                                ("job", Json::from(job.name.clone())),
+                                ("error", Json::from(error.clone())),
                             ]
                         },
                     );
@@ -1428,7 +1507,7 @@ fn qcost_floor(
         expr
     };
     let rewrite = PieRewrite::rewrite(expr)?;
-    let mut rng = StdRng::seed_from_u64(0xADA1_5510);
+    let mut rng = Rng::seed_from_u64(0xADA1_5510);
     let mut trees: Vec<PhysTree> = Vec::with_capacity(rewrite.terms.len());
     for term in &rewrite.terms {
         trees.push(PhysTree::build(
@@ -1482,8 +1561,8 @@ fn scale(d: Duration, x: f64) -> Duration {
     Duration::from_secs_f64(d.as_secs_f64() * x)
 }
 
-fn json_ns(d: Duration) -> JsonValue {
-    JsonValue::from(d.as_nanos() as u64)
+fn json_ns(d: Duration) -> Json {
+    Json::from(d.as_nanos() as u64)
 }
 
 fn count(registry: &mut Option<MetricsRegistry>, name: &str) {
@@ -1738,10 +1817,6 @@ mod tests {
 
     #[test]
     fn replay_is_byte_identical_across_workers_and_repeats() {
-        if serde_json::to_string(&0u32).is_err() {
-            eprintln!("skipped: offline serde stub cannot serialize");
-            return;
-        }
         let run = |workers: usize| {
             let mut db = db(41);
             db.inject_faults(FaultPlan::new(3).with_transient(0.05));
@@ -1769,10 +1844,6 @@ mod tests {
 
     #[test]
     fn interleaved_matches_the_sequential_oracle() {
-        if serde_json::to_string(&0u32).is_err() {
-            eprintln!("skipped: offline serde stub cannot serialize");
-            return;
-        }
         let run = |mode: Concurrency, workers: usize| {
             let mut db = db(41);
             db.inject_faults(FaultPlan::new(3).with_transient(0.05));
@@ -1865,17 +1936,13 @@ mod tests {
 
     #[test]
     fn outcome_json_round_trips() {
-        if serde_json::to_string(&0u32).is_err() {
-            eprintln!("skipped: offline serde stub cannot serialize");
-            return;
-        }
         let mut db = db(29);
         let jobs = vec![
             ServerJob::count("ok", sel(5), Duration::from_secs(6)),
             ServerJob::count("tiny", sel(5), Duration::from_millis(50)),
         ];
-        let outcome = QueryServer::new().metrics(true).run(&mut db, jobs);
-        let back: ServerOutcome = serde_json::from_str(&outcome.to_json()).unwrap();
+        let outcome = QueryServer::new().metrics(true).run(&mut db, jobs.clone());
+        let back: ServerOutcome = json::from_str(&outcome.to_json()).unwrap();
         assert_eq!(back, outcome);
         assert_eq!(back.stats.admitted, 1);
         assert_eq!(back.stats.refused, 1);
@@ -1883,6 +1950,69 @@ mod tests {
         assert_eq!(m.counter("server.admitted"), 1);
         assert_eq!(m.counter("server.refused"), 1);
         assert_eq!(m.counter("server.offered"), 2);
+
+        // With the ledger and the interleaved schedule on board too.
+        let full = QueryServer::new()
+            .ledger(true)
+            .concurrency(Concurrency::Interleaved)
+            .run(&mut db, jobs);
+        assert!(full.ledger.is_some() && full.schedule.is_some());
+        let back: ServerOutcome = json::from_str(&full.to_json()).unwrap();
+        assert_eq!(back, full);
+    }
+
+    /// The wire shape older writers produced — no `metrics`, `ledger`
+    /// or `schedule`, a report without `schema_version`, `groups`,
+    /// `health`, `metrics` or `profile` — still loads, every absent
+    /// field at its default.
+    #[test]
+    fn a_pre_ledger_outcome_document_still_loads() {
+        let old = r#"{
+          "schema_version": 1,
+          "jobs": [
+            {"name": "a", "deadline": {"secs": 6, "nanos": 0}, "value": 1.0,
+             "started_at": {"secs": 0, "nanos": 0},
+             "finished_at": {"secs": 1, "nanos": 500000000},
+             "granted_quota": {"secs": 5, "nanos": 400000000},
+             "state": {"kind": "done"},
+             "health": {"faults_seen": 2},
+             "estimate": {"estimate": 50.0, "variance": 4.0,
+                          "points_sampled": 10.0, "total_points": 100.0},
+             "report": {"quota": {"secs": 5, "nanos": 400000000}, "stages": [],
+                        "total_elapsed": {"secs": 1, "nanos": 500000000},
+                        "final_estimate": {"estimate": 50.0, "variance": 4.0,
+                                           "points_sampled": 10.0, "total_points": 100.0}}},
+            {"name": "b", "deadline": {"secs": 0, "nanos": 50000000}, "value": 1.0,
+             "started_at": {"secs": 0, "nanos": 0}, "finished_at": {"secs": 0, "nanos": 0},
+             "granted_quota": {"secs": 0, "nanos": 0},
+             "state": {"kind": "refused", "reason": "infeasible"},
+             "health": {"refusal": "infeasible"}}
+          ],
+          "stats": {"offered": 2, "admitted": 1, "refused": 1, "shed": 0, "failed": 0,
+                    "completed": 1, "deadlines_met": 1, "deadlines_missed": 0,
+                    "watchdog_overruns": 0}
+        }"#;
+        let outcome: ServerOutcome = json::from_str(old).unwrap();
+        assert!(outcome.metrics.is_none() && outcome.ledger.is_none());
+        assert!(outcome.schedule.is_none());
+        let a = &outcome.jobs[0];
+        assert!(a.met());
+        assert_eq!(a.finished_at, Duration::from_millis(1500));
+        assert_eq!(a.health.faults_seen, 2);
+        let report = a.report.as_ref().unwrap();
+        assert_eq!(report.schema_version, 0);
+        assert!(report.groups.is_empty() && report.profile.is_none());
+        assert_eq!(report.health, ReportHealth::default());
+        assert_eq!(
+            outcome.jobs[1].state,
+            JobState::Refused {
+                reason: RefusalReason::Infeasible
+            }
+        );
+        assert_eq!(
+            outcome.jobs[1].health.refusal,
+            Some(RefusalReason::Infeasible)
+        );
     }
 
     #[test]
@@ -1965,29 +2095,18 @@ mod tests {
             .records()
             .iter()
             .any(|r| r.name == "server.decision"));
-        if serde_json::to_string(&0u32).is_ok() {
-            assert_eq!(
-                trace_with.to_jsonl(),
-                trace_without.to_jsonl(),
-                "trace must not depend on the ledger flag"
-            );
-            let mut stripped = with.clone();
-            stripped.ledger = None;
-            assert_eq!(
-                stripped.to_json(),
-                without.to_json(),
-                "outside the ledger field the outcome must be byte-identical"
-            );
-        } else {
-            // Offline stubs cannot serialize; compare structurally.
-            assert_eq!(
-                format!("{:?}", trace_with.records()),
-                format!("{:?}", trace_without.records())
-            );
-            let mut stripped = with.clone();
-            stripped.ledger = None;
-            assert_eq!(stripped, without);
-        }
+        assert_eq!(
+            trace_with.to_jsonl(),
+            trace_without.to_jsonl(),
+            "trace must not depend on the ledger flag"
+        );
+        let mut stripped = with.clone();
+        stripped.ledger = None;
+        assert_eq!(
+            stripped.to_json(),
+            without.to_json(),
+            "outside the ledger field the outcome must be byte-identical"
+        );
     }
 
     #[test]

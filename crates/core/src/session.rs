@@ -575,7 +575,7 @@ impl PreparedQuery {
 mod tests {
     use super::*;
     use eram_relalg::{CmpOp, Predicate};
-    use eram_storage::{ColumnType, Value};
+    use eram_storage::{ColumnType, Json, Value};
 
     fn populated(seed: u64) -> Database {
         let mut db = Database::sim_default(seed);
@@ -716,12 +716,9 @@ mod tests {
             metrics.counter("core.stages"),
             out.report.stages.len() as u64
         );
-        // The trace is valid JSONL (skipped under the offline serde
-        // stub, which cannot serialize).
-        if serde_json::to_string(&0u32).is_ok() {
-            for line in tracer.to_jsonl().lines() {
-                let _: serde_json::Value = serde_json::from_str(line).unwrap();
-            }
+        // The trace is valid JSONL.
+        for line in tracer.to_jsonl().lines() {
+            Json::parse(line).unwrap();
         }
     }
 

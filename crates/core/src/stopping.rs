@@ -14,12 +14,10 @@
 
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
-
 use eram_sampling::CountEstimate;
 
 /// When to stop the stage loop.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub enum StoppingCriterion {
     /// Hard deadline: the timer interrupt aborts the in-flight stage
     /// at the quota; its time is wasted. The result is the estimate

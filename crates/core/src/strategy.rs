@@ -334,9 +334,8 @@ mod tests {
     use super::*;
     use crate::ops::{Fulfillment, PhysTree, StageEnv};
     use eram_relalg::{Catalog, CmpOp, Expr, Predicate};
+    use eram_storage::Rng;
     use eram_storage::{ColumnType, DeviceProfile, Disk, HeapFile, Schema, SimClock, Tuple, Value};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
     use std::sync::Arc;
 
     fn setup() -> (Arc<Disk>, Catalog) {
@@ -366,7 +365,7 @@ mod tests {
             disk,
             &SelectivityDefaults::default(),
             Fulfillment::Full,
-            &mut StdRng::seed_from_u64(17),
+            &mut Rng::seed_from_u64(17),
         )
         .unwrap()
     }

@@ -8,7 +8,7 @@
 //! tuple** on arbitrary runs: join and intersect, single- and
 //! multi-column keys, duplicate-heavy groups, and empty runs.
 
-use proptest::prelude::*;
+use testkit::prelude::*;
 
 use eram_core::{merge_keyed, merge_reference, sort_run, KeySpec, MergeKind};
 use eram_storage::{Tuple, Value};

@@ -12,10 +12,6 @@
 //!    postmortem is pinned under `tests/golden/`; drift fails.
 //!    Regenerate with `BLESS=1 cargo test -p eram-explain` after an
 //!    intentional change.
-//!
-//! Analysis tests run off in-memory [`TraceRecord`]s, so they work
-//! under the offline stand-in crates too; only the JSON-touching
-//! tests skip there.
 
 use std::path::Path;
 use std::time::Duration;
@@ -27,12 +23,6 @@ use eram_explain::{
 };
 use eram_relalg::{CmpOp, Expr, Predicate};
 use eram_storage::{ColumnType, FaultPlan, Schema, Tuple, Value};
-
-/// True under the offline stand-in crates: the stub serde cannot
-/// serialize, so JSON-producing tests skip.
-fn stub_serde() -> bool {
-    serde_json::to_string(&0u32).is_err()
-}
 
 /// The paper's Figure 5.1 artificial relation: 10 000 tuples of
 /// 200 bytes, value column uniform over 0..100.
@@ -221,6 +211,25 @@ fn serving_postmortem_builds_tenant_tables_and_job_windows() {
     }
 }
 
+/// `eram-explain --trace` on a record line of 100 000 `[`: exit 2
+/// with the line named, not a stack overflow.
+#[test]
+fn nesting_bomb_in_a_trace_is_a_line_numbered_error() {
+    let path = std::env::temp_dir().join(format!("eram-explain-bomb-{}.jsonl", std::process::id()));
+    let bomb = "[".repeat(100_000);
+    std::fs::write(&path, format!("{{\"schema_version\":1}}\n{bomb}\n")).unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_eram-explain"))
+        .arg("--trace")
+        .arg(&path)
+        .output()
+        .expect("eram-explain runs");
+    let _ = std::fs::remove_file(&path);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("line 2"), "{stderr}");
+    assert!(stderr.contains("nesting deeper than 128"), "{stderr}");
+}
+
 const GOLDEN: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/../../tests/golden/fig5_1_select.postmortem.json"
@@ -228,11 +237,6 @@ const GOLDEN: &str = concat!(
 
 #[test]
 fn golden_postmortem_is_stable() {
-    if stub_serde() {
-        // Also keeps the stub toolchain from blessing a bogus golden.
-        eprintln!("skipped: offline serde stub cannot serialize");
-        return;
-    }
     let mut db = fig51_db(42);
     let tracer = Tracer::recording(db.disk().clock().clone());
     let result = db
@@ -246,17 +250,5 @@ fn golden_postmortem_is_stable() {
     let records = parse_trace(&tracer.to_jsonl()).expect("own trace parses");
     assert_eq!(records, tracer.records(), "JSONL round-trips the records");
     let pm = postmortem(Some(&records), None, Some(&result.report));
-    let rendered = pm.render(Format::Json);
-    let path = Path::new(GOLDEN);
-    if std::env::var_os("BLESS").is_some() || !path.exists() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(path, &rendered).unwrap();
-        eprintln!("blessed golden postmortem at {}", path.display());
-        return;
-    }
-    let golden = std::fs::read_to_string(path).unwrap();
-    assert_eq!(
-        rendered, golden,
-        "postmortem drifted from golden (re-bless with BLESS=1 if intentional)"
-    );
+    testkit::assert_golden(Path::new(GOLDEN), &pm.render(Format::Json));
 }

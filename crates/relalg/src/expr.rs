@@ -5,9 +5,8 @@
 //! and Intersect. `COUNT(E)` queries over arbitrary such `E` are the
 //! object of the whole system.
 
-use serde::{Deserialize, Serialize};
-
-use eram_storage::Schema;
+use eram_storage::json::{unknown_variant, FromJson, Json, JsonError, ToJson};
+use eram_storage::{json, Schema};
 
 use crate::catalog::Catalog;
 use crate::predicate::Predicate;
@@ -61,7 +60,7 @@ impl std::error::Error for ExprError {}
 
 /// The kind of an operator node (for selectivity tracking and cost
 /// formulas, which are per-operator).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum OpKind {
     /// Selection.
     Select,
@@ -78,7 +77,7 @@ pub enum OpKind {
 }
 
 /// A relational-algebra expression.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Expr {
     /// A named base relation.
     Relation(String),
@@ -126,6 +125,68 @@ pub enum Expr {
         /// Right input.
         right: Box<Expr>,
     },
+}
+
+/// `{"Relation": "r"}`, or `{"<Operator>": {<named operands>}}`.
+impl ToJson for Expr {
+    fn to_json(&self) -> Json {
+        match self {
+            Expr::Relation(name) => Json::variant("Relation", name.to_json()),
+            Expr::Select { input, predicate } => {
+                Json::variant("Select", json!({"input": input, "predicate": predicate}))
+            }
+            Expr::Project { input, columns } => {
+                Json::variant("Project", json!({"input": input, "columns": columns}))
+            }
+            Expr::Join { left, right, on } => {
+                Json::variant("Join", json!({"left": left, "right": right, "on": on}))
+            }
+            Expr::Union { left, right } => {
+                Json::variant("Union", json!({"left": left, "right": right}))
+            }
+            Expr::Difference { left, right } => {
+                Json::variant("Difference", json!({"left": left, "right": right}))
+            }
+            Expr::Intersect { left, right } => {
+                Json::variant("Intersect", json!({"left": left, "right": right}))
+            }
+        }
+    }
+}
+
+impl FromJson for Expr {
+    fn from_json(value: &Json) -> Result<Self, JsonError> {
+        let (name, v) = value.as_variant()?;
+        Ok(match name {
+            "Relation" => Expr::Relation(String::from_json(v)?),
+            "Select" => Expr::Select {
+                input: v.field("input")?,
+                predicate: v.field("predicate")?,
+            },
+            "Project" => Expr::Project {
+                input: v.field("input")?,
+                columns: v.field("columns")?,
+            },
+            "Join" => Expr::Join {
+                left: v.field("left")?,
+                right: v.field("right")?,
+                on: v.field("on")?,
+            },
+            "Union" => Expr::Union {
+                left: v.field("left")?,
+                right: v.field("right")?,
+            },
+            "Difference" => Expr::Difference {
+                left: v.field("left")?,
+                right: v.field("right")?,
+            },
+            "Intersect" => Expr::Intersect {
+                left: v.field("left")?,
+                right: v.field("right")?,
+            },
+            other => return Err(unknown_variant("Expr", other)),
+        })
+    }
 }
 
 impl Expr {

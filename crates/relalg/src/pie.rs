@@ -41,13 +41,11 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::expr::{Expr, ExprError};
 
 /// One signed term of the rewrite: `coefficient · COUNT(expr)` where
 /// `expr` contains only Select/Join/Intersect/Project.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CountTerm {
     /// Signed integer coefficient (±1 for the classic identities;
     /// larger magnitudes can arise from deep nesting before like-term
@@ -58,7 +56,7 @@ pub struct CountTerm {
 }
 
 /// The result of rewriting `COUNT(E)`: `Σᵢ coefficientᵢ · COUNT(exprᵢ)`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PieRewrite {
     /// The signed terms. Empty when the rewrite proves the count is 0.
     pub terms: Vec<CountTerm>,

@@ -8,14 +8,13 @@
 //! experiments use formulas with one or two integer comparisons.
 //! [`Predicate::num_comparisons`] exposes exactly that parameter.
 
-use serde::{Deserialize, Serialize};
-
-use eram_storage::{ColumnData, ColumnarBlock, Schema, Tuple, Value};
+use eram_storage::json::{unknown_variant, FromJson, Json, JsonError, ToJson};
+use eram_storage::{json, json_unit_enum, ColumnData, ColumnarBlock, Schema, Tuple, Value};
 
 use crate::expr::ExprError;
 
 /// One side of a comparison.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Operand {
     /// A column of the input tuple, by index.
     Column(usize),
@@ -23,8 +22,28 @@ pub enum Operand {
     Const(Value),
 }
 
+/// `{"Column": 2}` or `{"Const": <value>}`.
+impl ToJson for Operand {
+    fn to_json(&self) -> Json {
+        match self {
+            Operand::Column(i) => Json::variant("Column", i.to_json()),
+            Operand::Const(v) => Json::variant("Const", v.to_json()),
+        }
+    }
+}
+
+impl FromJson for Operand {
+    fn from_json(value: &Json) -> Result<Self, JsonError> {
+        match value.as_variant()? {
+            ("Column", i) => usize::from_json(i).map(Operand::Column),
+            ("Const", v) => Value::from_json(v).map(Operand::Const),
+            (other, _) => Err(unknown_variant("Operand", other)),
+        }
+    }
+}
+
 /// Comparison operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum CmpOp {
     /// Equal.
     Eq,
@@ -39,6 +58,15 @@ pub enum CmpOp {
     /// Greater than or equal.
     Ge,
 }
+
+json_unit_enum!(CmpOp {
+    Eq = "Eq",
+    Ne = "Ne",
+    Lt = "Lt",
+    Le = "Le",
+    Gt = "Gt",
+    Ge = "Ge",
+});
 
 impl CmpOp {
     fn apply(self, ord: std::cmp::Ordering) -> bool {
@@ -55,7 +83,7 @@ impl CmpOp {
 }
 
 /// A selection formula.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Predicate {
     /// Always true (selects every tuple).
     True,
@@ -77,6 +105,41 @@ pub enum Predicate {
     Or(Box<Predicate>, Box<Predicate>),
     /// Negation.
     Not(Box<Predicate>),
+}
+
+/// `"True"`, `"False"`, `{"Compare": {left, op, right}}`,
+/// `{"And": [p, q]}`, `{"Or": [p, q]}`, `{"Not": p}`.
+impl ToJson for Predicate {
+    fn to_json(&self) -> Json {
+        match self {
+            Predicate::True => Json::from("True"),
+            Predicate::False => Json::from("False"),
+            Predicate::Compare { left, op, right } => {
+                Json::variant("Compare", json!({"left": left, "op": op, "right": right}))
+            }
+            Predicate::And(p, q) => Json::variant("And", Json::Arr(vec![p.to_json(), q.to_json()])),
+            Predicate::Or(p, q) => Json::variant("Or", Json::Arr(vec![p.to_json(), q.to_json()])),
+            Predicate::Not(p) => Json::variant("Not", p.to_json()),
+        }
+    }
+}
+
+impl FromJson for Predicate {
+    fn from_json(value: &Json) -> Result<Self, JsonError> {
+        match value.as_variant()? {
+            ("True", _) => Ok(Predicate::True),
+            ("False", _) => Ok(Predicate::False),
+            ("Compare", c) => Ok(Predicate::Compare {
+                left: c.field("left")?,
+                op: c.field("op")?,
+                right: c.field("right")?,
+            }),
+            ("And", pq) => FromJson::from_json(pq).map(|(p, q)| Predicate::And(p, q)),
+            ("Or", pq) => FromJson::from_json(pq).map(|(p, q)| Predicate::Or(p, q)),
+            ("Not", p) => FromJson::from_json(p).map(Predicate::Not),
+            (other, _) => Err(unknown_variant("Predicate", other)),
+        }
+    }
 }
 
 impl Predicate {

@@ -1,7 +1,7 @@
 //! Property tests: histogram selectivity estimates track the exact
 //! fraction on arbitrary integer data.
 
-use proptest::prelude::*;
+use testkit::prelude::*;
 
 use eram_relalg::{CmpOp, EquiDepthHistogram};
 use eram_storage::Value;

@@ -1,9 +1,11 @@
-//! Property test: every expression the AST can represent prints to
-//! text that parses back to the identical AST.
+//! Property tests: every expression the AST can represent prints to
+//! text that parses back to the identical AST, and goes through JSON
+//! and back unchanged.
 
-use proptest::prelude::*;
+use testkit::prelude::*;
 
 use eram_relalg::{parse_expr, CmpOp, Expr, Predicate};
+use eram_storage::json::{self, FromJson, ToJson};
 use eram_storage::Value;
 
 fn arb_value() -> impl Strategy<Value = Value> {
@@ -90,4 +92,38 @@ proptest! {
         let back = parse_expr(&text);
         prop_assert_eq!(back.as_ref(), Ok(&expr), "text was: {}", text);
     }
+
+    #[test]
+    fn json_round_trip_is_identity(expr in arb_expr(), pred in arb_predicate()) {
+        prop_assert_eq!(Expr::from_json(&expr.to_json()), Ok(expr));
+        let text = json::to_string(&pred);
+        prop_assert_eq!(json::from_str::<Predicate>(&text), Ok(pred), "{}", text);
+    }
+}
+
+/// Every `Expr`, `Predicate`, `Operand` and `Value` variant at once,
+/// plus the wire shape itself: variants are externally tagged, unit
+/// variants bare strings.
+#[test]
+fn every_variant_round_trips_through_json() {
+    let pred = Predicate::col_cmp(0, CmpOp::Le, 1.5)
+        .and(Predicate::col_col(1, CmpOp::Ne, 2).not())
+        .or(Predicate::col_cmp(2, CmpOp::Eq, "x").and(Predicate::col_cmp(3, CmpOp::Gt, true)))
+        .or(Predicate::True.and(Predicate::False));
+    let expr = Expr::relation("a")
+        .select(pred)
+        .project(vec![0, 2])
+        .join(Expr::relation("b"), vec![(0, 1), (1, 0)])
+        .union(Expr::relation("c").difference(Expr::relation("d")))
+        .intersect(Expr::relation("e"));
+    let text = json::to_string(&expr);
+    assert_eq!(json::from_str::<Expr>(&text), Ok(expr));
+
+    let small = Expr::relation("t").select(Predicate::col_cmp(1, CmpOp::Lt, 50));
+    assert_eq!(
+        json::to_string(&small),
+        r#"{"Select":{"input":{"Relation":"t"},"predicate":{"Compare":{"left":{"Column":1},"op":"Lt","right":{"Const":{"Int":50}}}}}}"#
+    );
+    assert!(json::from_str::<Expr>(r#"{"Rename":{"input":{"Relation":"t"}}}"#).is_err());
+    assert!(json::from_str::<Predicate>(r#"{"Compare":{"left":{"Column":1}}}"#).is_err());
 }

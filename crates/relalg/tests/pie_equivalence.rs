@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 
-use proptest::prelude::*;
+use testkit::prelude::*;
 
 use eram_relalg::{eval, Catalog, CmpOp, Expr, PieRewrite, Predicate};
 use eram_storage::{ColumnType, DeviceProfile, Disk, HeapFile, Schema, SimClock, Tuple, Value};

@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use proptest::prelude::*;
+use testkit::prelude::*;
 
 use eram_relalg::{eval, push_selections, Catalog, CmpOp, Expr, Predicate};
 use eram_storage::{ColumnType, DeviceProfile, Disk, HeapFile, Schema, SimClock, Tuple, Value};

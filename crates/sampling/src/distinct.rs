@@ -104,8 +104,7 @@ mod tests {
     use super::*;
     use crate::srs::sample_without_replacement;
     use crate::stats::RunningMoments;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use eram_storage::Rng;
     use std::collections::HashMap;
 
     fn occupancies(classes: &[u64], sample: &[u64]) -> Vec<u64> {
@@ -127,7 +126,7 @@ mod tests {
         seed: u64,
     ) -> f64 {
         let big_n = classes.len() as u64;
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         let mut acc = RunningMoments::new();
         for _ in 0..trials {
             let s = sample_without_replacement(big_n, n, &mut rng);
@@ -165,7 +164,7 @@ mod tests {
     #[test]
     fn all_estimates_stay_in_feasible_range() {
         let classes: Vec<u64> = (0..200u64).map(|i| i % 23).collect();
-        let mut rng = StdRng::seed_from_u64(4);
+        let mut rng = Rng::seed_from_u64(4);
         for _ in 0..300 {
             let s = sample_without_replacement(200, 30, &mut rng);
             let occ = occupancies(&classes, &s);
@@ -199,7 +198,7 @@ mod tests {
     fn jackknife_shrinks_correction_as_sample_grows() {
         // With a near-census sample the FPC kills the f1 correction.
         let classes: Vec<u64> = (0..100u64).map(|i| i % 40).collect();
-        let mut rng = StdRng::seed_from_u64(8);
+        let mut rng = Rng::seed_from_u64(8);
         let s95 = sample_without_replacement(100, 95, &mut rng);
         let occ = occupancies(&classes, &s95);
         let d = occ.len() as f64;
@@ -224,7 +223,7 @@ mod tests {
         // Ensemble mean of jackknife1 should land nearer the truth
         // than the naive "classes seen" count.
         let classes: Vec<u64> = (0..500u64).map(|i| i % 120).collect();
-        let mut rng = StdRng::seed_from_u64(15);
+        let mut rng = Rng::seed_from_u64(15);
         let mut mean_jk = RunningMoments::new();
         let mut mean_d = RunningMoments::new();
         for _ in 0..500 {

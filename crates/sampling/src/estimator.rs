@@ -16,13 +16,13 @@
 //! the evaluator produces stage by stage and exposes both estimators
 //! with their variances.
 
-use serde::{Deserialize, Serialize};
+use eram_storage::json_record;
 
 use crate::algebra::{AggregateEstimator, ClusterCount, SrsCount};
 use crate::stats::{normal_quantile, RunningMoments};
 
 /// A point estimate of `COUNT(E)` with an attached variance.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CountEstimate {
     /// The estimated count.
     pub estimate: f64,
@@ -33,6 +33,13 @@ pub struct CountEstimate {
     /// Point-space size (`N`).
     pub total_points: f64,
 }
+
+json_record!(CountEstimate {
+    estimate: required,
+    variance: required,
+    points_sampled: required,
+    total_points: required,
+});
 
 impl CountEstimate {
     /// Standard error of the estimate.
@@ -192,8 +199,7 @@ impl PointSpaceAccumulator {
 mod tests {
     use super::*;
     use crate::srs::sample_without_replacement;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use eram_storage::Rng;
 
     #[test]
     fn srs_estimator_formula() {
@@ -271,7 +277,7 @@ mod tests {
         let n = 500u64;
         let ones = 120u64;
         let m = 50u64;
-        let mut rng = StdRng::seed_from_u64(21);
+        let mut rng = Rng::seed_from_u64(21);
         let mut mean = RunningMoments::new();
         for _ in 0..4_000 {
             let sample = sample_without_replacement(n, m, &mut rng);
@@ -294,7 +300,7 @@ mod tests {
         // blocks per trial.
         let block_ones: Vec<f64> = (0..40).map(|i| f64::from(i % 4)).collect();
         let truth: f64 = block_ones.iter().sum();
-        let mut rng = StdRng::seed_from_u64(33);
+        let mut rng = Rng::seed_from_u64(33);
         let mut mean = RunningMoments::new();
         for _ in 0..4_000 {
             let picks = sample_without_replacement(40, 10, &mut rng);
@@ -316,7 +322,7 @@ mod tests {
         // Coverage of the 90% cluster CI should be near 0.9.
         let block_ones: Vec<f64> = (0..100).map(|i| f64::from((i * 7) % 5)).collect();
         let truth: f64 = block_ones.iter().sum();
-        let mut rng = StdRng::seed_from_u64(55);
+        let mut rng = Rng::seed_from_u64(55);
         let trials = 3_000;
         let mut covered = 0u32;
         for _ in 0..trials {

@@ -78,8 +78,7 @@ mod tests {
     use super::*;
     use crate::srs::sample_without_replacement;
     use crate::stats::RunningMoments;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use eram_storage::Rng;
     use std::collections::HashMap;
 
     /// Occupancy vector of a sample of indices given the class of
@@ -131,7 +130,7 @@ mod tests {
     fn unbiased_when_sample_covers_max_multiplicity() {
         // 60 elements in 20 classes of size 3; sample n=20 ≥ 3.
         let classes: Vec<u64> = (0..60u64).map(|i| i / 3).collect();
-        let mut rng = StdRng::seed_from_u64(101);
+        let mut rng = Rng::seed_from_u64(101);
         let mut mean = RunningMoments::new();
         for _ in 0..20_000 {
             let sample = sample_without_replacement(60, 20, &mut rng);
@@ -150,7 +149,7 @@ mod tests {
         // One class of size 5, plus 15 singletons (N=20, D=16), n=10.
         let mut classes: Vec<u64> = vec![0; 5];
         classes.extend(1..=15u64);
-        let mut rng = StdRng::seed_from_u64(202);
+        let mut rng = Rng::seed_from_u64(202);
         let mut mean = RunningMoments::new();
         for _ in 0..40_000 {
             let sample = sample_without_replacement(20, 10, &mut rng);
@@ -167,7 +166,7 @@ mod tests {
     #[test]
     fn clamped_estimate_stays_in_range() {
         let classes: Vec<u64> = (0..100u64).map(|i| i % 7).collect();
-        let mut rng = StdRng::seed_from_u64(7);
+        let mut rng = Rng::seed_from_u64(7);
         for _ in 0..200 {
             let sample = sample_without_replacement(100, 10, &mut rng);
             let occ = occupancies(&classes, &sample);

@@ -12,8 +12,7 @@
 //! `d` more blocks uniformly from the not-yet-sampled remainder, and
 //! it is O(d) per stage with no rejection.
 
-use rand::seq::SliceRandom;
-use rand::Rng;
+use eram_storage::Rng;
 
 /// Draws disk blocks of one relation, without replacement, across
 /// stages.
@@ -25,9 +24,9 @@ pub struct BlockSampler {
 
 impl BlockSampler {
     /// Creates a sampler over blocks `0..num_blocks`.
-    pub fn new<R: Rng + ?Sized>(num_blocks: u64, rng: &mut R) -> Self {
+    pub fn new(num_blocks: u64, rng: &mut Rng) -> Self {
         let mut perm: Vec<u64> = (0..num_blocks).collect();
-        perm.shuffle(rng);
+        rng.shuffle(&mut perm);
         BlockSampler { perm, cursor: 0 }
     }
 
@@ -82,13 +81,12 @@ impl BlockSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use eram_storage::Rng;
     use std::collections::HashSet;
 
     #[test]
     fn staged_draws_never_repeat() {
-        let mut rng = StdRng::seed_from_u64(5);
+        let mut rng = Rng::seed_from_u64(5);
         let mut s = BlockSampler::new(100, &mut rng);
         let mut seen = HashSet::new();
         for d in [10u64, 25, 40, 50] {
@@ -104,7 +102,7 @@ mod tests {
 
     #[test]
     fn sample_set_accumulates_in_draw_order() {
-        let mut rng = StdRng::seed_from_u64(8);
+        let mut rng = Rng::seed_from_u64(8);
         let mut s = BlockSampler::new(20, &mut rng);
         let first: Vec<u64> = s.draw(5).to_vec();
         let second: Vec<u64> = s.draw(3).to_vec();
@@ -119,7 +117,7 @@ mod tests {
         let trials = 20_000;
         let mut counts = [0u64; 10];
         for seed in 0..trials {
-            let mut rng = StdRng::seed_from_u64(seed);
+            let mut rng = Rng::seed_from_u64(seed);
             let mut s = BlockSampler::new(10, &mut rng);
             for &b in s.draw(2) {
                 counts[b as usize] += 1;
@@ -133,7 +131,7 @@ mod tests {
 
     #[test]
     fn unconsume_returns_last_drawn_blocks_in_order() {
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = Rng::seed_from_u64(3);
         let mut s = BlockSampler::new(30, &mut rng);
         let first: Vec<u64> = s.draw(10).to_vec();
         assert_eq!(s.drawn(), 10);
@@ -152,7 +150,7 @@ mod tests {
 
     #[test]
     fn empty_relation_yields_nothing() {
-        let mut rng = StdRng::seed_from_u64(0);
+        let mut rng = Rng::seed_from_u64(0);
         let mut s = BlockSampler::new(0, &mut rng);
         assert_eq!(s.population(), 0);
         assert!(s.draw(4).is_empty());

@@ -7,15 +7,16 @@
 //! subsequent draws, this method is also called random sampling
 //! *without* replacement."
 
-use rand::Rng;
 use std::collections::HashSet;
+
+use eram_storage::Rng;
 
 /// Draws `m` distinct indices uniformly from `0..n` (Floyd's
 /// algorithm: O(m) expected time, O(m) space).
 ///
 /// # Panics
 /// Panics if `m > n`.
-pub fn sample_without_replacement<R: Rng + ?Sized>(n: u64, m: u64, rng: &mut R) -> Vec<u64> {
+pub fn sample_without_replacement(n: u64, m: u64, rng: &mut Rng) -> Vec<u64> {
     assert!(m <= n, "cannot draw {m} of {n} without replacement");
     let mut chosen: HashSet<u64> = HashSet::with_capacity(usize::try_from(m).expect("fits"));
     let mut out = Vec::with_capacity(usize::try_from(m).expect("fits"));
@@ -51,13 +52,12 @@ pub fn srs_proportion_variance(s: f64, n: f64, m: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use eram_storage::Rng;
     use std::collections::HashMap;
 
     #[test]
     fn draws_are_distinct_and_in_range() {
-        let mut rng = StdRng::seed_from_u64(9);
+        let mut rng = Rng::seed_from_u64(9);
         for &(n, m) in &[(10u64, 10u64), (100, 7), (1, 1), (5, 0), (1000, 999)] {
             let s = sample_without_replacement(n, m, &mut rng);
             assert_eq!(s.len() as u64, m);
@@ -69,7 +69,7 @@ mod tests {
 
     #[test]
     fn full_draw_is_permutation_of_population() {
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = Rng::seed_from_u64(3);
         let mut s = sample_without_replacement(20, 20, &mut rng);
         s.sort_unstable();
         assert_eq!(s, (0..20).collect::<Vec<u64>>());
@@ -78,7 +78,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "without replacement")]
     fn oversized_draw_panics() {
-        let mut rng = StdRng::seed_from_u64(0);
+        let mut rng = Rng::seed_from_u64(0);
         let _ = sample_without_replacement(3, 4, &mut rng);
     }
 
@@ -86,7 +86,7 @@ mod tests {
     fn inclusion_probability_is_uniform() {
         // Each of 10 items should appear in a 3-of-10 sample with
         // probability 3/10.
-        let mut rng = StdRng::seed_from_u64(1234);
+        let mut rng = Rng::seed_from_u64(1234);
         let trials = 30_000;
         let mut counts: HashMap<u64, u64> = HashMap::new();
         for _ in 0..trials {
@@ -117,7 +117,7 @@ mod tests {
         let n = 200u64;
         let ones = 60u64;
         let m = 40u64;
-        let mut rng = StdRng::seed_from_u64(77);
+        let mut rng = Rng::seed_from_u64(77);
         let mut moments = crate::stats::RunningMoments::new();
         for _ in 0..20_000 {
             let sample = sample_without_replacement(n, m, &mut rng);

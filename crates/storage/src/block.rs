@@ -6,13 +6,11 @@
 //! relation." A [`Block`] here is exactly that 1 KB page (the size is
 //! configurable per [`crate::Disk`], defaulting to [`BLOCK_SIZE`]).
 
-use serde::{Deserialize, Serialize};
-
 /// Default block size in bytes (the paper's 1 KB).
 pub const BLOCK_SIZE: usize = 1024;
 
 /// Identifies one block within one file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BlockId {
     /// File the block belongs to.
     pub file: u64,

@@ -30,10 +30,9 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
 use crate::block::Block;
 use crate::disk::FileId;
+use crate::sync::Mutex;
 
 /// A per-batch pool deduplicating physical reads of base-relation
 /// blocks across concurrent job lanes. See the [module docs](self).

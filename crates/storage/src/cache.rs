@@ -29,10 +29,9 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
 use crate::block::Block;
 use crate::disk::FileId;
+use crate::sync::Mutex;
 use crate::tuple::Tuple;
 
 /// Key of a cached block.

@@ -23,8 +23,7 @@
 
 use std::time::Duration;
 
-use rand::Rng;
-use serde::{Deserialize, Serialize};
+use crate::rng::Rng;
 
 /// One chargeable unit of device work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,7 +48,7 @@ pub enum DeviceOp {
 ///
 /// All durations are *nominal* means; [`DeviceProfile::sample`]
 /// applies multiplicative noise when jitter is non-zero.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceProfile {
     /// Cost of reading one block.
     pub block_read: Duration,
@@ -132,7 +131,7 @@ impl DeviceProfile {
     /// The jitter factor is `max(0.05, 1 + jitter_rel · z)` with
     /// `z ~ N(0, 1)`, i.e. approximately lognormal-shaped noise that
     /// never goes negative.
-    pub fn sample<R: Rng + ?Sized>(&self, op: DeviceOp, rng: &mut R) -> Duration {
+    pub fn sample(&self, op: DeviceOp, rng: &mut Rng) -> Duration {
         let base = self.nominal(op);
         if self.jitter_rel == 0.0 {
             return base;
@@ -158,18 +157,16 @@ fn mul_dur(d: Duration, n: u64) -> Duration {
 }
 
 /// Draws one standard-normal variate via the Box–Muller transform.
-fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    // Avoid ln(0) by mapping the open unit interval.
-    let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-    let u2: f64 = rng.gen::<f64>();
+fn standard_normal(rng: &mut Rng) -> f64 {
+    // Avoid ln(0) by mapping onto [MIN_POSITIVE, 1).
+    let u1 = f64::MIN_POSITIVE + (1.0 - f64::MIN_POSITIVE) * rng.next_f64();
+    let u2 = rng.next_f64();
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn nominal_costs_scale_with_counts() {
@@ -184,14 +181,14 @@ mod tests {
     #[test]
     fn sample_without_jitter_is_nominal() {
         let p = DeviceProfile::sun_3_60().without_jitter();
-        let mut rng = StdRng::seed_from_u64(7);
+        let mut rng = Rng::seed_from_u64(7);
         assert_eq!(p.sample(DeviceOp::BlockRead, &mut rng), p.block_read);
     }
 
     #[test]
     fn jittered_samples_center_on_nominal() {
         let p = DeviceProfile::sun_3_60().with_jitter(0.1);
-        let mut rng = StdRng::seed_from_u64(42);
+        let mut rng = Rng::seed_from_u64(42);
         let n = 20_000;
         let total: f64 = (0..n)
             .map(|_| p.sample(DeviceOp::BlockRead, &mut rng).as_secs_f64())
@@ -207,7 +204,7 @@ mod tests {
     #[test]
     fn jittered_samples_vary() {
         let p = DeviceProfile::sun_3_60().with_jitter(0.1);
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = Rng::seed_from_u64(1);
         let a = p.sample(DeviceOp::BlockRead, &mut rng);
         let b = p.sample(DeviceOp::BlockRead, &mut rng);
         assert_ne!(a, b);
@@ -216,7 +213,7 @@ mod tests {
     #[test]
     fn sample_never_negative_even_with_large_jitter() {
         let p = DeviceProfile::sun_3_60().with_jitter(0.9);
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = Rng::seed_from_u64(3);
         for _ in 0..10_000 {
             let d = p.sample(DeviceOp::BlockWrite, &mut rng);
             assert!(d > Duration::ZERO);

@@ -34,11 +34,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::Mutex;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
-
 use crate::backend::{BlockBackend, FileBackend, MemoryBackend};
 use crate::block::{Block, BLOCK_SIZE};
 use crate::broker::SharedDrawBroker;
@@ -47,14 +42,16 @@ use crate::clock::Clock;
 use crate::cost::{DeviceOp, DeviceProfile};
 use crate::error::{IoFault, StorageError};
 use crate::fault::{FaultInjector, FaultKind, FaultPlan, FaultStats};
+use crate::rng::Rng;
+use crate::sync::Mutex;
 use crate::Result;
 
 /// Identifies a file on a [`Disk`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FileId(pub u64);
 
 /// Counters of physical activity on a disk.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DiskStats {
     /// Charged block reads.
     pub block_reads: u64,
@@ -65,7 +62,6 @@ pub struct DiskStats {
     /// Charged comparison units.
     pub compares: u64,
     /// Checksum verifications performed on charged reads.
-    #[serde(default)]
     pub checksum_verifies: u64,
 }
 
@@ -100,7 +96,7 @@ impl DiskShared {
 /// counters. Each lane view gets its own, so one job's charge stream
 /// and fault pattern never depend on what other jobs are doing.
 struct DiskLocal {
-    rng: StdRng,
+    rng: Rng,
     /// Active fault injector, if a [`FaultPlan`] has been armed.
     faults: Option<FaultInjector>,
 }
@@ -214,7 +210,7 @@ impl Disk {
                 file_versions: HashMap::new(),
             })),
             local: Mutex::new(DiskLocal {
-                rng: StdRng::seed_from_u64(seed),
+                rng: Rng::seed_from_u64(seed),
                 faults: None,
             }),
             cache,
@@ -256,7 +252,7 @@ impl Disk {
         Arc::new(Disk {
             shared: Arc::clone(&self.shared),
             local: Mutex::new(DiskLocal {
-                rng: StdRng::seed_from_u64(seed),
+                rng: Rng::seed_from_u64(seed),
                 faults: plan.map(FaultInjector::new),
             }),
             cache: None,

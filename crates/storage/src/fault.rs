@@ -28,13 +28,13 @@
 use std::collections::HashMap;
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
+use crate::json_record;
 
 /// Rates and seed for injected storage faults.
 ///
 /// All rates are probabilities in `[0, 1]` evaluated independently
 /// per charged block read. The default plan injects nothing.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPlan {
     /// Seed for the deterministic fault decisions.
     pub seed: u64,
@@ -48,6 +48,14 @@ pub struct FaultPlan {
     /// Duration of one latency spike.
     pub spike: Duration,
 }
+
+json_record!(FaultPlan {
+    seed: required,
+    transient_rate: required,
+    corrupt_rate: required,
+    spike_rate: required,
+    spike: required,
+});
 
 impl FaultPlan {
     /// A plan with the given seed and all fault rates zero.
@@ -96,7 +104,7 @@ impl Default for FaultPlan {
 }
 
 /// Counters of faults actually injected, for report plumbing.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// Transient read errors surfaced to callers.
     pub transient_errors: u64,
@@ -225,6 +233,7 @@ impl FaultInjector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json;
 
     #[test]
     fn noop_plan_injects_nothing() {
@@ -319,13 +328,7 @@ mod tests {
             .with_transient(0.05)
             .with_corruption(0.01)
             .with_spikes(0.02, Duration::from_millis(120));
-        // Serialization is unavailable under the offline stub serde
-        // (see offline/README.md); real serde never takes this branch.
-        let Ok(json) = serde_json::to_string(&plan) else {
-            eprintln!("skipped: offline serde stub cannot serialize");
-            return;
-        };
-        let back: FaultPlan = serde_json::from_str(&json).unwrap();
+        let back: FaultPlan = json::from_str(&json::to_string(&plan)).unwrap();
         assert_eq!(back, plan);
     }
 }

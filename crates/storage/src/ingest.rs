@@ -7,11 +7,8 @@
 //!
 //! * [`CsvSource`] — the existing CSV reader, unchanged;
 //! * [`JsonLinesSource`] — one JSON value per line, either an object
-//!   keyed by column name or an array in column order. The parser is
-//!   hand-rolled (the workspace must build against the offline serde
-//!   stand-ins, which cannot parse) and covers exactly the JSON
-//!   subset relation dumps need: objects, arrays, strings with
-//!   escapes, numbers, booleans;
+//!   keyed by column name or an array in column order, parsed by the
+//!   workspace's one JSON reader ([`mod@crate::json`]);
 //! * [`ParquetSource`] — a documented *subset* of the Parquet idea:
 //!   column-major chunks of PLAIN-encoded values in one row group,
 //!   framed by the `PAR1` magic. See [`ParquetSource`] for the exact
@@ -28,6 +25,7 @@ use std::io::BufRead;
 
 use crate::csv::read_csv;
 use crate::error::StorageError;
+use crate::json::Json;
 use crate::schema::{ColumnType, Schema};
 use crate::tuple::{Tuple, Value};
 use crate::Result;
@@ -129,7 +127,7 @@ impl TupleSource for JsonLinesSource {
             if line.trim().is_empty() {
                 continue;
             }
-            let json = parse_json_line(&line, line_no)?;
+            let json = Json::parse(&line).map_err(|e| jerr(line_no, e))?;
             let tuple = json_to_tuple(json, schema, line_no)?;
             schema.check_tuple(&tuple)?;
             tuples.push(tuple);
@@ -138,196 +136,28 @@ impl TupleSource for JsonLinesSource {
     }
 }
 
-/// A parsed JSON value. Numbers keep their raw lexeme so `1` can
-/// load into an `Int` column while `1.0` is rejected there — the
-/// same int/float strictness the CSV parser has.
-enum Json {
-    Bool(bool),
-    Num(String),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
 fn jerr(line_no: usize, msg: impl std::fmt::Display) -> StorageError {
     StorageError::io(format!("JSONL line {line_no}: {msg}"))
 }
 
-/// Parses one line holding exactly one JSON value (plus trailing
-/// whitespace). Hand-rolled recursive descent over the subset needed
-/// for relation records; `null` is rejected up front because no
-/// column type can hold it.
-fn parse_json_line(line: &str, line_no: usize) -> Result<Json> {
-    let bytes = line.as_bytes();
-    let mut pos = 0usize;
-    let value = parse_json_value(bytes, &mut pos, line_no)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(jerr(line_no, "trailing characters after JSON value"));
-    }
-    Ok(value)
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\r' | b'\n') {
-        *pos += 1;
-    }
-}
-
-fn parse_json_value(bytes: &[u8], pos: &mut usize, line_no: usize) -> Result<Json> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err(jerr(line_no, "unexpected end of line")),
-        Some(b'{') => {
-            *pos += 1;
-            let mut fields = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(fields));
-            }
-            loop {
-                skip_ws(bytes, pos);
-                let Json::Str(key) = parse_json_value(bytes, pos, line_no)? else {
-                    return Err(jerr(line_no, "object key must be a string"));
-                };
-                skip_ws(bytes, pos);
-                if bytes.get(*pos) != Some(&b':') {
-                    return Err(jerr(line_no, format!("expected ':' after key {key:?}")));
-                }
-                *pos += 1;
-                let value = parse_json_value(bytes, pos, line_no)?;
-                fields.push((key, value));
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(fields));
-                    }
-                    _ => return Err(jerr(line_no, "expected ',' or '}' in object")),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_json_value(bytes, pos, line_no)?);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(jerr(line_no, "expected ',' or ']' in array")),
-                }
-            }
-        }
-        Some(b'"') => parse_json_string(bytes, pos, line_no).map(Json::Str),
-        Some(b't') if bytes[*pos..].starts_with(b"true") => {
-            *pos += 4;
-            Ok(Json::Bool(true))
-        }
-        Some(b'f') if bytes[*pos..].starts_with(b"false") => {
-            *pos += 5;
-            Ok(Json::Bool(false))
-        }
-        Some(b'n') if bytes[*pos..].starts_with(b"null") => {
-            Err(jerr(line_no, "null is not loadable into any column type"))
-        }
-        Some(c) if c.is_ascii_digit() || *c == b'-' => {
-            let start = *pos;
-            *pos += 1;
-            while *pos < bytes.len()
-                && matches!(bytes[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-            {
-                *pos += 1;
-            }
-            let lexeme = std::str::from_utf8(&bytes[start..*pos]).expect("ascii slice");
-            // Validate now so garbage like "1.2.3" fails here, with
-            // a line number, not later during column conversion.
-            if lexeme.parse::<f64>().is_err() {
-                return Err(jerr(line_no, format!("malformed number {lexeme:?}")));
-            }
-            Ok(Json::Num(lexeme.to_owned()))
-        }
-        Some(c) => Err(jerr(
-            line_no,
-            format!("unexpected character {:?}", *c as char),
-        )),
-    }
-}
-
-fn parse_json_string(bytes: &[u8], pos: &mut usize, line_no: usize) -> Result<String> {
-    debug_assert_eq!(bytes[*pos], b'"');
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err(jerr(line_no, "unterminated string")),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or_else(|| jerr(line_no, "truncated \\u escape"))?;
-                        let hex = std::str::from_utf8(hex)
-                            .map_err(|_| jerr(line_no, "malformed \\u escape"))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| jerr(line_no, "malformed \\u escape"))?;
-                        // Surrogate pairs are out of subset scope;
-                        // reject rather than mis-decode.
-                        let c = char::from_u32(code)
-                            .ok_or_else(|| jerr(line_no, "\\u escape is not a scalar value"))?;
-                        out.push(c);
-                        *pos += 4;
-                    }
-                    _ => return Err(jerr(line_no, "unknown escape in string")),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one full UTF-8 scalar from the original str.
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| jerr(line_no, "invalid UTF-8 in string"))?;
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
-            }
-        }
-    }
-}
-
+/// `1` loads into an `Int` or a `Float` column, `1.0` only into a
+/// `Float` one — the same int/float strictness the CSV parser has.
 fn json_scalar_to_value(json: &Json, ty: ColumnType, line_no: usize, what: &str) -> Result<Value> {
     match (ty, json) {
-        (ColumnType::Int, Json::Num(raw)) => raw
-            .parse::<i64>()
+        (_, Json::Null) => Err(jerr(
+            line_no,
+            format!("{what}: null is not loadable into any column type"),
+        )),
+        (ColumnType::Int, Json::U64(_) | Json::I64(_)) => json
+            .as_i64()
             .map(Value::Int)
-            .map_err(|_| jerr(line_no, format!("{what}: {raw:?} is not an integer"))),
-        (ColumnType::Float, Json::Num(raw)) => raw
-            .parse::<f64>()
-            .map(Value::Float)
-            .map_err(|_| jerr(line_no, format!("{what}: {raw:?} is not a float"))),
+            .ok_or_else(|| jerr(line_no, format!("{what}: {json} does not fit an i64"))),
+        (ColumnType::Int, Json::F64(x)) => {
+            Err(jerr(line_no, format!("{what}: {x:?} is not an integer")))
+        }
+        (ColumnType::Float, Json::U64(_) | Json::I64(_) | Json::F64(_)) => {
+            Ok(Value::Float(json.as_f64().expect("a number")))
+        }
         (ColumnType::Bool, Json::Bool(b)) => Ok(Value::Bool(*b)),
         (ColumnType::Str { .. }, Json::Str(s)) => Ok(Value::Str(s.clone())),
         (ty, _) => Err(jerr(line_no, format!("{what}: wrong JSON type for {ty:?}"))),
@@ -702,6 +532,24 @@ mod tests {
                 err.to_string().contains("line 2"),
                 "error for {bad:?} lacks line number: {err}"
             );
+        }
+    }
+
+    /// A line of 100 000 `[` used to recurse once per bracket and
+    /// overflow the stack — an abort, not even a panic.
+    #[test]
+    fn jsonl_nesting_bomb_is_a_line_numbered_error() {
+        for bomb in ["[".repeat(100_000), "{\"a\":".repeat(100_000)] {
+            let input = format!("[1, 1.0, true, \"ok\"]\n{bomb}\n");
+            let err = read_tuples(
+                IngestFormat::JsonLines,
+                &mut Cursor::new(input.as_str()),
+                &schema(),
+            )
+            .unwrap_err()
+            .to_string();
+            assert!(err.contains("line 2"), "{err}");
+            assert!(err.contains("nesting deeper than 128"), "{err}");
         }
     }
 

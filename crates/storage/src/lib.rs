@@ -50,8 +50,10 @@ pub mod error;
 pub mod fault;
 pub mod heap;
 pub mod ingest;
+pub mod json;
 pub mod rng;
 pub mod schema;
+pub mod sync;
 pub mod tuple;
 
 pub use block::{Block, BlockId, BLOCK_SIZE};
@@ -69,8 +71,10 @@ pub use ingest::{
     read_tuples, write_parquet_subset, CsvSource, IngestFormat, JsonLinesSource, ParquetSource,
     TupleSource,
 };
-pub use rng::SeedSeq;
+pub use json::{FromJson, Json, JsonError, ToJson};
+pub use rng::{Rng, SeedSeq};
 pub use schema::{ColumnType, Schema};
+pub use sync::Mutex;
 pub use tuple::{Tuple, Value};
 
 /// Convenient crate-wide result type.

@@ -1,11 +1,17 @@
-//! Deterministic seed derivation.
+//! Deterministic randomness: seed derivation and the one generator.
 //!
 //! Experiments run hundreds of independent trials ("every entry in any
 //! table has been obtained from 200 independent experiments"); each
 //! trial needs its own independent randomness — for block draws, for
 //! device jitter, for workload generation — all reproducible from one
 //! master seed. [`SeedSeq`] derives well-mixed sub-seeds by label via
-//! the splitmix64 finalizer.
+//! the splitmix64 finalizer; [`Rng`] turns one seed into a stream.
+//!
+//! The stream is part of the repository's contract: every committed
+//! number (goldens, `results/`, `benchmark/results/`) was drawn from
+//! it, so the known-answer tests below pin it bit for bit.
+
+use std::ops::RangeInclusive;
 
 /// Derives independent sub-seeds from a master seed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,6 +40,66 @@ impl SeedSeq {
     /// experiment run, from which per-component seeds are drawn.
     pub fn child(&self, label: u64) -> SeedSeq {
         SeedSeq::new(self.derive(label))
+    }
+}
+
+/// The workspace's pseudo-random generator: xorshift128+ whose two
+/// state words are successive splitmix64 outputs of the seed (forced
+/// odd / non-zero so the all-zero state is unreachable).
+#[derive(Debug, Clone)]
+pub struct Rng {
+    s0: u64,
+    s1: u64,
+}
+
+impl Rng {
+    /// The generator for `seed`; equal seeds give equal streams.
+    pub fn seed_from_u64(seed: u64) -> Self {
+        let a = splitmix64(seed);
+        let b = splitmix64(a);
+        Rng {
+            s0: a | 1,
+            s1: b | 2,
+        }
+    }
+
+    /// The next 64 uniformly distributed bits.
+    pub fn next_u64(&mut self) -> u64 {
+        let mut x = self.s0;
+        let y = self.s1;
+        self.s0 = y;
+        x ^= x << 23;
+        self.s1 = x ^ y ^ (x >> 17) ^ (y >> 26);
+        self.s1.wrapping_add(y)
+    }
+
+    /// A float in `[0, 1)` from the top 53 bits of the next output.
+    pub fn next_f64(&mut self) -> f64 {
+        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    /// An integer in `range`: `lo + next_u64 % span`. The modulo bias
+    /// is below 2⁻⁴⁰ for every span this workspace draws (block and
+    /// tuple counts).
+    ///
+    /// # Panics
+    /// Panics if the range is empty.
+    pub fn gen_range(&mut self, range: RangeInclusive<u64>) -> u64 {
+        let (lo, hi) = range.into_inner();
+        assert!(lo <= hi, "empty range {lo}..={hi}");
+        match (hi - lo).checked_add(1) {
+            Some(span) => lo + self.next_u64() % span,
+            None => self.next_u64(),
+        }
+    }
+
+    /// Fisher–Yates from the back: position `i` swaps with a uniform
+    /// draw from `0..=i`.
+    pub fn shuffle<T>(&mut self, items: &mut [T]) {
+        for i in (1..items.len()).rev() {
+            let j = self.gen_range(0..=i as u64) as usize;
+            items.swap(i, j);
+        }
     }
 }
 
@@ -70,6 +136,62 @@ mod tests {
         let b = SeedSeq::new(1);
         let overlap = (0..1_000).filter(|&i| a.derive(i) == b.derive(i)).count();
         assert_eq!(overlap, 0);
+    }
+
+    /// Known answers: the first outputs of the stream every committed
+    /// number was drawn from. A change here moves every golden,
+    /// `results/` table and benchmark fingerprint at once.
+    #[test]
+    fn rng_stream_is_pinned() {
+        let first4 = |seed| {
+            let mut r = Rng::seed_from_u64(seed);
+            [r.next_u64(), r.next_u64(), r.next_u64(), r.next_u64()]
+        };
+        assert_eq!(
+            first4(0),
+            [
+                0x00a2_61c7_0075_accc,
+                0xc2d7_51d9_3b48_76ef,
+                0xe4b5_bc3b_c96f_c0d2,
+                0x2dfb_a077_8e29_e174
+            ]
+        );
+        assert_eq!(
+            first4(42),
+            [
+                0x5103_6519_00dd_72c5,
+                0xed13_87e8_a893_56d6,
+                0x1991_17e8_7f29_ac24,
+                0x3909_99ea_a02e_6a32
+            ]
+        );
+        assert_eq!(
+            first4(u64::MAX),
+            [
+                0x6058_f1a3_5ad7_e23f,
+                0x0f24_a165_3196_9b4c,
+                0x805d_33f2_817c_8178,
+                0xbf55_e8d5_1df5_a232
+            ]
+        );
+
+        let mut r = Rng::seed_from_u64(42);
+        let draws: Vec<u64> = (0..5).map(|_| r.gen_range(10..=19)).collect();
+        assert_eq!(draws, [17, 18, 16, 10, 19]);
+
+        let mut items: Vec<u32> = (0..10).collect();
+        Rng::seed_from_u64(42).shuffle(&mut items);
+        assert_eq!(items, [3, 2, 6, 8, 9, 1, 0, 4, 5, 7]);
+
+        assert_eq!(Rng::seed_from_u64(42).next_f64(), 0.316_458_052_257_862_6);
+    }
+
+    #[test]
+    fn gen_range_covers_degenerate_and_full_ranges() {
+        let mut r = Rng::seed_from_u64(1);
+        assert_eq!(r.gen_range(7..=7), 7);
+        let mut twin = r.clone();
+        assert_eq!(r.gen_range(0..=u64::MAX), twin.next_u64());
     }
 
     #[test]

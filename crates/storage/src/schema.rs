@@ -8,14 +8,12 @@
 //! block — that the paper's cost formulas use to convert output-tuple
 //! counts into output-page counts.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::StorageError;
 use crate::tuple::{Tuple, Value};
 use crate::Result;
 
 /// The type of one column.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ColumnType {
     /// 64-bit signed integer (8 bytes on disk).
     Int,
@@ -54,7 +52,7 @@ impl ColumnType {
 }
 
 /// One named column.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Column {
     /// Column name (unique within a schema).
     pub name: String,
@@ -64,7 +62,7 @@ pub struct Column {
 
 /// A fixed-width record layout: an ordered list of columns plus
 /// optional trailing padding to reach a declared record size.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Schema {
     columns: Vec<Column>,
     record_size: usize,

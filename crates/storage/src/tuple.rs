@@ -10,10 +10,10 @@ use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
-use serde::{Deserialize, Serialize};
+use crate::json::{unknown_variant, FromJson, Json, JsonError, ToJson};
 
 /// A dynamically typed value.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum Value {
     /// 64-bit signed integer.
     Int(i64),
@@ -152,8 +152,32 @@ impl From<String> for Value {
     }
 }
 
+/// `{"Int": 1}`, `{"Float": 0.5}`, `{"Bool": true}`, `{"Str": "x"}`.
+impl ToJson for Value {
+    fn to_json(&self) -> Json {
+        match self {
+            Value::Int(x) => Json::variant("Int", x.to_json()),
+            Value::Float(x) => Json::variant("Float", x.to_json()),
+            Value::Bool(x) => Json::variant("Bool", x.to_json()),
+            Value::Str(x) => Json::variant("Str", x.to_json()),
+        }
+    }
+}
+
+impl FromJson for Value {
+    fn from_json(value: &Json) -> Result<Self, JsonError> {
+        match value.as_variant()? {
+            ("Int", x) => i64::from_json(x).map(Value::Int),
+            ("Float", x) => f64::from_json(x).map(Value::Float),
+            ("Bool", x) => bool::from_json(x).map(Value::Bool),
+            ("Str", x) => String::from_json(x).map(Value::Str),
+            (other, _) => Err(unknown_variant("Value", other)),
+        }
+    }
+}
+
 /// A row of values.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Tuple {
     values: Vec<Value>,
 }

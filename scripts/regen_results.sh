@@ -55,6 +55,8 @@ cargo run --release -p eram-bench --bin abl_faults -- \
     --runs 20 --json results/ci/BENCH_abl_faults.json > /dev/null
 cargo run --release -p eram-bench --bin abl_parallel -- \
     --runs 5 --json results/ci/BENCH_abl_parallel.json > /dev/null
+cargo run --release -p eram-bench --bin fig5_3_join -- \
+    --runs 20 --json results/ci/BENCH_fig5_3_join.json > /dev/null
 cargo run --release -p eram-bench --bin abl_admission -- \
     --runs 5 --json results/ci/BENCH_abl_admission.json > /dev/null
 cargo run --release -p eram-bench --bin abl_groupby -- \

@@ -18,25 +18,17 @@
 //! 4. **CI matrix hook** — one storm batch at `ERAM_WORKERS`
 //!    (default 4) against the serial reference.
 //! 5. **Property** — arbitrary seeds, storms, and worker counts
-//!    replay identically (proptest).
+//!    replay identically (property test).
 
 use std::time::Duration;
 
-use proptest::prelude::*;
+use testkit::prelude::*;
 
 use eram_core::{
     Concurrency, Database, JobState, QueryServer, RefusalReason, ServerJob, ServerOutcome, Tracer,
 };
 use eram_relalg::{CmpOp, Expr, Predicate};
-use eram_storage::{ColumnType, FaultPlan, Schema, Tuple, Value};
-
-/// True when running against the offline stand-in crates (see
-/// `offline/README.md`): the stub rand's streams differ from real
-/// `rand`, so tests whose pass/fail depends on the exact stream (not
-/// just determinism) skip, and the stub serde cannot serialize.
-fn stub_toolchain() -> bool {
-    std::env::var_os("ERAM_OFFLINE_STUBS").is_some()
-}
+use eram_storage::{json, ColumnType, FaultPlan, Schema, Tuple, Value};
 
 fn build_db(seed: u64) -> Database {
     let mut db = Database::sim_default(seed);
@@ -84,8 +76,17 @@ fn assert_no_silent_blowouts(outcome: &ServerOutcome, cell: &str) {
                     "[{cell}] {}: reason must ride ReportHealth too",
                     job.name
                 );
-                assert_eq!(job.granted_quota, Duration::ZERO);
-                assert!(job.estimate.is_none());
+                // A job denied before it ran burned nothing. The one
+                // denial that follows a run is the late-shed guard: the
+                // job's answer landed past its deadline and was dropped,
+                // and its report keeps the grant and the finish time.
+                if job.finished_at <= job.deadline {
+                    assert_eq!(job.granted_quota, Duration::ZERO, "[{cell}] {}", job.name);
+                    assert_eq!(job.started_at, job.finished_at, "[{cell}] {}", job.name);
+                } else {
+                    assert_eq!(*reason, RefusalReason::Shed, "[{cell}] {}", job.name);
+                }
+                assert!(job.estimate.is_none() && job.report.is_none());
             }
             JobState::Failed { error } => {
                 assert!(!error.is_empty(), "[{cell}] {}: empty error", job.name)
@@ -133,10 +134,6 @@ impl FailureSplit for eram_core::ServerStats {
 
 #[test]
 fn storm_sweep_never_misses_an_admitted_deadline() {
-    if stub_toolchain() {
-        eprintln!("skipped: sweep cells are tuned to real rand streams");
-        return;
-    }
     // (label, transient, corrupt, spike rate)
     let sweep = [
         ("clean", 0.0, 0.0, 0.0),
@@ -197,14 +194,12 @@ fn refusal_taxonomy_is_structured_and_complete() {
         }
     );
     // The reasons survive a JSON round trip (the wire format a client
-    // would branch on). Skipped under the offline serde stub.
-    if !stub_toolchain() {
-        let json = outcome.to_json();
-        assert!(json.contains("\"infeasible\""), "{json}");
-        assert!(json.contains("\"overloaded\""), "{json}");
-        let back: ServerOutcome = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, outcome);
-    }
+    // would branch on).
+    let json = outcome.to_json();
+    assert!(json.contains("\"infeasible\""), "{json}");
+    assert!(json.contains("\"overloaded\""), "{json}");
+    let back: ServerOutcome = json::from_str(&json).unwrap();
+    assert_eq!(back, outcome);
     assert_no_silent_blowouts(&outcome, "taxonomy");
 }
 
@@ -310,10 +305,6 @@ fn run_storm(seed: u64, transient: f64, spikes: f64, workers: usize) -> (String,
 
 #[test]
 fn ci_selected_worker_count_matches_the_serial_reference() {
-    if stub_toolchain() {
-        eprintln!("skipped: offline serde stub cannot serialize the replay artifacts");
-        return;
-    }
     let workers: usize = std::env::var("ERAM_WORKERS")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -358,10 +349,6 @@ fn run_storm_with_ledger(
 /// fault storm the equivalence matrix runs.
 #[test]
 fn ledger_is_pure_observation_across_worker_counts() {
-    if stub_toolchain() {
-        eprintln!("skipped: offline serde stub cannot serialize the replay artifacts");
-        return;
-    }
     let workers: usize = std::env::var("ERAM_WORKERS")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -433,10 +420,6 @@ proptest! {
         spikes in 0.0f64..0.4,
         workers in 2usize..=8,
     ) {
-        if stub_toolchain() {
-            eprintln!("skipped: offline serde stub cannot serialize the replay artifacts");
-            return Ok(());
-        }
         let (seq, seq_trace) = run_storm_mode(seed, transient, spikes, 1, Concurrency::Sequential);
         let (inter, inter_trace) =
             run_storm_mode(seed, transient, spikes, 1, Concurrency::Interleaved);
@@ -481,10 +464,6 @@ proptest! {
         spikes in 0.0f64..0.4,
         workers in 2usize..=8,
     ) {
-        if stub_toolchain() {
-            eprintln!("skipped: offline serde stub cannot serialize the replay artifacts");
-            return Ok(());
-        }
         let (json_1, trace_1) = run_storm(seed, transient, spikes, 1);
         let (json_w, trace_w) = run_storm(seed, transient, spikes, workers);
         prop_assert_eq!(&json_1, &json_w, "workers={}", workers);
@@ -494,7 +473,7 @@ proptest! {
         prop_assert_eq!(&json_1, &json_r);
         prop_assert_eq!(&trace_1, &trace_r);
         // And the invariant holds for whatever the storm produced.
-        let outcome: ServerOutcome = serde_json::from_str(&json_1).unwrap();
-        assert_no_silent_blowouts(&outcome, "proptest");
+        let outcome: ServerOutcome = json::from_str(&json_1).unwrap();
+        assert_no_silent_blowouts(&outcome, "property");
     }
 }

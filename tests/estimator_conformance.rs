@@ -19,23 +19,18 @@
 //! `goodman.rs` oracle: the `DistinctCount` instance must reproduce
 //! `goodman_estimate` exactly on the same occupancies.
 //!
-//! The harness is pure sampling-layer code (no database, no serde),
-//! so it runs identically under the offline stub toolchain — the stub
-//! rand is a different RNG, but conformance is a property of the
-//! estimator algebra, not of a particular random stream. One cell is
-//! the exception: the shared-draw validity cell at the bottom drives
-//! the full server to prove that pooled block draws leave every
-//! estimator's input stream untouched.
-
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+//! The harness is pure sampling-layer code (no database): conformance
+//! is a property of the estimator algebra, not of a particular random
+//! stream. One cell is the exception: the shared-draw validity cell
+//! at the bottom drives the full server to prove that pooled block
+//! draws leave every estimator's input stream untouched.
 
 use eram_sampling::{
     goodman_estimate, sample_without_replacement, AggregateEstimator, CountEstimate, DistinctCount,
     DistinctEstimator, Linear, RatioAvg, SrsCount, SrsSum,
 };
-
-use proptest::prelude::*;
+use eram_storage::Rng;
+use testkit::prelude::*;
 
 /// Replications per conformance cell.
 const REPS: u64 = 400;
@@ -86,7 +81,7 @@ impl Population {
 
     /// One SRS replication: sample statistics for every estimator.
     fn draw(&self, seed: u64) -> SampleStats {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         let idx = sample_without_replacement(N, M, &mut rng);
         let mut s = SampleStats::default();
         for i in idx {
@@ -206,7 +201,7 @@ fn linear_composition_keeps_coverage_for_inclusion_exclusion() {
         .filter(|(x, y)| **x || **y)
         .count() as f64;
     let count_of = |ones: &[bool], seed: u64| {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         let idx = sample_without_replacement(N, M, &mut rng);
         let hits = idx.iter().filter(|&&i| ones[i as usize]).count() as f64;
         SrsCount {

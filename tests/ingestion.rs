@@ -14,11 +14,7 @@ use std::time::Duration;
 
 use eram_core::{BlockLayout, Database, Tracer};
 use eram_relalg::{CmpOp, Expr, Predicate};
-use eram_storage::{write_parquet_subset, ColumnType, IngestFormat, Schema, Tuple, Value};
-
-fn stub_serde() -> bool {
-    serde_json::to_string(&0u32).is_err()
-}
+use eram_storage::{json, write_parquet_subset, ColumnType, IngestFormat, Schema, Tuple, Value};
 
 /// Four-column schema covering every [`ColumnType`], padded to the
 /// paper's 200-byte tuples (5 per block).
@@ -151,19 +147,7 @@ fn queries_over_any_format_are_identical_across_layouts_and_workers() {
             .tracer(tracer.clone())
             .run()
             .expect("query over ingested relation must execute");
-        if stub_serde() {
-            // The offline serde stand-ins cannot serialize; a `Debug`
-            // rendering still covers every field.
-            (
-                format!("{:?}", out.report),
-                format!("{:?}", tracer.records()),
-            )
-        } else {
-            (
-                serde_json::to_string(&out.report).expect("report serializes"),
-                tracer.to_jsonl(),
-            )
-        }
+        (json::to_string(&out.report), tracer.to_jsonl())
     };
     let (ref_format, ref_path) = &fixtures[0];
     let (ref_report, ref_trace) = run(*ref_format, ref_path, BlockLayout::Row, 1);

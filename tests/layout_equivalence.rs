@@ -15,28 +15,12 @@ use std::time::Duration;
 use eram_bench::{Workload, WorkloadKind};
 use eram_core::{AggregateFn, BlockLayout, Database, ExecutionReport, Tracer};
 use eram_relalg::{CmpOp, Expr, Predicate};
-use eram_storage::{ColumnType, FaultPlan, Schema, Tuple, Value};
-
-/// True under the offline stand-in crates (see `offline/README.md`):
-/// the stub serde cannot serialize the replay artifacts.
-fn stub_serde() -> bool {
-    serde_json::to_string(&0u32).is_err()
-}
+use eram_storage::{json, ColumnType, FaultPlan, Schema, Tuple, Value};
 
 /// Renders a run's artifacts for comparison: the serialized report
-/// plus the JSONL trace with real serde, or an equally-discriminating
-/// `Debug` rendering of the same structures under the offline stubs
-/// (every field participates either way, so the tests stay meaningful
-/// offline instead of skipping).
+/// plus the JSONL trace.
 fn render(report: &ExecutionReport, tracer: &Tracer) -> (String, String) {
-    if stub_serde() {
-        (format!("{report:?}"), format!("{:?}", tracer.records()))
-    } else {
-        (
-            serde_json::to_string(report).expect("report serializes"),
-            tracer.to_jsonl(),
-        )
-    }
+    (json::to_string(report), tracer.to_jsonl())
 }
 
 /// Runs one seeded workload query under the given layout and returns

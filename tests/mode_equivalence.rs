@@ -10,14 +10,14 @@
 
 use std::sync::Arc;
 
-use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use testkit::prelude::*;
 
 use eram_core::ops::{Fulfillment, MemoryMode, PhysTree, PlanOptions, StageEnv};
 use eram_core::SelectivityDefaults;
 use eram_relalg::{eval, Catalog, CmpOp, Expr, Predicate};
-use eram_storage::{ColumnType, DeviceProfile, Disk, HeapFile, Schema, SimClock, Tuple, Value};
+use eram_storage::{
+    ColumnType, DeviceProfile, Disk, HeapFile, Rng, Schema, SimClock, Tuple, Value,
+};
 
 fn setup(rows_a: &[(i64, i64)], rows_b: &[(i64, i64)]) -> (Arc<Disk>, Catalog) {
     let disk = Disk::new(
@@ -81,7 +81,7 @@ fn drain(
         disk,
         &SelectivityDefaults::default(),
         options,
-        &mut StdRng::seed_from_u64(seed),
+        &mut Rng::seed_from_u64(seed),
     )
     .unwrap();
     let mut i = 0;

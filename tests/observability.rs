@@ -23,20 +23,14 @@ use std::collections::BTreeMap;
 use std::path::Path;
 use std::time::Duration;
 
-use proptest::prelude::*;
+use testkit::prelude::*;
 
 use eram_core::{
     Database, MetricsSnapshot, Profiler, QueryServer, ReportHealth, ServerJob, StoppingCriterion,
     TraceKind, TraceRecord, Tracer, SCHEMA_VERSION,
 };
 use eram_relalg::{CmpOp, Expr, Predicate};
-use eram_storage::{ColumnType, FaultPlan, Schema, Tuple, Value};
-
-/// True under the offline stand-in crates (see `offline/README.md`):
-/// the stub serde cannot serialize, so JSONL-producing tests skip.
-fn stub_serde() -> bool {
-    serde_json::to_string(&0u32).is_err()
-}
+use eram_storage::{json, ColumnType, FaultPlan, Json, Schema, ToJson, Tuple, Value};
 
 /// The paper's Figure 5.1 artificial relation: 10 000 tuples of
 /// 200 bytes, value column uniform over 0..100 so `#1 < 50` selects
@@ -73,10 +67,6 @@ fn fig51_trace() -> (String, Vec<TraceRecord>) {
 
 #[test]
 fn identical_seeds_yield_byte_identical_jsonl() {
-    if stub_serde() {
-        eprintln!("skipped: offline serde stub cannot serialize");
-        return;
-    }
     let (a, _) = fig51_trace();
     let (b, _) = fig51_trace();
     assert!(!a.is_empty());
@@ -97,10 +87,6 @@ fn identical_seeds_yield_byte_identical_jsonl() {
 /// of the executor's unit test.
 #[test]
 fn profiling_never_perturbs_trace_or_report() {
-    if stub_serde() {
-        eprintln!("skipped: offline serde stub cannot serialize");
-        return;
-    }
     let run = |profile: bool, workers: usize| {
         let mut db = fig51_db(42);
         let tracer = Tracer::recording(db.disk().clock().clone());
@@ -134,8 +120,8 @@ fn profiling_never_perturbs_trace_or_report() {
         assert!(snap.total_wall_ns() > 0);
         // Everything except the profile field is byte-identical.
         let strip = |r: &eram_core::ExecutionReport| {
-            let mut v = serde_json::to_value(r).unwrap();
-            v.as_object_mut().unwrap().remove("profile");
+            let mut v = r.to_json();
+            v.remove("profile");
             v
         };
         assert_eq!(
@@ -153,39 +139,8 @@ const GOLDEN: &str = concat!(
 
 #[test]
 fn golden_trace_is_stable() {
-    if stub_serde() {
-        eprintln!("skipped: offline serde stub cannot serialize");
-        return;
-    }
     let (trace, _) = fig51_trace();
-    let path = Path::new(GOLDEN);
-    if std::env::var_os("BLESS").is_some() || !path.exists() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(path, &trace).unwrap();
-        eprintln!("blessed golden trace at {}", path.display());
-        return;
-    }
-    let golden = std::fs::read_to_string(path).unwrap();
-    if trace != golden {
-        let diff = trace
-            .lines()
-            .zip(golden.lines())
-            .enumerate()
-            .find(|(_, (new, old))| new != old);
-        match diff {
-            Some((i, (new, old))) => panic!(
-                "trace drifted from golden at line {} —\n  golden: {old}\n  new:    {new}\n\
-                 (re-bless with BLESS=1 if the change is intentional)",
-                i + 1
-            ),
-            None => panic!(
-                "trace drifted from golden: {} vs {} lines \
-                 (re-bless with BLESS=1 if the change is intentional)",
-                trace.lines().count(),
-                golden.lines().count()
-            ),
-        }
-    }
+    testkit::assert_golden(Path::new(GOLDEN), &trace);
 }
 
 const GOLDEN_GROUPED: &str = concat!(
@@ -232,40 +187,7 @@ fn grouped_trace() -> String {
 
 #[test]
 fn golden_grouped_trace_is_stable() {
-    if stub_serde() {
-        // Also keeps the stub toolchain from blessing a bogus golden.
-        eprintln!("skipped: offline serde stub cannot serialize");
-        return;
-    }
-    let trace = grouped_trace();
-    let path = Path::new(GOLDEN_GROUPED);
-    if std::env::var_os("BLESS").is_some() || !path.exists() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(path, &trace).unwrap();
-        eprintln!("blessed grouped golden trace at {}", path.display());
-        return;
-    }
-    let golden = std::fs::read_to_string(path).unwrap();
-    if trace != golden {
-        let diff = trace
-            .lines()
-            .zip(golden.lines())
-            .enumerate()
-            .find(|(_, (new, old))| new != old);
-        match diff {
-            Some((i, (new, old))) => panic!(
-                "grouped trace drifted from golden at line {} —\n  golden: {old}\n  new:    {new}\n\
-                 (re-bless with BLESS=1 if the change is intentional)",
-                i + 1
-            ),
-            None => panic!(
-                "grouped trace drifted from golden: {} vs {} lines \
-                 (re-bless with BLESS=1 if the change is intentional)",
-                trace.lines().count(),
-                golden.lines().count()
-            ),
-        }
-    }
+    testkit::assert_golden(Path::new(GOLDEN_GROUPED), &grouped_trace());
 }
 
 #[test]
@@ -390,10 +312,6 @@ fn retry_and_block_loss_events_ride_the_trace() {
 
 #[test]
 fn report_health_serde_round_trips_with_partial_defaults() {
-    if stub_serde() {
-        eprintln!("skipped: offline serde stub cannot serialize");
-        return;
-    }
     let h = ReportHealth {
         faults_seen: 4,
         retries: 2,
@@ -401,12 +319,12 @@ fn report_health_serde_round_trips_with_partial_defaults() {
         degraded: true,
         refusal: None,
     };
-    let json = serde_json::to_string(&h).unwrap();
-    let back: ReportHealth = serde_json::from_str(&json).unwrap();
+    let json = json::to_string(&h);
+    let back: ReportHealth = json::from_str(&json).unwrap();
     assert_eq!(back, h);
     // Fields default individually: an older writer's partial object
     // deserializes instead of erroring.
-    let partial: ReportHealth = serde_json::from_str(r#"{"retries": 7}"#).unwrap();
+    let partial: ReportHealth = json::from_str(r#"{"retries": 7}"#).unwrap();
     assert_eq!(
         partial,
         ReportHealth {
@@ -414,16 +332,12 @@ fn report_health_serde_round_trips_with_partial_defaults() {
             ..ReportHealth::default()
         }
     );
-    let empty: ReportHealth = serde_json::from_str("{}").unwrap();
+    let empty: ReportHealth = json::from_str("{}").unwrap();
     assert_eq!(empty, ReportHealth::default());
 }
 
 #[test]
 fn metrics_snapshot_counters_survive_the_report_round_trip() {
-    if stub_serde() {
-        eprintln!("skipped: offline serde stub cannot serialize");
-        return;
-    }
     let mut db = fig51_db(3);
     let out = db
         .count(fig51_expr())
@@ -432,9 +346,9 @@ fn metrics_snapshot_counters_survive_the_report_round_trip() {
         .metrics(true)
         .run()
         .unwrap();
-    let json = serde_json::to_string(&out.report).unwrap();
+    let json = json::to_string(&out.report);
     assert!(json.contains("metrics"));
-    let back: eram_core::ExecutionReport = serde_json::from_str(&json).unwrap();
+    let back: eram_core::ExecutionReport = json::from_str(&json).unwrap();
     assert_eq!(back.metrics, out.report.metrics);
     // Both the report and its embedded snapshot carry the schema tag.
     assert_eq!(out.report.schema_version, SCHEMA_VERSION);
@@ -553,22 +467,18 @@ proptest! {
             .map(|r| r.dur_ns.unwrap())
             .sum();
         prop_assert_eq!(stage_dur, out.report.total_elapsed.as_nanos() as u64);
-        if stub_serde() {
-            eprintln!("skipping JSONL round trip: offline serde stub cannot serialize");
-            return Ok(());
-        }
         // The trace round-trips through JSONL without loss (first
         // line is the schema header, not a record).
         let jsonl = tracer.to_jsonl();
         let mut lines = jsonl.lines();
-        let header: serde_json::Value =
-            serde_json::from_str(lines.next().unwrap()).unwrap();
+        let header: Json =
+            json::from_str(lines.next().unwrap()).unwrap();
         prop_assert_eq!(
             header.get("schema_version").and_then(|v| v.as_u64()),
             Some(u64::from(SCHEMA_VERSION))
         );
         let back: Vec<TraceRecord> = lines
-            .map(|l| serde_json::from_str(l).unwrap())
+            .map(|l| json::from_str(l).unwrap())
             .collect();
         prop_assert_eq!(back, records);
     }
@@ -597,16 +507,16 @@ const RECORD_NAMES: [&str; 16] = [
 
 /// An arbitrary field value of the shapes the taxonomy uses: bools,
 /// counters, finite floats, labels, and homogeneous arrays.
-fn arbitrary_field_value() -> impl Strategy<Value = serde_json::Value> {
+fn arbitrary_field_value() -> impl Strategy<Value = Json> {
     prop_oneof![
-        any::<bool>().prop_map(serde_json::Value::from),
-        any::<u64>().prop_map(serde_json::Value::from),
-        any::<i64>().prop_map(serde_json::Value::from),
+        any::<bool>().prop_map(Json::from),
+        any::<u64>().prop_map(Json::from),
+        any::<i64>().prop_map(Json::from),
         any::<f64>()
             .prop_filter("finite", |f| f.is_finite())
-            .prop_map(serde_json::Value::from),
-        "[a-z_:.]{1,16}".prop_map(serde_json::Value::from),
-        proptest::collection::vec(any::<u64>(), 0..4).prop_map(serde_json::Value::from),
+            .prop_map(Json::from),
+        "[a-z_:.]{1,16}".prop_map(Json::from),
+        testkit::collection::vec(any::<u64>(), 0..4).prop_map(Json::from),
     ]
 }
 
@@ -617,8 +527,8 @@ fn arbitrary_record() -> impl Strategy<Value = TraceRecord> {
         Just(TraceKind::Event),
         Just(TraceKind::Stage),
     ];
-    let name = proptest::sample::select(RECORD_NAMES.to_vec());
-    let fields = proptest::collection::vec(("[a-z_]{1,12}", arbitrary_field_value()), 0..5);
+    let name = testkit::sample::select(RECORD_NAMES.to_vec());
+    let fields = testkit::collection::vec(("[a-z_]{1,12}", arbitrary_field_value()), 0..5);
     (kind, name, 0usize..32, any::<u64>(), any::<u64>(), fields).prop_map(
         |(kind, name, stage, t_ns, dur, fields)| TraceRecord {
             t_ns,
@@ -640,14 +550,10 @@ proptest! {
     /// re-serializes byte-identically.
     #[test]
     fn any_record_type_reserializes_byte_identically(record in arbitrary_record()) {
-        if stub_serde() {
-            eprintln!("skipped: offline serde stub cannot serialize");
-            return Ok(());
-        }
-        let line = serde_json::to_string(&record).unwrap();
-        let back: TraceRecord = serde_json::from_str(&line).unwrap();
+        let line = json::to_string(&record);
+        let back: TraceRecord = json::from_str(&line).unwrap();
         prop_assert_eq!(&back, &record);
-        prop_assert_eq!(serde_json::to_string(&back).unwrap(), line);
+        prop_assert_eq!(json::to_string(&back), line);
     }
 }
 
@@ -656,10 +562,6 @@ proptest! {
 /// round-trips byte-identically through [`TraceRecord`].
 #[test]
 fn server_trace_lines_round_trip_byte_identically() {
-    if stub_serde() {
-        eprintln!("skipped: offline serde stub cannot serialize");
-        return;
-    }
     let mut db = small_db(11);
     db.inject_faults(FaultPlan::new(5).with_transient(0.05));
     let tracer = Tracer::recording(db.disk().clock().clone());
@@ -675,9 +577,9 @@ fn server_trace_lines_round_trip_byte_identically() {
     let jsonl = tracer.to_jsonl();
     let mut decisions = 0usize;
     for line in jsonl.lines().skip(1) {
-        let back: TraceRecord = serde_json::from_str(line).expect("every line parses");
+        let back: TraceRecord = json::from_str(line).expect("every line parses");
         assert_eq!(
-            serde_json::to_string(&back).unwrap(),
+            json::to_string(&back),
             line,
             "re-serialization is byte-identical"
         );

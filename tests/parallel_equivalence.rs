@@ -15,7 +15,7 @@
 //!    against the serial reference, so the suite pins a specific
 //!    worker count per CI job.
 //! 4. **Property** — arbitrary seeds, quotas, and worker counts
-//!    replay identically (proptest).
+//!    replay identically (property test).
 //! 5. **Cache stress** — the sharded [`eram_storage::BlockCache`]
 //!    under concurrent readers/writers keeps exact hit/miss
 //!    accounting and never exceeds capacity.
@@ -23,18 +23,12 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use proptest::prelude::*;
+use testkit::prelude::*;
 
 use eram_bench::{Workload, WorkloadKind};
 use eram_core::{AggregateFn, Database, Tracer};
 use eram_relalg::{CmpOp, Expr, Predicate};
-use eram_storage::{Block, BlockCache, ColumnType, Schema, Tuple, Value};
-
-/// True under the offline stand-in crates (see `offline/README.md`):
-/// the stub serde cannot serialize the replay artifacts.
-fn stub_serde() -> bool {
-    serde_json::to_string(&0u32).is_err()
-}
+use eram_storage::{json, Block, BlockCache, ColumnType, Schema, Tuple, Value};
 
 /// Runs one seeded workload query at the given worker count and
 /// returns the serialized report plus the JSONL trace.
@@ -54,18 +48,11 @@ fn run_workload(
             .tracer(tracer.clone())
             .run()
             .expect("workload query must execute");
-    (
-        serde_json::to_string(&out.report).expect("report serializes"),
-        tracer.to_jsonl(),
-    )
+    (json::to_string(&out.report), tracer.to_jsonl())
 }
 
 #[test]
 fn join_replays_byte_identically_at_any_worker_count() {
-    if stub_serde() {
-        eprintln!("skipped: offline serde stub cannot serialize the replay artifacts");
-        return;
-    }
     let kind = WorkloadKind::Join {
         output_tuples: 70_000,
     };
@@ -84,10 +71,6 @@ fn join_replays_byte_identically_at_any_worker_count() {
 
 #[test]
 fn hard_deadline_abort_replays_identically_under_workers() {
-    if stub_serde() {
-        eprintln!("skipped: offline serde stub cannot serialize the replay artifacts");
-        return;
-    }
     // A quota this tight forces the deadline to fire mid-stage, so the
     // runs exercise the abort path (sampler rewind + banked pending
     // tuples) — which must also be charge-for-charge deterministic.
@@ -157,18 +140,11 @@ fn run_grouped_sum(workers: usize, seed: u64, quota: Duration) -> (String, Strin
         .tracer(tracer.clone())
         .run()
         .expect("grouped query must execute");
-    (
-        serde_json::to_string(&out.report).expect("report serializes"),
-        tracer.to_jsonl(),
-    )
+    (json::to_string(&out.report), tracer.to_jsonl())
 }
 
 #[test]
 fn grouped_sum_replays_byte_identically_at_any_worker_count() {
-    if stub_serde() {
-        eprintln!("skipped: offline serde stub cannot serialize the replay artifacts");
-        return;
-    }
     // The per-group report (group keys, per-group CIs, freeze stages)
     // must be byte-stable under the worker pool, exactly like the
     // scalar report.
@@ -187,10 +163,6 @@ fn grouped_sum_replays_byte_identically_at_any_worker_count() {
 
 #[test]
 fn grouped_sum_deadline_abort_replays_identically_under_workers() {
-    if stub_serde() {
-        eprintln!("skipped: offline serde stub cannot serialize the replay artifacts");
-        return;
-    }
     // A quota too tight for census forces a mid-run stop with partial
     // per-group answers; the abort path must stay deterministic.
     let quota = Duration::from_millis(400);
@@ -207,10 +179,6 @@ fn grouped_sum_deadline_abort_replays_identically_under_workers() {
 
 #[test]
 fn ci_selected_worker_count_matches_the_serial_reference() {
-    if stub_serde() {
-        eprintln!("skipped: offline serde stub cannot serialize the replay artifacts");
-        return;
-    }
     let workers: usize = std::env::var("ERAM_WORKERS")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -235,10 +203,6 @@ proptest! {
         workers in 2usize..=8,
         output_thousands in 0u64..=10,
     ) {
-        if stub_serde() {
-            eprintln!("skipped: offline serde stub cannot serialize the replay artifacts");
-            return Ok(());
-        }
         let kind = WorkloadKind::Select { output_tuples: output_thousands * 1_000 };
         let quota = Duration::from_millis(quota_ms);
         let (report_1, trace_1) = run_workload(kind, 1, seed, quota);

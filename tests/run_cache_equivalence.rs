@@ -16,14 +16,9 @@ use eram_bench::{Workload, WorkloadKind};
 use eram_core::{AggregateFn, Database, Tracer};
 use eram_relalg::{CmpOp, Expr, Predicate};
 use eram_storage::{
-    ColumnType, DeviceProfile, Disk, FaultPlan, HeapFile, RunCache, Schema, SimClock, Tuple, Value,
+    json, ColumnType, DeviceProfile, Disk, FaultPlan, HeapFile, RunCache, Schema, SimClock, Tuple,
+    Value,
 };
-
-/// True under the offline stand-in crates (see `offline/README.md`):
-/// the stub serde cannot serialize the replay artifacts.
-fn stub_serde() -> bool {
-    serde_json::to_string(&0u32).is_err()
-}
 
 /// Runs one seeded workload query and returns the serialized report
 /// plus the JSONL trace. `cache_tuples` of `None` keeps the engine's
@@ -51,18 +46,11 @@ fn run_workload(
         query = query.run_cache(tuples);
     }
     let out = query.run().expect("workload query must execute");
-    (
-        serde_json::to_string(&out.report).expect("report serializes"),
-        tracer.to_jsonl(),
-    )
+    (json::to_string(&out.report), tracer.to_jsonl())
 }
 
 #[test]
 fn join_reports_are_byte_identical_with_cache_on_and_off() {
-    if stub_serde() {
-        eprintln!("skipped: offline serde stub cannot serialize the replay artifacts");
-        return;
-    }
     let kind = WorkloadKind::Join {
         output_tuples: 70_000,
     };
@@ -84,10 +72,6 @@ fn join_reports_are_byte_identical_with_cache_on_and_off() {
 
 #[test]
 fn tiny_cache_bounds_are_also_invisible() {
-    if stub_serde() {
-        eprintln!("skipped: offline serde stub cannot serialize the replay artifacts");
-        return;
-    }
     // A cache far too small to hold every run forces constant
     // eviction and re-decode; the simulated results must not notice.
     let kind = WorkloadKind::Join {
@@ -145,18 +129,11 @@ fn run_grouped_sum(workers: usize, seed: u64, cache_tuples: Option<usize>) -> (S
         query = query.run_cache(tuples);
     }
     let out = query.run().expect("grouped query must execute");
-    (
-        serde_json::to_string(&out.report).expect("report serializes"),
-        tracer.to_jsonl(),
-    )
+    (json::to_string(&out.report), tracer.to_jsonl())
 }
 
 #[test]
 fn grouped_sum_reports_are_byte_identical_with_cache_on_and_off() {
-    if stub_serde() {
-        eprintln!("skipped: offline serde stub cannot serialize the replay artifacts");
-        return;
-    }
     for workers in [1, 4] {
         let (report_on, trace_on) = run_grouped_sum(workers, 37, None);
         let (report_off, trace_off) = run_grouped_sum(workers, 37, Some(0));
@@ -171,10 +148,6 @@ fn grouped_sum_reports_are_byte_identical_with_cache_on_and_off() {
 
 #[test]
 fn faulted_runs_stay_identical_with_and_without_the_cache() {
-    if stub_serde() {
-        eprintln!("skipped: offline serde stub cannot serialize the replay artifacts");
-        return;
-    }
     // Corrupt and transient faults make run re-reads lossy; degraded
     // reads must bypass the cache, so cached and uncached executions
     // still agree charge for charge and tuple for tuple.
@@ -196,10 +169,6 @@ fn faulted_runs_stay_identical_with_and_without_the_cache() {
 
 #[test]
 fn heavy_chaos_cannot_expose_stale_cached_runs() {
-    if stub_serde() {
-        eprintln!("skipped: offline serde stub cannot serialize the replay artifacts");
-        return;
-    }
     // Much heavier degradation than the leg above: with one in five
     // run-block reads corrupted or transiently lost, most runs come
     // back incomplete, which drives the degraded-read invalidation

@@ -2,7 +2,7 @@
 
 use std::time::Duration;
 
-use proptest::prelude::*;
+use testkit::prelude::*;
 
 use eram_bench::{harness::run_trial, TrialConfig, WorkloadKind};
 use eram_core::{Database, OneAtATimeInterval, StoppingCriterion};
