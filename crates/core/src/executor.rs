@@ -497,11 +497,19 @@ impl<'a> StageRun<'a> {
             });
         }
         let mut stage_fulfillment: Option<Fulfillment> = None;
-        let planning_remaining = if in_tail {
-            // A stage sized to the whole decay tail would finish at
-            // zero value; offer the strategy only part of the tail so
-            // a worthwhile (value × precision) trade exists, and let
-            // the utility gate below judge it.
+        let measured_hard = hard && !self.disk.clock().is_simulated();
+        let planning_remaining = if in_tail || measured_hard {
+            // Offer the strategy only half of what is left. In the
+            // tail, a stage sized to the whole decay would finish at
+            // zero value, and the utility gate below judges the
+            // trade. Under a hard deadline on a measured clock, a
+            // stage that overruns is aborted and banks nothing, and
+            // the cost coefficients fitted on a small probe stage
+            // under-predict a large one (cold caches, a neighbour) by
+            // up to 1.9×: half keeps such a stage inside the quota
+            // and leaves the next one the rest. A simulated clock
+            // charges exactly what the model predicts from, so it
+            // needs no reserve and plans as it always has.
             Duration::from_secs_f64(remaining.as_secs_f64() * 0.5)
         } else {
             remaining
@@ -856,8 +864,8 @@ mod tests {
     use eram_relalg::{eval, CmpOp, Predicate};
     use eram_storage::ToJson;
     use eram_storage::{
-        Clock, ColumnType, DeviceProfile, HeapFile, Schema, SharedDrawBroker, SimClock, Tuple,
-        Value,
+        Clock, ColumnType, DeviceProfile, FileId, HeapFile, Schema, SharedDrawBroker, SimClock,
+        Tuple, Value,
     };
 
     fn setup(jitter: bool) -> (Arc<Disk>, Catalog) {
@@ -1512,5 +1520,34 @@ mod tests {
             "estimate {} vs truth {truth}",
             out.estimate.estimate
         );
+    }
+
+    /// Run files are temporaries of the query that wrote them: when
+    /// it returns, the disk holds the base relations and nothing else
+    /// — on the root disk and through a lane view alike.
+    #[test]
+    fn a_join_frees_its_run_files_when_it_ends() {
+        let (disk, cat) = setup(false);
+        let expr = Expr::relation("r").join(Expr::relation("s"), vec![(0, 0)]);
+        let mut cfg = config(12.0);
+        cfg.defaults = SelectivityDefaults::paper_join_experiment();
+        let lane = disk.lane_view(Arc::new(SimClock::new()), 3, 0, None);
+        let mut first_free = disk.create_file().0 + 1;
+        for view in [&disk, &lane] {
+            let out = execute_count(view, &cat, &expr, Duration::from_secs(30), &cfg, 7).unwrap();
+            assert!(out.report.completed_stages() >= 2);
+            assert!(view.stats().block_writes > 0, "the join wrote runs");
+            let next = disk.create_file().0;
+            assert!(next > first_free, "the runs were files on this disk");
+            for id in first_free..next {
+                let gone = disk.num_blocks(FileId(id)).unwrap_err();
+                assert_eq!(
+                    gone,
+                    StorageError::UnknownFile(id),
+                    "a run file outlived its query"
+                );
+            }
+            first_free = next + 1;
+        }
     }
 }

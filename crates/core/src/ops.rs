@@ -340,6 +340,18 @@ pub(crate) enum RunData {
     Mem(Arc<[Tuple]>),
 }
 
+/// A run file is a temporary of the operator that wrote it: its
+/// blocks go back to the disk with the run. Freeing charges nothing
+/// and file ids are never reused, so no later charge, fault decision
+/// or trace byte depends on it.
+impl Drop for RunData {
+    fn drop(&mut self) {
+        if let RunData::File(file) = self {
+            file.disk().free_file(file.file_id());
+        }
+    }
+}
+
 /// One sorted run of a binary operator's input (a stage's worth).
 pub(crate) struct Run {
     data: RunData,

@@ -1,40 +1,63 @@
 //! Block store backends: in-memory and file-backed.
 //!
 //! [`crate::Disk`] charges the clock and manages the cache; the
-//! *backend* owns the bytes. The in-memory backend suits experiments
-//! (a paper relation is 2 MB); the file-backed backend keeps every
-//! relation and temporary in a real file on disk, so data sets larger
-//! than RAM work — what the prototype's "all the input relations and
-//! all the intermediate relations are always kept on disks" actually
-//! meant.
+//! *backend* owns the bytes, and beside each block the digest
+//! recorded when it was written, so one lookup under one lock yields
+//! both halves of a verified read. The in-memory backend suits
+//! experiments (a paper relation is 2 MB) and hands out shared
+//! handles to the blocks it holds; the file-backed backend keeps
+//! every relation and temporary in a real file on disk, so data sets
+//! larger than RAM work — what the prototype's "all the input
+//! relations and all the intermediate relations are always kept on
+//! disks" actually meant.
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use crate::block::Block;
 use crate::error::StorageError;
 use crate::Result;
 
-/// Owns block storage for a set of files.
+/// What a verified read needs: a block and the digest its writer
+/// recorded for it.
+pub(crate) type Slot = (Arc<Block>, u64);
+
+/// Owns block storage for a set of files, a [`Slot`] per block.
 pub(crate) trait BlockBackend: Send {
     /// Allocates a new empty file and returns its id.
     fn create_file(&mut self) -> u64;
-    /// Releases a file.
+    /// Releases a file, its digests with it.
     fn free_file(&mut self, file: u64);
     /// Blocks currently in `file`, or `None` if unknown.
     fn num_blocks(&self, file: u64) -> Option<u64>;
-    /// Appends a block, returning its index.
-    fn append(&mut self, file: u64, block: &Block) -> Result<u64>;
-    /// Reads block `index`.
-    fn read(&self, file: u64, index: u64) -> Result<Block>;
-    /// Overwrites block `index`.
-    fn write(&mut self, file: u64, index: u64, block: &Block) -> Result<()>;
+    /// Appends a block and its digest, returning the block's index.
+    fn append(&mut self, file: u64, slot: Slot) -> Result<u64>;
+    /// Reads block `index` and the digest recorded for it.
+    fn read(&self, file: u64, index: u64) -> Result<Slot>;
+    /// Overwrites block `index` and its digest.
+    fn write(&mut self, file: u64, index: u64, slot: Slot) -> Result<()>;
 }
 
-/// Blocks held in process memory.
+/// `index` as a position in a file of `len` blocks, or the
+/// out-of-range error naming `file`.
+fn position(len: usize, file: u64, index: u64) -> Result<usize> {
+    usize::try_from(index)
+        .ok()
+        .filter(|&i| i < len)
+        .ok_or(StorageError::BlockOutOfRange {
+            file,
+            block: index,
+            len: len as u64,
+        })
+}
+
+/// Blocks held in process memory. Reads share the stored block: a
+/// reader's handle keeps the bytes it saw alive across a later
+/// overwrite, which replaces the slot rather than the bytes.
 pub(crate) struct MemoryBackend {
-    files: HashMap<u64, Vec<Block>>,
+    files: HashMap<u64, Vec<Slot>>,
     next_file: u64,
 }
 
@@ -63,56 +86,40 @@ impl BlockBackend for MemoryBackend {
         self.files.get(&file).map(|b| b.len() as u64)
     }
 
-    fn append(&mut self, file: u64, block: &Block) -> Result<u64> {
-        let blocks = self
+    fn append(&mut self, file: u64, slot: Slot) -> Result<u64> {
+        let slots = self
             .files
             .get_mut(&file)
             .ok_or(StorageError::UnknownFile(file))?;
-        blocks.push(block.clone());
-        Ok(blocks.len() as u64 - 1)
+        slots.push(slot);
+        Ok(slots.len() as u64 - 1)
     }
 
-    fn read(&self, file: u64, index: u64) -> Result<Block> {
-        let blocks = self
+    fn read(&self, file: u64, index: u64) -> Result<Slot> {
+        let slots = self
             .files
             .get(&file)
             .ok_or(StorageError::UnknownFile(file))?;
-        let len = blocks.len() as u64;
-        usize::try_from(index)
-            .ok()
-            .and_then(|i| blocks.get(i))
-            .cloned()
-            .ok_or(StorageError::BlockOutOfRange {
-                file,
-                block: index,
-                len,
-            })
+        Ok(slots[position(slots.len(), file, index)?].clone())
     }
 
-    fn write(&mut self, file: u64, index: u64, block: &Block) -> Result<()> {
-        let blocks = self
+    fn write(&mut self, file: u64, index: u64, slot: Slot) -> Result<()> {
+        let slots = self
             .files
             .get_mut(&file)
             .ok_or(StorageError::UnknownFile(file))?;
-        let len = blocks.len() as u64;
-        let slot = usize::try_from(index)
-            .ok()
-            .and_then(|i| blocks.get_mut(i))
-            .ok_or(StorageError::BlockOutOfRange {
-                file,
-                block: index,
-                len,
-            })?;
-        *slot = block.clone();
+        let at = position(slots.len(), file, index)?;
+        slots[at] = slot;
         Ok(())
     }
 }
 
-/// Blocks held in one OS file per logical file under a directory.
+/// Blocks held in one OS file per logical file under a directory;
+/// the digests, one per block, stay in memory.
 pub(crate) struct FileBackend {
     dir: PathBuf,
     block_size: usize,
-    files: HashMap<u64, (File, u64)>,
+    files: HashMap<u64, (File, Vec<u64>)>,
     next_file: u64,
 }
 
@@ -151,7 +158,7 @@ impl BlockBackend for FileBackend {
             .truncate(true)
             .open(self.path(id))
         {
-            self.files.insert(id, (f, 0));
+            self.files.insert(id, (f, Vec::new()));
         }
         id
     }
@@ -163,54 +170,46 @@ impl BlockBackend for FileBackend {
     }
 
     fn num_blocks(&self, file: u64) -> Option<u64> {
-        self.files.get(&file).map(|(_, n)| *n)
+        self.files
+            .get(&file)
+            .map(|(_, digests)| digests.len() as u64)
     }
 
-    fn append(&mut self, file: u64, block: &Block) -> Result<u64> {
+    fn append(&mut self, file: u64, slot: Slot) -> Result<u64> {
         use std::os::unix::fs::FileExt;
-        let block_size = self.block_size;
-        let (f, n) = self
+        let block_size = self.block_size as u64;
+        let (f, digests) = self
             .files
             .get_mut(&file)
             .ok_or(StorageError::UnknownFile(file))?;
-        f.write_all_at(block.bytes(), *n * block_size as u64)?;
-        *n += 1;
-        Ok(*n - 1)
+        let index = digests.len() as u64;
+        f.write_all_at(slot.0.bytes(), index * block_size)?;
+        digests.push(slot.1);
+        Ok(index)
     }
 
-    fn read(&self, file: u64, index: u64) -> Result<Block> {
+    fn read(&self, file: u64, index: u64) -> Result<Slot> {
         use std::os::unix::fs::FileExt;
-        let (f, n) = self
+        let (f, digests) = self
             .files
             .get(&file)
             .ok_or(StorageError::UnknownFile(file))?;
-        if index >= *n {
-            return Err(StorageError::BlockOutOfRange {
-                file,
-                block: index,
-                len: *n,
-            });
-        }
+        let digest = digests[position(digests.len(), file, index)?];
         let mut block = Block::zeroed(self.block_size);
         f.read_exact_at(block.bytes_mut(), index * self.block_size as u64)?;
-        Ok(block)
+        Ok((Arc::new(block), digest))
     }
 
-    fn write(&mut self, file: u64, index: u64, block: &Block) -> Result<()> {
+    fn write(&mut self, file: u64, index: u64, slot: Slot) -> Result<()> {
         use std::os::unix::fs::FileExt;
-        let block_size = self.block_size;
-        let (f, n) = self
+        let block_size = self.block_size as u64;
+        let (f, digests) = self
             .files
             .get_mut(&file)
             .ok_or(StorageError::UnknownFile(file))?;
-        if index >= *n {
-            return Err(StorageError::BlockOutOfRange {
-                file,
-                block: index,
-                len: *n,
-            });
-        }
-        f.write_all_at(block.bytes(), index * block_size as u64)?;
+        let at = position(digests.len(), file, index)?;
+        f.write_all_at(slot.0.bytes(), index * block_size)?;
+        digests[at] = slot.1;
         Ok(())
     }
 }
@@ -219,11 +218,11 @@ impl BlockBackend for FileBackend {
 mod tests {
     use super::*;
 
-    fn block(tag: u8, size: usize) -> Block {
+    fn block(tag: u8, size: usize) -> Arc<Block> {
         let mut b = Block::zeroed(size);
         b.bytes_mut()[0] = tag;
         b.bytes_mut()[size - 1] = tag;
-        b
+        Arc::new(b)
     }
 
     fn temp_dir(label: &str) -> PathBuf {
@@ -238,23 +237,25 @@ mod tests {
         let f = backend.create_file();
         assert_eq!(backend.num_blocks(f), Some(0));
         for i in 0..5u8 {
-            let idx = backend.append(f, &block(i, size)).unwrap();
+            let idx = backend.append(f, (block(i, size), u64::from(i))).unwrap();
             assert_eq!(idx, u64::from(i));
         }
         assert_eq!(backend.num_blocks(f), Some(5));
         for i in 0..5u8 {
-            let b = backend.read(f, u64::from(i)).unwrap();
+            let (b, digest) = backend.read(f, u64::from(i)).unwrap();
             assert_eq!(b.bytes()[0], i);
             assert_eq!(b.bytes()[size - 1], i);
+            assert_eq!(digest, u64::from(i), "the digest stored with the block");
         }
-        backend.write(f, 2, &block(99, size)).unwrap();
-        assert_eq!(backend.read(f, 2).unwrap().bytes()[0], 99);
+        backend.write(f, 2, (block(99, size), 990)).unwrap();
+        let (b, digest) = backend.read(f, 2).unwrap();
+        assert_eq!((b.bytes()[0], digest), (99, 990));
         assert!(matches!(
             backend.read(f, 5),
             Err(StorageError::BlockOutOfRange { .. })
         ));
         assert!(matches!(
-            backend.write(f, 5, &block(0, size)),
+            backend.write(f, 5, (block(0, size), 0)),
             Err(StorageError::BlockOutOfRange { .. })
         ));
         backend.free_file(f);
@@ -274,13 +275,13 @@ mod tests {
     fn hostile_index_is_an_error_not_a_panic() {
         let mut b = MemoryBackend::new();
         let f = b.create_file();
-        b.append(f, &block(1, 16)).unwrap();
+        b.append(f, (block(1, 16), 0)).unwrap();
         assert!(matches!(
             b.read(f, u64::MAX),
             Err(StorageError::BlockOutOfRange { block, .. }) if block == u64::MAX
         ));
         assert!(matches!(
-            b.write(f, u64::MAX, &block(2, 16)),
+            b.write(f, u64::MAX, (block(2, 16), 0)),
             Err(StorageError::BlockOutOfRange { .. })
         ));
     }
@@ -297,7 +298,7 @@ mod tests {
         let dir = temp_dir("free");
         let mut b = FileBackend::new(&dir, 32).unwrap();
         let f = b.create_file();
-        b.append(f, &block(1, 32)).unwrap();
+        b.append(f, (block(1, 32), 0)).unwrap();
         let path = dir.join(format!("eram-{f}.blk"));
         assert!(path.exists());
         b.free_file(f);

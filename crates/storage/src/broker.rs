@@ -30,7 +30,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::block::Block;
+use crate::backend::Slot;
 use crate::disk::FileId;
 use crate::sync::Mutex;
 
@@ -40,8 +40,9 @@ pub struct SharedDrawBroker {
     /// File ids eligible for pooling (base relations only).
     files: HashSet<u64>,
     /// Clean verified blocks published by the first lane to fetch
-    /// them, keyed by `(file, block)`.
-    pool: Mutex<HashMap<(u64, u64), Arc<Block>>>,
+    /// them, each with the digest the backend holds for it, keyed by
+    /// `(file, block)`.
+    pool: Mutex<HashMap<(u64, u64), Slot>>,
     /// Pool hits served (each one a physical read avoided).
     shared_hits: AtomicU64,
     /// Physical fetches published into the pool.
@@ -64,8 +65,8 @@ impl SharedDrawBroker {
         self.files.contains(&file.0)
     }
 
-    /// Looks up a previously published block.
-    pub(crate) fn get(&self, file: u64, index: u64) -> Option<Arc<Block>> {
+    /// Looks up a previously published block and its recorded digest.
+    pub(crate) fn get(&self, file: u64, index: u64) -> Option<Slot> {
         let hit = self.pool.lock().get(&(file, index)).cloned();
         if hit.is_some() {
             self.shared_hits.fetch_add(1, Ordering::Relaxed);
@@ -73,9 +74,10 @@ impl SharedDrawBroker {
         hit
     }
 
-    /// Publishes a clean, checksum-verified block for other lanes.
-    pub(crate) fn publish(&self, file: u64, index: u64, block: Arc<Block>) {
-        if self.pool.lock().insert((file, index), block).is_none() {
+    /// Publishes a clean, checksum-verified block for other lanes,
+    /// with the recorded digest each of them verifies it against.
+    pub(crate) fn publish(&self, file: u64, index: u64, slot: Slot) {
+        if self.pool.lock().insert((file, index), slot).is_none() {
             self.published.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -104,6 +106,7 @@ impl std::fmt::Debug for SharedDrawBroker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::Block;
 
     #[test]
     fn broker_counts_hits_and_publishes_once() {
@@ -114,10 +117,10 @@ mod tests {
         // A miss does not count as a hit.
         assert_eq!(broker.shared_hits(), 0);
         let block = Arc::new(Block::zeroed(64));
-        broker.publish(1, 0, Arc::clone(&block));
-        broker.publish(1, 0, Arc::clone(&block)); // idempotent
+        broker.publish(1, 0, (Arc::clone(&block), 7));
+        broker.publish(1, 0, (Arc::clone(&block), 7)); // idempotent
         assert_eq!(broker.published(), 1);
-        assert!(broker.get(1, 0).is_some());
+        assert_eq!(broker.get(1, 0).map(|(_, digest)| digest), Some(7));
         assert_eq!(broker.shared_hits(), 1);
     }
 }

@@ -16,8 +16,8 @@
 //!
 //! # Lane views
 //!
-//! A disk is split into *shared* state (the backend bytes, checksum
-//! digests, and file versions — one copy per physical device) and
+//! A disk is split into *shared* state (the backend's blocks, each
+//! with its digest, and file versions — one copy per physical device) and
 //! *per-view* state (the jitter RNG, the fault injector's attempt
 //! counters, and the activity counters). [`Disk::lane_view`] derives
 //! a second handle onto the same backend whose charges go to a
@@ -69,10 +69,9 @@ pub struct DiskStats {
 /// backend bytes plus the integrity/version bookkeeping that must
 /// agree across views.
 struct DiskShared {
+    /// Every block written through this disk, beside the
+    /// [`Block::checksum`] it had then; verified on every charged read.
     backend: Box<dyn BlockBackend>,
-    /// FNV-1a digest of every block written through this disk, keyed
-    /// by (physical file, index); verified on every charged read.
-    checksums: HashMap<(u64, u64), u64>,
     /// Global mutation counter feeding `file_versions` — strictly
     /// monotone across all files, so a freed-and-recreated file can
     /// never repeat an old version.
@@ -205,7 +204,6 @@ impl Disk {
         Arc::new(Disk {
             shared: Arc::new(Mutex::new(DiskShared {
                 backend,
-                checksums: HashMap::new(),
                 write_stamp: 0,
                 file_versions: HashMap::new(),
             })),
@@ -276,11 +274,32 @@ impl Disk {
     }
 
     /// Maps a (possibly lane-virtual) file id to the backend's id.
+    /// Only tagged ids are ever in a lane's table, so a base
+    /// relation's reads never take its lock.
     fn physical(&self, file: FileId) -> u64 {
         match &self.lane {
-            Some(lane) => lane.lock().map.get(&file.0).copied().unwrap_or(file.0),
-            None => file.0,
+            Some(lane) if file.0 & LANE_FILE_TAG != 0 => {
+                lane.lock().map.get(&file.0).copied().unwrap_or(file.0)
+            }
+            _ => file.0,
         }
+    }
+
+    /// Records `block` and its digest at `at`, or appended — the
+    /// digest taken before, and everything else under, one hold of
+    /// the shared lock. Returns the block's index.
+    fn store(&self, file: FileId, at: Option<u64>, block: &Arc<Block>) -> Result<u64> {
+        assert_eq!(block.len(), self.block_size, "block size mismatch");
+        let slot = (Arc::clone(block), block.checksum());
+        let physical = self.physical(file);
+        let mut shared = self.shared.lock();
+        let stored = match at {
+            Some(index) => shared.backend.write(physical, index, slot).map(|()| index),
+            None => shared.backend.append(physical, slot),
+        };
+        let index = stored.map_err(|e| e.naming_file(file.0))?;
+        shared.bump_version(physical);
+        Ok(index)
     }
 
     /// Creates an in-memory disk fronted by an LRU buffer cache of
@@ -363,12 +382,16 @@ impl Disk {
         }
     }
 
-    /// Releases a file's blocks (temporary results between stages).
+    /// Releases a file's blocks and their digests (temporary results
+    /// between stages), and through a lane view the id's mapping: the
+    /// view no longer knows the file.
     pub fn free_file(&self, file: FileId) {
-        let physical = self.physical(file);
+        let physical = match &self.lane {
+            Some(lane) => lane.lock().map.remove(&file.0).unwrap_or(file.0),
+            None => file.0,
+        };
         let mut shared = self.shared.lock();
         shared.backend.free_file(physical);
-        shared.checksums.retain(|&(f, _), _| f != physical);
         // A freed file's content is gone: advance its version so any
         // decoded-run cache entry keyed to the old version can never
         // serve again, even if a backend ever reused the id.
@@ -410,19 +433,18 @@ impl Disk {
     /// # Panics
     /// Panics if the block's size differs from the disk's block size.
     pub fn append_block(&self, file: FileId, block: Block) -> Result<u64> {
-        assert_eq!(block.len(), self.block_size, "block size mismatch");
+        self.write_charged(file, None, block)
+    }
+
+    /// A charged write of `block` at `at`, or appended: the backend
+    /// and the cache share the one allocation the caller moved in.
+    fn write_charged(&self, file: FileId, at: Option<u64>, block: Block) -> Result<u64> {
         self.charge(DeviceOp::BlockWrite);
         self.writes.fetch_add(1, Ordering::Relaxed);
-        let physical = self.physical(file);
-        let index = {
-            let mut shared = self.shared.lock();
-            let index = shared.backend.append(physical, &block)?;
-            shared.checksums.insert((physical, index), block.checksum());
-            shared.bump_version(physical);
-            index
-        };
+        let block = Arc::new(block);
+        let index = self.store(file, at, &block)?;
         if let Some(cache) = &self.cache {
-            cache.put(file.0, index, Arc::new(block));
+            cache.put(file.0, index, block);
         }
         Ok(index)
     }
@@ -444,8 +466,9 @@ impl Disk {
     /// and checksum verification are identical — only the physical
     /// backend fetch is skipped.
     ///
-    /// Returns a shared [`Arc<Block>`]: cache hits hand back the
-    /// resident block without copying its bytes.
+    /// Returns a shared [`Arc<Block>`]: cache and pool hits, and
+    /// misses on the in-memory backend, hand back the block that is
+    /// held there without copying its bytes.
     pub fn read_block(&self, file: FileId, index: u64) -> Result<Arc<Block>> {
         // Cache lookup first — the cache carries its own striped
         // locks, so hits never touch the backend lock.
@@ -457,16 +480,15 @@ impl Disk {
             self.charge(DeviceOp::CacheHit);
             return Ok(block);
         }
-        let cost = self.sample_charge(DeviceOp::BlockRead);
-        self.reads.fetch_add(1, Ordering::Relaxed);
         let physical = self.physical(file);
+        // The charge and the fault decision share one hold of the
+        // view's lock, so the jitter draw and the (file, block,
+        // attempt) accounting of two reads can never interleave.
+        // Spikes charge the clock directly.
         let mut local = self.local.lock();
-        // Fault decisions, the fetch, corruption, and checksum
-        // verification all happen under the view's lock so the
-        // (file, block, attempt) accounting can never interleave.
-        // Spikes charge the clock directly — `Clock::charge` is
-        // atomic, while `Disk::charge` would re-lock the view.
-        let mut injected_corrupt = false;
+        let cost = self.sample_charge(&mut local, DeviceOp::BlockRead);
+        self.reads.fetch_add(1, Ordering::Relaxed);
+        let mut corrupt_bit = None;
         if let Some(injector) = local.faults.as_mut() {
             let outcome = injector.on_read(file.0, index);
             if let Some(spike) = outcome.spike {
@@ -482,10 +504,13 @@ impl Disk {
                         ),
                     )));
                 }
-                Some(FaultKind::Corrupt) => injected_corrupt = true,
+                Some(FaultKind::Corrupt) => {
+                    corrupt_bit = Some(injector.corrupt_bit(file.0, index, self.block_size));
+                }
                 None => {}
             }
         }
+        drop(local);
         // Pool lookup happens only after the fault gate: a transient
         // failure never consults the pool, and a pool hit still pays
         // spikes/corruption from this lane's own injector.
@@ -495,57 +520,42 @@ impl Disk {
             .filter(|b| b.eligible(FileId(physical)));
         let pooled = broker.and_then(|b| b.get(physical, index));
         let from_pool = pooled.is_some();
-        let fetched: Arc<Block> = match pooled {
-            Some(block) => {
+        // The block and the digest recorded beside it when it was
+        // written come from one lookup, under the one hold of the
+        // shared lock a miss takes.
+        let (fetched, expected) = match pooled {
+            Some(slot) => {
                 self.shared_hits.fetch_add(1, Ordering::Relaxed);
                 self.saved_ns
                     .fetch_add(cost.as_nanos() as u64, Ordering::Relaxed);
-                block
+                slot
             }
-            None => Arc::new(self.shared.lock().backend.read(physical, index)?),
-        };
-        let block = if injected_corrupt {
-            // Flip one deterministic bit on the returned copy; the
-            // backend's bytes stay clean so uncharged (ground-truth)
-            // reads are unaffected.
-            let (byte, mask) = local
-                .faults
-                .as_ref()
-                .expect("injector set when corruption decided")
-                .corrupt_bit(file.0, index, fetched.len());
-            let mut copy = (*fetched).clone();
-            copy.bytes_mut()[byte] ^= mask;
-            Arc::new(copy)
-        } else {
-            fetched
-        };
-        let digest = self
-            .shared
-            .lock()
-            .checksums
-            .get(&(physical, index))
-            .copied();
-        if let Some(expected) = digest {
-            self.verifies.fetch_add(1, Ordering::Relaxed);
-            if block.checksum() != expected {
-                return Err(StorageError::Corrupt {
-                    file: file.0,
-                    block: index,
-                });
+            None => {
+                let stored = self.shared.lock().backend.read(physical, index);
+                stored.map_err(|e| e.naming_file(file.0))?
             }
-        } else if injected_corrupt {
-            // No recorded digest (block never written through this
-            // disk); the injected rot is still a detected corruption.
+        };
+        let block = match corrupt_bit {
+            // Flip one deterministic bit on a copy: `fetched` is the
+            // backend's (or the pool's) own block, which uncharged
+            // (ground-truth) reads and every other reader must keep
+            // seeing clean.
+            Some((byte, mask)) => {
+                let mut copy = Block::clone(&fetched);
+                copy.bytes_mut()[byte] ^= mask;
+                Arc::new(copy)
+            }
+            None => fetched,
+        };
+        self.verifies.fetch_add(1, Ordering::Relaxed);
+        if block.checksum() != expected {
             return Err(StorageError::Corrupt {
                 file: file.0,
                 block: index,
             });
         }
-        drop(local);
-        if !from_pool && !injected_corrupt {
-            if let Some(b) = broker {
-                b.publish(physical, index, Arc::clone(&block));
-            }
+        if let Some(b) = broker.filter(|_| !from_pool) {
+            b.publish(physical, index, (Arc::clone(&block), expected));
         }
         if let Some(cache) = &self.cache {
             cache.put(file.0, index, Arc::clone(&block));
@@ -557,50 +567,30 @@ impl Disk {
     /// for ground-truth evaluation and tests only.
     pub fn read_block_uncharged(&self, file: FileId, index: u64) -> Result<Block> {
         let physical = self.physical(file);
-        self.shared.lock().backend.read(physical, index)
+        let stored = self.shared.lock().backend.read(physical, index);
+        let (block, _) = stored.map_err(|e| e.naming_file(file.0))?;
+        Ok(Block::clone(&block))
     }
 
     /// Overwrites block `index` of `file`, charging one block write.
     pub fn write_block(&self, file: FileId, index: u64, block: Block) -> Result<()> {
-        assert_eq!(block.len(), self.block_size, "block size mismatch");
-        self.charge(DeviceOp::BlockWrite);
-        self.writes.fetch_add(1, Ordering::Relaxed);
-        let physical = self.physical(file);
-        {
-            let mut shared = self.shared.lock();
-            shared.backend.write(physical, index, &block)?;
-            shared.checksums.insert((physical, index), block.checksum());
-            shared.bump_version(physical);
-        }
-        if let Some(cache) = &self.cache {
-            cache.put(file.0, index, Arc::new(block));
-        }
-        Ok(())
+        self.write_charged(file, Some(index), block).map(|_| ())
     }
 
     /// Appends a block without charging the clock — for loading base
     /// relations before the query's quota is armed, and for tests.
     pub fn append_block_uncharged(&self, file: FileId, block: Block) -> Result<u64> {
-        assert_eq!(block.len(), self.block_size, "block size mismatch");
-        let physical = self.physical(file);
-        let mut shared = self.shared.lock();
-        let index = shared.backend.append(physical, &block)?;
-        shared.checksums.insert((physical, index), block.checksum());
-        shared.bump_version(physical);
-        Ok(index)
+        self.store(file, None, &Arc::new(block))
     }
 
     /// Samples the jittered duration for `op` from this view's RNG
     /// and charges the clock, returning what was charged (zero under
     /// a wall clock, where charges are free).
-    fn sample_charge(&self, op: DeviceOp) -> Duration {
+    fn sample_charge(&self, local: &mut DiskLocal, op: DeviceOp) -> Duration {
         if !self.clock.is_simulated() {
             return Duration::ZERO;
         }
-        let d = {
-            let mut local = self.local.lock();
-            self.profile.sample(op, &mut local.rng)
-        };
+        let d = self.profile.sample(op, &mut local.rng);
         self.clock.charge(d);
         d
     }
@@ -617,7 +607,10 @@ impl Disk {
             }
             _ => {}
         }
-        self.sample_charge(op);
+        // A measured clock is never charged: skip the view's lock too.
+        if self.clock.is_simulated() {
+            self.sample_charge(&mut self.local.lock(), op);
+        }
     }
 
     /// Snapshot of the physical activity counters.
@@ -738,8 +731,162 @@ mod tests {
     fn free_file_releases() {
         let (_, disk) = sim_disk();
         let f = disk.create_file();
+        disk.append_block(f, Block::zeroed(disk.block_size()))
+            .unwrap();
         disk.free_file(f);
-        assert!(disk.num_blocks(f).is_err());
+        let unknown = StorageError::UnknownFile(f.0);
+        assert_eq!(disk.num_blocks(f).unwrap_err(), unknown);
+        assert_eq!(disk.read_block(f, 0).unwrap_err(), unknown);
+        assert_eq!(disk.read_block_uncharged(f, 0).unwrap_err(), unknown);
+        // Its digests went with it: a later file starts clean.
+        let g = disk.create_file();
+        assert_ne!(g, f, "file ids are not reused");
+        let mut b = Block::zeroed(disk.block_size());
+        b.bytes_mut()[0] = 1;
+        disk.append_block(g, b.clone()).unwrap();
+        assert_eq!(*disk.read_block(g, 0).unwrap(), b);
+    }
+
+    fn tagged(disk: &Disk, tag: u8) -> Block {
+        let mut b = Block::zeroed(disk.block_size());
+        b.bytes_mut().fill(tag);
+        b
+    }
+
+    #[test]
+    fn clean_reads_share_the_stored_block() {
+        let (_, disk) = sim_disk();
+        let f = disk.create_file();
+        disk.append_block_uncharged(f, tagged(&disk, 1)).unwrap();
+        let (a, b) = (
+            disk.read_block(f, 0).unwrap(),
+            disk.read_block(f, 0).unwrap(),
+        );
+        assert!(Arc::ptr_eq(&a, &b), "a miss hands out the backend's block");
+    }
+
+    #[test]
+    fn a_handle_keeps_its_bytes_across_an_overwrite() {
+        let (_, disk) = sim_disk();
+        let f = disk.create_file();
+        disk.append_block_uncharged(f, tagged(&disk, 1)).unwrap();
+        let before = disk.read_block(f, 0).unwrap();
+        disk.write_block(f, 0, tagged(&disk, 2)).unwrap();
+        assert_eq!(*before, tagged(&disk, 1), "the old handle is untouched");
+        assert_eq!(*disk.read_block(f, 0).unwrap(), tagged(&disk, 2));
+    }
+
+    #[test]
+    fn injected_corruption_never_reaches_the_stored_block() {
+        let (_, disk) = sim_disk();
+        let f = disk.create_file();
+        disk.append_block_uncharged(f, tagged(&disk, 7)).unwrap();
+        let held = disk.read_block(f, 0).unwrap();
+        disk.set_fault_plan(crate::FaultPlan::new(2).with_corruption(1.0));
+        let corrupt = StorageError::Corrupt {
+            file: f.0,
+            block: 0,
+        };
+        assert_eq!(disk.read_block(f, 0).unwrap_err(), corrupt);
+        // The flip landed on a copy: ground truth, a handle given out
+        // earlier, and the next clean charged read all see the bytes
+        // that were written.
+        assert_eq!(disk.read_block_uncharged(f, 0).unwrap(), tagged(&disk, 7));
+        assert_eq!(*held, tagged(&disk, 7));
+        disk.clear_fault_plan();
+        let clean = disk.read_block(f, 0).unwrap();
+        assert_eq!(*clean, tagged(&disk, 7));
+        assert!(Arc::ptr_eq(&clean, &held));
+    }
+
+    #[test]
+    fn every_read_past_the_fault_gate_is_verified_broker_or_not() {
+        let (_, disk) = sim_disk();
+        let f = disk.create_file();
+        for i in 0..100u8 {
+            disk.append_block_uncharged(f, tagged(&disk, i)).unwrap();
+        }
+        disk.set_fault_plan(
+            crate::FaultPlan::new(77)
+                .with_transient(0.2)
+                .with_corruption(0.1),
+        );
+        let broker = SharedDrawBroker::new([f]);
+        let counts = |broker: Option<&Arc<SharedDrawBroker>>| {
+            let lanes = [0, 1]
+                .map(|i| disk.lane_view(Arc::new(SimClock::new()), 1, i, broker.map(Arc::clone)));
+            lanes.map(|lane| {
+                let corrupt = (0..100u64)
+                    .filter(|&i| matches!(lane.read_block(f, i), Err(StorageError::Corrupt { .. })))
+                    .count() as u64;
+                let (stats, faults) = (lane.stats(), lane.fault_stats().unwrap());
+                assert!(faults.transient_errors > 0 && corrupt > 0);
+                assert_eq!(faults.corrupt_reads, corrupt, "every flip was caught");
+                assert_eq!(
+                    stats.checksum_verifies,
+                    stats.block_reads - faults.transient_errors
+                );
+                stats
+            })
+        };
+        let alone = counts(None);
+        assert_eq!(counts(Some(&broker)), alone);
+        assert!(
+            broker.shared_hits() > 0,
+            "the second lane drew from the pool"
+        );
+    }
+
+    #[test]
+    fn lane_view_errors_name_the_callers_file_id() {
+        let (_, disk) = sim_disk();
+        let lane = disk.lane_view(Arc::new(SimClock::new()), 1, 3, None);
+        // Two root files first, so the lane's physical id differs
+        // from every id the lane hands out.
+        disk.create_file();
+        disk.create_file();
+        let f = lane.create_file();
+        lane.append_block(f, tagged(&lane, 1)).unwrap();
+        let out_of_range = StorageError::BlockOutOfRange {
+            file: f.0,
+            block: 5,
+            len: 1,
+        };
+        assert_eq!(lane.read_block(f, 5).unwrap_err(), out_of_range);
+        assert_eq!(lane.read_block_uncharged(f, 5).unwrap_err(), out_of_range);
+        assert_eq!(
+            lane.write_block(f, 5, tagged(&lane, 2)).unwrap_err(),
+            out_of_range
+        );
+        lane.set_fault_plan(crate::FaultPlan::new(2).with_corruption(1.0));
+        let corrupt = StorageError::Corrupt {
+            file: f.0,
+            block: 0,
+        };
+        assert_eq!(lane.read_block(f, 0).unwrap_err(), corrupt);
+        lane.set_fault_plan(crate::FaultPlan::new(2).with_transient(1.0));
+        let transient = lane.read_block(f, 0).unwrap_err();
+        assert!(transient.to_string().contains(&format!("file {}", f.0)));
+        lane.clear_fault_plan();
+        lane.free_file(f);
+        let unknown = StorageError::UnknownFile(f.0);
+        assert_eq!(lane.read_block(f, 0).unwrap_err(), unknown);
+        assert_eq!(lane.num_blocks(f).unwrap_err(), unknown);
+        assert_eq!(lane.append_block(f, tagged(&lane, 3)).unwrap_err(), unknown);
+    }
+
+    #[test]
+    fn lane_free_file_forgets_the_virtual_id() {
+        let (_, disk) = sim_disk();
+        let lane = disk.lane_view(Arc::new(SimClock::new()), 1, 0, None);
+        let files = [lane.create_file(), lane.create_file()];
+        let mapped = || lane.lane.as_ref().unwrap().lock().map.len();
+        assert_eq!(mapped(), 2);
+        lane.free_file(files[0]);
+        assert_eq!(mapped(), 1);
+        lane.append_block(files[1], tagged(&lane, 1)).unwrap();
+        assert_eq!(lane.num_blocks(files[1]).unwrap(), 1);
+        assert_eq!(disk.shared.lock().backend.num_blocks(0), None);
     }
 
     #[test]

@@ -104,6 +104,19 @@ impl StorageError {
         StorageError::Io(IoFault::new(std::io::ErrorKind::Other, message))
     }
 
+    /// The same error with `file` as the file it names. A backend
+    /// reports the physical id it was asked for; the caller of a
+    /// [`crate::Disk`] lane view knows the file by another.
+    pub(crate) fn naming_file(self, file: u64) -> Self {
+        match self {
+            StorageError::BlockOutOfRange { block, len, .. } => {
+                StorageError::BlockOutOfRange { file, block, len }
+            }
+            StorageError::UnknownFile(_) => StorageError::UnknownFile(file),
+            other => other,
+        }
+    }
+
     /// True if retrying the failed operation may succeed.
     ///
     /// Only I/O faults whose kind signals a scheduling or timing

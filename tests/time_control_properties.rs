@@ -1,13 +1,17 @@
 //! Property tests on the time-control loop's invariants.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use testkit::prelude::*;
 
 use eram_bench::{harness::run_trial, TrialConfig, WorkloadKind};
-use eram_core::{Database, OneAtATimeInterval, StoppingCriterion};
+use eram_core::{
+    execute_count, AggregateFn, Database, ExecutionReport, OneAtATimeInterval, QueryConfig,
+    StageRun, StoppingCriterion, Tracer,
+};
 use eram_relalg::{CmpOp, Expr, Predicate};
-use eram_storage::{ColumnType, Schema, Tuple, Value};
+use eram_storage::{Clock, ColumnType, Disk, Schema, Tuple, Value};
 
 fn tiny_db(seed: u64, rows: i64) -> Database {
     let mut db = Database::sim_default(seed);
@@ -137,4 +141,163 @@ fn risk_decreases_with_d_beta_in_aggregate() {
         "risk must not increase with d_beta: {high} vs {low} / 40 runs"
     );
     assert!(low >= 5, "d_beta = 0 should carry real risk, saw {low}/40");
+}
+
+// ---------------------------------------------------------------
+// The hard deadline on a measured clock
+// ---------------------------------------------------------------
+
+/// A clock that is a script of the disk view it times: every charged
+/// block read costs `unit`, except that reads after the first
+/// `probe_reads` cost `slowdown ×` that — the shape a real host
+/// shows, where the coefficients fitted on a small first stage
+/// under-predict the large stages planned from them. Charges are
+/// ignored, so whether the engine takes the clock for simulated or
+/// measured is the `simulated` flag alone.
+struct ScriptedClock {
+    view: std::sync::OnceLock<std::sync::Weak<Disk>>,
+    unit: Duration,
+    probe_reads: u64,
+    slowdown: f64,
+    simulated: bool,
+}
+
+impl Clock for ScriptedClock {
+    fn elapsed(&self) -> Duration {
+        let view = self.view.get().and_then(std::sync::Weak::upgrade);
+        let reads = view.map_or(0, |v| v.stats().block_reads);
+        let slow = reads.saturating_sub(self.probe_reads);
+        self.unit
+            .mul_f64((reads - slow) as f64 + self.slowdown * slow as f64)
+    }
+
+    fn charge(&self, _d: Duration) {}
+
+    fn is_simulated(&self) -> bool {
+        self.simulated
+    }
+}
+
+/// About what a block costs inside `select_row`'s query on the
+/// benchmark host.
+const SCRIPT_UNIT: Duration = Duration::from_nanos(1_500);
+
+/// A 20 000-block relation, half of whose tuples the query selects.
+fn scripted_db() -> (Database, Expr) {
+    let mut db = Database::wall(11);
+    let schema = Schema::new(vec![("k", ColumnType::Int), ("g", ColumnType::Int)]).padded_to(200);
+    db.load_relation(
+        "t",
+        schema,
+        (0..100_000).map(|i| Tuple::new(vec![Value::Int(i), Value::Int(i % 2)])),
+    )
+    .unwrap();
+    (
+        db,
+        Expr::relation("t").select(Predicate::col_cmp(1, CmpOp::Lt, 1)),
+    )
+}
+
+/// A lane view of `db`'s disk timed by the script, and the query
+/// configuration `Database::wall` hands out.
+fn scripted_view(
+    db: &Database,
+    probe_reads: u64,
+    slowdown: f64,
+    simulated: bool,
+) -> (Arc<Disk>, QueryConfig) {
+    let clock = Arc::new(ScriptedClock {
+        view: std::sync::OnceLock::new(),
+        unit: SCRIPT_UNIT,
+        probe_reads,
+        slowdown,
+        simulated,
+    });
+    let view = db.disk().lane_view(clock.clone(), 5, 0, None);
+    clock
+        .view
+        .set(Arc::downgrade(&view))
+        .expect("attached once");
+    let config = QueryConfig {
+        cost_model: db.default_cost_model().clone(),
+        ..QueryConfig::default()
+    };
+    (view, config)
+}
+
+/// `COUNT(expr)` within `quota` under the hard deadline, on the
+/// script whose first stage is the probe and whose later reads cost
+/// `slowdown ×` the probe's. Stage 1's size depends on the quota and
+/// the initial coefficients alone, so stage 1 of a flat script tells
+/// how many reads the probe is.
+fn run_with_slow_large_stages(
+    db: &Database,
+    expr: &Expr,
+    quota: Duration,
+    slowdown: f64,
+    simulated: bool,
+) -> ExecutionReport {
+    const SEED: u64 = 9;
+    let (flat, config) = scripted_view(db, u64::MAX, 1.0, simulated);
+    let (catalog, count) = (db.catalog(), AggregateFn::Count);
+    let tracer = Tracer::disabled();
+    let mut probe =
+        StageRun::start(&flat, catalog, expr, count, quota, &config, SEED, tracer).unwrap();
+    probe.step().unwrap();
+    let probe_reads = probe.finish().report.stages[0].blocks_drawn;
+    let (view, config) = scripted_view(db, probe_reads, slowdown, simulated);
+    execute_count(&view, catalog, expr, quota, &config, SEED)
+        .unwrap()
+        .report
+}
+
+/// Large stages cost 1.9× what the probe measured: the query still
+/// banks stage 2 and spends the quota on banked stages.
+#[test]
+fn measured_hard_deadline_banks_its_stages_when_large_stages_run_slow() {
+    let (db, expr) = scripted_db();
+    let r = run_with_slow_large_stages(&db, &expr, Duration::from_millis(10), 1.9, false);
+    assert!(
+        r.stages.len() >= 2 && r.stages[1].within_quota,
+        "{:?}",
+        r.stages
+    );
+    assert!(r.useful_time() <= r.quota);
+    assert!(r.utilization() >= 0.9, "utilization {}", r.utilization());
+}
+
+/// A clock the engine takes for simulated gets no reserve: every
+/// stage is planned against all of the remaining quota, exactly as
+/// before the measured-clock reserve existed — on this script, the
+/// 156-block probe and then a quarter of the relation, which the
+/// slowdown carries past the deadline, so the abort banks nothing
+/// but the probe.
+#[test]
+fn simulated_clock_plans_against_the_whole_remaining_quota() {
+    let (db, expr) = scripted_db();
+    let r = run_with_slow_large_stages(&db, &expr, Duration::from_millis(10), 1.9, true);
+    let plan: Vec<(f64, u64, bool)> = r
+        .stages
+        .iter()
+        .map(|s| (s.fraction, s.blocks_drawn, s.within_quota))
+        .collect();
+    assert_eq!(plan, [(1.0 / 128.0, 156, true), (0.25, 3427, false)]);
+}
+
+/// Whatever the quota and however much (up to 1.9×) the probe
+/// under-predicts: stage 2 is banked and no stage is banked past the
+/// deadline.
+#[test]
+fn measured_hard_deadline_always_banks_stage_two() {
+    let (db, expr) = scripted_db();
+    proptest!(|(quota_us in 1_000u64..=100_000, slowdown in 1.0f64..=1.9)| {
+        let quota = Duration::from_micros(quota_us);
+        let r = run_with_slow_large_stages(&db, &expr, quota, slowdown, false);
+        prop_assert!(r.stages.len() >= 2 && r.stages[1].within_quota,
+            "quota {quota:?} slowdown {slowdown}: {:?}", r.stages);
+        prop_assert!(r.useful_time() <= r.quota);
+        let banked: u64 = r.stages.iter().filter(|s| s.within_quota)
+            .map(|s| s.blocks_drawn).sum();
+        prop_assert_eq!(banked, r.blocks_evaluated());
+    });
 }
