@@ -41,6 +41,41 @@ fn one_shot_query_prints_estimate() {
 }
 
 #[test]
+fn comparison_across_types_is_refused_with_both_types_named() {
+    // `price` is a float column: `#1 >= 500` (an int constant) used
+    // to answer "every row" with a zero-width interval, because
+    // values of different types order by type tag.
+    let csv = write_csv("mistyped");
+    let run = |query: &str| {
+        Command::new(bin())
+            .args([
+                "--load",
+                &format!("orders={}:id:int,price:float", csv.display()),
+                "--header",
+                "--query",
+                query,
+                "--quota",
+                "120",
+            ])
+            .output()
+            .unwrap()
+    };
+    let out = run("select[#0 < 10 and #1 >= 500](orders)");
+    assert!(!out.status.success(), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("comparison operand types differ in `#1 >= 500`: float vs int"),
+        "{stderr}"
+    );
+    // Written as a float the same atom is answered, exactly.
+    let out = run("select[#1 >= 500.0](orders)");
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("estimate 50.00"), "{stdout}");
+    let _ = std::fs::remove_file(csv);
+}
+
+#[test]
 fn interactive_session_round_trip() {
     let csv = write_csv("shell");
     let mut child = Command::new(bin())

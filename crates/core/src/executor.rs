@@ -188,6 +188,13 @@ fn combine(
     linear.snapshot()
 }
 
+/// Whether the aggregate looks at the qualifying rows themselves (a
+/// value column to sum, a key to group by) or only at how many there
+/// are.
+fn reads_rows(agg: AggregateFn) -> bool {
+    agg.column().is_some() || agg.group_by().is_some()
+}
+
 /// Storage counter values captured before the stage loop runs, so the
 /// metrics snapshot reports this run's deltas rather than the disk's
 /// lifetime totals.
@@ -385,12 +392,13 @@ impl<'a> StageRun<'a> {
             )?);
             coefficients.push(term.coefficient);
         }
-        if (agg.column().is_some() || agg.group_by().is_some())
-            && trees.iter().any(PhysTree::projection_root)
-        {
+        if reads_rows(agg) && trees.iter().any(PhysTree::projection_root) {
             return Err(EngineError::UnsupportedAggregate(
                 "SUM/AVG/GROUP BY over a projection's distinct groups is not supported".into(),
             ));
+        }
+        if !reads_rows(agg) {
+            trees.iter_mut().for_each(PhysTree::count_only);
         }
         let values = vec![TermValues::default(); trees.len()];
         let baseline: Option<MetricsBaseline> = config
@@ -634,8 +642,9 @@ impl<'a> StageRun<'a> {
                     // Value/group accumulation walks row tuples; a
                     // columnar delta (bare-leaf root under the
                     // columnar layout) materializes here. COUNT
-                    // queries never look at the rows at all.
-                    if agg.column().is_some() || self.grouped.is_some() {
+                    // queries never look at the rows at all — the
+                    // trees were told so and may not have built any.
+                    if reads_rows(agg) {
                         let rows = delta.into_rows();
                         if let Some(col) = agg.column() {
                             tv.absorb(&rows, col);

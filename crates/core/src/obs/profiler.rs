@@ -57,7 +57,8 @@ pub const ENGINE_OPERATOR: &str = "engine";
 /// phase is charged).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Phase {
-    /// Decoding fetched blocks into typed tuples.
+    /// Reading fetched blocks: scanning their records in place and
+    /// decoding the ones an operator reads into typed tuples.
     BlockDecode,
     /// Merging sorted run pairs in a binary operator.
     RunMerge,

@@ -29,7 +29,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use eram_relalg::{Catalog, Expr, ExprError, OpKind, Predicate};
+use eram_relalg::{Catalog, CompiledPredicate, Expr, ExprError, OpKind, Predicate};
 use eram_sampling::BlockSampler;
 use eram_storage::{
     Block, ColumnarBlock, Deadline, DeviceOp, Disk, HeapFile, Json, Rng, RunCache, Schema,
@@ -280,52 +280,62 @@ impl StageEnv<'_> {
 /// A new-output delta produced by one stage of one node.
 #[derive(Debug, Clone)]
 pub struct Delta {
-    /// The new output tuples (row form). Under the columnar layout a
-    /// leaf delta carries only its banked pending rows here; freshly
-    /// decoded blocks ride in `columnar`.
-    pub tuples: Vec<Tuple>,
-    /// Freshly decoded blocks in columnar form, ordered after
-    /// `tuples`. `None` under [`BlockLayout::Row`] and for every
-    /// operator output (operators emit rows).
-    pub columnar: Option<Vec<ColumnarBlock>>,
+    /// The new output records.
+    pub records: Records,
     /// Leaf-level points newly covered by this delta.
     pub leaf_points: f64,
+}
+
+/// The form a delta's records travel in.
+#[derive(Debug, Clone)]
+pub enum Records {
+    /// Row tuples: every operator's output, and a row-layout leaf's.
+    Rows(Vec<Tuple>),
+    /// Freshly decoded blocks of a leaf under
+    /// [`BlockLayout::Columnar`].
+    Columnar(Vec<ColumnarBlock>),
+    /// Counted, never decoded: the term's root when the aggregate
+    /// reads no rows (plain COUNT over a selection that ran inside
+    /// the leaf's scan). No operator takes this form as input.
+    Counted(usize),
 }
 
 impl Delta {
     /// A plain row-form delta.
     pub fn rows(tuples: Vec<Tuple>, leaf_points: f64) -> Self {
         Delta {
-            tuples,
-            columnar: None,
+            records: Records::Rows(tuples),
             leaf_points,
         }
     }
 
-    /// Total records carried, across both forms. Charges and
-    /// selectivity accounting key off this so the two layouts charge
-    /// identically.
+    /// Records carried, whatever their form. Charges and selectivity
+    /// accounting key off this so every form charges identically.
     pub fn record_count(&self) -> usize {
-        let columnar: usize = self
-            .columnar
-            .as_ref()
-            .map_or(0, |bs| bs.iter().map(ColumnarBlock::len).sum());
-        self.tuples.len() + columnar
+        match &self.records {
+            Records::Rows(tuples) => tuples.len(),
+            Records::Columnar(blocks) => blocks.iter().map(ColumnarBlock::len).sum(),
+            Records::Counted(n) => *n,
+        }
     }
 
     /// Materializes the delta as row tuples, in record order. A no-op
     /// (move) for row-form deltas.
+    ///
+    /// # Panics
+    /// Panics on [`Records::Counted`]: its rows were never decoded
+    /// because the plan said nobody reads them.
     pub fn into_rows(self) -> Vec<Tuple> {
-        match self.columnar {
-            None => self.tuples,
-            Some(blocks) => {
-                let mut rows = self.tuples;
-                rows.reserve(blocks.iter().map(ColumnarBlock::len).sum());
+        match self.records {
+            Records::Rows(tuples) => tuples,
+            Records::Columnar(blocks) => {
+                let mut rows = Vec::with_capacity(blocks.iter().map(ColumnarBlock::len).sum());
                 for block in &blocks {
                     rows.extend(block.to_tuples());
                 }
                 rows
             }
+            Records::Counted(_) => unreachable!("a counted delta was built to be read by nobody"),
         }
     }
 }
@@ -368,19 +378,31 @@ pub(crate) struct LeafNode {
     pub(crate) file: HeapFile,
     pub(crate) sampler: BlockSampler,
     pub(crate) cum_tuples: f64,
-    /// Tuples of blocks fully read before a mid-draw deadline abort.
-    /// They were never delivered in a delta (and are not in
-    /// `cum_tuples`), so the next successful stage prepends them —
-    /// every point read is accounted exactly once. Banked in row form
-    /// under either layout (the abort path is cold).
-    pub(crate) pending: Vec<Tuple>,
+    /// Pages fetched (and charged) before a mid-draw deadline abort,
+    /// in draw order. They were never delivered in a delta (and are
+    /// not in `cum_tuples`), so the next stage scans them ahead of
+    /// its own draw — every point read is accounted exactly once.
+    pub(crate) pending: Vec<(u64, Arc<Block>)>,
     /// Decode target for sampled blocks.
     pub(crate) layout: BlockLayout,
+}
+
+/// A selection that runs inside its leaf's scan, on the page bytes.
+pub(crate) struct FusedScan {
+    /// The node's formula compiled against the leaf's record layout.
+    compiled: CompiledPredicate,
+    /// Whether the passing records are decoded. False only at the
+    /// root of a term whose aggregate reads no rows.
+    materialize: bool,
 }
 
 pub(crate) struct SelectNode {
     pub(crate) child: Box<Node>,
     pub(crate) predicate: Predicate,
+    /// Set when the child is a row-layout leaf — the shape selection
+    /// push-down produces: the formula is then evaluated by the
+    /// leaf's scan and the row filter below never runs.
+    pub(crate) fused: Option<FusedScan>,
     pub(crate) tracker: SelTracker,
     pub(crate) memory: MemoryMode,
     pub(crate) out_blocking: f64,
@@ -425,6 +447,9 @@ pub(crate) struct BinaryNode {
     pub(crate) cum_out: f64,
     pub(crate) cum_leaf_points: f64,
 }
+
+/// The operator label a leaf's profiled phases are attributed to.
+const LEAF_LABEL: &str = "leaf";
 
 /// A physical operator node.
 pub(crate) enum Node {
@@ -494,7 +519,7 @@ impl Node {
     /// The operator label profiled phases are attributed to.
     pub(crate) fn op_label(&self) -> &'static str {
         match self {
-            Node::Leaf(_) => "leaf",
+            Node::Leaf(_) => LEAF_LABEL,
             Node::Select(_) => "select",
             Node::Project(_) => "project",
             Node::Binary(n) => match n.kind {
@@ -593,8 +618,56 @@ fn read_block_resilient_raw(
     }
 }
 
+/// Scans fetched pages of a row-layout leaf in place, in order:
+/// evaluates `filter` on each encoded record and decodes a record
+/// only if it passes and `materialize` asks for rows. Returns
+/// `(scanned, passed, rows)`. Pure CPU — touches neither clock nor
+/// tracer.
+fn scan_pages(
+    file: &HeapFile,
+    pages: &[(u64, Arc<Block>)],
+    filter: Option<&CompiledPredicate>,
+    materialize: bool,
+) -> Result<(usize, usize, Vec<Tuple>), StorageError> {
+    let (mut scanned, mut passed) = (0, 0);
+    let mut rows = Vec::new();
+    if materialize && filter.is_none() {
+        rows.reserve_exact(pages.len() * file.blocking_factor());
+    }
+    for (index, block) in pages {
+        for record in file.records(*index, block) {
+            scanned += 1;
+            if let Some(filter) = filter {
+                if !filter.eval(record)? {
+                    continue;
+                }
+            }
+            passed += 1;
+            if materialize {
+                rows.push(file.schema().decode(record)?);
+            }
+        }
+    }
+    Ok((scanned, passed, rows))
+}
+
 impl LeafNode {
     fn advance(&mut self, env: &mut StageEnv<'_>) -> Result<Delta, StageError> {
+        self.scan(env, None, true).map(|(_, delta)| delta)
+    }
+
+    /// One stage of the leaf: draws, fetches the drawn pages (behind
+    /// any banked by an aborted draw), and reads them. Returns the
+    /// number of records scanned — each a leaf point newly covered —
+    /// and a delta of those that passed `filter`, decoded only if
+    /// `materialize`. A columnar leaf decodes whole blocks and takes
+    /// no filter.
+    fn scan(
+        &mut self,
+        env: &mut StageEnv<'_>,
+        filter: Option<&CompiledPredicate>,
+        materialize: bool,
+    ) -> Result<(usize, Delta), StageError> {
         let total = self.sampler.population();
         let want = ((env.fraction * total as f64).round() as u64)
             .max(1)
@@ -609,7 +682,8 @@ impl LeafNode {
         // and trace event happens on this thread in draw order, so
         // the simulated clock advances identically at any worker
         // count.
-        let mut fetched: Vec<(u64, Arc<Block>)> = Vec::with_capacity(indices.len());
+        let mut pages = std::mem::take(&mut self.pending);
+        pages.reserve(indices.len());
         for (k, idx) in indices.iter().enumerate() {
             let aborted = if env.expired() {
                 true
@@ -620,7 +694,7 @@ impl LeafNode {
                 // surviving blocks.
                 match read_block_resilient_raw(env, &self.file, *idx) {
                     Ok(Some(block)) => {
-                        fetched.push((*idx, block));
+                        pages.push((*idx, block));
                         false
                     }
                     Ok(None) => false,
@@ -629,36 +703,63 @@ impl LeafNode {
                 }
             };
             if aborted {
-                return self.abort_mid_draw(env, (indices.len() - k) as u64, fetched);
+                // The unread indices go back to the sampler's
+                // population (they were never covered, so leaving
+                // them consumed would make those clusters permanently
+                // unsampleable and silently bias the census); the
+                // pages that *were* read wait, undecoded, for the
+                // next stage. `cum_tuples` is untouched — points
+                // count when delivered.
+                self.sampler.unconsume((indices.len() - k) as u64);
+                self.pending = pages;
+                return Err(StageError::Deadline);
             }
         }
-        // Decode phase, parallel: pure CPU — touches neither clock
-        // nor tracer — fanned out and recombined in draw order. The
-        // phase guard wraps the whole fan-out on this thread, so
+        // Read phase, parallel: pure CPU — touches neither clock nor
+        // tracer — fanned out and recombined in draw order. The phase
+        // guard wraps the whole fan-out on this thread, so
         // worker-pool time is attributed to `block_decode`. Both
-        // layouts decode the same fetched pages; only the in-memory
-        // target differs.
-        let mut tuples = std::mem::take(&mut self.pending);
-        let mut columnar: Option<Vec<ColumnarBlock>> = None;
-        match self.layout {
+        // layouts read the same fetched pages; only what is built
+        // from them differs.
+        let file = &self.file;
+        let (scanned, records) = match self.layout {
             BlockLayout::Row => {
-                let decoded = {
+                // One contiguous run of pages per worker, so a serial
+                // scan folds straight into one result.
+                let per_worker = pages.len().div_ceil(env.workers.max(1)).max(1);
+                let parts = {
                     let _phase = env.profiler.phase(Phase::BlockDecode);
-                    let file = &self.file;
-                    map_ordered(env.workers, fetched, |_, (idx, block)| {
-                        file.decode_block(idx, &block)
-                    })
+                    map_ordered(
+                        env.workers,
+                        pages.chunks(per_worker).collect(),
+                        |_, part| scan_pages(file, part, filter, materialize),
+                    )
                 };
-                tuples.reserve(indices.len() * self.file.blocking_factor());
-                for d in decoded {
-                    tuples.extend(d.map_err(StageError::Storage)?);
+                let (mut scanned, mut passed) = (0, 0);
+                let mut rows = Vec::new();
+                for part in parts {
+                    let (n, k, mut decoded) = part.map_err(StageError::Storage)?;
+                    scanned += n;
+                    passed += k;
+                    // The first part's rows are taken as they are: a
+                    // serial scan has no other, and copies nothing.
+                    if rows.is_empty() {
+                        rows = decoded;
+                    } else {
+                        rows.append(&mut decoded);
+                    }
+                }
+                if materialize {
+                    (scanned, Records::Rows(rows))
+                } else {
+                    (scanned, Records::Counted(passed))
                 }
             }
             BlockLayout::Columnar => {
+                debug_assert!(filter.is_none() && materialize);
                 let decoded = {
                     let _phase = env.profiler.phase(Phase::BlockDecode);
-                    let file = &self.file;
-                    map_ordered(env.workers, fetched, |_, (idx, block)| {
+                    map_ordered(env.workers, pages, |_, (idx, block)| {
                         file.decode_block_columnar(idx, &block)
                     })
                 };
@@ -666,49 +767,24 @@ impl LeafNode {
                 for d in decoded {
                     blocks.push(d.map_err(StageError::Storage)?);
                 }
-                columnar = Some(blocks);
+                let scanned = blocks.iter().map(ColumnarBlock::len).sum();
+                (scanned, Records::Columnar(blocks))
             }
-        }
+        };
         env.observe(
             CostCoeff::BlockRead,
             indices.len() as f64,
             env.now() - start,
         );
-        let mut delta = Delta {
-            tuples,
-            columnar,
-            leaf_points: 0.0,
-        };
-        delta.leaf_points = delta.record_count() as f64;
-        self.cum_tuples += delta.leaf_points;
-        Ok(delta)
-    }
-
-    /// Unwinds a draw cut short by the hard deadline before block
-    /// `undrawn..` of the draw could be read: the unread indices go
-    /// back to the sampler's population (they were never covered, so
-    /// leaving them consumed would make those clusters permanently
-    /// unsampleable and silently bias the census), while blocks that
-    /// *were* read are decoded into `pending` for the next stage.
-    /// `cum_tuples` is untouched — points count when delivered.
-    fn abort_mid_draw(
-        &mut self,
-        env: &mut StageEnv<'_>,
-        undrawn: u64,
-        fetched: Vec<(u64, Arc<Block>)>,
-    ) -> Result<Delta, StageError> {
-        self.sampler.unconsume(undrawn);
-        let decoded = {
-            let _phase = env.profiler.phase(Phase::BlockDecode);
-            let file = &self.file;
-            map_ordered(env.workers, fetched, |_, (idx, block)| {
-                file.decode_block(idx, &block)
-            })
-        };
-        for d in decoded {
-            self.pending.extend(d.map_err(StageError::Storage)?);
-        }
-        Err(StageError::Deadline)
+        let leaf_points = scanned as f64;
+        self.cum_tuples += leaf_points;
+        Ok((
+            scanned,
+            Delta {
+                records,
+                leaf_points,
+            },
+        ))
     }
 }
 
@@ -763,37 +839,70 @@ fn charge_chunked(
 
 impl SelectNode {
     fn advance(&mut self, env: &mut StageEnv<'_>) -> Result<Delta, StageError> {
-        let child = self.child.advance(env)?;
+        // A fused selection has already run when the leaf's scan
+        // returns: the scan reports how many records it read and
+        // hands back only those that passed. Any other child delivers
+        // every record and the filter runs below. Either way the
+        // charges key off the same two numbers — records scanned,
+        // records passed — so fusing removes host work only.
+        let (n_in, child) = match (&self.fused, self.child.as_mut()) {
+            (Some(fused), Node::Leaf(leaf)) => {
+                // Attributed as `Node::advance` on the leaf would be.
+                let _op = env.profiler.operator(LEAF_LABEL);
+                leaf.scan(env, Some(&fused.compiled), fused.materialize)?
+            }
+            (_, child) => {
+                let delta = child.advance(env)?;
+                (delta.record_count(), delta)
+            }
+        };
         if env.expired() {
             return Err(StageError::Deadline);
         }
-        let n_in = child.record_count();
-        let leaf_points = child.leaf_points;
         let start = env.now();
         charge_chunked(env, DeviceOp::TupleCpu, n_in as u64, 5)?;
-        // Row prefix (pending-bank rows under either layout) filters
-        // tuple-at-a-time; columnar blocks evaluate the predicate as
-        // a per-column bitmap and materialize only surviving rows.
-        let mut out: Vec<Tuple> = child
-            .tuples
-            .into_iter()
-            .filter(|t| self.predicate.eval(t))
-            .collect();
-        if let Some(blocks) = child.columnar {
-            for block in &blocks {
-                let mask = self.predicate.eval_mask(block);
-                out.extend(block.gather(&mask));
-            }
-        }
+        let out = Delta {
+            records: if self.fused.is_some() {
+                child.records
+            } else {
+                self.filter(child.records)
+            },
+            leaf_points: child.leaf_points,
+        };
+        let n_out = out.record_count() as f64;
         env.observe(CostCoeff::ScanTuple, n_in as f64, env.now() - start);
         if self.memory == MemoryMode::DiskResident {
-            charge_tuple_writes(env, out.len() as f64, self.out_blocking)?;
+            charge_tuple_writes(env, n_out, self.out_blocking)?;
         }
 
-        self.tracker.record_stage(out.len() as f64, n_in as f64);
-        self.cum_out += out.len() as f64;
-        self.cum_leaf_points += leaf_points;
-        Ok(Delta::rows(out, leaf_points))
+        self.tracker.record_stage(n_out, n_in as f64);
+        self.cum_out += n_out;
+        self.cum_leaf_points += out.leaf_points;
+        Ok(out)
+    }
+
+    /// The selection over decoded input — what a child that is not a
+    /// row-layout leaf (an operator, a columnar leaf) delivers.
+    fn filter(&self, input: Records) -> Records {
+        match input {
+            Records::Rows(tuples) => Records::Rows(
+                tuples
+                    .into_iter()
+                    .filter(|t| self.predicate.eval(t))
+                    .collect(),
+            ),
+            // Columnar blocks evaluate the predicate as a per-column
+            // bitmap and materialize only surviving rows.
+            Records::Columnar(blocks) => {
+                let mut out = Vec::new();
+                for block in &blocks {
+                    let mask = self.predicate.eval_mask(block);
+                    out.extend(block.gather(&mask));
+                }
+                Records::Rows(out)
+            }
+            Records::Counted(_) => unreachable!("only a term's root is counted"),
+        }
     }
 }
 
@@ -854,23 +963,24 @@ impl ProjectNode {
         let mut projected: Vec<Tuple> = {
             let start = env.now();
             charge_chunked(env, DeviceOp::TupleCpu, n_in as u64, 5)?;
-            let mut p: Vec<Tuple> = child
-                .tuples
-                .iter()
-                .map(|t| t.project(&self.columns))
-                .collect();
-            if let Some(blocks) = &child.columnar {
-                for block in blocks {
-                    p.extend((0..block.len()).map(|row| {
-                        Tuple::new(
-                            self.columns
-                                .iter()
-                                .map(|&c| block.column(c).value(row))
-                                .collect(),
-                        )
-                    }));
-                }
-            }
+            let columns = &self.columns;
+            let p: Vec<Tuple> = match &child.records {
+                Records::Rows(tuples) => tuples.iter().map(|t| t.project(columns)).collect(),
+                Records::Columnar(blocks) => blocks
+                    .iter()
+                    .flat_map(|block| {
+                        (0..block.len()).map(move |row| {
+                            Tuple::new(
+                                columns
+                                    .iter()
+                                    .map(|&c| block.column(c).value(row))
+                                    .collect(),
+                            )
+                        })
+                    })
+                    .collect(),
+                Records::Counted(_) => unreachable!("only a term's root is counted"),
+            };
             env.observe(CostCoeff::ScanTuple, n_in as f64, env.now() - start);
             p
         };
@@ -1076,9 +1186,9 @@ impl BinaryNode {
         // sort then reproduces `sort_run`'s order exactly. (A Whole
         // spec keys on the full tuple, so there is nothing to skip —
         // it takes the ordinary path.)
-        let prekeys: Option<Vec<Tuple>> = match (&delta.columnar, &spec) {
-            (Some(blocks), KeySpec::Columns(_)) => {
-                let mut keys: Vec<Tuple> = delta.tuples.iter().map(|t| spec.extract(t)).collect();
+        let prekeys: Option<Vec<Tuple>> = match (&delta.records, &spec) {
+            (Records::Columnar(blocks), KeySpec::Columns(_)) => {
+                let mut keys: Vec<Tuple> = Vec::with_capacity(delta.record_count());
                 for block in blocks {
                     let mut ks = spec
                         .extract_columnar(block)
@@ -1284,9 +1394,8 @@ impl PhysTree {
                     .with_disk(disk.clone());
                 *total_points *= file.num_tuples() as f64;
                 *total_space_blocks *= file.num_blocks() as f64;
-                let seed = rng.next_u64();
-                let mut leaf_rng = Rng::seed_from_u64(seed);
-                let sampler = BlockSampler::new(file.num_blocks(), &mut leaf_rng);
+                let leaf_rng = Rng::seed_from_u64(rng.next_u64());
+                let sampler = BlockSampler::new(file.num_blocks(), leaf_rng);
                 Ok(Node::Leaf(LeafNode {
                     file,
                     sampler,
@@ -1312,9 +1421,17 @@ impl PhysTree {
                 let blocking = schema.blocking_factor(disk.block_size()) as f64;
                 let tracker = SelTracker::new(OpKind::Select, subtree_points, 0.0)
                     .with_initial(defaults.initial_for(OpKind::Select, 0.0));
+                let fused = match &child {
+                    Node::Leaf(leaf) if leaf.layout == BlockLayout::Row => Some(FusedScan {
+                        compiled: predicate.compile(leaf.file.schema())?,
+                        materialize: true,
+                    }),
+                    _ => None,
+                };
                 Ok(Node::Select(SelectNode {
                     child: Box::new(child),
                     predicate: predicate.clone(),
+                    fused,
                     tracker,
                     memory: options.memory,
                     out_blocking: blocking,
@@ -1484,6 +1601,19 @@ impl PhysTree {
     /// True when every leaf has drawn its entire relation (census).
     pub fn exhausted(&self) -> bool {
         self.root.max_remaining_blocks() == 0
+    }
+
+    /// Tells the term that nothing reads its output rows (a plain
+    /// COUNT looks only at [`PhysTree::ones_found`]): a root selection
+    /// fused into its leaf's scan then counts the records that pass
+    /// without decoding them. Any other root still builds its rows.
+    pub(crate) fn count_only(&mut self) {
+        if let Node::Select(SelectNode {
+            fused: Some(fused), ..
+        }) = &mut self.root
+        {
+            fused.materialize = false;
+        }
     }
 
     /// Advances the whole term by one stage.
@@ -1781,15 +1911,145 @@ mod tests {
             leaf.sampler.drawn() < 2_000,
             "abort left whole draw consumed"
         );
-        // …the blocks that were read are banked, not yet counted…
-        assert_eq!(leaf.sampler.drawn() as usize * 5, leaf.pending.len());
+        // …the blocks that were read are banked as pages, not yet
+        // counted…
+        assert_eq!(leaf.sampler.drawn() as usize, leaf.pending.len());
         assert_eq!(tree.points_covered(), 0.0);
         // …and an unconstrained census still reaches every point.
         let mut e = env(&disk, 1.0);
         let delta = tree.advance(&mut e).unwrap();
         assert!(tree.exhausted());
-        assert_eq!(delta.tuples.len(), 10_000, "banked tuples lost or doubled");
+        assert_eq!(
+            delta.record_count(),
+            10_000,
+            "banked tuples lost or doubled"
+        );
         assert_eq!(tree.points_covered(), 10_000.0);
+    }
+
+    #[test]
+    fn banked_pages_are_scanned_once_by_the_next_fused_stage() {
+        // The same abort under a selection fused into the scan: the
+        // banked pages are evaluated by the next stage — ahead of its
+        // own draw — and by no other.
+        let (disk, cat) = setup(&[("r", rows(10_000))]);
+        let expr = Expr::relation("r").select(Predicate::col_cmp(1, CmpOp::Lt, 3));
+        let mut tree = PhysTree::build(
+            &expr,
+            &cat,
+            &disk,
+            &SelectivityDefaults::default(),
+            Fulfillment::Full,
+            &mut Rng::seed_from_u64(23),
+        )
+        .unwrap();
+        let deadline = Deadline::new(disk.clock().clone(), Duration::from_secs(1));
+        let mut e = StageEnv::new(disk.clone(), Some(&deadline), 1.0);
+        assert!(matches!(tree.advance(&mut e), Err(StageError::Deadline)));
+        let Node::Select(select) = &tree.root else {
+            panic!("select root");
+        };
+        let Node::Leaf(leaf) = select.child.as_ref() else {
+            panic!("leaf under the select");
+        };
+        assert!(select.fused.is_some());
+        let banked: Vec<u64> = leaf.pending.iter().map(|(idx, _)| *idx).collect();
+        assert!(!banked.is_empty());
+        assert_eq!(banked, leaf.sampler.sample_set(), "bank keeps draw order");
+        assert_eq!(tree.points_covered(), 0.0);
+        let mut e = env(&disk, 1.0);
+        let delta = tree.advance(&mut e).unwrap();
+        assert!(tree.exhausted());
+        assert_eq!(tree.points_covered(), 10_000.0);
+        assert_eq!(delta.leaf_points, 10_000.0);
+        // b = i % 10 < 3 for exactly 3 000 rows, each seen once. The
+        // banked pages' survivors lead the delta, in draw order.
+        let out = delta.into_rows();
+        assert_eq!(out.len(), 3_000);
+        let firsts: Vec<i64> = out.iter().map(|t| t.value(0).as_int().unwrap()).collect();
+        let expect_head: Vec<i64> = banked
+            .iter()
+            .flat_map(|b| (b * 5..b * 5 + 5).map(|i| i as i64))
+            .filter(|i| i % 10 < 3)
+            .collect();
+        assert_eq!(firsts[..expect_head.len()], expect_head);
+    }
+
+    #[test]
+    fn counting_scan_charges_and_counts_exactly_what_the_decoding_scan_does() {
+        // A plain COUNT tells the tree nobody reads its rows: the
+        // fused scan then decodes nothing. Scanned, passed, coverage,
+        // the simulated clock and every cost observation must be what
+        // the materializing scan produces — only host work differs.
+        let run = |count_only: bool| {
+            let (disk, cat) = setup(&[("r", rows(1_000))]);
+            let expr = Expr::relation("r").select(
+                Predicate::col_cmp(1, CmpOp::Lt, 3).or(Predicate::col_cmp(0, CmpOp::Ge, 990)),
+            );
+            let mut tree = PhysTree::build(
+                &expr,
+                &cat,
+                &disk,
+                &SelectivityDefaults::default(),
+                Fulfillment::Full,
+                &mut Rng::seed_from_u64(31),
+            )
+            .unwrap();
+            if count_only {
+                tree.count_only();
+            }
+            let mut stages = Vec::new();
+            for _ in 0..3 {
+                let mut e = env(&disk, 0.3);
+                let delta = tree.advance(&mut e).unwrap();
+                assert_eq!(
+                    matches!(delta.records, Records::Counted(_)),
+                    count_only,
+                    "rows are built exactly when someone reads them"
+                );
+                stages.push((delta.record_count(), delta.leaf_points, e.observations));
+            }
+            (
+                stages,
+                tree.ones_found(),
+                tree.points_covered(),
+                disk.clock().elapsed(),
+            )
+        };
+        assert_eq!(run(true), run(false));
+    }
+
+    #[test]
+    fn selection_is_fused_only_directly_over_a_row_layout_leaf() {
+        let (disk, cat) = setup(&[("a", rows(50)), ("b", rows(50))]);
+        let fused = |expr: &Expr, layout: BlockLayout| {
+            let tree = PhysTree::build(
+                expr,
+                &cat,
+                &disk,
+                &SelectivityDefaults::default(),
+                PlanOptions {
+                    block_layout: layout,
+                    ..PlanOptions::default()
+                },
+                &mut Rng::seed_from_u64(1),
+            )
+            .unwrap();
+            let Node::Select(s) = &tree.root else {
+                panic!("select root");
+            };
+            s.fused.is_some()
+        };
+        let p = Predicate::col_cmp(1, CmpOp::Lt, 3);
+        let over_leaf = Expr::relation("a").select(p.clone());
+        let over_join = Expr::relation("a")
+            .join(Expr::relation("b"), vec![(0, 0)])
+            .select(p.clone());
+        let over_select = Expr::relation("a").select(p.clone()).select(p);
+        assert!(fused(&over_leaf, BlockLayout::Row));
+        assert!(!fused(&over_leaf, BlockLayout::Columnar));
+        assert!(!fused(&over_join, BlockLayout::Row));
+        assert!(!fused(&over_select, BlockLayout::Row));
     }
 
     #[test]
@@ -1815,7 +2075,7 @@ mod tests {
             for _ in 0..3 {
                 let mut e = env(&disk, 0.4);
                 e.workers = workers;
-                outputs.push(tree.advance(&mut e).unwrap().tuples);
+                outputs.push(tree.advance(&mut e).unwrap().into_rows());
             }
             (outputs, tree.points_covered(), disk.clock().elapsed())
         };
@@ -1840,7 +2100,7 @@ mod tests {
         .unwrap();
         let mut e = env(&disk, 1e-9);
         let d = tree.advance(&mut e).unwrap();
-        assert_eq!(d.tuples.len(), 5); // one block of 5 tuples
+        assert_eq!(d.record_count(), 5); // one block of 5 tuples
     }
 
     #[test]
@@ -1917,7 +2177,7 @@ mod tests {
             let mut outputs = Vec::new();
             for _ in 0..3 {
                 let mut e = env(&disk, 0.4);
-                outputs.push(tree.advance(&mut e).unwrap().tuples);
+                outputs.push(tree.advance(&mut e).unwrap().into_rows());
             }
             (outputs, tree.points_covered(), disk.clock().elapsed())
         };
@@ -1952,7 +2212,7 @@ mod tests {
             let mut outputs = Vec::new();
             for _ in 0..3 {
                 let mut e = env(&disk, 0.4);
-                outputs.push(tree.advance(&mut e).unwrap().tuples);
+                outputs.push(tree.advance(&mut e).unwrap().into_rows());
             }
             (outputs, tree.points_covered(), disk.clock().elapsed())
         };
@@ -2008,7 +2268,7 @@ mod tests {
         // 5 tuples per block, every lost block removes exactly 5.
         let expected = 100.0 - 5.0 * e.health.blocks_lost as f64;
         assert_eq!(tree.points_covered(), expected);
-        assert_eq!(delta.tuples.len() as f64, expected);
+        assert_eq!(delta.record_count() as f64, expected);
     }
 
     #[test]
@@ -2027,7 +2287,7 @@ mod tests {
         disk.set_fault_plan(eram_storage::FaultPlan::new(19).with_corruption(1.0));
         let mut e = env(&disk, 1.0);
         let delta = tree.advance(&mut e).unwrap();
-        assert!(delta.tuples.is_empty());
+        assert_eq!(delta.record_count(), 0);
         assert_eq!(tree.points_covered(), 0.0);
         assert_eq!(e.health.blocks_lost, 10);
     }
@@ -2050,7 +2310,7 @@ mod tests {
         disk.set_fault_plan(eram_storage::FaultPlan::new(23).with_transient(1.0));
         let mut e = env(&disk, 1.0);
         let delta = tree.advance(&mut e).unwrap();
-        assert!(delta.tuples.is_empty());
+        assert_eq!(delta.record_count(), 0);
         assert_eq!(e.health.blocks_lost, 20);
         assert_eq!(
             e.health.retries,

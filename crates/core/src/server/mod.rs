@@ -1487,9 +1487,10 @@ fn pick_victim(
 
 /// The QCOST floor of an expression: the predicted cost of the
 /// minimum stage (one block per operand relation plus stage
-/// overhead), in seconds. Charge-free: compiling a [`PhysTree`] only
-/// builds samplers and trackers, and the fixed seed cannot influence
-/// the population geometry the prediction walk reads.
+/// overhead), in seconds. Charge-free and O(plan), not O(relation):
+/// compiling a [`PhysTree`] only builds trackers and samplers that
+/// have yet to draw their permutation, and the fixed seed cannot
+/// influence the population geometry the prediction walk reads.
 fn qcost_floor(
     db: &Database,
     expr: &Expr,

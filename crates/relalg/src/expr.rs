@@ -23,6 +23,17 @@ pub enum ExprError {
         /// Input arity.
         arity: usize,
     },
+    /// A comparison's two operands have different types. `Value`'s
+    /// total order ranks different types by tag, so such an atom
+    /// would hold for every tuple or for none whatever the data says.
+    ComparisonTypeMismatch {
+        /// The atom as the query language writes it (`#1 >= 50`).
+        atom: String,
+        /// Type of the left operand (`int`, `float`, `bool`, `str`).
+        left: &'static str,
+        /// Type of the right operand.
+        right: &'static str,
+    },
     /// Set-operation operands are not degree/attribute compatible.
     IncompatibleSchemas(String),
     /// A projection list was empty.
@@ -42,6 +53,10 @@ impl std::fmt::Display for ExprError {
             ExprError::ColumnOutOfRange { column, arity } => {
                 write!(f, "column #{column} out of range for arity {arity}")
             }
+            ExprError::ComparisonTypeMismatch { atom, left, right } => write!(
+                f,
+                "comparison operand types differ in `{atom}`: {left} vs {right}"
+            ),
             ExprError::IncompatibleSchemas(msg) => {
                 write!(f, "incompatible schemas for set operation: {msg}")
             }

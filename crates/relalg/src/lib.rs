@@ -46,7 +46,7 @@ pub use histogram::{EquiDepthHistogram, StatsCatalog, TableStats};
 pub use optimize::push_selections;
 pub use parser::{parse_expr, parse_predicate, ParseError};
 pub use pie::{CountTerm, PieRewrite};
-pub use predicate::{CmpOp, Operand, Predicate};
+pub use predicate::{CmpOp, CompiledPredicate, Operand, Predicate};
 
 /// Crate-wide result type.
 pub type Result<T> = std::result::Result<T, ExprError>;

@@ -15,7 +15,9 @@
 //! Predicates support `=, !=, <, <=, >, >=` over column references
 //! (`#i`) and constants (integers, floats with a decimal point,
 //! `true`/`false`, double-quoted strings), combined with
-//! `and`/`or`/`not (...)`/parentheses.
+//! `and`/`or`/`not (...)`/parentheses. The two sides of a comparison
+//! must have one type — `#1 >= 50` on a float column is refused when
+//! the expression is validated against the catalog; write `50.0`.
 //!
 //! Reserved words (not usable as relation names): `select`,
 //! `project`, `join`, `union`, `minus`, `intersect`, `and`, `or`,

@@ -9,7 +9,9 @@
 //! [`Predicate::num_comparisons`] exposes exactly that parameter.
 
 use eram_storage::json::{unknown_variant, FromJson, Json, JsonError, ToJson};
-use eram_storage::{json, json_unit_enum, ColumnData, ColumnarBlock, Schema, Tuple, Value};
+use eram_storage::{
+    json, json_unit_enum, ColumnData, ColumnType, ColumnarBlock, Schema, StorageError, Tuple, Value,
+};
 
 use crate::expr::ExprError;
 
@@ -188,29 +190,56 @@ impl Predicate {
         }
     }
 
-    /// Checks that every column reference is valid for `schema`.
+    /// Checks the formula against `schema`: every column reference in
+    /// range, and the two operands of every comparison of one type.
+    /// A formula is valid exactly when it compiles.
     pub fn validate(&self, schema: &Schema) -> Result<(), ExprError> {
-        match self {
-            Predicate::True | Predicate::False => Ok(()),
-            Predicate::Compare { left, right, .. } => {
-                for operand in [left, right] {
-                    if let Operand::Column(i) = operand {
-                        if *i >= schema.arity() {
-                            return Err(ExprError::ColumnOutOfRange {
-                                column: *i,
-                                arity: schema.arity(),
-                            });
-                        }
-                    }
-                }
-                Ok(())
+        self.compile(schema).map(|_| ())
+    }
+
+    /// Binds the formula to `schema`'s record layout: each column
+    /// reference becomes a byte offset and a type, so
+    /// [`CompiledPredicate::eval`] runs on an encoded record in place.
+    pub fn compile(&self, schema: &Schema) -> Result<CompiledPredicate, ExprError> {
+        Ok(CompiledPredicate {
+            root: self.compile_node(schema)?,
+            record_size: schema.record_size(),
+        })
+    }
+
+    fn compile_node(&self, schema: &Schema) -> Result<Compiled, ExprError> {
+        Ok(match self {
+            Predicate::True => Compiled::Const(true),
+            Predicate::False => Compiled::Const(false),
+            Predicate::Compare { left, op, right } => {
+                let (l, r) = (Resolved::of(left, schema)?, Resolved::of(right, schema)?);
+                let atom = if let (Some(a), Some(b)) = (l.int(), r.int()) {
+                    Atom::Int(a, b)
+                } else if let (Some(a), Some(b)) = (l.float(), r.float()) {
+                    Atom::Float(a, b)
+                } else if let (Some(a), Some(b)) = (l.bool(), r.bool()) {
+                    Atom::Bool(a, b)
+                } else if let (Some(a), Some(b)) = (l.str(), r.str()) {
+                    Atom::Str(a, b)
+                } else {
+                    return Err(ExprError::ComparisonTypeMismatch {
+                        atom: self.to_string(),
+                        left: l.type_name(),
+                        right: r.type_name(),
+                    });
+                };
+                Compiled::Compare(*op, atom)
             }
-            Predicate::And(a, b) | Predicate::Or(a, b) => {
-                a.validate(schema)?;
-                b.validate(schema)
-            }
-            Predicate::Not(a) => a.validate(schema),
-        }
+            Predicate::And(a, b) => Compiled::And(
+                Box::new(a.compile_node(schema)?),
+                Box::new(b.compile_node(schema)?),
+            ),
+            Predicate::Or(a, b) => Compiled::Or(
+                Box::new(a.compile_node(schema)?),
+                Box::new(b.compile_node(schema)?),
+            ),
+            Predicate::Not(a) => Compiled::Not(Box::new(a.compile_node(schema)?)),
+        })
     }
 
     /// Evaluates the formula against a tuple.
@@ -282,6 +311,196 @@ impl Predicate {
                 m
             }
         }
+    }
+}
+
+/// A [`Predicate`] bound to one record layout by
+/// [`Predicate::compile`]: the formula evaluates on the encoded
+/// record where it lies in the page, with no [`Tuple`] in between.
+///
+/// The order is [`Value`]'s, type by type — integers and booleans by
+/// `Ord`, floats by `total_cmp` (so NaN and the signed zeros order as
+/// they do in a decoded tuple), strings as borrowed `&str` — and a
+/// comparison across types does not compile.
+#[derive(Debug, Clone)]
+pub struct CompiledPredicate {
+    root: Compiled,
+    record_size: usize,
+}
+
+#[derive(Debug, Clone)]
+enum Compiled {
+    Const(bool),
+    Compare(CmpOp, Atom),
+    And(Box<Compiled>, Box<Compiled>),
+    Or(Box<Compiled>, Box<Compiled>),
+    Not(Box<Compiled>),
+}
+
+/// One comparison, its operands already of one type.
+#[derive(Debug, Clone)]
+enum Atom {
+    Int(Src<i64>, Src<i64>),
+    Float(Src<f64>, Src<f64>),
+    Bool(Src<bool>, Src<bool>),
+    Str(StrSrc, StrSrc),
+}
+
+/// Where a fixed-width operand comes from: the field at a byte
+/// offset of the record, or a constant.
+#[derive(Debug, Clone, Copy)]
+enum Src<T> {
+    Field(usize),
+    Const(T),
+}
+
+/// A string operand: the field at a byte offset (its length prefix)
+/// with the column's declared width, or a constant.
+#[derive(Debug, Clone)]
+enum StrSrc {
+    Field { offset: usize, width: u16 },
+    Const(String),
+}
+
+/// An operand looked up in the schema, before its type is known to
+/// match the other side's.
+enum Resolved<'a> {
+    Field(usize, ColumnType),
+    Const(&'a Value),
+}
+
+impl<'a> Resolved<'a> {
+    fn of(operand: &'a Operand, schema: &Schema) -> Result<Self, ExprError> {
+        match operand {
+            Operand::Column(i) if *i >= schema.arity() => Err(ExprError::ColumnOutOfRange {
+                column: *i,
+                arity: schema.arity(),
+            }),
+            Operand::Column(i) => Ok(Resolved::Field(
+                schema.column_offset(*i),
+                schema.columns()[*i].ty,
+            )),
+            Operand::Const(v) => Ok(Resolved::Const(v)),
+        }
+    }
+
+    fn type_name(&self) -> &'static str {
+        match self {
+            Resolved::Field(_, ty) => ty.name(),
+            Resolved::Const(v) => v.type_name(),
+        }
+    }
+
+    fn int(&self) -> Option<Src<i64>> {
+        match self {
+            Resolved::Field(offset, ColumnType::Int) => Some(Src::Field(*offset)),
+            Resolved::Const(Value::Int(k)) => Some(Src::Const(*k)),
+            _ => None,
+        }
+    }
+
+    fn float(&self) -> Option<Src<f64>> {
+        match self {
+            Resolved::Field(offset, ColumnType::Float) => Some(Src::Field(*offset)),
+            Resolved::Const(Value::Float(k)) => Some(Src::Const(*k)),
+            _ => None,
+        }
+    }
+
+    fn bool(&self) -> Option<Src<bool>> {
+        match self {
+            Resolved::Field(offset, ColumnType::Bool) => Some(Src::Field(*offset)),
+            Resolved::Const(Value::Bool(k)) => Some(Src::Const(*k)),
+            _ => None,
+        }
+    }
+
+    fn str(&self) -> Option<StrSrc> {
+        match self {
+            Resolved::Field(offset, ColumnType::Str { width }) => Some(StrSrc::Field {
+                offset: *offset,
+                width: *width,
+            }),
+            Resolved::Const(Value::Str(k)) => Some(StrSrc::Const(k.clone())),
+            _ => None,
+        }
+    }
+}
+
+fn word(record: &[u8], offset: usize) -> [u8; 8] {
+    record[offset..offset + 8].try_into().expect("sized slice")
+}
+
+impl Src<i64> {
+    fn get(self, record: &[u8]) -> i64 {
+        match self {
+            Src::Field(offset) => i64::from_le_bytes(word(record, offset)),
+            Src::Const(k) => k,
+        }
+    }
+}
+
+impl Src<f64> {
+    fn get(self, record: &[u8]) -> f64 {
+        match self {
+            Src::Field(offset) => f64::from_le_bytes(word(record, offset)),
+            Src::Const(k) => k,
+        }
+    }
+}
+
+impl Src<bool> {
+    fn get(self, record: &[u8]) -> bool {
+        match self {
+            Src::Field(offset) => record[offset] != 0,
+            Src::Const(k) => k,
+        }
+    }
+}
+
+impl StrSrc {
+    fn get<'a>(&'a self, record: &'a [u8]) -> Result<&'a str, StorageError> {
+        match self {
+            StrSrc::Field { offset, width } => ColumnType::read_str(&record[*offset..], *width),
+            StrSrc::Const(k) => Ok(k),
+        }
+    }
+}
+
+impl CompiledPredicate {
+    /// Evaluates the formula against one encoded record of the
+    /// schema it was compiled for; agrees with [`Predicate::eval`] on
+    /// the decoded tuple.
+    ///
+    /// Only the fields the formula reads are looked at, so only they
+    /// can fail: a string field it compares is checked (length,
+    /// UTF-8) as a full decode would check it.
+    pub fn eval(&self, record: &[u8]) -> Result<bool, StorageError> {
+        if record.len() < self.record_size {
+            return Err(StorageError::SchemaMismatch(format!(
+                "record of {} bytes, predicate compiled for {}",
+                record.len(),
+                self.record_size
+            )));
+        }
+        self.root.eval(record)
+    }
+}
+
+impl Compiled {
+    fn eval(&self, record: &[u8]) -> Result<bool, StorageError> {
+        Ok(match self {
+            Compiled::Const(b) => *b,
+            Compiled::Compare(op, atom) => op.apply(match atom {
+                Atom::Int(l, r) => l.get(record).cmp(&r.get(record)),
+                Atom::Float(l, r) => l.get(record).total_cmp(&r.get(record)),
+                Atom::Bool(l, r) => l.get(record).cmp(&r.get(record)),
+                Atom::Str(l, r) => l.get(record)?.cmp(r.get(record)?),
+            }),
+            Compiled::And(a, b) => a.eval(record)? && b.eval(record)?,
+            Compiled::Or(a, b) => a.eval(record)? || b.eval(record)?,
+            Compiled::Not(a) => !a.eval(record)?,
+        })
     }
 }
 
@@ -381,7 +600,6 @@ impl std::fmt::Display for Predicate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eram_storage::ColumnType;
 
     fn t(values: Vec<i64>) -> Tuple {
         Tuple::new(values.into_iter().map(Value::Int).collect())
@@ -430,6 +648,109 @@ mod tests {
         assert!(Predicate::col_col(0, CmpOp::Lt, 3)
             .validate(&schema)
             .is_err());
+    }
+
+    fn typed_schema() -> Schema {
+        Schema::new(vec![
+            ("i", ColumnType::Int),
+            ("f", ColumnType::Float),
+            ("b", ColumnType::Bool),
+            ("s", ColumnType::Str { width: 8 }),
+            ("t", ColumnType::Str { width: 3 }),
+        ])
+    }
+
+    #[test]
+    fn validate_refuses_every_cross_type_column_constant_pair() {
+        // `Value::cmp` orders different types by tag, so `#1 >= 50`
+        // on a float column would hold for every row: the atom must
+        // not validate, whichever pair of types it mixes.
+        let schema = typed_schema();
+        let constants = [
+            Value::Int(50),
+            Value::Float(50.0),
+            Value::Bool(true),
+            Value::Str("50".into()),
+        ];
+        let names = ["int", "float", "bool", "str"];
+        for (column, column_ty) in names.iter().enumerate() {
+            for (constant, constant_ty) in constants.iter().zip(names) {
+                let p = Predicate::col_cmp(column, CmpOp::Ge, constant.clone());
+                let flipped = Predicate::Compare {
+                    left: Operand::Const(constant.clone()),
+                    op: CmpOp::Ge,
+                    right: Operand::Column(column),
+                };
+                if *column_ty == constant_ty {
+                    assert_eq!(p.validate(&schema), Ok(()), "{p}");
+                    assert_eq!(flipped.validate(&schema), Ok(()), "{flipped}");
+                } else {
+                    assert_eq!(
+                        p.validate(&schema),
+                        Err(ExprError::ComparisonTypeMismatch {
+                            atom: p.to_string(),
+                            left: column_ty,
+                            right: constant_ty,
+                        })
+                    );
+                    assert_eq!(
+                        flipped.validate(&schema),
+                        Err(ExprError::ComparisonTypeMismatch {
+                            atom: flipped.to_string(),
+                            left: constant_ty,
+                            right: column_ty,
+                        })
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn validate_checks_types_of_column_pairs_constants_and_nested_atoms() {
+        let schema = typed_schema();
+        // Strings of different widths share one order.
+        assert_eq!(
+            Predicate::col_col(3, CmpOp::Lt, 4).validate(&schema),
+            Ok(())
+        );
+        assert!(matches!(
+            Predicate::col_col(0, CmpOp::Lt, 1).validate(&schema),
+            Err(ExprError::ComparisonTypeMismatch {
+                left: "int",
+                right: "float",
+                ..
+            })
+        ));
+        let consts = |l: Value, r: Value| Predicate::Compare {
+            left: Operand::Const(l),
+            op: CmpOp::Eq,
+            right: Operand::Const(r),
+        };
+        assert_eq!(consts(1i64.into(), 2i64.into()).validate(&schema), Ok(()));
+        assert!(consts(1i64.into(), 2.0f64.into())
+            .validate(&schema)
+            .is_err());
+        // The mismatch is found wherever the atom sits, and the
+        // message names it.
+        let nested = Predicate::col_cmp(0, CmpOp::Lt, 3i64).and(
+            Predicate::col_cmp(1, CmpOp::Ge, 50i64)
+                .not()
+                .or(Predicate::True),
+        );
+        let err = nested.validate(&schema).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "comparison operand types differ in `#1 >= 50`: float vs int"
+        );
+        // A bad column is still reported as such, before any type.
+        assert!(matches!(
+            Predicate::col_cmp(9, CmpOp::Eq, 1.5f64).validate(&schema),
+            Err(ExprError::ColumnOutOfRange {
+                column: 9,
+                arity: 5
+            })
+        ));
     }
 
     #[test]

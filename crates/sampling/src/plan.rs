@@ -16,23 +16,36 @@ use eram_storage::Rng;
 
 /// Draws disk blocks of one relation, without replacement, across
 /// stages.
+///
+/// The permutation is drawn at the first [`BlockSampler::draw`], not
+/// at construction: a plan compiled only to be costed (admission
+/// control prices every offered job this way) never pays the
+/// O(relation) shuffle. The sampler owns its generator, so when the
+/// shuffle runs cannot change what it produces.
 #[derive(Debug, Clone)]
 pub struct BlockSampler {
+    num_blocks: u64,
+    rng: Rng,
+    /// Empty until the first draw.
     perm: Vec<u64>,
     cursor: usize,
 }
 
 impl BlockSampler {
-    /// Creates a sampler over blocks `0..num_blocks`.
-    pub fn new(num_blocks: u64, rng: &mut Rng) -> Self {
-        let mut perm: Vec<u64> = (0..num_blocks).collect();
-        rng.shuffle(&mut perm);
-        BlockSampler { perm, cursor: 0 }
+    /// Creates a sampler over blocks `0..num_blocks` whose permutation
+    /// `rng` will draw.
+    pub fn new(num_blocks: u64, rng: Rng) -> Self {
+        BlockSampler {
+            num_blocks,
+            rng,
+            perm: Vec::new(),
+            cursor: 0,
+        }
     }
 
     /// Total blocks in the relation.
     pub fn population(&self) -> u64 {
-        self.perm.len() as u64
+        self.num_blocks
     }
 
     /// Blocks drawn so far (all stages combined).
@@ -42,12 +55,16 @@ impl BlockSampler {
 
     /// Blocks not yet drawn.
     pub fn remaining(&self) -> u64 {
-        (self.perm.len() - self.cursor) as u64
+        self.num_blocks - self.cursor as u64
     }
 
     /// Draws up to `d` new blocks (fewer if the relation is nearly
     /// exhausted), returning their indices.
     pub fn draw(&mut self, d: u64) -> &[u64] {
+        if self.perm.is_empty() {
+            self.perm = (0..self.num_blocks).collect();
+            self.rng.shuffle(&mut self.perm);
+        }
         let take = usize::try_from(d)
             .unwrap_or(usize::MAX)
             .min(self.perm.len() - self.cursor);
@@ -86,8 +103,8 @@ mod tests {
 
     #[test]
     fn staged_draws_never_repeat() {
-        let mut rng = Rng::seed_from_u64(5);
-        let mut s = BlockSampler::new(100, &mut rng);
+        let rng = Rng::seed_from_u64(5);
+        let mut s = BlockSampler::new(100, rng);
         let mut seen = HashSet::new();
         for d in [10u64, 25, 40, 50] {
             for &b in s.draw(d) {
@@ -102,8 +119,8 @@ mod tests {
 
     #[test]
     fn sample_set_accumulates_in_draw_order() {
-        let mut rng = Rng::seed_from_u64(8);
-        let mut s = BlockSampler::new(20, &mut rng);
+        let rng = Rng::seed_from_u64(8);
+        let mut s = BlockSampler::new(20, rng);
         let first: Vec<u64> = s.draw(5).to_vec();
         let second: Vec<u64> = s.draw(3).to_vec();
         let combined: Vec<u64> = first.iter().chain(second.iter()).copied().collect();
@@ -117,8 +134,8 @@ mod tests {
         let trials = 20_000;
         let mut counts = [0u64; 10];
         for seed in 0..trials {
-            let mut rng = Rng::seed_from_u64(seed);
-            let mut s = BlockSampler::new(10, &mut rng);
+            let rng = Rng::seed_from_u64(seed);
+            let mut s = BlockSampler::new(10, rng);
             for &b in s.draw(2) {
                 counts[b as usize] += 1;
             }
@@ -131,8 +148,8 @@ mod tests {
 
     #[test]
     fn unconsume_returns_last_drawn_blocks_in_order() {
-        let mut rng = Rng::seed_from_u64(3);
-        let mut s = BlockSampler::new(30, &mut rng);
+        let rng = Rng::seed_from_u64(3);
+        let mut s = BlockSampler::new(30, rng);
         let first: Vec<u64> = s.draw(10).to_vec();
         assert_eq!(s.drawn(), 10);
         // Give back the last 4: the next draw must hand out exactly
@@ -149,9 +166,29 @@ mod tests {
     }
 
     #[test]
+    fn permutation_is_drawn_at_the_first_draw_and_is_the_generators_shuffle() {
+        // Counts answer before any permutation exists; the first
+        // draw then produces exactly what an eager shuffle with the
+        // same generator would have.
+        let mut s = BlockSampler::new(1_000, Rng::seed_from_u64(77));
+        assert_eq!(
+            (s.population(), s.remaining(), s.drawn()),
+            (1_000, 1_000, 0)
+        );
+        assert!(s.sample_set().is_empty());
+        s.unconsume(5); // nothing drawn: a no-op, still no permutation
+        assert_eq!(s.remaining(), 1_000);
+        let mut eager: Vec<u64> = (0..1_000).collect();
+        Rng::seed_from_u64(77).shuffle(&mut eager);
+        assert_eq!(s.draw(10), &eager[..10]);
+        assert_eq!(s.draw(990), &eager[10..]);
+        assert_eq!(s.remaining(), 0);
+    }
+
+    #[test]
     fn empty_relation_yields_nothing() {
-        let mut rng = Rng::seed_from_u64(0);
-        let mut s = BlockSampler::new(0, &mut rng);
+        let rng = Rng::seed_from_u64(0);
+        let mut s = BlockSampler::new(0, rng);
         assert_eq!(s.population(), 0);
         assert!(s.draw(4).is_empty());
     }

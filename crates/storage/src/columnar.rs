@@ -122,16 +122,7 @@ impl ColumnarBlock {
                         let ColumnType::Str { width } = col.ty else {
                             unreachable!("Str data only built for Str columns")
                         };
-                        let raw: [u8; 2] = field[..2].try_into().expect("sized slice");
-                        let len = usize::from(u16::from_le_bytes(raw));
-                        if len > usize::from(width) {
-                            return Err(StorageError::SchemaMismatch(format!(
-                                "string length {len} exceeds column width {width}"
-                            )));
-                        }
-                        let s = std::str::from_utf8(&field[2..2 + len])
-                            .map_err(|e| StorageError::SchemaMismatch(e.to_string()))?;
-                        v.push(s.to_owned());
+                        v.push(ColumnType::read_str(field, width)?.to_owned());
                     }
                 }
             }

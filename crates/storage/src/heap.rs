@@ -173,13 +173,28 @@ impl HeapFile {
     /// touches no shared state, so callers may decode fetched blocks
     /// on worker threads.
     pub fn decode_block(&self, index: u64, block: &Block) -> Result<Vec<Tuple>> {
-        let n = usize::try_from(self.tuples_in_block(index)).expect("fits usize");
-        let rec = self.schema.record_size();
-        let mut out = Vec::with_capacity(n);
-        for i in 0..n {
-            out.push(self.schema.decode(&block.bytes()[i * rec..(i + 1) * rec])?);
+        let records = self.records(index, block);
+        let mut out = Vec::with_capacity(records.len());
+        for record in records {
+            out.push(self.schema.decode(record)?);
         }
         Ok(out)
+    }
+
+    /// The encoded records stored in `block`, which must be block
+    /// `index` of this file, borrowed in place and in storage order:
+    /// one [`Schema::record_size`]-byte slice per tuple, nothing
+    /// decoded and nothing copied.
+    pub fn records<'a>(
+        &self,
+        index: u64,
+        block: &'a Block,
+    ) -> impl ExactSizeIterator<Item = &'a [u8]> + 'a {
+        let n = usize::try_from(self.tuples_in_block(index)).expect("fits usize");
+        block
+            .bytes()
+            .chunks_exact(self.schema.record_size())
+            .take(n)
     }
 
     /// Decodes the tuples stored in `block` into a per-column typed

@@ -39,6 +39,33 @@ impl ColumnType {
         }
     }
 
+    /// The type's name in the schema-spec syntax (`int`, `float`,
+    /// `bool`, `str`); string columns of any width share one name,
+    /// as they share one order.
+    pub fn name(self) -> &'static str {
+        match self {
+            ColumnType::Int => "int",
+            ColumnType::Float => "float",
+            ColumnType::Bool => "bool",
+            ColumnType::Str { .. } => "str",
+        }
+    }
+
+    /// Borrows the payload of a string field of this width from its
+    /// encoded bytes (length prefix first), validating the length
+    /// and the UTF-8 exactly as a full record decode does.
+    pub fn read_str(field: &[u8], width: u16) -> Result<&str> {
+        let raw: [u8; 2] = field[..2].try_into().expect("sized slice");
+        let len = usize::from(u16::from_le_bytes(raw));
+        if len > usize::from(width) {
+            return Err(StorageError::SchemaMismatch(format!(
+                "string length {len} exceeds column width {width}"
+            )));
+        }
+        std::str::from_utf8(&field[2..2 + len])
+            .map_err(|e| StorageError::SchemaMismatch(e.to_string()))
+    }
+
     /// True if `v` is a value of this type.
     pub fn matches(self, v: &Value) -> bool {
         matches!(
@@ -126,6 +153,18 @@ impl Schema {
     /// On-disk record size in bytes (including padding).
     pub fn record_size(&self) -> usize {
         self.record_size
+    }
+
+    /// Byte offset of column `index` within an encoded record.
+    ///
+    /// # Panics
+    /// Panics if `index` is out of range.
+    pub fn column_offset(&self, index: usize) -> usize {
+        assert!(index < self.arity(), "column #{index} out of range");
+        self.columns[..index]
+            .iter()
+            .map(|c| c.ty.encoded_size())
+            .sum()
     }
 
     /// Index of the column named `name`, if any.
@@ -303,18 +342,9 @@ impl Schema {
                     off += 1;
                 }
                 ColumnType::Str { width } => {
-                    let raw: [u8; 2] = bytes[off..off + 2].try_into().expect("sized slice");
-                    let len = usize::from(u16::from_le_bytes(raw));
-                    off += 2;
-                    if len > usize::from(width) {
-                        return Err(StorageError::SchemaMismatch(format!(
-                            "string length {len} exceeds column width {width}"
-                        )));
-                    }
-                    let s = std::str::from_utf8(&bytes[off..off + len])
-                        .map_err(|e| StorageError::SchemaMismatch(e.to_string()))?;
+                    let s = ColumnType::read_str(&bytes[off..], width)?;
                     values.push(Value::Str(s.to_owned()));
-                    off += usize::from(width);
+                    off += col.ty.encoded_size();
                 }
             }
         }

@@ -35,6 +35,18 @@ impl Value {
         }
     }
 
+    /// The value's type under its schema-spec name (`int`, `float`,
+    /// `bool`, `str`) — [`crate::ColumnType::name`] of the column
+    /// types that hold it.
+    pub fn type_name(&self) -> &'static str {
+        match self {
+            Value::Int(_) => "int",
+            Value::Float(_) => "float",
+            Value::Bool(_) => "bool",
+            Value::Str(_) => "str",
+        }
+    }
+
     /// The integer payload, if this is an `Int`.
     pub fn as_int(&self) -> Option<i64> {
         match self {

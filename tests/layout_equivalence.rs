@@ -9,12 +9,19 @@
 //! JSONL trace under either layout, at any worker count, under
 //! deadline aborts, and under injected storage faults — the same
 //! contract the worker pool and the run cache are held to.
+//!
+//! It is also the fused-versus-unfused oracle. Under the row layout a
+//! selection directly over a leaf runs inside the leaf's scan, on the
+//! page bytes, and decodes only the records that pass (none at all
+//! for a plain COUNT); the columnar layout always decodes first and
+//! filters after. Every case below that selects over a base relation
+//! therefore compares the two scans byte for byte.
 
 use std::time::Duration;
 
 use eram_bench::{Workload, WorkloadKind};
 use eram_core::{AggregateFn, BlockLayout, Database, ExecutionReport, Tracer};
-use eram_relalg::{CmpOp, Expr, Predicate};
+use eram_relalg::{parse_expr, CmpOp, Expr, Predicate};
 use eram_storage::{json, ColumnType, FaultPlan, Schema, Tuple, Value};
 
 /// Renders a run's artifacts for comparison: the serialized report
@@ -98,9 +105,8 @@ fn intersect_reports_are_byte_identical_across_layouts() {
 #[test]
 fn hard_deadline_abort_is_identical_across_layouts() {
     // A quota this tight fires the deadline mid-stage: the abort path
-    // banks decoded rows as pending tuples, which the next columnar
-    // stage must deliver as the delta's row prefix ahead of its
-    // columnar blocks — in exactly the row path's order.
+    // banks the pages already fetched, undecoded, under either
+    // layout.
     let kind = WorkloadKind::Select {
         output_tuples: 10_000,
     };
@@ -242,4 +248,206 @@ fn bare_leaf_sum_is_identical_across_layouts() {
         );
         assert_eq!(trace_row, trace_col);
     }
+}
+
+/// 10 000 orders carrying every column type — a string tag and a
+/// float score beside the integers — and a 1 000-row dimension table
+/// that `amount` joins against one to one.
+fn orders_db(seed: u64) -> Database {
+    let mut db = Database::sim_default(seed);
+    let orders = Schema::new(vec![
+        ("k", ColumnType::Int),
+        ("amount", ColumnType::Int),
+        ("grp", ColumnType::Int),
+        ("tag", ColumnType::Str { width: 6 }),
+        ("score", ColumnType::Float),
+        ("vip", ColumnType::Bool),
+    ])
+    .padded_to(200);
+    let tags = ["red", "green", "blue", "", "yellow"];
+    db.load_relation(
+        "orders",
+        orders,
+        (0..10_000i64).map(|i| {
+            Tuple::new(vec![
+                Value::Int(i),
+                Value::Int((i * 37) % 1_000),
+                Value::Int(i % 4),
+                Value::Str(tags[(i * 7 % 5) as usize].into()),
+                Value::Float((i % 97) as f64 * 0.5 - 10.0),
+                Value::Bool(i % 3 == 0),
+            ])
+        }),
+    )
+    .unwrap();
+    let dims = Schema::new(vec![("key", ColumnType::Int), ("w", ColumnType::Int)]).padded_to(200);
+    db.load_relation(
+        "dims",
+        dims,
+        (0..1_000i64).map(|i| Tuple::new(vec![Value::Int(i), Value::Int(i % 10)])),
+    )
+    .unwrap();
+    db
+}
+
+/// Runs `agg(query)` over [`orders_db`] under both layouts at workers
+/// 1 and 4 and requires byte-identical reports and traces. Returns
+/// the (row, workers = 1) report for shape assertions.
+fn assert_layouts_agree(
+    agg: AggregateFn,
+    query: &str,
+    quota: Duration,
+    faults: Option<fn() -> FaultPlan>,
+) -> String {
+    let expr = parse_expr(query).expect("test query parses");
+    let run = |layout: BlockLayout, workers: usize| {
+        let mut db = orders_db(61);
+        if let Some(plan) = faults {
+            db.inject_faults(plan());
+        }
+        let tracer = Tracer::recording(db.disk().clock().clone());
+        let out = db
+            .aggregate(agg, expr.clone())
+            .within(quota)
+            .workers(workers)
+            .block_layout(layout)
+            .seed(0xC0FFEE)
+            .tracer(tracer.clone())
+            .run()
+            .expect("query must execute");
+        render(&out.report, &tracer)
+    };
+    let mut first = None;
+    for workers in [1, 4] {
+        let (report_row, trace_row) = run(BlockLayout::Row, workers);
+        let (report_col, trace_col) = run(BlockLayout::Columnar, workers);
+        assert_eq!(
+            report_row, report_col,
+            "{agg} of {query}: report diverged across layouts at workers={workers}"
+        );
+        assert_eq!(
+            trace_row, trace_col,
+            "{agg} of {query}: trace diverged across layouts at workers={workers}"
+        );
+        first.get_or_insert(report_row);
+    }
+    first.expect("ran at least once")
+}
+
+const QUOTA: Duration = Duration::from_millis(2_500);
+
+#[test]
+fn fused_count_is_identical_to_decode_then_filter() {
+    // Plain COUNT: the row scan decodes nothing, the columnar one
+    // everything. One atom, two atoms, `not`/`or`, and atoms on a
+    // string, a float and a bool column.
+    for query in [
+        "select[#1 < 300](orders)",
+        "select[#1 < 300 and #2 = 1](orders)",
+        "select[not (#1 >= 300 or #2 = 1)](orders)",
+        "select[#3 >= \"green\"](orders)",
+        "select[(#4 > 12.5 or #5 = true) and not (#3 = \"\")](orders)",
+    ] {
+        assert_layouts_agree(AggregateFn::Count, query, QUOTA, None);
+    }
+}
+
+#[test]
+fn fused_scan_feeding_sum_avg_and_group_by_decodes_the_same_survivors() {
+    // The aggregate reads the qualifying rows, so the fused scan
+    // must hand up exactly the rows the filter-after-decode path
+    // does, in the same order (GROUP BY freezes groups in order).
+    let query = "select[#1 < 700 and not (#3 = \"blue\")](orders)";
+    for agg in [
+        AggregateFn::Sum { column: 1 },
+        AggregateFn::Avg { column: 4 },
+        AggregateFn::CountBy { group: 2 },
+        AggregateFn::SumBy {
+            column: 1,
+            group: 2,
+        },
+    ] {
+        assert_layouts_agree(agg, query, QUOTA, None);
+    }
+}
+
+#[test]
+fn fused_scan_under_a_join_is_identical_across_layouts() {
+    // Push-down leaves the selection directly on `orders`' leaf; its
+    // survivors feed the join's sort, so they are decoded even though
+    // the query is a COUNT.
+    let query = "select[#2 < 2 and #3 != \"red\"](join[#1=#0](orders, dims))";
+    assert_layouts_agree(AggregateFn::Count, query, QUOTA, None);
+    assert_layouts_agree(AggregateFn::Sum { column: 7 }, query, QUOTA, None);
+}
+
+#[test]
+fn fused_scan_under_block_loss_is_identical_across_layouts() {
+    // Corrupt and retry-exhausted blocks drop out of the draw before
+    // either scan sees them.
+    let plan: fn() -> FaultPlan = || FaultPlan::new(5).with_corruption(0.1).with_transient(0.3);
+    let query = "select[#1 < 300 or #3 = \"green\"](orders)";
+    let report = assert_layouts_agree(AggregateFn::Count, query, QUOTA, Some(plan));
+    assert!(report.contains("\"degraded\":true"), "no block was lost");
+    assert_layouts_agree(AggregateFn::Sum { column: 1 }, query, QUOTA, Some(plan));
+}
+
+#[test]
+fn fused_scan_aborted_mid_draw_is_identical_across_layouts() {
+    // Latency spikes the cost model cannot foresee push a stage past
+    // the hard deadline inside its draw: the pages already fetched
+    // are banked as pages and the stage is discarded — with nothing
+    // decoded on the way out under either layout.
+    let spikes: fn() -> FaultPlan =
+        || FaultPlan::new(7).with_spikes(0.5, Duration::from_millis(150));
+    let query = "select[#1 < 300 and #3 != \"red\"](orders)";
+    for agg in [AggregateFn::Count, AggregateFn::Sum { column: 1 }] {
+        let report = assert_layouts_agree(agg, query, QUOTA, Some(spikes));
+        assert!(
+            report.contains("\"within_quota\":false"),
+            "the spikes were meant to abort a stage: {report}"
+        );
+    }
+}
+
+#[test]
+fn unreferenced_columns_are_validated_only_when_a_record_is_materialized() {
+    // The one intended behavioural difference of scanning on page
+    // bytes. A page whose digest is good but whose string column is
+    // malformed (here: written that way) fails any scan that decodes
+    // the record. The fused COUNT reads only the column its formula
+    // names and never builds the row, so it answers; page integrity
+    // is the digest's job, not the decoder's.
+    let corrupt_tag_db = || {
+        let mut db = Database::sim_default(3);
+        let schema = Schema::new(vec![
+            ("k", ColumnType::Int),
+            ("tag", ColumnType::Str { width: 6 }),
+        ])
+        .padded_to(200);
+        db.load_relation(
+            "r",
+            schema,
+            (0..50i64).map(|i| Tuple::new(vec![Value::Int(i), Value::Str("ok".into())])),
+        )
+        .unwrap();
+        let file = db.catalog().relation("r").unwrap().file_id();
+        let mut block = db.disk().read_block_uncharged(file, 0).unwrap();
+        block.bytes_mut()[8..10].copy_from_slice(&60u16.to_le_bytes()); // tag length 60 > width 6
+        db.disk().write_block(file, 0, block).unwrap();
+        db
+    };
+    let expr = || Expr::relation("r").select(Predicate::col_cmp(0, CmpOp::Lt, 25));
+    let run = |agg: AggregateFn, layout: BlockLayout| {
+        corrupt_tag_db()
+            .aggregate(agg, expr())
+            .within(Duration::from_secs(60))
+            .block_layout(layout)
+            .run()
+    };
+    let fused_count = run(AggregateFn::Count, BlockLayout::Row).expect("reads column 0 only");
+    assert_eq!(fused_count.estimate.estimate, 25.0);
+    assert!(run(AggregateFn::Count, BlockLayout::Columnar).is_err());
+    // k = 0 passes the formula, so a SUM materializes the bad record.
+    assert!(run(AggregateFn::Sum { column: 0 }, BlockLayout::Row).is_err());
 }
