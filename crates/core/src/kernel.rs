@@ -12,9 +12,9 @@
 //! compares precomputed keys by index, so neither the merge head nor
 //! the group-end scans ever allocate a key.
 //!
-//! [`merge_reference`] keeps the original extract-per-comparison
-//! algorithm as the property-test oracle: both merges must agree
-//! tuple for tuple on any pair of key-sorted runs.
+//! `merge_reference` (test-only) keeps the original
+//! extract-per-comparison algorithm as the property-test oracle: both
+//! merges must agree tuple for tuple on any pair of key-sorted runs.
 //!
 //! Everything here is pure CPU — no clock, no tracer, no deadline —
 //! which is what lets the executor fan pair merges across worker
@@ -36,7 +36,7 @@ pub enum KeySpec {
 
 impl KeySpec {
     /// Extracts one tuple's key. Allocates — used when building key
-    /// columns and by [`merge_reference`], never in the keyed inner
+    /// columns and by the test oracle, never in the keyed inner
     /// loops.
     pub fn extract(&self, t: &Tuple) -> Tuple {
         match self {
@@ -248,7 +248,8 @@ fn emit(kind: MergeKind, left: &[Tuple], right: &[Tuple], out: &mut Vec<Tuple>) 
 /// every comparison step, including once per probed tuple in the
 /// group-end scans — quadratic key extractions on wide equal-key
 /// groups. Kept as the property-test oracle for [`merge_keyed`].
-pub fn merge_reference(
+#[cfg(test)]
+fn merge_reference(
     kind: MergeKind,
     lspec: &KeySpec,
     rspec: &KeySpec,
@@ -435,6 +436,118 @@ mod tests {
         let keys = spec.column_for(&survived);
         for (i, tuple) in survived.iter().enumerate() {
             assert_eq!(keys.key_at(&survived, i), spec.extract(tuple).values());
+        }
+    }
+
+    /// Property suite pinning the keyed merge kernels to the naive
+    /// reference algorithm: [`sort_run`] + [`merge_keyed`] over
+    /// precomputed [`KeyColumn`]s must agree with [`merge_reference`]
+    /// **tuple for tuple** on arbitrary runs — join and intersect,
+    /// single- and multi-column keys, duplicate-heavy groups, and
+    /// empty runs.
+    mod equivalence {
+        use testkit::prelude::*;
+
+        use super::super::*;
+
+        const COLS: usize = 3;
+
+        fn tuple(vals: Vec<i64>) -> Tuple {
+            Tuple::new(vals.into_iter().map(Value::Int).collect())
+        }
+
+        /// Runs drawn from a tiny value domain so equal-key groups (and fully
+        /// equal tuples) are common — the regime where the group-end scans do
+        /// the most work.
+        fn arb_run(max_len: usize) -> impl Strategy<Value = Vec<Tuple>> {
+            prop::collection::vec(prop::collection::vec(-3i64..4, COLS), 0..max_len)
+                .prop_map(|rows| rows.into_iter().map(tuple).collect())
+        }
+
+        /// A non-empty subset of the column indices, in arbitrary order
+        /// (multi-column keys included).
+        fn arb_key_cols() -> impl Strategy<Value = Vec<usize>> {
+            prop::collection::vec(0..COLS, 1..=COLS)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn keyed_join_matches_reference(
+                mut lt in arb_run(64),
+                mut rt in arb_run(64),
+                lcols in arb_key_cols(),
+                rcols in arb_key_cols(),
+            ) {
+                // Join key arity must match across sides.
+                let arity = lcols.len().min(rcols.len());
+                let lspec = KeySpec::Columns(lcols[..arity].to_vec());
+                let rspec = KeySpec::Columns(rcols[..arity].to_vec());
+                let lk = sort_run(&mut lt, &lspec);
+                let rk = sort_run(&mut rt, &rspec);
+                let keyed = merge_keyed(MergeKind::Join, &lt, &lk, &rt, &rk);
+                let reference = merge_reference(MergeKind::Join, &lspec, &rspec, &lt, &rt);
+                prop_assert_eq!(keyed, reference);
+            }
+
+            #[test]
+            fn keyed_intersect_matches_reference(
+                mut lt in arb_run(64),
+                mut rt in arb_run(64),
+            ) {
+                let lk = sort_run(&mut lt, &KeySpec::Whole);
+                let rk = sort_run(&mut rt, &KeySpec::Whole);
+                let keyed = merge_keyed(MergeKind::Intersect, &lt, &lk, &rt, &rk);
+                let reference =
+                    merge_reference(MergeKind::Intersect, &KeySpec::Whole, &KeySpec::Whole, &lt, &rt);
+                prop_assert_eq!(keyed, reference);
+            }
+
+            #[test]
+            fn sort_run_matches_sort_by_key(
+                tuples in arb_run(64),
+                cols in arb_key_cols(),
+            ) {
+                let spec = KeySpec::Columns(cols);
+                let mut reference = tuples.clone();
+                reference.sort_by_key(|t| spec.extract(t));
+
+                let mut sorted = tuples;
+                let keys = sort_run(&mut sorted, &spec);
+                prop_assert_eq!(&sorted, &reference, "stable key order must be preserved");
+                for (i, t) in sorted.iter().enumerate() {
+                    let expected = spec.extract(t);
+                    prop_assert_eq!(
+                        keys.key_at(&sorted, i),
+                        expected.values(),
+                        "key column misaligned at {}", i
+                    );
+                }
+            }
+
+            #[test]
+            fn whole_key_sort_matches_sort_by_key(tuples in arb_run(64)) {
+                let mut reference = tuples.clone();
+                reference.sort_by_key(|t| t.values().to_vec());
+                let mut sorted = tuples;
+                sort_run(&mut sorted, &KeySpec::Whole);
+                prop_assert_eq!(sorted, reference);
+            }
+        }
+
+        #[test]
+        fn empty_runs_are_a_fixed_point() {
+            let spec = KeySpec::Columns(vec![0]);
+            let mut empty: Vec<Tuple> = Vec::new();
+            let ek = sort_run(&mut empty, &spec);
+            let mut run = vec![tuple(vec![1, 2, 3])];
+            let rk = sort_run(&mut run, &spec);
+            for kind in [MergeKind::Join, MergeKind::Intersect] {
+                assert!(merge_keyed(kind, &empty, &ek, &run, &rk).is_empty());
+                assert!(merge_keyed(kind, &run, &rk, &empty, &ek).is_empty());
+                assert!(merge_keyed(kind, &empty, &ek, &empty, &ek).is_empty());
+            }
         }
     }
 }

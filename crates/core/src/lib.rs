@@ -82,9 +82,7 @@ pub use executor::{
     execute_aggregate, execute_count, term_estimate, term_estimate_with, EngineError, ExecOutcome,
     StageRun,
 };
-pub use kernel::{
-    merge_keyed, merge_reference, sort_run, sort_run_with_keys, KeyColumn, KeySpec, MergeKind,
-};
+pub use kernel::{merge_keyed, sort_run, sort_run_with_keys, KeyColumn, KeySpec, MergeKind};
 pub use obs::{
     Histogram, MetricsRegistry, MetricsSnapshot, OperatorGuard, Phase, PhaseGuard, PhaseStats,
     PhaseTotals, ProfileSnapshot, Profiler, SpanGuard, TraceKind, TraceRecord, Tracer,

@@ -44,7 +44,7 @@
 //! | `stop` | event | exactly one per run, with the loop-exit reason |
 //! | `convergence` | stage | per-stage estimate / CI / time trajectory |
 //! | `group_convergence` | stage | per-stage GROUP BY freeze state |
-//! | `server.decision` | event | one per admission/grant/shed/refit/watchdog/terminal decision, with its inputs (see [`DecisionRecord`](crate::server::DecisionRecord)) |
+//! | `server.decision` | event | the server's one record kind: one per serving decision, its `action` one of `admit`, `refuse`, `fail`, `grant`, `deflate`, `refit`, `shed`, `watchdog`, `done`, with the inputs it was made from (see [`DecisionRecord`](crate::server::DecisionRecord)) |
 //!
 //! The JSONL schema is documented in `DESIGN.md` §"Observability";
 //! the decision audit and per-tenant SLO ledger in `DESIGN.md` §5j.
@@ -60,7 +60,7 @@ mod tracer;
 /// bench suite's `BENCH_*.json` files. Bump it whenever any of those
 /// schemas changes shape. Additive extensions — new event names, new
 /// optional fields that default when absent — do not bump it: the serving
-/// layer's `server.*` trace events, `server.*` metrics counters, and
+/// layer's `server.decision` trace event, `server.*` metrics counters, and
 /// the optional `refusal` field on
 /// [`ReportHealth`](crate::ReportHealth) all ride schema v1, which
 /// existing readers tolerate by construction.

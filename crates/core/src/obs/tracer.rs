@@ -134,9 +134,10 @@ impl Tracer {
 
     /// Emits a point-in-time event. The field closure only runs when
     /// recording, so building the payload is free when disabled.
-    pub fn event<F>(&self, name: &'static str, fields: F)
+    pub fn event<K, F>(&self, name: &'static str, fields: F)
     where
-        F: FnOnce() -> Vec<(&'static str, Json)>,
+        K: Into<String>,
+        F: FnOnce() -> Vec<(K, Json)>,
     {
         self.emit(TraceKind::Event, name, fields);
     }
@@ -148,32 +149,6 @@ impl Tracer {
         F: FnOnce() -> Vec<(&'static str, Json)>,
     {
         self.emit(TraceKind::Stage, name, fields);
-    }
-
-    /// Emits a point-in-time event with an explicit timestamp instead
-    /// of sampling the clock — for control-plane replay, where events
-    /// are stamped on a virtual timeline the shared clock has not
-    /// advanced along yet.
-    pub fn event_at<F>(&self, t_ns: u64, name: &'static str, fields: F)
-    where
-        F: FnOnce() -> Vec<(&'static str, Json)>,
-    {
-        if let Some(inner) = &self.inner {
-            let fields = fields()
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect();
-            let mut state = inner.state.lock();
-            let stage = state.stage;
-            state.records.push(TraceRecord {
-                t_ns,
-                kind: TraceKind::Event,
-                name: name.to_string(),
-                stage,
-                dur_ns: None,
-                fields,
-            });
-        }
     }
 
     /// Splices pre-recorded records (a per-job lane trace, stamped
@@ -192,16 +167,14 @@ impl Tracer {
         }
     }
 
-    fn emit<F>(&self, kind: TraceKind, name: &'static str, fields: F)
+    fn emit<K, F>(&self, kind: TraceKind, name: &'static str, fields: F)
     where
-        F: FnOnce() -> Vec<(&'static str, Json)>,
+        K: Into<String>,
+        F: FnOnce() -> Vec<(K, Json)>,
     {
         if let Some(inner) = &self.inner {
             let t_ns = duration_ns(inner.clock.elapsed());
-            let fields = fields()
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect();
+            let fields = fields().into_iter().map(|(k, v)| (k.into(), v)).collect();
             let mut state = inner.state.lock();
             let stage = state.stage;
             state.records.push(TraceRecord {
@@ -312,6 +285,11 @@ fn duration_ns(d: std::time::Duration) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// An empty payload (the key type is generic, so it needs naming).
+    fn no_fields() -> Vec<(&'static str, Json)> {
+        Vec::new()
+    }
     use std::cell::Cell;
     use std::time::Duration;
 
@@ -328,7 +306,7 @@ mod tests {
         let ran = Cell::new(false);
         t.event("e", || {
             ran.set(true);
-            vec![]
+            no_fields()
         });
         let _g = t.span("s");
         t.set_stage(3);
@@ -358,11 +336,11 @@ mod tests {
     fn stage_is_monotone_and_stamped_on_records() {
         let t = Tracer::recording(sim());
         t.set_stage(2);
-        t.event("a", Vec::new);
+        t.event("a", no_fields);
         t.set_stage(1); // ignored: stages never go backwards
-        t.event("b", Vec::new);
+        t.event("b", no_fields);
         t.set_stage(3);
-        t.event("c", Vec::new);
+        t.event("c", no_fields);
         let stages: Vec<usize> = t.records().iter().map(|r| r.stage).collect();
         assert_eq!(stages, vec![2, 2, 3]);
     }
@@ -408,8 +386,8 @@ mod tests {
     fn clones_share_one_buffer() {
         let t = Tracer::recording(sim());
         let t2 = t.clone();
-        t.event("from_original", Vec::new);
-        t2.event("from_clone", Vec::new);
+        t.event("from_original", no_fields);
+        t2.event("from_clone", no_fields);
         assert_eq!(t.record_count(), 2);
         assert_eq!(t2.record_count(), 2);
     }

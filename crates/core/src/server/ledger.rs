@@ -10,10 +10,20 @@
 //!   watchdog overruns, granted-vs-spent quota, and the value-weighted
 //!   slack banked at completion; and
 //! * one [`DecisionRecord`] per serving decision — admission, refusal,
-//!   grant (with its deflation factor), overrun refit, shedding, and
+//!   grant, dispatch-time deflation, overrun refit, shedding, and
 //!   watchdog trips — each carrying the *inputs* the decision was made
 //!   from (predicted cost, slack, margin, overrun factor), so a
 //!   postmortem can replay the reasoning, not just the verdict.
+//!
+//! The decision log is the server's only observation sink: the
+//! serving loop appends one [`DecisionRecord`] per decision (and emits
+//! it as the one `server.decision` trace event), and everything else —
+//! the [`TenantSlo`] rows, the refit trajectory, and through the rows
+//! [`ServerStats`](super::ServerStats) and the `server.*` metrics — is
+//! [`TenantLedger::fold`] over that log. `eram-explain` runs the same
+//! fold over the `server.decision` lines of a trace
+//! ([`DecisionRecord::from_trace_fields`]), so exactly one function
+//! knows what a refusal, a shed or a late answer counts as.
 //!
 //! The ledger is **pure observation**: building it draws no blocks,
 //! charges no clock time, and consumes no RNG. It rides
@@ -21,14 +31,12 @@
 //! may be absent, so outcome JSON from before the ledger existed
 //! loads unchanged and a ledger-free outcome serializes
 //! byte-identically to the pre-ledger wire form (schema v1 is
-//! preserved — see [`crate::obs::SCHEMA_VERSION`]). Each decision is
-//! also mirrored as a `server.decision` trace event when a recording
-//! [`Tracer`](crate::obs::Tracer) is attached, interleaved with the
-//! engine spans on the shared clock.
+//! preserved — see [`crate::obs::SCHEMA_VERSION`]).
 
 use std::collections::BTreeMap;
 use std::time::Duration;
 
+use eram_storage::json::{FromJson, JsonError, ToJson};
 use eram_storage::{json_record, json_unit_enum, Json};
 
 use crate::report::RefusalReason;
@@ -43,10 +51,13 @@ pub enum DecisionAction {
     Refuse,
     /// The job (or its QCOST screening) failed with an error.
     Fail,
-    /// The job was granted its execution quota. When `overrun > 1`
-    /// the grant was *deflated* by the refit factor — the record is
-    /// the audit trail of exactly how much was taken back and why.
+    /// The job was dispatched under its execution quota (`overrun` is
+    /// the refit factor in force).
     Grant,
+    /// The dispatched attempt would have landed late, so it was
+    /// discarded (`discarded_ns` of lane time) and the job re-run
+    /// under a tighter quota: `grant_ns` before, `deflated_ns` after.
+    Deflate,
     /// The EWMA overrun factor was refit from an observed
     /// `spent / granted` ratio.
     Refit,
@@ -64,27 +75,12 @@ json_unit_enum!(DecisionAction {
     Refuse = "refuse",
     Fail = "fail",
     Grant = "grant",
+    Deflate = "deflate",
     Refit = "refit",
     Shed = "shed",
     Watchdog = "watchdog",
     Done = "done",
 });
-
-impl DecisionAction {
-    /// Stable lowercase label (the JSON wire form).
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            DecisionAction::Admit => "admit",
-            DecisionAction::Refuse => "refuse",
-            DecisionAction::Fail => "fail",
-            DecisionAction::Grant => "grant",
-            DecisionAction::Refit => "refit",
-            DecisionAction::Shed => "shed",
-            DecisionAction::Watchdog => "watchdog",
-            DecisionAction::Done => "done",
-        }
-    }
-}
 
 /// One entry of the append-only decision audit log.
 ///
@@ -121,8 +117,16 @@ pub struct DecisionRecord {
     pub overrun: Option<f64>,
     /// The observed `spent / granted` ratio (refit records).
     pub ratio: Option<f64>,
-    /// Time the job actually consumed (refit/watchdog/done records).
+    /// Time the job actually consumed (refit/watchdog records and the
+    /// terminal record of every job that ran).
     pub spent_ns: Option<u64>,
+    /// How far past its deadline the answer landed (late-shed
+    /// records).
+    pub late_ns: Option<u64>,
+    /// The tighter quota the job re-ran under (deflate records).
+    pub deflated_ns: Option<u64>,
+    /// Lane time of the discarded attempt (deflate records).
+    pub discarded_ns: Option<u64>,
     /// The job's shedding value (shed records).
     pub value: Option<f64>,
     /// Whether the job finished by its deadline (done records).
@@ -145,6 +149,9 @@ json_record!(DecisionRecord {
     overrun: omit_empty,
     ratio: omit_empty,
     spent_ns: omit_empty,
+    late_ns: omit_empty,
+    deflated_ns: omit_empty,
+    discarded_ns: omit_empty,
     value: omit_empty,
     met: omit_empty,
     error: omit_empty,
@@ -162,48 +169,37 @@ impl DecisionRecord {
         }
     }
 
-    /// The record's populated fields as trace-event payload, in the
-    /// struct's (fixed) field order — the `server.decision` event
-    /// mirrors the audit-log entry exactly.
-    pub fn trace_fields(&self) -> Vec<(&'static str, Json)> {
-        let mut fields = vec![
-            ("action", Json::from(self.action.as_str())),
-            ("job", Json::from(self.job.clone())),
-        ];
-        if let Some(reason) = self.reason {
-            fields.push(("reason", Json::from(reason.as_str())));
-        }
-        let u64s: [(&'static str, Option<u64>); 5] = [
-            ("slack_ns", self.slack_ns),
-            ("grant_ns", self.grant_ns),
-            ("min_quota_ns", self.min_quota_ns),
-            ("projected_start_ns", self.projected_start_ns),
-            ("spent_ns", self.spent_ns),
-        ];
-        for (name, v) in u64s {
-            if let Some(v) = v {
-                fields.push((name, Json::from(v)));
-            }
-        }
-        let f64s: [(&'static str, Option<f64>); 5] = [
-            ("predicted_cost_secs", self.predicted_cost_secs),
-            ("margin", self.margin),
-            ("overrun", self.overrun),
-            ("ratio", self.ratio),
-            ("value", self.value),
-        ];
-        for (name, v) in f64s {
-            if let Some(v) = v {
-                fields.push((name, Json::from(v)));
-            }
-        }
-        if let Some(met) = self.met {
-            fields.push(("met", Json::from(met)));
-        }
-        if let Some(error) = &self.error {
-            fields.push(("error", Json::from(error.clone())));
-        }
-        fields
+    /// The payload of the record's `server.decision` trace event: its
+    /// own wire form — populated fields only, in the struct's order —
+    /// minus the timestamp, which the event carries itself.
+    pub fn trace_fields(&self) -> Vec<(String, Json)> {
+        let Json::Obj(mut members) = self.to_json() else {
+            unreachable!("a record serializes as an object");
+        };
+        members.retain(|(name, _)| name != "t_ns");
+        members
+    }
+
+    /// The inverse of [`trace_fields`](Self::trace_fields): the record
+    /// a `server.decision` trace event stamped `t_ns` carries (the
+    /// event payload is the record's own wire form minus the
+    /// timestamp).
+    pub fn from_trace_fields(
+        t_ns: u64,
+        fields: &BTreeMap<String, Json>,
+    ) -> Result<Self, JsonError> {
+        let members = fields.iter().map(|(k, v)| (k.clone(), v.clone()));
+        let record = DecisionRecord::from_json(&Json::Obj(members.collect()))?;
+        Ok(DecisionRecord { t_ns, ..record })
+    }
+
+    /// True for the three verdicts of admission — admit, refuse, or a
+    /// failure that never held a grant. Every offered job draws
+    /// exactly one.
+    pub fn is_admission_verdict(&self) -> bool {
+        self.action == DecisionAction::Admit
+            || self.action == DecisionAction::Refuse
+            || (self.action == DecisionAction::Fail && self.grant_ns.is_none())
     }
 }
 
@@ -229,12 +225,13 @@ json_record!(RefitSample {
     overrun: required,
 });
 
-/// Per-tenant service-level counters, aggregated from the session
-/// clock as the batch runs.
+/// Per-tenant service-level counters: one row of
+/// [`TenantLedger::fold`].
 ///
-/// Invariants (locked by unit tests): `offered = admitted + refused +
-/// failed-at-admission`, `admitted = completed + shed +
-/// failed-mid-run`, `completed = deadlines_met + deadlines_missed`.
+/// Invariants (checked by search in `tests/admission_chaos.rs`):
+/// `offered = admitted + refused + failed-at-admission`, `admitted =
+/// completed + shed + failed-mid-run`, `completed = deadlines_met +
+/// deadlines_missed`.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct TenantSlo {
     /// Jobs this tenant submitted.
@@ -255,9 +252,14 @@ pub struct TenantSlo {
     pub deadlines_missed: u64,
     /// Engine runs that overshot their grant past the watchdog grace.
     pub watchdog_overruns: u64,
-    /// Total quota granted across this tenant's jobs.
+    /// Total quota this tenant's dispatched jobs ran under — a
+    /// deflated job counts its deflated quota, so this equals
+    /// Σ [`JobReport::granted_quota`](super::JobReport::granted_quota).
     pub granted_ns: u64,
-    /// Total engine time this tenant's jobs actually consumed.
+    /// Total engine time this tenant's jobs consumed, whatever their
+    /// terminal state (late sheds and mid-run failures included; a
+    /// discarded pre-deflation attempt is schedule-level waste, not
+    /// tenant spend).
     pub spent_ns: u64,
     /// Σ `value × (deadline − finished_at)` in seconds over completed
     /// jobs: how much *worth-weighted* headroom the tenant's answers
@@ -330,79 +332,83 @@ json_record!(TenantLedger {
 });
 
 impl TenantLedger {
-    /// An empty ledger at the current schema version.
-    pub fn new() -> Self {
-        TenantLedger {
-            schema_version: crate::obs::SCHEMA_VERSION,
-            ..TenantLedger::default()
+    /// The one fold. Every counter of every [`TenantSlo`] row (the
+    /// sharing credits aside) and the refit trajectory are computed
+    /// here, from the names of the offered jobs and the decision log —
+    /// the server's own log, the `server.decision` lines of a trace,
+    /// or the records a bare outcome's job reports imply.
+    pub fn fold<'a>(
+        offered: impl IntoIterator<Item = &'a str>,
+        decisions: Vec<DecisionRecord>,
+    ) -> Self {
+        let mut tenants: BTreeMap<String, TenantSlo> = BTreeMap::new();
+        for name in offered {
+            tenants.entry(name.to_string()).or_default().offered += 1;
         }
-    }
-
-    /// The named tenant's SLO row, creating it zeroed.
-    pub fn tenant(&mut self, name: &str) -> &mut TenantSlo {
-        self.tenants.entry(name.to_string()).or_default()
-    }
-
-    /// Appends a decision to the audit log and folds it into the
-    /// tenant's SLO counters.
-    pub fn record(&mut self, decision: DecisionRecord) {
-        {
-            let slo = self.tenant(&decision.job.clone());
-            match decision.action {
+        let mut refits = Vec::new();
+        for d in &decisions {
+            let slo = tenants.entry(d.job.clone()).or_default();
+            let spent_ns = d.spent_ns.unwrap_or(0);
+            match d.action {
                 DecisionAction::Admit => slo.admitted += 1,
                 DecisionAction::Refuse => slo.refused += 1,
-                DecisionAction::Fail => slo.failed += 1,
-                DecisionAction::Grant => slo.granted_ns += decision.grant_ns.unwrap_or(0),
-                DecisionAction::Refit => {}
-                DecisionAction::Shed => slo.shed += 1,
+                DecisionAction::Grant => slo.granted_ns += d.grant_ns.unwrap_or(0),
+                // The take-back: the job runs (and reports) under the
+                // deflated quota, not the one its grant announced.
+                DecisionAction::Deflate => {
+                    let before = d.grant_ns.unwrap_or(0);
+                    let taken = before.saturating_sub(d.deflated_ns.unwrap_or(before));
+                    slo.granted_ns = slo.granted_ns.saturating_sub(taken);
+                }
+                // Server-wide state: no tenant counter moves.
+                DecisionAction::Refit => refits.push(RefitSample {
+                    t_ns: d.t_ns,
+                    job: d.job.clone(),
+                    ratio: d.ratio.unwrap_or(0.0),
+                    overrun: d.overrun.unwrap_or(1.0),
+                }),
                 DecisionAction::Watchdog => slo.watchdog_overruns += 1,
+                // A shed before dispatch and a failure at admission
+                // carry no `spent_ns`; a late shed and a mid-run
+                // failure burned what they carry.
+                DecisionAction::Shed => {
+                    slo.shed += 1;
+                    slo.spent_ns += spent_ns;
+                }
+                DecisionAction::Fail => {
+                    slo.failed += 1;
+                    slo.spent_ns += spent_ns;
+                }
                 DecisionAction::Done => {
                     slo.completed += 1;
-                    slo.spent_ns += decision.spent_ns.unwrap_or(0);
-                    match decision.met {
+                    slo.spent_ns += spent_ns;
+                    match d.met {
                         Some(true) => slo.deadlines_met += 1,
                         _ => slo.deadlines_missed += 1,
                     }
+                    let slack = Duration::from_nanos(d.slack_ns.unwrap_or(0));
+                    slo.value_weighted_slack_secs += d.value.unwrap_or(0.0) * slack.as_secs_f64();
                 }
             }
         }
-        if decision.action == DecisionAction::Refit {
-            self.refits.push(RefitSample {
-                t_ns: decision.t_ns,
-                job: decision.job.clone(),
-                ratio: decision.ratio.unwrap_or(0.0),
-                overrun: decision.overrun.unwrap_or(1.0),
-            });
+        TenantLedger {
+            schema_version: crate::obs::SCHEMA_VERSION,
+            tenants,
+            decisions,
+            refits,
         }
-        self.decisions.push(decision);
-    }
-
-    /// Marks one offered job for `tenant` (admission outcome recorded
-    /// separately via [`record`](Self::record)).
-    pub fn offer(&mut self, tenant: &str) {
-        self.tenant(tenant).offered += 1;
-    }
-
-    /// Adds engine time consumed by a failed (mid-run) job so
-    /// granted-vs-spent stays honest for tenants that error out.
-    pub fn spend(&mut self, tenant: &str, spent: Duration) {
-        self.tenant(tenant).spent_ns += duration_ns(spent);
-    }
-
-    /// Banks completed-job slack, weighted by the job's shedding
-    /// value.
-    pub fn bank_slack(&mut self, tenant: &str, value: f64, slack: Duration) {
-        self.tenant(tenant).value_weighted_slack_secs += value * slack.as_secs_f64();
     }
 
     /// Credits shared block draws to `tenant`: `blocks` satisfied
     /// from the broker pool, worth `saved_ns` of simulated disk time.
+    /// The one counter pair that is not a fold of the decision log:
+    /// sharing is mode-variant by design and must stay off the trace.
     /// No-op for the sequential oracle (both arguments 0 there).
     pub fn credit_sharing(&mut self, tenant: &str, blocks: u64, saved_ns: u64) {
         if blocks == 0 && saved_ns == 0 {
             return;
         }
-        let slo = self.tenant(tenant);
+        let slo = self.tenants.entry(tenant.to_string()).or_default();
         slo.blocks_shared += blocks;
         slo.charge_saved_ns += saved_ns;
     }
@@ -419,23 +425,27 @@ mod tests {
 
     #[test]
     fn record_folds_into_the_tenant_row() {
-        let mut ledger = TenantLedger::new();
-        ledger.offer("a");
-        ledger.record(DecisionRecord {
-            grant_ns: Some(1_000),
-            ..DecisionRecord::new(5, DecisionAction::Admit, "a")
-        });
-        ledger.record(DecisionRecord {
-            grant_ns: Some(1_000),
-            overrun: Some(1.0),
-            ..DecisionRecord::new(6, DecisionAction::Grant, "a")
-        });
-        ledger.record(DecisionRecord {
-            spent_ns: Some(900),
-            met: Some(true),
-            ..DecisionRecord::new(7, DecisionAction::Done, "a")
-        });
-        ledger.bank_slack("a", 2.0, Duration::from_secs(3));
+        let ledger = TenantLedger::fold(
+            ["a"],
+            vec![
+                DecisionRecord {
+                    grant_ns: Some(1_000),
+                    ..DecisionRecord::new(5, DecisionAction::Admit, "a")
+                },
+                DecisionRecord {
+                    grant_ns: Some(1_000),
+                    overrun: Some(1.0),
+                    ..DecisionRecord::new(6, DecisionAction::Grant, "a")
+                },
+                DecisionRecord {
+                    spent_ns: Some(900),
+                    met: Some(true),
+                    value: Some(2.0),
+                    slack_ns: Some(3_000_000_000),
+                    ..DecisionRecord::new(7, DecisionAction::Done, "a")
+                },
+            ],
+        );
         let slo = ledger.tenants.get("a").unwrap();
         assert_eq!(slo.offered, 1);
         assert_eq!(slo.admitted, 1);
@@ -448,24 +458,65 @@ mod tests {
         assert!((slo.value_weighted_slack_secs - 6.0).abs() < 1e-12);
         assert_eq!(ledger.decisions.len(), 3);
         assert!(ledger.refits.is_empty());
+        assert_eq!(ledger.schema_version, crate::obs::SCHEMA_VERSION);
+    }
+
+    /// A deflation takes back the difference between the announced
+    /// grant and the quota the job re-ran under; a late shed and a
+    /// mid-run failure bank the time they burned.
+    #[test]
+    fn deflation_and_burned_time_reach_the_row() {
+        let ledger = TenantLedger::fold(
+            ["a", "b"],
+            vec![
+                DecisionRecord {
+                    grant_ns: Some(1_000),
+                    ..DecisionRecord::new(1, DecisionAction::Grant, "a")
+                },
+                DecisionRecord {
+                    grant_ns: Some(1_000),
+                    deflated_ns: Some(600),
+                    discarded_ns: Some(1_400),
+                    ..DecisionRecord::new(1, DecisionAction::Deflate, "a")
+                },
+                DecisionRecord {
+                    grant_ns: Some(600),
+                    spent_ns: Some(700),
+                    late_ns: Some(50),
+                    ..DecisionRecord::new(2, DecisionAction::Shed, "a")
+                },
+                DecisionRecord::new(2, DecisionAction::Shed, "b"),
+                DecisionRecord {
+                    grant_ns: Some(300),
+                    spent_ns: Some(40),
+                    ..DecisionRecord::new(3, DecisionAction::Fail, "b")
+                },
+            ],
+        );
+        let a = ledger.tenants.get("a").unwrap();
+        assert_eq!((a.granted_ns, a.spent_ns, a.shed), (600, 700, 1));
+        let b = ledger.tenants.get("b").unwrap();
+        assert_eq!((b.spent_ns, b.shed, b.failed), (40, 1, 1));
     }
 
     #[test]
     fn refits_build_the_trajectory() {
-        let mut ledger = TenantLedger::new();
-        ledger.record(DecisionRecord {
-            ratio: Some(2.0),
-            overrun: Some(1.3),
-            spent_ns: Some(2_000),
-            grant_ns: Some(1_000),
-            ..DecisionRecord::new(9, DecisionAction::Refit, "a")
-        });
+        let ledger = TenantLedger::fold(
+            [],
+            vec![DecisionRecord {
+                ratio: Some(2.0),
+                overrun: Some(1.3),
+                spent_ns: Some(2_000),
+                grant_ns: Some(1_000),
+                ..DecisionRecord::new(9, DecisionAction::Refit, "a")
+            }],
+        );
         assert_eq!(ledger.refits.len(), 1);
         assert_eq!(ledger.refits[0].job, "a");
         assert_eq!(ledger.refits[0].ratio, 2.0);
         assert_eq!(ledger.refits[0].overrun, 1.3);
         // Refits touch no per-tenant counter (server-wide state).
-        assert_eq!(*ledger.tenants.get("a").unwrap(), { TenantSlo::default() });
+        assert_eq!(*ledger.tenants.get("a").unwrap(), TenantSlo::default());
     }
 
     #[test]
@@ -482,29 +533,66 @@ mod tests {
             ..DecisionRecord::new(1, DecisionAction::Refuse, "j")
         };
         let fields = rec.trace_fields();
-        let keys: Vec<&str> = fields.iter().map(|(k, _)| *k).collect();
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(keys, vec!["action", "job", "reason", "slack_ns", "margin"]);
+    }
+
+    /// `from_trace_fields` inverts `trace_fields` for a record with
+    /// every field set, through the JSONL text a trace file holds.
+    #[test]
+    fn trace_fields_round_trip_through_a_trace_line() {
+        let rec = DecisionRecord {
+            t_ns: 42,
+            action: DecisionAction::Deflate,
+            job: "j".into(),
+            reason: Some(RefusalReason::Shed),
+            slack_ns: Some(1),
+            grant_ns: Some(2),
+            min_quota_ns: Some(3),
+            projected_start_ns: Some(4),
+            predicted_cost_secs: Some(0.345),
+            margin: Some(0.9),
+            overrun: Some(1.0),
+            ratio: Some(2.5),
+            spent_ns: Some(5),
+            late_ns: Some(6),
+            deflated_ns: Some(7),
+            discarded_ns: Some(8),
+            value: Some(0.5),
+            met: Some(false),
+            error: Some("boom".into()),
+        };
+        let line = json::to_string(&Json::Obj(rec.trace_fields()));
+        let fields: BTreeMap<String, Json> = json::from_str(&line).unwrap();
+        assert_eq!(DecisionRecord::from_trace_fields(42, &fields), Ok(rec));
+        // A payload without an action is refused, not defaulted.
+        let mut broken = fields;
+        broken.remove("action");
+        assert!(DecisionRecord::from_trace_fields(0, &broken).is_err());
     }
 
     #[test]
     fn ledger_json_round_trips_byte_identically() {
-        let mut ledger = TenantLedger::new();
-        ledger.offer("t1");
-        ledger.record(DecisionRecord {
-            grant_ns: Some(77),
-            slack_ns: Some(100),
-            min_quota_ns: Some(5),
-            margin: Some(0.9),
-            overrun: Some(1.0),
-            predicted_cost_secs: Some(0.345),
-            projected_start_ns: Some(0),
-            ..DecisionRecord::new(3, DecisionAction::Admit, "t1")
-        });
-        ledger.record(DecisionRecord {
-            ratio: Some(1.5),
-            overrun: Some(1.15),
-            ..DecisionRecord::new(4, DecisionAction::Refit, "t1")
-        });
+        let ledger = TenantLedger::fold(
+            ["t1"],
+            vec![
+                DecisionRecord {
+                    grant_ns: Some(77),
+                    slack_ns: Some(100),
+                    min_quota_ns: Some(5),
+                    margin: Some(0.9),
+                    overrun: Some(1.0),
+                    predicted_cost_secs: Some(0.345),
+                    projected_start_ns: Some(0),
+                    ..DecisionRecord::new(3, DecisionAction::Admit, "t1")
+                },
+                DecisionRecord {
+                    ratio: Some(1.5),
+                    overrun: Some(1.15),
+                    ..DecisionRecord::new(4, DecisionAction::Refit, "t1")
+                },
+            ],
+        );
         let json = json::to_string(&ledger);
         let back: TenantLedger = json::from_str(&json).unwrap();
         assert_eq!(back, ledger);
@@ -512,6 +600,7 @@ mod tests {
         // Unset inputs stay off the wire entirely.
         assert!(!json.contains("\"error\""));
         assert!(!json.contains("\"met\""));
+        assert!(!json.contains("\"late_ns\""));
     }
 
     #[test]

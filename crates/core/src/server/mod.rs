@@ -40,8 +40,8 @@
 //!    blocks degrades alone (its own `health.degraded`), a job whose
 //!    expression is broken fails alone (at admission when QCOST
 //!    screening is on, so it burns no quota), and a watchdog records
-//!    any engine overshoot past the configured grace so a stuck
-//!    stage is visible in the trace and metrics.
+//!    any engine overshoot past 1.25 × the grant so a stuck stage is
+//!    visible in the trace and metrics.
 //!
 //! **Deterministic replay**: admission order is canonical (stable
 //! EDF), all admission math is charge-free, grants and RNG seeds
@@ -61,8 +61,8 @@
 //! would be a function of preceding jobs' actual spends, which
 //! provably forces sequential execution on any schedule that must
 //! stay byte-identical. The server then *replays* the canonical EDF
-//! control loop (shed sweeps, refit, ledger, trace stamps) over the
-//! lane outcomes on a virtual timeline, so
+//! control loop (shed sweeps, refit, decision log, trace stamps) over
+//! the lane outcomes on a virtual timeline, so
 //! [`Concurrency::Sequential`] (each lane drained lazily at its
 //! dispatch point) and [`Concurrency::Interleaved`] (all admitted
 //! lanes stepped up front on the calling thread, one stage per turn
@@ -73,20 +73,35 @@
 //! the makespan/IO story — are allowed to differ between modes; see
 //! [`ServerOutcome::stripped_of_schedule`].
 //!
-//! **Deadline forensics**: every serving decision — admission,
-//! refusal, grant deflation, refit, shed, watchdog trip, completion —
-//! is mirrored as a `server.decision` trace event carrying the inputs
-//! it was made from, and (when [`ServerConfig::collect_ledger`] is
-//! set) folded into a [`TenantLedger`] of per-tenant SLO counters and
-//! an append-only decision audit log riding
-//! [`ServerOutcome::ledger`]. See [`ledger`].
+//! **One decision log (admit → lanes → replay → fold)**:
+//! [`QueryServer::run`] is four phases over one batch state. *Admit*
+//! (phase 1, charge-free) gives every offered job its verdict and the
+//! admitted ones their fixed quota; *lanes* prepares one execution
+//! lane per admitted job (and, interleaved, runs them); *replay*
+//! (phase 2) walks the canonical EDF control loop over the lane
+//! outcomes — shed sweeps, grant, dispatch-time deflation, refit,
+//! watchdog, terminal record. Every one of those decisions is written
+//! exactly once: a [`DecisionRecord`] appended to the batch's log and
+//! emitted as a `server.decision` trace event carrying the inputs it
+//! was made from. *Fold* then computes everything the server reports
+//! about itself from that log: [`TenantLedger::fold`] yields the
+//! per-tenant [`TenantSlo`] rows and the refit trajectory,
+//! [`ServerStats`] is the column sum of the rows, the `server.*`
+//! metrics are those sums (and two histograms re-observed from the
+//! grant and refit records), and the ledger — rows, log, trajectory —
+//! rides [`ServerOutcome::ledger`] when
+//! [`ServerConfig::collect_ledger`] is set. Two things stay outside
+//! the log: a job being *offered* is not a decision (the fold takes
+//! the offered names), and sharing credits are mode-variant by design
+//! and must stay off the trace. See [`ledger`].
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use eram_relalg::{push_selections, Expr, PieRewrite};
 use eram_sampling::CountEstimate;
 use eram_storage::json::{unknown_variant, FromJson, JsonError, ToJson};
-use eram_storage::{json, json_record, json_unit_enum, Json, Rng, SharedDrawBroker};
+use eram_storage::{json, json_record, json_unit_enum, Clock, Json, Rng, SharedDrawBroker};
 
 use crate::aggregate::AggregateFn;
 use crate::costs::CostModel;
@@ -97,7 +112,7 @@ use crate::predict::{predict_stage, SelPolicy};
 use crate::report::{ExecutionReport, RefusalReason, ReportHealth};
 use crate::retry::RetryPolicy;
 use crate::seltrack::SelectivityDefaults;
-use crate::session::{Database, PreparedQuery};
+use crate::session::{Database, PreparedQuery, TimedCount};
 use crate::stopping::StoppingCriterion;
 
 mod lanes;
@@ -353,6 +368,54 @@ impl JobReport {
     pub fn met(&self) -> bool {
         self.state.is_done() && self.finished_at <= self.deadline
     }
+
+    /// The decision records this report alone implies: its admission
+    /// verdict, its grant and any watchdog trip if it ran, and its
+    /// terminal record, with `finished_at − started_at` as the time
+    /// spent whatever the terminal state. This is what a postmortem
+    /// folds when neither the ledger nor a trace of the run survives;
+    /// the inputs of each decision (slack, margin, refit factor) are
+    /// not recoverable, and stamps are batch-relative.
+    pub fn implied_decisions(&self) -> Vec<DecisionRecord> {
+        let spent = self.finished_at.saturating_sub(self.started_at);
+        let ran = !self.granted_quota.is_zero() || !spent.is_zero();
+        let at = |t: Duration, action| DecisionRecord {
+            grant_ns: ran.then(|| duration_ns(self.granted_quota)),
+            ..DecisionRecord::new(duration_ns(t), action, self.name.as_str())
+        };
+        let (action, reason, error) = match &self.state {
+            JobState::Done => (DecisionAction::Done, None, None),
+            JobState::Refused { reason } if self.state.is_shed() => {
+                (DecisionAction::Shed, Some(*reason), None)
+            }
+            JobState::Refused { reason } => (DecisionAction::Refuse, Some(*reason), None),
+            JobState::Failed { error } => (DecisionAction::Fail, None, Some(error.clone())),
+        };
+        let terminal = DecisionRecord {
+            reason,
+            error,
+            spent_ns: ran.then(|| duration_ns(spent)),
+            slack_ns: Some(duration_ns(self.deadline.saturating_sub(self.finished_at))),
+            value: Some(self.value),
+            met: self.state.is_done().then(|| self.met()),
+            ..at(self.finished_at, action)
+        };
+        if terminal.is_admission_verdict() {
+            return vec![terminal];
+        }
+        let mut implied = vec![at(Duration::ZERO, DecisionAction::Admit)];
+        if ran {
+            implied.push(at(self.started_at, DecisionAction::Grant));
+            if watchdog_trips(spent, self.granted_quota) {
+                implied.push(DecisionRecord {
+                    spent_ns: terminal.spent_ns,
+                    ..at(self.finished_at, DecisionAction::Watchdog)
+                });
+            }
+        }
+        implied.push(terminal);
+        implied
+    }
 }
 
 /// Batch-level accounting: every offered job lands in exactly one of
@@ -382,8 +445,8 @@ pub struct ServerStats {
     ///
     /// [`shed`]: ServerStats::shed
     pub deadlines_missed: u64,
-    /// Jobs whose engine run overshot the granted quota beyond
-    /// [`ServerConfig::watchdog_grace`].
+    /// Jobs whose engine run overshot the granted quota beyond the
+    /// watchdog grace (1.25 ×).
     pub watchdog_overruns: u64,
 }
 
@@ -464,7 +527,7 @@ impl ServerOutcome {
 }
 
 /// One lane's slice of the batch schedule.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct LaneWindow {
     /// The job that ran on this lane.
     pub job: String,
@@ -497,7 +560,7 @@ json_record!(LaneWindow {
 /// mode-invariant; this report carries the mode-*dependent* half —
 /// simulated makespan, shared physical reads, wasted speculation —
 /// in one deterministic structure.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ScheduleReport {
     /// The mode that produced this schedule.
     pub concurrency: Concurrency,
@@ -558,26 +621,18 @@ pub struct ServerConfig {
     /// screens broken expressions at admission, before they can burn
     /// quota.
     pub qcost_admission: bool,
-    /// Apply selection pushdown before the admission-time compile
-    /// (mirrors the executor's default).
-    pub optimize: bool,
-    /// EWMA weight for the overrun refit (0 freezes the factor at
-    /// 1.0).
-    pub overrun_alpha: f64,
-    /// `spent > granted × grace` trips the watchdog counter and
-    /// trace event.
-    pub watchdog_grace: f64,
-    /// Tracer shared by the server loop (`server.*` events) and every
-    /// job's engine spans; one interleaved clock-stamped stream.
+    /// Tracer shared by the server loop (`server.decision` events) and
+    /// every job's engine spans; one interleaved clock-stamped stream.
     pub tracer: Tracer,
     /// Collect server-loop counters into [`ServerOutcome::metrics`]
     /// and per-job engine metrics into each job's report.
     pub collect_metrics: bool,
-    /// Aggregate the per-tenant SLO ledger and decision audit log
-    /// into [`ServerOutcome::ledger`]. Charge-free and RNG-free;
-    /// `server.decision` trace events are emitted whenever a
-    /// recording tracer is attached, regardless of this flag, so the
-    /// trace stream is identical either way.
+    /// Attach the per-tenant SLO ledger and decision audit log as
+    /// [`ServerOutcome::ledger`]. The log is written either way (the
+    /// stats are its fold) and every record is emitted as a
+    /// `server.decision` trace event whenever a recording tracer is
+    /// attached, so the trace stream is identical with the flag on or
+    /// off.
     pub collect_ledger: bool,
     /// How admitted lanes are scheduled: [`Concurrency::Sequential`]
     /// (one lane at a time, in canonical EDF order) or
@@ -599,9 +654,6 @@ impl Default for ServerConfig {
             retry: RetryPolicy::default(),
             cost_model: None,
             qcost_admission: true,
-            optimize: true,
-            overrun_alpha: 0.3,
-            watchdog_grace: 1.25,
             tracer: Tracer::disabled(),
             collect_metrics: false,
             collect_ledger: false,
@@ -613,6 +665,17 @@ impl Default for ServerConfig {
 /// Bounds on a single observed `spent / granted` ratio before it
 /// enters the EWMA (one pathological job must not poison the refit).
 const OVERRUN_CLAMP: (f64, f64) = (0.25, 4.0);
+
+/// EWMA weight of one observed ratio in the overrun refit.
+const OVERRUN_ALPHA: f64 = 0.3;
+
+/// `spent > granted × grace` trips the watchdog.
+const WATCHDOG_GRACE: f64 = 1.25;
+
+/// The terminal state of a shed job.
+const SHED: JobState = JobState::Refused {
+    reason: RefusalReason::Shed,
+};
 
 /// Guard against division by ~zero slack in the shedding score.
 const MIN_SLACK_SECS: f64 = 1e-9;
@@ -647,11 +710,6 @@ impl QueryServer {
     /// A server with default tunables.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// A server with explicit tunables.
-    pub fn with_config(config: ServerConfig) -> Self {
-        QueryServer { config }
     }
 
     /// Sets the slack margin in `(0, 1]`.
@@ -715,216 +773,160 @@ impl QueryServer {
         self
     }
 
-    /// Serves a batch: admission, execution with replan-and-shed,
-    /// refit. Consumes the database's clock time; returns one report
-    /// per offered job in canonical admission (EDF) order.
+    /// Serves a batch: admission, lanes, replay with replan-and-shed
+    /// and refit, fold. Consumes the database's clock time; returns
+    /// one report per offered job in canonical admission (EDF) order.
     pub fn run(&self, db: &mut Database, mut jobs: Vec<ServerJob>) -> ServerOutcome {
-        let cfg = &self.config;
-        let tracer = cfg.tracer.clone();
-        let mut registry = cfg.collect_metrics.then(MetricsRegistry::new);
-        let mut ledger = cfg.collect_ledger.then(TenantLedger::new);
-        let clock = db.disk().clock().clone();
+        // Canonical admission order: stable EDF, so replay is a pure
+        // function of the submitted job list.
+        jobs.sort_by_key(|j| j.deadline);
+        let mut batch = Batch {
+            cfg: &self.config,
+            jobs: &jobs,
+            clock: db.disk().clock().clone(),
+            decisions: Vec::new(),
+            reports: jobs.iter().map(|_| None).collect(),
+            admitted: Vec::new(),
+            grants: vec![Duration::ZERO; jobs.len()],
+            start: Duration::ZERO,
+        };
+        batch.admit(db);
+        let specs = batch.lane_specs(db);
+        let schedule = batch.replay(db, specs);
+        batch.fold(schedule)
+    }
+}
+
+/// One batch in flight: what the phases of [`QueryServer::run`] hand
+/// each other.
+struct Batch<'a> {
+    cfg: &'a ServerConfig,
+    /// The offered jobs, in canonical (stable EDF) order.
+    jobs: &'a [ServerJob],
+    clock: Arc<dyn Clock>,
+    /// The decision log: the only thing the phases observe into.
+    decisions: Vec<DecisionRecord>,
+    /// One report per offered job, filled at its terminal decision.
+    reports: Vec<Option<JobReport>>,
+    /// The jobs that passed admission, in canonical order; a job's
+    /// position here is its lane.
+    admitted: Vec<usize>,
+    /// Phase-1 grants by job (zero for a job not admitted).
+    grants: Vec<Duration>,
+    /// The shared clock's reading when the replay began; the virtual
+    /// timeline is stamped relative to it.
+    start: Duration,
+}
+
+/// What admission concluded about one job.
+enum Verdict {
+    Admit {
+        floor: Option<f64>,
+    },
+    Refuse {
+        reason: RefusalReason,
+        floor: Option<f64>,
+    },
+    Fail(String),
+}
+
+impl Batch<'_> {
+    /// Writes one serving decision: appended to the log and emitted as
+    /// the `server.decision` trace event (the field closure is skipped
+    /// when tracing is off). The event does not depend on
+    /// [`ServerConfig::collect_ledger`], which is what makes that flag
+    /// trace-invisible.
+    fn decide(&mut self, record: DecisionRecord) {
+        self.cfg
+            .tracer
+            .event("server.decision", || record.trace_fields());
+        self.decisions.push(record);
+    }
+
+    /// Virtual-timeline offset `t` as a session-clock stamp.
+    fn at(&self, t: Duration) -> u64 {
+        duration_ns(self.start + t)
+    }
+
+    fn lane_of(&self, idx: usize) -> usize {
+        self.admitted
+            .iter()
+            .position(|&i| i == idx)
+            .expect("only admitted jobs are dispatched or shed")
+    }
+
+    /// Phase 1: predictive admission, charge-free. The grant fixed
+    /// here IS the execution quota (see the module docs): that is what
+    /// makes each lane a pure function of the admitted set,
+    /// independent of how the other lanes are scheduled.
+    fn admit(&mut self, db: &Database) {
+        let (cfg, jobs) = (self.cfg, self.jobs);
         let model = cfg
             .cost_model
             .clone()
             .unwrap_or_else(|| db.default_cost_model().clone());
-
-        // Canonical admission order: stable EDF, so replay is a pure
-        // function of the submitted job list.
-        jobs.sort_by_key(|j| j.deadline);
-
-        let mut stats = ServerStats {
-            offered: jobs.len() as u64,
-            ..ServerStats::default()
-        };
-        let mut slots: Vec<Option<JobReport>> = jobs.iter().map(|_| None).collect();
-
-        // ---- Phase 1: predictive admission (charge-free). ----
-        // The phase-1 grant IS the execution quota (see the module
-        // docs): fixing it here is what makes each lane a pure
-        // function of the admitted set, independent of how the other
-        // lanes are scheduled.
-        let mut grants: Vec<Duration> = vec![Duration::ZERO; jobs.len()];
-        let mut pending: Vec<usize> = Vec::new();
         let mut projected = Duration::ZERO;
         for (idx, job) in jobs.iter().enumerate() {
-            if let Some(ledger) = ledger.as_mut() {
-                ledger.offer(&job.name);
-            }
             // Admission is charge-free, so this stamp is the batch
             // start for every phase-1 decision — same timebase as the
             // trace stream.
-            let t_ns = duration_ns(clock.elapsed());
-            let slack = job.deadline.saturating_sub(projected);
+            let t_ns = duration_ns(self.clock.elapsed());
             let grant = grant_for(job, projected, cfg.slack_margin, 1.0);
             let alone = grant_for(job, Duration::ZERO, cfg.slack_margin, 1.0);
-            if grant < job.min_quota {
-                let reason = if alone < job.min_quota {
-                    RefusalReason::Infeasible
-                } else {
-                    RefusalReason::Overloaded
-                };
-                tracer.event("server.refuse", || {
-                    vec![
-                        ("job", Json::from(job.name.clone())),
-                        ("reason", Json::from(reason.as_str())),
-                        ("grant_ns", json_ns(grant)),
-                        ("min_quota_ns", json_ns(job.min_quota)),
-                    ]
-                });
-                decide(
-                    &mut ledger,
-                    &tracer,
-                    DecisionRecord {
+            let inputs = |action| DecisionRecord {
+                slack_ns: Some(duration_ns(job.deadline.saturating_sub(projected))),
+                grant_ns: Some(duration_ns(grant)),
+                min_quota_ns: Some(duration_ns(job.min_quota)),
+                projected_start_ns: Some(duration_ns(projected)),
+                margin: Some(cfg.slack_margin),
+                ..DecisionRecord::new(t_ns, action, job.name.as_str())
+            };
+            match admission_verdict(cfg, db, job, grant, alone, &model) {
+                Verdict::Refuse { reason, floor } => {
+                    self.decide(DecisionRecord {
                         reason: Some(reason),
-                        slack_ns: Some(duration_ns(slack)),
-                        grant_ns: Some(duration_ns(grant)),
-                        min_quota_ns: Some(duration_ns(job.min_quota)),
-                        projected_start_ns: Some(duration_ns(projected)),
-                        margin: Some(cfg.slack_margin),
-                        ..DecisionRecord::new(t_ns, DecisionAction::Refuse, job.name.as_str())
-                    },
-                );
-                stats.refused += 1;
-                count(&mut registry, "server.refused");
-                slots[idx] = Some(denied_report(job, Duration::ZERO, reason));
-                continue;
-            }
-            // Charge-free aggregate validation: a job whose aggregate
-            // cannot be evaluated on its expression (bad column, bad
-            // group key) is isolated at admission — it burns no quota
-            // and poisons no other tenant, exactly like a broken
-            // expression below.
-            if let Err(e) = job.agg.validate(&job.expr, db.catalog()) {
-                let error = EngineError::Expr(e).to_string();
-                tracer.event("server.job_failed", || {
-                    vec![
-                        ("job", Json::from(job.name.clone())),
-                        ("error", Json::from(error.clone())),
-                    ]
-                });
-                decide(
-                    &mut ledger,
-                    &tracer,
-                    DecisionRecord {
+                        predicted_cost_secs: floor,
+                        ..inputs(DecisionAction::Refuse)
+                    });
+                    let state = JobState::Refused { reason };
+                    self.reports[idx] = Some(unanswered(job, Duration::ZERO, state));
+                }
+                // Isolated at admission: the failure burns no quota
+                // and poisons no other tenant.
+                Verdict::Fail(error) => {
+                    self.decide(DecisionRecord {
                         error: Some(error.clone()),
                         ..DecisionRecord::new(t_ns, DecisionAction::Fail, job.name.as_str())
-                    },
-                );
-                stats.failed += 1;
-                count(&mut registry, "server.failed");
-                slots[idx] = Some(failed_report(job, Duration::ZERO, Duration::ZERO, error));
-                continue;
-            }
-            let mut floor = None;
-            if cfg.qcost_admission {
-                match qcost_floor(db, &job.expr, cfg.optimize, &model) {
-                    Ok(floor_secs) => {
-                        floor = Some(floor_secs);
-                        if floor_secs > grant.as_secs_f64() {
-                            let reason = if floor_secs > alone.as_secs_f64() {
-                                RefusalReason::Infeasible
-                            } else {
-                                RefusalReason::Overloaded
-                            };
-                            tracer.event("server.refuse", || {
-                                vec![
-                                    ("job", Json::from(job.name.clone())),
-                                    ("reason", Json::from(reason.as_str())),
-                                    ("grant_ns", json_ns(grant)),
-                                    ("qcost_floor_secs", Json::from(floor_secs)),
-                                ]
-                            });
-                            decide(
-                                &mut ledger,
-                                &tracer,
-                                DecisionRecord {
-                                    reason: Some(reason),
-                                    slack_ns: Some(duration_ns(slack)),
-                                    grant_ns: Some(duration_ns(grant)),
-                                    min_quota_ns: Some(duration_ns(job.min_quota)),
-                                    projected_start_ns: Some(duration_ns(projected)),
-                                    predicted_cost_secs: Some(floor_secs),
-                                    margin: Some(cfg.slack_margin),
-                                    ..DecisionRecord::new(
-                                        t_ns,
-                                        DecisionAction::Refuse,
-                                        job.name.as_str(),
-                                    )
-                                },
-                            );
-                            stats.refused += 1;
-                            count(&mut registry, "server.refused");
-                            slots[idx] = Some(denied_report(job, Duration::ZERO, reason));
-                            continue;
-                        }
-                    }
-                    Err(e) => {
-                        // Broken expression: isolated at admission —
-                        // the failure burns no quota and poisons no
-                        // other tenant.
-                        let error = e.to_string();
-                        tracer.event("server.job_failed", || {
-                            vec![
-                                ("job", Json::from(job.name.clone())),
-                                ("error", Json::from(error.clone())),
-                            ]
-                        });
-                        decide(
-                            &mut ledger,
-                            &tracer,
-                            DecisionRecord {
-                                error: Some(error.clone()),
-                                ..DecisionRecord::new(t_ns, DecisionAction::Fail, job.name.as_str())
-                            },
-                        );
-                        stats.failed += 1;
-                        count(&mut registry, "server.failed");
-                        slots[idx] =
-                            Some(failed_report(job, Duration::ZERO, Duration::ZERO, error));
-                        continue;
-                    }
+                    });
+                    let state = JobState::Failed { error };
+                    self.reports[idx] = Some(unanswered(job, Duration::ZERO, state));
+                }
+                Verdict::Admit { floor } => {
+                    self.decide(DecisionRecord {
+                        predicted_cost_secs: floor,
+                        overrun: Some(1.0), // factor is 1.0 at admission
+                        ..inputs(DecisionAction::Admit)
+                    });
+                    self.grants[idx] = grant;
+                    projected += grant; // overrun factor is 1.0 at admission
+                    self.admitted.push(idx);
                 }
             }
-            tracer.event("server.admit", || {
-                vec![
-                    ("job", Json::from(job.name.clone())),
-                    ("grant_ns", json_ns(grant)),
-                    ("projected_start_ns", json_ns(projected)),
-                ]
-            });
-            decide(
-                &mut ledger,
-                &tracer,
-                DecisionRecord {
-                    slack_ns: Some(duration_ns(slack)),
-                    grant_ns: Some(duration_ns(grant)),
-                    min_quota_ns: Some(duration_ns(job.min_quota)),
-                    projected_start_ns: Some(duration_ns(projected)),
-                    predicted_cost_secs: floor,
-                    margin: Some(cfg.slack_margin),
-                    overrun: Some(1.0), // factor is 1.0 at admission
-                    ..DecisionRecord::new(t_ns, DecisionAction::Admit, job.name.as_str())
-                },
-            );
-            stats.admitted += 1;
-            count(&mut registry, "server.admitted");
-            grants[idx] = grant;
-            projected += grant; // overrun factor is 1.0 at admission
-            pending.push(idx);
         }
+    }
 
-        // ---- Phase 1.5: one prepared execution lane per admitted
-        // job, in canonical order (the per-query seed stream is part
-        // of the replay contract). Quotas are the fixed phase-1
-        // grants, so every lane is a pure function of the admitted
-        // set — independent of how (or whether) the others run. ----
-        let admitted: Vec<usize> = pending.clone();
-        let mut specs: Vec<PreparedQuery> = Vec::with_capacity(admitted.len());
-        for &idx in &admitted {
-            let job = &jobs[idx];
+    /// One prepared execution lane per admitted job, in canonical
+    /// order (the per-query seed stream is part of the replay
+    /// contract). Quotas are the fixed phase-1 grants, so every lane
+    /// is a pure function of the admitted set — independent of how (or
+    /// whether) the others run.
+    fn lane_specs(&self, db: &mut Database) -> Vec<PreparedQuery> {
+        let cfg = self.cfg;
+        let mut specs = Vec::with_capacity(self.admitted.len());
+        for &idx in &self.admitted {
+            let job = &self.jobs[idx];
             let mut spec = db.prepare(job.agg, job.expr.clone());
-            spec.quota = grants[idx];
+            spec.quota = self.grants[idx];
             spec.config.stopping = StoppingCriterion::HardDeadline;
             spec.config.retry = job.retry.unwrap_or(cfg.retry);
             spec.config.workers = cfg.workers.max(1);
@@ -934,472 +936,492 @@ impl QueryServer {
             }
             specs.push(spec);
         }
-        let db = &*db;
+        specs
+    }
 
+    /// Phase 2: the canonical control replay (replan-and-shed, refit)
+    /// over the lane outcomes. `vt` is the batch's virtual timeline:
+    /// the sum of the consumed lanes' private clocks, in canonical
+    /// order. Both modes replay the identical control sequence over
+    /// identical lane outcomes, so every report field, decision record
+    /// and trace byte written here is mode-invariant.
+    fn replay(&mut self, db: &Database, mut specs: Vec<PreparedQuery>) -> ScheduleReport {
+        let (cfg, jobs) = (self.cfg, self.jobs);
         // Interleaving needs a virtual clock to define the turn
         // order; a wall clock always serves sequentially.
-        let mode = if clock.is_simulated() {
+        let mode = if self.clock.is_simulated() {
             cfg.concurrency
         } else {
             Concurrency::Sequential
         };
+        let (mut lanes, mut dispatch) = prerun(db, &specs, &cfg.tracer, mode);
+        let names = self.admitted.iter().map(|&idx| jobs[idx].name.clone());
+        let mut schedule = ScheduleReport::empty(mode, names);
 
-        // Interleaved mode runs every admitted lane up front — one
-        // stage per turn in least-virtual-time order, co-resident
-        // base-relation draws pooled through the broker — and the
-        // control replay below consumes the outcomes in canonical
-        // order. Sequential mode drains each lane lazily at its
-        // dispatch point, so jobs shed before dispatch never execute
-        // at all.
-        let (mut lane_slots, mut dispatch): (Vec<Option<LaneOutcome>>, Vec<usize>) = match mode {
-            Concurrency::Interleaved => {
-                let broker = SharedDrawBroker::new(
-                    db.catalog()
-                        .names()
-                        .into_iter()
-                        .filter_map(|name| db.catalog().relation(name))
-                        .map(|file| file.file_id()),
-                );
-                let (outs, order) = run_interleaved(db, &specs, &tracer, broker);
-                (outs.into_iter().map(Some).collect(), order)
-            }
-            Concurrency::Sequential => {
-                let mut lazy: Vec<Option<LaneOutcome>> = Vec::with_capacity(specs.len());
-                lazy.resize_with(specs.len(), || None);
-                (lazy, Vec::new())
-            }
-        };
-        let mut windows: Vec<LaneWindow> = admitted
-            .iter()
-            .map(|&idx| LaneWindow {
-                job: jobs[idx].name.clone(),
-                dispatch_order: None,
-                spent: Duration::ZERO,
-                blocks_shared: 0,
-                charge_saved_ns: 0,
-                discarded: false,
-            })
-            .collect();
-
-        // ---- Phase 2: canonical control replay (replan-and-shed +
-        // refit) over the lane outcomes. `vt` is the batch's virtual
-        // timeline: the sum of the consumed lanes' private clocks, in
-        // canonical order. Both modes replay the identical control
-        // sequence over identical lane outcomes, so every report
-        // field, ledger entry, and trace byte below is mode-invariant.
-        let start = clock.elapsed();
+        self.start = self.clock.elapsed();
+        let mut pending = self.admitted.clone();
         let mut vt = Duration::ZERO;
         let mut overrun = 1.0f64;
-        let mut charged_blocks = 0u64;
-        let mut blocks_shared = 0u64;
-        let mut charge_saved_ns = 0u64;
-        let mut wasted = Duration::ZERO;
-
-        while !pending.is_empty() {
-            let t = vt;
+        loop {
             let factor = overrun.max(1.0);
-            // Shed until the projected schedule is feasible again.
-            while let Some(pos) =
-                first_infeasible(&jobs, &pending, &grants, t, cfg.slack_margin, factor)
-            {
-                let vpos = pick_victim(&jobs, &pending, t, cfg.slack_margin, factor, pos);
-                let vidx = pending.remove(vpos);
-                let victim = &jobs[vidx];
-                let vlane = admitted
-                    .iter()
-                    .position(|&i| i == vidx)
-                    .expect("victims were admitted");
-                windows[vlane].discarded = true;
-                tracer.event_at(duration_ns(start + t), "server.shed", || {
-                    vec![
-                        ("job", Json::from(victim.name.clone())),
-                        ("reason", Json::from(RefusalReason::Shed.as_str())),
-                        ("now_ns", json_ns(t)),
-                        ("value", Json::from(victim.value)),
-                    ]
-                });
-                decide(
-                    &mut ledger,
-                    &tracer,
-                    DecisionRecord {
-                        reason: Some(RefusalReason::Shed),
-                        slack_ns: Some(duration_ns(victim.deadline.saturating_sub(t))),
-                        min_quota_ns: Some(duration_ns(victim.min_quota)),
-                        margin: Some(cfg.slack_margin),
-                        overrun: Some(factor),
-                        value: Some(victim.value),
-                        ..DecisionRecord::new(
-                            duration_ns(start + t),
-                            DecisionAction::Shed,
-                            victim.name.as_str(),
-                        )
-                    },
-                );
-                stats.shed += 1;
-                count(&mut registry, "server.shed");
-                slots[vidx] = Some(denied_report(victim, t, RefusalReason::Shed));
+            for vidx in self.shed_infeasible(&mut pending, vt, factor) {
+                schedule.lanes[self.lane_of(vidx)].discarded = true;
             }
             if pending.is_empty() {
                 break;
             }
             let idx = pending.remove(0);
-            let lane = admitted
-                .iter()
-                .position(|&i| i == idx)
-                .expect("dispatched jobs were admitted");
+            let lane = self.lane_of(idx);
             let job = &jobs[idx];
-            let started_at = vt;
-            let mut quota = grants[idx];
-            tracer.event_at(duration_ns(start + started_at), "server.job_start", || {
-                vec![
-                    ("job", Json::from(job.name.clone())),
-                    ("quota_ns", json_ns(quota)),
-                    ("overrun_x1000", Json::from((factor * 1000.0) as u64)),
-                ]
-            });
-            decide(
-                &mut ledger,
-                &tracer,
-                DecisionRecord {
-                    slack_ns: Some(duration_ns(job.deadline.saturating_sub(started_at))),
-                    grant_ns: Some(duration_ns(quota)),
-                    min_quota_ns: Some(duration_ns(job.min_quota)),
-                    margin: Some(cfg.slack_margin),
-                    overrun: Some(factor),
-                    ..DecisionRecord::new(
-                        duration_ns(start + started_at),
-                        DecisionAction::Grant,
-                        job.name.as_str(),
-                    )
-                },
-            );
-            observe(&mut registry, "server.grant_secs", quota.as_secs_f64());
             if mode == Concurrency::Sequential {
                 dispatch.push(lane);
             }
-            let mut attempt = lane_slots[lane]
-                .take()
-                .unwrap_or_else(|| Lane::new(db, &specs[lane], lane, &tracer, None).drain());
-            // Dispatch-time deflation. Admission fixed this quota
-            // against a projected start, but the actual timeline may
-            // have slipped (earlier lanes overran under device
-            // weather). When the attempt would land past the
-            // deadline and a fresh dispatch-time grant is tighter
-            // than the admission quota, the attempt is discarded —
-            // its work becomes schedule-level waste — and the lane
-            // re-runs under the deflated quota. Both modes take this
-            // branch from identical replay state and identical lane
-            // outcomes, and a re-run replays the same lane seed, so
-            // the consumed outcome stays mode-invariant.
-            if clock.is_simulated()
-                && attempt.result.is_ok()
-                && started_at + attempt.spent > job.deadline
-            {
-                let deflated = grant_for(job, started_at, cfg.slack_margin, factor).min(quota);
-                if deflated < quota && deflated >= job.min_quota {
-                    tracer.event_at(duration_ns(start + started_at), "server.deflate", || {
-                        vec![
-                            ("job", Json::from(job.name.clone())),
-                            ("quota_ns", json_ns(quota)),
-                            ("deflated_ns", json_ns(deflated)),
-                            ("discarded_ns", json_ns(attempt.spent)),
-                        ]
-                    });
-                    wasted += attempt.spent;
-                    charged_blocks += attempt.reads;
-                    blocks_shared += attempt.blocks_shared;
-                    charge_saved_ns += attempt.charge_saved_ns;
-                    quota = deflated;
-                    specs[lane].quota = deflated;
-                    attempt = Lane::new(db, &specs[lane], lane, &tracer, None).drain();
-                }
+            let (quota, attempt, discarded) =
+                self.dispatch(db, &mut specs[lane], lane, lanes[lane].take(), vt, factor);
+            if let Some(first) = discarded {
+                schedule.waste(lane, &first);
             }
+            schedule.consume(lane, &attempt);
             let LaneOutcome {
                 result,
                 spent,
                 records,
-                reads,
-                blocks_shared: lane_shared,
-                charge_saved_ns: lane_saved,
+                ..
             } = attempt;
             // Splice the lane's trace onto the shared stream at the
             // job's canonical start (wall-clock lanes trace straight
             // into the shared stream; their record list is empty).
-            tracer.absorb(records, duration_ns(start + started_at));
-            charged_blocks += reads;
-            blocks_shared += lane_shared;
-            charge_saved_ns += lane_saved;
-            windows[lane].spent = spent;
-            windows[lane].blocks_shared = lane_shared;
-            windows[lane].charge_saved_ns = lane_saved;
-            let finished_at = started_at + spent;
-            vt = finished_at;
-            // A result landing past the deadline is dropped below
-            // (late shed): its pool hits stay discarded lane work,
-            // never tenant credit.
-            let late = result.is_ok() && finished_at > job.deadline;
-            if !late {
-                if let Some(ledger) = ledger.as_mut() {
-                    ledger.credit_sharing(&job.name, lane_shared, lane_saved);
-                }
-            }
+            cfg.tracer.absorb(records, self.at(vt));
+            let started_at = vt;
+            vt += spent;
 
+            let ran = ran_record(self.at(vt), job, quota, spent);
             // Section-4-style refit, one level up: fold the observed
             // overrun into the factor that deflates future grants.
-            if !quota.is_zero() && cfg.overrun_alpha > 0.0 {
+            if !quota.is_zero() {
                 let ratio = (spent.as_secs_f64() / quota.as_secs_f64())
                     .clamp(OVERRUN_CLAMP.0, OVERRUN_CLAMP.1);
-                overrun += cfg.overrun_alpha * (ratio - overrun);
-                let logged = overrun;
-                tracer.event_at(duration_ns(start + finished_at), "server.refit", || {
-                    vec![
-                        ("ratio", Json::from(ratio)),
-                        ("overrun", Json::from(logged)),
-                    ]
+                overrun += OVERRUN_ALPHA * (ratio - overrun);
+                self.decide(DecisionRecord {
+                    action: DecisionAction::Refit,
+                    overrun: Some(overrun),
+                    ratio: Some(ratio),
+                    ..ran.clone()
                 });
-                decide(
-                    &mut ledger,
-                    &tracer,
-                    DecisionRecord {
-                        grant_ns: Some(duration_ns(quota)),
-                        overrun: Some(logged),
-                        ratio: Some(ratio),
-                        spent_ns: Some(duration_ns(spent)),
-                        ..DecisionRecord::new(
-                            duration_ns(start + finished_at),
-                            DecisionAction::Refit,
-                            job.name.as_str(),
-                        )
-                    },
-                );
-                observe(&mut registry, "server.overrun_ratio", ratio);
             }
-            if spent > scale(quota, cfg.watchdog_grace) {
-                tracer.event_at(duration_ns(start + finished_at), "server.watchdog", || {
-                    vec![
-                        ("job", Json::from(job.name.clone())),
-                        ("quota_ns", json_ns(quota)),
-                        ("spent_ns", json_ns(spent)),
-                    ]
+            if watchdog_trips(spent, quota) {
+                self.decide(DecisionRecord {
+                    action: DecisionAction::Watchdog,
+                    ..ran
                 });
-                decide(
-                    &mut ledger,
-                    &tracer,
-                    DecisionRecord {
-                        grant_ns: Some(duration_ns(quota)),
-                        spent_ns: Some(duration_ns(spent)),
-                        ..DecisionRecord::new(
-                            duration_ns(start + finished_at),
-                            DecisionAction::Watchdog,
-                            job.name.as_str(),
-                        )
-                    },
-                );
-                stats.watchdog_overruns += 1;
-                count(&mut registry, "server.watchdog_overruns");
             }
-
-            let report = match result {
-                Ok(_) if late => {
-                    // Hard-deadline serving never delivers a late
-                    // answer: the timeline keeps the charge, but the
-                    // result is dropped and the job recorded as an
-                    // explicit shed casualty instead of a silent
-                    // deadline miss reaching a client.
-                    stats.shed += 1;
-                    count(&mut registry, "server.shed");
-                    windows[lane].discarded = true;
-                    tracer.event_at(duration_ns(start + finished_at), "server.shed", || {
-                        vec![
-                            ("job", Json::from(job.name.clone())),
-                            ("reason", Json::from(RefusalReason::Shed.as_str())),
-                            ("late_ns", json_ns(finished_at.saturating_sub(job.deadline))),
-                            ("now_ns", json_ns(finished_at)),
-                        ]
-                    });
-                    decide(
-                        &mut ledger,
-                        &tracer,
-                        DecisionRecord {
-                            reason: Some(RefusalReason::Shed),
-                            grant_ns: Some(duration_ns(quota)),
-                            spent_ns: Some(duration_ns(spent)),
-                            value: Some(job.value),
-                            ..DecisionRecord::new(
-                                duration_ns(start + finished_at),
-                                DecisionAction::Shed,
-                                job.name.as_str(),
-                            )
-                        },
-                    );
-                    if let Some(ledger) = ledger.as_mut() {
-                        ledger.spend(&job.name, spent);
-                    }
-                    let mut r = denied_report(job, started_at, RefusalReason::Shed);
-                    r.finished_at = finished_at;
-                    r.granted_quota = quota;
-                    r
-                }
-                Ok(out) => {
-                    stats.completed += 1;
-                    count(&mut registry, "server.completed");
-                    let met = finished_at <= job.deadline;
-                    if met {
-                        stats.deadlines_met += 1;
-                        count(&mut registry, "server.deadlines_met");
-                    } else {
-                        stats.deadlines_missed += 1;
-                        count(&mut registry, "server.deadlines_missed");
-                    }
-                    tracer.event_at(duration_ns(start + finished_at), "server.job_done", || {
-                        vec![
-                            ("job", Json::from(job.name.clone())),
-                            ("elapsed_ns", json_ns(spent)),
-                            ("met", Json::from(met)),
-                        ]
-                    });
-                    decide(
-                        &mut ledger,
-                        &tracer,
-                        DecisionRecord {
-                            slack_ns: Some(duration_ns(job.deadline.saturating_sub(finished_at))),
-                            grant_ns: Some(duration_ns(quota)),
-                            spent_ns: Some(duration_ns(spent)),
-                            value: Some(job.value),
-                            met: Some(met),
-                            ..DecisionRecord::new(
-                                duration_ns(start + finished_at),
-                                DecisionAction::Done,
-                                job.name.as_str(),
-                            )
-                        },
-                    );
-                    if let Some(ledger) = ledger.as_mut() {
-                        ledger.bank_slack(
-                            &job.name,
-                            job.value,
-                            job.deadline.saturating_sub(finished_at),
-                        );
-                    }
-                    JobReport {
-                        name: job.name.clone(),
-                        deadline: job.deadline,
-                        value: job.value,
-                        started_at,
-                        finished_at,
-                        granted_quota: quota,
-                        state: JobState::Done,
-                        health: out.report.health,
-                        estimate: Some(out.estimate),
-                        report: Some(out.report),
-                    }
-                }
-                Err(e) => {
-                    // The failure burned clock time the schedule had
-                    // granted away — the next replan sees that — but
-                    // it stays this job's failure alone.
-                    let error = e.to_string();
-                    stats.failed += 1;
-                    count(&mut registry, "server.failed");
-                    tracer.event_at(
-                        duration_ns(start + finished_at),
-                        "server.job_failed",
-                        || {
-                            vec![
-                                ("job", Json::from(job.name.clone())),
-                                ("error", Json::from(error.clone())),
-                            ]
-                        },
-                    );
-                    decide(
-                        &mut ledger,
-                        &tracer,
-                        DecisionRecord {
-                            grant_ns: Some(duration_ns(quota)),
-                            spent_ns: Some(duration_ns(spent)),
-                            error: Some(error.clone()),
-                            ..DecisionRecord::new(
-                                duration_ns(start + finished_at),
-                                DecisionAction::Fail,
-                                job.name.as_str(),
-                            )
-                        },
-                    );
-                    if let Some(ledger) = ledger.as_mut() {
-                        ledger.spend(&job.name, spent);
-                    }
-                    let mut r = failed_report(job, started_at, finished_at, error);
-                    r.granted_quota = quota;
-                    r
-                }
-            };
-            slots[idx] = Some(report);
+            let report = self.settle(job, quota, started_at, spent, result);
+            // A result that landed past the deadline was dropped (late
+            // shed): its pool hits stay discarded lane work, never
+            // tenant credit.
+            schedule.lanes[lane].discarded = report.state.is_shed();
+            self.reports[idx] = Some(report);
         }
 
         // The batch consumed `vt` of lane time; advance the shared
         // clock by exactly that much so the session timeline reads as
         // if the jobs had run on it directly (a wall clock ignores
         // the charge — its time already passed inside the lanes).
-        clock.charge(vt);
+        self.clock.charge(vt);
 
         // Lanes that pre-ran speculatively (interleaved mode) but
         // were shed before dispatch: wasted work, visible only in the
         // schedule report — never in per-job reports or the ledger.
-        for (lane, slot) in lane_slots.iter_mut().enumerate() {
-            if let Some(out) = slot.take() {
-                wasted += out.spent;
-                charged_blocks += out.reads;
-                blocks_shared += out.blocks_shared;
-                charge_saved_ns += out.charge_saved_ns;
-                windows[lane].spent = out.spent;
-                windows[lane].blocks_shared = out.blocks_shared;
-                windows[lane].charge_saved_ns = out.charge_saved_ns;
-                windows[lane].discarded = true;
+        for (lane, out) in lanes.iter().enumerate() {
+            if let Some(out) = out {
+                schedule.waste(lane, out);
+                schedule.lanes[lane].discarded = true;
             }
         }
         for (rank, &lane) in dispatch.iter().enumerate() {
-            windows[lane].dispatch_order = Some(rank as u64);
+            schedule.lanes[lane].dispatch_order = Some(rank as u64);
         }
-        let schedule = ScheduleReport {
-            concurrency: mode,
-            makespan: (vt + wasted).saturating_sub(Duration::from_nanos(charge_saved_ns)),
-            virtual_makespan: vt,
-            charged_blocks,
-            physical_blocks: charged_blocks.saturating_sub(blocks_shared),
-            blocks_shared,
-            charge_saved_ns,
-            wasted,
-            lanes: windows,
-        };
+        schedule.virtual_makespan = vt;
+        schedule.makespan =
+            (vt + schedule.wasted).saturating_sub(Duration::from_nanos(schedule.charge_saved_ns));
+        schedule.physical_blocks = schedule
+            .charged_blocks
+            .saturating_sub(schedule.blocks_shared);
+        schedule
+    }
 
-        if let Some(reg) = registry.as_mut() {
-            reg.add("server.offered", stats.offered);
+    /// Sheds until the projected schedule from `t` is feasible again;
+    /// returns the victims.
+    fn shed_infeasible(
+        &mut self,
+        pending: &mut Vec<usize>,
+        t: Duration,
+        factor: f64,
+    ) -> Vec<usize> {
+        let (jobs, margin) = (self.jobs, self.cfg.slack_margin);
+        let mut victims = Vec::new();
+        while let Some(pos) = first_infeasible(jobs, pending, &self.grants, t, margin, factor) {
+            let vpos = pick_victim(jobs, pending, t, margin, factor, pos);
+            let vidx = pending.remove(vpos);
+            let victim = &jobs[vidx];
+            self.decide(DecisionRecord {
+                reason: Some(RefusalReason::Shed),
+                slack_ns: Some(duration_ns(victim.deadline.saturating_sub(t))),
+                min_quota_ns: Some(duration_ns(victim.min_quota)),
+                margin: Some(margin),
+                overrun: Some(factor),
+                value: Some(victim.value),
+                ..DecisionRecord::new(self.at(t), DecisionAction::Shed, victim.name.as_str())
+            });
+            self.reports[vidx] = Some(unanswered(victim, t, SHED));
+            victims.push(vidx);
         }
+        victims
+    }
+
+    /// Starts the job of `lane` at `started_at`: grants its quota and
+    /// obtains its lane outcome (`prerun` when interleaving already
+    /// ran it, else drained here), deflating once if it would land
+    /// late. Returns the quota the served attempt ran under, that
+    /// attempt, and the attempt a deflation discarded.
+    fn dispatch(
+        &mut self,
+        db: &Database,
+        spec: &mut PreparedQuery,
+        lane: usize,
+        prerun: Option<LaneOutcome>,
+        started_at: Duration,
+        factor: f64,
+    ) -> (Duration, LaneOutcome, Option<LaneOutcome>) {
+        let cfg = self.cfg;
+        let job = &self.jobs[self.admitted[lane]];
+        let quota = spec.quota;
+        self.decide(DecisionRecord {
+            slack_ns: Some(duration_ns(job.deadline.saturating_sub(started_at))),
+            grant_ns: Some(duration_ns(quota)),
+            min_quota_ns: Some(duration_ns(job.min_quota)),
+            margin: Some(cfg.slack_margin),
+            overrun: Some(factor),
+            ..DecisionRecord::new(
+                self.at(started_at),
+                DecisionAction::Grant,
+                job.name.as_str(),
+            )
+        });
+        let attempt =
+            prerun.unwrap_or_else(|| Lane::new(db, spec, lane, &cfg.tracer, None).drain());
+        // Dispatch-time deflation. Admission fixed this quota against
+        // a projected start, but the actual timeline may have slipped
+        // (earlier lanes overran under device weather). When the
+        // attempt would land past the deadline and a fresh
+        // dispatch-time grant is tighter than the admission quota, the
+        // attempt is discarded — its work becomes schedule-level
+        // waste — and the lane re-runs under the deflated quota. Both
+        // modes take this branch from identical replay state and
+        // identical lane outcomes, and a re-run replays the same lane
+        // seed, so the consumed outcome stays mode-invariant.
+        if !self.clock.is_simulated()
+            || attempt.result.is_err()
+            || started_at + attempt.spent <= job.deadline
+        {
+            return (quota, attempt, None);
+        }
+        let deflated = grant_for(job, started_at, cfg.slack_margin, factor).min(quota);
+        if deflated >= quota || deflated < job.min_quota {
+            return (quota, attempt, None);
+        }
+        self.decide(DecisionRecord {
+            grant_ns: Some(duration_ns(quota)),
+            deflated_ns: Some(duration_ns(deflated)),
+            discarded_ns: Some(duration_ns(attempt.spent)),
+            ..DecisionRecord::new(
+                self.at(started_at),
+                DecisionAction::Deflate,
+                job.name.as_str(),
+            )
+        });
+        spec.quota = deflated;
+        let rerun = Lane::new(db, spec, lane, &cfg.tracer, None).drain();
+        (deflated, rerun, Some(attempt))
+    }
+
+    /// The terminal decision of a job that ran, and the report it
+    /// earns.
+    fn settle(
+        &mut self,
+        job: &ServerJob,
+        quota: Duration,
+        started_at: Duration,
+        spent: Duration,
+        result: Result<TimedCount, EngineError>,
+    ) -> JobReport {
+        let finished_at = started_at + spent;
+        let ran = ran_record(self.at(finished_at), job, quota, spent);
+        match result {
+            // Hard-deadline serving never delivers a late answer: the
+            // timeline keeps the charge, but the result is dropped and
+            // the job recorded as an explicit shed casualty instead of
+            // a silent deadline miss reaching a client.
+            Ok(_) if finished_at > job.deadline => {
+                self.decide(DecisionRecord {
+                    action: DecisionAction::Shed,
+                    reason: Some(RefusalReason::Shed),
+                    late_ns: Some(duration_ns(finished_at - job.deadline)),
+                    value: Some(job.value),
+                    ..ran
+                });
+                JobReport {
+                    finished_at,
+                    granted_quota: quota,
+                    ..unanswered(job, started_at, SHED)
+                }
+            }
+            Ok(out) => {
+                self.decide(DecisionRecord {
+                    slack_ns: Some(duration_ns(job.deadline.saturating_sub(finished_at))),
+                    value: Some(job.value),
+                    met: Some(finished_at <= job.deadline),
+                    ..ran
+                });
+                JobReport {
+                    name: job.name.clone(),
+                    deadline: job.deadline,
+                    value: job.value,
+                    started_at,
+                    finished_at,
+                    granted_quota: quota,
+                    state: JobState::Done,
+                    health: out.report.health,
+                    estimate: Some(out.estimate),
+                    report: Some(out.report),
+                }
+            }
+            // The failure burned clock time the schedule had granted
+            // away — the next replan sees that — but it stays this
+            // job's failure alone.
+            Err(e) => {
+                let error = e.to_string();
+                self.decide(DecisionRecord {
+                    action: DecisionAction::Fail,
+                    error: Some(error.clone()),
+                    ..ran
+                });
+                JobReport {
+                    finished_at,
+                    granted_quota: quota,
+                    ..unanswered(job, started_at, JobState::Failed { error })
+                }
+            }
+        }
+    }
+
+    /// The fold: tenant rows and refit trajectory from the decision
+    /// log, the stats from the rows, the metrics from both.
+    fn fold(self, schedule: ScheduleReport) -> ServerOutcome {
+        let cfg = self.cfg;
+        let offered = self.jobs.iter().map(|j| j.name.as_str());
+        let mut ledger = TenantLedger::fold(offered, self.decisions);
+        let stats = ServerStats::sum(ledger.tenants.values());
+        let metrics = cfg.collect_metrics.then(|| server_metrics(&stats, &ledger));
+        let ledger = cfg.collect_ledger.then(|| {
+            // Pool hits credit the tenant only where the lane's result
+            // was served; a discarded lane's stay schedule-level totals.
+            for lane in schedule.lanes.iter().filter(|lane| !lane.discarded) {
+                ledger.credit_sharing(&lane.job, lane.blocks_shared, lane.charge_saved_ns);
+            }
+            ledger
+        });
         ServerOutcome {
             schema_version: crate::obs::SCHEMA_VERSION,
-            jobs: slots
+            jobs: self
+                .reports
                 .into_iter()
-                .map(|s| s.expect("every offered job gets a report"))
+                .map(|r| r.expect("every offered job gets a report"))
                 .collect(),
             stats,
-            metrics: registry.map(|r| r.snapshot()),
+            metrics,
             ledger,
             schedule: Some(schedule),
         }
     }
 }
 
-/// Mirrors one serving decision into the trace stream (always, when a
-/// recording tracer is attached — the field closure is skipped when
-/// tracing is off) and into the ledger (only when one is being
-/// collected). Keeping the event unconditional is what makes the
-/// ledger flag trace-invisible: the JSONL stream is byte-identical
-/// with the ledger on or off.
-fn decide(ledger: &mut Option<TenantLedger>, tracer: &Tracer, record: DecisionRecord) {
-    tracer.event("server.decision", || record.trace_fields());
-    if let Some(ledger) = ledger.as_mut() {
-        ledger.record(record);
+impl ScheduleReport {
+    /// A schedule with nothing run yet: one idle window per lane.
+    fn empty(concurrency: Concurrency, lane_jobs: impl Iterator<Item = String>) -> Self {
+        let idle = |job| LaneWindow {
+            job,
+            ..LaneWindow::default()
+        };
+        ScheduleReport {
+            concurrency,
+            lanes: lane_jobs.map(idle).collect(),
+            ..ScheduleReport::default()
+        }
     }
+
+    /// Books a lane attempt nobody was served from: its time is
+    /// waste, its reads still count.
+    fn waste(&mut self, lane: usize, out: &LaneOutcome) {
+        self.wasted += out.spent;
+        self.consume(lane, out);
+    }
+
+    /// Adds one lane attempt's device totals and fills the lane's
+    /// window with it.
+    fn consume(&mut self, lane: usize, out: &LaneOutcome) {
+        self.charged_blocks += out.reads;
+        self.blocks_shared += out.blocks_shared;
+        self.charge_saved_ns += out.charge_saved_ns;
+        let window = &mut self.lanes[lane];
+        window.spent = out.spent;
+        window.blocks_shared = out.blocks_shared;
+        window.charge_saved_ns = out.charge_saved_ns;
+    }
+}
+
+impl ServerStats {
+    /// The batch totals: column sums of the tenant rows.
+    fn sum<'a>(rows: impl Iterator<Item = &'a TenantSlo>) -> Self {
+        let mut s = ServerStats::default();
+        for row in rows {
+            s.offered += row.offered;
+            s.admitted += row.admitted;
+            s.refused += row.refused;
+            s.shed += row.shed;
+            s.failed += row.failed;
+            s.completed += row.completed;
+            s.deadlines_met += row.deadlines_met;
+            s.deadlines_missed += row.deadlines_missed;
+            s.watchdog_overruns += row.watchdog_overruns;
+        }
+        s
+    }
+}
+
+/// The `server.*` metrics: the stats under their counter names (a
+/// counter that never fired stays off the snapshot; `server.offered`
+/// is always present) and the two histograms re-observed from the
+/// grant and refit records.
+fn server_metrics(stats: &ServerStats, ledger: &TenantLedger) -> MetricsSnapshot {
+    let mut reg = MetricsRegistry::new();
+    reg.add("server.offered", stats.offered);
+    let counters = [
+        ("server.admitted", stats.admitted),
+        ("server.refused", stats.refused),
+        ("server.shed", stats.shed),
+        ("server.failed", stats.failed),
+        ("server.completed", stats.completed),
+        ("server.deadlines_met", stats.deadlines_met),
+        ("server.deadlines_missed", stats.deadlines_missed),
+        ("server.watchdog_overruns", stats.watchdog_overruns),
+    ];
+    for (name, n) in counters {
+        if n > 0 {
+            reg.add(name, n);
+        }
+    }
+    for d in &ledger.decisions {
+        if d.action == DecisionAction::Grant {
+            let grant = Duration::from_nanos(d.grant_ns.unwrap_or(0));
+            reg.observe("server.grant_secs", grant.as_secs_f64());
+        }
+    }
+    for refit in &ledger.refits {
+        reg.observe("server.overrun_ratio", refit.ratio);
+    }
+    reg.snapshot()
+}
+
+/// The lane outcomes available before the replay starts, and the
+/// dispatch order so far. Interleaved mode runs every admitted lane up
+/// front — one stage per turn in least-virtual-time order, co-resident
+/// base-relation draws pooled through the broker — and the replay
+/// consumes the outcomes in canonical order. Sequential mode drains
+/// each lane lazily at its dispatch point, so jobs shed before
+/// dispatch never execute at all.
+fn prerun(
+    db: &Database,
+    specs: &[PreparedQuery],
+    tracer: &Tracer,
+    mode: Concurrency,
+) -> (Vec<Option<LaneOutcome>>, Vec<usize>) {
+    match mode {
+        Concurrency::Interleaved => {
+            let broker = SharedDrawBroker::new(
+                db.catalog()
+                    .names()
+                    .into_iter()
+                    .filter_map(|name| db.catalog().relation(name))
+                    .map(|file| file.file_id()),
+            );
+            let (outs, order) = run_interleaved(db, specs, tracer, broker);
+            (outs.into_iter().map(Some).collect(), order)
+        }
+        Concurrency::Sequential => (specs.iter().map(|_| None).collect(), Vec::new()),
+    }
+}
+
+/// Admission's three checks, in order: the projected grant against the
+/// job's declared minimum; the aggregate against its expression (a bad
+/// column or group key fails here, charge-free); and — under QCOST
+/// screening, which also catches a broken expression — the floor of
+/// the expression against the grant. A job that cannot fit even on an
+/// idle server is infeasible; one squeezed out by admitted load is
+/// overloaded.
+fn admission_verdict(
+    cfg: &ServerConfig,
+    db: &Database,
+    job: &ServerJob,
+    grant: Duration,
+    alone: Duration,
+    model: &CostModel,
+) -> Verdict {
+    let squeezed = |fits_alone: bool| {
+        if fits_alone {
+            RefusalReason::Overloaded
+        } else {
+            RefusalReason::Infeasible
+        }
+    };
+    if grant < job.min_quota {
+        let reason = squeezed(alone >= job.min_quota);
+        return Verdict::Refuse {
+            reason,
+            floor: None,
+        };
+    }
+    if let Err(e) = job.agg.validate(&job.expr, db.catalog()) {
+        return Verdict::Fail(EngineError::Expr(e).to_string());
+    }
+    if !cfg.qcost_admission {
+        return Verdict::Admit { floor: None };
+    }
+    match qcost_floor(db, &job.expr, model) {
+        Err(e) => Verdict::Fail(e.to_string()),
+        Ok(floor) if floor > grant.as_secs_f64() => Verdict::Refuse {
+            reason: squeezed(floor <= alone.as_secs_f64()),
+            floor: Some(floor),
+        },
+        Ok(floor) => Verdict::Admit { floor: Some(floor) },
+    }
+}
+
+/// The record of a job that ran — its grant and its spend, stamped at
+/// its finish — as a completion; refit, watchdog, late-shed and failure
+/// records are this with their own action and inputs.
+fn ran_record(t_ns: u64, job: &ServerJob, quota: Duration, spent: Duration) -> DecisionRecord {
+    DecisionRecord {
+        grant_ns: Some(duration_ns(quota)),
+        spent_ns: Some(duration_ns(spent)),
+        ..DecisionRecord::new(t_ns, DecisionAction::Done, job.name.as_str())
+    }
+}
+
+/// True when a run overshot its quota past the watchdog grace — a
+/// stuck or storm-battered stage, made visible in the decision log.
+fn watchdog_trips(spent: Duration, quota: Duration) -> bool {
+    spent > scale(quota, WATCHDOG_GRACE)
 }
 
 /// The quota a job starting at `start` would be granted: its desired
@@ -1491,23 +1513,14 @@ fn pick_victim(
 /// compiling a [`PhysTree`] only builds trackers and samplers that
 /// have yet to draw their permutation, and the fixed seed cannot
 /// influence the population geometry the prediction walk reads.
-fn qcost_floor(
-    db: &Database,
-    expr: &Expr,
-    optimize: bool,
-    model: &CostModel,
-) -> Result<f64, EngineError> {
+fn qcost_floor(db: &Database, expr: &Expr, model: &CostModel) -> Result<f64, EngineError> {
     let catalog = db.catalog();
-    let optimized;
-    let expr = if optimize {
-        optimized = push_selections(expr.clone(), &|name| {
-            catalog.schema_of(name).map(eram_storage::Schema::arity)
-        });
-        &optimized
-    } else {
-        expr
-    };
-    let rewrite = PieRewrite::rewrite(expr)?;
+    // Priced on the tree the lane will run: selections pushed, as the
+    // executor does by default.
+    let expr = push_selections(expr.clone(), &|name| {
+        catalog.schema_of(name).map(eram_storage::Schema::arity)
+    });
+    let rewrite = PieRewrite::rewrite(&expr)?;
     let mut rng = Rng::seed_from_u64(0xADA1_5510);
     let mut trees: Vec<PhysTree> = Vec::with_capacity(rewrite.terms.len());
     for term in &rewrite.terms {
@@ -1523,7 +1536,14 @@ fn qcost_floor(
     Ok(predict_stage(&trees, 0.0, model, &SelPolicy::Mean).cost_secs)
 }
 
-fn denied_report(job: &ServerJob, at: Duration, reason: RefusalReason) -> JobReport {
+/// The report of a job that got no answer — refused or shed (the
+/// reason rides its health too) or failed — decided at `at` without
+/// having run. A job that did run overrides the window and the quota.
+fn unanswered(job: &ServerJob, at: Duration, state: JobState) -> JobReport {
+    let health = match &state {
+        JobState::Refused { reason } => ReportHealth::refused(*reason),
+        _ => ReportHealth::default(),
+    };
     JobReport {
         name: job.name.clone(),
         deadline: job.deadline,
@@ -1531,28 +1551,8 @@ fn denied_report(job: &ServerJob, at: Duration, reason: RefusalReason) -> JobRep
         started_at: at,
         finished_at: at,
         granted_quota: Duration::ZERO,
-        state: JobState::Refused { reason },
-        health: ReportHealth::refused(reason),
-        estimate: None,
-        report: None,
-    }
-}
-
-fn failed_report(
-    job: &ServerJob,
-    started_at: Duration,
-    finished_at: Duration,
-    error: String,
-) -> JobReport {
-    JobReport {
-        name: job.name.clone(),
-        deadline: job.deadline,
-        value: job.value,
-        started_at,
-        finished_at,
-        granted_quota: Duration::ZERO,
-        state: JobState::Failed { error },
-        health: ReportHealth::default(),
+        state,
+        health,
         estimate: None,
         report: None,
     }
@@ -1562,25 +1562,10 @@ fn scale(d: Duration, x: f64) -> Duration {
     Duration::from_secs_f64(d.as_secs_f64() * x)
 }
 
-fn json_ns(d: Duration) -> Json {
-    Json::from(d.as_nanos() as u64)
-}
-
-fn count(registry: &mut Option<MetricsRegistry>, name: &str) {
-    if let Some(reg) = registry.as_mut() {
-        reg.add(name, 1);
-    }
-}
-
-fn observe(registry: &mut Option<MetricsRegistry>, name: &str, v: f64) {
-    if let Some(reg) = registry.as_mut() {
-        reg.observe(name, v);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::TraceRecord;
     use eram_relalg::{CmpOp, Predicate};
     use eram_storage::{ColumnType, FaultPlan, Schema, Tuple, Value};
 
@@ -2016,6 +2001,11 @@ mod tests {
         );
     }
 
+    /// The audit log narrates the batch: every tenant's terminal
+    /// decision is present and a refusal carries the inputs it was
+    /// made from. (That the counters of the rows, the stats and the
+    /// trace agree is checked by search in
+    /// `tests/admission_chaos.rs`.)
     #[test]
     fn ledger_counters_cross_check_stats() {
         let mut db = db(37);
@@ -2027,22 +2017,12 @@ mod tests {
         let outcome = QueryServer::new().ledger(true).run(&mut db, jobs);
         let ledger = outcome.ledger.as_ref().expect("ledger was requested");
         assert_eq!(ledger.schema_version, crate::obs::SCHEMA_VERSION);
-        let sum = |f: fn(&TenantSlo) -> u64| ledger.tenants.values().map(f).sum::<u64>();
-        assert_eq!(sum(|t| t.offered), outcome.stats.offered);
-        assert_eq!(sum(|t| t.admitted), outcome.stats.admitted);
-        assert_eq!(sum(|t| t.refused), outcome.stats.refused);
-        assert_eq!(sum(|t| t.failed), outcome.stats.failed);
-        assert_eq!(sum(|t| t.completed), outcome.stats.completed);
-        assert_eq!(sum(|t| t.deadlines_met), outcome.stats.deadlines_met);
-        assert_eq!(sum(|t| t.deadlines_missed), outcome.stats.deadlines_missed);
         // The completed tenant banked its spend against its grant and
         // some positive value-weighted slack.
         let ok = ledger.tenants.get("ok").unwrap();
         assert!(ok.granted_ns > 0);
         assert!(ok.spent_ns > 0);
         assert!(ok.value_weighted_slack_secs > 0.0);
-        // The audit log narrates the whole batch: every tenant's
-        // terminal decision is present.
         let action_of = |name: &str| {
             ledger
                 .decisions
@@ -2054,7 +2034,6 @@ mod tests {
         assert_eq!(action_of("ok"), Some(DecisionAction::Done));
         assert_eq!(action_of("tiny"), Some(DecisionAction::Refuse));
         assert_eq!(action_of("broken"), Some(DecisionAction::Fail));
-        // Refusals carry their inputs.
         let refusal = ledger
             .decisions
             .iter()
@@ -2110,6 +2089,10 @@ mod tests {
         );
     }
 
+    /// The server's whole trace vocabulary is the one
+    /// `server.decision` event; a refusal, a late shed and a
+    /// deflation are actions of it, each with the fields that used to
+    /// ride an event of its own.
     #[test]
     fn refusal_and_shed_events_land_in_the_trace() {
         let mut db = db(31);
@@ -2119,11 +2102,62 @@ mod tests {
             ServerJob::count("tiny", sel(5), Duration::from_millis(50)),
         ];
         let _ = QueryServer::new().tracer(tracer.clone()).run(&mut db, jobs);
-        let names: Vec<String> = tracer.records().iter().map(|r| r.name.clone()).collect();
-        assert!(names.iter().any(|n| n == "server.admit"), "{names:?}");
-        assert!(names.iter().any(|n| n == "server.refuse"), "{names:?}");
-        assert!(names.iter().any(|n| n == "server.job_start"), "{names:?}");
-        assert!(names.iter().any(|n| n == "server.job_done"), "{names:?}");
+        let records = tracer.records();
+        let server: Vec<&TraceRecord> = records
+            .iter()
+            .filter(|r| r.name.starts_with("server."))
+            .collect();
+        assert!(server.iter().all(|r| r.name == "server.decision"));
+        let actions: Vec<(&str, &str)> = server
+            .iter()
+            .map(|r| {
+                let field = |k: &str| r.fields.get(k).and_then(Json::as_str).unwrap();
+                (field("job"), field("action"))
+            })
+            .collect();
+        assert_eq!(
+            actions,
+            [
+                ("tiny", "refuse"),
+                ("ok", "admit"),
+                ("ok", "grant"),
+                ("ok", "refit"),
+                ("ok", "done"),
+            ]
+        );
+
+        // A storm cell of `tests/admission_chaos.rs` in which a slipped
+        // timeline deflates one dispatch and a spiked stage lands
+        // another answer late.
+        let mut db = self::db(4);
+        db.inject_faults(
+            FaultPlan::new(4 ^ 0xC4A0)
+                .with_transient(0.15)
+                .with_spikes(0.4, Duration::from_millis(400)),
+        );
+        let tracer = Tracer::recording(db.disk().clock().clone());
+        let jobs = vec![
+            ServerJob::count("fast", sel(3), Duration::from_secs(4)),
+            ServerJob::count("mid", sel(5), Duration::from_secs(10)).with_value(2.0),
+            ServerJob::count("slow", sel(7), Duration::from_secs(18)).with_value(0.5),
+            ServerJob::count("tail", sel(9), Duration::from_secs(26))
+                .with_desired_quota(Duration::from_secs(4)),
+        ];
+        let _ = QueryServer::new().tracer(tracer.clone()).run(&mut db, jobs);
+        let decisions: Vec<DecisionRecord> = tracer
+            .records()
+            .iter()
+            .filter(|r| r.name == "server.decision")
+            .map(|r| DecisionRecord::from_trace_fields(r.t_ns, &r.fields).unwrap())
+            .collect();
+        let find = |pred: fn(&DecisionRecord) -> bool| decisions.iter().find(|d| pred(d));
+        let deflate = find(|d| d.action == DecisionAction::Deflate).expect("a deflation");
+        let late = find(|d| d.late_ns.is_some()).expect("a late shed");
+        assert!(deflate.deflated_ns.unwrap() < deflate.grant_ns.unwrap());
+        assert!(deflate.discarded_ns.unwrap() > 0);
+        assert_eq!(late.action, DecisionAction::Shed);
+        assert_eq!(late.reason, Some(RefusalReason::Shed));
+        assert!(late.late_ns.unwrap() > 0 && late.spent_ns.unwrap() > 0);
     }
 
     // ---- Pure shedding-policy unit tests (no engine time). ----

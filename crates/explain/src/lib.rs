@@ -17,9 +17,11 @@
 //! * **Deadline-miss attribution** ([`attribute`]) — which stage
 //!   overran and which consumer (block draws, retry backoff, lost
 //!   blocks) ate the slack inside it.
-//! * **Per-tenant SLO tables** ([`tenant_rows`]) — admitted vs
+//! * **Per-tenant SLO tables** ([`run_ledger`]) — admitted vs
 //!   refused vs shed, deadlines met vs missed, granted-vs-spent
-//!   quota, value-weighted slack.
+//!   quota, value-weighted slack: the engine's own fold
+//!   ([`TenantLedger::fold`]) over the run's decision records,
+//!   whichever artifact they survive in.
 //!
 //! Everything here is a pure function over already-recorded data: no
 //! clock, no RNG, no storage. Parsing validates `schema_version` on
@@ -34,8 +36,9 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use eram_core::obs::{TraceKind, TraceRecord, SCHEMA_VERSION};
-use eram_core::server::{DecisionAction, TenantLedger};
-use eram_core::{ExecutionReport, JobState, ServerOutcome};
+use eram_core::server::{DecisionAction, DecisionRecord, TenantLedger, TenantSlo};
+use eram_core::{ExecutionReport, JobReport, JobState, ServerOutcome};
+use eram_storage::json::{FromJson, JsonError, ToJson};
 use eram_storage::{json, json_record, Json};
 
 /// The newest observability schema this build understands.
@@ -602,147 +605,82 @@ pub fn job_windows(records: &[TraceRecord]) -> Vec<JobWindow> {
     windows
 }
 
-/// One tenant's SLO row as rendered in the postmortem.
+/// One tenant's SLO row as rendered in the postmortem: the ledger's
+/// [`TenantSlo`] counters under the tenant's name. On the wire the
+/// counters sit beside `tenant`, with the derived `spend_ratio`
+/// (`spent / granted`, 0 when nothing was granted) after `spent_ns`.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TenantRow {
     /// Tenant (job) name.
     pub tenant: String,
-    /// Jobs submitted.
-    pub offered: u64,
-    /// Jobs that passed admission.
-    pub admitted: u64,
-    /// Jobs refused at admission.
-    pub refused: u64,
-    /// Admitted jobs evicted by shedding.
-    pub shed: u64,
-    /// Jobs that failed.
-    pub failed: u64,
-    /// Admitted jobs that ran to completion.
-    pub completed: u64,
-    /// Completed jobs that answered in time.
-    pub deadlines_met: u64,
-    /// Completed jobs that answered late.
-    pub deadlines_missed: u64,
-    /// Watchdog trips.
-    pub watchdog_overruns: u64,
-    /// Total quota granted.
-    pub granted_ns: u64,
-    /// Total engine time consumed.
-    pub spent_ns: u64,
-    /// `spent / granted` (0 when nothing was granted).
-    pub spend_ratio: f64,
-    /// Σ value × remaining-slack seconds over completed jobs.
-    pub value_weighted_slack_secs: f64,
-    /// Block draws served from a co-resident job's charged read
-    /// (interleaved serving only; absent/0 in older artifacts and
-    /// under the sequential oracle).
-    pub blocks_shared: u64,
-    /// Device time (ns) those shared draws spared the simulated disk.
-    pub charge_saved_ns: u64,
+    /// The tenant's counters.
+    pub slo: TenantSlo,
 }
 
-json_record!(TenantRow {
-    tenant: required,
-    offered: required,
-    admitted: required,
-    refused: required,
-    shed: required,
-    failed: required,
-    completed: required,
-    deadlines_met: required,
-    deadlines_missed: required,
-    watchdog_overruns: required,
-    granted_ns: required,
-    spent_ns: required,
-    spend_ratio: required,
-    value_weighted_slack_secs: required,
-    blocks_shared: default,
-    charge_saved_ns: default,
-});
+impl ToJson for TenantRow {
+    fn to_json(&self) -> Json {
+        let mut members = vec![("tenant".to_owned(), self.tenant.to_json())];
+        let Json::Obj(counters) = self.slo.to_json() else {
+            unreachable!("a record serializes as an object");
+        };
+        for (name, value) in counters {
+            let ratio_next = name == "spent_ns";
+            members.push((name, value));
+            if ratio_next {
+                members.push(("spend_ratio".to_owned(), self.slo.spend_ratio().to_json()));
+            }
+        }
+        Json::Obj(members)
+    }
+}
 
-/// Tenant SLO rows from a ledger (tenant-name order).
-pub fn tenant_rows_from_ledger(ledger: &TenantLedger) -> Vec<TenantRow> {
-    ledger
-        .tenants
-        .iter()
-        .map(|(name, slo)| TenantRow {
-            tenant: name.clone(),
-            offered: slo.offered,
-            admitted: slo.admitted,
-            refused: slo.refused,
-            shed: slo.shed,
-            failed: slo.failed,
-            completed: slo.completed,
-            deadlines_met: slo.deadlines_met,
-            deadlines_missed: slo.deadlines_missed,
-            watchdog_overruns: slo.watchdog_overruns,
-            granted_ns: slo.granted_ns,
-            spent_ns: slo.spent_ns,
-            spend_ratio: slo.spend_ratio(),
-            value_weighted_slack_secs: slo.value_weighted_slack_secs,
-            blocks_shared: slo.blocks_shared,
-            charge_saved_ns: slo.charge_saved_ns,
+impl FromJson for TenantRow {
+    fn from_json(value: &Json) -> Result<Self, JsonError> {
+        Ok(TenantRow {
+            tenant: value.field("tenant")?,
+            slo: TenantSlo::from_json(value)?,
         })
+    }
+}
+
+/// The decision records a trace carries: its `server.decision`
+/// events, read back through the inverse of the writer. A line that
+/// does not hold a decision this build knows is skipped.
+fn trace_decisions(records: &[TraceRecord]) -> Vec<DecisionRecord> {
+    records
+        .iter()
+        .filter(|r| r.name == "server.decision")
+        .filter_map(|r| DecisionRecord::from_trace_fields(r.t_ns, &r.fields).ok())
         .collect()
 }
 
-/// Tenant SLO rows derived from the outcome's job reports — the
-/// fallback when the serve ran without `--ledger`. Watchdog overruns
-/// are a server-wide stat and cannot be attributed per tenant from
-/// reports alone, so that column stays 0 here.
-pub fn tenant_rows_from_jobs(outcome: &ServerOutcome) -> Vec<TenantRow> {
-    let mut rows: BTreeMap<String, TenantRow> = BTreeMap::new();
-    for job in &outcome.jobs {
-        let row = rows.entry(job.name.clone()).or_insert_with(|| TenantRow {
-            tenant: job.name.clone(),
-            ..TenantRow::default()
-        });
-        row.offered += 1;
-        match &job.state {
-            JobState::Done => {
-                row.admitted += 1;
-                row.completed += 1;
-                if job.met() {
-                    row.deadlines_met += 1;
-                } else {
-                    row.deadlines_missed += 1;
-                }
-                let spent = job.finished_at.saturating_sub(job.started_at);
-                row.spent_ns += spent.as_nanos() as u64;
-                row.value_weighted_slack_secs +=
-                    job.value * job.deadline.saturating_sub(job.finished_at).as_secs_f64();
-            }
-            JobState::Refused { reason } => {
-                if reason.as_str() == "shed" {
-                    row.admitted += 1;
-                    row.shed += 1;
-                } else {
-                    row.refused += 1;
-                }
-            }
-            JobState::Failed { .. } => {
-                row.failed += 1;
-                let spent = job.finished_at.saturating_sub(job.started_at);
-                row.spent_ns += spent.as_nanos() as u64;
-            }
-        }
-        row.granted_ns += job.granted_quota.as_nanos() as u64;
-        row.spend_ratio = if row.granted_ns == 0 {
-            0.0
-        } else {
-            row.spent_ns as f64 / row.granted_ns as f64
-        };
+/// The ledger of a served run, from the best evidence at hand: the
+/// one the outcome carries (`--ledger`); else the engine's fold over
+/// the trace's decision records; else — only when neither exists —
+/// over the records the job reports imply. All three are the same
+/// fold, so the tenant table does not depend on which artifact
+/// survived (the sharing credits aside: only a carried ledger has
+/// them). `None` when the artifacts hold no serving decision.
+pub fn run_ledger(
+    trace: Option<&[TraceRecord]>,
+    outcome: Option<&ServerOutcome>,
+) -> Option<TenantLedger> {
+    if let Some(ledger) = outcome.and_then(|o| o.ledger.as_ref()) {
+        return Some(ledger.clone());
     }
-    rows.into_values().collect()
-}
-
-/// Tenant SLO rows from an outcome: the ledger when present, else
-/// derived from the job reports.
-pub fn tenant_rows(outcome: &ServerOutcome) -> Vec<TenantRow> {
-    match &outcome.ledger {
-        Some(ledger) => tenant_rows_from_ledger(ledger),
-        None => tenant_rows_from_jobs(outcome),
+    let mut decisions = trace.map(trace_decisions).unwrap_or_default();
+    if decisions.is_empty() {
+        let jobs = outcome.map_or(&[][..], |o| &o.jobs);
+        decisions = jobs.iter().flat_map(JobReport::implied_decisions).collect();
     }
+    // Every offered job draws exactly one admission verdict.
+    let offered: Vec<String> = decisions
+        .iter()
+        .filter(|d| d.is_admission_verdict())
+        .map(|d| d.job.clone())
+        .collect();
+    (!decisions.is_empty())
+        .then(|| TenantLedger::fold(offered.iter().map(String::as_str), decisions))
 }
 
 // ---------------------------------------------------------------
@@ -891,27 +829,32 @@ pub fn postmortem(
                 value: j.value,
             })
             .collect();
-        pm.tenants = tenant_rows(outcome);
-        // Without a trace, the ledger's decision log still names
+    }
+    if let Some(ledger) = run_ledger(trace, outcome) {
+        pm.tenants = ledger
+            .tenants
+            .iter()
+            .map(|(tenant, slo)| TenantRow {
+                tenant: tenant.clone(),
+                slo: *slo,
+            })
+            .collect();
+        // Without a trace to carve, the decision log still names
         // watchdog overruns per job; surface them as attributions so
         // `--outcome`-only postmortems can answer "who overshot".
         if pm.job_attributions.is_empty() {
-            if let Some(ledger) = &outcome.ledger {
-                for d in &ledger.decisions {
-                    if d.action == DecisionAction::Watchdog {
-                        pm.job_attributions.push(JobAttribution {
-                            job: d.job.clone(),
-                            met: None,
-                            attribution: MissAttribution {
-                                quota_ns: d.grant_ns,
-                                spent_ns: d.spent_ns.unwrap_or(0),
-                                overrun_stage: None,
-                                aborted: false,
-                                culprit: Some("watchdog_overrun".to_string()),
-                                consumers: Vec::new(),
-                            },
-                        });
-                    }
+            for d in &ledger.decisions {
+                if d.action == DecisionAction::Watchdog {
+                    pm.job_attributions.push(JobAttribution {
+                        job: d.job.clone(),
+                        met: None,
+                        attribution: MissAttribution {
+                            quota_ns: d.grant_ns,
+                            spent_ns: d.spent_ns.unwrap_or(0),
+                            culprit: Some("watchdog_overrun".to_string()),
+                            ..MissAttribution::default()
+                        },
+                    });
                 }
             }
         }
@@ -1075,39 +1018,39 @@ impl Postmortem {
                     out,
                     "{:<16} {:>4} {:>4} {:>4} {:>4} {:>4} {:>4} {:>4} {:>4} {:>4} {:>10} {:>10} {:>7}",
                     t.tenant,
-                    t.offered,
-                    t.admitted,
-                    t.refused,
-                    t.shed,
-                    t.failed,
-                    t.completed,
-                    t.deadlines_met,
-                    t.deadlines_missed,
-                    t.watchdog_overruns,
-                    ms(t.granted_ns),
-                    ms(t.spent_ns),
-                    format!("{:.3}", t.spend_ratio),
+                    t.slo.offered,
+                    t.slo.admitted,
+                    t.slo.refused,
+                    t.slo.shed,
+                    t.slo.failed,
+                    t.slo.completed,
+                    t.slo.deadlines_met,
+                    t.slo.deadlines_missed,
+                    t.slo.watchdog_overruns,
+                    ms(t.slo.granted_ns),
+                    ms(t.slo.spent_ns),
+                    format!("{:.3}", t.slo.spend_ratio()),
                 );
             }
             // Sharing savings: only rendered when the batch actually
             // pooled draws (interleaved serving), so postmortems of
             // sequential or pre-sharing artifacts are byte-unchanged.
-            let shared: u64 = self.tenants.iter().map(|t| t.blocks_shared).sum();
+            let shared: u64 = self.tenants.iter().map(|t| t.slo.blocks_shared).sum();
             if shared > 0 {
-                let saved: u64 = self.tenants.iter().map(|t| t.charge_saved_ns).sum();
+                let saved: u64 = self.tenants.iter().map(|t| t.slo.charge_saved_ns).sum();
                 let _ = writeln!(
                     out,
                     "sharing savings: {shared} block draw(s) fed from co-resident reads, \
                      {} ms of device time spared",
                     ms(saved)
                 );
-                for t in self.tenants.iter().filter(|t| t.blocks_shared > 0) {
+                for t in self.tenants.iter().filter(|t| t.slo.blocks_shared > 0) {
                     let _ = writeln!(
                         out,
                         "  {:<16} {:>6} shared  {:>10} ms spared",
                         t.tenant,
-                        t.blocks_shared,
-                        ms(t.charge_saved_ns)
+                        t.slo.blocks_shared,
+                        ms(t.slo.charge_saved_ns)
                     );
                 }
             }
@@ -1468,16 +1411,18 @@ mod tests {
             schema_version: SUPPORTED_SCHEMA_VERSION,
             ..Postmortem::default()
         };
-        pm.tenants.push(TenantRow {
-            tenant: "solo".into(),
+        let solo = TenantSlo {
             offered: 1,
             admitted: 1,
             completed: 1,
             deadlines_met: 1,
             granted_ns: 2_000_000,
             spent_ns: 1_000_000,
-            spend_ratio: 0.5,
-            ..TenantRow::default()
+            ..TenantSlo::default()
+        };
+        pm.tenants.push(TenantRow {
+            tenant: "solo".into(),
+            slo: solo,
         });
         let without = pm.render(Format::Text);
         assert!(
@@ -1486,17 +1431,19 @@ mod tests {
         );
         pm.tenants.push(TenantRow {
             tenant: "pooled".into(),
-            offered: 1,
-            admitted: 1,
-            completed: 1,
-            deadlines_met: 1,
-            granted_ns: 2_000_000,
-            spent_ns: 1_500_000,
-            spend_ratio: 0.75,
-            blocks_shared: 12,
-            charge_saved_ns: 36_000_000,
-            ..TenantRow::default()
+            slo: TenantSlo {
+                spent_ns: 1_500_000,
+                blocks_shared: 12,
+                charge_saved_ns: 36_000_000,
+                ..solo
+            },
         });
+        // The wire form is the flat row it always was, ratio derived.
+        let back: Postmortem = json::from_str(&pm.render(Format::Json)).unwrap();
+        assert_eq!(back, pm);
+        let row = pm.tenants[1].to_json();
+        assert_eq!(row.get("spend_ratio").and_then(Json::as_f64), Some(0.75));
+        assert_eq!(row.get("blocks_shared").and_then(Json::as_u64), Some(12));
         let with = pm.render(Format::Text);
         assert!(with.contains("sharing savings: 12 block draw(s)"), "{with}");
         assert!(with.contains("pooled"), "{with}");

@@ -5,9 +5,9 @@
 //! 2. **Deadline-miss attribution** — a deliberately overrun,
 //!    fault-stormed run's postmortem names the overrunning stage and
 //!    the phase that consumed the slack.
-//! 3. **Serving forensics** — a ledger-enabled serve yields tenant
-//!    SLO rows that cross-check the outcome's job reports, and the
-//!    trace carves into per-job windows.
+//! 3. **Serving forensics** — a serve yields the same tenant SLO
+//!    table whether the ledger, only the trace, or only the job
+//!    reports survived it, and the trace carves into per-job windows.
 //! 4. **Golden postmortem** — the JSON rendering of the Figure 5.1
 //!    postmortem is pinned under `tests/golden/`; drift fails.
 //!    Regenerate with `BLESS=1 cargo test -p eram-explain` after an
@@ -16,9 +16,12 @@
 use std::path::Path;
 use std::time::Duration;
 
-use eram_core::{Database, ExecutionReport, QueryServer, ServerJob, TraceRecord, Tracer};
+use eram_core::{
+    Database, ExecutionReport, QueryServer, ServerJob, ServerOutcome, TenantSlo, TraceRecord,
+    Tracer,
+};
 use eram_explain::{
-    attribute, convergence_timeline, job_windows, parse_trace, postmortem, tenant_rows, waterfall,
+    attribute, convergence_timeline, job_windows, parse_trace, postmortem, waterfall,
     waterfall_from_report, Format,
 };
 use eram_relalg::{CmpOp, Expr, Predicate};
@@ -142,42 +145,102 @@ fn deadline_missed_run_names_the_phase_that_consumed_the_slack() {
     );
 }
 
-#[test]
-fn serving_postmortem_builds_tenant_tables_and_job_windows() {
-    let mut db = fig51_db(37);
-    db.inject_faults(FaultPlan::new(3).with_transient(0.05));
+/// Serves `jobs` with the ledger and a trace on; returns the outcome
+/// and the trace records.
+fn traced_serve(
+    seed: u64,
+    faults: FaultPlan,
+    jobs: Vec<ServerJob>,
+) -> (ServerOutcome, Vec<TraceRecord>) {
+    let mut db = fig51_db(seed);
+    db.inject_faults(faults);
     let tracer = Tracer::recording(db.disk().clock().clone());
-    let jobs = vec![
-        ServerJob::count("alpha", fig51_expr(), Duration::from_secs(6)),
-        ServerJob::count("beta", fig51_expr(), Duration::from_secs(14)),
-        ServerJob::count("tiny", fig51_expr(), Duration::from_millis(1)),
-    ];
     let outcome = QueryServer::new()
         .ledger(true)
         .tracer(tracer.clone())
         .run(&mut db, jobs);
-    let records = tracer.records();
+    (outcome, tracer.records())
+}
 
-    // Tenant rows come from the ledger and cross-check the stats.
-    let rows = tenant_rows(&outcome);
-    assert_eq!(rows.len(), 3);
+/// One fold, three sources: the postmortem's tenant table is the
+/// ledger's when the outcome carries one, and without it the same
+/// table comes from the trace's decision lines, without the trace too
+/// from what the job reports imply, and from a trace alone — every
+/// column equal each time (a sequential serve shares no draws).
+fn assert_table_is_source_independent(outcome: &ServerOutcome, records: &[TraceRecord]) {
+    let with_ledger = postmortem(Some(records), Some(outcome), None);
+    let ledger = outcome.ledger.as_ref().expect("served with the ledger on");
+    assert_eq!(with_ledger.tenants.len(), ledger.tenants.len());
+    for row in &with_ledger.tenants {
+        assert_eq!(Some(&row.slo), ledger.tenants.get(&row.tenant));
+    }
+    let mut bare = outcome.clone();
+    bare.ledger = None;
+    let from_trace = postmortem(Some(records), Some(&bare), None);
+    let from_reports = postmortem(None, Some(&bare), None);
+    let trace_alone = postmortem(Some(records), None, None);
+    for other in [&from_trace, &from_reports, &trace_alone] {
+        assert_eq!(other.tenants, with_ledger.tenants);
+    }
     assert_eq!(
-        rows.iter().map(|r| r.offered).sum::<u64>(),
-        outcome.stats.offered
+        from_trace.render(Format::Text),
+        with_ledger.render(Format::Text),
+        "the postmortem must not depend on --ledger"
     );
-    assert_eq!(
-        rows.iter().map(|r| r.deadlines_met).sum::<u64>(),
-        outcome.stats.deadlines_met
-    );
-    let alpha = rows.iter().find(|r| r.tenant == "alpha").unwrap();
-    assert_eq!(alpha.completed, 1);
-    assert!(alpha.granted_ns > 0 && alpha.spent_ns > 0);
-    assert!(alpha.spend_ratio > 0.0);
+}
 
-    // The trace carves into one window per executed job, and each
-    // window encloses that job's engine records.
+#[test]
+fn serving_postmortem_builds_tenant_tables_and_job_windows() {
+    // A storm cell of `tests/admission_chaos.rs` with a deflated
+    // dispatch and a late shed, plus an infeasible job.
+    let sel = |k| Expr::relation("r").select(Predicate::col_cmp(1, CmpOp::Lt, k));
+    let (outcome, records) = traced_serve(
+        4,
+        FaultPlan::new(4 ^ 0xC4A0)
+            .with_transient(0.15)
+            .with_spikes(0.4, Duration::from_millis(400)),
+        vec![
+            ServerJob::count("fast", sel(30), Duration::from_secs(4)),
+            ServerJob::count("mid", sel(50), Duration::from_secs(10)).with_value(2.0),
+            ServerJob::count("slow", sel(70), Duration::from_secs(18)).with_value(0.5),
+            ServerJob::count("tail", sel(90), Duration::from_secs(26))
+                .with_desired_quota(Duration::from_secs(4)),
+            ServerJob::count("tiny", fig51_expr(), Duration::from_millis(1)),
+        ],
+    );
+
+    // The assembled postmortem has all three planes; its tenant rows
+    // cross-check the stats.
+    let pm = postmortem(Some(&records), Some(&outcome), None);
+    let rows = &pm.tenants;
+    assert_eq!(rows.len(), 5);
+    assert_eq!(pm.jobs.len(), 5);
+    let sum = |f: fn(&TenantSlo) -> u64| rows.iter().map(|r| f(&r.slo)).sum::<u64>();
+    assert_eq!(sum(|t| t.offered), outcome.stats.offered);
+    assert_eq!(sum(|t| t.deadlines_met), outcome.stats.deadlines_met);
+    let done = rows.iter().find(|r| r.slo.completed == 1).unwrap();
+    assert!(done.slo.granted_ns > 0 && done.slo.spent_ns > 0);
+    assert!(done.slo.spend_ratio() > 0.0);
+    let text = pm.render(Format::Text);
+    assert!(text.contains("tenant SLO table"));
+    assert!(text.contains("fast"));
+    // The late shed's burned time counts as spent, and the deflated
+    // dispatch is granted what it ran under.
+    let late = rows.iter().find(|r| r.slo.shed == 1).expect("a late shed");
+    assert!(late.slo.spent_ns > late.slo.granted_ns, "{text}");
+    let ledger = outcome.ledger.as_ref().unwrap();
+    let deflated = ledger.decisions.iter().find(|d| d.deflated_ns.is_some());
+    let deflated = deflated.expect("a deflation");
+    assert_eq!(
+        ledger.tenants[&deflated.job].granted_ns,
+        deflated.deflated_ns.unwrap()
+    );
+    assert_table_is_source_independent(&outcome, &records);
+
+    // The trace carves into one window per job that ran to a done
+    // record, and each window encloses that job's engine records.
     let windows = job_windows(&records);
-    assert_eq!(windows.len(), 2, "two admitted jobs executed");
+    assert_eq!(windows.len() as u64, outcome.stats.completed);
     for w in &windows {
         assert!(w.grant_ns.unwrap_or(0) > 0, "{} got a grant", w.job);
         assert_eq!(w.met, Some(true), "{} met its deadline", w.job);
@@ -188,27 +251,25 @@ fn serving_postmortem_builds_tenant_tables_and_job_windows() {
         );
     }
 
-    // The assembled postmortem has all three planes.
-    let pm = postmortem(Some(&records), Some(&outcome), None);
-    assert_eq!(pm.tenants.len(), 3);
-    assert_eq!(pm.jobs.len(), 3);
-    let text = pm.render(Format::Text);
-    assert!(text.contains("tenant SLO table"));
-    assert!(text.contains("alpha"));
-
-    // The fallback rows (no ledger) agree with the ledger rows on
-    // every count the job reports can reconstruct.
-    let mut stripped = outcome.clone();
-    stripped.ledger = None;
-    let fallback = tenant_rows(&stripped);
-    assert_eq!(fallback.len(), rows.len());
-    for (f, l) in fallback.iter().zip(rows.iter()) {
-        assert_eq!(f.tenant, l.tenant);
-        assert_eq!(f.offered, l.offered);
-        assert_eq!(f.completed, l.completed);
-        assert_eq!(f.deadlines_met, l.deadlines_met);
-        assert_eq!(f.refused, l.refused);
-    }
+    // Every read spiked past a small quota: watchdog trips and a
+    // pre-dispatch shed, the same on every path.
+    let small = |name: &str, deadline: f64| {
+        ServerJob::count(name, fig51_expr(), Duration::from_secs_f64(deadline))
+            .with_desired_quota(Duration::from_millis(600))
+    };
+    let (outcome, records) = traced_serve(
+        23,
+        FaultPlan::new(9).with_spikes(1.0, Duration::from_secs(1)),
+        vec![
+            small("a", 2.0),
+            small("b", 4.0),
+            ServerJob::count("cheap", fig51_expr(), Duration::from_secs_f64(4.4))
+                .with_min_quota(Duration::from_millis(1200))
+                .with_value(0.1),
+        ],
+    );
+    assert!(outcome.stats.watchdog_overruns > 0 && outcome.stats.shed > 0);
+    assert_table_is_source_independent(&outcome, &records);
 }
 
 /// `eram-explain --trace` on a record line of 100 000 `[`: exit 2

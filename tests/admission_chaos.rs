@@ -19,13 +19,18 @@
 //!    (default 4) against the serial reference.
 //! 5. **Property** — arbitrary seeds, storms, and worker counts
 //!    replay identically (property test).
+//! 6. **One decision log** — over a 400-cell storm grid, every
+//!    counter the server reports (stats, tenant rows, the trace's
+//!    decision lines, the records the job reports imply) is the same
+//!    fold of the same log, and the log accounts for every job.
 
 use std::time::Duration;
 
 use testkit::prelude::*;
 
 use eram_core::{
-    Concurrency, Database, JobState, QueryServer, RefusalReason, ServerJob, ServerOutcome, Tracer,
+    Concurrency, Database, DecisionAction, DecisionRecord, JobReport, JobState, QueryServer,
+    RefusalReason, ServerJob, ServerOutcome, ServerStats, TenantLedger, TraceRecord, Tracer,
 };
 use eram_relalg::{CmpOp, Expr, Predicate};
 use eram_storage::{json, ColumnType, FaultPlan, Schema, Tuple, Value};
@@ -96,40 +101,6 @@ fn assert_no_silent_blowouts(outcome: &ServerOutcome, cell: &str) {
     let s = &outcome.stats;
     assert_eq!(s.deadlines_missed, 0, "[{cell}] silent deadline blowout");
     assert_eq!(s.offered, outcome.jobs.len() as u64);
-    assert_eq!(
-        s.offered,
-        s.admitted + s.refused + s.failed_at_admission(outcome)
-    );
-    assert_eq!(s.admitted, s.completed + s.shed + s.failed_mid_run(outcome));
-}
-
-/// Split helpers: stats only track total failures, so recover the
-/// admission/mid-run split from the reports (admission failures never
-/// got a quota and never started).
-trait FailureSplit {
-    fn failed_at_admission(&self, outcome: &ServerOutcome) -> u64;
-    fn failed_mid_run(&self, outcome: &ServerOutcome) -> u64;
-}
-
-impl FailureSplit for eram_core::ServerStats {
-    fn failed_at_admission(&self, outcome: &ServerOutcome) -> u64 {
-        outcome
-            .jobs
-            .iter()
-            .filter(|j| {
-                matches!(j.state, JobState::Failed { .. }) && j.granted_quota == Duration::ZERO
-            })
-            .count() as u64
-    }
-    fn failed_mid_run(&self, outcome: &ServerOutcome) -> u64 {
-        outcome
-            .jobs
-            .iter()
-            .filter(|j| {
-                matches!(j.state, JobState::Failed { .. }) && j.granted_quota > Duration::ZERO
-            })
-            .count() as u64
-    }
 }
 
 #[test]
@@ -401,6 +372,154 @@ fn run_storm_mode(
         .tracer(tracer.clone())
         .run(&mut db, storm_batch());
     (outcome, tracer.to_jsonl())
+}
+
+/// The five device weathers of the decision-log sweep: (transient
+/// rate, spike rate), calm to the storm that sheds and deflates.
+const WEATHERS: [(f64, f64); 5] = [
+    (0.0, 0.0),
+    (0.05, 0.1),
+    (0.08, 0.2),
+    (0.1, 0.3),
+    (0.15, 0.4),
+];
+
+/// A tenant table with the mode-variant sharing credits — the one
+/// pair of columns that is not a fold of the decision log — zeroed.
+fn sans_sharing(ledger: &TenantLedger) -> Vec<(String, eram_core::TenantSlo)> {
+    let mut rows: Vec<_> = ledger.tenants.clone().into_iter().collect();
+    for (_, slo) in &mut rows {
+        slo.blocks_shared = 0;
+        slo.charge_saved_ns = 0;
+    }
+    rows
+}
+
+/// One decision log, checked by search: 40 seeds × 5 weathers ×
+/// {sequential, interleaved}, workers alternating 1 and 4 — and from
+/// the artifacts of each cell alone (outcome JSON, trace JSONL):
+///
+/// * `ServerStats` is the column sum of the tenant rows, and the rows
+///   are the fold of the trace's `server.decision` lines *and* of the
+///   records the bare job reports imply (so a postmortem prints the
+///   same table whether or not the ledger rode the outcome);
+/// * every offered job has exactly one admission verdict and exactly
+///   one terminal record, `offered = admitted + refused +
+///   failed-at-admission`, `admitted = completed + shed +
+///   failed-mid-run`, and no `done` record missed its deadline;
+/// * a tenant's `granted_ns` is Σ `granted_quota` of its jobs,
+///   deflations included.
+#[test]
+fn decision_log_is_the_single_source_of_every_counter() {
+    let (mut deflations, mut late_sheds) = (0, 0);
+    for seed in 0..40u64 {
+        for (w, &(transient, spikes)) in WEATHERS.iter().enumerate() {
+            for mode in [Concurrency::Sequential, Concurrency::Interleaved] {
+                let workers = if (seed as usize + w) % 2 == 0 { 1 } else { 4 };
+                let cell = format!("seed={seed} weather={w} {mode:?} workers={workers}");
+                let (outcome, trace) = run_storm_mode(seed, transient, spikes, workers, mode);
+                let outcome: ServerOutcome = json::from_str(&outcome.to_json()).unwrap();
+                let ledger = outcome.ledger.as_ref().expect("ledger was requested");
+                let names = || outcome.jobs.iter().map(|j| j.name.as_str());
+                assert_no_silent_blowouts(&outcome, &cell);
+
+                // Stats are the column sums of the rows.
+                let sum = |f: fn(&eram_core::TenantSlo) -> u64| {
+                    ledger.tenants.values().map(f).sum::<u64>()
+                };
+                let columns = ServerStats {
+                    offered: sum(|t| t.offered),
+                    admitted: sum(|t| t.admitted),
+                    refused: sum(|t| t.refused),
+                    shed: sum(|t| t.shed),
+                    failed: sum(|t| t.failed),
+                    completed: sum(|t| t.completed),
+                    deadlines_met: sum(|t| t.deadlines_met),
+                    deadlines_missed: sum(|t| t.deadlines_missed),
+                    watchdog_overruns: sum(|t| t.watchdog_overruns),
+                };
+                assert_eq!(outcome.stats, columns, "[{cell}]");
+
+                // The rows are the fold of the trace's decision lines...
+                let traced: Vec<DecisionRecord> = trace
+                    .lines()
+                    .skip(1)
+                    .map(|line| json::from_str::<TraceRecord>(line).unwrap())
+                    .filter(|r| r.name == "server.decision")
+                    .map(|r| DecisionRecord::from_trace_fields(r.t_ns, &r.fields).unwrap())
+                    .collect();
+                // (The same records, stamps aside: a replayed decision's
+                // event carries the shared clock's reading, its record
+                // the virtual timeline's.)
+                let unstamped = |log: &[DecisionRecord]| -> Vec<DecisionRecord> {
+                    let unstamp = |d: &DecisionRecord| DecisionRecord {
+                        t_ns: 0,
+                        ..d.clone()
+                    };
+                    log.iter().map(unstamp).collect()
+                };
+                assert_eq!(unstamped(&traced), unstamped(&ledger.decisions), "[{cell}]");
+                let from_trace = TenantLedger::fold(names(), traced);
+                assert_eq!(sans_sharing(&from_trace), sans_sharing(ledger), "[{cell}]");
+                // ...and of what the bare job reports imply.
+                let implied = outcome.jobs.iter().flat_map(JobReport::implied_decisions);
+                let from_reports = TenantLedger::fold(names(), implied.collect());
+                assert_eq!(
+                    sans_sharing(&from_reports),
+                    sans_sharing(ledger),
+                    "[{cell}]"
+                );
+
+                // The log accounts for every job, once.
+                let log = &ledger.decisions;
+                let count = |pred: &dyn Fn(&DecisionRecord) -> bool| {
+                    log.iter().filter(|d| pred(d)).count() as u64
+                };
+                for name in names() {
+                    let verdicts = count(&|d| d.job == name && d.is_admission_verdict());
+                    let terminals = count(&|d| {
+                        d.job == name
+                            && [
+                                DecisionAction::Refuse,
+                                DecisionAction::Fail,
+                                DecisionAction::Shed,
+                                DecisionAction::Done,
+                            ]
+                            .contains(&d.action)
+                    });
+                    assert_eq!((verdicts, terminals), (1, 1), "[{cell}] {name}");
+                }
+                let s = &outcome.stats;
+                let failed_at_admission =
+                    count(&|d| d.action == DecisionAction::Fail && d.is_admission_verdict());
+                assert_eq!(s.offered, s.admitted + s.refused + failed_at_admission);
+                assert_eq!(
+                    s.admitted,
+                    s.completed + s.shed + (s.failed - failed_at_admission),
+                    "[{cell}]"
+                );
+                assert_eq!(count(&|d| d.met == Some(false)), 0, "[{cell}]");
+
+                // What the ledger says was granted is what the jobs ran under.
+                for (name, slo) in &ledger.tenants {
+                    let granted: u128 = outcome
+                        .jobs
+                        .iter()
+                        .filter(|j| &j.name == name)
+                        .map(|j| j.granted_quota.as_nanos())
+                        .sum();
+                    assert_eq!(u128::from(slo.granted_ns), granted, "[{cell}] {name}");
+                }
+                deflations += count(&|d| d.action == DecisionAction::Deflate);
+                late_sheds += count(&|d| d.late_ns.is_some());
+            }
+        }
+    }
+    // The sweep reaches the cases the fold exists for.
+    assert!(
+        deflations > 0 && late_sheds > 0,
+        "{deflations} {late_sheds}"
+    );
 }
 
 proptest! {

@@ -484,9 +484,9 @@ proptest! {
     }
 }
 
-/// Every record name the tracer and server emit, including the
-/// decision audit (`server.decision`).
-const RECORD_NAMES: [&str; 16] = [
+/// Every record name the tracer and server emit; the server's whole
+/// vocabulary is the decision audit (`server.decision`).
+const RECORD_NAMES: [&str; 12] = [
     "execute",
     "stage",
     "block_draw",
@@ -498,10 +498,6 @@ const RECORD_NAMES: [&str; 16] = [
     "stop",
     "retry",
     "block_lost",
-    "server.admit",
-    "server.refuse",
-    "server.shed",
-    "server.refit",
     "server.decision",
 ];
 
