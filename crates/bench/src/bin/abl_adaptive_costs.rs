@@ -15,7 +15,7 @@
 use std::time::Duration;
 
 use eram_bench::{measure_row, render_table, BenchReport, PaperRow, TrialConfig, WorkloadKind};
-use eram_core::{CostModel, Fulfillment, OneAtATimeInterval, SelectivityDefaults};
+use eram_core::CostModel;
 use eram_storage::DeviceProfile;
 
 mod common;
@@ -44,21 +44,8 @@ fn main() {
 
     let mut rows = Vec::new();
     for (name, model) in models {
-        let cfg = TrialConfig {
-            kind,
-            quota,
-            strategy: Box::new(move || Box::new(OneAtATimeInterval::new(d_beta))),
-            defaults: SelectivityDefaults::default(),
-            fulfillment: Fulfillment::Full,
-            memory: eram_core::MemoryMode::DiskResident,
-            cost_model: model,
-            cache_blocks: 0,
-            hybrid_leftover: false,
-            seed_from_stats: false,
-            fault_plan: None,
-            workers: 1,
-            block_layout: eram_core::BlockLayout::default(),
-        };
+        let mut cfg = TrialConfig::paper(kind, quota, d_beta);
+        cfg.engine.cost_model = Some(model);
         let measured = measure_row(&cfg, opts.runs, common::row_seed("abl-adaptive", 0, d_beta));
         bench.push_measured(name, &measured);
         rows.push(PaperRow {

@@ -13,12 +13,26 @@
 use std::time::Instant;
 
 use eram_bench::{BenchReport, Workload, WorkloadKind};
-use eram_core::{ops, term_estimate, term_estimate_with, SelectivityDefaults};
+use eram_core::{ops, term_estimate, term_estimate_with, EngineConfig};
 use eram_relalg::PieRewrite;
 use eram_sampling::DistinctEstimator;
 use eram_storage::{json, Rng, SeedSeq};
 
 mod common;
+
+/// The workload's physical tree after one stage at a fixed fraction —
+/// no time control, pure estimator quality.
+fn one_stage(w: &Workload, seed: u64, fraction: f64) -> ops::PhysTree {
+    let config = EngineConfig::default();
+    let rewrite = PieRewrite::rewrite(&w.expr).unwrap();
+    let mut rng = Rng::seed_from_u64(seed ^ 0xFACE);
+    let (catalog, disk) = (w.db.catalog(), w.db.disk());
+    let mut tree =
+        ops::PhysTree::build(&rewrite.terms[0].expr, catalog, disk, &config, &mut rng).unwrap();
+    let mut env = ops::StageEnv::new(disk.clone(), &config, None, fraction);
+    tree.advance(&mut env).expect("no deadline to abort");
+    tree
+}
 
 fn measure(
     kind: WorkloadKind,
@@ -42,22 +56,7 @@ fn measure(
             let seed = seeds.child(fraction.to_bits()).derive(run as u64);
             let w = Workload::build(kind, seed);
             let truth = w.truth as f64;
-            // Drive the physical tree directly at a fixed fraction —
-            // no time control, pure estimator quality.
-            let rewrite = PieRewrite::rewrite(&w.expr).unwrap();
-            let mut rng = Rng::seed_from_u64(seed ^ 0xFACE);
-            let mut tree = ops::PhysTree::build(
-                &rewrite.terms[0].expr,
-                w.db.catalog(),
-                w.db.disk(),
-                &SelectivityDefaults::default(),
-                ops::Fulfillment::Full,
-                &mut rng,
-            )
-            .unwrap();
-            let mut env = ops::StageEnv::new(w.db.disk().clone(), None, fraction);
-            tree.advance(&mut env).expect("no deadline to abort");
-            let est = term_estimate(&tree);
+            let est = term_estimate(&one_stage(&w, seed, fraction));
             if truth > 0.0 {
                 errs.push((est.estimate - truth).abs() / truth);
             }
@@ -102,19 +101,7 @@ fn measure_distinct(fractions: &[f64], runs: usize, bench: &mut BenchReport) {
             let seed = seeds.child(fraction.to_bits()).derive(run as u64);
             let w = Workload::build(kind, seed);
             let truth = w.truth as f64;
-            let rewrite = PieRewrite::rewrite(&w.expr).unwrap();
-            let mut rng = Rng::seed_from_u64(seed ^ 0xFACE);
-            let mut tree = ops::PhysTree::build(
-                &rewrite.terms[0].expr,
-                w.db.catalog(),
-                w.db.disk(),
-                &SelectivityDefaults::default(),
-                ops::Fulfillment::Full,
-                &mut rng,
-            )
-            .unwrap();
-            let mut env = ops::StageEnv::new(w.db.disk().clone(), None, fraction);
-            tree.advance(&mut env).expect("no deadline");
+            let tree = one_stage(&w, seed, fraction);
             for (i, est) in [
                 DistinctEstimator::Goodman,
                 DistinctEstimator::Chao1,

@@ -18,7 +18,7 @@
 use std::time::Duration;
 
 use eram_bench::{measure_row, render_table, BenchReport, PaperRow, TrialConfig, WorkloadKind};
-use eram_core::{CostModel, Fulfillment, OneAtATimeInterval, SelectivityDefaults};
+use eram_core::Fulfillment;
 
 mod common;
 
@@ -38,21 +38,8 @@ fn main() {
         ("full", Fulfillment::Full),
         ("partial", Fulfillment::Partial),
     ] {
-        let cfg = TrialConfig {
-            kind,
-            quota,
-            strategy: Box::new(move || Box::new(OneAtATimeInterval::new(d_beta))),
-            defaults: SelectivityDefaults::default(),
-            fulfillment,
-            memory: eram_core::MemoryMode::DiskResident,
-            cost_model: CostModel::generic_default(),
-            cache_blocks: 0,
-            hybrid_leftover: false,
-            seed_from_stats: false,
-            fault_plan: None,
-            workers: 1,
-            block_layout: eram_core::BlockLayout::default(),
-        };
+        let mut cfg = TrialConfig::paper(kind, quota, d_beta);
+        cfg.engine.fulfillment = fulfillment;
         let measured = measure_row(&cfg, opts.runs, common::row_seed("abl-fulfill", 0, d_beta));
         bench.push_measured(name, &measured);
         rows.push(PaperRow {

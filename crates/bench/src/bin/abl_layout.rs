@@ -67,7 +67,7 @@ fn main() {
             ("columnar", BlockLayout::Columnar),
         ] {
             let mut cfg = TrialConfig::paper(kind, quota, d_beta);
-            cfg.block_layout = layout;
+            cfg.engine.block_layout = layout;
             let started = Instant::now();
             let mut trials: Vec<TrialResult> = Vec::with_capacity(opts.runs);
             let mut wall_secs: Vec<f64> = Vec::with_capacity(opts.runs);

@@ -19,7 +19,7 @@
 use std::time::Duration;
 
 use eram_bench::{measure_row, render_table, BenchReport, PaperRow, TrialConfig, WorkloadKind};
-use eram_core::{CostModel, Fulfillment, MemoryMode, OneAtATimeInterval, SelectivityDefaults};
+use eram_core::MemoryMode;
 
 mod common;
 
@@ -33,18 +33,16 @@ fn main() {
     bench.config_kv("runs", opts.runs as u64);
     bench.config_kv("d_beta", d_beta);
 
-    for (wname, kind, defaults) in [
+    for (wname, kind) in [
         (
             "intersect(5000)",
             WorkloadKind::Intersect { overlap: 5_000 },
-            SelectivityDefaults::default(),
         ),
         (
             "join(70000)",
             WorkloadKind::Join {
                 output_tuples: 70_000,
             },
-            SelectivityDefaults::paper_join_experiment(),
         ),
     ] {
         let mut rows = Vec::new();
@@ -53,21 +51,9 @@ fn main() {
             ("disk+cache(4k)", MemoryMode::DiskResident, 4_096),
             ("main-memory", MemoryMode::MainMemory, 0),
         ] {
-            let cfg = TrialConfig {
-                kind,
-                quota,
-                strategy: Box::new(move || Box::new(OneAtATimeInterval::new(d_beta))),
-                defaults,
-                fulfillment: Fulfillment::Full,
-                memory,
-                cost_model: CostModel::generic_default(),
-                cache_blocks,
-                hybrid_leftover: false,
-                seed_from_stats: false,
-                fault_plan: None,
-                workers: 1,
-                block_layout: eram_core::BlockLayout::default(),
-            };
+            let mut cfg = TrialConfig::paper(kind, quota, d_beta);
+            cfg.cache_blocks = cache_blocks;
+            cfg.engine.memory = memory;
             let measured = measure_row(&cfg, opts.runs, common::row_seed(wname, 1, d_beta));
             bench.push_measured(format!("{wname} {name}"), &measured);
             rows.push(PaperRow {

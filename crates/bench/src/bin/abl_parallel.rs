@@ -46,7 +46,7 @@ fn main() {
     let mut walls: Vec<(usize, f64)> = Vec::new();
     for workers in [1usize, 2, 4, 8] {
         let mut cfg = TrialConfig::paper(WorkloadKind::Join { output_tuples }, quota, d_beta);
-        cfg.workers = workers;
+        cfg.engine.workers = workers;
         let started = Instant::now();
         let mut trials: Vec<TrialResult> = Vec::with_capacity(opts.runs);
         let mut wall_secs: Vec<f64> = Vec::with_capacity(opts.runs);

@@ -13,15 +13,11 @@
 use std::time::Duration;
 
 use eram_bench::{measure_row, render_table, BenchReport, PaperRow, TrialConfig, WorkloadKind};
-use eram_core::{
-    CostModel, Fulfillment, HeuristicStrategy, OneAtATimeInterval, SelectivityDefaults,
-    SingleInterval, TimeControlStrategy,
-};
+use std::sync::Arc;
+
+use eram_core::{HeuristicStrategy, OneAtATimeInterval, SingleInterval, TimeControlStrategy};
 
 mod common;
-
-/// A named factory producing a fresh strategy per trial.
-type StrategyFactory = Box<dyn Fn() -> Box<dyn TimeControlStrategy> + Sync>;
 
 fn main() {
     let opts = common::Opts::parse("abl_strategies");
@@ -48,45 +44,22 @@ fn main() {
 
     for (wname, kind, quota_secs) in workloads {
         let quota = Duration::from_secs_f64(quota_secs);
-        let strategies: Vec<(&str, StrategyFactory)> = vec![
+        let strategies: Vec<(&str, Arc<dyn TimeControlStrategy>)> = vec![
             (
                 "one-at-a-time(d=12)",
-                Box::new(|| Box::new(OneAtATimeInterval::new(12.0))),
+                Arc::new(OneAtATimeInterval::new(12.0)),
             ),
-            (
-                "one-at-a-time(d=0)",
-                Box::new(|| Box::new(OneAtATimeInterval::new(0.0))),
-            ),
-            (
-                "single-interval(d=2)",
-                Box::new(|| Box::new(SingleInterval::new(2.0))),
-            ),
+            ("one-at-a-time(d=0)", Arc::new(OneAtATimeInterval::new(0.0))),
+            ("single-interval(d=2)", Arc::new(SingleInterval::new(2.0))),
             (
                 "heuristic(0.5,1.25)",
-                Box::new(|| Box::new(HeuristicStrategy::new(0.5, 1.25))),
+                Arc::new(HeuristicStrategy::new(0.5, 1.25)),
             ),
         ];
         let mut rows = Vec::new();
-        for (sname, factory) in strategies {
-            let defaults = match kind {
-                WorkloadKind::Join { .. } => SelectivityDefaults::paper_join_experiment(),
-                _ => SelectivityDefaults::default(),
-            };
-            let cfg = TrialConfig {
-                kind,
-                quota,
-                strategy: factory,
-                defaults,
-                fulfillment: Fulfillment::Full,
-                memory: eram_core::MemoryMode::DiskResident,
-                cost_model: CostModel::generic_default(),
-                cache_blocks: 0,
-                hybrid_leftover: false,
-                seed_from_stats: false,
-                fault_plan: None,
-                workers: 1,
-                block_layout: eram_core::BlockLayout::default(),
-            };
+        for (sname, strategy) in strategies {
+            let mut cfg = TrialConfig::paper(kind, quota, 12.0);
+            cfg.engine.strategy = strategy;
             let measured = measure_row(
                 &cfg,
                 opts.runs,

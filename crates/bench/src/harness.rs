@@ -11,11 +11,12 @@
 //! from an [`eram_core::ExecutionReport`]; [`run_row`] aggregates
 //! them over seeded independent runs.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use eram_core::{
-    BlockLayout, CostModel, ExecutionReport, Fulfillment, MemoryMode, ProfileSnapshot, Profiler,
-    QueryConfig, SelectivityDefaults, StoppingCriterion, TimeControlStrategy,
+    EngineConfig, ExecutionReport, OneAtATimeInterval, ProfileSnapshot, Profiler,
+    SelectivityDefaults, StoppingCriterion,
 };
 use eram_storage::{json_record, FaultPlan, SeedSeq};
 
@@ -185,20 +186,8 @@ pub struct TrialConfig {
     pub kind: WorkloadKind,
     /// The quota `T`.
     pub quota: Duration,
-    /// Strategy factory (a fresh strategy per trial).
-    pub strategy: Box<dyn Fn() -> Box<dyn TimeControlStrategy> + Sync>,
-    /// Stage-1 selectivity assumptions.
-    pub defaults: SelectivityDefaults,
-    /// Fulfillment plan.
-    pub fulfillment: Fulfillment,
-    /// Disk-resident or main-memory evaluation.
-    pub memory: MemoryMode,
-    /// Initial cost model per trial.
-    pub cost_model: CostModel,
     /// LRU buffer-cache blocks in front of the device (0 = none).
     pub cache_blocks: usize,
-    /// Spend unusable leftovers on a partial-fulfillment stage.
-    pub hybrid_leftover: bool,
     /// When true, stage-1 selectivities are seeded from prestored
     /// equi-depth histograms (the PsCo 84 / MuDe 88 alternative the
     /// paper contrasts with) instead of the Figure 3.3 maxima.
@@ -207,19 +196,17 @@ pub struct TrialConfig {
     /// plan seed is XOR-folded with the trial seed so independent
     /// trials see independent fault sites.
     pub fault_plan: Option<FaultPlan>,
-    /// Worker threads for the pure-CPU stage work inside each trial.
-    /// Every trial's results are byte-identical regardless; only
-    /// wall-clock time changes.
-    pub workers: usize,
-    /// In-memory layout for sampled blocks (row tuples or per-column
-    /// arrays). Like `workers`, a pure wall-clock choice: results are
-    /// byte-identical under either layout.
-    pub block_layout: BlockLayout,
+    /// The engine settings every trial runs under (its profiler is
+    /// replaced per trial). An ablation varies one field of this.
+    pub engine: EngineConfig,
 }
 
 impl TrialConfig {
     /// The paper's configuration for a `d_β` row: One-at-a-Time
-    /// strategy, full fulfillment, generic cost model.
+    /// strategy, full fulfillment, generic cost model, and the
+    /// measurement protocol's soft deadline — the overrunning stage
+    /// finishes so ovsp is measurable, while the hard-view columns
+    /// come from the report.
     pub fn paper(kind: WorkloadKind, quota: Duration, d_beta: f64) -> TrialConfig {
         let defaults = match kind {
             WorkloadKind::Join { .. } => SelectivityDefaults::paper_join_experiment(),
@@ -228,17 +215,15 @@ impl TrialConfig {
         TrialConfig {
             kind,
             quota,
-            strategy: Box::new(move || Box::new(eram_core::OneAtATimeInterval::new(d_beta))),
-            defaults,
-            fulfillment: Fulfillment::Full,
-            memory: MemoryMode::DiskResident,
-            cost_model: CostModel::generic_default(),
             cache_blocks: 0,
-            hybrid_leftover: false,
             seed_from_stats: false,
             fault_plan: None,
-            workers: 1,
-            block_layout: BlockLayout::default(),
+            engine: EngineConfig {
+                strategy: Arc::new(OneAtATimeInterval::new(d_beta)),
+                stopping: StoppingCriterion::SoftDeadline,
+                defaults,
+                ..EngineConfig::default()
+            },
         }
     }
 }
@@ -292,11 +277,10 @@ pub fn run_trial_with(
 ) -> (TrialResult, Option<ProfileSnapshot>) {
     let mut workload = Workload::build_on(config.kind, seed, config.cache_blocks);
     let truth = workload.truth;
-    let defaults = if config.seed_from_stats {
-        stats_seeded_defaults(&workload, config.defaults)
-    } else {
-        config.defaults
-    };
+    let mut engine = config.engine.clone();
+    if config.seed_from_stats {
+        engine.defaults = stats_seeded_defaults(&workload, engine.defaults);
+    }
     // Arm faults only after ground truth and prestored statistics are
     // in hand: the injected rot afflicts the measured query alone.
     if let Some(plan) = config.fault_plan {
@@ -304,32 +288,16 @@ pub fn run_trial_with(
         plan.seed ^= seed;
         workload.db.inject_faults(plan);
     }
-    let profiler = if profile {
+    engine.profiler = if profile {
         Profiler::recording(workload.db.disk().clock().clone())
     } else {
         Profiler::disabled()
-    };
-    let qc = QueryConfig {
-        strategy: (config.strategy)(),
-        // Soft deadline: let the overrunning stage finish so ovsp is
-        // measurable; the hard-view columns come from the report.
-        stopping: StoppingCriterion::SoftDeadline,
-        cost_model: config.cost_model.clone(),
-        defaults,
-        fulfillment: config.fulfillment,
-        memory: config.memory,
-        max_stages: 1_000,
-        hybrid_leftover: config.hybrid_leftover,
-        workers: config.workers.max(1),
-        block_layout: config.block_layout,
-        profiler: profiler.clone(),
-        ..QueryConfig::default()
     };
     let out = workload
         .db
         .count(workload.expr.clone())
         .within(config.quota)
-        .config(qc)
+        .config(engine)
         .seed(seed ^ 0x5EED)
         .run()
         .expect("experiment query must execute");
@@ -339,30 +307,38 @@ pub fn run_trial_with(
     )
 }
 
-/// Runs `runs` independent trials (in parallel) and aggregates them.
-pub fn run_row(config: &TrialConfig, runs: usize, master_seed: u64) -> RowStats {
+/// Runs `trial(index, seed)` for `runs` seeds derived from
+/// `master_seed`, spread over the host's cores, and returns the
+/// results in trial-index order.
+fn run_trials<T: Send>(
+    runs: usize,
+    master_seed: u64,
+    trial: impl Fn(usize, u64) -> T + Sync,
+) -> Vec<T> {
     let seeds = SeedSeq::new(master_seed);
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4)
         .min(runs.max(1));
-    let mut results: Vec<Option<TrialResult>> = vec![None; runs];
-    let chunks: Vec<(usize, &mut [Option<TrialResult>])> = {
-        let chunk = runs.div_ceil(threads).max(1);
-        results.chunks_mut(chunk).enumerate().collect()
-    };
+    let chunk_len = runs.div_ceil(threads).max(1);
+    let mut results: Vec<Option<T>> = (0..runs).map(|_| None).collect();
     std::thread::scope(|scope| {
-        let chunk_len = runs.div_ceil(threads).max(1);
-        for (ci, slot) in chunks {
+        for (ci, slot) in results.chunks_mut(chunk_len).enumerate() {
+            let trial = &trial;
             scope.spawn(move || {
                 for (j, out) in slot.iter_mut().enumerate() {
                     let run_index = ci * chunk_len + j;
-                    *out = Some(run_trial(config, seeds.derive(run_index as u64)));
+                    *out = Some(trial(run_index, seeds.derive(run_index as u64)));
                 }
             });
         }
     });
-    let trials: Vec<TrialResult> = results.into_iter().map(|r| r.expect("trial ran")).collect();
+    results.into_iter().map(|r| r.expect("trial ran")).collect()
+}
+
+/// Runs `runs` independent trials (in parallel) and aggregates them.
+pub fn run_row(config: &TrialConfig, runs: usize, master_seed: u64) -> RowStats {
+    let trials = run_trials(runs, master_seed, |_, seed| run_trial(config, seed));
     RowStats::aggregate(&trials)
 }
 
@@ -387,41 +363,18 @@ pub struct MeasuredRow {
 /// profiles trial 0. The aggregated simulated stats are byte-identical
 /// to [`run_row`]'s: profiling and timing are pure observation.
 pub fn measure_row(config: &TrialConfig, runs: usize, master_seed: u64) -> MeasuredRow {
-    let seeds = SeedSeq::new(master_seed);
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .min(runs.max(1));
-    type MeasuredSlot = Option<(TrialResult, f64, Option<ProfileSnapshot>)>;
-    let mut results: Vec<MeasuredSlot> = vec![None; runs];
-    let chunks: Vec<(usize, &mut [MeasuredSlot])> = {
-        let chunk = runs.div_ceil(threads).max(1);
-        results.chunks_mut(chunk).enumerate().collect()
-    };
-    std::thread::scope(|scope| {
-        let chunk_len = runs.div_ceil(threads).max(1);
-        for (ci, slot) in chunks {
-            scope.spawn(move || {
-                for (j, out) in slot.iter_mut().enumerate() {
-                    let run_index = ci * chunk_len + j;
-                    let started = Instant::now();
-                    let (trial, profile) =
-                        run_trial_with(config, seeds.derive(run_index as u64), run_index == 0);
-                    *out = Some((trial, started.elapsed().as_secs_f64(), profile));
-                }
-            });
-        }
+    let measured = run_trials(runs, master_seed, |run_index, seed| {
+        let started = Instant::now();
+        let (trial, profile) = run_trial_with(config, seed, run_index == 0);
+        (trial, started.elapsed().as_secs_f64(), profile)
     });
     let mut trials = Vec::with_capacity(runs);
     let mut wall_secs = Vec::with_capacity(runs);
     let mut profile = None;
-    for r in results {
-        let (trial, wall, prof) = r.expect("trial ran");
+    for (trial, wall, prof) in measured {
         trials.push(trial);
         wall_secs.push(wall);
-        if prof.is_some() {
-            profile = prof;
-        }
+        profile = profile.or(prof);
     }
     MeasuredRow {
         stats: RowStats::aggregate(&trials),

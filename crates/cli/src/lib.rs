@@ -16,7 +16,10 @@
 //! under load"); without either an interactive shell starts
 //! (`count <expr> within <secs>`, `sum <col> <expr> within <secs>`,
 //! `avg <col> <expr> within <secs>`, `exact <expr>`, `relations`,
-//! `help`, `quit`).
+//! `help`, `quit`). Both run modes execute under the one
+//! [`EngineConfig`] the flags describe ([`Cli::engine_config`]); a
+//! flag that does not apply to the chosen mode is a usage error,
+//! never silently dropped.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
@@ -24,12 +27,17 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
+use std::sync::Arc;
+
 use eram_core::{
-    AggregateFn, BlockLayout, Concurrency, Database, MetricsSnapshot, ProfileSnapshot, Profiler,
-    QueryServer, ReportHealth, ServerJob, ServerOutcome, Tracer,
+    AggregateFn, BlockLayout, Concurrency, Database, EngineConfig, MetricsSnapshot,
+    ProfileSnapshot, Profiler, QueryServer, ReportHealth, ServerConfig, ServerJob, ServerOutcome,
+    Tracer,
 };
 use eram_relalg::parse_expr;
-use eram_storage::{json, json_record, parse_schema_spec, DeviceProfile, FaultPlan, IngestFormat};
+use eram_storage::{
+    json, json_record, parse_schema_spec, Clock, DeviceProfile, FaultPlan, IngestFormat,
+};
 
 /// Which simulated device profile to run on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -90,7 +98,7 @@ pub struct Cli {
     /// Write the full `ServerOutcome` JSON here after `--serve`.
     pub jobs_out: Option<PathBuf>,
     /// Write a clock-charged execution trace (JSONL) to this path
-    /// after a one-shot query.
+    /// after a one-shot query or a served batch.
     pub trace: Option<PathBuf>,
     /// Collect and render storage/stage-loop metrics.
     pub metrics: bool,
@@ -103,13 +111,13 @@ pub struct Cli {
     /// Per-job reports and traces are byte-identical in either mode;
     /// only the schedule report and sharing counters differ.
     pub concurrency: Concurrency,
-    /// Profile the run and print the top phases by wall time after
-    /// the health line. Pure observation: the estimate, trace, and
-    /// report are identical with or without it.
+    /// Profile the one-shot run and print the top phases by wall time
+    /// after the health line. Pure observation: the estimate, trace,
+    /// and report are identical with or without it.
     pub profile: bool,
-    /// Worker threads for the pure-CPU stage work (0 means 1 —
-    /// `Default` leaves it at 0, so treat it through `max(1)`).
-    /// Estimates and traces are identical at any worker count.
+    /// Worker threads for the pure-CPU stage work (0, what `Default`
+    /// leaves, runs inline like 1). Estimates and traces are
+    /// identical at any worker count.
     pub workers: usize,
     /// Tuple bound for each binary operator's decoded-run cache
     /// (`Some(0)` disables it; `None` keeps the engine default).
@@ -142,16 +150,32 @@ fn err(msg: impl Into<String>) -> CliError {
 }
 
 /// Usage text.
-pub const USAGE: &str = "usage: eram --load NAME=FILE.csv:COL:TYPE[,COL:TYPE...] \
-[--load ...] [--ingest csv|jsonl|parquet] [--device sun|modern] [--cache BLOCKS] \
-[--seed N] [--header] \
-[--fault-transient RATE] [--fault-corrupt RATE] [--fault-spike RATE] \
-[--fault-spike-ms MS] [--fault-seed N] \
-[--trace FILE] [--metrics] [--profile] [--workers N] [--run-cache-tuples N] \
-[--layout row|columnar] \
-[--query EXPR --quota SECS \
-[--agg count|sum:COL|avg:COL|count:by:G|sum:COL:by:G|avg:COL:by:G]] \
-[--serve JOBS.json [--jobs-out FILE] [--ledger] [--concurrency seq|interleaved]]";
+pub const USAGE: &str = "usage: eram --load NAME=FILE.csv:COL:TYPE[,COL:TYPE...] [--load ...]
+any mode (the database):
+  [--ingest csv|jsonl|parquet] [--device sun|modern] [--cache BLOCKS] [--seed N] [--header]
+  [--fault-transient RATE] [--fault-corrupt RATE] [--fault-spike RATE]
+  [--fault-spike-ms MS] [--fault-seed N]
+--query and --serve (how the engine runs; the interactive shell takes none of these):
+  [--trace FILE] [--metrics] [--workers N] [--run-cache-tuples N] [--layout row|columnar]
+one-shot query:
+  --query EXPR --quota SECS [--profile]
+  [--agg count|sum:COL|avg:COL|count:by:G|sum:COL:by:G|avg:COL:by:G]
+served batch:
+  --serve JOBS.json [--jobs-out FILE] [--ledger] [--concurrency seq|interleaved]";
+
+/// Flags that shape how the engine runs a query: they apply to
+/// `--query` and `--serve` alike.
+const RUN_FLAGS: [&str; 5] = [
+    "--trace",
+    "--metrics",
+    "--workers",
+    "--run-cache-tuples",
+    "--layout",
+];
+/// Flags of a one-shot `--query`.
+const QUERY_FLAGS: [&str; 3] = ["--quota", "--agg", "--profile"];
+/// Flags of a `--serve` batch.
+const SERVE_FLAGS: [&str; 3] = ["--jobs-out", "--ledger", "--concurrency"];
 
 impl Cli {
     /// Parses arguments (without the program name).
@@ -161,9 +185,10 @@ impl Cli {
         S: Into<String>,
     {
         let mut cli = Cli::default();
-        let mut agg_seen = false;
+        let mut given: Vec<String> = Vec::new();
         let mut args = args.into_iter().map(Into::into);
         while let Some(a) = args.next() {
+            given.push(a.clone());
             match a.as_str() {
                 "--load" => {
                     let spec = args
@@ -211,7 +236,6 @@ impl Cli {
                     cli.agg = parse_agg(&args.next().ok_or_else(|| {
                         err("--agg needs count|sum:COL|avg:COL (optionally :by:G)")
                     })?)?;
-                    agg_seen = true;
                 }
                 "--fault-seed" => {
                     cli.fault_seed = args
@@ -306,23 +330,63 @@ impl Cli {
         if cli.query.is_some() && cli.serve.is_some() {
             return Err(err("--query and --serve are mutually exclusive"));
         }
-        if cli.jobs_out.is_some() && cli.serve.is_none() {
-            return Err(err("--jobs-out requires --serve"));
-        }
-        if cli.ledger && cli.serve.is_none() {
-            return Err(err("--ledger requires --serve"));
-        }
-        // `--agg` used to be accepted (and silently ignored) without a
-        // query: the aggregate only applies to a one-shot `--query`
-        // (served jobs carry their own `agg` field).
-        if agg_seen && cli.query.is_none() {
-            return Err(err(if cli.serve.is_some() {
-                "--agg applies to --query only; served jobs set \"agg\" per job in the JSON batch"
-            } else {
-                "--agg requires --query"
+        // A flag the chosen mode would not read is refused, not
+        // accepted and ignored.
+        let first_given = |flags: &[&'static str]| {
+            flags
+                .iter()
+                .copied()
+                .find(|flag| given.iter().any(|g| g == flag))
+        };
+        let (query, serve) = (cli.query.is_some(), cli.serve.is_some());
+        if let (Some(flag), false) = (first_given(&QUERY_FLAGS), query) {
+            return Err(err(match (flag, serve) {
+                ("--agg", true) => "--agg applies to --query only; served jobs set \"agg\" \
+                                    per job in the JSON batch"
+                    .to_string(),
+                ("--profile", true) => "--profile applies to --query only; --serve renders \
+                                        no per-job profile"
+                    .to_string(),
+                (_, true) => format!("{flag} applies to --query only, not to --serve"),
+                (_, false) => format!("{flag} requires --query"),
             }));
         }
+        if let (Some(flag), false) = (first_given(&SERVE_FLAGS), serve) {
+            return Err(err(format!("{flag} requires --serve")));
+        }
+        if let (Some(flag), false) = (first_given(&RUN_FLAGS), query || serve) {
+            return Err(err(format!(
+                "{flag} requires --query or --serve (the interactive shell runs under the \
+                 engine's defaults)"
+            )));
+        }
         Ok(cli)
+    }
+
+    /// The one [`EngineConfig`] the flags describe; [`run_one_shot`]
+    /// and [`run_serve`] both run under it. `clock` stamps the tracer
+    /// and the profiler (the database's own).
+    pub fn engine_config(&self, clock: &Arc<dyn Clock>) -> EngineConfig {
+        let mut config = EngineConfig {
+            tracer: if self.trace.is_some() {
+                Tracer::recording(clock.clone())
+            } else {
+                Tracer::disabled()
+            },
+            collect_metrics: self.metrics,
+            profiler: if self.profile {
+                Profiler::recording(clock.clone())
+            } else {
+                Profiler::disabled()
+            },
+            workers: self.workers,
+            block_layout: self.layout,
+            ..EngineConfig::default()
+        };
+        if let Some(tuples) = self.run_cache_tuples {
+            config.run_cache_tuples = tuples;
+        }
+        config
     }
 
     /// The fault plan the flags describe, or `None` when every rate
@@ -489,28 +553,14 @@ pub fn run_one_shot(db: &mut Database, cli: &Cli) -> Result<String, CliError> {
     let text = cli.query.as_deref().expect("caller checked");
     let quota = Duration::from_secs_f64(cli.quota_secs.expect("caller checked"));
     let expr = parse_expr(text).map_err(|e| err(e.to_string()))?;
-    let tracer = if cli.trace.is_some() {
-        Tracer::recording(db.disk().clock().clone())
-    } else {
-        Tracer::disabled()
-    };
-    let profiler = if cli.profile {
-        Profiler::recording(db.disk().clock().clone())
-    } else {
-        Profiler::disabled()
-    };
-    let mut query = db
+    let config = cli.engine_config(db.disk().clock());
+    let tracer = config.tracer.clone();
+    let out = db
         .aggregate(cli.agg, expr)
         .within(quota)
-        .tracer(tracer.clone())
-        .metrics(cli.metrics)
-        .profiler(profiler)
-        .workers(cli.workers.max(1))
-        .block_layout(cli.layout);
-    if let Some(tuples) = cli.run_cache_tuples {
-        query = query.run_cache(tuples);
-    }
-    let out = query.run().map_err(|e| err(e.to_string()))?;
+        .config(config)
+        .run()
+        .map_err(|e| err(e.to_string()))?;
     let (lo, hi) = out.estimate.ci(0.95);
     let mut rendered = format!(
         "estimate {:.2}\n95% CI [{lo:.2}, {hi:.2}]\nstages {} | blocks {} | utilization {:.1}% | elapsed {:?}\n{}",
@@ -695,18 +745,16 @@ pub fn run_serve(db: &mut Database, cli: &Cli) -> Result<String, CliError> {
         .into_iter()
         .map(JobSpec::into_job)
         .collect::<Result<_, _>>()?;
-    let tracer = if cli.trace.is_some() {
-        Tracer::recording(db.disk().clock().clone())
-    } else {
-        Tracer::disabled()
+    let engine = cli.engine_config(db.disk().clock());
+    let tracer = engine.tracer.clone();
+    let server = QueryServer {
+        config: ServerConfig {
+            concurrency: cli.concurrency,
+            collect_ledger: cli.ledger,
+            engine,
+        },
     };
-    let outcome = QueryServer::new()
-        .workers(cli.workers.max(1))
-        .metrics(cli.metrics)
-        .ledger(cli.ledger)
-        .concurrency(cli.concurrency)
-        .tracer(tracer.clone())
-        .run(db, jobs);
+    let outcome = server.run(db, jobs);
     let mut rendered = render_server(&outcome);
     if let Some(schedule) = &outcome.schedule {
         rendered.push_str(&format!(
@@ -920,7 +968,7 @@ mod tests {
             ("sequential", Concurrency::Sequential),
             ("interleaved", Concurrency::Interleaved),
         ] {
-            let cli = Cli::parse(["--concurrency", token]).unwrap();
+            let cli = Cli::parse(["--serve", "jobs.json", "--concurrency", token]).unwrap();
             assert_eq!(cli.concurrency, mode, "--concurrency {token}");
         }
     }
@@ -999,13 +1047,79 @@ mod tests {
             Cli::parse(Vec::<String>::new()).unwrap().run_cache_tuples,
             None
         );
-        let cli = Cli::parse(["--run-cache-tuples", "0"]).unwrap();
+        let cli = Cli::parse(["--serve", "jobs.json", "--run-cache-tuples", "0"]).unwrap();
         assert_eq!(cli.run_cache_tuples, Some(0));
+    }
+
+    /// `--serve` used to drop every engine flag but `--workers` on the
+    /// way to the lanes; both run modes now consume this one config.
+    #[test]
+    fn serve_builds_the_same_engine_config_a_query_would() {
+        let clock: Arc<dyn Clock> = Arc::new(eram_storage::SimClock::new());
+        let engine_flags = [
+            "--layout",
+            "columnar",
+            "--run-cache-tuples",
+            "0",
+            "--workers",
+            "4",
+            "--metrics",
+            "--trace",
+            "t.jsonl",
+        ];
+        for mode in [
+            &["--serve", "jobs.json"][..],
+            &["--query", "r", "--quota", "1"],
+        ] {
+            let cli = Cli::parse(mode.iter().chain(&engine_flags).copied()).unwrap();
+            let config = cli.engine_config(&clock);
+            assert_eq!(config.block_layout, BlockLayout::Columnar, "{mode:?}");
+            assert_eq!(config.run_cache_tuples, 0, "{mode:?}");
+            assert_eq!(config.workers, 4, "{mode:?}");
+            assert!(
+                config.collect_metrics && config.tracer.is_enabled(),
+                "{mode:?}"
+            );
+        }
+        // No flag: the engine's own defaults, not the CLI's idea of them.
+        let config = Cli::parse(Vec::<String>::new())
+            .unwrap()
+            .engine_config(&clock);
+        let defaults = EngineConfig::default();
+        assert_eq!(config.run_cache_tuples, defaults.run_cache_tuples);
+        assert_eq!(config.block_layout, defaults.block_layout);
+        assert!(!config.tracer.is_enabled() && !config.profiler.is_enabled());
+    }
+
+    #[test]
+    fn flags_the_mode_would_not_read_are_usage_errors() {
+        // `--profile` under `--serve` used to parse and print nothing.
+        let e = Cli::parse(["--serve", "jobs.json", "--profile"]).unwrap_err();
+        assert!(
+            e.0.contains("--profile") && e.0.contains("--serve"),
+            "{:?}",
+            e.0
+        );
+        let e = Cli::parse(["--serve", "jobs.json", "--quota", "5"]).unwrap_err();
+        assert!(e.0.contains("--quota applies to --query only"), "{:?}", e.0);
+        // Serve-only and run-only flags need their mode.
+        let e = Cli::parse(["--concurrency", "interleaved"]).unwrap_err();
+        assert!(e.0.contains("--concurrency requires --serve"), "{:?}", e.0);
+        for flag in [
+            &["--workers", "2"][..],
+            &["--layout", "row"],
+            &["--metrics"],
+        ] {
+            let e = Cli::parse(flag.iter().copied()).unwrap_err();
+            assert!(e.0.contains("requires --query or --serve"), "{:?}", e.0);
+        }
+        assert!(Cli::parse(["--query", "r", "--quota", "1", "--profile"]).is_ok());
     }
 
     #[test]
     fn parses_layout_and_ingest_flags() {
-        let cli = Cli::parse(["--layout", "columnar", "--ingest", "jsonl"]).unwrap();
+        let cli =
+            Cli::parse(["--serve", "j", "--layout", "columnar", "--ingest", "jsonl"]).unwrap();
         assert_eq!(cli.layout, BlockLayout::Columnar);
         assert_eq!(cli.ingest, Some(IngestFormat::JsonLines));
         let cli = Cli::parse(Vec::<String>::new()).unwrap();
@@ -1304,7 +1418,17 @@ mod tests {
 
     #[test]
     fn parses_trace_and_metrics_flags() {
-        let cli = Cli::parse(["--trace", "out.jsonl", "--metrics", "--profile"]).unwrap();
+        let cli = Cli::parse([
+            "--query",
+            "r",
+            "--quota",
+            "1",
+            "--trace",
+            "out.jsonl",
+            "--metrics",
+            "--profile",
+        ])
+        .unwrap();
         assert_eq!(cli.trace, Some(PathBuf::from("out.jsonl")));
         assert!(cli.metrics);
         assert!(cli.profile);

@@ -112,6 +112,20 @@ fn bad_arguments_exit_nonzero_with_usage() {
 }
 
 #[test]
+fn profile_under_serve_is_a_usage_error_naming_both_flags() {
+    let out = Command::new(bin())
+        .args(["--serve", "jobs.json", "--profile"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--profile") && stderr.contains("--serve"),
+        "{stderr}"
+    );
+}
+
+#[test]
 fn missing_csv_is_a_clean_error() {
     let out = Command::new(bin())
         .args(["--load", "x=/definitely/not/here.csv:a:int"])

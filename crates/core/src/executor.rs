@@ -13,7 +13,7 @@
 //! Revise-Selectivities → Sample-Size-Determine → sample → evaluate →
 //! estimate, adapting the cost-model coefficients from the stage's
 //! measured step timings; `finish` assembles the report.
-//! [`execute_count`] steps one run to completion. Under a hard
+//! [`PreparedQuery::run`] steps one run to completion. Under a hard
 //! constraint the in-flight stage is aborted the moment the quota
 //! expires (the paper's timer interrupt) and its work is discarded
 //! from the answer.
@@ -30,14 +30,13 @@ use eram_storage::{Deadline, DeviceOp, Disk, DiskStats, FaultStats, Json, Rng, S
 use crate::aggregate::{
     avg_estimate, sum_estimate, AggregateFn, GroupSnapshot, GroupedAccumulator, TermValues,
 };
+use crate::config::EngineConfig;
 use crate::costs::{CostCoeff, CostModel};
-use crate::obs::{MetricsRegistry, MetricsSnapshot, Phase, SpanGuard, Tracer};
-use crate::ops::{Fulfillment, PhysTree, PlanOptions, StageEnv, StageError, StageHealth};
-use crate::predict::{solve_fraction_with, SelPolicy};
+use crate::obs::{MetricsRegistry, MetricsSnapshot, Phase, SpanGuard};
+use crate::ops::{Fulfillment, PhysTree, StageEnv, StageError, StageHealth};
 use crate::report::{ExecutionReport, GroupReport, ReportHealth, StageReport};
-use crate::session::QueryConfig;
+use crate::session::PreparedQuery;
 use crate::stopping::StoppingCriterion;
-use crate::strategy::StagePlan;
 
 /// Errors from setting up or running a time-constrained count.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -261,51 +260,50 @@ fn metrics_snapshot(
     reg.snapshot()
 }
 
-/// Runs `COUNT(expr)` within `quota` against `catalog` on `disk`.
-pub fn execute_count(
-    disk: &Arc<Disk>,
-    catalog: &Catalog,
+/// Compiles `COUNT(expr)` as a run of `config` evaluates it:
+/// normalized (selection pushdown shrinks every sorted run the
+/// full-fulfillment plan re-merges), transformed into Σᵢ cᵢ·COUNT(Eᵢ')
+/// (Section 2), each term a [`PhysTree`]. Returns the coefficients and
+/// the trees; `rng` seeds the leaf samplers. Charge-free.
+pub(crate) fn compile_terms(
     expr: &Expr,
-    quota: Duration,
-    config: &QueryConfig,
-    seed: u64,
-) -> Result<ExecOutcome, EngineError> {
-    execute_aggregate(disk, catalog, expr, AggregateFn::Count, quota, config, seed)
-}
-
-/// Runs `f(expr)` within `quota`, where `f` is COUNT, SUM, or AVG —
-/// the paper's general problem statement with its COUNT restriction
-/// lifted. SUM shares COUNT's machinery (it is additive, so the
-/// inclusion–exclusion rewrite applies); AVG requires a
-/// union/difference-free expression and no projection root. `seed`
-/// seeds the block samplers; spans and events go to `config.tracer`.
-pub fn execute_aggregate(
-    disk: &Arc<Disk>,
     catalog: &Catalog,
-    expr: &Expr,
-    agg: AggregateFn,
-    quota: Duration,
-    config: &QueryConfig,
-    seed: u64,
-) -> Result<ExecOutcome, EngineError> {
-    let tracer = config.tracer.clone();
-    let mut run = StageRun::start(disk, catalog, expr, agg, quota, config, seed, tracer)?;
-    while run.step()? {}
-    Ok(run.finish())
+    disk: &Arc<Disk>,
+    config: &EngineConfig,
+    rng: &mut Rng,
+) -> Result<(Vec<i64>, Vec<PhysTree>), EngineError> {
+    let optimized;
+    let expr = if config.optimize {
+        optimized = push_selections(expr.clone(), &|name| {
+            catalog.schema_of(name).map(eram_storage::Schema::arity)
+        });
+        &optimized
+    } else {
+        expr
+    };
+    let rewrite = PieRewrite::rewrite(expr)?;
+    let mut coefficients = Vec::with_capacity(rewrite.terms.len());
+    let mut trees = Vec::with_capacity(rewrite.terms.len());
+    for term in &rewrite.terms {
+        trees.push(PhysTree::build(&term.expr, catalog, disk, config, rng)?);
+        coefficients.push(term.coefficient);
+    }
+    Ok((coefficients, trees))
 }
 
 /// The stage loop of Figure 3.1 as a resumable state machine: the
 /// loop's state lives here, so a caller may pause between stages.
-/// [`execute_aggregate`] steps one run to completion; the query
+/// [`PreparedQuery::run`] steps one run to completion; the query
 /// server steps several, a stage at a time, to interleave lanes on
 /// one thread. Pausing charges nothing and observes nothing, so a run
 /// stepped in any alternation with others is byte-identical to the
 /// same run driven alone.
-pub struct StageRun<'a> {
+pub struct StageRun {
     disk: Arc<Disk>,
-    config: &'a QueryConfig,
+    /// The run's own copy of its settings; spans and events go to
+    /// its tracer.
+    config: EngineConfig,
     agg: AggregateFn,
-    tracer: Tracer,
     trees: Vec<PhysTree>,
     coefficients: Vec<i64>,
     values: Vec<TermValues>,
@@ -333,64 +331,37 @@ pub struct StageRun<'a> {
     stop_reason: &'static str,
 }
 
-impl<'a> StageRun<'a> {
-    /// Validates and compiles `agg(expr)`, arms the deadline and
-    /// opens the root span. `tracer` receives the run's spans and
-    /// events (the server hands each lane its own; `config.tracer` is
-    /// not consulted).
-    #[allow(clippy::too_many_arguments)]
+impl StageRun {
+    /// Validates and compiles `spec.agg(spec.expr)` — the paper's
+    /// general problem statement with its COUNT restriction lifted:
+    /// SUM shares COUNT's machinery (it is additive, so the
+    /// inclusion–exclusion rewrite applies); AVG and GROUP BY require
+    /// a union/difference-free expression and no projection root —
+    /// then arms the deadline and opens the root span. The catalog's
+    /// relations are re-based onto `disk` for sampling, so passing a
+    /// lane view of the loading disk charges this run's own clock
+    /// while reading the shared backend bytes.
     pub fn start(
         disk: &Arc<Disk>,
         catalog: &Catalog,
-        expr: &Expr,
-        agg: AggregateFn,
-        quota: Duration,
-        config: &'a QueryConfig,
-        seed: u64,
-        tracer: Tracer,
+        spec: &PreparedQuery,
     ) -> Result<Self, EngineError> {
-        agg.validate(expr, catalog)?;
-        // Normalize (selection pushdown shrinks every sorted run the
-        // full-fulfillment plan re-merges), then transform f(E) into
-        // Σᵢ cᵢ·f(Eᵢ') (Section 2).
-        let optimized;
-        let expr = if config.optimize {
-            optimized = push_selections(expr.clone(), &|name| {
-                catalog.schema_of(name).map(eram_storage::Schema::arity)
-            });
-            &optimized
-        } else {
-            expr
-        };
-        let rewrite = PieRewrite::rewrite(expr)?;
-        if matches!(agg, AggregateFn::Avg { .. }) && !rewrite.is_trivial() {
+        let (agg, config) = (spec.agg, spec.config.clone());
+        agg.validate(&spec.expr, catalog)?;
+        let mut rng = Rng::seed_from_u64(spec.seed);
+        let (coefficients, mut trees) =
+            compile_terms(&spec.expr, catalog, disk, &config, &mut rng)?;
+        // A trivial rewrite: the one term is the expression itself.
+        let trivial = coefficients == [1];
+        if matches!(agg, AggregateFn::Avg { .. }) && !trivial {
             return Err(EngineError::UnsupportedAggregate(
                 "AVG is not additive: the expression must be free of union/difference".into(),
             ));
         }
-        if agg.group_by().is_some() && !rewrite.is_trivial() {
+        if agg.group_by().is_some() && !trivial {
             return Err(EngineError::UnsupportedAggregate(
                 "GROUP BY requires a union/difference-free expression".into(),
             ));
-        }
-        let mut rng = Rng::seed_from_u64(seed);
-        let mut trees: Vec<PhysTree> = Vec::with_capacity(rewrite.terms.len());
-        let mut coefficients: Vec<i64> = Vec::with_capacity(rewrite.terms.len());
-        for term in &rewrite.terms {
-            trees.push(PhysTree::build(
-                &term.expr,
-                catalog,
-                disk,
-                &config.defaults,
-                PlanOptions {
-                    fulfillment: config.fulfillment,
-                    memory: config.memory,
-                    run_cache_tuples: config.run_cache_tuples,
-                    block_layout: config.block_layout,
-                },
-                &mut rng,
-            )?);
-            coefficients.push(term.coefficient);
         }
         if reads_rows(agg) && trees.iter().any(PhysTree::projection_root) {
             return Err(EngineError::UnsupportedAggregate(
@@ -404,15 +375,15 @@ impl<'a> StageRun<'a> {
         let baseline: Option<MetricsBaseline> = config
             .collect_metrics
             .then(|| (disk.stats(), disk.cache_stats(), disk.fault_stats()));
-        let deadline = Deadline::new(disk.clock().clone(), quota);
-        let root_span = tracer.span("execute");
+        let deadline = Deadline::new(disk.clock().clone(), spec.quota);
+        let root_span = config.tracer.span("execute");
         let value_tail = if config.stopping.is_hard() {
             None
         } else {
             config
                 .stopping
                 .value_function()
-                .filter(|zero_at| *zero_at > quota)
+                .filter(|zero_at| *zero_at > spec.quota)
         };
         let hard_estimate = {
             let _phase = config.profiler.phase(Phase::EstimatorMath);
@@ -420,9 +391,9 @@ impl<'a> StageRun<'a> {
         };
         Ok(StageRun {
             disk: disk.clone(),
+            model: config.initial_cost_model(),
             config,
             agg,
-            tracer,
             trees,
             coefficients,
             values,
@@ -433,7 +404,6 @@ impl<'a> StageRun<'a> {
             deadline,
             root_span,
             value_tail,
-            model: config.cost_model.clone(),
             stages: Vec::new(),
             history: Vec::new(),
             health: StageHealth::default(),
@@ -459,8 +429,8 @@ impl<'a> StageRun<'a> {
     /// stage follows; after `Ok(false)` call [`StageRun::finish`]. An
     /// error is an unrecoverable storage fault and ends the run.
     pub fn step(&mut self) -> Result<bool, EngineError> {
-        let config = self.config;
-        let (tracer, profiler) = (&self.tracer, &config.profiler);
+        let config = &self.config;
+        let (tracer, profiler) = (&config.tracer, &config.profiler);
         let hard = config.stopping.is_hard();
         let value_tail = self.value_tail;
         if self.trees.is_empty() {
@@ -504,7 +474,6 @@ impl<'a> StageRun<'a> {
                 vec![("selectivities", Json::Arr(sels))]
             });
         }
-        let mut stage_fulfillment: Option<Fulfillment> = None;
         let measured_hard = hard && !self.disk.clock().is_simulated();
         let planning_remaining = if in_tail || measured_hard {
             // Offer the strategy only half of what is left. In the
@@ -522,51 +491,17 @@ impl<'a> StageRun<'a> {
         } else {
             remaining
         };
-        // The guard covers the hybrid re-planning fallback too; on an
-        // early return out of the match it closes with the function.
-        let planning_phase = profiler.phase(Phase::Planning);
-        let plan =
-            match config
+        let plan = {
+            let _phase = profiler.phase(Phase::Planning);
+            config
                 .strategy
                 .plan_stage(&self.trees, &self.model, planning_remaining, stage_no)
-            {
-                Some(plan) => plan,
-                None if config.hybrid_leftover
-                    && config.fulfillment == Fulfillment::Full
-                    && stage_no > 1 =>
-                {
-                    // A full-fulfillment stage no longer fits; see if a
-                    // partial one squeezes into the leftover.
-                    let policy = SelPolicy::Mean;
-                    match solve_fraction_with(
-                        &self.trees,
-                        &self.model,
-                        &policy,
-                        remaining.as_secs_f64(),
-                        0.05,
-                        Some(Fulfillment::Partial),
-                    ) {
-                        Some((fraction, p)) => {
-                            stage_fulfillment = Some(Fulfillment::Partial);
-                            StagePlan {
-                                fraction,
-                                predicted: Duration::from_secs_f64(p.cost_secs.max(0.0)),
-                                predicted_blocks: p.blocks_drawn,
-                            }
-                        }
-                        None => {
-                            self.stop_reason = "leftover_too_small";
-                            return Ok(false);
-                        }
-                    }
-                }
-                None => {
-                    // Leftover too small for another stage → wasted.
-                    self.stop_reason = "leftover_too_small";
-                    return Ok(false);
-                }
-            };
-        drop(planning_phase);
+        };
+        let Some(plan) = plan else {
+            // Leftover too small for another stage → wasted.
+            self.stop_reason = "leftover_too_small";
+            return Ok(false);
+        };
         tracer.event("plan_stage", || {
             vec![
                 ("fraction", Json::from(plan.fraction)),
@@ -574,9 +509,9 @@ impl<'a> StageRun<'a> {
                 ("predicted_blocks", Json::from(plan.predicted_blocks)),
                 (
                     "fulfillment",
-                    Json::from(match stage_fulfillment {
-                        Some(Fulfillment::Partial) => "partial",
-                        _ => "full",
+                    Json::from(match config.fulfillment {
+                        Fulfillment::Full => "full",
+                        Fulfillment::Partial => "partial",
                     }),
                 ),
             ]
@@ -625,14 +560,10 @@ impl<'a> StageRun<'a> {
 
         let mut env = StageEnv::new(
             self.disk.clone(),
+            config,
             hard.then_some(&self.deadline),
             plan.fraction,
         );
-        env.fulfillment_override = stage_fulfillment;
-        env.retry = config.retry;
-        env.tracer = tracer.clone();
-        env.profiler = profiler.clone();
-        env.workers = config.workers.max(1);
         let agg = self.agg;
         let mut aborted = false;
         let mut storage_failure: Option<StorageError> = None;
@@ -810,7 +741,8 @@ impl<'a> StageRun<'a> {
     /// assembles the report from the stages banked so far.
     pub fn finish(self) -> ExecOutcome {
         let stop_reason = self.stop_reason;
-        self.tracer
+        self.config
+            .tracer
             .event("stop", || vec![("reason", Json::from(stop_reason))]);
 
         let delivered = if self.config.stopping.is_hard() {
@@ -867,7 +799,7 @@ impl<'a> StageRun<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::obs::{Profiler, TraceKind, TraceRecord};
+    use crate::obs::{Profiler, TraceKind, TraceRecord, Tracer};
     use crate::seltrack::SelectivityDefaults;
     use crate::strategy::OneAtATimeInterval;
     use eram_relalg::{eval, CmpOp, Predicate};
@@ -900,11 +832,30 @@ mod tests {
     }
 
     /// Engine defaults under `OneAtATimeInterval(d_beta)`.
-    fn config(d_beta: f64) -> QueryConfig {
-        QueryConfig {
-            strategy: Box::new(OneAtATimeInterval::new(d_beta)),
-            ..QueryConfig::default()
+    fn config(d_beta: f64) -> EngineConfig {
+        EngineConfig {
+            strategy: Arc::new(OneAtATimeInterval::new(d_beta)),
+            ..EngineConfig::default()
         }
+    }
+
+    /// `COUNT(expr)` within `quota` under `config`.
+    fn count(
+        disk: &Arc<Disk>,
+        cat: &Catalog,
+        expr: &Expr,
+        quota: Duration,
+        config: &EngineConfig,
+        seed: u64,
+    ) -> ExecOutcome {
+        let spec = PreparedQuery {
+            agg: AggregateFn::Count,
+            expr: expr.clone(),
+            quota,
+            seed,
+            config: config.clone(),
+        };
+        spec.run(disk, cat).unwrap()
     }
 
     fn run(
@@ -917,7 +868,7 @@ mod tests {
     ) -> ExecOutcome {
         let mut cfg = config(d_beta);
         cfg.stopping = stopping;
-        execute_count(disk, cat, expr, quota, &cfg, 99).unwrap()
+        count(disk, cat, expr, quota, &cfg, 99)
     }
 
     #[test]
@@ -1129,7 +1080,7 @@ mod tests {
             let mut cfg = config(12.0);
             cfg.stopping = StoppingCriterion::SoftDeadline;
             cfg.optimize = optimize;
-            execute_count(&disk, &cat, &expr, Duration::from_secs(5), &cfg, 3).unwrap()
+            count(&disk, &cat, &expr, Duration::from_secs(5), &cfg, 3)
         };
         let plain = run(false);
         let pushed = run(true);
@@ -1151,7 +1102,7 @@ mod tests {
         cfg.stopping = StoppingCriterion::ValueFunction {
             zero_value_at: zero_at,
         };
-        let out = execute_count(&disk, &cat, &expr, quota, &cfg, 21).unwrap();
+        let out = count(&disk, &cat, &expr, quota, &cfg, 21);
         // The decaying tail may buy extra stages past the quota, but
         // running to the zero-value point would be irrational.
         assert!(out.report.total_elapsed < zero_at);
@@ -1172,32 +1123,8 @@ mod tests {
         cfg.stopping = StoppingCriterion::ValueFunction {
             zero_value_at: quota,
         };
-        let out = execute_count(&disk, &cat, &expr, quota, &cfg, 5).unwrap();
+        let out = count(&disk, &cat, &expr, quota, &cfg, 5);
         assert!(out.report.total_elapsed <= quota + Duration::from_secs(1));
-    }
-
-    #[test]
-    fn hybrid_leftover_buys_extra_partial_stage() {
-        // Intersection with a quota whose leftover after the usual
-        // stages cannot fund a full-fulfillment stage. With the
-        // hybrid enabled, a partial stage uses it.
-        let run = |hybrid: bool| {
-            let (disk, cat) = setup(false);
-            let expr = Expr::relation("r").intersect(Expr::relation("s"));
-            let mut cfg = config(48.0);
-            cfg.stopping = StoppingCriterion::SoftDeadline;
-            cfg.hybrid_leftover = hybrid;
-            execute_count(&disk, &cat, &expr, Duration::from_secs_f64(2.5), &cfg, 13).unwrap()
-        };
-        let plain = run(false);
-        let hybrid = run(true);
-        assert!(
-            hybrid.report.blocks_evaluated() >= plain.report.blocks_evaluated(),
-            "hybrid {} vs plain {} blocks",
-            hybrid.report.blocks_evaluated(),
-            plain.report.blocks_evaluated()
-        );
-        assert!(hybrid.report.utilization() >= plain.report.utilization() - 1e-9);
     }
 
     #[test]
@@ -1278,7 +1205,7 @@ mod tests {
         let mut cfg = config(12.0);
         cfg.tracer = tracer.clone();
         cfg.collect_metrics = true;
-        let out = execute_count(&disk, &cat, &expr, Duration::from_secs(10), &cfg, 99).unwrap();
+        let out = count(&disk, &cat, &expr, Duration::from_secs(10), &cfg, 99);
 
         let records = tracer.records();
         assert!(!records.is_empty());
@@ -1349,7 +1276,7 @@ mod tests {
             cfg.stopping = StoppingCriterion::HardDeadline;
             cfg.tracer = Tracer::recording(disk.clock().clone());
             cfg.collect_metrics = true;
-            execute_count(&disk, &cat, &expr, Duration::from_secs(5), &cfg, 99).unwrap()
+            count(&disk, &cat, &expr, Duration::from_secs(5), &cfg, 99)
         };
         // Tracing/metrics are pure observation: identical clock
         // charges, identical estimate.
@@ -1374,7 +1301,7 @@ mod tests {
             if profile {
                 cfg.profiler = Profiler::recording(disk.clock().clone());
             }
-            let out = execute_count(&disk, &cat, &expr, Duration::from_secs(5), &cfg, 99).unwrap();
+            let out = count(&disk, &cat, &expr, Duration::from_secs(5), &cfg, 99);
             (out, tracer.to_jsonl())
         };
         let (base, base_trace) = run_with(false, 1);
@@ -1409,7 +1336,7 @@ mod tests {
         let mut cfg = config(12.0);
         cfg.stopping = StoppingCriterion::HardDeadline;
         cfg.profiler = Profiler::recording(disk.clock().clone());
-        let out = execute_count(&disk, &cat, &expr, Duration::from_secs(5), &cfg, 99).unwrap();
+        let out = count(&disk, &cat, &expr, Duration::from_secs(5), &cfg, 99);
         let snap = out.report.profile.as_ref().unwrap();
         assert_eq!(snap.schema_version, crate::obs::SCHEMA_VERSION);
         // Engine-level phases fire once per stage at minimum.
@@ -1445,6 +1372,33 @@ mod tests {
         }
     }
 
+    /// The `plan_stage` event names the fulfillment plan the stage
+    /// runs under, not a constant.
+    #[test]
+    fn plan_stage_traces_the_fulfillment_plan_in_effect() {
+        for (fulfillment, name) in [
+            (Fulfillment::Full, "full"),
+            (Fulfillment::Partial, "partial"),
+        ] {
+            let (disk, cat) = setup(false);
+            let expr = Expr::relation("r").intersect(Expr::relation("s"));
+            let tracer = Tracer::recording(disk.clock().clone());
+            let mut cfg = config(12.0);
+            cfg.fulfillment = fulfillment;
+            cfg.tracer = tracer.clone();
+            let out = count(&disk, &cat, &expr, Duration::from_secs(20), &cfg, 13);
+            assert!(out.report.stages.len() >= 2, "a multi-stage run");
+            let plans: Vec<String> = tracer
+                .records()
+                .iter()
+                .filter(|r| r.name == "plan_stage")
+                .map(|r| r.fields["fulfillment"].as_str().unwrap().to_owned())
+                .collect();
+            assert_eq!(plans.len(), out.report.stages.len());
+            assert!(plans.iter().all(|p| p == name), "{name}: {plans:?}");
+        }
+    }
+
     /// Two runs over lane views of one disk, stepped in an arbitrary
     /// alternation through one shared draw pool, each report and
     /// trace exactly what the same run does driven alone.
@@ -1471,8 +1425,7 @@ mod tests {
                 let (disk, tracer) = lane(i, None);
                 let mut cfg = config(12.0);
                 cfg.tracer = tracer.clone();
-                let out =
-                    execute_count(&disk, &cat, &exprs[i], quotas[i], &cfg, 7 + i as u64).unwrap();
+                let out = count(&disk, &cat, &exprs[i], quotas[i], &cfg, 7 + i as u64);
                 (out, tracer.records())
             })
             .collect();
@@ -1481,16 +1434,21 @@ mod tests {
         let cfg = config(12.0);
         let lanes: Vec<(Arc<Disk>, Tracer)> =
             (0..2).map(|i| lane(i, Some(broker.clone()))).collect();
-        let mut runs: Vec<Option<StageRun<'_>>> = lanes
+        let mut runs: Vec<Option<StageRun>> = lanes
             .iter()
             .enumerate()
             .map(|(i, (disk, tracer))| {
-                let (agg, seed) = (AggregateFn::Count, 7 + i as u64);
-                let tracer = tracer.clone();
-                Some(
-                    StageRun::start(disk, &cat, &exprs[i], agg, quotas[i], &cfg, seed, tracer)
-                        .unwrap(),
-                )
+                let spec = PreparedQuery {
+                    agg: AggregateFn::Count,
+                    expr: exprs[i].clone(),
+                    quota: quotas[i],
+                    seed: 7 + i as u64,
+                    config: EngineConfig {
+                        tracer: tracer.clone(),
+                        ..cfg.clone()
+                    },
+                };
+                Some(StageRun::start(disk, &cat, &spec).unwrap())
             })
             .collect();
         let mut stepped: Vec<Option<ExecOutcome>> = vec![None, None];
@@ -1520,7 +1478,7 @@ mod tests {
         let truth = eval::exact_count(&expr, &cat).unwrap() as f64; // 5000
         let mut cfg = config(12.0);
         cfg.defaults = SelectivityDefaults::paper_join_experiment();
-        let out = execute_count(&disk, &cat, &expr, Duration::from_secs(30), &cfg, 7).unwrap();
+        let out = count(&disk, &cat, &expr, Duration::from_secs(30), &cfg, 7);
         assert!(out.report.completed_stages() >= 1);
         // Join sampling on a sparse key space is noisy; require the
         // right order of magnitude.
@@ -1543,7 +1501,7 @@ mod tests {
         let lane = disk.lane_view(Arc::new(SimClock::new()), 3, 0, None);
         let mut first_free = disk.create_file().0 + 1;
         for view in [&disk, &lane] {
-            let out = execute_count(view, &cat, &expr, Duration::from_secs(30), &cfg, 7).unwrap();
+            let out = count(view, &cat, &expr, Duration::from_secs(30), &cfg, 7);
             assert!(out.report.completed_stages() >= 2);
             assert!(view.stats().block_writes > 0, "the join wrote runs");
             let next = disk.create_file().0;

@@ -31,7 +31,7 @@
 //!
 //! ```
 //! use std::time::Duration;
-//! use eram_core::{Database, QueryConfig};
+//! use eram_core::Database;
 //! use eram_relalg::{CmpOp, Expr, Predicate};
 //! use eram_storage::{ColumnType, Schema, Tuple, Value};
 //!
@@ -61,6 +61,7 @@
 #![warn(clippy::all)]
 
 pub mod aggregate;
+pub mod config;
 pub mod costs;
 pub mod executor;
 pub mod kernel;
@@ -77,11 +78,9 @@ pub mod stopping;
 pub mod strategy;
 
 pub use aggregate::{AggregateFn, GroupSnapshot, GroupState, GroupedAccumulator, TermValues};
+pub use config::EngineConfig;
 pub use costs::{CostCoeff, CostModel};
-pub use executor::{
-    execute_aggregate, execute_count, term_estimate, term_estimate_with, EngineError, ExecOutcome,
-    StageRun,
-};
+pub use executor::{term_estimate, term_estimate_with, EngineError, ExecOutcome, StageRun};
 pub use kernel::{merge_keyed, sort_run, sort_run_with_keys, KeyColumn, KeySpec, MergeKind};
 pub use obs::{
     Histogram, MetricsRegistry, MetricsSnapshot, OperatorGuard, Phase, PhaseGuard, PhaseStats,
@@ -89,8 +88,7 @@ pub use obs::{
     ENGINE_OPERATOR, SCHEMA_VERSION,
 };
 pub use ops::{
-    BlockLayout, Fulfillment, MemoryMode, PlanOptions, StageError, StageHealth,
-    DEFAULT_RUN_CACHE_TUPLES,
+    BlockLayout, Fulfillment, MemoryMode, StageError, StageHealth, DEFAULT_RUN_CACHE_TUPLES,
 };
 pub use parallel::map_ordered;
 pub use report::{ExecutionReport, GroupReport, RefusalReason, ReportHealth, StageReport};
@@ -100,7 +98,7 @@ pub use server::{
     RefitSample, ScheduleReport, ServerConfig, ServerJob, ServerOutcome, ServerStats, TenantLedger,
     TenantSlo, DEFAULT_MIN_QUOTA,
 };
-pub use session::{CountQuery, Database, PreparedQuery, QueryConfig, TimedCount};
+pub use session::{CountQuery, Database, PreparedQuery, TimedCount};
 pub use stopping::{error_bound_satisfied, StoppingCriterion};
 pub use strategy::{
     HeuristicStrategy, OneAtATimeInterval, SelectivityDefaults, SingleInterval, StagePlan,

@@ -36,12 +36,12 @@ use eram_storage::{
     StorageError, Tuple,
 };
 
+use crate::config::EngineConfig;
 use crate::costs::CostCoeff;
 use crate::kernel::{merge_keyed, sort_run, sort_run_with_keys, KeyColumn, KeySpec, MergeKind};
-use crate::obs::{Phase, Profiler, Tracer};
+use crate::obs::Phase;
 use crate::parallel::map_ordered;
-use crate::retry::RetryPolicy;
-use crate::seltrack::{SelTracker, SelectivityDefaults};
+use crate::seltrack::SelTracker;
 
 /// Which sample combinations binary operators evaluate each stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -92,49 +92,9 @@ pub enum BlockLayout {
     Columnar,
 }
 
-/// Default [`PlanOptions::run_cache_tuples`] bound: one million tuples
+/// Default [`EngineConfig::run_cache_tuples`] bound: one million tuples
 /// (~200 MB of decoded 200-byte paper tuples) shared per binary node.
 pub const DEFAULT_RUN_CACHE_TUPLES: usize = 1 << 20;
-
-/// How a term is compiled: fulfillment plan + memory mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PlanOptions {
-    /// Which sample pairs binary operators evaluate.
-    pub fulfillment: Fulfillment,
-    /// Where intermediate results live.
-    pub memory: MemoryMode,
-    /// Bound (in tuples) on each binary node's decoded-run cache; `0`
-    /// disables it. Full fulfillment re-reads every old run once per
-    /// new stage; the cache serves those re-reads from memory while
-    /// still charging the exact block reads the uncached path would,
-    /// so it is a wall-clock-only optimization — simulated results
-    /// are byte-identical either way.
-    pub run_cache_tuples: usize,
-    /// How sampled blocks are decoded and traversed. Like the worker
-    /// count and the run cache, a wall-clock-only choice: reports and
-    /// traces are byte-identical under either layout.
-    pub block_layout: BlockLayout,
-}
-
-impl Default for PlanOptions {
-    fn default() -> Self {
-        PlanOptions {
-            fulfillment: Fulfillment::default(),
-            memory: MemoryMode::default(),
-            run_cache_tuples: DEFAULT_RUN_CACHE_TUPLES,
-            block_layout: BlockLayout::default(),
-        }
-    }
-}
-
-impl From<Fulfillment> for PlanOptions {
-    fn from(fulfillment: Fulfillment) -> Self {
-        PlanOptions {
-            fulfillment,
-            ..PlanOptions::default()
-        }
-    }
-}
 
 /// Why a stage ended before completing its planned work.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -208,53 +168,34 @@ pub struct StepObservation {
 pub struct StageEnv<'a> {
     /// The device (charges the clock).
     pub disk: Arc<Disk>,
+    /// The run's settings: retry policy, tracer, profiler and worker
+    /// count are read from here at their use sites.
+    pub config: &'a EngineConfig,
     /// Hard deadline to honour mid-stage, if any.
     pub deadline: Option<&'a Deadline>,
     /// Sample fraction of this stage.
     pub fraction: f64,
-    /// Overrides every binary operator's fulfillment plan for this
-    /// stage (the paper's leftover trick: "the partial fulfillment
-    /// sampling plan may have its place here to use the small amount
-    /// of time left").
-    pub fulfillment_override: Option<Fulfillment>,
     /// Collected step timings.
     pub observations: Vec<StepObservation>,
-    /// How transient storage faults are retried (backoff is charged
-    /// to the clock).
-    pub retry: RetryPolicy,
     /// Fault-handling counters accumulated this stage.
     pub health: StageHealth,
-    /// Trace sink for block-draw spans and retry/degradation events
-    /// (disabled by default — one branch per site).
-    pub tracer: Tracer,
-    /// Phase profiler for the performance flight recorder (disabled
-    /// by default — one branch per site). Pure observation: never
-    /// charges the clock, so results are identical with it on or off.
-    pub profiler: Profiler,
-    /// Worker threads for the pure-CPU portions of a stage (block
-    /// decode, run merges). Charged work — clock, tracer, deadline —
-    /// always runs on the calling thread in canonical order, so any
-    /// value here produces byte-identical results; `1` runs
-    /// everything inline.
-    pub workers: usize,
 }
 
 impl<'a> StageEnv<'a> {
-    /// Builds a stage environment with no fulfillment override, the
-    /// default retry policy, fresh counters, and inline (single
-    /// worker) evaluation.
-    pub fn new(disk: Arc<Disk>, deadline: Option<&'a Deadline>, fraction: f64) -> Self {
+    /// Builds a stage environment with fresh counters.
+    pub fn new(
+        disk: Arc<Disk>,
+        config: &'a EngineConfig,
+        deadline: Option<&'a Deadline>,
+        fraction: f64,
+    ) -> Self {
         StageEnv {
             disk,
+            config,
             deadline,
             fraction,
-            fulfillment_override: None,
             observations: Vec::new(),
-            retry: RetryPolicy::default(),
             health: StageHealth::default(),
-            tracer: Tracer::disabled(),
-            profiler: Profiler::disabled(),
-            workers: 1,
         }
     }
 }
@@ -534,7 +475,7 @@ impl Node {
     /// this node's operator label (innermost node wins, so a join's
     /// leaf children charge their decode to `leaf`, not `join`).
     pub(crate) fn advance(&mut self, env: &mut StageEnv<'_>) -> Result<Delta, StageError> {
-        let _op = env.profiler.operator(self.op_label());
+        let _op = env.config.profiler.operator(self.op_label());
         match self {
             Node::Leaf(n) => n.advance(env),
             Node::Select(n) => n.advance(env),
@@ -562,14 +503,14 @@ fn read_block_resilient_raw(
     file: &HeapFile,
     index: u64,
 ) -> Result<Option<Arc<Block>>, StageError> {
-    let policy = env.retry;
+    let policy = env.config.retry;
     let max_attempts = policy.max_attempts.max(1);
     let mut attempt: u32 = 0;
     loop {
         attempt += 1;
         let fetched = {
             // The block-fetch path through the buffer cache / device.
-            let _phase = env.profiler.phase(Phase::Cache);
+            let _phase = env.config.profiler.phase(Phase::Cache);
             file.read_block_raw(index)
         };
         match fetched {
@@ -578,7 +519,7 @@ fn read_block_resilient_raw(
                 env.health.faults_seen += 1;
                 if attempt >= max_attempts {
                     env.health.blocks_lost += 1;
-                    env.tracer.event("block_lost", || {
+                    env.config.tracer.event("block_lost", || {
                         vec![
                             ("block", Json::from(index)),
                             ("reason", Json::from("retry_exhausted")),
@@ -588,14 +529,14 @@ fn read_block_resilient_raw(
                 }
                 env.health.retries += 1;
                 let backoff = policy.backoff_for(attempt);
-                env.tracer.event("retry", || {
+                env.config.tracer.event("retry", || {
                     vec![
                         ("attempt", Json::from(attempt)),
                         ("backoff_ns", Json::from(backoff.as_nanos() as u64)),
                     ]
                 });
                 {
-                    let _phase = env.profiler.phase(Phase::RetryBackoff);
+                    let _phase = env.config.profiler.phase(Phase::RetryBackoff);
                     env.disk.clock().charge(backoff);
                 }
                 if env.expired() {
@@ -605,7 +546,7 @@ fn read_block_resilient_raw(
             Err(StorageError::Corrupt { .. }) => {
                 env.health.faults_seen += 1;
                 env.health.blocks_lost += 1;
-                env.tracer.event("block_lost", || {
+                env.config.tracer.event("block_lost", || {
                     vec![
                         ("block", Json::from(index)),
                         ("reason", Json::from("corrupt")),
@@ -673,9 +614,9 @@ impl LeafNode {
             .max(1)
             .min(self.sampler.remaining());
         let start = env.now();
-        let _draw_span = env.tracer.span("block_draw");
+        let _draw_span = env.config.tracer.span("block_draw");
         let indices: Vec<u64> = {
-            let _phase = env.profiler.phase(Phase::RngDraw);
+            let _phase = env.config.profiler.phase(Phase::RngDraw);
             self.sampler.draw(want).to_vec()
         };
         // Fetch phase, serial: every charge, retry, deadline check,
@@ -726,11 +667,11 @@ impl LeafNode {
             BlockLayout::Row => {
                 // One contiguous run of pages per worker, so a serial
                 // scan folds straight into one result.
-                let per_worker = pages.len().div_ceil(env.workers.max(1)).max(1);
+                let per_worker = pages.len().div_ceil(env.config.workers.max(1)).max(1);
                 let parts = {
-                    let _phase = env.profiler.phase(Phase::BlockDecode);
+                    let _phase = env.config.profiler.phase(Phase::BlockDecode);
                     map_ordered(
-                        env.workers,
+                        env.config.workers,
                         pages.chunks(per_worker).collect(),
                         |_, part| scan_pages(file, part, filter, materialize),
                     )
@@ -758,8 +699,8 @@ impl LeafNode {
             BlockLayout::Columnar => {
                 debug_assert!(filter.is_none() && materialize);
                 let decoded = {
-                    let _phase = env.profiler.phase(Phase::BlockDecode);
-                    map_ordered(env.workers, pages, |_, (idx, block)| {
+                    let _phase = env.config.profiler.phase(Phase::BlockDecode);
+                    map_ordered(env.config.workers, pages, |_, (idx, block)| {
                         file.decode_block_columnar(idx, &block)
                     })
                 };
@@ -848,7 +789,7 @@ impl SelectNode {
         let (n_in, child) = match (&self.fused, self.child.as_mut()) {
             (Some(fused), Node::Leaf(leaf)) => {
                 // Attributed as `Node::advance` on the leaf would be.
-                let _op = env.profiler.operator(LEAF_LABEL);
+                let _op = env.config.profiler.operator(LEAF_LABEL);
                 leaf.scan(env, Some(&fused.compiled), fused.materialize)?
             }
             (_, child) => {
@@ -1095,8 +1036,7 @@ impl BinaryNode {
         let mut leaf_points = 0.0;
 
         let (l_end, r_end) = (self.left_runs.len(), self.right_runs.len());
-        let fulfillment = env.fulfillment_override.unwrap_or(self.fulfillment);
-        let pairs: Vec<(usize, usize)> = match fulfillment {
+        let pairs: Vec<(usize, usize)> = match self.fulfillment {
             Fulfillment::Full => {
                 let mut v = Vec::new();
                 // new left × all right (old + new)…
@@ -1145,9 +1085,9 @@ impl BinaryNode {
         // whole fan-out on this thread, so worker-pool time is
         // attributed to `run_merge`.
         let merged = {
-            let _phase = env.profiler.phase(Phase::RunMerge);
+            let _phase = env.config.profiler.phase(Phase::RunMerge);
             let mk = self.kind.merge_kind();
-            map_ordered(env.workers, staged, move |_, (lt, lk, rt, rk)| {
+            map_ordered(env.config.workers, staged, move |_, (lt, lk, rt, rk)| {
                 merge_keyed(mk, &lt, &lk, &rt, &rk)
             })
         };
@@ -1298,8 +1238,8 @@ fn read_run(
             // Decode phase, parallel: pure CPU over the fetched raw
             // blocks, recombined in block order.
             let decoded = {
-                let _phase = env.profiler.phase(Phase::BlockDecode);
-                map_ordered(env.workers, fetched, |_, (idx, block)| {
+                let _phase = env.config.profiler.phase(Phase::BlockDecode);
+                map_ordered(env.config.workers, fetched, |_, (idx, block)| {
                     file.decode_block(idx, &block)
                 })
             };
@@ -1337,90 +1277,46 @@ pub struct PhysTree {
     pub(crate) projection_root: bool,
 }
 
-impl PhysTree {
-    /// Compiles a union/difference-free expression against stored
-    /// relations. `rng` seeds the per-leaf block samplers.
-    pub fn build(
-        expr: &Expr,
-        catalog: &Catalog,
-        disk: &Arc<Disk>,
-        defaults: &SelectivityDefaults,
-        options: impl Into<PlanOptions>,
-        rng: &mut Rng,
-    ) -> Result<PhysTree, ExprError> {
-        let options = options.into();
-        expr.output_schema(catalog)?; // full validation up front
-        let mut total_points = 1.0;
-        let mut total_space_blocks = 1.0;
-        let root = Self::build_node(
-            expr,
-            catalog,
-            disk,
-            defaults,
-            options,
-            rng,
-            &mut total_points,
-            &mut total_space_blocks,
-        )?;
-        Ok(PhysTree {
-            root,
-            total_points,
-            total_space_blocks,
-            projection_root: matches!(expr, Expr::Project { .. }),
-        })
-    }
+/// Compiles one term: what every node of the tree is built from, and
+/// the point-space geometry accumulated as the leaves go by.
+struct Compiler<'a> {
+    catalog: &'a Catalog,
+    disk: &'a Arc<Disk>,
+    config: &'a EngineConfig,
+    /// Seeds the per-leaf block samplers, in leaf order.
+    rng: &'a mut Rng,
+    total_points: f64,
+    total_space_blocks: f64,
+}
 
-    #[allow(clippy::too_many_arguments)]
-    fn build_node(
-        expr: &Expr,
-        catalog: &Catalog,
-        disk: &Arc<Disk>,
-        defaults: &SelectivityDefaults,
-        options: PlanOptions,
-        rng: &mut Rng,
-        total_points: &mut f64,
-        total_space_blocks: &mut f64,
-    ) -> Result<Node, ExprError> {
+impl Compiler<'_> {
+    fn node(&mut self, expr: &Expr) -> Result<Node, ExprError> {
         match expr {
             Expr::Relation(name) => {
                 // Re-base the relation onto the execution disk: same
                 // backend bytes, but draws charge *this* execution's
                 // clock — which is what lets the server run each job
                 // on its own lane view of the shared device.
-                let file = catalog
+                let file = self
+                    .catalog
                     .relation(name)
                     .ok_or_else(|| ExprError::UnknownRelation(name.clone()))?
                     .clone()
-                    .with_disk(disk.clone());
-                *total_points *= file.num_tuples() as f64;
-                *total_space_blocks *= file.num_blocks() as f64;
-                let leaf_rng = Rng::seed_from_u64(rng.next_u64());
+                    .with_disk(self.disk.clone());
+                self.total_points *= file.num_tuples() as f64;
+                self.total_space_blocks *= file.num_blocks() as f64;
+                let leaf_rng = Rng::seed_from_u64(self.rng.next_u64());
                 let sampler = BlockSampler::new(file.num_blocks(), leaf_rng);
                 Ok(Node::Leaf(LeafNode {
                     file,
                     sampler,
                     cum_tuples: 0.0,
                     pending: Vec::new(),
-                    layout: options.block_layout,
+                    layout: self.config.block_layout,
                 }))
             }
             Expr::Select { input, predicate } => {
-                let child_points_before = *total_points;
-                let child = Self::build_node(
-                    input,
-                    catalog,
-                    disk,
-                    defaults,
-                    options,
-                    rng,
-                    total_points,
-                    total_space_blocks,
-                )?;
-                let subtree_points = *total_points / child_points_before.max(1.0);
-                let schema = expr.output_schema(catalog)?;
-                let blocking = schema.blocking_factor(disk.block_size()) as f64;
-                let tracker = SelTracker::new(OpKind::Select, subtree_points, 0.0)
-                    .with_initial(defaults.initial_for(OpKind::Select, 0.0));
+                let (child, tracker, out_blocking) = self.unary(expr, input, OpKind::Select)?;
                 let fused = match &child {
                     Node::Leaf(leaf) if leaf.layout == BlockLayout::Row => Some(FusedScan {
                         compiled: predicate.compile(leaf.file.schema())?,
@@ -1433,66 +1329,29 @@ impl PhysTree {
                     predicate: predicate.clone(),
                     fused,
                     tracker,
-                    memory: options.memory,
-                    out_blocking: blocking,
+                    memory: self.config.memory,
+                    out_blocking,
                     cum_out: 0.0,
                     cum_leaf_points: 0.0,
                 }))
             }
             Expr::Project { input, columns } => {
-                let child_points_before = *total_points;
-                let child = Self::build_node(
-                    input,
-                    catalog,
-                    disk,
-                    defaults,
-                    options,
-                    rng,
-                    total_points,
-                    total_space_blocks,
-                )?;
-                let subtree_points = *total_points / child_points_before.max(1.0);
-                let schema = expr.output_schema(catalog)?;
-                let blocking = schema.blocking_factor(disk.block_size()) as f64;
-                let tracker = SelTracker::new(OpKind::Project, subtree_points, 0.0)
-                    .with_initial(defaults.initial_for(OpKind::Project, 0.0));
+                let (child, tracker, out_blocking) = self.unary(expr, input, OpKind::Project)?;
                 Ok(Node::Project(ProjectNode {
                     child: Box::new(child),
                     columns: columns.clone(),
                     tracker,
-                    memory: options.memory,
-                    out_blocking: blocking,
+                    memory: self.config.memory,
+                    out_blocking,
                     occupancy: BTreeMap::new(),
                     cum_in: 0.0,
                     cum_leaf_points: 0.0,
                 }))
             }
-            Expr::Join { left, right, on } => Self::build_binary(
-                expr,
-                BinKind::Join { on: on.clone() },
-                left,
-                right,
-                catalog,
-                disk,
-                defaults,
-                options,
-                rng,
-                total_points,
-                total_space_blocks,
-            ),
-            Expr::Intersect { left, right } => Self::build_binary(
-                expr,
-                BinKind::Intersect,
-                left,
-                right,
-                catalog,
-                disk,
-                defaults,
-                options,
-                rng,
-                total_points,
-                total_space_blocks,
-            ),
+            Expr::Join { left, right, on } => {
+                self.binary(expr, BinKind::Join { on: on.clone() }, left, right)
+            }
+            Expr::Intersect { left, right } => self.binary(expr, BinKind::Intersect, left, right),
             Expr::Union { .. } | Expr::Difference { .. } => {
                 // The PIE rewrite removes these before compilation.
                 Err(ExprError::IncompatibleSchemas(
@@ -1502,66 +1361,93 @@ impl PhysTree {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn build_binary(
+    /// The child of a selection or projection `expr`, the operator's
+    /// tracker over the child's share of the point space, and the
+    /// blocking factor of its output.
+    fn unary(
+        &mut self,
+        expr: &Expr,
+        input: &Expr,
+        kind: OpKind,
+    ) -> Result<(Node, SelTracker, f64), ExprError> {
+        let before = self.total_points;
+        let child = self.node(input)?;
+        let subtree_points = self.total_points / before.max(1.0);
+        let tracker = SelTracker::new(kind, subtree_points, 0.0)
+            .with_initial(self.config.defaults.initial_for(kind, 0.0));
+        Ok((child, tracker, self.out_blocking(expr)?))
+    }
+
+    fn binary(
+        &mut self,
         expr: &Expr,
         kind: BinKind,
         left: &Expr,
         right: &Expr,
-        catalog: &Catalog,
-        disk: &Arc<Disk>,
-        defaults: &SelectivityDefaults,
-        options: PlanOptions,
-        rng: &mut Rng,
-        total_points: &mut f64,
-        total_space_blocks: &mut f64,
     ) -> Result<Node, ExprError> {
-        let before = *total_points;
-        let l = Self::build_node(
-            left,
-            catalog,
-            disk,
-            defaults,
-            options,
-            rng,
-            total_points,
-            total_space_blocks,
-        )?;
-        let mid = *total_points;
-        let r = Self::build_node(
-            right,
-            catalog,
-            disk,
-            defaults,
-            options,
-            rng,
-            total_points,
-            total_space_blocks,
-        )?;
+        let before = self.total_points;
+        let l = self.node(left)?;
+        let mid = self.total_points;
+        let r = self.node(right)?;
         let left_points = mid / before.max(1.0);
-        let right_points = *total_points / mid.max(1.0);
+        let right_points = self.total_points / mid.max(1.0);
         let op_kind = kind.op_kind();
         let max_operand = left_points.max(right_points);
         let tracker = SelTracker::new(op_kind, left_points * right_points, max_operand)
-            .with_initial(defaults.initial_for(op_kind, max_operand));
-        let out_schema = expr.output_schema(catalog)?;
-        let blocking = out_schema.blocking_factor(disk.block_size()) as f64;
+            .with_initial(self.config.defaults.initial_for(op_kind, max_operand));
         Ok(Node::Binary(BinaryNode {
-            in_schema_left: left.output_schema(catalog)?,
-            in_schema_right: right.output_schema(catalog)?,
+            in_schema_left: left.output_schema(self.catalog)?,
+            in_schema_right: right.output_schema(self.catalog)?,
             kind,
             left: Box::new(l),
             right: Box::new(r),
             tracker,
-            fulfillment: options.fulfillment,
-            memory: options.memory,
-            out_blocking: blocking,
+            fulfillment: self.config.fulfillment,
+            memory: self.config.memory,
+            out_blocking: self.out_blocking(expr)?,
             left_runs: Vec::new(),
             right_runs: Vec::new(),
-            run_cache: RunCache::new(options.run_cache_tuples),
+            run_cache: RunCache::new(self.config.run_cache_tuples),
             cum_out: 0.0,
             cum_leaf_points: 0.0,
         }))
+    }
+
+    /// Output tuples of `expr` to a block of the execution disk.
+    fn out_blocking(&self, expr: &Expr) -> Result<f64, ExprError> {
+        let schema = expr.output_schema(self.catalog)?;
+        Ok(schema.blocking_factor(self.disk.block_size()) as f64)
+    }
+}
+
+impl PhysTree {
+    /// Compiles a union/difference-free expression against stored
+    /// relations as `config` plans it (selectivity defaults,
+    /// fulfillment, memory mode, run cache, block layout). `rng`
+    /// seeds the per-leaf block samplers.
+    pub fn build(
+        expr: &Expr,
+        catalog: &Catalog,
+        disk: &Arc<Disk>,
+        config: &EngineConfig,
+        rng: &mut Rng,
+    ) -> Result<PhysTree, ExprError> {
+        expr.output_schema(catalog)?; // full validation up front
+        let mut compiler = Compiler {
+            catalog,
+            disk,
+            config,
+            rng,
+            total_points: 1.0,
+            total_space_blocks: 1.0,
+        };
+        let root = compiler.node(expr)?;
+        Ok(PhysTree {
+            root,
+            total_points: compiler.total_points,
+            total_space_blocks: compiler.total_space_blocks,
+            projection_root: matches!(expr, Expr::Project { .. }),
+        })
     }
 
     /// `N`, the point-space size.
@@ -1675,8 +1561,14 @@ mod tests {
         (disk, cat)
     }
 
+    /// The engine's defaults, as every test that varies nothing runs.
+    fn paper() -> &'static EngineConfig {
+        static PAPER: std::sync::OnceLock<EngineConfig> = std::sync::OnceLock::new();
+        PAPER.get_or_init(EngineConfig::default)
+    }
+
     fn env(disk: &Arc<Disk>, fraction: f64) -> StageEnv<'static> {
-        StageEnv::new(disk.clone(), None, fraction)
+        StageEnv::new(disk.clone(), paper(), None, fraction)
     }
 
     fn rows(n: i64) -> Vec<(i64, i64)> {
@@ -1687,15 +1579,8 @@ mod tests {
     fn full_census_select_recovers_exact_count() {
         let (disk, cat) = setup(&[("r", rows(100))]);
         let expr = Expr::relation("r").select(Predicate::col_cmp(1, CmpOp::Lt, 3));
-        let mut tree = PhysTree::build(
-            &expr,
-            &cat,
-            &disk,
-            &SelectivityDefaults::default(),
-            Fulfillment::Full,
-            &mut Rng::seed_from_u64(1),
-        )
-        .unwrap();
+        let mut tree =
+            PhysTree::build(&expr, &cat, &disk, paper(), &mut Rng::seed_from_u64(1)).unwrap();
         let mut e = env(&disk, 1.0);
         tree.advance(&mut e).unwrap();
         assert!(tree.exhausted());
@@ -1707,15 +1592,8 @@ mod tests {
     fn staged_select_accumulates_without_double_counting() {
         let (disk, cat) = setup(&[("r", rows(100))]);
         let expr = Expr::relation("r").select(Predicate::col_cmp(1, CmpOp::Lt, 5));
-        let mut tree = PhysTree::build(
-            &expr,
-            &cat,
-            &disk,
-            &SelectivityDefaults::default(),
-            Fulfillment::Full,
-            &mut Rng::seed_from_u64(2),
-        )
-        .unwrap();
+        let mut tree =
+            PhysTree::build(&expr, &cat, &disk, paper(), &mut Rng::seed_from_u64(2)).unwrap();
         let mut covered = 0.0;
         for _ in 0..4 {
             let mut e = env(&disk, 0.25);
@@ -1733,15 +1611,8 @@ mod tests {
         let b: Vec<(i64, i64)> = (25..75).map(|i| (i, 0)).collect();
         let (disk, cat) = setup(&[("a", a), ("b", b)]);
         let expr = Expr::relation("a").intersect(Expr::relation("b"));
-        let mut tree = PhysTree::build(
-            &expr,
-            &cat,
-            &disk,
-            &SelectivityDefaults::default(),
-            Fulfillment::Full,
-            &mut Rng::seed_from_u64(3),
-        )
-        .unwrap();
+        let mut tree =
+            PhysTree::build(&expr, &cat, &disk, paper(), &mut Rng::seed_from_u64(3)).unwrap();
         // Multiple stages with full fulfillment must still find every
         // cross-stage match.
         for _ in 0..3 {
@@ -1759,15 +1630,8 @@ mod tests {
         let b: Vec<(i64, i64)> = (0..20).map(|i| (i % 5, -i)).collect();
         let (disk, cat) = setup(&[("a", a.clone()), ("b", b.clone())]);
         let expr = Expr::relation("a").join(Expr::relation("b"), vec![(0, 0)]);
-        let mut tree = PhysTree::build(
-            &expr,
-            &cat,
-            &disk,
-            &SelectivityDefaults::default(),
-            Fulfillment::Full,
-            &mut Rng::seed_from_u64(4),
-        )
-        .unwrap();
+        let mut tree =
+            PhysTree::build(&expr, &cat, &disk, paper(), &mut Rng::seed_from_u64(4)).unwrap();
         for _ in 0..2 {
             let mut e = env(&disk, 0.6);
             tree.advance(&mut e).unwrap();
@@ -1784,16 +1648,12 @@ mod tests {
         let b: Vec<(i64, i64)> = (0..50).map(|i| (i, 0)).collect();
         let (disk, cat) = setup(&[("a", a.clone()), ("b", b)]);
         let expr = Expr::relation("a").intersect(Expr::relation("b"));
-        let build = |f: Fulfillment, seed: u64, disk: &Arc<Disk>, cat: &Catalog| {
-            PhysTree::build(
-                &expr,
-                cat,
-                disk,
-                &SelectivityDefaults::default(),
-                f,
-                &mut Rng::seed_from_u64(seed),
-            )
-            .unwrap()
+        let build = |fulfillment: Fulfillment, seed: u64, disk: &Arc<Disk>, cat: &Catalog| {
+            let cfg = EngineConfig {
+                fulfillment,
+                ..EngineConfig::default()
+            };
+            PhysTree::build(&expr, cat, disk, &cfg, &mut Rng::seed_from_u64(seed)).unwrap()
         };
         let mut full = build(Fulfillment::Full, 7, &disk, &cat);
         let mut partial = build(Fulfillment::Partial, 7, &disk, &cat);
@@ -1815,15 +1675,8 @@ mod tests {
     fn projection_tracks_occupancies() {
         let (disk, cat) = setup(&[("r", rows(100))]);
         let expr = Expr::relation("r").project(vec![1]);
-        let mut tree = PhysTree::build(
-            &expr,
-            &cat,
-            &disk,
-            &SelectivityDefaults::default(),
-            Fulfillment::Full,
-            &mut Rng::seed_from_u64(5),
-        )
-        .unwrap();
+        let mut tree =
+            PhysTree::build(&expr, &cat, &disk, paper(), &mut Rng::seed_from_u64(5)).unwrap();
         assert!(tree.projection_root());
         let mut e = env(&disk, 1.0);
         tree.advance(&mut e).unwrap();
@@ -1837,15 +1690,8 @@ mod tests {
     fn advancing_charges_the_clock() {
         let (disk, cat) = setup(&[("r", rows(100))]);
         let expr = Expr::relation("r").select(Predicate::True);
-        let mut tree = PhysTree::build(
-            &expr,
-            &cat,
-            &disk,
-            &SelectivityDefaults::default(),
-            Fulfillment::Full,
-            &mut Rng::seed_from_u64(6),
-        )
-        .unwrap();
+        let mut tree =
+            PhysTree::build(&expr, &cat, &disk, paper(), &mut Rng::seed_from_u64(6)).unwrap();
         let before = disk.clock().elapsed();
         let mut e = env(&disk, 0.5);
         tree.advance(&mut e).unwrap();
@@ -1861,18 +1707,11 @@ mod tests {
     fn hard_deadline_aborts_mid_stage() {
         let (disk, cat) = setup(&[("r", rows(10_000))]);
         let expr = Expr::relation("r").select(Predicate::True);
-        let mut tree = PhysTree::build(
-            &expr,
-            &cat,
-            &disk,
-            &SelectivityDefaults::default(),
-            Fulfillment::Full,
-            &mut Rng::seed_from_u64(7),
-        )
-        .unwrap();
+        let mut tree =
+            PhysTree::build(&expr, &cat, &disk, paper(), &mut Rng::seed_from_u64(7)).unwrap();
         // Quota shorter than the stage needs (2000 blocks at ~30 ms).
         let deadline = Deadline::new(disk.clock().clone(), Duration::from_secs(1));
-        let mut e = StageEnv::new(disk.clone(), Some(&deadline), 1.0);
+        let mut e = StageEnv::new(disk.clone(), paper(), Some(&deadline), 1.0);
         assert!(matches!(tree.advance(&mut e), Err(StageError::Deadline)));
         assert!(deadline.expired());
         // The abort happened at block granularity — not long after T.
@@ -1888,19 +1727,12 @@ mod tests {
         // points.
         let (disk, cat) = setup(&[("r", rows(10_000))]);
         let expr = Expr::relation("r");
-        let mut tree = PhysTree::build(
-            &expr,
-            &cat,
-            &disk,
-            &SelectivityDefaults::default(),
-            Fulfillment::Full,
-            &mut Rng::seed_from_u64(23),
-        )
-        .unwrap();
+        let mut tree =
+            PhysTree::build(&expr, &cat, &disk, paper(), &mut Rng::seed_from_u64(23)).unwrap();
         // 1 s quota vs a 2000-block full draw (~30 ms/block): the
         // deadline fires a few dozen blocks in.
         let deadline = Deadline::new(disk.clock().clone(), Duration::from_secs(1));
-        let mut e = StageEnv::new(disk.clone(), Some(&deadline), 1.0);
+        let mut e = StageEnv::new(disk.clone(), paper(), Some(&deadline), 1.0);
         assert!(matches!(tree.advance(&mut e), Err(StageError::Deadline)));
         let Node::Leaf(leaf) = &tree.root else {
             panic!("leaf-only tree");
@@ -1934,17 +1766,10 @@ mod tests {
         // own draw — and by no other.
         let (disk, cat) = setup(&[("r", rows(10_000))]);
         let expr = Expr::relation("r").select(Predicate::col_cmp(1, CmpOp::Lt, 3));
-        let mut tree = PhysTree::build(
-            &expr,
-            &cat,
-            &disk,
-            &SelectivityDefaults::default(),
-            Fulfillment::Full,
-            &mut Rng::seed_from_u64(23),
-        )
-        .unwrap();
+        let mut tree =
+            PhysTree::build(&expr, &cat, &disk, paper(), &mut Rng::seed_from_u64(23)).unwrap();
         let deadline = Deadline::new(disk.clock().clone(), Duration::from_secs(1));
-        let mut e = StageEnv::new(disk.clone(), Some(&deadline), 1.0);
+        let mut e = StageEnv::new(disk.clone(), paper(), Some(&deadline), 1.0);
         assert!(matches!(tree.advance(&mut e), Err(StageError::Deadline)));
         let Node::Select(select) = &tree.root else {
             panic!("select root");
@@ -1986,15 +1811,8 @@ mod tests {
             let expr = Expr::relation("r").select(
                 Predicate::col_cmp(1, CmpOp::Lt, 3).or(Predicate::col_cmp(0, CmpOp::Ge, 990)),
             );
-            let mut tree = PhysTree::build(
-                &expr,
-                &cat,
-                &disk,
-                &SelectivityDefaults::default(),
-                Fulfillment::Full,
-                &mut Rng::seed_from_u64(31),
-            )
-            .unwrap();
+            let mut tree =
+                PhysTree::build(&expr, &cat, &disk, paper(), &mut Rng::seed_from_u64(31)).unwrap();
             if count_only {
                 tree.count_only();
             }
@@ -2023,18 +1841,12 @@ mod tests {
     fn selection_is_fused_only_directly_over_a_row_layout_leaf() {
         let (disk, cat) = setup(&[("a", rows(50)), ("b", rows(50))]);
         let fused = |expr: &Expr, layout: BlockLayout| {
-            let tree = PhysTree::build(
-                expr,
-                &cat,
-                &disk,
-                &SelectivityDefaults::default(),
-                PlanOptions {
-                    block_layout: layout,
-                    ..PlanOptions::default()
-                },
-                &mut Rng::seed_from_u64(1),
-            )
-            .unwrap();
+            let cfg = EngineConfig {
+                block_layout: layout,
+                ..EngineConfig::default()
+            };
+            let tree =
+                PhysTree::build(expr, &cat, &disk, &cfg, &mut Rng::seed_from_u64(1)).unwrap();
             let Node::Select(s) = &tree.root else {
                 panic!("select root");
             };
@@ -2062,19 +1874,15 @@ mod tests {
         let run = |workers: usize| {
             let (disk, cat) = setup(&[("a", a.clone()), ("b", b.clone())]);
             let expr = Expr::relation("a").join(Expr::relation("b"), vec![(0, 0)]);
-            let mut tree = PhysTree::build(
-                &expr,
-                &cat,
-                &disk,
-                &SelectivityDefaults::default(),
-                Fulfillment::Full,
-                &mut Rng::seed_from_u64(29),
-            )
-            .unwrap();
+            let mut tree =
+                PhysTree::build(&expr, &cat, &disk, paper(), &mut Rng::seed_from_u64(29)).unwrap();
+            let cfg = EngineConfig {
+                workers,
+                ..EngineConfig::default()
+            };
             let mut outputs = Vec::new();
             for _ in 0..3 {
-                let mut e = env(&disk, 0.4);
-                e.workers = workers;
+                let mut e = StageEnv::new(disk.clone(), &cfg, None, 0.4);
                 outputs.push(tree.advance(&mut e).unwrap().into_rows());
             }
             (outputs, tree.points_covered(), disk.clock().elapsed())
@@ -2089,15 +1897,8 @@ mod tests {
     fn minimum_draw_is_one_block() {
         let (disk, cat) = setup(&[("r", rows(100))]);
         let expr = Expr::relation("r");
-        let mut tree = PhysTree::build(
-            &expr,
-            &cat,
-            &disk,
-            &SelectivityDefaults::default(),
-            Fulfillment::Full,
-            &mut Rng::seed_from_u64(8),
-        )
-        .unwrap();
+        let mut tree =
+            PhysTree::build(&expr, &cat, &disk, paper(), &mut Rng::seed_from_u64(8)).unwrap();
         let mut e = env(&disk, 1e-9);
         let d = tree.advance(&mut e).unwrap();
         assert_eq!(d.record_count(), 5); // one block of 5 tuples
@@ -2110,19 +1911,11 @@ mod tests {
         let (disk, cat) = setup(&[("a", a), ("b", b)]);
         let expr = Expr::relation("a").intersect(Expr::relation("b"));
         let build = |memory: MemoryMode| {
-            PhysTree::build(
-                &expr,
-                &cat,
-                &disk,
-                &SelectivityDefaults::default(),
-                PlanOptions {
-                    fulfillment: Fulfillment::Full,
-                    memory,
-                    ..PlanOptions::default()
-                },
-                &mut Rng::seed_from_u64(77),
-            )
-            .unwrap()
+            let cfg = EngineConfig {
+                memory,
+                ..EngineConfig::default()
+            };
+            PhysTree::build(&expr, &cat, &disk, &cfg, &mut Rng::seed_from_u64(77)).unwrap()
         };
         let mut on_disk = build(MemoryMode::DiskResident);
         let t0 = disk.clock().elapsed();
@@ -2158,22 +1951,15 @@ mod tests {
         // cache on or off — it only skips wall-clock re-decode work.
         let a: Vec<(i64, i64)> = (0..60).map(|i| (i % 6, i)).collect();
         let b: Vec<(i64, i64)> = (0..40).map(|i| (i % 6, -i)).collect();
-        let run = |cache_tuples: usize| {
+        let run = |run_cache_tuples: usize| {
             let (disk, cat) = setup(&[("a", a.clone()), ("b", b.clone())]);
             let expr = Expr::relation("a").join(Expr::relation("b"), vec![(0, 0)]);
-            let mut tree = PhysTree::build(
-                &expr,
-                &cat,
-                &disk,
-                &SelectivityDefaults::default(),
-                PlanOptions {
-                    fulfillment: Fulfillment::Full,
-                    run_cache_tuples: cache_tuples,
-                    ..PlanOptions::default()
-                },
-                &mut Rng::seed_from_u64(31),
-            )
-            .unwrap();
+            let cfg = EngineConfig {
+                run_cache_tuples,
+                ..EngineConfig::default()
+            };
+            let mut tree =
+                PhysTree::build(&expr, &cat, &disk, &cfg, &mut Rng::seed_from_u64(31)).unwrap();
             let mut outputs = Vec::new();
             for _ in 0..3 {
                 let mut e = env(&disk, 0.4);
@@ -2192,23 +1978,16 @@ mod tests {
         // cached and uncached plans stay identical even under faults.
         let a: Vec<(i64, i64)> = (0..60).map(|i| (i % 6, i)).collect();
         let b: Vec<(i64, i64)> = (0..40).map(|i| (i % 6, -i)).collect();
-        let run = |cache_tuples: usize| {
+        let run = |run_cache_tuples: usize| {
             let (disk, cat) = setup(&[("a", a.clone()), ("b", b.clone())]);
             disk.set_fault_plan(eram_storage::FaultPlan::new(41).with_corruption(0.3));
             let expr = Expr::relation("a").join(Expr::relation("b"), vec![(0, 0)]);
-            let mut tree = PhysTree::build(
-                &expr,
-                &cat,
-                &disk,
-                &SelectivityDefaults::default(),
-                PlanOptions {
-                    fulfillment: Fulfillment::Full,
-                    run_cache_tuples: cache_tuples,
-                    ..PlanOptions::default()
-                },
-                &mut Rng::seed_from_u64(37),
-            )
-            .unwrap();
+            let cfg = EngineConfig {
+                run_cache_tuples,
+                ..EngineConfig::default()
+            };
+            let mut tree =
+                PhysTree::build(&expr, &cat, &disk, &cfg, &mut Rng::seed_from_u64(37)).unwrap();
             let mut outputs = Vec::new();
             for _ in 0..3 {
                 let mut e = env(&disk, 0.4);
@@ -2223,15 +2002,8 @@ mod tests {
     fn transient_faults_are_retried_and_charged() {
         let (disk, cat) = setup(&[("r", rows(100))]);
         let expr = Expr::relation("r");
-        let mut tree = PhysTree::build(
-            &expr,
-            &cat,
-            &disk,
-            &SelectivityDefaults::default(),
-            Fulfillment::Full,
-            &mut Rng::seed_from_u64(10),
-        )
-        .unwrap();
+        let mut tree =
+            PhysTree::build(&expr, &cat, &disk, paper(), &mut Rng::seed_from_u64(10)).unwrap();
         disk.set_fault_plan(eram_storage::FaultPlan::new(13).with_transient(0.4));
         let before = disk.clock().elapsed();
         let mut e = env(&disk, 1.0);
@@ -2249,15 +2021,8 @@ mod tests {
     fn corrupt_blocks_are_dropped_and_counted() {
         let (disk, cat) = setup(&[("r", rows(100))]);
         let expr = Expr::relation("r");
-        let mut tree = PhysTree::build(
-            &expr,
-            &cat,
-            &disk,
-            &SelectivityDefaults::default(),
-            Fulfillment::Full,
-            &mut Rng::seed_from_u64(11),
-        )
-        .unwrap();
+        let mut tree =
+            PhysTree::build(&expr, &cat, &disk, paper(), &mut Rng::seed_from_u64(11)).unwrap();
         // Half the sites rot: the census loses clusters but finishes.
         disk.set_fault_plan(eram_storage::FaultPlan::new(17).with_corruption(0.5));
         let mut e = env(&disk, 1.0);
@@ -2275,15 +2040,8 @@ mod tests {
     fn all_blocks_lost_still_returns_empty_delta() {
         let (disk, cat) = setup(&[("r", rows(50))]);
         let expr = Expr::relation("r").select(Predicate::True);
-        let mut tree = PhysTree::build(
-            &expr,
-            &cat,
-            &disk,
-            &SelectivityDefaults::default(),
-            Fulfillment::Full,
-            &mut Rng::seed_from_u64(12),
-        )
-        .unwrap();
+        let mut tree =
+            PhysTree::build(&expr, &cat, &disk, paper(), &mut Rng::seed_from_u64(12)).unwrap();
         disk.set_fault_plan(eram_storage::FaultPlan::new(19).with_corruption(1.0));
         let mut e = env(&disk, 1.0);
         let delta = tree.advance(&mut e).unwrap();
@@ -2296,15 +2054,8 @@ mod tests {
     fn retry_exhaustion_loses_the_block_not_the_query() {
         let (disk, cat) = setup(&[("r", rows(100))]);
         let expr = Expr::relation("r");
-        let mut tree = PhysTree::build(
-            &expr,
-            &cat,
-            &disk,
-            &SelectivityDefaults::default(),
-            Fulfillment::Full,
-            &mut Rng::seed_from_u64(14),
-        )
-        .unwrap();
+        let mut tree =
+            PhysTree::build(&expr, &cat, &disk, paper(), &mut Rng::seed_from_u64(14)).unwrap();
         // Every attempt fails: each block burns its full retry budget
         // and is dropped.
         disk.set_fault_plan(eram_storage::FaultPlan::new(23).with_transient(1.0));
@@ -2314,7 +2065,7 @@ mod tests {
         assert_eq!(e.health.blocks_lost, 20);
         assert_eq!(
             e.health.retries,
-            20 * u64::from(RetryPolicy::default().max_attempts - 1)
+            20 * u64::from(paper().retry.max_attempts - 1)
         );
     }
 
@@ -2322,14 +2073,7 @@ mod tests {
     fn union_refused_at_compile_time() {
         let (disk, cat) = setup(&[("r", rows(10))]);
         let expr = Expr::relation("r").union(Expr::relation("r"));
-        let res = PhysTree::build(
-            &expr,
-            &cat,
-            &disk,
-            &SelectivityDefaults::default(),
-            Fulfillment::Full,
-            &mut Rng::seed_from_u64(9),
-        );
+        let res = PhysTree::build(&expr, &cat, &disk, paper(), &mut Rng::seed_from_u64(9));
         assert!(res.is_err());
     }
 }

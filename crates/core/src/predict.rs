@@ -64,7 +64,6 @@ struct Walk<'a> {
     policy: &'a SelPolicy<'a>,
     op_index: usize,
     blocks: f64,
-    fulfillment_override: Option<Fulfillment>,
 }
 
 /// Predicted (new output tuples, cost seconds) for a subtree.
@@ -82,24 +81,11 @@ pub fn predict_stage(
     model: &CostModel,
     policy: &SelPolicy<'_>,
 ) -> StagePrediction {
-    predict_stage_with(trees, f, model, policy, None)
-}
-
-/// [`predict_stage`] with a per-stage fulfillment override (mirrors
-/// [`crate::ops::StageEnv::fulfillment_override`]).
-pub fn predict_stage_with(
-    trees: &[PhysTree],
-    f: f64,
-    model: &CostModel,
-    policy: &SelPolicy<'_>,
-    fulfillment_override: Option<Fulfillment>,
-) -> StagePrediction {
     let mut walk = Walk {
         model,
         policy,
         op_index: 0,
         blocks: 0.0,
-        fulfillment_override,
     };
     let mut cost = model.predict(CostCoeff::StageOverhead, 1.0);
     let mut out = 0.0;
@@ -194,8 +180,7 @@ impl Walk<'_> {
                 let right = self.node(&b.right, f);
                 let (n_l, n_r) = (left.out_tuples, right.out_tuples);
 
-                let (pair_points, merge_units) =
-                    binary_pairs(b, n_l, n_r, self.fulfillment_override);
+                let (pair_points, merge_units) = binary_pairs(b, n_l, n_r);
                 let sel = self.policy.selectivity(my_index, &b.tracker, pair_points);
                 let out = sel * pair_points;
                 let write = match b.memory {
@@ -230,15 +215,10 @@ impl Walk<'_> {
 /// Candidate-stage pair geometry for a binary node: how many tuple
 /// pairs the new samples add, and how many tuples the merge passes
 /// will touch (eq. 4.4's bracket, derived from the actual run list).
-fn binary_pairs(
-    b: &BinaryNode,
-    n_l: f64,
-    n_r: f64,
-    fulfillment_override: Option<Fulfillment>,
-) -> (f64, f64) {
+fn binary_pairs(b: &BinaryNode, n_l: f64, n_r: f64) -> (f64, f64) {
     let old_l: f64 = b.left_runs_tuples();
     let old_r: f64 = b.right_runs_tuples();
-    match fulfillment_override.unwrap_or(b.fulfillment) {
+    match b.fulfillment {
         Fulfillment::Full => {
             let pair_points = n_l * (old_r + n_r) + old_l * n_r;
             // New-left merges against every right run (old + new);
@@ -273,26 +253,14 @@ pub fn solve_fraction(
     target_secs: f64,
     eps_secs: f64,
 ) -> Option<(f64, StagePrediction)> {
-    solve_fraction_with(trees, model, policy, target_secs, eps_secs, None)
-}
-
-/// [`solve_fraction`] with a per-stage fulfillment override.
-pub fn solve_fraction_with(
-    trees: &[PhysTree],
-    model: &CostModel,
-    policy: &SelPolicy<'_>,
-    target_secs: f64,
-    eps_secs: f64,
-    fulfillment_override: Option<Fulfillment>,
-) -> Option<(f64, StagePrediction)> {
     debug_assert!(target_secs >= 0.0);
     // The smallest meaningful stage: the rounding in the leaf walk
     // draws one block per relation for any f ≈ 0.
-    let floor = predict_stage_with(trees, 0.0, model, policy, fulfillment_override);
+    let floor = predict_stage(trees, 0.0, model, policy);
     if floor.cost_secs > target_secs {
         return None;
     }
-    let ceiling = predict_stage_with(trees, 1.0, model, policy, fulfillment_override);
+    let ceiling = predict_stage(trees, 1.0, model, policy);
     if ceiling.cost_secs <= target_secs {
         return Some((1.0, ceiling));
     }
@@ -301,7 +269,7 @@ pub fn solve_fraction_with(
     let mut best = (0.0, floor);
     for _ in 0..64 {
         let f = (low + high) / 2.0;
-        let p = predict_stage_with(trees, f, model, policy, fulfillment_override);
+        let p = predict_stage(trees, f, model, policy);
         if p.cost_secs <= target_secs {
             best = (f, p);
             low = f;
@@ -322,8 +290,8 @@ pub fn solve_fraction_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::{Fulfillment, PhysTree};
-    use crate::seltrack::SelectivityDefaults;
+    use crate::config::EngineConfig;
+    use crate::ops::{PhysTree, StageEnv};
     use eram_relalg::{Catalog, CmpOp, Expr, Predicate};
     use eram_storage::Rng;
     use eram_storage::{ColumnType, DeviceProfile, Disk, HeapFile, Schema, SimClock, Tuple, Value};
@@ -358,15 +326,8 @@ mod tests {
     }
 
     fn tree(expr: &Expr, disk: &Arc<Disk>, cat: &Catalog) -> PhysTree {
-        PhysTree::build(
-            expr,
-            cat,
-            disk,
-            &SelectivityDefaults::default(),
-            Fulfillment::Full,
-            &mut Rng::seed_from_u64(11),
-        )
-        .unwrap()
+        let cfg = EngineConfig::default();
+        PhysTree::build(expr, cat, disk, &cfg, &mut Rng::seed_from_u64(11)).unwrap()
     }
 
     #[test]
@@ -390,7 +351,8 @@ mod tests {
         let expr = Expr::relation("r").join(Expr::relation("s"), vec![(0, 0)]);
         let mut t = tree(&expr, &disk, &cat);
         // Give the tracker some data so inflation has a variance.
-        let mut env = crate::ops::StageEnv::new(disk.clone(), None, 0.01);
+        let cfg = EngineConfig::default();
+        let mut env = StageEnv::new(disk.clone(), &cfg, None, 0.01);
         t.advance(&mut env).unwrap();
         let model = CostModel::generic_default();
         let mean = predict_stage(std::slice::from_ref(&t), 0.05, &model, &SelPolicy::Mean);
@@ -508,7 +470,8 @@ mod tests {
         let mut t = tree(&expr, &disk, &cat);
         let mut model = CostModel::oracle(disk.profile(), 5.0);
         // Stage 1 informs the tracker and fine-tunes coefficients.
-        let mut env = crate::ops::StageEnv::new(disk.clone(), None, 0.01);
+        let cfg = EngineConfig::default();
+        let mut env = StageEnv::new(disk.clone(), &cfg, None, 0.01);
         t.advance(&mut env).unwrap();
         for o in &env.observations {
             model.observe(o.coeff, o.units, o.elapsed);
@@ -519,7 +482,7 @@ mod tests {
             .cost_secs
             - model.predict(CostCoeff::StageOverhead, 1.0);
         let before = disk.clock().elapsed();
-        let mut env = crate::ops::StageEnv::new(disk.clone(), None, f);
+        let mut env = StageEnv::new(disk.clone(), &cfg, None, f);
         t.advance(&mut env).unwrap();
         let actual = (disk.clock().elapsed() - before).as_secs_f64();
         let rel = (predicted - actual).abs() / actual;
@@ -536,10 +499,11 @@ mod tests {
         let mut t = tree(&expr, &disk, &cat);
         let model = CostModel::generic_default();
         let c1 = predict_stage(std::slice::from_ref(&t), 0.01, &model, &SelPolicy::Mean).cost_secs;
+        let cfg = EngineConfig::default();
         // Advance two stages; the run grid grows, so the same f costs
         // more at the next stage (eq. 4.4's stage dependence).
         for _ in 0..2 {
-            let mut env = crate::ops::StageEnv::new(disk.clone(), None, 0.01);
+            let mut env = StageEnv::new(disk.clone(), &cfg, None, 0.01);
             t.advance(&mut env).unwrap();
         }
         let model = CostModel::generic_default();

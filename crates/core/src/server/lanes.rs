@@ -64,54 +64,50 @@ pub(super) struct LaneOutcome {
 /// Where a lane stands between turns. One per lane and moved only
 /// between turns, so the variants' sizes are of no account.
 #[allow(clippy::large_enum_variant)]
-enum Progress<'a> {
+enum Progress {
     /// No turn taken yet.
     Fresh,
     /// Compiled; the next turn runs one stage.
-    Running(StageRun<'a>),
+    Running(StageRun),
     /// Finished (or failed); takes no more turns.
     Done(Result<TimedCount, EngineError>),
 }
 
 /// One prepared job on its own lane of the database's disk.
 ///
-/// On a simulated clock the lane gets a fresh [`SimClock`] at zero
-/// and (when the server tracer records) a private recording tracer,
-/// so its charge stream and trace bytes are independent of every
-/// other lane; the caller splices the records into the shared stream
-/// at the job's canonical start offset. On a wall clock there is no
-/// virtual time to isolate: the lane runs on the shared clock and
-/// tracer directly (and its outcome's `records` stay empty).
+/// `spec` arrives carrying the server's shared tracer. On a simulated
+/// clock the lane gets a fresh [`SimClock`] at zero and (when the
+/// server tracer records) puts a private recording tracer in its copy
+/// of the config, so its charge stream and trace bytes are
+/// independent of every other lane; the caller splices the records
+/// into the shared stream at the job's canonical start offset. On a
+/// wall clock there is no virtual time to isolate: the lane runs on
+/// the shared clock and tracer directly (and its outcome's `records`
+/// stay empty).
 pub(super) struct Lane<'a> {
-    spec: &'a PreparedQuery,
+    spec: PreparedQuery,
     catalog: &'a Catalog,
     clock: Arc<dyn Clock>,
     disk: Arc<Disk>,
-    tracer: Tracer,
     start: Duration,
-    progress: Progress<'a>,
+    progress: Progress,
 }
 
 impl<'a> Lane<'a> {
     pub(super) fn new(
         db: &'a Database,
-        spec: &'a PreparedQuery,
+        spec: &PreparedQuery,
         lane: usize,
-        server_tracer: &Tracer,
         broker: Option<Arc<SharedDrawBroker>>,
     ) -> Self {
-        let root_clock = db.disk().clock().clone();
-        let (clock, tracer): (Arc<dyn Clock>, Tracer) = if root_clock.is_simulated() {
-            let clock: Arc<dyn Clock> = Arc::new(SimClock::new());
-            let tracer = if server_tracer.is_enabled() {
-                Tracer::recording(clock.clone())
-            } else {
-                Tracer::disabled()
-            };
-            (clock, tracer)
-        } else {
-            (root_clock, server_tracer.clone())
-        };
+        let mut spec = spec.clone();
+        let mut clock = db.disk().clock().clone();
+        if clock.is_simulated() {
+            clock = Arc::new(SimClock::new());
+            if spec.config.tracer.is_enabled() {
+                spec.config.tracer = Tracer::recording(clock.clone());
+            }
+        }
         let disk = db.disk().lane_view(
             clock.clone(),
             spec.seed ^ LANE_JITTER_SALT,
@@ -124,7 +120,6 @@ impl<'a> Lane<'a> {
             start: clock.elapsed(),
             clock,
             disk,
-            tracer,
             progress: Progress::Fresh,
         }
     }
@@ -145,15 +140,10 @@ impl<'a> Lane<'a> {
     /// in the same turn.
     fn turn(&mut self) {
         self.progress = match std::mem::replace(&mut self.progress, Progress::Fresh) {
-            Progress::Fresh => {
-                match self
-                    .spec
-                    .start_on(&self.disk, self.catalog, self.tracer.clone())
-                {
-                    Ok(run) => Progress::Running(run),
-                    Err(e) => Progress::Done(Err(e)),
-                }
-            }
+            Progress::Fresh => match StageRun::start(&self.disk, self.catalog, &self.spec) {
+                Ok(run) => Progress::Running(run),
+                Err(e) => Progress::Done(Err(e)),
+            },
             Progress::Running(mut run) => match run.step() {
                 Ok(true) => Progress::Running(run),
                 Ok(false) => Progress::Done(Ok(run.finish())),
@@ -177,7 +167,7 @@ impl<'a> Lane<'a> {
                         // the shared stream; only a private buffer
                         // is handed back for splicing.
                         records: if self.clock.is_simulated() {
-                            self.tracer.records()
+                            self.spec.config.tracer.records()
                         } else {
                             Vec::new()
                         },
@@ -211,13 +201,12 @@ fn next_turn(bids: impl Iterator<Item = Option<Duration>>) -> Option<usize> {
 pub(super) fn run_interleaved(
     db: &Database,
     specs: &[PreparedQuery],
-    server_tracer: &Tracer,
     broker: Arc<SharedDrawBroker>,
 ) -> (Vec<LaneOutcome>, Vec<usize>) {
     let mut lanes: Vec<Lane<'_>> = specs
         .iter()
         .enumerate()
-        .map(|(lane, spec)| Lane::new(db, spec, lane, server_tracer, Some(broker.clone())))
+        .map(|(lane, spec)| Lane::new(db, spec, lane, Some(broker.clone())))
         .collect();
     let mut order = Vec::with_capacity(lanes.len());
     while let Some(lane) = next_turn(lanes.iter().map(Lane::bid)) {

@@ -38,8 +38,8 @@
 //!    capped [`RetryPolicy`] under a forced
 //!    [`StoppingCriterion::HardDeadline`]; a job that hits corrupt
 //!    blocks degrades alone (its own `health.degraded`), a job whose
-//!    expression is broken fails alone (at admission when QCOST
-//!    screening is on, so it burns no quota), and a watchdog records
+//!    expression is broken fails alone (at admission, so it burns no
+//!    quota), and a watchdog records
 //!    any engine overshoot past 1.25 × the grant so a stuck stage is
 //!    visible in the trace and metrics.
 //!
@@ -98,20 +98,18 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use eram_relalg::{push_selections, Expr, PieRewrite};
+use eram_relalg::Expr;
 use eram_sampling::CountEstimate;
 use eram_storage::json::{unknown_variant, FromJson, JsonError, ToJson};
 use eram_storage::{json, json_record, json_unit_enum, Clock, Json, Rng, SharedDrawBroker};
 
 use crate::aggregate::AggregateFn;
-use crate::costs::CostModel;
-use crate::executor::EngineError;
-use crate::obs::{MetricsRegistry, MetricsSnapshot, Tracer};
-use crate::ops::{Fulfillment, PhysTree};
+use crate::config::EngineConfig;
+use crate::executor::{compile_terms, EngineError};
+use crate::obs::{MetricsRegistry, MetricsSnapshot, Profiler, Tracer};
 use crate::predict::{predict_stage, SelPolicy};
 use crate::report::{ExecutionReport, RefusalReason, ReportHealth};
 use crate::retry::RetryPolicy;
-use crate::seltrack::SelectivityDefaults;
 use crate::session::{Database, PreparedQuery, TimedCount};
 use crate::stopping::StoppingCriterion;
 
@@ -197,7 +195,7 @@ pub struct ServerJob {
     /// Higher-value jobs survive triage longer.
     pub value: f64,
     /// Per-job retry policy for transient storage faults; `None`
-    /// inherits [`ServerConfig::retry`].
+    /// inherits the server's [`EngineConfig::retry`].
     pub retry: Option<RetryPolicy>,
 }
 
@@ -260,7 +258,7 @@ pub enum JobState {
         /// Why the job got no answer.
         reason: RefusalReason,
     },
-    /// The engine (or QCOST admission screening) hit an error; the
+    /// The engine (or admission's QCOST pricing) hit an error; the
     /// failure is isolated to this job.
     Failed {
         /// The rendered [`EngineError`].
@@ -473,8 +471,8 @@ pub struct ServerOutcome {
     pub jobs: Vec<JobReport>,
     /// Batch-level accounting.
     pub stats: ServerStats,
-    /// Server-loop counters and histograms, when
-    /// [`ServerConfig::collect_metrics`] was set.
+    /// Server-loop counters and histograms, when the server's
+    /// [`EngineConfig::collect_metrics`] was set.
     pub metrics: Option<MetricsSnapshot>,
     /// Per-tenant SLO counters and the decision audit log, when
     /// [`ServerConfig::collect_ledger`] was set. Pure observation:
@@ -601,39 +599,11 @@ json_record!(ScheduleReport {
     lanes: required,
 });
 
-/// Tunables for a [`QueryServer`].
-#[derive(Debug, Clone)]
+/// Tunables for a [`QueryServer`]: the two settings that exist only
+/// when serving, and the [`EngineConfig`] everything else is read
+/// from.
+#[derive(Debug, Clone, Default)]
 pub struct ServerConfig {
-    /// Fraction of the slack granted as quota; the rest is scheduling
-    /// margin for the engine's block-granularity abort overshoot
-    /// and fault-storm overshoot.
-    pub slack_margin: f64,
-    /// Worker threads per job for the pure-CPU stage work (results
-    /// are byte-identical at any count).
-    pub workers: usize,
-    /// Retry policy for jobs that don't carry their own.
-    pub retry: RetryPolicy,
-    /// Cost model for QCOST admission screening and per-job
-    /// execution; `None` inherits the database's default model.
-    pub cost_model: Option<CostModel>,
-    /// Refuse jobs whose QCOST floor (one block per operand relation
-    /// plus stage overhead) exceeds their projected grant. Also
-    /// screens broken expressions at admission, before they can burn
-    /// quota.
-    pub qcost_admission: bool,
-    /// Tracer shared by the server loop (`server.decision` events) and
-    /// every job's engine spans; one interleaved clock-stamped stream.
-    pub tracer: Tracer,
-    /// Collect server-loop counters into [`ServerOutcome::metrics`]
-    /// and per-job engine metrics into each job's report.
-    pub collect_metrics: bool,
-    /// Attach the per-tenant SLO ledger and decision audit log as
-    /// [`ServerOutcome::ledger`]. The log is written either way (the
-    /// stats are its fold) and every record is emitted as a
-    /// `server.decision` trace event whenever a recording tracer is
-    /// attached, so the trace stream is identical with the flag on or
-    /// off.
-    pub collect_ledger: bool,
     /// How admitted lanes are scheduled: [`Concurrency::Sequential`]
     /// (one lane at a time, in canonical EDF order) or
     /// [`Concurrency::Interleaved`] (stages from all admitted lanes
@@ -644,23 +614,30 @@ pub struct ServerConfig {
     /// always runs sequentially (there is no virtual time to order
     /// the turns by).
     pub concurrency: Concurrency,
+    /// Attach the per-tenant SLO ledger and decision audit log as
+    /// [`ServerOutcome::ledger`]. The log is written either way (the
+    /// stats are its fold) and every record is emitted as a
+    /// `server.decision` trace event whenever a recording tracer is
+    /// attached, so the trace stream is identical with the flag on or
+    /// off.
+    pub collect_ledger: bool,
+    /// What every lane runs under, [`Database::calibrated`] once per
+    /// batch; admission prices each job on the same config. Its
+    /// `tracer` is the one shared stream — the server's
+    /// `server.decision` events and every job's engine spans, spliced
+    /// in canonical order — and its `collect_metrics` also turns on
+    /// the server-loop counters of [`ServerOutcome::metrics`]. Per
+    /// job the server overrides four fields: `stopping` is forced to
+    /// [`StoppingCriterion::HardDeadline`], `retry` is the job's own
+    /// when it carries one, `tracer` is the lane's private buffer, and
+    /// `profiler` is off (a served batch renders no per-job profile).
+    pub engine: EngineConfig,
 }
 
-impl Default for ServerConfig {
-    fn default() -> Self {
-        ServerConfig {
-            slack_margin: 0.9,
-            workers: 1,
-            retry: RetryPolicy::default(),
-            cost_model: None,
-            qcost_admission: true,
-            tracer: Tracer::disabled(),
-            collect_metrics: false,
-            collect_ledger: false,
-            concurrency: Concurrency::Sequential,
-        }
-    }
-}
+/// Fraction of a job's slack granted as quota; the rest is scheduling
+/// margin for the engine's block-granularity abort overshoot and
+/// fault-storm overshoot.
+const SLACK_MARGIN: f64 = 0.9;
 
 /// Bounds on a single observed `spent / granted` ratio before it
 /// enters the EWMA (one pathological job must not poison the refit).
@@ -712,50 +689,28 @@ impl QueryServer {
         Self::default()
     }
 
-    /// Sets the slack margin in `(0, 1]`.
-    ///
-    /// # Panics
-    /// Panics if the margin is out of range.
-    pub fn slack_margin(mut self, margin: f64) -> Self {
-        assert!(margin > 0.0 && margin <= 1.0);
-        self.config.slack_margin = margin;
-        self
-    }
-
-    /// Sets per-job worker threads (zero is treated as 1).
+    /// Sets per-job worker threads.
     pub fn workers(mut self, workers: usize) -> Self {
-        self.config.workers = workers.max(1);
+        self.config.engine.workers = workers;
         self
     }
 
     /// Replaces the default retry policy.
     pub fn retry(mut self, retry: RetryPolicy) -> Self {
-        self.config.retry = retry;
-        self
-    }
-
-    /// Overrides the cost model used for admission and execution.
-    pub fn cost_model(mut self, model: CostModel) -> Self {
-        self.config.cost_model = Some(model);
-        self
-    }
-
-    /// Toggles QCOST admission screening.
-    pub fn qcost_admission(mut self, on: bool) -> Self {
-        self.config.qcost_admission = on;
+        self.config.engine.retry = retry;
         self
     }
 
     /// Attaches a tracer (use [`Tracer::recording`] with the
     /// database's clock for clock-stamped, replayable traces).
     pub fn tracer(mut self, tracer: Tracer) -> Self {
-        self.config.tracer = tracer;
+        self.config.engine.tracer = tracer;
         self
     }
 
     /// Toggles metrics collection.
     pub fn metrics(mut self, on: bool) -> Self {
-        self.config.collect_metrics = on;
+        self.config.engine.collect_metrics = on;
         self
     }
 
@@ -782,6 +737,7 @@ impl QueryServer {
         jobs.sort_by_key(|j| j.deadline);
         let mut batch = Batch {
             cfg: &self.config,
+            engine: db.calibrated(self.config.engine.clone()),
             jobs: &jobs,
             clock: db.disk().clock().clone(),
             decisions: Vec::new(),
@@ -801,6 +757,8 @@ impl QueryServer {
 /// each other.
 struct Batch<'a> {
     cfg: &'a ServerConfig,
+    /// `cfg.engine`, calibrated to the database being served.
+    engine: EngineConfig,
     /// The offered jobs, in canonical (stable EDF) order.
     jobs: &'a [ServerJob],
     clock: Arc<dyn Clock>,
@@ -821,7 +779,7 @@ struct Batch<'a> {
 /// What admission concluded about one job.
 enum Verdict {
     Admit {
-        floor: Option<f64>,
+        floor: f64,
     },
     Refuse {
         reason: RefusalReason,
@@ -837,7 +795,7 @@ impl Batch<'_> {
     /// [`ServerConfig::collect_ledger`], which is what makes that flag
     /// trace-invisible.
     fn decide(&mut self, record: DecisionRecord) {
-        self.cfg
+        self.engine
             .tracer
             .event("server.decision", || record.trace_fields());
         self.decisions.push(record);
@@ -860,28 +818,23 @@ impl Batch<'_> {
     /// makes each lane a pure function of the admitted set,
     /// independent of how the other lanes are scheduled.
     fn admit(&mut self, db: &Database) {
-        let (cfg, jobs) = (self.cfg, self.jobs);
-        let model = cfg
-            .cost_model
-            .clone()
-            .unwrap_or_else(|| db.default_cost_model().clone());
         let mut projected = Duration::ZERO;
-        for (idx, job) in jobs.iter().enumerate() {
+        for (idx, job) in self.jobs.iter().enumerate() {
             // Admission is charge-free, so this stamp is the batch
             // start for every phase-1 decision — same timebase as the
             // trace stream.
             let t_ns = duration_ns(self.clock.elapsed());
-            let grant = grant_for(job, projected, cfg.slack_margin, 1.0);
-            let alone = grant_for(job, Duration::ZERO, cfg.slack_margin, 1.0);
+            let grant = grant_for(job, projected, 1.0);
+            let alone = grant_for(job, Duration::ZERO, 1.0);
             let inputs = |action| DecisionRecord {
                 slack_ns: Some(duration_ns(job.deadline.saturating_sub(projected))),
                 grant_ns: Some(duration_ns(grant)),
                 min_quota_ns: Some(duration_ns(job.min_quota)),
                 projected_start_ns: Some(duration_ns(projected)),
-                margin: Some(cfg.slack_margin),
+                margin: Some(SLACK_MARGIN),
                 ..DecisionRecord::new(t_ns, action, job.name.as_str())
             };
-            match admission_verdict(cfg, db, job, grant, alone, &model) {
+            match admission_verdict(db, &self.engine, job, grant, alone) {
                 Verdict::Refuse { reason, floor } => {
                     self.decide(DecisionRecord {
                         reason: Some(reason),
@@ -903,7 +856,7 @@ impl Batch<'_> {
                 }
                 Verdict::Admit { floor } => {
                     self.decide(DecisionRecord {
-                        predicted_cost_secs: floor,
+                        predicted_cost_secs: Some(floor),
                         overrun: Some(1.0), // factor is 1.0 at admission
                         ..inputs(DecisionAction::Admit)
                     });
@@ -921,20 +874,19 @@ impl Batch<'_> {
     /// is a pure function of the admitted set — independent of how (or
     /// whether) the others run.
     fn lane_specs(&self, db: &mut Database) -> Vec<PreparedQuery> {
-        let cfg = self.cfg;
         let mut specs = Vec::with_capacity(self.admitted.len());
         for &idx in &self.admitted {
             let job = &self.jobs[idx];
-            let mut spec = db.prepare(job.agg, job.expr.clone());
-            spec.quota = self.grants[idx];
-            spec.config.stopping = StoppingCriterion::HardDeadline;
-            spec.config.retry = job.retry.unwrap_or(cfg.retry);
-            spec.config.workers = cfg.workers.max(1);
-            spec.config.collect_metrics = cfg.collect_metrics;
-            if let Some(model) = &cfg.cost_model {
-                spec.config.cost_model = model.clone();
-            }
-            specs.push(spec);
+            let config = EngineConfig {
+                stopping: StoppingCriterion::HardDeadline,
+                retry: job.retry.unwrap_or(self.engine.retry),
+                profiler: Profiler::disabled(),
+                ..self.engine.clone()
+            };
+            specs.push(PreparedQuery {
+                quota: self.grants[idx],
+                ..db.prepare(job.agg, job.expr.clone(), config)
+            });
         }
         specs
     }
@@ -954,7 +906,7 @@ impl Batch<'_> {
         } else {
             Concurrency::Sequential
         };
-        let (mut lanes, mut dispatch) = prerun(db, &specs, &cfg.tracer, mode);
+        let (mut lanes, mut dispatch) = prerun(db, &specs, mode);
         let names = self.admitted.iter().map(|&idx| jobs[idx].name.clone());
         let mut schedule = ScheduleReport::empty(mode, names);
 
@@ -991,7 +943,7 @@ impl Batch<'_> {
             // Splice the lane's trace onto the shared stream at the
             // job's canonical start (wall-clock lanes trace straight
             // into the shared stream; their record list is empty).
-            cfg.tracer.absorb(records, self.at(vt));
+            self.engine.tracer.absorb(records, self.at(vt));
             let started_at = vt;
             vt += spent;
 
@@ -1058,17 +1010,17 @@ impl Batch<'_> {
         t: Duration,
         factor: f64,
     ) -> Vec<usize> {
-        let (jobs, margin) = (self.jobs, self.cfg.slack_margin);
+        let jobs = self.jobs;
         let mut victims = Vec::new();
-        while let Some(pos) = first_infeasible(jobs, pending, &self.grants, t, margin, factor) {
-            let vpos = pick_victim(jobs, pending, t, margin, factor, pos);
+        while let Some(pos) = first_infeasible(jobs, pending, &self.grants, t, factor) {
+            let vpos = pick_victim(jobs, pending, t, factor, pos);
             let vidx = pending.remove(vpos);
             let victim = &jobs[vidx];
             self.decide(DecisionRecord {
                 reason: Some(RefusalReason::Shed),
                 slack_ns: Some(duration_ns(victim.deadline.saturating_sub(t))),
                 min_quota_ns: Some(duration_ns(victim.min_quota)),
-                margin: Some(margin),
+                margin: Some(SLACK_MARGIN),
                 overrun: Some(factor),
                 value: Some(victim.value),
                 ..DecisionRecord::new(self.at(t), DecisionAction::Shed, victim.name.as_str())
@@ -1093,14 +1045,13 @@ impl Batch<'_> {
         started_at: Duration,
         factor: f64,
     ) -> (Duration, LaneOutcome, Option<LaneOutcome>) {
-        let cfg = self.cfg;
         let job = &self.jobs[self.admitted[lane]];
         let quota = spec.quota;
         self.decide(DecisionRecord {
             slack_ns: Some(duration_ns(job.deadline.saturating_sub(started_at))),
             grant_ns: Some(duration_ns(quota)),
             min_quota_ns: Some(duration_ns(job.min_quota)),
-            margin: Some(cfg.slack_margin),
+            margin: Some(SLACK_MARGIN),
             overrun: Some(factor),
             ..DecisionRecord::new(
                 self.at(started_at),
@@ -1108,8 +1059,7 @@ impl Batch<'_> {
                 job.name.as_str(),
             )
         });
-        let attempt =
-            prerun.unwrap_or_else(|| Lane::new(db, spec, lane, &cfg.tracer, None).drain());
+        let attempt = prerun.unwrap_or_else(|| Lane::new(db, spec, lane, None).drain());
         // Dispatch-time deflation. Admission fixed this quota against
         // a projected start, but the actual timeline may have slipped
         // (earlier lanes overran under device weather). When the
@@ -1126,7 +1076,7 @@ impl Batch<'_> {
         {
             return (quota, attempt, None);
         }
-        let deflated = grant_for(job, started_at, cfg.slack_margin, factor).min(quota);
+        let deflated = grant_for(job, started_at, factor).min(quota);
         if deflated >= quota || deflated < job.min_quota {
             return (quota, attempt, None);
         }
@@ -1141,7 +1091,7 @@ impl Batch<'_> {
             )
         });
         spec.quota = deflated;
-        let rerun = Lane::new(db, spec, lane, &cfg.tracer, None).drain();
+        let rerun = Lane::new(db, spec, lane, None).drain();
         (deflated, rerun, Some(attempt))
     }
 
@@ -1222,7 +1172,10 @@ impl Batch<'_> {
         let offered = self.jobs.iter().map(|j| j.name.as_str());
         let mut ledger = TenantLedger::fold(offered, self.decisions);
         let stats = ServerStats::sum(ledger.tenants.values());
-        let metrics = cfg.collect_metrics.then(|| server_metrics(&stats, &ledger));
+        let metrics = self
+            .engine
+            .collect_metrics
+            .then(|| server_metrics(&stats, &ledger));
         let ledger = cfg.collect_ledger.then(|| {
             // Pool hits credit the tenant only where the lane's result
             // was served; a discarded lane's stay schedule-level totals.
@@ -1343,7 +1296,6 @@ fn server_metrics(stats: &ServerStats, ledger: &TenantLedger) -> MetricsSnapshot
 fn prerun(
     db: &Database,
     specs: &[PreparedQuery],
-    tracer: &Tracer,
     mode: Concurrency,
 ) -> (Vec<Option<LaneOutcome>>, Vec<usize>) {
     match mode {
@@ -1355,7 +1307,7 @@ fn prerun(
                     .filter_map(|name| db.catalog().relation(name))
                     .map(|file| file.file_id()),
             );
-            let (outs, order) = run_interleaved(db, specs, tracer, broker);
+            let (outs, order) = run_interleaved(db, specs, broker);
             (outs.into_iter().map(Some).collect(), order)
         }
         Concurrency::Sequential => (specs.iter().map(|_| None).collect(), Vec::new()),
@@ -1364,18 +1316,16 @@ fn prerun(
 
 /// Admission's three checks, in order: the projected grant against the
 /// job's declared minimum; the aggregate against its expression (a bad
-/// column or group key fails here, charge-free); and — under QCOST
-/// screening, which also catches a broken expression — the floor of
-/// the expression against the grant. A job that cannot fit even on an
-/// idle server is infeasible; one squeezed out by admitted load is
-/// overloaded.
+/// column or group key fails here, charge-free); and the QCOST floor of
+/// the expression — pricing it also catches a broken expression —
+/// against the grant. A job that cannot fit even on an idle server is
+/// infeasible; one squeezed out by admitted load is overloaded.
 fn admission_verdict(
-    cfg: &ServerConfig,
     db: &Database,
+    engine: &EngineConfig,
     job: &ServerJob,
     grant: Duration,
     alone: Duration,
-    model: &CostModel,
 ) -> Verdict {
     let squeezed = |fits_alone: bool| {
         if fits_alone {
@@ -1394,16 +1344,13 @@ fn admission_verdict(
     if let Err(e) = job.agg.validate(&job.expr, db.catalog()) {
         return Verdict::Fail(EngineError::Expr(e).to_string());
     }
-    if !cfg.qcost_admission {
-        return Verdict::Admit { floor: None };
-    }
-    match qcost_floor(db, &job.expr, model) {
+    match qcost_floor(db, &job.expr, engine) {
         Err(e) => Verdict::Fail(e.to_string()),
         Ok(floor) if floor > grant.as_secs_f64() => Verdict::Refuse {
             reason: squeezed(floor <= alone.as_secs_f64()),
             floor: Some(floor),
         },
-        Ok(floor) => Verdict::Admit { floor: Some(floor) },
+        Ok(floor) => Verdict::Admit { floor },
     }
 }
 
@@ -1425,14 +1372,14 @@ fn watchdog_trips(spent: Duration, quota: Duration) -> bool {
 }
 
 /// The quota a job starting at `start` would be granted: its desired
-/// quota, capped by `slack × margin / overrun-factor`. Dividing by
+/// quota, capped by `slack × SLACK_MARGIN / overrun-factor`. Dividing by
 /// the refit factor is what turns fault storms into coarser (not
 /// later) answers: expected spend `grant × factor` stays within the
 /// margined slack.
-fn grant_for(job: &ServerJob, start: Duration, margin: f64, factor: f64) -> Duration {
+fn grant_for(job: &ServerJob, start: Duration, factor: f64) -> Duration {
     let slack = job.deadline.saturating_sub(start);
     job.desired_quota
-        .min(scale(slack, margin / factor.max(1.0)))
+        .min(scale(slack, SLACK_MARGIN / factor.max(1.0)))
 }
 
 /// Walks the pending queue's projected timeline from `now`; returns
@@ -1455,13 +1402,12 @@ fn first_infeasible(
     pending: &[usize],
     quotas: &[Duration],
     now: Duration,
-    margin: f64,
     factor: f64,
 ) -> Option<usize> {
     let mut t = now;
     for (pos, &idx) in pending.iter().enumerate() {
         let job = &jobs[idx];
-        let grant = grant_for(job, t, margin, factor);
+        let grant = grant_for(job, t, factor);
         if grant < job.min_quota {
             return Some(pos);
         }
@@ -1483,7 +1429,6 @@ fn pick_victim(
     jobs: &[ServerJob],
     pending: &[usize],
     now: Duration,
-    margin: f64,
     factor: f64,
     pos: usize,
 ) -> usize {
@@ -1502,38 +1447,23 @@ fn pick_victim(
             best_score = score;
             best = p;
         }
-        t += scale(grant_for(job, t, margin, factor), factor);
+        t += scale(grant_for(job, t, factor), factor);
     }
     best
 }
 
 /// The QCOST floor of an expression: the predicted cost of the
 /// minimum stage (one block per operand relation plus stage
-/// overhead), in seconds. Charge-free and O(plan), not O(relation):
-/// compiling a [`PhysTree`] only builds trackers and samplers that
+/// overhead), in seconds, priced on the trees the lane will run.
+/// Charge-free and O(plan), not O(relation): compiling a
+/// [`crate::ops::PhysTree`] only builds trackers and samplers that
 /// have yet to draw their permutation, and the fixed seed cannot
 /// influence the population geometry the prediction walk reads.
-fn qcost_floor(db: &Database, expr: &Expr, model: &CostModel) -> Result<f64, EngineError> {
-    let catalog = db.catalog();
-    // Priced on the tree the lane will run: selections pushed, as the
-    // executor does by default.
-    let expr = push_selections(expr.clone(), &|name| {
-        catalog.schema_of(name).map(eram_storage::Schema::arity)
-    });
-    let rewrite = PieRewrite::rewrite(&expr)?;
+fn qcost_floor(db: &Database, expr: &Expr, engine: &EngineConfig) -> Result<f64, EngineError> {
     let mut rng = Rng::seed_from_u64(0xADA1_5510);
-    let mut trees: Vec<PhysTree> = Vec::with_capacity(rewrite.terms.len());
-    for term in &rewrite.terms {
-        trees.push(PhysTree::build(
-            &term.expr,
-            catalog,
-            db.disk(),
-            &SelectivityDefaults::default(),
-            Fulfillment::Full,
-            &mut rng,
-        )?);
-    }
-    Ok(predict_stage(&trees, 0.0, model, &SelPolicy::Mean).cost_secs)
+    let (_, trees) = compile_terms(expr, db.catalog(), db.disk(), engine, &mut rng)?;
+    let model = engine.initial_cost_model();
+    Ok(predict_stage(&trees, 0.0, &model, &SelPolicy::Mean).cost_secs)
 }
 
 /// The report of a job that got no answer — refused or shed (the
@@ -1566,6 +1496,7 @@ fn scale(d: Duration, x: f64) -> Duration {
 mod tests {
     use super::*;
     use crate::obs::TraceRecord;
+    use crate::ops::MemoryMode;
     use eram_relalg::{CmpOp, Predicate};
     use eram_storage::{ColumnType, FaultPlan, Schema, Tuple, Value};
 
@@ -1705,16 +1636,27 @@ mod tests {
                 reason: RefusalReason::Infeasible
             }
         );
-        // With screening off the same job is admitted (and burns its
-        // quota for a worthless answer — exactly what the floor check
-        // exists to prevent).
-        let mut db = self::db(20);
-        let job = ServerJob::count("below-floor", sel(5), Duration::from_millis(300))
-            .with_min_quota(Duration::from_millis(1));
-        let outcome = QueryServer::new()
-            .qcost_admission(false)
-            .run(&mut db, vec![job]);
-        assert_eq!(outcome.stats.admitted, 1);
+    }
+
+    /// The lanes run under the server's [`EngineConfig`], whatever it
+    /// sets: a join served with main-memory evaluation writes no run
+    /// files, where the default (disk-resident) one does.
+    #[test]
+    fn lanes_run_under_the_servers_engine_config() {
+        let block_writes = |memory: MemoryMode| {
+            let mut db = db(24);
+            let join = Expr::relation("t").join(Expr::relation("t"), vec![(0, 0)]);
+            let mut server = QueryServer::new().metrics(true);
+            server.config.engine.memory = memory;
+            let job = ServerJob::count("join", join, Duration::from_secs(30));
+            let outcome = server.run(&mut db, vec![job]);
+            let report = outcome.jobs[0].report.as_ref().expect("the join ran");
+            assert!(report.completed_stages() >= 1);
+            let metrics = report.metrics.as_ref().expect("metrics were requested");
+            metrics.counter("storage.block_writes")
+        };
+        assert!(block_writes(MemoryMode::DiskResident) > 0);
+        assert_eq!(block_writes(MemoryMode::MainMemory), 0);
     }
 
     #[test]
@@ -2042,7 +1984,7 @@ mod tests {
         assert_eq!(refusal.reason, Some(RefusalReason::Infeasible));
         assert!(refusal.grant_ns.is_some());
         assert!(refusal.min_quota_ns.is_some());
-        assert_eq!(refusal.margin, Some(0.9));
+        assert_eq!(refusal.margin, Some(SLACK_MARGIN));
     }
 
     /// The acceptance criterion: the ledger is pure observation. The
@@ -2194,7 +2136,7 @@ mod tests {
         let quotas = demo_quotas();
         // a occupies [0, 9], b [9, 18.9]; c's grant ≈ 1.44 < 3.
         assert_eq!(
-            first_infeasible(&jobs, &pending, &quotas, Duration::ZERO, 0.9, 1.0),
+            first_infeasible(&jobs, &pending, &quotas, Duration::ZERO, 1.0),
             Some(2)
         );
         // Without c's steep minimum the queue fits: every grant
@@ -2206,7 +2148,7 @@ mod tests {
             demand("c", 20.5, 1.0, 1.0),
         ];
         assert_eq!(
-            first_infeasible(&jobs2, &pending, &quotas, Duration::ZERO, 0.9, 1.0),
+            first_infeasible(&jobs2, &pending, &quotas, Duration::ZERO, 1.0),
             None
         );
         // A higher overrun factor inflates every fixed quota's
@@ -2214,7 +2156,7 @@ mod tests {
         // spend against a 10-second deadline, so the head of the
         // queue is the first overcommit.
         assert_eq!(
-            first_infeasible(&jobs2, &pending, &quotas, Duration::ZERO, 0.9, 2.0),
+            first_infeasible(&jobs2, &pending, &quotas, Duration::ZERO, 2.0),
             Some(0),
             "factor 2 must find the overcommit at the head"
         );
@@ -2231,10 +2173,9 @@ mod tests {
             demand("c", 20.5, 3.0, 4.0),
         ];
         let pending = [0usize, 1, 2];
-        let pos =
-            first_infeasible(&jobs, &pending, &demo_quotas(), Duration::ZERO, 0.9, 1.0).unwrap();
+        let pos = first_infeasible(&jobs, &pending, &demo_quotas(), Duration::ZERO, 1.0).unwrap();
         assert_eq!(pos, 2);
-        let victim = pick_victim(&jobs, &pending, Duration::ZERO, 0.9, 1.0, pos);
+        let victim = pick_victim(&jobs, &pending, Duration::ZERO, 1.0, pos);
         assert_eq!(jobs[pending[victim]].name, "b");
         // If the infeasible job itself is the cheapest, it is its own
         // victim.
@@ -2243,11 +2184,11 @@ mod tests {
             demand("b", 20.0, 1.0, 5.0),
             demand("c", 20.5, 3.0, 0.01),
         ];
-        let victim = pick_victim(&jobs, &pending, Duration::ZERO, 0.9, 1.0, 2);
+        let victim = pick_victim(&jobs, &pending, Duration::ZERO, 1.0, 2);
         assert_eq!(jobs[pending[victim]].name, "c");
         // Jobs after the gap are never candidates: with pos 0, only
         // the head can be evicted.
-        let victim = pick_victim(&jobs, &pending, Duration::ZERO, 0.9, 1.0, 0);
+        let victim = pick_victim(&jobs, &pending, Duration::ZERO, 1.0, 0);
         assert_eq!(victim, 0);
     }
 
@@ -2261,30 +2202,24 @@ mod tests {
         let pending = [0usize, 1];
         // a: slack 10 at t=0, grant 9 → b starts at 9, slack 10.
         // Scores tie at 0.1; the later (greater position) wins.
-        let victim = pick_victim(&jobs, &pending, Duration::ZERO, 0.9, 1.0, 1);
+        let victim = pick_victim(&jobs, &pending, Duration::ZERO, 1.0, 1);
         assert_eq!(jobs[pending[victim]].name, "b");
     }
 
     #[test]
     fn grant_shrinks_under_the_refit_factor() {
         let job = demand("a", 10.0, 0.1, 1.0);
-        let clean = grant_for(&job, Duration::ZERO, 0.9, 1.0);
-        let stormy = grant_for(&job, Duration::ZERO, 0.9, 2.0);
+        let clean = grant_for(&job, Duration::ZERO, 1.0);
+        let stormy = grant_for(&job, Duration::ZERO, 2.0);
         assert_eq!(clean, Duration::from_secs_f64(9.0));
         assert_eq!(stormy, Duration::from_secs_f64(4.5));
         // The factor never inflates a grant past the margined slack.
-        assert_eq!(grant_for(&job, Duration::ZERO, 0.9, 0.5), clean);
+        assert_eq!(grant_for(&job, Duration::ZERO, 0.5), clean);
         // A desired quota caps the grant even when slack is plentiful.
         let modest = job.with_desired_quota(Duration::from_secs(2));
         assert_eq!(
-            grant_for(&modest, Duration::ZERO, 0.9, 1.0),
+            grant_for(&modest, Duration::ZERO, 1.0),
             Duration::from_secs(2)
         );
-    }
-
-    #[test]
-    #[should_panic]
-    fn margin_bounds_enforced() {
-        let _ = QueryServer::new().slack_margin(1.5);
     }
 }

@@ -15,93 +15,17 @@ use eram_storage::{
 };
 
 use crate::aggregate::AggregateFn;
+use crate::config::EngineConfig;
 use crate::costs::CostModel;
-use crate::executor::{execute_aggregate, EngineError, ExecOutcome, StageRun};
+use crate::executor::{EngineError, ExecOutcome, StageRun};
 use crate::obs::{Profiler, Tracer};
-use crate::ops::{BlockLayout, Fulfillment, MemoryMode, DEFAULT_RUN_CACHE_TUPLES};
+use crate::ops::{BlockLayout, Fulfillment};
 use crate::retry::RetryPolicy;
-use crate::seltrack::SelectivityDefaults;
 use crate::stopping::StoppingCriterion;
-use crate::strategy::{OneAtATimeInterval, TimeControlStrategy};
+use crate::strategy::TimeControlStrategy;
 
 /// The result of a time-constrained count (re-exported outcome type).
 pub type TimedCount = ExecOutcome;
-
-/// Tunables for a count query, independent of the quota.
-pub struct QueryConfig {
-    /// The time-control strategy.
-    pub strategy: Box<dyn TimeControlStrategy>,
-    /// The stopping criterion.
-    pub stopping: StoppingCriterion,
-    /// Initial cost-model coefficients.
-    pub cost_model: CostModel,
-    /// Stage-1 selectivity assumptions.
-    pub defaults: SelectivityDefaults,
-    /// Binary-operator fulfillment plan.
-    pub fulfillment: Fulfillment,
-    /// Disk-resident or main-memory evaluation.
-    pub memory: MemoryMode,
-    /// Safety cap on stages.
-    pub max_stages: usize,
-    /// Distinct-count estimator for projection roots (Goodman's is
-    /// the paper's choice and the default; Chao1/jackknife are stable
-    /// alternatives for tiny sampling fractions).
-    pub distinct: eram_sampling::DistinctEstimator,
-    /// Spend unusable leftovers on a cheaper partial-fulfillment
-    /// stage (the paper's suggestion; off by default).
-    pub hybrid_leftover: bool,
-    /// Selection pushdown before compilation (on by default).
-    pub optimize: bool,
-    /// How transient storage faults are retried (backoff charged to
-    /// the query clock).
-    pub retry: RetryPolicy,
-    /// Execution tracer. Disabled by default; attach a recording
-    /// tracer to capture clock-charged spans and events.
-    pub tracer: Tracer,
-    /// Collect a [`crate::MetricsSnapshot`] into the report's
-    /// `metrics` field (off by default).
-    pub collect_metrics: bool,
-    /// Phase profiler for the performance flight recorder. Disabled
-    /// by default; attach a recording profiler to get a
-    /// [`crate::ProfileSnapshot`] in the report's `profile` field.
-    pub profiler: Profiler,
-    /// Worker threads for the pure-CPU portions of each stage (block
-    /// decode, run merges). Results are byte-identical at any worker
-    /// count; `1` (the default) runs everything inline.
-    pub workers: usize,
-    /// Bound (in tuples) on each binary node's decoded-run cache;
-    /// `0` disables it. Wall-clock only: cached runs still charge
-    /// their block reads, so results are byte-identical either way.
-    pub run_cache_tuples: usize,
-    /// Decode target for sampled blocks (row tuples or per-column
-    /// typed arrays). Wall-clock only: results are byte-identical
-    /// under either layout.
-    pub block_layout: BlockLayout,
-}
-
-impl Default for QueryConfig {
-    fn default() -> Self {
-        QueryConfig {
-            strategy: Box::new(OneAtATimeInterval::default()),
-            stopping: StoppingCriterion::HardDeadline,
-            cost_model: CostModel::generic_default(),
-            defaults: SelectivityDefaults::default(),
-            fulfillment: Fulfillment::Full,
-            memory: MemoryMode::DiskResident,
-            max_stages: 1_000,
-            distinct: eram_sampling::DistinctEstimator::Goodman,
-            hybrid_leftover: false,
-            optimize: true,
-            retry: RetryPolicy::default(),
-            tracer: Tracer::disabled(),
-            collect_metrics: false,
-            profiler: Profiler::disabled(),
-            workers: 1,
-            run_cache_tuples: DEFAULT_RUN_CACHE_TUPLES,
-            block_layout: BlockLayout::default(),
-        }
-    }
-}
 
 /// A self-contained ERAM instance: clock + device + catalog.
 pub struct Database {
@@ -115,18 +39,22 @@ pub struct Database {
 }
 
 impl Database {
-    /// A database on a simulated device with the given profile.
-    pub fn sim(profile: DeviceProfile, seed: u64) -> Self {
-        let seeds = SeedSeq::new(seed);
-        let clock: Arc<dyn Clock> = Arc::new(SimClock::new());
-        let disk = Disk::new(clock, profile, seeds.derive(0xD15C));
+    fn on(disk: Arc<Disk>, seeds: SeedSeq, default_cost_model: CostModel) -> Self {
         Database {
             disk,
             catalog: Catalog::new(),
             seeds,
             query_counter: 0,
-            default_cost_model: CostModel::generic_default(),
+            default_cost_model,
         }
+    }
+
+    /// A database on a simulated device with the given profile.
+    pub fn sim(profile: DeviceProfile, seed: u64) -> Self {
+        let seeds = SeedSeq::new(seed);
+        let clock: Arc<dyn Clock> = Arc::new(SimClock::new());
+        let disk = Disk::new(clock, profile, seeds.derive(0xD15C));
+        Self::on(disk, seeds, CostModel::generic_default())
     }
 
     /// A database on the paper-calibrated simulated SUN 3/60.
@@ -143,13 +71,7 @@ impl Database {
         let seeds = SeedSeq::new(seed);
         let clock: Arc<dyn Clock> = Arc::new(SimClock::new());
         let disk = Disk::new_cached(clock, profile, seeds.derive(0xD15C), cache_blocks);
-        Database {
-            disk,
-            catalog: Catalog::new(),
-            seeds,
-            query_counter: 0,
-            default_cost_model: CostModel::generic_default(),
-        }
+        Self::on(disk, seeds, CostModel::generic_default())
     }
 
     /// A database on the simulated *modern* device
@@ -163,17 +85,22 @@ impl Database {
 
     /// Replaces the initial cost model handed to new queries. Use
     /// when the device's cost scale differs from the profile preset
-    /// (queries can still override per-query via
-    /// [`CountQuery::cost_model`]).
+    /// (a query can still carry its own in
+    /// [`EngineConfig::cost_model`]).
     pub fn set_default_cost_model(&mut self, model: CostModel) {
         self.default_cost_model = model;
     }
 
-    /// The initial cost model handed to new queries — the same
-    /// coefficients [`crate::server::QueryServer`] uses for
-    /// QCOST-predictive admission unless its config overrides them.
-    pub fn default_cost_model(&self) -> &CostModel {
-        &self.default_cost_model
+    /// `config` calibrated to this database's device: a config that
+    /// names no cost model of its own gets the database's default.
+    /// Every run a database starts — the query builder's, the
+    /// server's admission pricing and its lanes — passes through
+    /// here, so the default is resolved in one place.
+    pub fn calibrated(&self, mut config: EngineConfig) -> EngineConfig {
+        config
+            .cost_model
+            .get_or_insert_with(|| self.default_cost_model.clone());
+        config
     }
 
     /// A simulated database whose blocks live in real files under
@@ -187,13 +114,7 @@ impl Database {
         let seeds = SeedSeq::new(seed);
         let clock: Arc<dyn Clock> = Arc::new(SimClock::new());
         let disk = Disk::file_backed(clock, profile, seeds.derive(0xD15C), dir)?;
-        Ok(Database {
-            disk,
-            catalog: Catalog::new(),
-            seeds,
-            query_counter: 0,
-            default_cost_model: CostModel::generic_default(),
-        })
+        Ok(Self::on(disk, seeds, CostModel::generic_default()))
     }
 
     /// A database measuring real wall-clock time (charges are free;
@@ -202,13 +123,7 @@ impl Database {
         let seeds = SeedSeq::new(seed);
         let clock: Arc<dyn Clock> = Arc::new(WallClock::new());
         let disk = Disk::new(clock, DeviceProfile::sun_3_60(), seeds.derive(0xD15C));
-        Database {
-            disk,
-            catalog: Catalog::new(),
-            seeds,
-            query_counter: 0,
-            default_cost_model: CostModel::modern_default(),
-        }
+        Self::on(disk, seeds, CostModel::modern_default())
     }
 
     /// Loads (or replaces) a base relation.
@@ -231,22 +146,6 @@ impl Database {
         let hf = HeapFile::load(self.disk.clone(), schema, tuples)?;
         self.catalog.register(name, hf);
         Ok(())
-    }
-
-    /// Loads a relation from a CSV file (see
-    /// [`eram_storage::read_csv`] for the dialect).
-    pub fn load_csv(
-        &mut self,
-        name: impl Into<String>,
-        schema: Schema,
-        path: &std::path::Path,
-        has_header: bool,
-    ) -> Result<usize, eram_storage::StorageError> {
-        let file = std::fs::File::open(path)?;
-        let tuples = eram_storage::read_csv(std::io::BufReader::new(file), &schema, has_header)?;
-        let n = tuples.len();
-        self.load_relation(name, schema, tuples)?;
-        Ok(n)
     }
 
     /// Loads a relation from a file in any supported ingest format
@@ -320,48 +219,28 @@ impl Database {
         self.aggregate(AggregateFn::Avg { column }, expr)
     }
 
-    /// Begins a time-constrained aggregate of `expr`.
+    /// Begins a time-constrained aggregate of `expr` under the
+    /// engine's default settings.
     pub fn aggregate(&mut self, agg: AggregateFn, expr: Expr) -> CountQuery<'_> {
-        let seed = self.next_query_seed();
-        let config = QueryConfig {
-            cost_model: self.default_cost_model.clone(),
-            ..QueryConfig::default()
-        };
-        CountQuery {
-            db: self,
-            expr,
-            agg,
-            quota: Duration::from_secs(1),
-            config,
-            seed,
-        }
+        let spec = self.prepare(agg, expr, EngineConfig::default());
+        CountQuery { db: self, spec }
     }
 
-    /// Draws the next per-query sampling seed — the same
-    /// counter-backed sequence [`Database::aggregate`] consumes, so
-    /// prepared and builder-style queries share one seed stream.
-    pub fn next_query_seed(&mut self) -> u64 {
+    /// Prepares a time-constrained aggregate under `config`
+    /// ([`Database::calibrated`] to this database) without borrowing
+    /// the database for its whole lifetime: the per-query seed is
+    /// drawn now (in call order), and the returned spec can later be
+    /// run on any view of this database's disk. The query server
+    /// prepares every admitted job up front in canonical admission
+    /// order, then executes each on its own lane.
+    pub fn prepare(&mut self, agg: AggregateFn, expr: Expr, config: EngineConfig) -> PreparedQuery {
         self.query_counter += 1;
-        self.seeds.derive(self.query_counter)
-    }
-
-    /// Prepares a time-constrained aggregate without borrowing the
-    /// database for its whole lifetime: the per-query seed is drawn
-    /// now (in call order), and the returned spec can later be run on
-    /// any view of this database's disk via [`PreparedQuery::start_on`].
-    /// The query server prepares every admitted job up front in
-    /// canonical admission order, then executes each on its own lane.
-    pub fn prepare(&mut self, agg: AggregateFn, expr: Expr) -> PreparedQuery {
-        let seed = self.next_query_seed();
         PreparedQuery {
             agg,
             expr,
             quota: Duration::from_secs(1),
-            seed,
-            config: QueryConfig {
-                cost_model: self.default_cost_model.clone(),
-                ..QueryConfig::default()
-            },
+            seed: self.seeds.derive(self.query_counter),
+            config: self.calibrated(config),
         }
     }
 }
@@ -374,81 +253,48 @@ impl std::fmt::Debug for Database {
     }
 }
 
-/// Builder for a time-constrained count query.
+/// Builder for a time-constrained count query: the database it runs
+/// on and the spec it is building.
 pub struct CountQuery<'db> {
     db: &'db Database,
-    expr: Expr,
-    agg: AggregateFn,
-    quota: Duration,
-    config: QueryConfig,
-    seed: u64,
+    spec: PreparedQuery,
 }
 
 impl CountQuery<'_> {
     /// Sets the time quota `T` (default 1 s).
     pub fn within(mut self, quota: Duration) -> Self {
-        self.quota = quota;
+        self.spec.quota = quota;
         self
     }
 
     /// Replaces the time-control strategy.
     pub fn strategy(mut self, strategy: impl TimeControlStrategy + 'static) -> Self {
-        self.config.strategy = Box::new(strategy);
+        self.spec.config.strategy = Arc::new(strategy);
         self
     }
 
     /// Replaces the stopping criterion.
     pub fn stopping(mut self, stopping: StoppingCriterion) -> Self {
-        self.config.stopping = stopping;
-        self
-    }
-
-    /// Replaces the initial cost model.
-    pub fn cost_model(mut self, model: CostModel) -> Self {
-        self.config.cost_model = model;
-        self
-    }
-
-    /// Replaces the stage-1 selectivity assumptions.
-    pub fn initial_selectivities(mut self, defaults: SelectivityDefaults) -> Self {
-        self.config.defaults = defaults;
+        self.spec.config.stopping = stopping;
         self
     }
 
     /// Chooses the fulfillment plan.
     pub fn fulfillment(mut self, fulfillment: Fulfillment) -> Self {
-        self.config.fulfillment = fulfillment;
-        self
-    }
-
-    /// Spends unusable leftover quota on a partial-fulfillment stage.
-    pub fn hybrid_leftover(mut self, on: bool) -> Self {
-        self.config.hybrid_leftover = on;
-        self
-    }
-
-    /// Chooses disk-resident (default) or main-memory evaluation.
-    pub fn memory_mode(mut self, memory: MemoryMode) -> Self {
-        self.config.memory = memory;
-        self
-    }
-
-    /// Chooses the distinct-count estimator for projection roots.
-    pub fn distinct_estimator(mut self, distinct: eram_sampling::DistinctEstimator) -> Self {
-        self.config.distinct = distinct;
+        self.spec.config.fulfillment = fulfillment;
         self
     }
 
     /// Overrides the sampling seed (defaults to a per-query seed
     /// derived from the database seed).
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.spec.seed = seed;
         self
     }
 
     /// Replaces the retry policy for transient storage faults.
     pub fn retry(mut self, retry: RetryPolicy) -> Self {
-        self.config.retry = retry;
+        self.spec.config.retry = retry;
         self
     }
 
@@ -458,14 +304,14 @@ impl CountQuery<'_> {
     /// charged time. Call after [`CountQuery::config`], which replaces
     /// the whole config including the tracer.
     pub fn tracer(mut self, tracer: Tracer) -> Self {
-        self.config.tracer = tracer;
+        self.spec.config.tracer = tracer;
         self
     }
 
     /// Enables metrics collection: the report's `metrics` field gets a
     /// [`crate::MetricsSnapshot`] of storage and stage-loop counters.
     pub fn metrics(mut self, on: bool) -> Self {
-        self.config.collect_metrics = on;
+        self.spec.config.collect_metrics = on;
         self
     }
 
@@ -476,7 +322,7 @@ impl CountQuery<'_> {
     /// pure observation — seeded results are byte-identical with it
     /// on or off.
     pub fn profiler(mut self, profiler: Profiler) -> Self {
-        self.config.profiler = profiler;
+        self.spec.config.profiler = profiler;
         self
     }
 
@@ -485,7 +331,7 @@ impl CountQuery<'_> {
     /// any worker count; values above 1 only change wall-clock time.
     /// Zero is treated as 1.
     pub fn workers(mut self, workers: usize) -> Self {
-        self.config.workers = workers.max(1);
+        self.spec.config.workers = workers;
         self
     }
 
@@ -494,7 +340,7 @@ impl CountQuery<'_> {
     /// runs — every block read is still charged — so estimates,
     /// reports, and traces are byte-identical at any setting.
     pub fn run_cache(mut self, tuples: usize) -> Self {
-        self.config.run_cache_tuples = tuples;
+        self.spec.config.run_cache_tuples = tuples;
         self
     }
 
@@ -503,35 +349,31 @@ impl CountQuery<'_> {
     /// selection. Estimates, reports, and traces are byte-identical
     /// under either layout; only wall-clock time changes.
     pub fn block_layout(mut self, layout: BlockLayout) -> Self {
-        self.config.block_layout = layout;
+        self.spec.config.block_layout = layout;
         self
     }
 
-    /// Replaces the whole config in one call.
-    pub fn config(mut self, config: QueryConfig) -> Self {
-        self.config = config;
+    /// Replaces the whole config in one call (every setting is a
+    /// public field of [`EngineConfig`]).
+    pub fn config(mut self, config: EngineConfig) -> Self {
+        self.spec.config = self.db.calibrated(config);
         self
     }
 
     /// Runs the stage loop.
     pub fn run(self) -> Result<TimedCount, EngineError> {
-        execute_aggregate(
-            &self.db.disk,
-            &self.db.catalog,
-            &self.expr,
-            self.agg,
-            self.quota,
-            &self.config,
-            self.seed,
-        )
+        self.spec.run(&self.db.disk, &self.db.catalog)
     }
 }
 
-/// A query detached from the [`Database`] borrow: the aggregate, the
-/// expression, a quota, a per-query seed already drawn from the
-/// database's seed sequence, and a full [`QueryConfig`]. Built by
-/// [`Database::prepare`]; executed — possibly on a per-job lane view
-/// of the shared disk — via [`PreparedQuery::start_on`].
+/// The one description of a run: the aggregate, the expression, the
+/// quota, the sampling seed and the [`EngineConfig`]. Built by
+/// [`Database::prepare`] (seed drawn from the database's sequence,
+/// config calibrated to its device) or spelled out field by field;
+/// executed by [`PreparedQuery::run`], or a stage at a time through
+/// [`StageRun::start`] — possibly on a per-job lane view of the
+/// shared disk.
+#[derive(Debug, Clone)]
 pub struct PreparedQuery {
     /// The aggregate to estimate.
     pub agg: AggregateFn,
@@ -539,41 +381,26 @@ pub struct PreparedQuery {
     pub expr: Expr,
     /// The time quota `T` (default 1 s).
     pub quota: Duration,
-    /// The sampling seed (drawn at preparation time).
+    /// The sampling seed (seeds the block samplers).
     pub seed: u64,
-    /// Tunables; fields are public for direct adjustment.
-    pub config: QueryConfig,
+    /// The engine's settings for this run; spans and events go to
+    /// its tracer.
+    pub config: EngineConfig,
 }
 
 impl PreparedQuery {
-    /// Opens the stage loop against `disk` and `catalog` as a
-    /// [`StageRun`] the caller steps. The catalog's relations are
-    /// re-based onto `disk` for sampling (see the leaf handling in the
-    /// executor), so passing a lane view of the loading disk charges
-    /// this query's own clock while reading the shared backend bytes.
-    /// `tracer` replaces the config's tracer.
-    pub fn start_on(
-        &self,
-        disk: &Arc<Disk>,
-        catalog: &Catalog,
-        tracer: Tracer,
-    ) -> Result<StageRun<'_>, EngineError> {
-        StageRun::start(
-            disk,
-            catalog,
-            &self.expr,
-            self.agg,
-            self.quota,
-            &self.config,
-            self.seed,
-            tracer,
-        )
+    /// Runs the stage loop to completion against `catalog` on `disk`.
+    pub fn run(&self, disk: &Arc<Disk>, catalog: &Catalog) -> Result<ExecOutcome, EngineError> {
+        let mut run = StageRun::start(disk, catalog, self)?;
+        while run.step()? {}
+        Ok(run.finish())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::strategy::OneAtATimeInterval;
     use eram_relalg::{CmpOp, Predicate};
     use eram_storage::{ColumnType, Json, Value};
 

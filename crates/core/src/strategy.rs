@@ -51,7 +51,7 @@ pub struct StagePlan {
 }
 
 /// Chooses the sample fraction for each stage (or stops the loop).
-pub trait TimeControlStrategy: Send + Sync {
+pub trait TimeControlStrategy: Send + Sync + std::fmt::Debug {
     /// A short name for reports.
     fn name(&self) -> &'static str;
 
@@ -332,7 +332,8 @@ impl TimeControlStrategy for HeuristicStrategy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::{Fulfillment, PhysTree, StageEnv};
+    use crate::config::EngineConfig;
+    use crate::ops::StageEnv;
     use eram_relalg::{Catalog, CmpOp, Expr, Predicate};
     use eram_storage::Rng;
     use eram_storage::{ColumnType, DeviceProfile, Disk, HeapFile, Schema, SimClock, Tuple, Value};
@@ -359,15 +360,8 @@ mod tests {
 
     fn select_tree(disk: &Arc<Disk>, cat: &Catalog) -> PhysTree {
         let expr = Expr::relation("r").select(Predicate::col_cmp(1, CmpOp::Lt, 5));
-        PhysTree::build(
-            &expr,
-            cat,
-            disk,
-            &SelectivityDefaults::default(),
-            Fulfillment::Full,
-            &mut Rng::seed_from_u64(17),
-        )
-        .unwrap()
+        let cfg = EngineConfig::default();
+        PhysTree::build(&expr, cat, disk, &cfg, &mut Rng::seed_from_u64(17)).unwrap()
     }
 
     #[test]
@@ -389,7 +383,8 @@ mod tests {
         let (disk, cat) = setup();
         let mut tree = select_tree(&disk, &cat);
         // Observe some data so inflation differs from the mean.
-        let mut env = StageEnv::new(disk.clone(), None, 0.005);
+        let cfg = EngineConfig::default();
+        let mut env = StageEnv::new(disk.clone(), &cfg, None, 0.005);
         tree.advance(&mut env).unwrap();
         let trees = [tree];
         let model = CostModel::generic_default();
@@ -428,7 +423,8 @@ mod tests {
     fn single_interval_reserves_headroom() {
         let (disk, cat) = setup();
         let mut tree = select_tree(&disk, &cat);
-        let mut env = StageEnv::new(disk.clone(), None, 0.005);
+        let cfg = EngineConfig::default();
+        let mut env = StageEnv::new(disk.clone(), &cfg, None, 0.005);
         tree.advance(&mut env).unwrap();
         let trees = [tree];
         let model = CostModel::generic_default();

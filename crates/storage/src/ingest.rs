@@ -1,11 +1,12 @@
 //! Pluggable relation ingestion.
 //!
-//! Base relations were historically loaded from CSV only
-//! ([`crate::csv::read_csv`]). This module generalizes loading into a
-//! [`TupleSource`] trait — parse a byte stream into schema-conforming
-//! [`Tuple`]s — with three built-in sources:
+//! Loading is a [`TupleSource`] — parse a byte stream into
+//! schema-conforming [`Tuple`]s — with three built-in sources:
 //!
-//! * [`CsvSource`] — the existing CSV reader, unchanged;
+//! * [`CsvSource`] — the common CSV subset: comma separation,
+//!   `"`-quoted fields with `""` escapes, an optional header row.
+//!   Deliberately small — a loading convenience for the examples and
+//!   the CLI, not a general CSV library;
 //! * [`JsonLinesSource`] — one JSON value per line, either an object
 //!   keyed by column name or an array in column order, parsed by the
 //!   workspace's one JSON reader ([`mod@crate::json`]);
@@ -23,7 +24,6 @@
 
 use std::io::BufRead;
 
-use crate::csv::read_csv;
 use crate::error::StorageError;
 use crate::json::Json;
 use crate::schema::{ColumnType, Schema};
@@ -91,7 +91,10 @@ pub fn read_tuples(
     format.source().read(reader, schema)
 }
 
-/// The existing CSV reader behind the [`TupleSource`] interface.
+/// Comma-separated records, one per line, parsed per column as the
+/// schema says. Every record must have exactly the schema's arity;
+/// values are validated against the column types (including fixed
+/// string widths). Blank lines are skipped.
 #[derive(Debug, Clone, Copy)]
 pub struct CsvSource {
     /// True when the first non-empty line is a header to skip.
@@ -104,7 +107,93 @@ impl TupleSource for CsvSource {
     }
 
     fn read(&self, reader: &mut dyn BufRead, schema: &Schema) -> Result<Vec<Tuple>> {
-        read_csv(reader, schema, self.has_header)
+        let mut tuples = Vec::new();
+        let mut skipped_header = !self.has_header;
+        for (i, line) in reader.lines().enumerate() {
+            let line_no = i + 1;
+            let line = line?;
+            if line.trim().is_empty() {
+                continue;
+            }
+            if !skipped_header {
+                skipped_header = true;
+                continue;
+            }
+            let fields = split_csv_record(&line)?;
+            if fields.len() != schema.arity() {
+                return Err(StorageError::io(format!(
+                    "CSV line {line_no}: {} fields, schema expects {}",
+                    fields.len(),
+                    schema.arity()
+                )));
+            }
+            let values: Result<Vec<Value>> = fields
+                .iter()
+                .zip(schema.columns())
+                .map(|(f, col)| parse_csv_value(f, col.ty, line_no))
+                .collect();
+            let tuple = Tuple::new(values?);
+            schema.check_tuple(&tuple)?;
+            tuples.push(tuple);
+        }
+        Ok(tuples)
+    }
+}
+
+/// Splits one CSV record into fields (RFC-4180-style quoting).
+fn split_csv_record(line: &str) -> Result<Vec<String>> {
+    let mut fields = Vec::new();
+    let mut field = String::new();
+    let mut chars = line.chars().peekable();
+    let mut in_quotes = false;
+    while let Some(c) = chars.next() {
+        if in_quotes {
+            match c {
+                '"' if chars.peek() == Some(&'"') => {
+                    chars.next();
+                    field.push('"');
+                }
+                '"' => in_quotes = false,
+                other => field.push(other),
+            }
+        } else {
+            match c {
+                '"' if field.is_empty() => in_quotes = true,
+                ',' => fields.push(std::mem::take(&mut field)),
+                other => field.push(other),
+            }
+        }
+    }
+    if in_quotes {
+        return Err(StorageError::io("unterminated quoted CSV field"));
+    }
+    fields.push(field);
+    Ok(fields)
+}
+
+fn parse_csv_value(text: &str, ty: ColumnType, line_no: usize) -> Result<Value> {
+    let err = |what: &str| {
+        StorageError::io(format!(
+            "CSV line {line_no}: cannot parse {text:?} as {what}"
+        ))
+    };
+    match ty {
+        ColumnType::Int => text
+            .trim()
+            .parse::<i64>()
+            .map(Value::Int)
+            .map_err(|_| err("integer")),
+        ColumnType::Float => text
+            .trim()
+            .parse::<f64>()
+            .map(Value::Float)
+            .map_err(|_| err("float")),
+        ColumnType::Bool => match text.trim().to_ascii_lowercase().as_str() {
+            "true" | "1" | "yes" => Ok(Value::Bool(true)),
+            "false" | "0" | "no" => Ok(Value::Bool(false)),
+            _ => Err(err("boolean")),
+        },
+        ColumnType::Str { .. } => Ok(Value::Str(text.to_owned())),
     }
 }
 
@@ -461,17 +550,55 @@ mod tests {
         assert!(IngestFormat::parse("orc").is_err());
     }
 
+    fn csv_rows(text: &str, has_header: bool) -> Result<Vec<Tuple>> {
+        let format = IngestFormat::Csv { has_header };
+        read_tuples(format, &mut Cursor::new(text), &schema())
+    }
+
     #[test]
-    fn csv_source_matches_read_csv() {
+    fn csv_parses_plain_records() {
         let csv = "id,price,ok,name\n1,2.5,true,ada\n2,3.0,no,bob\n";
-        let via_source = read_tuples(
-            IngestFormat::Csv { has_header: true },
-            &mut Cursor::new(csv),
-            &schema(),
-        )
-        .unwrap();
-        let direct = read_csv(Cursor::new(csv), &schema(), true).unwrap();
-        assert_eq!(via_source, direct);
+        let rows = csv_rows(csv, true).unwrap();
+        assert_eq!(rows.len(), 2);
+        assert_eq!(rows[0].value(0), &Value::Int(1));
+        assert_eq!(rows[0].value(1), &Value::Float(2.5));
+        assert_eq!(rows[1].value(2), &Value::Bool(false));
+        assert_eq!(rows[1].value(3), &Value::Str("bob".into()));
+    }
+
+    #[test]
+    fn csv_quoted_fields_with_commas_and_escapes() {
+        let csv = r#"7,1.0,yes,"a,b ""q"""
+"#;
+        let rows = csv_rows(csv, false).unwrap();
+        assert_eq!(rows[0].value(3), &Value::Str("a,b \"q\"".into()));
+    }
+
+    #[test]
+    fn csv_blank_lines_are_skipped() {
+        let csv = "\n1,1.0,1,x\n\n2,2.0,0,y\n";
+        let rows = csv_rows(csv, false).unwrap();
+        assert_eq!(rows.len(), 2);
+    }
+
+    #[test]
+    fn csv_errors_carry_line_numbers() {
+        let csv = "1,1.0,true,x\nnope,2.0,true,y\n";
+        let err = csv_rows(csv, false).unwrap_err();
+        assert!(err.to_string().contains("line 2"), "{err}");
+
+        let short = "1,1.0\n";
+        let err = csv_rows(short, false).unwrap_err();
+        assert!(err.to_string().contains("2 fields"), "{err}");
+
+        let unterminated = "1,1.0,true,\"oops\n";
+        assert!(csv_rows(unterminated, false).is_err());
+    }
+
+    #[test]
+    fn csv_overlong_string_rejected_by_schema() {
+        let csv = "1,1.0,true,muchtoolongname\n";
+        assert!(csv_rows(csv, false).is_err());
     }
 
     #[test]

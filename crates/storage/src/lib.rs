@@ -44,7 +44,6 @@ pub mod cache;
 pub mod clock;
 pub mod columnar;
 pub mod cost;
-pub mod csv;
 pub mod disk;
 pub mod error;
 pub mod fault;
@@ -62,7 +61,6 @@ pub use cache::{BlockCache, RunCache};
 pub use clock::{Clock, Deadline, SimClock, WallClock};
 pub use columnar::{ColumnData, ColumnarBlock};
 pub use cost::{DeviceOp, DeviceProfile};
-pub use csv::{parse_schema_spec, read_csv};
 pub use disk::{Disk, DiskStats, FileId};
 pub use error::{IoFault, StorageError};
 pub use fault::{FaultPlan, FaultStats};
@@ -73,7 +71,7 @@ pub use ingest::{
 };
 pub use json::{FromJson, Json, JsonError, ToJson};
 pub use rng::{Rng, SeedSeq};
-pub use schema::{ColumnType, Schema};
+pub use schema::{parse_schema_spec, ColumnType, Schema};
 pub use sync::Mutex;
 pub use tuple::{Tuple, Value};
 

@@ -352,6 +352,48 @@ impl Schema {
     }
 }
 
+/// Parses a compact schema spec like `id:int,price:float,name:str16`
+/// (types: `int`, `float`, `bool`, `strN`), optionally padding
+/// records to `pad_to` bytes.
+pub fn parse_schema_spec(spec: &str, pad_to: Option<usize>) -> Result<Schema> {
+    let mut columns = Vec::new();
+    for part in spec.split(',') {
+        let (name, ty_text) = part
+            .split_once(':')
+            .ok_or_else(|| StorageError::io(format!("bad column spec {part:?}")))?;
+        let name = name.trim();
+        let ty_text = ty_text.trim();
+        let ty = match ty_text {
+            "int" => ColumnType::Int,
+            "float" => ColumnType::Float,
+            "bool" => ColumnType::Bool,
+            s if s.starts_with("str") => {
+                let width: u16 = s[3..]
+                    .parse()
+                    .map_err(|_| StorageError::io(format!("bad string width in {part:?}")))?;
+                ColumnType::Str { width }
+            }
+            _ => {
+                return Err(StorageError::io(format!(
+                    "unknown column type {ty_text:?} (use int, float, bool, strN)"
+                )))
+            }
+        };
+        if name.is_empty() {
+            return Err(StorageError::io(format!("empty column name in {part:?}")));
+        }
+        columns.push((name.to_owned(), ty));
+    }
+    if columns.is_empty() {
+        return Err(StorageError::io("empty schema spec"));
+    }
+    let schema = Schema::new(columns);
+    Ok(match pad_to {
+        Some(n) => schema.padded_to(n),
+        None => schema,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -481,5 +523,22 @@ mod tests {
         let s = sample_schema();
         assert_eq!(s.column_index("score"), Some(1));
         assert_eq!(s.column_index("missing"), None);
+    }
+
+    #[test]
+    fn schema_spec_round_trip() {
+        let s = parse_schema_spec("id:int,price:float,ok:bool,name:str8", None).unwrap();
+        assert_eq!(s.arity(), 4);
+        assert_eq!(s.columns()[3].ty, ColumnType::Str { width: 8 });
+        assert_eq!(s.columns()[0].name, "id");
+
+        let padded = parse_schema_spec("a:int", Some(200)).unwrap();
+        assert_eq!(padded.record_size(), 200);
+
+        assert!(parse_schema_spec("", None).is_err());
+        assert!(parse_schema_spec("a:int,b", None).is_err());
+        assert!(parse_schema_spec("a:uuid", None).is_err());
+        assert!(parse_schema_spec("a:strx", None).is_err());
+        assert!(parse_schema_spec(":int", None).is_err());
     }
 }

@@ -8,10 +8,11 @@
 //! cargo run --release --example strategy_shootout
 //! ```
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use eram_core::{
-    Database, HeuristicStrategy, OneAtATimeInterval, QueryConfig, SingleInterval,
+    Database, EngineConfig, HeuristicStrategy, OneAtATimeInterval, SingleInterval,
     StoppingCriterion, TimeControlStrategy,
 };
 use eram_relalg::{CmpOp, Expr, Predicate};
@@ -37,27 +38,27 @@ fn main() {
     );
     println!("{}", "-".repeat(82));
 
-    let strategies: Vec<(&str, Box<dyn TimeControlStrategy>)> = vec![
+    let strategies: Vec<(&str, Arc<dyn TimeControlStrategy>)> = vec![
         (
             "one-at-a-time (d_beta=0)",
-            Box::new(OneAtATimeInterval::new(0.0)),
+            Arc::new(OneAtATimeInterval::new(0.0)),
         ),
         (
             "one-at-a-time (d_beta=24)",
-            Box::new(OneAtATimeInterval::new(24.0)),
+            Arc::new(OneAtATimeInterval::new(24.0)),
         ),
-        ("single-interval (d=2)", Box::new(SingleInterval::new(2.0))),
+        ("single-interval (d=2)", Arc::new(SingleInterval::new(2.0))),
         (
             "heuristic (half, 1.25x)",
-            Box::new(HeuristicStrategy::new(0.5, 1.25)),
+            Arc::new(HeuristicStrategy::new(0.5, 1.25)),
         ),
     ];
 
     for (name, strategy) in strategies {
-        let config = QueryConfig {
+        let config = EngineConfig {
             strategy,
             stopping: StoppingCriterion::SoftDeadline,
-            ..QueryConfig::default()
+            ..EngineConfig::default()
         };
         let result = db
             .count(defective.clone())

@@ -11,18 +11,44 @@
 #
 # Usage: scripts/regen_results.sh [RUNS]
 #   RUNS defaults to 200 (the paper's trial count per row).
+#        scripts/regen_results.sh ci OUTDIR
+#   Only the fast sweeps, written to OUTDIR/BENCH_<suite>.json: what
+#   the bench-regression job runs and gates against results/ci/.
 set -eu
 
 cd "$(dirname "$0")/.."
-RUNS="${1:-200}"
-mkdir -p results results/ci
 
-run() {
+bench() {
     bin="$1"
     shift
-    echo "=== $bin $*" >&2
-    cargo run --release -p eram-bench --bin "$bin" -- "$@" \
-        > "results/$bin.txt"
+    cargo run --locked --offline --release -p eram-bench --bin "$bin" -- "$@"
+}
+
+# The gated suites and their flags, named here and nowhere else:
+# results/ci/ is this function's output, and the bench-regression job
+# calls it and compares (bench-diff matches the config section exactly).
+ci_sweeps() {
+    out="$1"
+    mkdir -p "$out"
+    for sweep in fig5_1_select:20 abl_faults:20 abl_parallel:5 fig5_3_join:20 \
+        abl_admission:5 abl_groupby:5 abl_layout:5; do
+        suite="${sweep%:*}"
+        echo "=== $suite --runs ${sweep#*:} (CI sweep)" >&2
+        bench "$suite" --runs "${sweep#*:}" --json "$out/BENCH_$suite.json" > /dev/null
+    done
+}
+
+if [ "${1:-}" = ci ]; then
+    ci_sweeps "${2:?usage: $0 ci OUTDIR}"
+    exit 0
+fi
+
+RUNS="${1:-200}"
+mkdir -p results
+
+run() {
+    echo "=== $*" >&2
+    bench "$@" > "results/$1.txt"
 }
 
 # Full sweeps: the paper tables plus BENCH_<suite>.json, both in
@@ -45,23 +71,6 @@ run abl_layout --runs 50
 # Whole-batch cells: the binary clamps runs to 20 internally.
 run abl_admission --runs 10
 
-# Fast CI baselines: MUST use the same flags as the bench-regression
-# job in .github/workflows/ci.yml (bench-diff compares the config
-# section exactly; changing either side means re-blessing the other).
-echo "=== CI baselines (fast sweeps)" >&2
-cargo run --release -p eram-bench --bin fig5_1_select -- \
-    --runs 20 --json results/ci/BENCH_fig5_1_select.json > /dev/null
-cargo run --release -p eram-bench --bin abl_faults -- \
-    --runs 20 --json results/ci/BENCH_abl_faults.json > /dev/null
-cargo run --release -p eram-bench --bin abl_parallel -- \
-    --runs 5 --json results/ci/BENCH_abl_parallel.json > /dev/null
-cargo run --release -p eram-bench --bin fig5_3_join -- \
-    --runs 20 --json results/ci/BENCH_fig5_3_join.json > /dev/null
-cargo run --release -p eram-bench --bin abl_admission -- \
-    --runs 5 --json results/ci/BENCH_abl_admission.json > /dev/null
-cargo run --release -p eram-bench --bin abl_groupby -- \
-    --runs 5 --json results/ci/BENCH_abl_groupby.json > /dev/null
-cargo run --release -p eram-bench --bin abl_layout -- \
-    --runs 5 --json results/ci/BENCH_abl_layout.json > /dev/null
+ci_sweeps results/ci
 
 echo "done — review git diff under results/ and commit" >&2

@@ -2,6 +2,7 @@
 //! terms → stage loop → estimate) against exact ground truth, across
 //! every operator, both clock modes, and all strategies.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use eram_bench::{Workload, WorkloadKind};
@@ -110,12 +111,12 @@ fn paper_workloads_estimate_within_quota() {
 /// view.
 #[test]
 fn all_strategies_run_the_paper_select() {
-    let strategies: Vec<Box<dyn eram_core::TimeControlStrategy>> = vec![
-        Box::new(OneAtATimeInterval::new(0.0)),
-        Box::new(OneAtATimeInterval::new(48.0)),
-        Box::new(SingleInterval::new(2.0)),
-        Box::new(HeuristicStrategy::new(0.5, 1.25)),
-        Box::new(HeuristicStrategy::probing(0.2, 1.1)),
+    let strategies: Vec<Arc<dyn eram_core::TimeControlStrategy>> = vec![
+        Arc::new(OneAtATimeInterval::new(0.0)),
+        Arc::new(OneAtATimeInterval::new(48.0)),
+        Arc::new(SingleInterval::new(2.0)),
+        Arc::new(HeuristicStrategy::new(0.5, 1.25)),
+        Arc::new(HeuristicStrategy::probing(0.2, 1.1)),
     ];
     for (i, strategy) in strategies.into_iter().enumerate() {
         let mut w = Workload::build(
@@ -124,7 +125,7 @@ fn all_strategies_run_the_paper_select() {
             },
             100 + i as u64,
         );
-        let config = eram_core::QueryConfig {
+        let config = eram_core::EngineConfig {
             strategy,
             ..Default::default()
         };

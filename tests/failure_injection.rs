@@ -9,11 +9,12 @@
 //! blocks flag the report as degraded, and identical seeds replay to
 //! bit-identical reports.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use testkit::prelude::*;
 
-use eram_core::{Database, EngineError, OneAtATimeInterval, QueryConfig, StoppingCriterion};
+use eram_core::{Database, EngineConfig, EngineError, OneAtATimeInterval, StoppingCriterion};
 use eram_relalg::{CmpOp, Expr, ExprError, Predicate};
 use eram_storage::{json, ColumnType, FaultPlan, Schema, Tuple, Value};
 
@@ -93,8 +94,8 @@ fn zero_quota() {
 #[test]
 fn max_stages_caps_the_loop() {
     let mut db = db_with(10_000, 5);
-    let config = QueryConfig {
-        strategy: Box::new(OneAtATimeInterval::new(72.0)),
+    let config = EngineConfig {
+        strategy: Arc::new(OneAtATimeInterval::new(72.0)),
         max_stages: 2,
         ..Default::default()
     };

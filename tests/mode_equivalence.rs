@@ -12,8 +12,8 @@ use std::sync::Arc;
 
 use testkit::prelude::*;
 
-use eram_core::ops::{Fulfillment, MemoryMode, PhysTree, PlanOptions, StageEnv};
-use eram_core::SelectivityDefaults;
+use eram_core::ops::{Fulfillment, MemoryMode, PhysTree, StageEnv};
+use eram_core::EngineConfig;
 use eram_relalg::{eval, Catalog, CmpOp, Expr, Predicate};
 use eram_storage::{
     ColumnType, DeviceProfile, Disk, HeapFile, Rng, Schema, SimClock, Tuple, Value,
@@ -71,23 +71,22 @@ fn drain(
     expr: &Expr,
     disk: &Arc<Disk>,
     cat: &Catalog,
-    options: PlanOptions,
+    fulfillment: Fulfillment,
+    memory: MemoryMode,
     seed: u64,
     fractions: &[f64],
 ) -> PhysTree {
-    let mut tree = PhysTree::build(
-        expr,
-        cat,
-        disk,
-        &SelectivityDefaults::default(),
-        options,
-        &mut Rng::seed_from_u64(seed),
-    )
-    .unwrap();
+    let config = EngineConfig {
+        fulfillment,
+        memory,
+        ..EngineConfig::default()
+    };
+    let mut tree =
+        PhysTree::build(expr, cat, disk, &config, &mut Rng::seed_from_u64(seed)).unwrap();
     let mut i = 0;
     while !tree.exhausted() && i < 64 {
         let f = fractions[i % fractions.len()];
-        let mut env = StageEnv::new(disk.clone(), None, f);
+        let mut env = StageEnv::new(disk.clone(), &config, None, f);
         tree.advance(&mut env).unwrap();
         i += 1;
     }
@@ -113,7 +112,8 @@ proptest! {
             &expr,
             &disk,
             &cat,
-            Fulfillment::Full.into(),
+            Fulfillment::Full,
+            MemoryMode::DiskResident,
             seed,
             &[f1, f2],
         );
@@ -132,12 +132,12 @@ proptest! {
         let (disk, cat) = setup(&rows_a, &rows_b);
         let on_disk = drain(
             &expr, &disk, &cat,
-            PlanOptions { fulfillment: Fulfillment::Full, memory: MemoryMode::DiskResident, ..PlanOptions::default() },
+            Fulfillment::Full, MemoryMode::DiskResident,
             seed, &[f],
         );
         let in_mem = drain(
             &expr, &disk, &cat,
-            PlanOptions { fulfillment: Fulfillment::Full, memory: MemoryMode::MainMemory, ..PlanOptions::default() },
+            Fulfillment::Full, MemoryMode::MainMemory,
             seed, &[f],
         );
         prop_assert_eq!(on_disk.ones_found(), in_mem.ones_found());
@@ -155,10 +155,14 @@ proptest! {
         let truth = eval::exact_count(&expr, &cat).unwrap() as f64;
 
         // Multi-stage partial covers no more than multi-stage full.
-        let full = drain(&expr, &disk, &cat, Fulfillment::Full.into(), seed, &[0.4]);
+        let full = drain(
+            &expr, &disk, &cat,
+            Fulfillment::Full, MemoryMode::DiskResident,
+            seed, &[0.4],
+        );
         let partial = drain(
             &expr, &disk, &cat,
-            PlanOptions { fulfillment: Fulfillment::Partial, memory: MemoryMode::DiskResident, ..PlanOptions::default() },
+            Fulfillment::Partial, MemoryMode::DiskResident,
             seed, &[0.4],
         );
         prop_assert!(partial.points_covered() <= full.points_covered());
@@ -167,7 +171,7 @@ proptest! {
         // One full-relation stage: partial == census too.
         let partial_one = drain(
             &expr, &disk, &cat,
-            PlanOptions { fulfillment: Fulfillment::Partial, memory: MemoryMode::DiskResident, ..PlanOptions::default() },
+            Fulfillment::Partial, MemoryMode::DiskResident,
             seed, &[1.0],
         );
         prop_assert_eq!(partial_one.ones_found(), truth);

@@ -7,8 +7,8 @@ use testkit::prelude::*;
 
 use eram_bench::{harness::run_trial, TrialConfig, WorkloadKind};
 use eram_core::{
-    execute_count, AggregateFn, Database, ExecutionReport, OneAtATimeInterval, QueryConfig,
-    StageRun, StoppingCriterion, Tracer,
+    AggregateFn, Database, EngineConfig, ExecutionReport, OneAtATimeInterval, PreparedQuery,
+    StageRun, StoppingCriterion,
 };
 use eram_relalg::{CmpOp, Expr, Predicate};
 use eram_storage::{Clock, ColumnType, Disk, Schema, Tuple, Value};
@@ -198,14 +198,8 @@ fn scripted_db() -> (Database, Expr) {
     )
 }
 
-/// A lane view of `db`'s disk timed by the script, and the query
-/// configuration `Database::wall` hands out.
-fn scripted_view(
-    db: &Database,
-    probe_reads: u64,
-    slowdown: f64,
-    simulated: bool,
-) -> (Arc<Disk>, QueryConfig) {
+/// A lane view of `db`'s disk timed by the script.
+fn scripted_view(db: &Database, probe_reads: u64, slowdown: f64, simulated: bool) -> Arc<Disk> {
     let clock = Arc::new(ScriptedClock {
         view: std::sync::OnceLock::new(),
         unit: SCRIPT_UNIT,
@@ -218,11 +212,7 @@ fn scripted_view(
         .view
         .set(Arc::downgrade(&view))
         .expect("attached once");
-    let config = QueryConfig {
-        cost_model: db.default_cost_model().clone(),
-        ..QueryConfig::default()
-    };
-    (view, config)
+    view
 }
 
 /// `COUNT(expr)` within `quota` under the hard deadline, on the
@@ -237,18 +227,21 @@ fn run_with_slow_large_stages(
     slowdown: f64,
     simulated: bool,
 ) -> ExecutionReport {
-    const SEED: u64 = 9;
-    let (flat, config) = scripted_view(db, u64::MAX, 1.0, simulated);
-    let (catalog, count) = (db.catalog(), AggregateFn::Count);
-    let tracer = Tracer::disabled();
-    let mut probe =
-        StageRun::start(&flat, catalog, expr, count, quota, &config, SEED, tracer).unwrap();
+    // The engine's defaults with the coefficients `Database::wall`
+    // hands out.
+    let spec = PreparedQuery {
+        agg: AggregateFn::Count,
+        expr: expr.clone(),
+        quota,
+        seed: 9,
+        config: db.calibrated(EngineConfig::default()),
+    };
+    let flat = scripted_view(db, u64::MAX, 1.0, simulated);
+    let mut probe = StageRun::start(&flat, db.catalog(), &spec).unwrap();
     probe.step().unwrap();
     let probe_reads = probe.finish().report.stages[0].blocks_drawn;
-    let (view, config) = scripted_view(db, probe_reads, slowdown, simulated);
-    execute_count(&view, catalog, expr, quota, &config, SEED)
-        .unwrap()
-        .report
+    let view = scripted_view(db, probe_reads, slowdown, simulated);
+    spec.run(&view, db.catalog()).unwrap().report
 }
 
 /// Large stages cost 1.9× what the probe measured: the query still
