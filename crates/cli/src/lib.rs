@@ -119,8 +119,9 @@ pub struct Cli {
     /// leaves, runs inline like 1). Estimates and traces are
     /// identical at any worker count.
     pub workers: usize,
-    /// Tuple bound for each binary operator's decoded-run cache
-    /// (`Some(0)` disables it; `None` keeps the engine default).
+    /// Tuple budget of each binary operator for runs that keep their
+    /// decoded tuples (`Some(0)` keeps none; `None` is the engine
+    /// default).
     /// Wall-clock only: estimates and traces are identical at any
     /// setting.
     pub run_cache_tuples: Option<usize>,

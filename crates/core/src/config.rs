@@ -4,7 +4,7 @@
 //! `T`, a risk multiplier `d_β` (inside the time-control strategy), a
 //! fulfillment plan and the Section-4 cost coefficients; this
 //! reproduction adds a handful of wall-clock-only choices (workers,
-//! run cache, block layout) and its observers. [`EngineConfig`] is
+//! run budget, block layout) and its observers. [`EngineConfig`] is
 //! the only struct that declares any of them, or its default.
 //! Everything else *holds* one: a [`crate::PreparedQuery`] carries
 //! the config its run uses, the stage loop owns a copy and lends it
@@ -13,8 +13,6 @@
 //! the CLI and the experiment harness each build exactly one.
 
 use std::sync::Arc;
-
-use eram_sampling::DistinctEstimator;
 
 use crate::costs::CostModel;
 use crate::obs::{Profiler, Tracer};
@@ -47,10 +45,6 @@ pub struct EngineConfig {
     pub memory: MemoryMode,
     /// Safety cap on stages.
     pub max_stages: usize,
-    /// Distinct-count estimator for projection roots (Goodman's is
-    /// the paper's choice and the default; Chao1/jackknife are stable
-    /// alternatives for tiny sampling fractions).
-    pub distinct: DistinctEstimator,
     /// Selection pushdown before compilation (on by default).
     pub optimize: bool,
     /// How transient storage faults are retried (backoff charged to
@@ -73,11 +67,12 @@ pub struct EngineConfig {
     /// results are byte-identical at any worker count; `0` and `1`
     /// (the default) both run everything inline.
     pub workers: usize,
-    /// Bound (in tuples) on each binary node's decoded-run cache; `0`
-    /// disables it. Full fulfillment re-reads every old run once per
-    /// new stage; the cache serves those re-reads from memory while
-    /// still charging the exact block reads the uncached path would,
-    /// so results are byte-identical either way.
+    /// Budget (in tuples) each binary node has for sorted runs that
+    /// keep their decoded tuples; `0` keeps none. Full fulfillment
+    /// re-reads every old run once per new stage; a run that kept its
+    /// tuples serves those re-reads from memory while still charging
+    /// the exact block reads of its file, so results are
+    /// byte-identical either way.
     pub run_cache_tuples: usize,
     /// Decode target for sampled blocks (row tuples or per-column
     /// typed arrays). Wall-clock only: results are byte-identical
@@ -95,7 +90,6 @@ impl Default for EngineConfig {
             fulfillment: Fulfillment::Full,
             memory: MemoryMode::DiskResident,
             max_stages: 1_000,
-            distinct: DistinctEstimator::Goodman,
             optimize: true,
             retry: RetryPolicy::default(),
             tracer: Tracer::disabled(),

@@ -161,7 +161,6 @@ fn combine(
     trees: &[PhysTree],
     values: &[TermValues],
     agg: AggregateFn,
-    distinct: DistinctEstimator,
 ) -> CountEstimate {
     let scalar = agg.scalar();
     if let AggregateFn::Avg { .. } = scalar {
@@ -177,7 +176,7 @@ fn combine(
     let mut linear = Linear::new();
     for ((&c, tree), tv) in coefficients.iter().zip(trees).zip(values) {
         let e = match scalar {
-            AggregateFn::Count => term_estimate_with(tree, distinct),
+            AggregateFn::Count => term_estimate(tree),
             AggregateFn::Sum { .. } => sum_estimate(tree.total_points(), tree.points_covered(), tv),
             AggregateFn::Avg { .. } => unreachable!("handled above"),
             grouped => unreachable!("scalar() returned grouped aggregate {grouped}"),
@@ -387,7 +386,7 @@ impl StageRun {
         };
         let hard_estimate = {
             let _phase = config.profiler.phase(Phase::EstimatorMath);
-            combine(&coefficients, &trees, &values, agg, config.distinct)
+            combine(&coefficients, &trees, &values, agg)
         };
         Ok(StageRun {
             disk: disk.clone(),
@@ -415,13 +414,7 @@ impl StageRun {
     /// The composite estimate over everything sampled so far.
     fn estimate_now(&self) -> CountEstimate {
         let _phase = self.config.profiler.phase(Phase::EstimatorMath);
-        combine(
-            &self.coefficients,
-            &self.trees,
-            &self.values,
-            self.agg,
-            self.config.distinct,
-        )
+        combine(&self.coefficients, &self.trees, &self.values, self.agg)
     }
 
     /// Runs one stage: revise selectivities, size the sample, draw,

@@ -26,7 +26,7 @@
 //!
 //! | phase | where it is charged |
 //! |---|---|
-//! | `block_decode` | decoding fetched blocks into typed tuples (leaf fan-out, and run re-decode on a decoded-run-cache miss) |
+//! | `block_decode` | decoding fetched blocks into typed tuples (leaf fan-out, and re-reads of a run that did not keep its tuples) |
 //! | `run_merge` | merging sorted run pairs (binary-operator fan-out) |
 //! | `estimator_math` | combining stage estimates into the running estimator |
 //! | `rng_draw` | drawing the stage's block sample from the sampler RNG |

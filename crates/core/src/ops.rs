@@ -32,8 +32,8 @@ use std::time::Duration;
 use eram_relalg::{Catalog, CompiledPredicate, Expr, ExprError, OpKind, Predicate};
 use eram_sampling::BlockSampler;
 use eram_storage::{
-    Block, ColumnarBlock, Deadline, DeviceOp, Disk, HeapFile, Json, Rng, RunCache, Schema,
-    StorageError, Tuple,
+    Block, ColumnarBlock, Deadline, DeviceOp, Disk, HeapFile, Json, Rng, Schema, StorageError,
+    Tuple,
 };
 
 use crate::config::EngineConfig;
@@ -92,8 +92,8 @@ pub enum BlockLayout {
     Columnar,
 }
 
-/// Default [`EngineConfig::run_cache_tuples`] bound: one million tuples
-/// (~200 MB of decoded 200-byte paper tuples) shared per binary node.
+/// Default [`EngineConfig::run_cache_tuples`] budget: one million tuples
+/// (~200 MB of decoded 200-byte paper tuples) held per binary node.
 pub const DEFAULT_RUN_CACHE_TUPLES: usize = 1 << 20;
 
 /// Why a stage ended before completing its planned work.
@@ -281,31 +281,19 @@ impl Delta {
     }
 }
 
-/// Backing store of one sorted run.
-pub(crate) enum RunData {
-    /// On disk, re-read (charged) at every merge — the prototype's
-    /// disk-resident design.
-    File(HeapFile),
-    /// Held in memory — the main-memory variant. Shared immutably so
-    /// repeated merges against the run never copy it.
-    Mem(Arc<[Tuple]>),
-}
-
-/// A run file is a temporary of the operator that wrote it: its
-/// blocks go back to the disk with the run. Freeing charges nothing
-/// and file ids are never reused, so no later charge, fault decision
-/// or trace byte depends on it.
-impl Drop for RunData {
-    fn drop(&mut self) {
-        if let RunData::File(file) = self {
-            file.disk().free_file(file.file_id());
-        }
-    }
-}
-
 /// One sorted run of a binary operator's input (a stage's worth).
 pub(crate) struct Run {
-    data: RunData,
+    /// The temporary file the run was written to, re-read (charged)
+    /// at every merge — the prototype's disk-resident design. `None`
+    /// in the main-memory variant.
+    file: Option<HeapFile>,
+    /// The tuples as sorted at ingest, shared immutably so repeated
+    /// merges never copy them: always kept by a main-memory run, and
+    /// by a disk-resident one while the node's
+    /// [`EngineConfig::run_cache_tuples`] budget had room. A run file
+    /// never changes once written, so they stay what decoding it
+    /// yields.
+    decoded: Option<Arc<[Tuple]>>,
     tuples: u64,
     /// Merge keys extracted once at ingest, aligned index-for-index
     /// with the run's tuples (Schwartzian transform): merges compare
@@ -315,15 +303,22 @@ pub(crate) struct Run {
     leaf_points: f64,
 }
 
+/// A run file is a temporary of the operator that wrote it: its
+/// blocks go back to the disk with the run. Freeing charges nothing
+/// and file ids are never reused, so no later charge, fault decision
+/// or trace byte depends on it.
+impl Drop for Run {
+    fn drop(&mut self) {
+        if let Some(file) = &self.file {
+            file.disk().free_file(file.file_id());
+        }
+    }
+}
+
 pub(crate) struct LeafNode {
     pub(crate) file: HeapFile,
     pub(crate) sampler: BlockSampler,
     pub(crate) cum_tuples: f64,
-    /// Pages fetched (and charged) before a mid-draw deadline abort,
-    /// in draw order. They were never delivered in a delta (and are
-    /// not in `cum_tuples`), so the next stage scans them ahead of
-    /// its own draw — every point read is accounted exactly once.
-    pub(crate) pending: Vec<(u64, Arc<Block>)>,
     /// Decode target for sampled blocks.
     pub(crate) layout: BlockLayout,
 }
@@ -381,10 +376,12 @@ pub(crate) struct BinaryNode {
     pub(crate) out_blocking: f64,
     pub(crate) left_runs: Vec<Run>,
     pub(crate) right_runs: Vec<Run>,
-    /// Bounded cache of decoded old runs (both sides share it). Runs
-    /// are charged from file metadata and served from memory, so the
-    /// cache changes wall-clock time only — never simulated results.
-    pub(crate) run_cache: RunCache,
+    /// What is left of [`EngineConfig::run_cache_tuples`]: a run of
+    /// either side keeps its decoded tuples if they fit, and takes
+    /// them off this. Every run read is charged in full either way,
+    /// so the budget changes wall-clock time only — never simulated
+    /// results.
+    pub(crate) run_room: usize,
     pub(crate) cum_out: f64,
     pub(crate) cum_leaf_points: f64,
 }
@@ -487,7 +484,7 @@ impl Node {
 
 /// Reads one raw block through the stage's retry policy, leaving the
 /// (pure) decode to the caller — deferred to worker threads, or, for
-/// cached runs, skipped entirely.
+/// a run that kept its tuples, skipped entirely.
 ///
 /// * Transient faults are retried up to `retry.max_attempts` total
 ///   attempts, with the backoff *charged to the clock* — recovery
@@ -597,12 +594,11 @@ impl LeafNode {
         self.scan(env, None, true).map(|(_, delta)| delta)
     }
 
-    /// One stage of the leaf: draws, fetches the drawn pages (behind
-    /// any banked by an aborted draw), and reads them. Returns the
-    /// number of records scanned — each a leaf point newly covered —
-    /// and a delta of those that passed `filter`, decoded only if
-    /// `materialize`. A columnar leaf decodes whole blocks and takes
-    /// no filter.
+    /// One stage of the leaf: draws, fetches the drawn pages, and
+    /// reads them. Returns the number of records scanned — each a
+    /// leaf point newly covered — and a delta of those that passed
+    /// `filter`, decoded only if `materialize`. A columnar leaf
+    /// decodes whole blocks and takes no filter.
     fn scan(
         &mut self,
         env: &mut StageEnv<'_>,
@@ -623,8 +619,7 @@ impl LeafNode {
         // and trace event happens on this thread in draw order, so
         // the simulated clock advances identically at any worker
         // count.
-        let mut pages = std::mem::take(&mut self.pending);
-        pages.reserve(indices.len());
+        let mut pages = Vec::with_capacity(indices.len());
         for (k, idx) in indices.iter().enumerate() {
             let aborted = if env.expired() {
                 true
@@ -644,15 +639,12 @@ impl LeafNode {
                 }
             };
             if aborted {
-                // The unread indices go back to the sampler's
-                // population (they were never covered, so leaving
-                // them consumed would make those clusters permanently
-                // unsampleable and silently bias the census); the
-                // pages that *were* read wait, undecoded, for the
-                // next stage. `cum_tuples` is untouched — points
-                // count when delivered.
+                // The unread indices go back to the sampler, so
+                // blocks drawn stays equal to blocks fetched. The
+                // pages that *were* read go with the stage: the
+                // deadline ends the query, and `cum_tuples` counts
+                // points only when they are delivered.
                 self.sampler.unconsume((indices.len() - k) as u64);
-                self.pending = pages;
                 return Err(StageError::Deadline);
             }
         }
@@ -1055,10 +1047,9 @@ impl BinaryNode {
         // Charged phase, serial: per-pair run reads, comparison
         // charges, and cost observations in the canonical pair order
         // — the simulated clock and the trace advance exactly as a
-        // single-threaded run's would. Old runs are served through the
-        // node's decoded-run cache: every block read is still charged
-        // (and every fault draw consumed) exactly as the uncached path
-        // would; only the re-decode is skipped.
+        // single-threaded run's would. A run that kept its tuples
+        // still pays every block read (and consumes every fault draw)
+        // of its file; only the re-decode is skipped.
         let (left_spec, right_spec) = (self.kind.left_spec(), self.kind.right_spec());
         let mut staged: Vec<StagedPair> = Vec::with_capacity(pairs.len());
         for &(li, ri) in &pairs {
@@ -1066,8 +1057,8 @@ impl BinaryNode {
                 return Err(StageError::Deadline);
             }
             let start = env.now();
-            let (lt, lk) = read_run(env, &self.left_runs[li], &left_spec, &mut self.run_cache)?;
-            let (rt, rk) = read_run(env, &self.right_runs[ri], &right_spec, &mut self.run_cache)?;
+            let (lt, lk) = read_run(env, &self.left_runs[li], &left_spec)?;
+            let (rt, rk) = read_run(env, &self.right_runs[ri], &right_spec)?;
             charge_chunked(env, DeviceOp::Compare, (lt.len() + rt.len()) as u64, 128)?;
             env.observe(
                 CostCoeff::MergeTuple,
@@ -1145,7 +1136,7 @@ impl BinaryNode {
             None => charged_sort(env, &mut tuples, &spec)?,
         };
         let n = tuples.len();
-        let data = match self.memory {
+        let (file, decoded) = match self.memory {
             MemoryMode::DiskResident => {
                 let schema = if left {
                     self.in_schema_left.clone()
@@ -1158,18 +1149,21 @@ impl BinaryNode {
                     .map_err(StageError::Storage)?;
                 file.flush().map_err(StageError::Storage)?;
                 env.observe(CostCoeff::WriteTuple, n as f64, env.now() - start);
-                // Seed the decoded-run cache with the sorted tuples
-                // just written: the fixed-width encoding round-trips
-                // bit-faithfully, so they equal what re-decoding the
-                // file would produce.
-                self.run_cache
-                    .put(file.file_id(), file.version(), tuples.into());
-                RunData::File(file)
+                // The sorted tuples just written stay with the run
+                // while the budget has room: the fixed-width encoding
+                // round-trips bit-faithfully, so they equal what
+                // re-decoding the file would produce.
+                let keep = n <= self.run_room;
+                if keep {
+                    self.run_room -= n;
+                }
+                (Some(file), keep.then(|| tuples.into()))
             }
-            MemoryMode::MainMemory => RunData::Mem(tuples.into()),
+            MemoryMode::MainMemory => (None, Some(tuples.into())),
         };
         let run = Run {
-            data,
+            file,
+            decoded,
             tuples: n as u64,
             keys,
             leaf_points,
@@ -1191,78 +1185,60 @@ impl BinaryNode {
 /// sample blocks: a lost run block under-merges its tuples, which is
 /// degradation, not failure.
 ///
-/// The decoded-run cache sits *behind* the charged fetch loop, never
+/// The tuples a run kept sit *behind* the charged fetch loop, never
 /// in front of it: every block read is charged (and every fault-plan
-/// draw consumed) exactly as the uncached path would, and only then
-/// is the decoded run served from memory — "charge from metadata,
-/// serve from memory". A degraded read (lost blocks) yields a
-/// subsequence of the run, so the ingest-time key column no longer
-/// aligns; such reads rebuild keys from the surviving tuples and
-/// bypass the cache entirely.
+/// draw consumed) exactly as for a run that kept nothing, and only a
+/// complete read is then served from memory. A degraded read (lost
+/// blocks) yields a subsequence of the run, so the ingest-time key
+/// column no longer aligns; such reads decode the survivors and
+/// rebuild their keys.
 fn read_run(
     env: &mut StageEnv<'_>,
     run: &Run,
     spec: &KeySpec,
-    cache: &mut RunCache,
 ) -> Result<(Arc<[Tuple]>, KeyColumn), StageError> {
-    match &run.data {
-        RunData::File(file) => {
-            let mut fetched: Vec<(u64, Arc<Block>)> =
-                Vec::with_capacity(file.num_blocks() as usize);
-            let mut complete = true;
-            for b in 0..file.num_blocks() {
-                if env.expired() {
-                    return Err(StageError::Deadline);
-                }
-                match read_block_resilient_raw(env, file, b)? {
-                    Some(block) => fetched.push((b, block)),
-                    None => complete = false,
-                }
-            }
-            if complete {
-                // The version check guards against fault plans that
-                // corrupt or rewrite run blocks in place after the
-                // run was cached: a stale entry is dropped here
-                // instead of served.
-                if let Some(tuples) = cache.get(file.file_id(), file.version()) {
-                    return Ok((tuples, run.keys.clone()));
-                }
-            } else {
-                // Degraded read: whatever was cached for this file
-                // no longer matches what a reader can observe, and
-                // the file may be degraded differently next time.
-                // Drop the entry rather than leave it to be served
-                // by a later complete read of a corrupt file.
-                cache.invalidate(file.file_id());
-            }
-            // Decode phase, parallel: pure CPU over the fetched raw
-            // blocks, recombined in block order.
-            let decoded = {
-                let _phase = env.config.profiler.phase(Phase::BlockDecode);
-                map_ordered(env.config.workers, fetched, |_, (idx, block)| {
-                    file.decode_block(idx, &block)
-                })
-            };
-            let mut out: Vec<Tuple> = Vec::with_capacity(file.num_tuples() as usize);
-            for d in decoded {
-                out.extend(d.map_err(StageError::Storage)?);
-            }
-            if complete {
-                let shared: Arc<[Tuple]> = out.into();
-                cache.put(file.file_id(), file.version(), shared.clone());
-                Ok((shared, run.keys.clone()))
-            } else {
-                let keys = spec.column_for(&out);
-                Ok((out.into(), keys))
-            }
+    let Some(file) = &run.file else {
+        if env.expired() {
+            return Err(StageError::Deadline);
         }
-        RunData::Mem(tuples) => {
-            if env.expired() {
-                return Err(StageError::Deadline);
-            }
-            Ok((tuples.clone(), run.keys.clone()))
+        let tuples = run
+            .decoded
+            .clone()
+            .expect("a run with no file keeps its tuples");
+        return Ok((tuples, run.keys.clone()));
+    };
+    let mut fetched: Vec<(u64, Arc<Block>)> = Vec::with_capacity(file.num_blocks() as usize);
+    let mut complete = true;
+    for b in 0..file.num_blocks() {
+        if env.expired() {
+            return Err(StageError::Deadline);
+        }
+        match read_block_resilient_raw(env, file, b)? {
+            Some(block) => fetched.push((b, block)),
+            None => complete = false,
         }
     }
+    if let (true, Some(tuples)) = (complete, &run.decoded) {
+        return Ok((tuples.clone(), run.keys.clone()));
+    }
+    // Decode phase, parallel: pure CPU over the fetched raw blocks,
+    // recombined in block order.
+    let decoded = {
+        let _phase = env.config.profiler.phase(Phase::BlockDecode);
+        map_ordered(env.config.workers, fetched, |_, (idx, block)| {
+            file.decode_block(idx, &block)
+        })
+    };
+    let mut out: Vec<Tuple> = Vec::with_capacity(file.num_tuples() as usize);
+    for d in decoded {
+        out.extend(d.map_err(StageError::Storage)?);
+    }
+    let keys = if complete {
+        run.keys.clone()
+    } else {
+        spec.column_for(&out)
+    };
+    Ok((out.into(), keys))
 }
 
 /// A compiled PIE term: the operator tree plus its point-space
@@ -1311,7 +1287,6 @@ impl Compiler<'_> {
                     file,
                     sampler,
                     cum_tuples: 0.0,
-                    pending: Vec::new(),
                     layout: self.config.block_layout,
                 }))
             }
@@ -1407,7 +1382,7 @@ impl Compiler<'_> {
             out_blocking: self.out_blocking(expr)?,
             left_runs: Vec::new(),
             right_runs: Vec::new(),
-            run_cache: RunCache::new(self.config.run_cache_tuples),
+            run_room: self.config.run_cache_tuples,
             cum_out: 0.0,
             cum_leaf_points: 0.0,
         }))
@@ -1423,7 +1398,7 @@ impl Compiler<'_> {
 impl PhysTree {
     /// Compiles a union/difference-free expression against stored
     /// relations as `config` plans it (selectivity defaults,
-    /// fulfillment, memory mode, run cache, block layout). `rng`
+    /// fulfillment, memory mode, run budget, block layout). `rng`
     /// seeds the per-leaf block samplers.
     pub fn build(
         expr: &Expr,
@@ -1503,6 +1478,10 @@ impl PhysTree {
     }
 
     /// Advances the whole term by one stage.
+    ///
+    /// `Err(StageError::Deadline)` is terminal for the tree: what the
+    /// cut stage had read is dropped, a binary node may be left one
+    /// run ahead on one side, and `advance` must not be called again.
     pub fn advance(&mut self, env: &mut StageEnv<'_>) -> Result<Delta, StageError> {
         self.root.advance(env)
     }
@@ -1719,12 +1698,10 @@ mod tests {
     }
 
     #[test]
-    fn mid_draw_abort_returns_undrawn_blocks_and_banks_read_tuples() {
+    fn mid_draw_abort_returns_undrawn_blocks_and_delivers_nothing() {
         // Regression: a mid-draw deadline abort used to leave every
-        // index of the draw consumed in the sampler while discarding
-        // the tuples already read — those clusters became permanently
-        // unsampleable and a later full census silently lost their
-        // points.
+        // index of the draw consumed in the sampler, so the stage
+        // reported blocks it never fetched.
         let (disk, cat) = setup(&[("r", rows(10_000))]);
         let expr = Expr::relation("r");
         let mut tree =
@@ -1737,67 +1714,14 @@ mod tests {
         let Node::Leaf(leaf) = &tree.root else {
             panic!("leaf-only tree");
         };
-        // The unread tail of the draw went back to the population…
-        assert!(leaf.sampler.remaining() > 0, "undrawn blocks not returned");
-        assert!(
-            leaf.sampler.drawn() < 2_000,
-            "abort left whole draw consumed"
-        );
-        // …the blocks that were read are banked as pages, not yet
-        // counted…
-        assert_eq!(leaf.sampler.drawn() as usize, leaf.pending.len());
+        // The unread tail of the draw went back to the population:
+        // blocks drawn is blocks fetched…
+        let drawn = leaf.sampler.drawn();
+        assert!(0 < drawn && drawn < 2_000, "abort left whole draw consumed");
+        assert_eq!(drawn, disk.stats().block_reads);
+        assert_eq!(leaf.sampler.remaining(), leaf.sampler.population() - drawn);
+        // …and the cut stage, the tree's last, covered nothing.
         assert_eq!(tree.points_covered(), 0.0);
-        // …and an unconstrained census still reaches every point.
-        let mut e = env(&disk, 1.0);
-        let delta = tree.advance(&mut e).unwrap();
-        assert!(tree.exhausted());
-        assert_eq!(
-            delta.record_count(),
-            10_000,
-            "banked tuples lost or doubled"
-        );
-        assert_eq!(tree.points_covered(), 10_000.0);
-    }
-
-    #[test]
-    fn banked_pages_are_scanned_once_by_the_next_fused_stage() {
-        // The same abort under a selection fused into the scan: the
-        // banked pages are evaluated by the next stage — ahead of its
-        // own draw — and by no other.
-        let (disk, cat) = setup(&[("r", rows(10_000))]);
-        let expr = Expr::relation("r").select(Predicate::col_cmp(1, CmpOp::Lt, 3));
-        let mut tree =
-            PhysTree::build(&expr, &cat, &disk, paper(), &mut Rng::seed_from_u64(23)).unwrap();
-        let deadline = Deadline::new(disk.clock().clone(), Duration::from_secs(1));
-        let mut e = StageEnv::new(disk.clone(), paper(), Some(&deadline), 1.0);
-        assert!(matches!(tree.advance(&mut e), Err(StageError::Deadline)));
-        let Node::Select(select) = &tree.root else {
-            panic!("select root");
-        };
-        let Node::Leaf(leaf) = select.child.as_ref() else {
-            panic!("leaf under the select");
-        };
-        assert!(select.fused.is_some());
-        let banked: Vec<u64> = leaf.pending.iter().map(|(idx, _)| *idx).collect();
-        assert!(!banked.is_empty());
-        assert_eq!(banked, leaf.sampler.sample_set(), "bank keeps draw order");
-        assert_eq!(tree.points_covered(), 0.0);
-        let mut e = env(&disk, 1.0);
-        let delta = tree.advance(&mut e).unwrap();
-        assert!(tree.exhausted());
-        assert_eq!(tree.points_covered(), 10_000.0);
-        assert_eq!(delta.leaf_points, 10_000.0);
-        // b = i % 10 < 3 for exactly 3 000 rows, each seen once. The
-        // banked pages' survivors lead the delta, in draw order.
-        let out = delta.into_rows();
-        assert_eq!(out.len(), 3_000);
-        let firsts: Vec<i64> = out.iter().map(|t| t.value(0).as_int().unwrap()).collect();
-        let expect_head: Vec<i64> = banked
-            .iter()
-            .flat_map(|b| (b * 5..b * 5 + 5).map(|i| i as i64))
-            .filter(|i| i % 10 < 3)
-            .collect();
-        assert_eq!(firsts[..expect_head.len()], expect_head);
     }
 
     #[test]
@@ -1944,58 +1868,134 @@ mod tests {
         );
     }
 
-    #[test]
-    fn run_cache_does_not_change_results_or_charges() {
-        // The decoded-run cache must be invisible to the simulation:
-        // identical outputs, coverage, and simulated clock with the
-        // cache on or off — it only skips wall-clock re-decode work.
+    /// What the simulation can see of a join: each stage's output and
+    /// cost observations, then coverage and the simulated clock.
+    type JoinSim = (Vec<(Vec<Tuple>, Vec<StepObservation>)>, f64, Duration);
+
+    /// Three stages of a join (25 + 15 tuples a stage) under a
+    /// `run_cache_tuples` budget. Returns what the simulation sees,
+    /// which runs kept their tuples (left side, right side), and how
+    /// often the join itself — its leaves aside — decoded blocks.
+    fn join_under_budget(
+        run_cache_tuples: usize,
+        faults: Option<eram_storage::FaultPlan>,
+    ) -> (JoinSim, [Vec<bool>; 2], u64) {
         let a: Vec<(i64, i64)> = (0..60).map(|i| (i % 6, i)).collect();
         let b: Vec<(i64, i64)> = (0..40).map(|i| (i % 6, -i)).collect();
-        let run = |run_cache_tuples: usize| {
-            let (disk, cat) = setup(&[("a", a.clone()), ("b", b.clone())]);
-            let expr = Expr::relation("a").join(Expr::relation("b"), vec![(0, 0)]);
-            let cfg = EngineConfig {
-                run_cache_tuples,
-                ..EngineConfig::default()
-            };
-            let mut tree =
-                PhysTree::build(&expr, &cat, &disk, &cfg, &mut Rng::seed_from_u64(31)).unwrap();
-            let mut outputs = Vec::new();
-            for _ in 0..3 {
-                let mut e = env(&disk, 0.4);
-                outputs.push(tree.advance(&mut e).unwrap().into_rows());
-            }
-            (outputs, tree.points_covered(), disk.clock().elapsed())
+        let (disk, cat) = setup(&[("a", a), ("b", b)]);
+        if let Some(plan) = faults {
+            disk.set_fault_plan(plan);
+        }
+        let expr = Expr::relation("a").join(Expr::relation("b"), vec![(0, 0)]);
+        let cfg = EngineConfig {
+            run_cache_tuples,
+            profiler: crate::obs::Profiler::recording(disk.clock().clone()),
+            ..EngineConfig::default()
         };
-        assert_eq!(run(DEFAULT_RUN_CACHE_TUPLES), run(0));
+        let mut tree =
+            PhysTree::build(&expr, &cat, &disk, &cfg, &mut Rng::seed_from_u64(31)).unwrap();
+        let mut stages = Vec::new();
+        for _ in 0..3 {
+            let mut e = StageEnv::new(disk.clone(), &cfg, None, 0.4);
+            let out = tree.advance(&mut e).unwrap().into_rows();
+            stages.push((out, e.observations));
+        }
+        let Node::Binary(join) = &tree.root else {
+            panic!("join root");
+        };
+        let kept = [&join.left_runs, &join.right_runs]
+            .map(|runs| runs.iter().map(|r| r.decoded.is_some()).collect());
+        let profile = cfg.profiler.snapshot().unwrap();
+        let decodes = profile.per_operator["join"]
+            .get(Phase::BlockDecode.name())
+            .map_or(0, |p| p.calls);
+        (
+            (stages, tree.points_covered(), disk.clock().elapsed()),
+            kept,
+            decodes,
+        )
+    }
+
+    #[test]
+    fn run_cache_does_not_change_results_or_charges() {
+        // The tuples a run keeps must be invisible to the simulation:
+        // identical outputs, observations, coverage and simulated
+        // clock with the budget on or off — it only skips wall-clock
+        // re-decode work. Full fulfillment reads 2 + 6 + 10 runs over
+        // three stages; with room for all of them none is decoded.
+        let (unbounded, kept, decodes) = join_under_budget(DEFAULT_RUN_CACHE_TUPLES, None);
+        assert_eq!(kept, [vec![true; 3], vec![true; 3]]);
+        assert_eq!(decodes, 0);
+        assert_eq!(join_under_budget(0, None).0, unbounded);
+    }
+
+    #[test]
+    fn a_zero_budget_keeps_no_run_and_every_run_read_decodes() {
+        let (sim, kept, decodes) = join_under_budget(0, None);
+        assert_eq!(kept, [vec![false; 3], vec![false; 3]]);
+        assert_eq!(decodes, 18, "the later stages' re-reads included");
+        assert_eq!(sim, join_under_budget(DEFAULT_RUN_CACHE_TUPLES, None).0);
+    }
+
+    #[test]
+    fn a_budget_goes_to_the_first_runs_that_fit() {
+        // Room for the first left run (25 tuples) and for none after
+        // it: that one run is kept for good, and its three reads are
+        // the only ones not decoded.
+        let (sim, kept, decodes) = join_under_budget(25, None);
+        assert_eq!(kept, [vec![true, false, false], vec![false; 3]]);
+        assert_eq!(decodes, 18 - 3);
+        assert_eq!(sim, join_under_budget(DEFAULT_RUN_CACHE_TUPLES, None).0);
     }
 
     #[test]
     fn degraded_run_reads_bypass_the_cache() {
-        // Corrupt run blocks drop tuples from the merge; the cached
-        // full copy must NOT paper over the loss. Degraded reads
-        // rebuild keys from the survivors and skip the cache, so the
-        // cached and uncached plans stay identical even under faults.
-        let a: Vec<(i64, i64)> = (0..60).map(|i| (i % 6, i)).collect();
-        let b: Vec<(i64, i64)> = (0..40).map(|i| (i % 6, -i)).collect();
-        let run = |run_cache_tuples: usize| {
-            let (disk, cat) = setup(&[("a", a.clone()), ("b", b.clone())]);
-            disk.set_fault_plan(eram_storage::FaultPlan::new(41).with_corruption(0.3));
-            let expr = Expr::relation("a").join(Expr::relation("b"), vec![(0, 0)]);
-            let cfg = EngineConfig {
-                run_cache_tuples,
-                ..EngineConfig::default()
-            };
-            let mut tree =
-                PhysTree::build(&expr, &cat, &disk, &cfg, &mut Rng::seed_from_u64(37)).unwrap();
-            let mut outputs = Vec::new();
-            for _ in 0..3 {
-                let mut e = env(&disk, 0.4);
-                outputs.push(tree.advance(&mut e).unwrap().into_rows());
-            }
-            (outputs, tree.points_covered(), disk.clock().elapsed())
-        };
-        assert_eq!(run(DEFAULT_RUN_CACHE_TUPLES), run(0));
+        // Corrupt run blocks drop tuples from the merge; the full
+        // copy a run kept must NOT paper over the loss. Degraded
+        // reads decode the survivors and rebuild their keys, so the
+        // plans stay identical under faults whatever the budget.
+        let plan = || Some(eram_storage::FaultPlan::new(41).with_corruption(0.3));
+        let (kept_all, _, decodes) = join_under_budget(DEFAULT_RUN_CACHE_TUPLES, plan());
+        assert!(decodes > 0, "no run read was degraded");
+        assert_eq!(kept_all, join_under_budget(0, plan()).0);
+    }
+
+    #[test]
+    fn a_malformed_column_fails_only_the_scan_that_decodes_it() {
+        // The one intended behavioural difference of scanning on page
+        // bytes. A page whose digest is good but whose string column
+        // is malformed (here: a hand-built block standing for block 0
+        // of the relation) fails any scan that decodes the record.
+        // The counting scan reads only the column its formula names
+        // and never builds the row, so it answers; page integrity is
+        // the digest's job, not the decoder's.
+        let disk = Disk::new(
+            Arc::new(SimClock::new()),
+            DeviceProfile::sun_3_60().without_jitter(),
+            3,
+        );
+        let schema = Schema::new(vec![
+            ("k", ColumnType::Int),
+            ("tag", ColumnType::Str { width: 6 }),
+        ])
+        .padded_to(200);
+        let file = HeapFile::load(
+            disk.clone(),
+            schema,
+            (0..50i64).map(|i| Tuple::new(vec![Value::Int(i), Value::Str("ok".into())])),
+        )
+        .unwrap();
+        let mut block = disk.read_block_uncharged(file.file_id(), 0).unwrap();
+        block.bytes_mut()[8..10].copy_from_slice(&60u16.to_le_bytes()); // tag length 60 > width 6
+        let pages = [(0, Arc::new(block))];
+        let k_below_25 = Predicate::col_cmp(0, CmpOp::Lt, 25)
+            .compile(file.schema())
+            .unwrap();
+        let counted = scan_pages(&file, &pages, Some(&k_below_25), false).unwrap();
+        assert_eq!(counted, (5, 5, vec![]), "reads column 0 only");
+        // k = 0 passes the formula, so materializing builds the bad record.
+        assert!(scan_pages(&file, &pages, Some(&k_below_25), true).is_err());
+        assert!(file.decode_block_columnar(0, &pages[0].1).is_err());
     }
 
     #[test]

@@ -335,10 +335,11 @@ impl CountQuery<'_> {
         self
     }
 
-    /// Bounds the decoded-run cache of each binary operator, in
-    /// tuples; `0` disables it. The cache only skips re-decoding old
-    /// runs — every block read is still charged — so estimates,
-    /// reports, and traces are byte-identical at any setting.
+    /// Sets each binary operator's budget, in tuples, for sorted
+    /// runs that keep their decoded tuples; `0` keeps none. A kept
+    /// run only skips its re-decode — every block read is still
+    /// charged — so estimates, reports, and traces are byte-identical
+    /// at any setting.
     pub fn run_cache(mut self, tuples: usize) -> Self {
         self.spec.config.run_cache_tuples = tuples;
         self

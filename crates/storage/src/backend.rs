@@ -36,8 +36,6 @@ pub(crate) trait BlockBackend: Send {
     fn append(&mut self, file: u64, slot: Slot) -> Result<u64>;
     /// Reads block `index` and the digest recorded for it.
     fn read(&self, file: u64, index: u64) -> Result<Slot>;
-    /// Overwrites block `index` and its digest.
-    fn write(&mut self, file: u64, index: u64, slot: Slot) -> Result<()>;
 }
 
 /// `index` as a position in a file of `len` blocks, or the
@@ -53,9 +51,8 @@ fn position(len: usize, file: u64, index: u64) -> Result<usize> {
         })
 }
 
-/// Blocks held in process memory. Reads share the stored block: a
-/// reader's handle keeps the bytes it saw alive across a later
-/// overwrite, which replaces the slot rather than the bytes.
+/// Blocks held in process memory. Reads share the stored block,
+/// which never changes once appended.
 pub(crate) struct MemoryBackend {
     files: HashMap<u64, Vec<Slot>>,
     next_file: u64,
@@ -101,16 +98,6 @@ impl BlockBackend for MemoryBackend {
             .get(&file)
             .ok_or(StorageError::UnknownFile(file))?;
         Ok(slots[position(slots.len(), file, index)?].clone())
-    }
-
-    fn write(&mut self, file: u64, index: u64, slot: Slot) -> Result<()> {
-        let slots = self
-            .files
-            .get_mut(&file)
-            .ok_or(StorageError::UnknownFile(file))?;
-        let at = position(slots.len(), file, index)?;
-        slots[at] = slot;
-        Ok(())
     }
 }
 
@@ -199,19 +186,6 @@ impl BlockBackend for FileBackend {
         f.read_exact_at(block.bytes_mut(), index * self.block_size as u64)?;
         Ok((Arc::new(block), digest))
     }
-
-    fn write(&mut self, file: u64, index: u64, slot: Slot) -> Result<()> {
-        use std::os::unix::fs::FileExt;
-        let block_size = self.block_size as u64;
-        let (f, digests) = self
-            .files
-            .get_mut(&file)
-            .ok_or(StorageError::UnknownFile(file))?;
-        let at = position(digests.len(), file, index)?;
-        f.write_all_at(slot.0.bytes(), index * block_size)?;
-        digests[at] = slot.1;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -247,15 +221,8 @@ mod tests {
             assert_eq!(b.bytes()[size - 1], i);
             assert_eq!(digest, u64::from(i), "the digest stored with the block");
         }
-        backend.write(f, 2, (block(99, size), 990)).unwrap();
-        let (b, digest) = backend.read(f, 2).unwrap();
-        assert_eq!((b.bytes()[0], digest), (99, 990));
         assert!(matches!(
             backend.read(f, 5),
-            Err(StorageError::BlockOutOfRange { .. })
-        ));
-        assert!(matches!(
-            backend.write(f, 5, (block(0, size), 0)),
             Err(StorageError::BlockOutOfRange { .. })
         ));
         backend.free_file(f);
@@ -279,10 +246,6 @@ mod tests {
         assert!(matches!(
             b.read(f, u64::MAX),
             Err(StorageError::BlockOutOfRange { block, .. }) if block == u64::MAX
-        ));
-        assert!(matches!(
-            b.write(f, u64::MAX, (block(2, 16), 0)),
-            Err(StorageError::BlockOutOfRange { .. })
         ));
     }
 

@@ -20,11 +20,11 @@
 //! sampler still picks blocks uniformly from its own seeded stream;
 //! the broker only dedups the fetch when two streams collide).
 //!
-//! Eligibility is restricted to registered base-relation files:
-//! per-job temporary run files are written and rewritten mid-query,
-//! and pooling them could serve stale bytes. Base relations are
-//! immutable for the duration of a serving batch, so pooled entries
-//! never go stale.
+//! Eligibility is restricted to registered base-relation files: a
+//! job's temporary run files are read by that job alone, so pooling
+//! them would share nothing. A block never changes after it is
+//! appended (see [`crate::disk`]), so a pooled entry never goes
+//! stale and the pool has no invalidation.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -14,10 +14,20 @@
 //! computation (exact `COUNT` evaluation must not consume the query's
 //! simulated quota).
 //!
+//! # Write-once blocks
+//!
+//! A block is appended and never changes: there is no overwrite, and
+//! file ids are never reused, so `(file, index)` names the same bytes
+//! from the append until [`Disk::free_file`]. Whatever holds a copy of
+//! a block or of what was decoded from it — the buffer cache, the
+//! shared-draw pool, a sorted run's tuples — therefore needs no
+//! invalidation protocol; the digest verified on every charged read
+//! is what detects a fault.
+//!
 //! # Lane views
 //!
 //! A disk is split into *shared* state (the backend's blocks, each
-//! with its digest, and file versions — one copy per physical device) and
+//! with its digest — one copy per physical device) and
 //! *per-view* state (the jitter RNG, the fault injector's attempt
 //! counters, and the activity counters). [`Disk::lane_view`] derives
 //! a second handle onto the same backend whose charges go to a
@@ -65,32 +75,6 @@ pub struct DiskStats {
     pub checksum_verifies: u64,
 }
 
-/// Device state shared by every view of one physical disk: the
-/// backend bytes plus the integrity/version bookkeeping that must
-/// agree across views.
-struct DiskShared {
-    /// Every block written through this disk, beside the
-    /// [`Block::checksum`] it had then; verified on every charged read.
-    backend: Box<dyn BlockBackend>,
-    /// Global mutation counter feeding `file_versions` — strictly
-    /// monotone across all files, so a freed-and-recreated file can
-    /// never repeat an old version.
-    write_stamp: u64,
-    /// Per-file version: the value of `write_stamp` at the file's
-    /// last mutation (append/overwrite). Caches that snapshot decoded
-    /// file contents (the executor's `RunCache`) key their entries by
-    /// this version so a later in-place write or free invalidates
-    /// them instead of serving pre-mutation tuples by file id.
-    file_versions: HashMap<u64, u64>,
-}
-
-impl DiskShared {
-    fn bump_version(&mut self, file: u64) {
-        self.write_stamp += 1;
-        self.file_versions.insert(file, self.write_stamp);
-    }
-}
-
 /// Per-view state: the jitter RNG and the fault injector's attempt
 /// counters. Each lane view gets its own, so one job's charge stream
 /// and fault pattern never depend on what other jobs are doing.
@@ -118,11 +102,13 @@ struct LaneFiles {
 
 /// A block store that charges a clock for every operation.
 pub struct Disk {
-    shared: Arc<Mutex<DiskShared>>,
+    /// Shared by every view of one physical disk: each block appended
+    /// through any of them, beside the [`Block::checksum`] it had
+    /// then; verified on every charged read.
+    backend: Arc<Mutex<Box<dyn BlockBackend>>>,
     local: Mutex<DiskLocal>,
-    /// Buffer cache, outside the shared lock: it carries its own lock
-    /// striping, so concurrent readers hitting the cache never
-    /// serialize on the backend lock.
+    /// Buffer cache, behind a lock of its own: a hit never takes the
+    /// backend's.
     cache: Option<BlockCache>,
     /// Lane-local virtual file-id table; `None` on a root disk, whose
     /// ids are the backend's own.
@@ -202,11 +188,7 @@ impl Disk {
         cache: Option<BlockCache>,
     ) -> Arc<Self> {
         Arc::new(Disk {
-            shared: Arc::new(Mutex::new(DiskShared {
-                backend,
-                write_stamp: 0,
-                file_versions: HashMap::new(),
-            })),
+            backend: Arc::new(Mutex::new(backend)),
             local: Mutex::new(DiskLocal {
                 rng: Rng::seed_from_u64(seed),
                 faults: None,
@@ -227,8 +209,8 @@ impl Disk {
         })
     }
 
-    /// Derives a per-job lane view of this disk: same backend bytes,
-    /// checksums, and file versions, but charges go to `clock`, the
+    /// Derives a per-job lane view of this disk: same backend bytes
+    /// and checksums, but charges go to `clock`, the
     /// jitter RNG restarts from `seed`, and the fault injector (a
     /// fresh instance of this disk's armed plan, with its own attempt
     /// counters) decides faults from the lane's own read history.
@@ -248,7 +230,7 @@ impl Disk {
     ) -> Arc<Disk> {
         let plan = self.fault_plan();
         Arc::new(Disk {
-            shared: Arc::clone(&self.shared),
+            backend: Arc::clone(&self.backend),
             local: Mutex::new(DiskLocal {
                 rng: Rng::seed_from_u64(seed),
                 faults: plan.map(FaultInjector::new),
@@ -285,21 +267,14 @@ impl Disk {
         }
     }
 
-    /// Records `block` and its digest at `at`, or appended — the
-    /// digest taken before, and everything else under, one hold of
-    /// the shared lock. Returns the block's index.
-    fn store(&self, file: FileId, at: Option<u64>, block: &Arc<Block>) -> Result<u64> {
+    /// Appends `block` and its digest — the digest taken before the
+    /// backend lock is. Returns the block's index.
+    fn store(&self, file: FileId, block: &Arc<Block>) -> Result<u64> {
         assert_eq!(block.len(), self.block_size, "block size mismatch");
         let slot = (Arc::clone(block), block.checksum());
         let physical = self.physical(file);
-        let mut shared = self.shared.lock();
-        let stored = match at {
-            Some(index) => shared.backend.write(physical, index, slot).map(|()| index),
-            None => shared.backend.append(physical, slot),
-        };
-        let index = stored.map_err(|e| e.naming_file(file.0))?;
-        shared.bump_version(physical);
-        Ok(index)
+        let stored = self.backend.lock().append(physical, slot);
+        stored.map_err(|e| e.naming_file(file.0))
     }
 
     /// Creates an in-memory disk fronted by an LRU buffer cache of
@@ -369,7 +344,7 @@ impl Disk {
     /// id is lane-virtual — deterministic for the lane regardless of
     /// concurrent allocations on other views.
     pub fn create_file(&self) -> FileId {
-        let physical = self.shared.lock().backend.create_file();
+        let physical = self.backend.lock().create_file();
         match &self.lane {
             Some(lane) => {
                 let mut lane = lane.lock();
@@ -390,59 +365,32 @@ impl Disk {
             Some(lane) => lane.lock().map.remove(&file.0).unwrap_or(file.0),
             None => file.0,
         };
-        let mut shared = self.shared.lock();
-        shared.backend.free_file(physical);
-        // A freed file's content is gone: advance its version so any
-        // decoded-run cache entry keyed to the old version can never
-        // serve again, even if a backend ever reused the id.
-        shared.bump_version(physical);
-        drop(shared);
+        self.backend.lock().free_file(physical);
         if let Some(cache) = &self.cache {
             cache.invalidate_file(file.0);
         }
     }
 
-    /// The file's current content version: 0 for a file never written
-    /// through this disk, otherwise a strictly monotone stamp bumped
-    /// on every append, overwrite, or free. Two reads of the same
-    /// file at the same version are guaranteed to see the same bytes
-    /// (absent injected faults), which is the invariant decoded-run
-    /// caches rely on.
-    pub fn file_version(&self, file: FileId) -> u64 {
-        let physical = self.physical(file);
-        self.shared
-            .lock()
-            .file_versions
-            .get(&physical)
-            .copied()
-            .unwrap_or(0)
-    }
-
     /// Number of blocks currently allocated to `file`.
     pub fn num_blocks(&self, file: FileId) -> Result<u64> {
         let physical = self.physical(file);
-        self.shared
+        self.backend
             .lock()
-            .backend
             .num_blocks(physical)
             .ok_or(StorageError::UnknownFile(file.0))
     }
 
-    /// Appends a block to `file`, charging one block write.
+    /// Appends a block to `file`, charging one block write. The
+    /// backend and the cache share the one allocation the caller
+    /// moved in.
     ///
     /// # Panics
     /// Panics if the block's size differs from the disk's block size.
     pub fn append_block(&self, file: FileId, block: Block) -> Result<u64> {
-        self.write_charged(file, None, block)
-    }
-
-    /// A charged write of `block` at `at`, or appended: the backend
-    /// and the cache share the one allocation the caller moved in.
-    fn write_charged(&self, file: FileId, at: Option<u64>, block: Block) -> Result<u64> {
         self.charge(DeviceOp::BlockWrite);
         self.writes.fetch_add(1, Ordering::Relaxed);
         let block = Arc::new(block);
-        let index = self.store(file, at, &block)?;
+        let index = self.store(file, &block)?;
         if let Some(cache) = &self.cache {
             cache.put(file.0, index, block);
         }
@@ -470,8 +418,7 @@ impl Disk {
     /// misses on the in-memory backend, hand back the block that is
     /// held there without copying its bytes.
     pub fn read_block(&self, file: FileId, index: u64) -> Result<Arc<Block>> {
-        // Cache lookup first — the cache carries its own striped
-        // locks, so hits never touch the backend lock.
+        // Cache lookup first: a hit never touches the backend lock.
         let cached = self
             .cache
             .as_ref()
@@ -522,7 +469,7 @@ impl Disk {
         let from_pool = pooled.is_some();
         // The block and the digest recorded beside it when it was
         // written come from one lookup, under the one hold of the
-        // shared lock a miss takes.
+        // backend lock a miss takes.
         let (fetched, expected) = match pooled {
             Some(slot) => {
                 self.shared_hits.fetch_add(1, Ordering::Relaxed);
@@ -531,7 +478,7 @@ impl Disk {
                 slot
             }
             None => {
-                let stored = self.shared.lock().backend.read(physical, index);
+                let stored = self.backend.lock().read(physical, index);
                 stored.map_err(|e| e.naming_file(file.0))?
             }
         };
@@ -567,20 +514,15 @@ impl Disk {
     /// for ground-truth evaluation and tests only.
     pub fn read_block_uncharged(&self, file: FileId, index: u64) -> Result<Block> {
         let physical = self.physical(file);
-        let stored = self.shared.lock().backend.read(physical, index);
+        let stored = self.backend.lock().read(physical, index);
         let (block, _) = stored.map_err(|e| e.naming_file(file.0))?;
         Ok(Block::clone(&block))
-    }
-
-    /// Overwrites block `index` of `file`, charging one block write.
-    pub fn write_block(&self, file: FileId, index: u64, block: Block) -> Result<()> {
-        self.write_charged(file, Some(index), block).map(|_| ())
     }
 
     /// Appends a block without charging the clock — for loading base
     /// relations before the query's quota is armed, and for tests.
     pub fn append_block_uncharged(&self, file: FileId, block: Block) -> Result<u64> {
-        self.store(file, None, &Arc::new(block))
+        self.store(file, &Arc::new(block))
     }
 
     /// Samples the jittered duration for `op` from this view's RNG
@@ -766,17 +708,6 @@ mod tests {
     }
 
     #[test]
-    fn a_handle_keeps_its_bytes_across_an_overwrite() {
-        let (_, disk) = sim_disk();
-        let f = disk.create_file();
-        disk.append_block_uncharged(f, tagged(&disk, 1)).unwrap();
-        let before = disk.read_block(f, 0).unwrap();
-        disk.write_block(f, 0, tagged(&disk, 2)).unwrap();
-        assert_eq!(*before, tagged(&disk, 1), "the old handle is untouched");
-        assert_eq!(*disk.read_block(f, 0).unwrap(), tagged(&disk, 2));
-    }
-
-    #[test]
     fn injected_corruption_never_reaches_the_stored_block() {
         let (_, disk) = sim_disk();
         let f = disk.create_file();
@@ -854,10 +785,6 @@ mod tests {
         };
         assert_eq!(lane.read_block(f, 5).unwrap_err(), out_of_range);
         assert_eq!(lane.read_block_uncharged(f, 5).unwrap_err(), out_of_range);
-        assert_eq!(
-            lane.write_block(f, 5, tagged(&lane, 2)).unwrap_err(),
-            out_of_range
-        );
         lane.set_fault_plan(crate::FaultPlan::new(2).with_corruption(1.0));
         let corrupt = StorageError::Corrupt {
             file: f.0,
@@ -886,52 +813,7 @@ mod tests {
         assert_eq!(mapped(), 1);
         lane.append_block(files[1], tagged(&lane, 1)).unwrap();
         assert_eq!(lane.num_blocks(files[1]).unwrap(), 1);
-        assert_eq!(disk.shared.lock().backend.num_blocks(0), None);
-    }
-
-    #[test]
-    fn write_block_overwrites_in_place() {
-        let (_, disk) = sim_disk();
-        let f = disk.create_file();
-        disk.append_block(f, Block::zeroed(disk.block_size()))
-            .unwrap();
-        let mut b = Block::zeroed(disk.block_size());
-        b.bytes_mut()[9] = 9;
-        disk.write_block(f, 0, b.clone()).unwrap();
-        assert_eq!(disk.read_block_uncharged(f, 0).unwrap(), b);
-        assert!(disk.write_block(f, 5, b).is_err());
-    }
-
-    #[test]
-    fn file_versions_advance_on_every_content_change() {
-        let (_, disk) = sim_disk();
-        let f = disk.create_file();
-        assert_eq!(disk.file_version(f), 0, "untouched file starts at 0");
-        disk.append_block(f, Block::zeroed(disk.block_size()))
-            .unwrap();
-        let v1 = disk.file_version(f);
-        assert!(v1 > 0, "append bumps the version");
-        disk.read_block(f, 0).unwrap();
-        assert_eq!(disk.file_version(f), v1, "reads never bump");
-        disk.write_block(f, 0, Block::zeroed(disk.block_size()))
-            .unwrap();
-        let v2 = disk.file_version(f);
-        assert!(v2 > v1, "in-place overwrite bumps");
-        disk.append_block_uncharged(f, Block::zeroed(disk.block_size()))
-            .unwrap();
-        let v3 = disk.file_version(f);
-        assert!(v3 > v2, "uncharged append bumps too");
-        // Two files never share a version for concurrent writes: the
-        // stamp is drawn from one global monotone counter.
-        let g = disk.create_file();
-        disk.append_block(g, Block::zeroed(disk.block_size()))
-            .unwrap();
-        assert!(disk.file_version(g) > v3);
-        disk.free_file(f);
-        assert!(
-            disk.file_version(f) > v3,
-            "freeing advances the version so stale cache entries die"
-        );
+        assert_eq!(disk.backend.lock().num_blocks(0), None);
     }
 
     #[test]
@@ -1094,16 +976,17 @@ mod tests {
     }
 
     #[test]
-    fn checksums_follow_writes_and_survive_overwrite() {
+    fn checksums_follow_appends_and_go_with_the_file() {
         let (_, disk) = sim_disk();
         let f = disk.create_file();
         disk.append_block(f, Block::zeroed(disk.block_size()))
             .unwrap();
         let mut b = Block::zeroed(disk.block_size());
         b.bytes_mut()[7] = 7;
-        disk.write_block(f, 0, b.clone()).unwrap();
-        // Read verifies against the *latest* digest.
-        assert_eq!(*disk.read_block(f, 0).unwrap(), b);
+        disk.append_block(f, b.clone()).unwrap();
+        // Each read verifies against its own block's digest.
+        assert_eq!(*disk.read_block(f, 1).unwrap(), b);
+        assert!(disk.read_block(f, 0).is_ok());
         // Freeing the file drops its digests.
         disk.free_file(f);
         let g = disk.create_file();
@@ -1175,7 +1058,7 @@ mod tests {
         b.bytes_mut()[1] = 0xAA;
         lane_a.append_block(fa, b.clone()).unwrap();
         assert_eq!(*lane_a.read_block(fa, 0).unwrap(), b);
-        assert!(lane_a.file_version(fa) > 0);
+        assert!(lane_a.num_blocks(fa).is_ok(), "the view knows this file");
         lane_a.free_file(fa);
         assert!(lane_a.num_blocks(fa).is_err());
         // The other lane's file is unaffected.

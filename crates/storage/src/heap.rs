@@ -94,14 +94,6 @@ impl HeapFile {
         self.blocking_factor
     }
 
-    /// The file's current content version (see
-    /// [`Disk::file_version`]): bumped on every flushed block write,
-    /// so decoded-tuple caches can tell whether an entry still
-    /// matches the bytes on disk.
-    pub fn version(&self) -> u64 {
-        self.disk.file_version(self.file)
-    }
-
     /// Total tuples appended (including any unflushed tail).
     pub fn num_tuples(&self) -> u64 {
         self.n_tuples

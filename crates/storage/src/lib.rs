@@ -57,7 +57,7 @@ pub mod tuple;
 
 pub use block::{Block, BlockId, BLOCK_SIZE};
 pub use broker::SharedDrawBroker;
-pub use cache::{BlockCache, RunCache};
+pub use cache::BlockCache;
 pub use clock::{Clock, Deadline, SimClock, WallClock};
 pub use columnar::{ColumnData, ColumnarBlock};
 pub use cost::{DeviceOp, DeviceProfile};

@@ -396,8 +396,8 @@ fn fused_scan_under_block_loss_is_identical_across_layouts() {
 fn fused_scan_aborted_mid_draw_is_identical_across_layouts() {
     // Latency spikes the cost model cannot foresee push a stage past
     // the hard deadline inside its draw: the pages already fetched
-    // are banked as pages and the stage is discarded — with nothing
-    // decoded on the way out under either layout.
+    // are dropped with the stage — nothing decoded on the way out
+    // under either layout.
     let spikes: fn() -> FaultPlan =
         || FaultPlan::new(7).with_spikes(0.5, Duration::from_millis(150));
     let query = "select[#1 < 300 and #3 != \"red\"](orders)";
@@ -408,46 +408,4 @@ fn fused_scan_aborted_mid_draw_is_identical_across_layouts() {
             "the spikes were meant to abort a stage: {report}"
         );
     }
-}
-
-#[test]
-fn unreferenced_columns_are_validated_only_when_a_record_is_materialized() {
-    // The one intended behavioural difference of scanning on page
-    // bytes. A page whose digest is good but whose string column is
-    // malformed (here: written that way) fails any scan that decodes
-    // the record. The fused COUNT reads only the column its formula
-    // names and never builds the row, so it answers; page integrity
-    // is the digest's job, not the decoder's.
-    let corrupt_tag_db = || {
-        let mut db = Database::sim_default(3);
-        let schema = Schema::new(vec![
-            ("k", ColumnType::Int),
-            ("tag", ColumnType::Str { width: 6 }),
-        ])
-        .padded_to(200);
-        db.load_relation(
-            "r",
-            schema,
-            (0..50i64).map(|i| Tuple::new(vec![Value::Int(i), Value::Str("ok".into())])),
-        )
-        .unwrap();
-        let file = db.catalog().relation("r").unwrap().file_id();
-        let mut block = db.disk().read_block_uncharged(file, 0).unwrap();
-        block.bytes_mut()[8..10].copy_from_slice(&60u16.to_le_bytes()); // tag length 60 > width 6
-        db.disk().write_block(file, 0, block).unwrap();
-        db
-    };
-    let expr = || Expr::relation("r").select(Predicate::col_cmp(0, CmpOp::Lt, 25));
-    let run = |agg: AggregateFn, layout: BlockLayout| {
-        corrupt_tag_db()
-            .aggregate(agg, expr())
-            .within(Duration::from_secs(60))
-            .block_layout(layout)
-            .run()
-    };
-    let fused_count = run(AggregateFn::Count, BlockLayout::Row).expect("reads column 0 only");
-    assert_eq!(fused_count.estimate.estimate, 25.0);
-    assert!(run(AggregateFn::Count, BlockLayout::Columnar).is_err());
-    // k = 0 passes the formula, so a SUM materializes the bad record.
-    assert!(run(AggregateFn::Sum { column: 0 }, BlockLayout::Row).is_err());
 }

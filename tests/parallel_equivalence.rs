@@ -10,13 +10,13 @@
 //! 1. **Fixed-seed identity** — the Figure 5.3 join workload at
 //!    `workers ∈ {2, 4, 8}` against the `workers = 1` reference.
 //! 2. **Hard-deadline identity** — a selection run that aborts
-//!    mid-stage, covering the mid-draw unconsume/pending path.
+//!    mid-stage, covering the mid-draw unconsume path.
 //! 3. **CI matrix hook** — one run at `ERAM_WORKERS` (default 4)
 //!    against the serial reference, so the suite pins a specific
 //!    worker count per CI job.
 //! 4. **Property** — arbitrary seeds, quotas, and worker counts
 //!    replay identically (property test).
-//! 5. **Cache stress** — the sharded [`eram_storage::BlockCache`]
+//! 5. **Cache stress** — the [`eram_storage::BlockCache`]
 //!    under concurrent readers/writers keeps exact hit/miss
 //!    accounting and never exceeds capacity.
 
@@ -221,7 +221,7 @@ fn tagged_block(tag: u8) -> Arc<Block> {
 #[test]
 fn contended_cache_keeps_exact_accounting_and_bounds() {
     let capacity = 64;
-    let cache = BlockCache::with_shards(capacity, 8);
+    let cache = BlockCache::new(capacity);
     // Pre-populate the lower key range so readers see real hits.
     for i in 0..capacity as u64 {
         cache.put(0, i, tagged_block(i as u8));
@@ -274,7 +274,7 @@ fn contended_cache_keeps_exact_accounting_and_bounds() {
 #[test]
 fn invalidation_under_concurrent_readers_stays_consistent() {
     let capacity = 32;
-    let cache = BlockCache::with_shards(capacity, 4);
+    let cache = BlockCache::new(capacity);
     std::thread::scope(|scope| {
         // Writer thread: repeatedly fills file 1 and wipes it.
         scope.spawn(|| {

@@ -1,28 +1,24 @@
-//! Decoded-run-cache equivalence, locked down end to end.
+//! Run-budget equivalence, locked down end to end.
 //!
-//! The binary-operator run cache serves old runs from memory while
-//! still charging every simulated block read from file metadata
-//! ("charge from metadata, serve from memory"). The observable
-//! contract is therefore the same as the worker pool's: a seeded
-//! `SimClock` run must produce a **byte-identical**
+//! A binary operator's sorted run keeps its decoded tuples while the
+//! node's `run_cache_tuples` budget has room, and serves re-reads
+//! from them while still charging every simulated block read of its
+//! file. The observable contract is therefore the same as the worker
+//! pool's: a seeded `SimClock` run must produce a **byte-identical**
 //! [`eram_core::ExecutionReport`] (as JSON) and a byte-identical
-//! JSONL trace with the cache at any size — including off — at any
+//! JSONL trace with the budget at any size — including off — at any
 //! worker count, and under injected storage faults.
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use eram_bench::{Workload, WorkloadKind};
 use eram_core::{AggregateFn, Database, Tracer};
 use eram_relalg::{CmpOp, Expr, Predicate};
-use eram_storage::{
-    json, ColumnType, DeviceProfile, Disk, FaultPlan, HeapFile, RunCache, Schema, SimClock, Tuple,
-    Value,
-};
+use eram_storage::{json, ColumnType, FaultPlan, Schema, Tuple, Value};
 
 /// Runs one seeded workload query and returns the serialized report
 /// plus the JSONL trace. `cache_tuples` of `None` keeps the engine's
-/// default run-cache bound.
+/// default run budget.
 fn run_workload(
     kind: WorkloadKind,
     workers: usize,
@@ -72,8 +68,8 @@ fn join_reports_are_byte_identical_with_cache_on_and_off() {
 
 #[test]
 fn tiny_cache_bounds_are_also_invisible() {
-    // A cache far too small to hold every run forces constant
-    // eviction and re-decode; the simulated results must not notice.
+    // A budget far too small to hold every run leaves most of them
+    // re-decoded at every read; the simulated results must not notice.
     let kind = WorkloadKind::Join {
         output_tuples: 70_000,
     };
@@ -149,8 +145,9 @@ fn grouped_sum_reports_are_byte_identical_with_cache_on_and_off() {
 #[test]
 fn faulted_runs_stay_identical_with_and_without_the_cache() {
     // Corrupt and transient faults make run re-reads lossy; degraded
-    // reads must bypass the cache, so cached and uncached executions
-    // still agree charge for charge and tuple for tuple.
+    // reads must not be served from the tuples a run kept, so
+    // executions with and without a budget still agree charge for
+    // charge and tuple for tuple.
     let kind = WorkloadKind::Join {
         output_tuples: 70_000,
     };
@@ -171,9 +168,9 @@ fn faulted_runs_stay_identical_with_and_without_the_cache() {
 fn heavy_chaos_cannot_expose_stale_cached_runs() {
     // Much heavier degradation than the leg above: with one in five
     // run-block reads corrupted or transiently lost, most runs come
-    // back incomplete, which drives the degraded-read invalidation
-    // path in `read_run` on nearly every stage. Cached, tiny-cached,
-    // and uncached executions must still agree byte for byte.
+    // back incomplete, which drives the degraded-read path in
+    // `read_run` on nearly every stage. Default, tiny and zero
+    // budgets must still agree byte for byte.
     let kind = WorkloadKind::Join {
         output_tuples: 70_000,
     };
@@ -195,57 +192,4 @@ fn heavy_chaos_cannot_expose_stale_cached_runs() {
         assert_eq!(trace_on, trace_off);
         assert_eq!(trace_tiny, trace_off);
     }
-}
-
-/// Regression for the run-cache staleness bug: a decoded run cached
-/// before its file was rewritten (or freed) kept being served by
-/// file id, because nothing tied the cache entry to the file's
-/// on-disk content. This mirrors the executor's exact protocol —
-/// decode once, cache under the file's content version, look up with
-/// the *current* version — and fails on the pre-fix cache, which
-/// keyed entries by `FileId` alone.
-#[test]
-fn cached_run_never_serves_pre_overwrite_tuples() {
-    let clock = Arc::new(SimClock::new());
-    let disk = Disk::new(clock, DeviceProfile::sun_3_60().without_jitter(), 5);
-    let schema = Schema::new(vec![("a", ColumnType::Int), ("b", ColumnType::Int)]).padded_to(200);
-    let old: Vec<Tuple> = (0..5)
-        .map(|i| Tuple::new(vec![Value::Int(i), Value::Int(10 + i)]))
-        .collect();
-    let file = HeapFile::load(disk.clone(), schema.clone(), old.clone()).unwrap();
-
-    let mut cache = RunCache::new(1_000);
-    let decoded: Arc<[Tuple]> = file.scan_uncharged().unwrap().into();
-    cache.put(file.file_id(), file.version(), decoded);
-    assert!(cache.get(file.file_id(), file.version()).is_some());
-
-    // A fault event rewrites the run's only block in place with
-    // different tuples (encoded via a donor file on the same disk).
-    let new: Vec<Tuple> = (0..5)
-        .map(|i| Tuple::new(vec![Value::Int(100 + i), Value::Int(0)]))
-        .collect();
-    let donor = HeapFile::load(disk.clone(), schema, new.clone()).unwrap();
-    let donor_block = disk.read_block_uncharged(donor.file_id(), 0).unwrap();
-    disk.write_block(file.file_id(), 0, donor_block).unwrap();
-
-    // The disk now answers with the new tuples...
-    assert_eq!(file.scan_uncharged().unwrap(), new);
-    // ...so the cache must not keep answering with the old ones: the
-    // overwrite advanced the file's version and the stale entry dies
-    // on lookup instead of being served.
-    assert!(
-        cache.get(file.file_id(), file.version()).is_none(),
-        "run cache served pre-overwrite tuples for a rewritten file"
-    );
-
-    // Freeing a file advances its version too, so a run cached
-    // before the free can never be served afterwards either.
-    let mut cache2 = RunCache::new(1_000);
-    cache2.put(donor.file_id(), donor.version(), new.into());
-    let donor_id = donor.file_id();
-    donor.free();
-    assert!(
-        cache2.get(donor_id, disk.file_version(donor_id)).is_none(),
-        "run cache served tuples for a freed file"
-    );
 }
