@@ -10,11 +10,11 @@
 //! fixed-form formula could do — but note the oracle cannot track
 //! per-query specifics either).
 //!
-//! Usage: `abl_adaptive_costs [--runs N] [--quota SECS] [--jsonl] [--json PATH]`
+//! Usage: `abl_adaptive_costs [--runs N] [--quota SECS] [--json PATH]`
 
 use std::time::Duration;
 
-use eram_bench::{measure_row, render_table, BenchReport, PaperRow, TrialConfig, WorkloadKind};
+use eram_bench::{BenchReport, TrialConfig, WorkloadKind};
 use eram_core::CostModel;
 use eram_storage::DeviceProfile;
 
@@ -22,7 +22,7 @@ mod common;
 
 fn main() {
     let opts = common::Opts::parse("abl_adaptive_costs");
-    let quota = Duration::from_secs_f64(opts.quota.unwrap_or(10.0));
+    let quota = opts.quota.unwrap_or(Duration::from_secs(10));
     let kind = WorkloadKind::Select {
         output_tuples: 5_000,
     };
@@ -42,23 +42,17 @@ fn main() {
     bench.config_kv("runs", opts.runs as u64);
     bench.config_kv("d_beta", d_beta);
 
-    let mut rows = Vec::new();
-    for (name, model) in models {
+    let rows = models.into_iter().map(|(name, model)| {
         let mut cfg = TrialConfig::paper(kind, quota, d_beta);
         cfg.engine.cost_model = Some(model);
-        let measured = measure_row(&cfg, opts.runs, common::row_seed("abl-adaptive", 0, d_beta));
-        bench.push_measured(name, &measured);
-        rows.push(PaperRow {
-            label: name.to_string(),
-            stats: measured.stats,
-        });
-    }
+        let seed = common::row_seed("abl-adaptive", 0, d_beta);
+        (name.to_string(), cfg, seed)
+    });
     let title = format!(
         "Ablation — adaptive vs fixed cost formulas, select(5000), quota {:.1} s, {} runs/row",
         quota.as_secs_f64(),
         opts.runs
     );
-    common::emit(&opts, &title, "model", &rows);
-    println!("{}", render_table(&title, "model", &rows));
+    common::paper_table(&opts, &mut bench, &title, "model", "", rows);
     common::write_bench(&opts, &bench);
 }

@@ -17,7 +17,7 @@
 //! makespan and physical block count drop strictly below the
 //! sequential oracle's while per-job results stay byte-identical.
 //!
-//! Usage: `abl_admission [--runs N] [--quota SECS] [--jsonl] [--json PATH]`
+//! Usage: `abl_admission [--runs N] [--quota SECS] [--json PATH]`
 //! (`--quota` overrides the per-batch deadline horizon; `--runs`
 //! repeats each cell with distinct seeds and sums the buckets.)
 
@@ -89,11 +89,11 @@ fn run_cell(cell: &Cell, horizon: Duration, seed: u64, mode: Concurrency) -> Ser
 
 fn main() {
     let opts = common::Opts::parse("abl_admission");
-    let horizon = Duration::from_secs_f64(opts.quota.unwrap_or(12.0));
+    let horizon = opts.quota.unwrap_or(Duration::from_secs(12));
     // Cap the per-cell repeat count: each run is a whole multi-job
     // batch, not one trial, so the paper's 200-run default would
     // dominate the suite's wall time for no extra signal.
-    let runs = opts.runs.clamp(1, 20);
+    let runs = opts.runs.min(20);
 
     let sweep = [
         Cell {
@@ -178,13 +178,10 @@ fn main() {
         let mut charged = 0u64;
         let mut shared = 0u64;
         let mut saved_ns = 0u64;
-        let mut walls = Vec::with_capacity(runs);
         for run in 0..runs {
             let seed = common::row_seed("abl-admission", (i * 1000 + run) as u64, 0.0);
-            let t0 = std::time::Instant::now();
             let outcome = run_cell(cell, horizon, seed, Concurrency::Sequential);
             let inter = run_cell(cell, horizon, seed, Concurrency::Interleaved);
-            walls.push(t0.elapsed().as_secs_f64());
             assert_eq!(
                 outcome.stripped_of_schedule(),
                 inter.stripped_of_schedule(),
@@ -225,8 +222,11 @@ fn main() {
         // simulated makespan and physical device reads. Storm cells
         // may shed (speculative lane work can eat the margin), and at
         // n=2 two short sampling permutations can miss each other
-        // entirely, so those cells only report.
-        if cell.transient == 0.0 && cell.spike_rate == 0.0 && cell.tenants >= 4 {
+        // entirely, so those cells only report — as does every cell
+        // under a `--quota` horizon, which may be too short for any
+        // lane to run at all.
+        let committed_grid = opts.quota.is_none();
+        if committed_grid && cell.transient == 0.0 && cell.spike_rate == 0.0 && cell.tenants >= 4 {
             assert!(shared > 0, "{}: co-resident scans never pooled", cell.label);
             assert!(
                 makespan_int < makespan_seq,
@@ -255,7 +255,7 @@ fn main() {
             makespan_int,
             shared
         );
-        bench.push_value(
+        bench.push_row(
             cell.label,
             json!({
                 "offered": sums[0],
@@ -273,8 +273,6 @@ fn main() {
                 "blocks_shared": shared,
                 "charge_saved_secs": saved_ns as f64 / 1e9,
             }),
-            &walls,
-            None,
         );
     }
     common::write_bench(&opts, &bench);

@@ -10,17 +10,17 @@
 //! blocks (a clustered index, a sorted load), block totals are all-or-
 //! nothing and the same sample size buys a far worse estimate.
 //!
-//! Usage: `abl_clustering [--runs N] [--quota SECS] [--jsonl] [--json PATH]`
+//! Usage: `abl_clustering [--runs N] [--quota SECS] [--json PATH]`
 
 use std::time::Duration;
 
-use eram_bench::{measure_row, render_table, BenchReport, PaperRow, TrialConfig, WorkloadKind};
+use eram_bench::{BenchReport, TrialConfig, WorkloadKind};
 
 mod common;
 
 fn main() {
     let opts = common::Opts::parse("abl_clustering");
-    let quota = Duration::from_secs_f64(opts.quota.unwrap_or(10.0));
+    let quota = opts.quota.unwrap_or(Duration::from_secs(10));
     let d_beta = 12.0;
     let output_tuples = 2_000u64;
 
@@ -30,26 +30,20 @@ fn main() {
     bench.config_kv("d_beta", d_beta);
     bench.config_kv("output_tuples", output_tuples);
 
-    let mut rows = Vec::new();
-    for (label, kind) in [
+    let rows = [
         ("random (paper)", WorkloadKind::Select { output_tuples }),
         ("clustered", WorkloadKind::SelectClustered { output_tuples }),
-    ] {
+    ]
+    .map(|(label, kind)| {
         let cfg = TrialConfig::paper(kind, quota, d_beta);
-        let measured = measure_row(&cfg, opts.runs, common::row_seed(label, 3, d_beta));
-        bench.push_measured(label, &measured);
-        rows.push(PaperRow {
-            label: label.to_string(),
-            stats: measured.stats,
-        });
-    }
+        (label.to_string(), cfg, common::row_seed(label, 3, d_beta))
+    });
     let title = format!(
         "Ablation — tuple placement, select({output_tuples}), quota {:.1} s, {} runs/row",
         quota.as_secs_f64(),
         opts.runs
     );
-    common::emit(&opts, &title, "layout", &rows);
-    println!("{}", render_table(&title, "layout", &rows));
+    common::paper_table(&opts, &mut bench, &title, "layout", "", rows);
     println!(
         "Same control loop, same blocks — the clustered layout's estimate error is the\n\
          between-block variance the paper dodged by loading tuples in random order."

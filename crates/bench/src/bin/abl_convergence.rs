@@ -8,18 +8,16 @@
 //! watching it per stage shows *how* the interval tightens as stages
 //! bank more sample.
 //!
-//! With `--jsonl` the raw convergence records are emitted to stderr,
-//! ready for the `jq` recipes in the README. The machine-readable
-//! `BENCH_abl_convergence.json` stores the full trajectory per row
-//! (as the `simulated` payload — it is clock-charged and therefore
-//! deterministic) plus the run's phase profile.
+//! The machine-readable `BENCH_abl_convergence.json` stores the full
+//! trajectory per row — the raw convergence records, clock-charged
+//! and therefore deterministic.
 //!
-//! Usage: `abl_convergence [--quota SECS] [--jsonl] [--json PATH]`
+//! Usage: `abl_convergence [--quota SECS] [--json PATH]`
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use eram_bench::{BenchReport, Workload, WorkloadKind};
-use eram_core::{Profiler, StoppingCriterion, TraceKind, Tracer};
+use eram_core::{StoppingCriterion, TraceKind, Tracer};
 use eram_storage::json;
 
 mod common;
@@ -30,7 +28,7 @@ fn field_f64(rec: &eram_core::TraceRecord, name: &str) -> f64 {
 
 fn main() {
     let opts = common::Opts::parse("abl_convergence");
-    let quota = Duration::from_secs_f64(opts.quota.unwrap_or(10.0));
+    let quota = opts.quota.unwrap_or(Duration::from_secs(10));
 
     let mut bench = BenchReport::new("abl_convergence");
     bench.config_kv("quota_secs", quota.as_secs_f64());
@@ -46,8 +44,6 @@ fn main() {
             0,
         );
         let tracer = Tracer::recording(workload.db.disk().clock().clone());
-        let profiler = Profiler::recording(workload.db.disk().clock().clone());
-        let started = Instant::now();
         let out = workload
             .db
             .count(workload.expr.clone())
@@ -56,10 +52,8 @@ fn main() {
             .stopping(StoppingCriterion::SoftDeadline)
             .seed(seed ^ 0x5EED)
             .tracer(tracer.clone())
-            .profiler(profiler)
             .run()
             .expect("experiment query must execute");
-        let wall = started.elapsed().as_secs_f64();
 
         println!(
             "Convergence — selection 5000/10000, d_beta {d_beta}, quota {:.1} s (truth {})",
@@ -92,15 +86,7 @@ fn main() {
             out.report.stages.len(),
             tracer.record_count()
         );
-        if opts.jsonl {
-            eprintln!("# convergence d_beta {d_beta}");
-            for rec in &convergence {
-                eprintln!("{}", json::to_string(rec));
-            }
-        }
-        // The trajectory is clock-charged, so it belongs to the
-        // exact-compared simulated payload.
-        bench.push_value(
+        bench.push_row(
             format!("d_beta={d_beta}"),
             json!({
                 "truth": workload.truth,
@@ -108,8 +94,6 @@ fn main() {
                 "stages": out.report.stages.len(),
                 "trajectory": convergence,
             }),
-            &[wall],
-            out.report.profile.clone(),
         );
     }
     common::write_bench(&opts, &bench);

@@ -10,8 +10,6 @@
 //!
 //! Usage: `abl_estimator_accuracy [--runs N] [--json PATH]`
 
-use std::time::Instant;
-
 use eram_bench::{BenchReport, Workload, WorkloadKind};
 use eram_core::{ops, term_estimate, term_estimate_with, EngineConfig};
 use eram_relalg::PieRewrite;
@@ -49,7 +47,6 @@ fn measure(
     println!("{}", "-".repeat(38));
     let seeds = SeedSeq::new(0xACC0);
     for &fraction in fractions {
-        let started = Instant::now();
         let mut errs = Vec::new();
         let mut covered = 0usize;
         for run in 0..runs {
@@ -68,15 +65,13 @@ fn measure(
         let mean_rel_err = errs.iter().sum::<f64>() / errs.len().max(1) as f64;
         let coverage_pct = 100.0 * covered as f64 / runs as f64;
         println!("{fraction:>9.3} | {mean_rel_err:>12.4} | {coverage_pct:>10.1}");
-        bench.push_value(
+        bench.push_row(
             format!("{name} f={fraction}"),
             json!({
                 "fraction": fraction,
                 "mean_rel_err": mean_rel_err,
                 "coverage_pct": coverage_pct,
             }),
-            &[started.elapsed().as_secs_f64()],
-            None,
         );
     }
     println!();
@@ -95,7 +90,6 @@ fn measure_distinct(fractions: &[f64], runs: usize, bench: &mut BenchReport) {
     println!("{}", "-".repeat(60));
     let seeds = SeedSeq::new(0xD157);
     for &fraction in fractions {
-        let started = Instant::now();
         let mut errs = [0.0f64; 3];
         for run in 0..runs {
             let seed = seeds.child(fraction.to_bits()).derive(run as u64);
@@ -116,7 +110,7 @@ fn measure_distinct(fractions: &[f64], runs: usize, bench: &mut BenchReport) {
         }
         let [goodman, chao1, jackknife1] = errs.map(|e| e / runs as f64);
         println!("{fraction:>9.3} | {goodman:>14.3} | {chao1:>14.3} | {jackknife1:>14.3}");
-        bench.push_value(
+        bench.push_row(
             format!("distinct f={fraction}"),
             json!({
                 "fraction": fraction,
@@ -124,8 +118,6 @@ fn measure_distinct(fractions: &[f64], runs: usize, bench: &mut BenchReport) {
                 "chao1": chao1,
                 "jackknife1": jackknife1,
             }),
-            &[started.elapsed().as_secs_f64()],
-            None,
         );
     }
     println!();

@@ -7,18 +7,18 @@
 //! estimate within the quota, but lost blocks shrink the sample, so
 //! accuracy decays gracefully instead of the query failing.
 //!
-//! Usage: `abl_faults [--runs N] [--quota SECS] [--jsonl] [--json PATH]`
+//! Usage: `abl_faults [--runs N] [--quota SECS] [--json PATH]`
 
 use std::time::Duration;
 
-use eram_bench::{measure_row, render_table, BenchReport, PaperRow, TrialConfig, WorkloadKind};
+use eram_bench::{BenchReport, TrialConfig, WorkloadKind};
 use eram_storage::FaultPlan;
 
 mod common;
 
 fn main() {
     let opts = common::Opts::parse("abl_faults");
-    let quota = Duration::from_secs_f64(opts.quota.unwrap_or(10.0));
+    let quota = opts.quota.unwrap_or(Duration::from_secs(10));
     let d_beta = 12.0;
 
     // (label, transient rate, corruption rate)
@@ -37,39 +37,32 @@ fn main() {
     bench.config_kv("runs", opts.runs as u64);
     bench.config_kv("d_beta", d_beta);
 
-    let mut rows = Vec::new();
-    for (i, (label, transient, corrupt)) in sweep.iter().enumerate() {
-        let mut cfg = TrialConfig::paper(
-            WorkloadKind::Select {
-                output_tuples: 5_000,
-            },
-            quota,
-            d_beta,
-        );
-        if *transient > 0.0 || *corrupt > 0.0 {
-            cfg.fault_plan = Some(
-                FaultPlan::new(0xFA17_0000 + i as u64)
-                    .with_transient(*transient)
-                    .with_corruption(*corrupt),
+    let rows = sweep
+        .iter()
+        .enumerate()
+        .map(|(i, (label, transient, corrupt))| {
+            let mut cfg = TrialConfig::paper(
+                WorkloadKind::Select {
+                    output_tuples: 5_000,
+                },
+                quota,
+                d_beta,
             );
-        }
-        let measured = measure_row(
-            &cfg,
-            opts.runs,
-            common::row_seed("abl-faults", i as u64, d_beta),
-        );
-        bench.push_measured(*label, &measured);
-        rows.push(PaperRow {
-            label: (*label).to_string(),
-            stats: measured.stats,
+            if *transient > 0.0 || *corrupt > 0.0 {
+                cfg.fault_plan = Some(
+                    FaultPlan::new(0xFA17_0000 + i as u64)
+                        .with_transient(*transient)
+                        .with_corruption(*corrupt),
+                );
+            }
+            let seed = common::row_seed("abl-faults", i as u64, d_beta);
+            (label.to_string(), cfg, seed)
         });
-    }
     let title = format!(
         "Ablation — storage faults, selection 5000/10000, d_beta {d_beta}, quota {:.1} s, {} runs/row",
         quota.as_secs_f64(),
         opts.runs
     );
-    common::emit(&opts, &title, "faults", &rows);
-    println!("{}", render_table(&title, "faults", &rows));
+    common::paper_table(&opts, &mut bench, &title, "faults", "", rows);
     common::write_bench(&opts, &bench);
 }

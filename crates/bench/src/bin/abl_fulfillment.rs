@@ -13,18 +13,18 @@
 //! reports points covered (via blocks and estimate quality) and the
 //! usual time-control columns.
 //!
-//! Usage: `abl_fulfillment [--runs N] [--quota SECS] [--jsonl] [--json PATH]`
+//! Usage: `abl_fulfillment [--runs N] [--quota SECS] [--json PATH]`
 
 use std::time::Duration;
 
-use eram_bench::{measure_row, render_table, BenchReport, PaperRow, TrialConfig, WorkloadKind};
+use eram_bench::{BenchReport, TrialConfig, WorkloadKind};
 use eram_core::Fulfillment;
 
 mod common;
 
 fn main() {
     let opts = common::Opts::parse("abl_fulfillment");
-    let quota = Duration::from_secs_f64(opts.quota.unwrap_or(2.5));
+    let quota = opts.quota.unwrap_or(Duration::from_millis(2500));
     let kind = WorkloadKind::Intersect { overlap: 5_000 };
     let d_beta = 12.0;
 
@@ -33,26 +33,21 @@ fn main() {
     bench.config_kv("runs", opts.runs as u64);
     bench.config_kv("d_beta", d_beta);
 
-    let mut rows = Vec::new();
-    for (name, fulfillment) in [
+    let rows = [
         ("full", Fulfillment::Full),
         ("partial", Fulfillment::Partial),
-    ] {
+    ]
+    .map(|(name, fulfillment)| {
         let mut cfg = TrialConfig::paper(kind, quota, d_beta);
         cfg.engine.fulfillment = fulfillment;
-        let measured = measure_row(&cfg, opts.runs, common::row_seed("abl-fulfill", 0, d_beta));
-        bench.push_measured(name, &measured);
-        rows.push(PaperRow {
-            label: name.to_string(),
-            stats: measured.stats,
-        });
-    }
+        let seed = common::row_seed("abl-fulfill", 0, d_beta);
+        (name.to_string(), cfg, seed)
+    });
     let title = format!(
         "Ablation — full vs partial fulfillment, intersect(5000), quota {:.1} s, {} runs/row",
         quota.as_secs_f64(),
         opts.runs
     );
-    common::emit(&opts, &title, "plan", &rows);
-    println!("{}", render_table(&title, "plan", &rows));
+    common::paper_table(&opts, &mut bench, &title, "plan", "", rows);
     common::write_bench(&opts, &bench);
 }

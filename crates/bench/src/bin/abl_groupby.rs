@@ -17,7 +17,7 @@
 //! Usage: `abl_groupby [--runs N] [--json PATH]`
 
 use std::collections::BTreeMap;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use eram_bench::BenchReport;
 use eram_core::{AggregateFn, Database, StoppingCriterion};
@@ -85,7 +85,6 @@ fn measure_precision_sweep(runs: usize, bench: &mut BenchReport) {
     println!("{}", "-".repeat(50));
     let seeds = SeedSeq::new(0x6B09);
     for target in [0.05f64, 0.10, 0.20] {
-        let started = Instant::now();
         let mut frozen = 0.0f64;
         let mut rel_err = 0.0f64;
         let mut sim_ms = 0.0f64;
@@ -123,7 +122,7 @@ fn measure_precision_sweep(runs: usize, bench: &mut BenchReport) {
         let rel_err = rel_err / runs as f64;
         let sim_ms = sim_ms / runs as f64;
         println!("{target:>7.2} | {frozen:>10.2} | {rel_err:>12.4} | {sim_ms:>12.1}");
-        bench.push_value(
+        bench.push_row(
             format!("precision target={target}"),
             json!({
                 "target": target,
@@ -131,8 +130,6 @@ fn measure_precision_sweep(runs: usize, bench: &mut BenchReport) {
                 "mean_rel_err": rel_err,
                 "sim_ms": sim_ms,
             }),
-            &[started.elapsed().as_secs_f64()],
-            None,
         );
     }
     println!();
@@ -147,7 +144,6 @@ fn measure_deadline_sweep(runs: usize, bench: &mut BenchReport) {
     println!("{}", "-".repeat(50));
     let seeds = SeedSeq::new(0x6B0A);
     for quota_s in [1u64, 2, 4, 8] {
-        let started = Instant::now();
         let mut rel_err = 0.0f64;
         let mut covered = 0u64;
         let mut cells = 0u64;
@@ -183,7 +179,7 @@ fn measure_deadline_sweep(runs: usize, bench: &mut BenchReport) {
         let coverage_pct = 100.0 * covered as f64 / cells.max(1) as f64;
         let sim_ms = sim_ms / runs as f64;
         println!("{quota_s:>7} | {rel_err:>12.4} | {coverage_pct:>10.1} | {sim_ms:>12.1}");
-        bench.push_value(
+        bench.push_row(
             format!("deadline quota={quota_s}s"),
             json!({
                 "quota_s": quota_s,
@@ -191,8 +187,6 @@ fn measure_deadline_sweep(runs: usize, bench: &mut BenchReport) {
                 "coverage_pct": coverage_pct,
                 "sim_ms": sim_ms,
             }),
-            &[started.elapsed().as_secs_f64()],
-            None,
         );
     }
     println!();

@@ -14,18 +14,18 @@
 //! temporary-file writes and re-reads, so a given quota buys far more
 //! sample blocks — and a correspondingly better estimate.
 //!
-//! Usage: `abl_memory_mode [--runs N] [--quota SECS] [--jsonl] [--json PATH]`
+//! Usage: `abl_memory_mode [--runs N] [--quota SECS] [--json PATH]`
 
 use std::time::Duration;
 
-use eram_bench::{measure_row, render_table, BenchReport, PaperRow, TrialConfig, WorkloadKind};
+use eram_bench::{BenchReport, TrialConfig, WorkloadKind};
 use eram_core::MemoryMode;
 
 mod common;
 
 fn main() {
     let opts = common::Opts::parse("abl_memory_mode");
-    let quota = Duration::from_secs_f64(opts.quota.unwrap_or(2.5));
+    let quota = opts.quota.unwrap_or(Duration::from_millis(2500));
     let d_beta = 12.0;
 
     let mut bench = BenchReport::new("abl_memory_mode");
@@ -45,29 +45,30 @@ fn main() {
             },
         ),
     ] {
-        let mut rows = Vec::new();
-        for (name, memory, cache_blocks) in [
+        let rows = [
             ("disk-resident", MemoryMode::DiskResident, 0usize),
             ("disk+cache(4k)", MemoryMode::DiskResident, 4_096),
             ("main-memory", MemoryMode::MainMemory, 0),
-        ] {
+        ]
+        .map(|(name, memory, cache_blocks)| {
             let mut cfg = TrialConfig::paper(kind, quota, d_beta);
             cfg.cache_blocks = cache_blocks;
             cfg.engine.memory = memory;
-            let measured = measure_row(&cfg, opts.runs, common::row_seed(wname, 1, d_beta));
-            bench.push_measured(format!("{wname} {name}"), &measured);
-            rows.push(PaperRow {
-                label: name.to_string(),
-                stats: measured.stats,
-            });
-        }
+            (name.to_string(), cfg, common::row_seed(wname, 1, d_beta))
+        });
         let title = format!(
             "Ablation — disk vs main-memory evaluation, {wname}, quota {:.1} s, {} runs/row",
             quota.as_secs_f64(),
             opts.runs
         );
-        common::emit(&opts, &title, "mode", &rows);
-        println!("{}", render_table(&title, "mode", &rows));
+        common::paper_table(
+            &opts,
+            &mut bench,
+            &title,
+            "mode",
+            &format!("{wname} "),
+            rows,
+        );
     }
     common::write_bench(&opts, &bench);
 }

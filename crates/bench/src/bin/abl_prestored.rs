@@ -17,11 +17,11 @@
 //! the "very good performance" the paper concedes — while (a) needs
 //! no statistics maintenance and covers every expression.
 //!
-//! Usage: `abl_prestored [--runs N] [--quota SECS] [--jsonl] [--json PATH]`
+//! Usage: `abl_prestored [--runs N] [--quota SECS] [--json PATH]`
 
 use std::time::Duration;
 
-use eram_bench::{measure_row, render_table, BenchReport, PaperRow, TrialConfig, WorkloadKind};
+use eram_bench::{BenchReport, TrialConfig, WorkloadKind};
 
 mod common;
 
@@ -30,45 +30,46 @@ fn main() {
 
     let mut bench = BenchReport::new("abl_prestored");
     bench.config_kv("runs", opts.runs as u64);
-    bench.config_kv(
-        "quota_secs",
-        opts.quota.unwrap_or(10.0), // per-workload min(2.5) applies to the join
-    );
+    // The join runs under min(quota, 2.5 s).
+    let full = opts.quota.unwrap_or(Duration::from_secs(10));
+    bench.config_kv("quota_secs", full.as_secs_f64());
 
-    for (wname, kind, quota_secs) in [
+    for (wname, kind, quota) in [
         (
             "select(5000)",
             WorkloadKind::Select {
                 output_tuples: 5_000,
             },
-            opts.quota.unwrap_or(10.0),
+            full,
         ),
         (
             "join(70000)",
             WorkloadKind::Join {
                 output_tuples: 70_000,
             },
-            opts.quota.unwrap_or(10.0).min(2.5),
+            full.min(Duration::from_millis(2500)),
         ),
     ] {
-        let quota = Duration::from_secs_f64(quota_secs);
-        let mut rows = Vec::new();
-        for (label, seed_from_stats) in [("run-time (paper)", false), ("histogram-seeded", true)] {
-            let mut cfg = TrialConfig::paper(kind, quota, 12.0);
-            cfg.seed_from_stats = seed_from_stats;
-            let measured = measure_row(&cfg, opts.runs, common::row_seed(wname, 2, 12.0));
-            bench.push_measured(format!("{wname} {label}"), &measured);
-            rows.push(PaperRow {
-                label: label.to_string(),
-                stats: measured.stats,
-            });
-        }
+        let rows = [("run-time (paper)", false), ("histogram-seeded", true)].map(
+            |(label, seed_from_stats)| {
+                let mut cfg = TrialConfig::paper(kind, quota, 12.0);
+                cfg.seed_from_stats = seed_from_stats;
+                (label.to_string(), cfg, common::row_seed(wname, 2, 12.0))
+            },
+        );
         let title = format!(
-            "Ablation — run-time vs prestored selectivities, {wname}, quota {quota_secs:.1} s, {} runs/row",
+            "Ablation — run-time vs prestored selectivities, {wname}, quota {:.1} s, {} runs/row",
+            quota.as_secs_f64(),
             opts.runs
         );
-        common::emit(&opts, &title, "source", &rows);
-        println!("{}", render_table(&title, "source", &rows));
+        common::paper_table(
+            &opts,
+            &mut bench,
+            &title,
+            "source",
+            &format!("{wname} "),
+            rows,
+        );
     }
     common::write_bench(&opts, &bench);
 }

@@ -8,11 +8,11 @@
 //! paper's columns, so the trade-off (risk control vs. quota
 //! utilization vs. stages) is measurable.
 //!
-//! Usage: `abl_strategies [--runs N] [--quota SECS] [--jsonl] [--json PATH]`
+//! Usage: `abl_strategies [--runs N] [--quota SECS] [--json PATH]`
 
 use std::time::Duration;
 
-use eram_bench::{measure_row, render_table, BenchReport, PaperRow, TrialConfig, WorkloadKind};
+use eram_bench::{BenchReport, TrialConfig, WorkloadKind};
 use std::sync::Arc;
 
 use eram_core::{HeuristicStrategy, OneAtATimeInterval, SingleInterval, TimeControlStrategy};
@@ -21,29 +21,30 @@ mod common;
 
 fn main() {
     let opts = common::Opts::parse("abl_strategies");
-    let workloads: [(&str, WorkloadKind, f64); 2] = [
+    let full = opts.quota.unwrap_or(Duration::from_secs(10));
+    let workloads: [(&str, WorkloadKind, Duration); 2] = [
         (
             "select(5000)",
             WorkloadKind::Select {
                 output_tuples: 5_000,
             },
-            opts.quota.unwrap_or(10.0),
+            full,
         ),
         (
             "join(70000)",
             WorkloadKind::Join {
                 output_tuples: 70_000,
             },
-            opts.quota.unwrap_or(10.0).min(2.5),
+            full.min(Duration::from_millis(2500)),
         ),
     ];
 
     let mut bench = BenchReport::new("abl_strategies");
     bench.config_kv("runs", opts.runs as u64);
-    bench.config_kv("quota_secs", opts.quota.unwrap_or(10.0));
+    bench.config_kv("quota_secs", full.as_secs_f64());
 
-    for (wname, kind, quota_secs) in workloads {
-        let quota = Duration::from_secs_f64(quota_secs);
+    for (wname, kind, quota) in workloads {
+        let quota_secs = quota.as_secs_f64();
         let strategies: Vec<(&str, Arc<dyn TimeControlStrategy>)> = vec![
             (
                 "one-at-a-time(d=12)",
@@ -56,27 +57,24 @@ fn main() {
                 Arc::new(HeuristicStrategy::new(0.5, 1.25)),
             ),
         ];
-        let mut rows = Vec::new();
-        for (sname, strategy) in strategies {
+        let rows = strategies.into_iter().map(|(sname, strategy)| {
             let mut cfg = TrialConfig::paper(kind, quota, 12.0);
             cfg.engine.strategy = strategy;
-            let measured = measure_row(
-                &cfg,
-                opts.runs,
-                common::row_seed("abl-strategy", quota_secs.to_bits(), 0.0),
-            );
-            bench.push_measured(format!("{wname} {sname}"), &measured);
-            rows.push(PaperRow {
-                label: sname.to_string(),
-                stats: measured.stats,
-            });
-        }
+            let seed = common::row_seed("abl-strategy", quota_secs.to_bits(), 0.0);
+            (sname.to_string(), cfg, seed)
+        });
         let title = format!(
             "Ablation — strategies on {wname}, quota {quota_secs:.1} s, {} runs/row",
             opts.runs
         );
-        common::emit(&opts, &title, "strategy", &rows);
-        println!("{}", render_table(&title, "strategy", &rows));
+        common::paper_table(
+            &opts,
+            &mut bench,
+            &title,
+            "strategy",
+            &format!("{wname} "),
+            rows,
+        );
     }
     common::write_bench(&opts, &bench);
 }

@@ -3,67 +3,61 @@
 //! Shared CLI plumbing for the experiment binaries.
 
 use std::path::PathBuf;
+use std::time::Duration;
 
-use eram_bench::{render_jsonl, BenchReport, PaperRow};
-use eram_storage::SeedSeq;
+use eram_bench::{render_table, run_row, BenchReport, PaperRow, TrialConfig};
+use eram_storage::{SeedSeq, ToJson};
 
 /// Parsed command-line options.
 pub struct Opts {
-    /// Independent runs per row (paper: 200).
+    /// Independent runs per row (paper: 200), at least 1.
     pub runs: usize,
-    /// Quota override in seconds.
-    pub quota: Option<f64>,
-    /// Also emit JSON lines (provenance for EXPERIMENTS.md).
-    pub jsonl: bool,
+    /// Quota override.
+    pub quota: Option<Duration>,
     /// Override for the machine-readable `BENCH_<suite>.json` path.
     pub json: Option<PathBuf>,
 }
 
 impl Opts {
-    /// Parses `--runs N`, `--quota SECS`, `--jsonl`, `--json PATH`.
+    /// Parses `--runs N`, `--quota SECS`, `--json PATH`. Anything
+    /// else — `--runs 0` and a quota that is not a duration included —
+    /// prints one line and exits 2.
     pub fn parse(name: &str) -> Opts {
-        let mut runs = 200usize;
-        let mut quota = None;
-        let mut jsonl = false;
-        let mut json = None;
+        let mut opts = Opts {
+            runs: 200,
+            quota: None,
+            json: None,
+        };
         let mut args = std::env::args().skip(1);
         while let Some(a) = args.next() {
+            let mut value = || {
+                args.next()
+                    .unwrap_or_else(|| usage(name, &format!("{a} needs a value")))
+            };
             match a.as_str() {
                 "--runs" => {
-                    runs = args
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage(name));
+                    opts.runs = match value().parse() {
+                        Ok(n) if n > 0 => n,
+                        _ => usage(name, "--runs needs a positive integer"),
+                    };
                 }
                 "--quota" => {
-                    quota = Some(
-                        args.next()
-                            .and_then(|v| v.parse().ok())
-                            .unwrap_or_else(|| usage(name)),
-                    );
+                    opts.quota = match eram_cli::parse_secs(&value()) {
+                        Ok(quota) => Some(quota),
+                        Err(e) => usage(name, &format!("--quota: {e}")),
+                    };
                 }
-                "--jsonl" => jsonl = true,
-                "--json" => {
-                    json = Some(PathBuf::from(args.next().unwrap_or_else(|| usage(name))));
-                }
-                "--help" | "-h" => usage(name),
-                other => {
-                    eprintln!("unknown argument: {other}");
-                    usage(name)
-                }
+                "--json" => opts.json = Some(PathBuf::from(value())),
+                "--help" | "-h" => usage(name, "regenerates one results table"),
+                other => usage(name, &format!("unknown argument {other:?}")),
             }
         }
-        Opts {
-            runs,
-            quota,
-            jsonl,
-            json,
-        }
+        opts
     }
 }
 
-fn usage(name: &str) -> ! {
-    eprintln!("usage: {name} [--runs N] [--quota SECS] [--jsonl] [--json PATH]");
+fn usage(name: &str, problem: &str) -> ! {
+    eprintln!("{name}: {problem}; usage: {name} [--runs N] [--quota SECS] [--json PATH]");
     std::process::exit(2)
 }
 
@@ -104,10 +98,24 @@ pub fn row_seed(experiment: &str, sub: u64, d_beta: f64) -> u64 {
     SeedSeq::new(h).derive(1)
 }
 
-/// Emits JSONL provenance when requested.
-pub fn emit(opts: &Opts, title: &str, _param: &str, rows: &[PaperRow]) {
-    if opts.jsonl {
-        eprintln!("# {title}");
-        eprintln!("{}", render_jsonl(rows));
-    }
+/// Runs each `(label, config, master seed)` row, records it in `bench`
+/// as `{bench_prefix}{label}`, and prints the rows as one paper-format
+/// table.
+pub fn paper_table(
+    opts: &Opts,
+    bench: &mut BenchReport,
+    title: &str,
+    param: &str,
+    bench_prefix: &str,
+    rows: impl IntoIterator<Item = (String, TrialConfig, u64)>,
+) {
+    let rows: Vec<PaperRow> = rows
+        .into_iter()
+        .map(|(label, config, seed)| {
+            let stats = run_row(&config, opts.runs, seed);
+            bench.push_row(format!("{bench_prefix}{label}"), stats.to_json());
+            PaperRow { label, stats }
+        })
+        .collect();
+    println!("{}", render_table(title, param, &rows));
 }

@@ -7,17 +7,17 @@
 //! and 10 000 output tuples; `d_β ∈ {0, 12, 24, 48, 72}`;
 //! 200 independent runs per row.
 //!
-//! Usage: `fig5_1_select [--runs N] [--quota SECS] [--jsonl] [--json PATH]`
+//! Usage: `fig5_1_select [--runs N] [--quota SECS] [--json PATH]`
 
 use std::time::Duration;
 
-use eram_bench::{measure_row, render_table, BenchReport, PaperRow, TrialConfig, WorkloadKind};
+use eram_bench::{BenchReport, TrialConfig, WorkloadKind};
 
 mod common;
 
 fn main() {
     let opts = common::Opts::parse("fig5_1_select");
-    let quota = Duration::from_secs_f64(opts.quota.unwrap_or(10.0));
+    let quota = opts.quota.unwrap_or(Duration::from_secs(10));
     let d_betas = [0.0, 12.0, 24.0, 48.0, 72.0];
 
     let mut bench = BenchReport::new("fig5_1_select");
@@ -25,27 +25,20 @@ fn main() {
     bench.config_kv("runs", opts.runs as u64);
 
     for output_tuples in [0u64, 5_000, 10_000] {
-        let mut rows = Vec::new();
-        for d_beta in d_betas {
-            let cfg = TrialConfig::paper(WorkloadKind::Select { output_tuples }, quota, d_beta);
-            let measured = measure_row(
-                &cfg,
-                opts.runs,
+        let rows = d_betas.map(|d_beta| {
+            (
+                format!("{d_beta}"),
+                TrialConfig::paper(WorkloadKind::Select { output_tuples }, quota, d_beta),
                 common::row_seed("fig5.1", output_tuples, d_beta),
-            );
-            bench.push_measured(format!("out={output_tuples} d_beta={d_beta}"), &measured);
-            rows.push(PaperRow {
-                label: format!("{d_beta}"),
-                stats: measured.stats,
-            });
-        }
+            )
+        });
         let title = format!(
             "Figure 5.1 — Selection, {output_tuples} output tuples, quota {:.1} s, {} runs/row",
             quota.as_secs_f64(),
             opts.runs
         );
-        common::emit(&opts, &title, "d_beta", &rows);
-        println!("{}", render_table(&title, "d_beta", &rows));
+        let prefix = format!("out={output_tuples} d_beta=");
+        common::paper_table(&opts, &mut bench, &title, "d_beta", &prefix, rows);
     }
     common::write_bench(&opts, &bench);
 }

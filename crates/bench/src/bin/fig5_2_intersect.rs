@@ -10,17 +10,17 @@
 //! "due to the increase in the overhead and the increase in the time
 //! complexity of Intersection".
 //!
-//! Usage: `fig5_2_intersect [--runs N] [--quota SECS] [--jsonl] [--json PATH]`
+//! Usage: `fig5_2_intersect [--runs N] [--quota SECS] [--json PATH]`
 
 use std::time::Duration;
 
-use eram_bench::{measure_row, render_table, BenchReport, PaperRow, TrialConfig, WorkloadKind};
+use eram_bench::{BenchReport, TrialConfig, WorkloadKind};
 
 mod common;
 
 fn main() {
     let opts = common::Opts::parse("fig5_2_intersect");
-    let quota = Duration::from_secs_f64(opts.quota.unwrap_or(2.5));
+    let quota = opts.quota.unwrap_or(Duration::from_millis(2500));
     let overlap = 5_000u64;
 
     let mut bench = BenchReport::new("fig5_2_intersect");
@@ -28,22 +28,18 @@ fn main() {
     bench.config_kv("runs", opts.runs as u64);
     bench.config_kv("overlap", overlap);
 
-    let mut rows = Vec::new();
-    for d_beta in [0.0, 12.0, 24.0, 48.0, 72.0] {
-        let cfg = TrialConfig::paper(WorkloadKind::Intersect { overlap }, quota, d_beta);
-        let measured = measure_row(&cfg, opts.runs, common::row_seed("fig5.2", overlap, d_beta));
-        bench.push_measured(format!("d_beta={d_beta}"), &measured);
-        rows.push(PaperRow {
-            label: format!("{d_beta}"),
-            stats: measured.stats,
-        });
-    }
+    let rows = [0.0, 12.0, 24.0, 48.0, 72.0].map(|d_beta| {
+        (
+            format!("{d_beta}"),
+            TrialConfig::paper(WorkloadKind::Intersect { overlap }, quota, d_beta),
+            common::row_seed("fig5.2", overlap, d_beta),
+        )
+    });
     let title = format!(
         "Figure 5.2 — Intersection, overlap {overlap}, quota {:.1} s, {} runs/row",
         quota.as_secs_f64(),
         opts.runs
     );
-    common::emit(&opts, &title, "d_beta", &rows);
-    println!("{}", render_table(&title, "d_beta", &rows));
+    common::paper_table(&opts, &mut bench, &title, "d_beta", "d_beta=", rows);
     common::write_bench(&opts, &bench);
 }

@@ -10,17 +10,17 @@
 //! observed early termination at `d_β ∈ {24, 48, 72}` — the leftover
 //! could not fund another full-fulfillment stage.
 //!
-//! Usage: `fig5_3_join [--runs N] [--quota SECS] [--jsonl] [--json PATH]`
+//! Usage: `fig5_3_join [--runs N] [--quota SECS] [--json PATH]`
 
 use std::time::Duration;
 
-use eram_bench::{measure_row, render_table, BenchReport, PaperRow, TrialConfig, WorkloadKind};
+use eram_bench::{BenchReport, TrialConfig, WorkloadKind};
 
 mod common;
 
 fn main() {
     let opts = common::Opts::parse("fig5_3_join");
-    let quota = Duration::from_secs_f64(opts.quota.unwrap_or(2.5));
+    let quota = opts.quota.unwrap_or(Duration::from_millis(2500));
     let output_tuples = 70_000u64;
 
     let mut bench = BenchReport::new("fig5_3_join");
@@ -28,26 +28,18 @@ fn main() {
     bench.config_kv("runs", opts.runs as u64);
     bench.config_kv("output_tuples", output_tuples);
 
-    let mut rows = Vec::new();
-    for d_beta in [0.0, 12.0, 24.0, 48.0, 72.0] {
-        let cfg = TrialConfig::paper(WorkloadKind::Join { output_tuples }, quota, d_beta);
-        let measured = measure_row(
-            &cfg,
-            opts.runs,
+    let rows = [0.0, 12.0, 24.0, 48.0, 72.0].map(|d_beta| {
+        (
+            format!("{d_beta}"),
+            TrialConfig::paper(WorkloadKind::Join { output_tuples }, quota, d_beta),
             common::row_seed("fig5.3", output_tuples, d_beta),
-        );
-        bench.push_measured(format!("d_beta={d_beta}"), &measured);
-        rows.push(PaperRow {
-            label: format!("{d_beta}"),
-            stats: measured.stats,
-        });
-    }
+        )
+    });
     let title = format!(
         "Figure 5.3 — Join, {output_tuples} output tuples, quota {:.1} s, {} runs/row",
         quota.as_secs_f64(),
         opts.runs
     );
-    common::emit(&opts, &title, "d_beta", &rows);
-    println!("{}", render_table(&title, "d_beta", &rows));
+    common::paper_table(&opts, &mut bench, &title, "d_beta", "d_beta=", rows);
     common::write_bench(&opts, &bench);
 }

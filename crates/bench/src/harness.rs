@@ -12,11 +12,10 @@
 //! them over seeded independent runs.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use eram_core::{
-    EngineConfig, ExecutionReport, OneAtATimeInterval, ProfileSnapshot, Profiler,
-    SelectivityDefaults, StoppingCriterion,
+    EngineConfig, ExecutionReport, OneAtATimeInterval, SelectivityDefaults, StoppingCriterion,
 };
 use eram_storage::{json_record, FaultPlan, SeedSeq};
 
@@ -196,8 +195,8 @@ pub struct TrialConfig {
     /// plan seed is XOR-folded with the trial seed so independent
     /// trials see independent fault sites.
     pub fault_plan: Option<FaultPlan>,
-    /// The engine settings every trial runs under (its profiler is
-    /// replaced per trial). An ablation varies one field of this.
+    /// The engine settings every trial runs under. An ablation varies
+    /// one field of this.
     pub engine: EngineConfig,
 }
 
@@ -262,19 +261,6 @@ pub fn stats_seeded_defaults(
 
 /// Runs one seeded trial.
 pub fn run_trial(config: &TrialConfig, seed: u64) -> TrialResult {
-    run_trial_with(config, seed, false).0
-}
-
-/// Runs one seeded trial, optionally with a recording phase profiler
-/// attached. Profiling is pure observation, so the [`TrialResult`] is
-/// byte-identical whether `profile` is on or off; the snapshot is the
-/// extra wall/simulated phase breakdown the flight recorder emits
-/// into `BENCH_*.json`.
-pub fn run_trial_with(
-    config: &TrialConfig,
-    seed: u64,
-    profile: bool,
-) -> (TrialResult, Option<ProfileSnapshot>) {
     let mut workload = Workload::build_on(config.kind, seed, config.cache_blocks);
     let truth = workload.truth;
     let mut engine = config.engine.clone();
@@ -288,11 +274,6 @@ pub fn run_trial_with(
         plan.seed ^= seed;
         workload.db.inject_faults(plan);
     }
-    engine.profiler = if profile {
-        Profiler::recording(workload.db.disk().clock().clone())
-    } else {
-        Profiler::disabled()
-    };
     let out = workload
         .db
         .count(workload.expr.clone())
@@ -301,86 +282,32 @@ pub fn run_trial_with(
         .seed(seed ^ 0x5EED)
         .run()
         .expect("experiment query must execute");
-    (
-        TrialResult::from_report(&out.report, truth),
-        out.report.profile,
-    )
+    TrialResult::from_report(&out.report, truth)
 }
 
-/// Runs `trial(index, seed)` for `runs` seeds derived from
-/// `master_seed`, spread over the host's cores, and returns the
-/// results in trial-index order.
-fn run_trials<T: Send>(
-    runs: usize,
-    master_seed: u64,
-    trial: impl Fn(usize, u64) -> T + Sync,
-) -> Vec<T> {
+/// Runs `runs` independent trials, their seeds derived from
+/// `master_seed`, spread over the host's cores, and aggregates them in
+/// trial-index order.
+pub fn run_row(config: &TrialConfig, runs: usize, master_seed: u64) -> RowStats {
     let seeds = SeedSeq::new(master_seed);
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4)
         .min(runs.max(1));
     let chunk_len = runs.div_ceil(threads).max(1);
-    let mut results: Vec<Option<T>> = (0..runs).map(|_| None).collect();
+    let mut trials: Vec<Option<TrialResult>> = vec![None; runs];
     std::thread::scope(|scope| {
-        for (ci, slot) in results.chunks_mut(chunk_len).enumerate() {
-            let trial = &trial;
+        for (ci, slot) in trials.chunks_mut(chunk_len).enumerate() {
             scope.spawn(move || {
                 for (j, out) in slot.iter_mut().enumerate() {
-                    let run_index = ci * chunk_len + j;
-                    *out = Some(trial(run_index, seeds.derive(run_index as u64)));
+                    let run_index = (ci * chunk_len + j) as u64;
+                    *out = Some(run_trial(config, seeds.derive(run_index)));
                 }
             });
         }
     });
-    results.into_iter().map(|r| r.expect("trial ran")).collect()
-}
-
-/// Runs `runs` independent trials (in parallel) and aggregates them.
-pub fn run_row(config: &TrialConfig, runs: usize, master_seed: u64) -> RowStats {
-    let trials = run_trials(runs, master_seed, |_, seed| run_trial(config, seed));
+    let trials: Vec<TrialResult> = trials.into_iter().map(|t| t.expect("trial ran")).collect();
     RowStats::aggregate(&trials)
-}
-
-/// One table row measured by the flight recorder: the deterministic
-/// simulated aggregate, the host wall-clock seconds of every trial
-/// (in trial-index order), and the phase profile of the first trial.
-#[derive(Debug, Clone)]
-pub struct MeasuredRow {
-    /// Aggregate over the trials — identical to what [`run_row`]
-    /// returns for the same config and master seed.
-    pub stats: RowStats,
-    /// Wall-clock seconds each trial took, indexed by trial number.
-    /// Host measurements: nondeterministic, threshold-compared only.
-    pub wall_secs: Vec<f64>,
-    /// Phase breakdown of trial 0 (the only profiled trial — one is
-    /// enough for attribution and keeps the overhead off the other
-    /// trials' wall clocks).
-    pub profile: Option<ProfileSnapshot>,
-}
-
-/// Like [`run_row`], but records per-trial wall-clock durations and
-/// profiles trial 0. The aggregated simulated stats are byte-identical
-/// to [`run_row`]'s: profiling and timing are pure observation.
-pub fn measure_row(config: &TrialConfig, runs: usize, master_seed: u64) -> MeasuredRow {
-    let measured = run_trials(runs, master_seed, |run_index, seed| {
-        let started = Instant::now();
-        let (trial, profile) = run_trial_with(config, seed, run_index == 0);
-        (trial, started.elapsed().as_secs_f64(), profile)
-    });
-    let mut trials = Vec::with_capacity(runs);
-    let mut wall_secs = Vec::with_capacity(runs);
-    let mut profile = None;
-    for (trial, wall, prof) in measured {
-        trials.push(trial);
-        wall_secs.push(wall);
-        profile = profile.or(prof);
-    }
-    MeasuredRow {
-        stats: RowStats::aggregate(&trials),
-        wall_secs,
-        profile,
-    }
 }
 
 #[cfg(test)]
@@ -455,41 +382,6 @@ mod tests {
         assert!((stats.faults - 2.0).abs() < 1e-12);
         assert!((stats.blocks_lost - 1.0).abs() < 1e-12);
         assert!((stats.degraded_pct - 100.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn profiled_trial_is_byte_identical_to_unprofiled() {
-        let cfg = TrialConfig::paper(
-            WorkloadKind::Select {
-                output_tuples: 5_000,
-            },
-            Duration::from_secs(6),
-            12.0,
-        );
-        let plain = run_trial(&cfg, 17);
-        let (profiled, snapshot) = run_trial_with(&cfg, 17, true);
-        assert_eq!(plain, profiled, "profiling must not perturb the simulation");
-        let snap = snapshot.expect("profiled trial returns a snapshot");
-        assert!(snap.phases.contains_key("planning"));
-        assert!(snap.phases.contains_key("stopping_check"));
-        assert!(snap.total_wall_ns() > 0);
-    }
-
-    #[test]
-    fn measure_row_matches_run_row_and_captures_wall() {
-        let cfg = TrialConfig::paper(
-            WorkloadKind::Select {
-                output_tuples: 5_000,
-            },
-            Duration::from_secs(4),
-            12.0,
-        );
-        let plain = run_row(&cfg, 6, 11);
-        let measured = measure_row(&cfg, 6, 11);
-        assert_eq!(plain, measured.stats);
-        assert_eq!(measured.wall_secs.len(), 6);
-        assert!(measured.wall_secs.iter().all(|w| *w > 0.0));
-        assert!(measured.profile.is_some());
     }
 
     #[test]

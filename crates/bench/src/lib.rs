@@ -16,14 +16,14 @@
 //! plus ablations (`abl_strategies`, `abl_adaptive_costs`,
 //! `abl_fulfillment`, `abl_estimator_accuracy`, `abl_memory_mode`,
 //! `abl_prestored`, `abl_clustering`, `abl_faults`,
-//! `abl_convergence`, `abl_parallel`) for the design choices the
-//! paper discusses qualitatively.
+//! `abl_convergence`, `abl_groupby`, `abl_admission`) for the design
+//! choices the paper discusses qualitatively.
 //!
 //! Every binary also emits a machine-readable `BENCH_<suite>.json`
-//! ([`bench_json::BenchReport`]): exact-compared `simulated` columns,
-//! wall-clock stats, and the phase profile from the flight recorder.
-//! The `bench-diff` binary ([`diff`]) compares two such files and
-//! gates regressions in CI.
+//! ([`bench_json::BenchReport`]): the same `simulated` columns, a pure
+//! function of the seeds, so a regenerated file is compared with `cmp`
+//! (`scripts/regen_results.sh check` gates the fast sweeps in CI).
+//! Host wall time is measured in `benchmark/`, not here.
 //!
 //! "Each artificial relation instance has 10,000 tuples, with the
 //! tuple size of 200 bytes ... 2,000 disk blocks (1K bytes in each
@@ -37,13 +37,11 @@
 #![warn(clippy::all)]
 
 pub mod bench_json;
-pub mod diff;
 pub mod harness;
 pub mod table;
 pub mod workload;
 
-pub use bench_json::{BenchReport, BenchRow, WallStats, BENCH_SCHEMA_VERSION};
-pub use diff::{diff_reports, DiffOptions};
-pub use harness::{measure_row, run_row, MeasuredRow, RowStats, TrialConfig, TrialResult};
-pub use table::{render_jsonl, render_table, PaperRow};
+pub use bench_json::{BenchReport, BenchRow, BENCH_SCHEMA_VERSION};
+pub use harness::{run_row, RowStats, TrialConfig, TrialResult};
+pub use table::{render_table, PaperRow};
 pub use workload::{Workload, WorkloadKind};

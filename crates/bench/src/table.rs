@@ -6,8 +6,6 @@
 //! [`PaperRow`] pairs a measured row with the paper's published
 //! values so EXPERIMENTS.md can show paper-vs-measured side by side.
 
-use eram_storage::{json, json_record};
-
 use crate::harness::RowStats;
 
 /// One rendered row: the sweep parameter and the measured stats.
@@ -18,11 +16,6 @@ pub struct PaperRow {
     /// Measured statistics.
     pub stats: RowStats,
 }
-
-json_record!(PaperRow {
-    label: required,
-    stats: required,
-});
 
 /// Renders a Section 5-style table to a string. When any row saw
 /// storage faults, three health columns (`faults`, `lost`,
@@ -72,15 +65,6 @@ pub fn render_table(title: &str, param_name: &str, rows: &[PaperRow]) -> String 
         out.push('\n');
     }
     out
-}
-
-/// Emits rows as JSON lines (experiment provenance for
-/// EXPERIMENTS.md).
-pub fn render_jsonl(rows: &[PaperRow]) -> String {
-    rows.iter()
-        .map(json::to_string)
-        .collect::<Vec<_>>()
-        .join("\n")
 }
 
 #[cfg(test)]
@@ -151,23 +135,5 @@ mod tests {
         }];
         let t = render_table("x", "d", &rows);
         assert!(t.contains("n/a"));
-    }
-
-    #[test]
-    fn jsonl_round_trips() {
-        let rows = vec![
-            PaperRow {
-                label: "0".into(),
-                stats: stats(),
-            },
-            PaperRow {
-                label: "12".into(),
-                stats: stats(),
-            },
-        ];
-        let jsonl = render_jsonl(&rows);
-        assert_eq!(jsonl.lines().count(), 2);
-        let back: PaperRow = json::from_str(jsonl.lines().next().unwrap()).unwrap();
-        assert_eq!(back.label, "0");
     }
 }

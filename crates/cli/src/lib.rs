@@ -75,8 +75,8 @@ pub struct Cli {
     pub header: bool,
     /// One-shot query (otherwise: interactive shell).
     pub query: Option<String>,
-    /// One-shot quota in seconds.
-    pub quota_secs: Option<f64>,
+    /// One-shot quota.
+    pub quota: Option<Duration>,
     /// One-shot aggregate.
     pub agg: AggregateFn,
     /// Seed for deterministic fault injection.
@@ -224,14 +224,8 @@ impl Cli {
                     )
                 }
                 "--quota" => {
-                    let secs: f64 = args
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| err("--quota needs seconds"))?;
-                    if !secs.is_finite() || secs < 0.0 {
-                        return Err(err("--quota must be a non-negative number of seconds"));
-                    }
-                    cli.quota_secs = Some(secs);
+                    let secs = args.next().ok_or_else(|| err("--quota needs seconds"))?;
+                    cli.quota = Some(parse_secs(&secs).map_err(|e| err(format!("--quota: {e}")))?);
                 }
                 "--agg" => {
                     cli.agg = parse_agg(&args.next().ok_or_else(|| {
@@ -325,7 +319,7 @@ impl Cli {
                 other => return Err(err(format!("unknown argument {other:?}\n{USAGE}"))),
             }
         }
-        if cli.query.is_some() && cli.quota_secs.is_none() {
+        if cli.query.is_some() && cli.quota.is_none() {
             return Err(err("--query requires --quota"));
         }
         if cli.query.is_some() && cli.serve.is_some() {
@@ -409,6 +403,17 @@ impl Cli {
         }
         Some(plan)
     }
+}
+
+/// Parses a duration a user typed, in seconds. Text that is not a
+/// number and every value `Duration::from_secs_f64` would panic on —
+/// negative, NaN, infinite, past `Duration::MAX` — is an error.
+pub fn parse_secs(text: &str) -> Result<Duration, CliError> {
+    text.trim()
+        .parse::<f64>()
+        .ok()
+        .and_then(|secs| Duration::try_from_secs_f64(secs).ok())
+        .ok_or_else(|| err(format!("{text:?} is not a non-negative number of seconds")))
 }
 
 fn parse_rate(arg: Option<String>, flag: &str) -> Result<f64, CliError> {
@@ -552,7 +557,7 @@ fn render_profile(snap: &ProfileSnapshot, top_n: usize) -> String {
 /// wall time follow the health line.
 pub fn run_one_shot(db: &mut Database, cli: &Cli) -> Result<String, CliError> {
     let text = cli.query.as_deref().expect("caller checked");
-    let quota = Duration::from_secs_f64(cli.quota_secs.expect("caller checked"));
+    let quota = cli.quota.expect("caller checked");
     let expr = parse_expr(text).map_err(|e| err(e.to_string()))?;
     let config = cli.engine_config(db.disk().clock());
     let tracer = config.tracer.clone();
@@ -861,16 +866,10 @@ pub fn dispatch(db: &mut Database, input: &str) -> Result<Option<String>, CliErr
                 .rsplit_once(" within ")
                 .ok_or_else(|| err(format!("usage: {prefix}... <expr> within <secs>")))?;
             let expr = parse_expr(expr_text.trim()).map_err(|e| err(e.to_string()))?;
-            let secs: f64 = quota_text
-                .trim()
-                .parse()
-                .map_err(|_| err("quota must be a number of seconds"))?;
-            if !secs.is_finite() || secs < 0.0 {
-                return Err(err("quota must be a non-negative number of seconds"));
-            }
+            let quota = parse_secs(quota_text).map_err(|e| err(format!("quota: {e}")))?;
             let out = db
                 .aggregate(agg, expr)
-                .within(Duration::from_secs_f64(secs))
+                .within(quota)
                 .run()
                 .map_err(|e| err(e.to_string()))?;
             let (lo, hi) = out.estimate.ci(0.95);
@@ -932,7 +931,7 @@ mod tests {
         assert_eq!(cli.cache_blocks, 128);
         assert_eq!(cli.seed, 9);
         assert!(cli.header);
-        assert_eq!(cli.quota_secs, Some(2.5));
+        assert_eq!(cli.quota, Some(Duration::from_millis(2500)));
         assert_eq!(cli.agg, AggregateFn::Sum { column: 1 });
         assert_eq!(cli.workers, 4);
         assert_eq!(cli.run_cache_tuples, Some(4096));
@@ -1578,6 +1577,60 @@ mod tests {
         assert!(dispatch(&mut db, "quit").unwrap().is_none());
         assert!(dispatch(&mut db, "explode").is_err());
         assert!(dispatch(&mut db, "count t").is_err()); // missing within
+        let _ = std::fs::remove_file(csv);
+    }
+
+    /// Every numeric flag × every hostile number, driven through
+    /// parse → build → run (and the shell's `within`): the answer is a
+    /// result or a one-line error, never a panic.
+    #[test]
+    fn hostile_numbers_never_panic() {
+        const HOSTILE: [&str; 8] = [
+            "nan",
+            "inf",
+            "-1",
+            "-0.0",
+            "1e300",
+            "1e-320",
+            "18446744073709551616",
+            "",
+        ];
+        const NUMERIC_FLAGS: [&str; 10] = [
+            "--cache",
+            "--seed",
+            "--quota",
+            "--fault-seed",
+            "--fault-transient",
+            "--fault-corrupt",
+            "--fault-spike",
+            "--fault-spike-ms",
+            "--workers",
+            "--run-cache-tuples",
+        ];
+        let csv = write_csv("hostile", "0,5\n1,15\n2,25\n3,35\n");
+        let load = format!("t={}:k:int,v:int", csv.display());
+        let one_line = |e: CliError| assert!(!e.0.contains('\n'), "{:?}", e.0);
+        for value in HOSTILE {
+            for flag in NUMERIC_FLAGS {
+                // The hostile flag comes last, so it is the one read.
+                let args = ["--load", &load, "--query", "t", "--quota", "1", flag, value];
+                let ran = Cli::parse(args).and_then(|cli| {
+                    let mut db = build_database(&cli)?;
+                    run_one_shot(&mut db, &cli)
+                });
+                if let Err(e) = ran {
+                    one_line(e);
+                }
+            }
+            let mut db = build_database(&Cli::parse(["--load", &load]).unwrap()).unwrap();
+            match dispatch(&mut db, &format!("count t within {value}")) {
+                Ok(out) => assert!(out.is_some()),
+                Err(e) => one_line(e),
+            }
+        }
+        // The values `is_finite()` let through to `from_secs_f64`.
+        assert!(Cli::parse(["--quota", "1e300"]).is_err());
+        assert_eq!(parse_secs("-0.0"), Ok(Duration::ZERO));
         let _ = std::fs::remove_file(csv);
     }
 }

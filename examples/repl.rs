@@ -142,12 +142,12 @@ fn dispatch(db: &mut Database, input: &str) -> Result<bool, String> {
             .trim()
             .parse()
             .map_err(|_| "quota must be a number of seconds")?;
-        if !secs.is_finite() || secs < 0.0 {
-            return Err("quota must be a non-negative number of seconds".into());
-        }
+        // `from_secs_f64` panics on negative, NaN and out-of-range.
+        let quota = Duration::try_from_secs_f64(secs)
+            .map_err(|_| "quota must be a non-negative number of seconds")?;
         let out = db
             .count(expr)
-            .within(Duration::from_secs_f64(secs))
+            .within(quota)
             .run()
             .map_err(|e| e.to_string())?;
         let (lo, hi) = out.estimate.ci(0.95);

@@ -1,19 +1,18 @@
 #!/usr/bin/env sh
 # Regenerates everything under results/: the human-readable paper
-# tables (*.txt), the machine-readable flight-recorder output
-# (BENCH_*.json), and the fast CI baselines (results/ci/) that the
-# bench-regression job gates against.
+# tables (*.txt), the machine-readable BENCH_*.json, and the fast CI
+# baselines (results/ci/) that the bench-regression job gates against.
 #
-# The simulated columns are pure functions of the seeds, so the .txt
-# tables and every BENCH `simulated` section are identical on any
-# machine; only the wall-clock stats differ (which is why CI compares
-# with --ignore-wall).
+# Every column is read off the simulated clock, so every file is a
+# pure function of the seeds: a regeneration on any machine leaves
+# `git status --short results/` empty unless the engine's behaviour
+# moved. Host wall time is measured in benchmark/, not here.
 #
 # Usage: scripts/regen_results.sh [RUNS]
 #   RUNS defaults to 200 (the paper's trial count per row).
-#        scripts/regen_results.sh ci OUTDIR
-#   Only the fast sweeps, written to OUTDIR/BENCH_<suite>.json: what
-#   the bench-regression job runs and gates against results/ci/.
+#        scripts/regen_results.sh check
+#   Only the fast sweeps, into a temp dir, each file compared byte for
+#   byte with results/ci/: the whole bench-regression job.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -25,22 +24,40 @@ bench() {
 }
 
 # The gated suites and their flags, named here and nowhere else:
-# results/ci/ is this function's output, and the bench-regression job
-# calls it and compares (bench-diff matches the config section exactly).
+# results/ci/ is this function's output, and `check` compares with it.
 ci_sweeps() {
     out="$1"
     mkdir -p "$out"
-    for sweep in fig5_1_select:20 abl_faults:20 abl_parallel:5 fig5_3_join:20 \
-        abl_admission:5 abl_groupby:5 abl_layout:5; do
+    for sweep in fig5_1_select:20 abl_faults:20 fig5_3_join:20 \
+        abl_admission:5 abl_groupby:5; do
         suite="${sweep%:*}"
         echo "=== $suite --runs ${sweep#*:} (CI sweep)" >&2
         bench "$suite" --runs "${sweep#*:}" --json "$out/BENCH_$suite.json" > /dev/null
     done
 }
 
-if [ "${1:-}" = ci ]; then
-    ci_sweeps "${2:?usage: $0 ci OUTDIR}"
-    exit 0
+if [ "${1:-}" = check ]; then
+    fresh="$(mktemp -d)"
+    trap 'rm -rf "$fresh"' EXIT
+    ci_sweeps "$fresh"
+    status=0
+    for name in $( (ls results/ci; ls "$fresh") | sort -u); do
+        if [ ! -f "results/ci/$name" ]; then
+            echo "FAIL results/ci/$name: swept but not committed — run scripts/regen_results.sh and commit results/ci/"
+            status=1
+        elif [ ! -f "$fresh/$name" ]; then
+            echo "FAIL results/ci/$name: no sweep writes it — delete the baseline or restore the sweep in ci_sweeps"
+            status=1
+        elif ! cmp -s "results/ci/$name" "$fresh/$name"; then
+            echo "FAIL results/ci/$name: the fresh sweep differs"
+            # The hunk header carries the row's label, the hunk the column.
+            diff -u -F '"label"' "results/ci/$name" "$fresh/$name" || true
+            status=1
+        else
+            echo "ok   results/ci/$name"
+        fi
+    done
+    exit $status
 fi
 
 RUNS="${1:-200}"
@@ -66,11 +83,9 @@ run abl_clustering --runs "$RUNS"
 run abl_faults --runs "$RUNS"
 run abl_convergence
 run abl_groupby --runs 50
-run abl_parallel --runs 50
-run abl_layout --runs 50
-# Whole-batch cells: the binary clamps runs to 20 internally.
+# Whole-batch cells: the binary caps runs at 20 internally.
 run abl_admission --runs 10
 
 ci_sweeps results/ci
 
-echo "done — review git diff under results/ and commit" >&2
+echo "done — git status --short results/ prints nothing unless behaviour moved" >&2

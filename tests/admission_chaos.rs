@@ -15,8 +15,8 @@
 //!    `ReportHealth`.
 //! 3. **Fault isolation** — a job over a corrupt region degrades
 //!    alone; a broken expression fails alone at admission.
-//! 4. **CI matrix hook** — one storm batch at `ERAM_WORKERS`
-//!    (default 4) against the serial reference.
+//! 4. **Worker identity** — one storm batch at `workers = 4`
+//!    against the serial reference.
 //! 5. **Property** — arbitrary seeds, storms, and worker counts
 //!    replay identically (property test).
 //! 6. **One decision log** — over a 400-cell storm grid, every
@@ -276,14 +276,10 @@ fn run_storm(seed: u64, transient: f64, spikes: f64, workers: usize) -> (String,
 
 #[test]
 fn ci_selected_worker_count_matches_the_serial_reference() {
-    let workers: usize = std::env::var("ERAM_WORKERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4);
     let (json_1, trace_1) = run_storm(51, 0.08, 0.2, 1);
-    let (json_w, trace_w) = run_storm(51, 0.08, 0.2, workers);
-    assert_eq!(json_1, json_w, "workers={workers} (from ERAM_WORKERS)");
-    assert_eq!(trace_1, trace_w, "workers={workers} (from ERAM_WORKERS)");
+    let (json_4, trace_4) = run_storm(51, 0.08, 0.2, 4);
+    assert_eq!(json_1, json_4);
+    assert_eq!(trace_1, trace_4);
     assert!(!trace_1.is_empty());
 }
 
@@ -320,12 +316,8 @@ fn run_storm_with_ledger(
 /// fault storm the equivalence matrix runs.
 #[test]
 fn ledger_is_pure_observation_across_worker_counts() {
-    let workers: usize = std::env::var("ERAM_WORKERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4);
     let (json_off, trace_off) = run_storm(51, 0.08, 0.2, 1);
-    for w in [1usize, workers] {
+    for w in [1usize, 4] {
         let (outcome, trace_on) = run_storm_with_ledger(51, 0.08, 0.2, w);
         assert_eq!(
             trace_on, trace_off,

@@ -11,9 +11,8 @@
 //!    `workers ∈ {2, 4, 8}` against the `workers = 1` reference.
 //! 2. **Hard-deadline identity** — a selection run that aborts
 //!    mid-stage, covering the mid-draw unconsume path.
-//! 3. **CI matrix hook** — one run at `ERAM_WORKERS` (default 4)
-//!    against the serial reference, so the suite pins a specific
-//!    worker count per CI job.
+//! 3. **Intersection identity** — the Figure 5.2 workload at
+//!    `workers = 4` against the serial reference.
 //! 4. **Property** — arbitrary seeds, quotas, and worker counts
 //!    replay identically (property test).
 //! 5. **Cache stress** — the [`eram_storage::BlockCache`]
@@ -179,16 +178,12 @@ fn grouped_sum_deadline_abort_replays_identically_under_workers() {
 
 #[test]
 fn ci_selected_worker_count_matches_the_serial_reference() {
-    let workers: usize = std::env::var("ERAM_WORKERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4);
     let kind = WorkloadKind::Intersect { overlap: 5_000 };
     let quota = Duration::from_secs_f64(2.5);
     let (report_1, trace_1) = run_workload(kind, 1, 11, quota);
-    let (report_w, trace_w) = run_workload(kind, workers, 11, quota);
-    assert_eq!(report_1, report_w, "workers={workers} (from ERAM_WORKERS)");
-    assert_eq!(trace_1, trace_w, "workers={workers} (from ERAM_WORKERS)");
+    let (report_4, trace_4) = run_workload(kind, 4, 11, quota);
+    assert_eq!(report_1, report_4);
+    assert_eq!(trace_1, trace_4);
 }
 
 proptest! {
