@@ -33,6 +33,7 @@
 //! 200 seeded trials per row and aggregates the paper's columns
 //! (stages, risk, ovsp, utilization, blocks).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 

@@ -21,6 +21,7 @@
 //! flag that does not apply to the chosen mode is a usage error,
 //! never silently dropped.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 

@@ -57,6 +57,7 @@
 //! assert!(lo <= hi);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 

@@ -389,6 +389,11 @@ pub(crate) struct BinaryNode {
 /// The operator label a leaf's profiled phases are attributed to.
 const LEAF_LABEL: &str = "leaf";
 
+/// Blocks a leaf hints to the disk at a time, and how many such
+/// batches the hints run ahead of the reads. Chosen by measurement.
+const PREFETCH_BATCH: usize = 8;
+const PREFETCH_AHEAD: usize = 2;
+
 /// A physical operator node.
 pub(crate) enum Node {
     Leaf(LeafNode),
@@ -609,18 +614,34 @@ impl LeafNode {
         let want = ((env.fraction * total as f64).round() as u64)
             .max(1)
             .min(self.sampler.remaining());
-        let start = env.now();
         let _draw_span = env.config.tracer.span("block_draw");
         let indices: Vec<u64> = {
             let _phase = env.config.profiler.phase(Phase::RngDraw);
             self.sampler.draw(want).to_vec()
         };
+        // Taken after the draw: the sampler's one-off O(relation)
+        // shuffle is not a per-block cost.
+        let start = env.now();
+        // The whole stage is known before its first block is read, so
+        // the disk hears of each batch `PREFETCH_AHEAD` batches early.
+        // A hint is advice: a stage cut short has warmed blocks it
+        // never read, and nothing else.
+        let mut ahead = indices.chunks(PREFETCH_BATCH);
+        let mut hint = || {
+            if let Some(batch) = ahead.next() {
+                self.file.disk().prefetch(self.file.file_id(), batch);
+            }
+        };
+        (0..PREFETCH_AHEAD).for_each(|_| hint());
         // Fetch phase, serial: every charge, retry, deadline check,
         // and trace event happens on this thread in draw order, so
         // the simulated clock advances identically at any worker
         // count.
         let mut pages = Vec::with_capacity(indices.len());
         for (k, idx) in indices.iter().enumerate() {
+            if k > 0 && k % PREFETCH_BATCH == 0 {
+                hint();
+            }
             let aborted = if env.expired() {
                 true
             } else {
@@ -1722,6 +1743,79 @@ mod tests {
         assert_eq!(leaf.sampler.remaining(), leaf.sampler.population() - drawn);
         // …and the cut stage, the tree's last, covered nothing.
         assert_eq!(tree.points_covered(), 0.0);
+    }
+
+    /// A leaf-only tree over a 400-block relation, on a disk of its
+    /// own: two calls build twins.
+    fn leaf_twin() -> (Arc<Disk>, PhysTree) {
+        let (disk, cat) = setup(&[("r", rows(2_000))]);
+        let tree = PhysTree::build(
+            &Expr::relation("r"),
+            &cat,
+            &disk,
+            paper(),
+            &mut Rng::seed_from_u64(37),
+        )
+        .unwrap();
+        (disk, tree)
+    }
+
+    fn leaf_of(tree: &mut PhysTree) -> &mut LeafNode {
+        match &mut tree.root {
+            Node::Leaf(leaf) => leaf,
+            _ => panic!("leaf-only tree"),
+        }
+    }
+
+    #[test]
+    fn a_hinted_stage_delivers_what_one_at_a_time_reads_do_at_every_window_edge() {
+        // Stage sizes on both sides of every batch boundary the hint
+        // window has, the constants' own edges included.
+        let (b, a) = (PREFETCH_BATCH, PREFETCH_AHEAD);
+        let mut sizes = vec![1, 7, 8, 9, 16, 17, 24, 25];
+        sizes.extend([b - 1, b + 1, a * b - 1, a * b, a * b + 1, (a + 1) * b]);
+        let (disk, mut tree) = leaf_twin();
+        let (twin_disk, mut twin) = leaf_twin();
+        for blocks in sizes {
+            let mut e = env(&disk, blocks as f64 / 400.0);
+            let staged = tree.advance(&mut e).unwrap().into_rows();
+            let leaf = leaf_of(&mut twin);
+            let mut one_at_a_time = Vec::new();
+            for idx in leaf.sampler.draw(blocks as u64).to_vec() {
+                one_at_a_time.extend(leaf.file.read_block(idx).unwrap());
+            }
+            assert_eq!(staged.len(), blocks * 5, "a {blocks}-block stage");
+            assert_eq!(staged, one_at_a_time, "a {blocks}-block stage");
+            assert_eq!(disk.stats(), twin_disk.stats());
+            assert_eq!(disk.clock().elapsed(), twin_disk.clock().elapsed());
+        }
+    }
+
+    #[test]
+    fn a_deadline_inside_the_hint_window_counts_only_the_blocks_read() {
+        // The hints run ahead of the reads; the charges, the counters
+        // and the sampler must not. A 40-block stage is cut after
+        // exactly `k` reads, inside, at the edge of and past the
+        // first window.
+        for workers in [1, 4] {
+            for k in [0u32, 1, 3, 8, 15, 16, 17, 30] {
+                let (disk, mut tree) = leaf_twin();
+                let cfg = EngineConfig {
+                    workers,
+                    ..EngineConfig::default()
+                };
+                let quota = disk.profile().block_read * k;
+                let deadline = Deadline::new(disk.clock().clone(), quota);
+                let mut e = StageEnv::new(disk.clone(), &cfg, Some(&deadline), 0.1);
+                assert!(matches!(tree.advance(&mut e), Err(StageError::Deadline)));
+                assert_eq!(disk.stats().block_reads, u64::from(k), "workers {workers}");
+                assert_eq!(disk.clock().elapsed(), quota);
+                let leaf = leaf_of(&mut tree);
+                assert_eq!(leaf.sampler.drawn(), u64::from(k));
+                assert_eq!(leaf.sampler.remaining(), 400 - u64::from(k));
+                assert_eq!(leaf.cum_tuples, 0.0, "a cut stage delivers nothing");
+            }
+        }
     }
 
     #[test]

@@ -32,6 +32,8 @@
 //! byte-identical inputs, in both `--format text` and `--format
 //! json`.
 
+#![forbid(unsafe_code)]
+
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 

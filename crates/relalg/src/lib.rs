@@ -28,6 +28,7 @@
 //!   union/difference becomes a signed sum `Σᵢ cᵢ·COUNT(Eᵢ')` where
 //!   every `Eᵢ'` uses only Select/Join/Intersect/Project.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 

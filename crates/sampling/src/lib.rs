@@ -33,6 +33,7 @@
 //!   face value or later stages blow the quota);
 //! * [`stats`] — normal quantiles/CDF and running moments.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 

@@ -36,6 +36,11 @@ pub(crate) trait BlockBackend: Send {
     fn append(&mut self, file: u64, slot: Slot) -> Result<u64>;
     /// Reads block `index` and the digest recorded for it.
     fn read(&self, file: u64, index: u64) -> Result<Slot>;
+    /// Advice that blocks `indices` of `file` are about to be read,
+    /// in that order. It may warm whatever a later [`Self::read`]
+    /// would wait for and may do nothing (the default); an index or
+    /// a file that does not exist is skipped, never reported.
+    fn prefetch(&self, _file: u64, _indices: &[u64]) {}
 }
 
 /// `index` as a position in a file of `len` blocks, or the
@@ -51,53 +56,98 @@ fn position(len: usize, file: u64, index: u64) -> Result<usize> {
         })
 }
 
+/// Hints every 64-byte line of `data` towards the cache without
+/// waiting for any of them.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+fn prefetch_lines(data: &[u8]) {
+    use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+    for line in data.chunks(64) {
+        // SAFETY: the pointer is the start of a non-empty chunk of a
+        // live slice, and a prefetch of any address neither faults
+        // nor changes architectural state.
+        unsafe { _mm_prefetch::<_MM_HINT_T0>(line.as_ptr().cast()) };
+    }
+}
+
+/// Touches one byte of every 64-byte line of `data`.
+#[cfg(not(target_arch = "x86_64"))]
+fn prefetch_lines(data: &[u8]) {
+    for line in data.chunks(64) {
+        std::hint::black_box(line[0]);
+    }
+}
+
 /// Blocks held in process memory. Reads share the stored block,
 /// which never changes once appended.
 pub(crate) struct MemoryBackend {
-    files: HashMap<u64, Vec<Slot>>,
-    next_file: u64,
+    /// Indexed by file id: ids count up from 0 and are never reused,
+    /// so a freed file leaves `None` behind.
+    files: Vec<Option<Vec<Slot>>>,
 }
 
 impl MemoryBackend {
     pub(crate) fn new() -> Self {
-        MemoryBackend {
-            files: HashMap::new(),
-            next_file: 0,
-        }
+        MemoryBackend { files: Vec::new() }
+    }
+
+    fn slots(&self, file: u64) -> Result<&Vec<Slot>> {
+        usize::try_from(file)
+            .ok()
+            .and_then(|f| self.files.get(f)?.as_ref())
+            .ok_or(StorageError::UnknownFile(file))
+    }
+
+    /// The entry of an id ever handed out, freed or not.
+    fn entry(&mut self, file: u64) -> Option<&mut Option<Vec<Slot>>> {
+        self.files.get_mut(usize::try_from(file).ok()?)
     }
 }
 
 impl BlockBackend for MemoryBackend {
     fn create_file(&mut self) -> u64 {
-        let id = self.next_file;
-        self.next_file += 1;
-        self.files.insert(id, Vec::new());
-        id
+        self.files.push(Some(Vec::new()));
+        self.files.len() as u64 - 1
     }
 
     fn free_file(&mut self, file: u64) {
-        self.files.remove(&file);
+        if let Some(entry) = self.entry(file) {
+            *entry = None;
+        }
     }
 
     fn num_blocks(&self, file: u64) -> Option<u64> {
-        self.files.get(&file).map(|b| b.len() as u64)
+        self.slots(file).ok().map(|b| b.len() as u64)
     }
 
     fn append(&mut self, file: u64, slot: Slot) -> Result<u64> {
         let slots = self
-            .files
-            .get_mut(&file)
+            .entry(file)
+            .and_then(Option::as_mut)
             .ok_or(StorageError::UnknownFile(file))?;
         slots.push(slot);
         Ok(slots.len() as u64 - 1)
     }
 
     fn read(&self, file: u64, index: u64) -> Result<Slot> {
-        let slots = self
-            .files
-            .get(&file)
-            .ok_or(StorageError::UnknownFile(file))?;
+        let slots = self.slots(file)?;
         Ok(slots[position(slots.len(), file, index)?].clone())
+    }
+
+    /// Two passes, so the batch's misses overlap instead of chaining:
+    /// the first reaches every block's header through its slot, the
+    /// second hints the lines of the bytes each header points at.
+    fn prefetch(&self, file: u64, indices: &[u64]) {
+        let Ok(slots) = self.slots(file) else {
+            return;
+        };
+        let wanted = || {
+            indices
+                .iter()
+                .filter_map(|&i| slots.get(usize::try_from(i).ok()?))
+        };
+        std::hint::black_box(wanted().map(|(block, _)| block.len()).sum::<usize>());
+        wanted().for_each(|(block, _)| prefetch_lines(block.bytes()));
     }
 }
 
@@ -247,6 +297,31 @@ mod tests {
             b.read(f, u64::MAX),
             Err(StorageError::BlockOutOfRange { block, .. }) if block == u64::MAX
         ));
+    }
+
+    #[test]
+    fn memory_backend_ids_are_positions_and_a_freed_one_stays_unknown() {
+        let mut b = MemoryBackend::new();
+        let (f, g) = (b.create_file(), b.create_file());
+        b.append(g, (block(1, 16), 0)).unwrap();
+        b.free_file(f);
+        b.free_file(99);
+        assert_eq!(b.create_file(), 2, "ids are never reused");
+        for unknown in [f, 3, u64::MAX] {
+            assert!(b.num_blocks(unknown).is_none());
+            assert_eq!(
+                b.append(unknown, (block(1, 16), 0)).unwrap_err(),
+                StorageError::UnknownFile(unknown)
+            );
+            assert_eq!(
+                b.read(unknown, 0).unwrap_err(),
+                StorageError::UnknownFile(unknown)
+            );
+            b.prefetch(unknown, &[0, 1]);
+        }
+        b.prefetch(g, &[]);
+        b.prefetch(g, &[0, 1, u64::MAX]);
+        assert_eq!(b.read(g, 0).unwrap().0.bytes()[0], 1);
     }
 
     #[test]

@@ -34,6 +34,7 @@
 //! block store) and is the bottom layer of the workspace:
 //! `storage ← relalg ← sampling ← core ← bench`.
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 

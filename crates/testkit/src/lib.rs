@@ -11,6 +11,8 @@
 //!   tests are written against.
 //! * [`assert_golden`]: compare-or-bless against a committed file.
 
+#![forbid(unsafe_code)]
+
 use std::path::Path;
 
 /// Cases the closure form of [`proptest!`] runs (a declared block

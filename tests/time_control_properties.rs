@@ -6,12 +6,13 @@ use std::time::Duration;
 use testkit::prelude::*;
 
 use eram_bench::{harness::run_trial, TrialConfig, WorkloadKind};
+use eram_core::ops::{PhysTree, StageEnv};
 use eram_core::{
-    AggregateFn, Database, EngineConfig, ExecutionReport, OneAtATimeInterval, PreparedQuery,
-    StageRun, StoppingCriterion,
+    AggregateFn, CostCoeff, Database, EngineConfig, ExecutionReport, OneAtATimeInterval, Phase,
+    PreparedQuery, Profiler, StageRun, StoppingCriterion,
 };
 use eram_relalg::{CmpOp, Expr, Predicate};
-use eram_storage::{Clock, ColumnType, Disk, Schema, Tuple, Value};
+use eram_storage::{Clock, ColumnType, Disk, Rng, Schema, Tuple, Value};
 
 fn tiny_db(seed: u64, rows: i64) -> Database {
     let mut db = Database::sim_default(seed);
@@ -293,4 +294,97 @@ fn measured_hard_deadline_always_banks_stage_two() {
             .map(|s| s.blocks_drawn).sum();
         prop_assert_eq!(banked, r.blocks_evaluated());
     });
+}
+
+// ---------------------------------------------------------------
+// What a stage's block-read observation times
+// ---------------------------------------------------------------
+
+/// What the sampler's one-off O(relation) shuffle costs on the script
+/// below: a thousand block reads' worth.
+const DRAW_COST: Duration = Duration::from_micros(1_500);
+
+/// A measured clock on which every block read of the attached view
+/// costs [`SCRIPT_UNIT`] and the first profiled phase of the run —
+/// the leaf's `rng_draw`, which brackets the sampler's draw and
+/// nothing else — costs [`DRAW_COST`].
+#[derive(Default)]
+struct DrawClock {
+    view: std::sync::OnceLock<std::sync::Weak<Disk>>,
+    phase_edges: std::sync::atomic::AtomicU64,
+}
+
+impl Clock for DrawClock {
+    fn elapsed(&self) -> Duration {
+        let view = self.view.get().and_then(std::sync::Weak::upgrade);
+        let reads = view.map_or(0, |v| v.stats().block_reads) as u32;
+        let drawing = self.phase_edges.load(std::sync::atomic::Ordering::Relaxed) > 0;
+        SCRIPT_UNIT * reads + if drawing { DRAW_COST } else { Duration::ZERO }
+    }
+
+    fn charge(&self, _d: Duration) {}
+
+    fn is_simulated(&self) -> bool {
+        false
+    }
+}
+
+/// The handle the profiler times phases with: the same time, and
+/// every phase edge (open or close) counted.
+struct PhaseEdges(Arc<DrawClock>);
+
+impl Clock for PhaseEdges {
+    fn elapsed(&self) -> Duration {
+        let now = self.0.elapsed();
+        self.0
+            .phase_edges
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        now
+    }
+
+    fn charge(&self, _d: Duration) {}
+
+    fn is_simulated(&self) -> bool {
+        false
+    }
+}
+
+/// Regression: the leaf took its start time before the draw, so on a
+/// measured clock stage 1's per-block coefficient carried the shuffle
+/// and every later stage was planned several times too small.
+#[test]
+fn block_read_observation_excludes_the_samplers_draw() {
+    let (db, expr) = scripted_db();
+    let clock = Arc::new(DrawClock::default());
+    let view = db.disk().lane_view(clock.clone(), 5, 0, None);
+    clock
+        .view
+        .set(Arc::downgrade(&view))
+        .expect("attached once");
+    let config = EngineConfig {
+        profiler: Profiler::recording(Arc::new(PhaseEdges(clock.clone()))),
+        ..EngineConfig::default()
+    };
+    let mut rng = Rng::seed_from_u64(9);
+    let mut tree = PhysTree::build(&expr, db.catalog(), &view, &config, &mut rng).unwrap();
+    let mut env = StageEnv::new(view.clone(), &config, None, 1.0 / 256.0);
+    tree.advance(&mut env).unwrap();
+
+    // The clock did advance during the draw, and only there.
+    let profile = config.profiler.snapshot().unwrap();
+    let draw = profile.per_operator["leaf"][Phase::RngDraw.name()];
+    assert_eq!((draw.calls, draw.sim_ns), (1, DRAW_COST.as_nanos() as u64));
+    let blocks = view.stats().block_reads;
+    assert_eq!(blocks, 78);
+    assert_eq!(clock.elapsed(), DRAW_COST + SCRIPT_UNIT * blocks as u32);
+
+    // The observation is the fetch-and-scan interval alone.
+    let reads: Vec<_> = env
+        .observations
+        .iter()
+        .filter(|o| o.coeff == CostCoeff::BlockRead)
+        .collect();
+    assert_eq!(reads.len(), 1);
+    assert_eq!(reads[0].units, blocks as f64);
+    assert_eq!(reads[0].elapsed, SCRIPT_UNIT * blocks as u32);
 }
