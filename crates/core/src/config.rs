@@ -61,8 +61,8 @@ pub struct EngineConfig {
     /// [`crate::ProfileSnapshot`] in the report's `profile` field.
     /// Pure observation: it never charges the clock.
     pub profiler: Profiler,
-    /// Worker threads for the pure-CPU portions of each stage (block
-    /// decode, run merges). Charged work — clock, tracer, deadline —
+    /// Worker threads for the pure-CPU portions of each stage (run
+    /// merges, run decodes). Charged work — clock, tracer, deadline —
     /// always runs on the calling thread in canonical order, so
     /// results are byte-identical at any worker count; `0` and `1`
     /// (the default) both run everything inline.

@@ -6,7 +6,7 @@
 //! every millisecond of a stage goes. The [`Tracer`](super::Tracer)
 //! answers that for the *simulated* device model; the [`Profiler`]
 //! additionally answers it for the *host*: how much real CPU time the
-//! decode fan-out, the run merges, the estimator math and the
+//! block scans, the run merges, the estimator math and the
 //! planning actually cost, per stage and per operator. Comparing the
 //! two columns is how the per-phase cost model is continuously
 //! checked against reality.
@@ -26,7 +26,7 @@
 //!
 //! | phase | where it is charged |
 //! |---|---|
-//! | `block_decode` | decoding fetched blocks into typed tuples (leaf fan-out, and re-reads of a run that did not keep its tuples) |
+//! | `block_decode` | reading a fetched block: a leaf's scan of each block as it is read (one call per block), and the decode fan-out of a run re-read that did not keep its tuples (one call per run) |
 //! | `run_merge` | merging sorted run pairs (binary-operator fan-out) |
 //! | `estimator_math` | combining stage estimates into the running estimator |
 //! | `rng_draw` | drawing the stage's block sample from the sampler RNG |

@@ -394,6 +394,10 @@ const LEAF_LABEL: &str = "leaf";
 const PREFETCH_BATCH: usize = 8;
 const PREFETCH_AHEAD: usize = 2;
 
+/// Tuples a projection's occupancy merge handles between deadline
+/// checks.
+const OCCUPANCY_CHECK_EVERY: usize = 64;
+
 /// A physical operator node.
 pub(crate) enum Node {
     Leaf(LeafNode),
@@ -488,8 +492,9 @@ impl Node {
 }
 
 /// Reads one raw block through the stage's retry policy, leaving the
-/// (pure) decode to the caller — deferred to worker threads, or, for
-/// a run that kept its tuples, skipped entirely.
+/// (pure) decode to the caller — a leaf scans the block at once, a
+/// run re-read fans its blocks out to the workers, and a run that
+/// kept its tuples skips it entirely.
 ///
 /// * Transient faults are retried up to `retry.max_attempts` total
 ///   attempts, with the backoff *charged to the clock* — recovery
@@ -561,37 +566,42 @@ fn read_block_resilient_raw(
     }
 }
 
-/// Scans fetched pages of a row-layout leaf in place, in order:
-/// evaluates `filter` on each encoded record and decodes a record
-/// only if it passes and `materialize` asks for rows. Returns
-/// `(scanned, passed, rows)`. Pure CPU — touches neither clock nor
-/// tracer.
-fn scan_pages(
-    file: &HeapFile,
-    pages: &[(u64, Arc<Block>)],
-    filter: Option<&CompiledPredicate>,
-    materialize: bool,
-) -> Result<(usize, usize, Vec<Tuple>), StorageError> {
-    let (mut scanned, mut passed) = (0, 0);
-    let mut rows = Vec::new();
-    if materialize && filter.is_none() {
-        rows.reserve_exact(pages.len() * file.blocking_factor());
-    }
-    for (index, block) in pages {
-        for record in file.records(*index, block) {
-            scanned += 1;
+/// What a row-layout leaf's stage has read so far: records scanned,
+/// records that passed the filter, and — if asked for — their rows.
+#[derive(Default)]
+struct Tally {
+    scanned: usize,
+    passed: usize,
+    rows: Vec<Tuple>,
+}
+
+impl Tally {
+    /// Scans one fetched page in place: evaluates `filter` on each
+    /// encoded record and decodes a record only if it passes and
+    /// `materialize` asks for rows. Pure CPU — touches neither clock
+    /// nor tracer.
+    fn scan(
+        &mut self,
+        file: &HeapFile,
+        index: u64,
+        block: &Block,
+        filter: Option<&CompiledPredicate>,
+        materialize: bool,
+    ) -> Result<(), StorageError> {
+        for record in file.records(index, block) {
+            self.scanned += 1;
             if let Some(filter) = filter {
                 if !filter.eval(record)? {
                     continue;
                 }
             }
-            passed += 1;
+            self.passed += 1;
             if materialize {
-                rows.push(file.schema().decode(record)?);
+                self.rows.push(file.schema().decode(record)?);
             }
         }
+        Ok(())
     }
-    Ok((scanned, passed, rows))
 }
 
 impl LeafNode {
@@ -599,9 +609,9 @@ impl LeafNode {
         self.scan(env, None, true).map(|(_, delta)| delta)
     }
 
-    /// One stage of the leaf: draws, fetches the drawn pages, and
-    /// reads them. Returns the number of records scanned — each a
-    /// leaf point newly covered — and a delta of those that passed
+    /// One stage of the leaf: draws, then fetches and reads each drawn
+    /// page in one pass. Returns the number of records scanned — each
+    /// a leaf point newly covered — and a delta of those that passed
     /// `filter`, decoded only if `materialize`. A columnar leaf
     /// decodes whole blocks and takes no filter.
     fn scan(
@@ -633,97 +643,73 @@ impl LeafNode {
             }
         };
         (0..PREFETCH_AHEAD).for_each(|_| hint());
-        // Fetch phase, serial: every charge, retry, deadline check,
-        // and trace event happens on this thread in draw order, so
-        // the simulated clock advances identically at any worker
-        // count.
-        let mut pages = Vec::with_capacity(indices.len());
+        debug_assert!(self.layout == BlockLayout::Row || (filter.is_none() && materialize));
+        let mut tally = Tally::default();
+        if materialize && filter.is_none() {
+            tally
+                .rows
+                .reserve_exact(indices.len() * self.file.blocking_factor());
+        }
+        let mut columnar = Vec::new();
+        // The error of the first page whose scan fails: held until
+        // every drawn block is fetched, so a failing stage charges
+        // what a clean one does.
+        let mut failed = None;
+        // One pass, serial: each drawn block is fetched — every
+        // charge, retry, deadline check and trace event on this
+        // thread in draw order, so the simulated clock advances
+        // identically at any worker count — and read while its lines
+        // are still warm, inside the deadline checks.
         for (k, idx) in indices.iter().enumerate() {
             if k > 0 && k % PREFETCH_BATCH == 0 {
                 hint();
             }
-            let aborted = if env.expired() {
-                true
+            let fetched = if env.expired() {
+                Err(StageError::Deadline)
             } else {
-                // A lost block is a dropped cluster: `cum_tuples`
-                // (the points actually covered) doesn't grow for it,
-                // so the cluster estimator renormalizes over
-                // surviving blocks.
-                match read_block_resilient_raw(env, &self.file, *idx) {
-                    Ok(Some(block)) => {
-                        pages.push((*idx, block));
-                        false
-                    }
-                    Ok(None) => false,
-                    Err(StageError::Deadline) => true,
-                    Err(e) => return Err(e),
-                }
+                read_block_resilient_raw(env, &self.file, *idx)
             };
-            if aborted {
-                // The unread indices go back to the sampler, so
-                // blocks drawn stays equal to blocks fetched. The
-                // pages that *were* read go with the stage: the
-                // deadline ends the query, and `cum_tuples` counts
-                // points only when they are delivered.
-                self.sampler.unconsume((indices.len() - k) as u64);
-                return Err(StageError::Deadline);
+            match fetched {
+                Ok(Some(block)) if failed.is_none() => {
+                    let _phase = env.config.profiler.phase(Phase::BlockDecode);
+                    let read = match self.layout {
+                        BlockLayout::Row => {
+                            tally.scan(&self.file, *idx, &block, filter, materialize)
+                        }
+                        BlockLayout::Columnar => self
+                            .file
+                            .decode_block_columnar(*idx, &block)
+                            .map(|decoded| columnar.push(decoded)),
+                    };
+                    failed = read.err();
+                }
+                // A lost block is a dropped cluster: `cum_tuples` (the
+                // points actually covered) doesn't grow for it, so the
+                // cluster estimator renormalizes over surviving blocks.
+                // After a failed read the stage only fetches.
+                Ok(_) => {}
+                Err(StageError::Deadline) => {
+                    // The unread indices go back to the sampler, so
+                    // blocks drawn stays equal to blocks fetched. The
+                    // pages that *were* read go with the stage: the
+                    // deadline ends the query, and `cum_tuples` counts
+                    // points only when they are delivered.
+                    self.sampler.unconsume((indices.len() - k) as u64);
+                    return Err(StageError::Deadline);
+                }
+                Err(e) => return Err(e),
             }
         }
-        // Read phase, parallel: pure CPU — touches neither clock nor
-        // tracer — fanned out and recombined in draw order. The phase
-        // guard wraps the whole fan-out on this thread, so
-        // worker-pool time is attributed to `block_decode`. Both
-        // layouts read the same fetched pages; only what is built
-        // from them differs.
-        let file = &self.file;
+        if let Some(e) = failed {
+            return Err(StageError::Storage(e));
+        }
         let (scanned, records) = match self.layout {
-            BlockLayout::Row => {
-                // One contiguous run of pages per worker, so a serial
-                // scan folds straight into one result.
-                let per_worker = pages.len().div_ceil(env.config.workers.max(1)).max(1);
-                let parts = {
-                    let _phase = env.config.profiler.phase(Phase::BlockDecode);
-                    map_ordered(
-                        env.config.workers,
-                        pages.chunks(per_worker).collect(),
-                        |_, part| scan_pages(file, part, filter, materialize),
-                    )
-                };
-                let (mut scanned, mut passed) = (0, 0);
-                let mut rows = Vec::new();
-                for part in parts {
-                    let (n, k, mut decoded) = part.map_err(StageError::Storage)?;
-                    scanned += n;
-                    passed += k;
-                    // The first part's rows are taken as they are: a
-                    // serial scan has no other, and copies nothing.
-                    if rows.is_empty() {
-                        rows = decoded;
-                    } else {
-                        rows.append(&mut decoded);
-                    }
-                }
-                if materialize {
-                    (scanned, Records::Rows(rows))
-                } else {
-                    (scanned, Records::Counted(passed))
-                }
-            }
-            BlockLayout::Columnar => {
-                debug_assert!(filter.is_none() && materialize);
-                let decoded = {
-                    let _phase = env.config.profiler.phase(Phase::BlockDecode);
-                    map_ordered(env.config.workers, pages, |_, (idx, block)| {
-                        file.decode_block_columnar(idx, &block)
-                    })
-                };
-                let mut blocks = Vec::with_capacity(decoded.len());
-                for d in decoded {
-                    blocks.push(d.map_err(StageError::Storage)?);
-                }
-                let scanned = blocks.iter().map(ColumnarBlock::len).sum();
-                (scanned, Records::Columnar(blocks))
-            }
+            BlockLayout::Row if materialize => (tally.scanned, Records::Rows(tally.rows)),
+            BlockLayout::Row => (tally.scanned, Records::Counted(tally.passed)),
+            BlockLayout::Columnar => (
+                columnar.iter().map(ColumnarBlock::len).sum(),
+                Records::Columnar(columnar),
+            ),
         };
         env.observe(
             CostCoeff::BlockRead,
@@ -757,28 +743,29 @@ fn charge_tuple_writes(
     }
     let pages = (n_tuples / blocking.max(1.0)).ceil() as u64;
     let start = env.now();
-    for _ in 0..pages {
-        if env.expired() {
-            return Err(StageError::Deadline);
-        }
-        env.disk.charge(DeviceOp::BlockWrite);
-    }
+    charge_chunked(env, |_| DeviceOp::BlockWrite, pages, 1)?;
     env.observe(CostCoeff::WriteTuple, n_tuples, env.now() - start);
     Ok(())
 }
 
-/// Charges `units` of tuple-granularity CPU work in chunks, checking
-/// the hard deadline between chunks so an abort never trails the
-/// quota by more than one chunk's worth of simulated time (the
-/// paper's interrupt granularity is the device operation; ours is a
-/// block-sized batch).
+/// Charges `units` of work in chunks, checking the hard deadline
+/// between chunks so an abort never trails the quota by more than one
+/// chunk's worth of simulated time (the paper's interrupt granularity
+/// is the device operation; ours is a block-sized batch). A measured
+/// clock is not moved by a charge, so there all the units are one
+/// chunk: one check answers for every later one, and one charge
+/// counts in `DiskStats` what the chunks would.
 fn charge_chunked(
     env: &mut StageEnv<'_>,
     make: impl Fn(u64) -> DeviceOp,
     units: u64,
     chunk: u64,
 ) -> Result<(), StageError> {
-    let chunk = chunk.max(1);
+    let chunk = if env.disk.clock().is_simulated() {
+        chunk.max(1)
+    } else {
+        units
+    };
     let mut left = units;
     while left > 0 {
         if env.expired() {
@@ -947,8 +934,11 @@ impl ProjectNode {
         let start = env.now();
         charge_chunked(env, DeviceOp::Compare, merge_units.ceil() as u64, 128)?;
         let mut new_groups: Vec<Tuple> = Vec::new();
-        for t in projected {
-            if env.expired() {
+        // Nothing in this loop charges, so on a simulated clock every
+        // check answers as the first did; on a measured one a check
+        // every `OCCUPANCY_CHECK_EVERY` tuples keeps it interruptible.
+        for (i, t) in projected.into_iter().enumerate() {
+            if i % OCCUPANCY_CHECK_EVERY == 0 && env.expired() {
                 return Err(StageError::Deadline);
             }
             match self.occupancy.get_mut(&t) {
@@ -1539,8 +1529,10 @@ impl PhysTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
+
     use eram_relalg::CmpOp;
-    use eram_storage::{ColumnType, DeviceProfile, SimClock, Value};
+    use eram_storage::{Clock, ColumnType, DeviceProfile, SimClock, Value};
 
     fn setup(rows: &[(&str, Vec<(i64, i64)>)]) -> (Arc<Disk>, Catalog) {
         let clock = Arc::new(SimClock::new());
@@ -1818,6 +1810,189 @@ mod tests {
         }
     }
 
+    /// The leaf of a leaf-only tree or of a selection over a leaf.
+    fn leaf_under(node: &Node) -> &LeafNode {
+        match node {
+            Node::Leaf(leaf) => leaf,
+            Node::Select(n) => leaf_under(&n.child),
+            _ => panic!("a leaf or a selection over one"),
+        }
+    }
+
+    #[test]
+    fn a_deadline_cuts_a_materializing_or_columnar_stage_at_the_block_it_fires_on() {
+        // Each block is scanned as soon as it is read; a cut stage
+        // must still deliver none of them. A 20-block stage completes,
+        // then a 40-block stage is cut after exactly `k` reads.
+        let select = Expr::relation("r").select(Predicate::col_cmp(1, CmpOp::Lt, 5));
+        let leaf = Expr::relation("r");
+        for (expr, block_layout) in [(&select, BlockLayout::Row), (&leaf, BlockLayout::Columnar)] {
+            for k in [0u32, 1, 9, 17, 30] {
+                let (disk, cat) = setup(&[("r", rows(2_000))]);
+                let cfg = EngineConfig {
+                    block_layout,
+                    ..EngineConfig::default()
+                };
+                let mut tree =
+                    PhysTree::build(expr, &cat, &disk, &cfg, &mut Rng::seed_from_u64(37)).unwrap();
+                let mut e = StageEnv::new(disk.clone(), &cfg, None, 0.05);
+                assert!(!matches!(
+                    tree.advance(&mut e).unwrap().records,
+                    Records::Counted(_)
+                ));
+                let reads = disk.stats().block_reads;
+                assert_eq!(reads, 20);
+                let quota = disk.profile().block_read * k;
+                let deadline = Deadline::new(disk.clock().clone(), quota);
+                let mut e = StageEnv::new(disk.clone(), &cfg, Some(&deadline), 0.1);
+                assert!(matches!(tree.advance(&mut e), Err(StageError::Deadline)));
+                let case = format!("{block_layout:?}, k {k}");
+                assert_eq!(disk.stats().block_reads, reads + u64::from(k), "{case}");
+                assert_eq!(deadline.spent(), quota, "{case}");
+                let leaf = leaf_under(&tree.root);
+                assert_eq!(
+                    leaf.cum_tuples, 100.0,
+                    "{case}: the cut stage delivers nothing"
+                );
+                assert_eq!(leaf.sampler.drawn(), reads + u64::from(k), "{case}");
+                assert_eq!(leaf.sampler.remaining(), 400 - leaf.sampler.drawn());
+            }
+        }
+    }
+
+    /// A measured clock that never moves, counting how often it is
+    /// read.
+    #[derive(Default)]
+    struct FrozenClock(AtomicU64);
+
+    impl Clock for FrozenClock {
+        fn elapsed(&self) -> Duration {
+            self.0.fetch_add(1, Ordering::Relaxed);
+            Duration::ZERO
+        }
+
+        fn charge(&self, _d: Duration) {}
+
+        fn is_simulated(&self) -> bool {
+            false
+        }
+    }
+
+    #[test]
+    fn a_projection_reads_a_measured_clock_once_a_block_and_once_per_64_tuples_it_merges() {
+        // Charges are free on a measured clock, so only the leaf's
+        // check before each read and the occupancy merge's check every
+        // 64 tuples grow with the stage; the rest is per stage.
+        let clock = Arc::new(FrozenClock::default());
+        let disk = Disk::new(clock.clone(), DeviceProfile::sun_3_60(), 5);
+        let schema =
+            Schema::new(vec![("a", ColumnType::Int), ("b", ColumnType::Int)]).padded_to(200);
+        let tuples = rows(2_000)
+            .into_iter()
+            .map(|(a, b)| Tuple::new(vec![Value::Int(a), Value::Int(b)]));
+        let mut cat = Catalog::new();
+        cat.register("r", HeapFile::load(disk.clone(), schema, tuples).unwrap());
+        let expr = Expr::relation("r").project(vec![1]);
+        let mut tree =
+            PhysTree::build(&expr, &cat, &disk, paper(), &mut Rng::seed_from_u64(3)).unwrap();
+        let deadline = Deadline::new(clock.clone(), Duration::from_secs(1));
+        let mut per_stage = Vec::new();
+        for blocks in [1u64, 12, 13, 26, 40] {
+            let (reads, before) = (clock.0.load(Ordering::Relaxed), disk.stats().block_reads);
+            let mut e = StageEnv::new(
+                disk.clone(),
+                paper(),
+                Some(&deadline),
+                blocks as f64 / 400.0,
+            );
+            tree.advance(&mut e).unwrap();
+            assert_eq!(disk.stats().block_reads - before, blocks);
+            let reads = clock.0.load(Ordering::Relaxed) - reads;
+            per_stage.push(reads - blocks - (5 * blocks).div_ceil(64));
+        }
+        assert!(
+            per_stage.iter().all(|&r| r == per_stage[0]),
+            "{per_stage:?}"
+        );
+    }
+
+    /// A relation of 20 blocks of `(k, tag)` records whose block `bad`,
+    /// if any, has a good digest and a `tag` longer than its column.
+    /// The pages are written as they are, so the handle's own appends
+    /// (which set its tuple count) land past the blocks it reads.
+    fn planted(bad: Option<u64>) -> (Arc<Disk>, Catalog) {
+        let disk = Disk::new(
+            Arc::new(SimClock::new()),
+            DeviceProfile::sun_3_60().without_jitter(),
+            5,
+        );
+        let schema = Schema::new(vec![
+            ("k", ColumnType::Int),
+            ("tag", ColumnType::Str { width: 6 }),
+        ])
+        .padded_to(200);
+        let tuples =
+            || (0..100i64).map(|i| Tuple::new(vec![Value::Int(i), Value::Str("ok".into())]));
+        let clean = HeapFile::load(disk.clone(), schema.clone(), tuples()).unwrap();
+        let mut file = HeapFile::create(disk.clone(), schema, false);
+        for b in 0..clean.num_blocks() {
+            let mut page = disk.read_block_uncharged(clean.file_id(), b).unwrap();
+            if Some(b) == bad {
+                page.bytes_mut()[8..10].copy_from_slice(&60u16.to_le_bytes());
+            }
+            disk.append_block_uncharged(file.file_id(), page).unwrap();
+        }
+        file.append_all(tuples()).unwrap();
+        file.flush().unwrap();
+        assert_eq!(file.num_blocks(), 20);
+        let mut cat = Catalog::new();
+        cat.register("r", file);
+        (disk, cat)
+    }
+
+    #[test]
+    fn a_failing_scan_returns_its_error_after_fetching_every_drawn_block() {
+        // The scan of a page runs as soon as the page is read, but its
+        // error waits for the fetch loop: the failing stage charges and
+        // counts what a clean twin's does, wherever the bad page falls
+        // in the draw.
+        for block_layout in [BlockLayout::Row, BlockLayout::Columnar] {
+            for workers in [1, 4] {
+                let cfg = EngineConfig {
+                    workers,
+                    block_layout,
+                    ..EngineConfig::default()
+                };
+                let run = |bad: Option<u64>| {
+                    let (disk, cat) = planted(bad);
+                    let mut tree = PhysTree::build(
+                        &Expr::relation("r"),
+                        &cat,
+                        &disk,
+                        &cfg,
+                        &mut Rng::seed_from_u64(43),
+                    )
+                    .unwrap();
+                    let mut e = StageEnv::new(disk.clone(), &cfg, None, 1.0);
+                    let out = tree.advance(&mut e).map(|d| d.record_count());
+                    (out, disk.stats(), disk.clock().elapsed())
+                };
+                let (clean, stats, elapsed) = run(None);
+                assert_eq!(clean, Ok(100));
+                assert_eq!(stats.block_reads, 20);
+                for bad in 0..20 {
+                    let (out, s, t) = run(Some(bad));
+                    let case = format!("{block_layout:?}, workers {workers}, block {bad}");
+                    assert!(
+                        matches!(out, Err(StageError::Storage(_))),
+                        "{case}: {out:?}"
+                    );
+                    assert_eq!((s, t), (stats, elapsed), "{case}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn counting_scan_charges_and_counts_exactly_what_the_decoding_scan_does() {
         // A plain COUNT tells the tree nobody reads its rows: the
@@ -2052,6 +2227,21 @@ mod tests {
         let (kept_all, _, decodes) = join_under_budget(DEFAULT_RUN_CACHE_TUPLES, plan());
         assert!(decodes > 0, "no run read was degraded");
         assert_eq!(kept_all, join_under_budget(0, plan()).0);
+    }
+
+    /// A leaf's stage scan over pages already fetched, in order:
+    /// `(scanned, passed, rows)`.
+    fn scan_pages(
+        file: &HeapFile,
+        pages: &[(u64, Arc<Block>)],
+        filter: Option<&CompiledPredicate>,
+        materialize: bool,
+    ) -> Result<(usize, usize, Vec<Tuple>), StorageError> {
+        let mut tally = Tally::default();
+        for (index, block) in pages {
+            tally.scan(file, *index, block, filter, materialize)?;
+        }
+        Ok((tally.scanned, tally.passed, tally.rows))
     }
 
     #[test]

@@ -1,0 +1,161 @@
+#!/usr/bin/env bash
+# The alternated-pairs protocol of a performance claim, as one command
+# (.claude/skills/verify/SKILL.md, "A performance claim").
+#
+# Usage: scripts/bench_pairs.sh PARENT WORKLOAD [--pairs 10] [--seed 1] [--seconds 12]
+#
+# Extracts PARENT (any commit-ish) into .bench_build/<sha>/ and builds
+# its benchmark and the working tree's, offline, before timing
+# anything. Then runs `bash benchmark/run.sh --workload WORKLOAD --seed
+# S --seconds S --trace 0` once a side per pair — the parent first on
+# odd pairs, the change first on even ones — and fails on any run whose
+# last line is not `"correct":true` with `"failed":0`.
+#
+# For every end-to-end metric of BENCHMARK.json it prints each pair,
+# both sides' median [q1, q3], the change against the parent's median
+# and the pairs the change won (the direction is the metric's
+# `better`). A row "holds" when, over ten pairs or more, the change
+# wins at least nine in ten and the medians differ, in its favour, by
+# more than the parent's interquartile range. On a simulated workload (one that prints a
+# sim_fingerprint) the exact metrics must agree across every run of
+# both sides: a difference is flagged and the exit status is 1.
+set -euo pipefail
+
+usage() {
+    echo "usage: scripts/bench_pairs.sh PARENT WORKLOAD [--pairs N] [--seed S] [--seconds S]" >&2
+    exit 2
+}
+[ $# -ge 2 ] || usage
+rev="$1" workload="$2"
+shift 2
+pairs=10 seed=1 seconds=12
+while [ $# -gt 0 ]; do
+    [ $# -ge 2 ] || usage
+    case "$1" in
+    --pairs) pairs="$2" ;;
+    --seed) seed="$2" ;;
+    --seconds) seconds="$2" ;;
+    *) usage ;;
+    esac
+    shift 2
+done
+[ "$pairs" -ge 1 ] 2>/dev/null || usage
+
+cd "$(dirname "$0")/.."
+root="$PWD"
+sha="$(git rev-parse --verify "$rev^{commit}")"
+parent="$root/.bench_build/$sha"
+if [ ! -f "$parent/benchmark/run.sh" ]; then
+    rm -rf "$parent"
+    mkdir -p "$parent"
+    git archive "$sha" | tar -x -C "$parent"
+fi
+
+# Each side builds into its own benchmark/target.
+unset CARGO_TARGET_DIR
+for dir in "$parent" "$root"; do
+    echo "building $dir" >&2
+    cargo build --release --offline --quiet --manifest-path "$dir/benchmark/Cargo.toml"
+done
+
+out="$(mktemp -d)"
+trap 'rm -rf "$out"' EXIT
+
+# run SIDE DIR PAIR: one benchmark process; its stdout kept, its last
+# line checked.
+run() {
+    local log="$out/$1.$3"
+    if ! (cd "$2" && bash benchmark/run.sh --workload "$workload" --seed "$seed" \
+        --seconds "$seconds" --trace 0) >"$log.txt" 2>"$log.err"; then
+        echo "pair $3: the $1 run failed" >&2
+        tail -n 20 "$log.err" >&2
+        exit 1
+    fi
+    tail -n 1 "$log.txt" >"$log.json"
+    if ! jq -e '.correct == true and .failed == 0' "$log.json" >/dev/null 2>&1; then
+        echo "pair $3: the $1 run is not correct: $(head -c 200 "$log.json")" >&2
+        exit 1
+    fi
+}
+
+for ((i = 1; i <= pairs; i++)); do
+    if [ $((i % 2)) -eq 1 ]; then
+        run parent "$parent" "$i"
+        run change "$root" "$i"
+    else
+        run change "$root" "$i"
+        run parent "$parent" "$i"
+    fi
+    echo "pair $i/$pairs done" >&2
+done
+
+# values SIDE METRIC: the metric of each run of a side, one a line.
+values() {
+    for ((i = 1; i <= pairs; i++)); do
+        jq -r --arg m "$2" '.metrics[$m].value // "nan"' "$out/$1.$i.json"
+    done
+}
+
+echo "== $workload: parent ${sha:0:7} vs the working tree, seed $seed, $pairs pairs of ${seconds} s"
+jq -r '.end_to_end[] | "\(.name) \(.better) \(.unit)"' BENCHMARK.json |
+    while read -r metric better unit; do
+        paste <(values parent "$metric") <(values change "$metric") |
+            awk -v metric="$metric" -v better="$better" -v unit="$unit" -v pairs="$pairs" '
+            function fmt(x) {
+                if (x != x + 0) return x
+                return (x >= 1e5 || x <= -1e5) ? sprintf("%.0f", x) : sprintf("%.6g", x)
+            }
+            # Quartile p of the sorted a[1..n], linearly interpolated.
+            function quart(a, n, p,    h, lo) {
+                h = (n - 1) * p + 1
+                lo = int(h)
+                return lo < n ? a[lo] + (h - lo) * (a[lo + 1] - a[lo]) : a[n]
+            }
+            function sorted(a, n,    i, j, t) {
+                for (i = 2; i <= n; i++)
+                    for (j = i; j > 1 && a[j - 1] > a[j]; j--) {
+                        t = a[j]; a[j] = a[j - 1]; a[j - 1] = t
+                    }
+            }
+            {
+                p[NR] = $1 + 0; c[NR] = $2 + 0; sp[NR] = p[NR]; sc[NR] = c[NR]
+                if ($1 == "nan" || $2 == "nan") missing = 1
+                won = better == "higher" ? c[NR] > p[NR] : c[NR] < p[NR]
+                wins += won
+                rows = rows sprintf("  %4d  %16s  %16s%s\n", NR, fmt($1), fmt($2), won ? "  win" : "")
+            }
+            END {
+                printf "\n%s (%s, %s is better)\n%s", metric, unit, better, rows
+                if (missing) { print "  not reported"; exit }
+                sorted(sp, NR); sorted(sc, NR)
+                pm = quart(sp, NR, 0.5); pq1 = quart(sp, NR, 0.25); pq3 = quart(sp, NR, 0.75)
+                cm = quart(sc, NR, 0.5); cq1 = quart(sc, NR, 0.25); cq3 = quart(sc, NR, 0.75)
+                gain = better == "higher" ? cm - pm : pm - cm
+                delta = pm != 0 ? sprintf("%+.1f %%", 100 * (cm - pm) / pm) : "-"
+                holds = pairs >= 10 && wins * 10 >= 9 * pairs && gain > pq3 - pq1
+                printf "  median [q1, q3]: parent %s [%s, %s] -> change %s [%s, %s]  %s  wins %d/%d%s\n",
+                    fmt(pm), fmt(pq1), fmt(pq3), fmt(cm), fmt(cq1), fmt(cq3), delta, wins, pairs,
+                    holds ? "  holds" : ""
+            }'
+    done
+
+# The exact columns of a simulated workload, and its fingerprint.
+if ! grep -q " sim_fingerprint " "$out"/parent.*.txt "$out"/change.*.txt; then
+    exit 0
+fi
+differs=0
+for metric in rel_half_width_p50 utilization_pct on_time_pct met_pct sim_makespan_ms \
+    phys_reads_per_block ok_pct sim_fingerprint; do
+    if [ "$metric" = sim_fingerprint ]; then
+        seen="$(cat "$out"/*.txt | awk '$2 == "sim_fingerprint" { print $3 }' | sort -u)"
+    else
+        seen="$(jq -r --arg m "$metric" '.metrics[$m].value' "$out"/*.json | sort -u)"
+    fi
+    if [ "$(printf '%s\n' "$seen" | wc -l)" -ne 1 ]; then
+        echo "exact $metric DIFFERS: $(printf '%s ' $seen)"
+        differs=1
+    else
+        echo "exact $metric ok: $seen"
+    fi
+done
+exit "$differs"

@@ -297,6 +297,81 @@ fn measured_hard_deadline_always_banks_stage_two() {
 }
 
 // ---------------------------------------------------------------
+// How often a measured clock is read
+// ---------------------------------------------------------------
+
+/// A measured clock on which every block read of the attached view
+/// costs [`SCRIPT_UNIT`], counting how often it is read.
+#[derive(Default)]
+struct CountingClock {
+    view: std::sync::OnceLock<std::sync::Weak<Disk>>,
+    reads: std::sync::atomic::AtomicU64,
+}
+
+impl Clock for CountingClock {
+    fn elapsed(&self) -> Duration {
+        self.reads
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let view = self.view.get().and_then(std::sync::Weak::upgrade);
+        SCRIPT_UNIT * view.map_or(0, |v| v.stats().block_reads) as u32
+    }
+
+    fn charge(&self, _d: Duration) {}
+
+    fn is_simulated(&self) -> bool {
+        false
+    }
+}
+
+/// Clock reads a query may make per stage beyond one per block: the
+/// stage loop's planning, stopping check and report, the leaf's
+/// observation, and each operator's charges and observations.
+const CLOCK_READS_PER_STAGE: u64 = 24;
+
+/// `COUNT(expr)` within 10 ms under the hard deadline on the counting
+/// clock: `(clock reads, blocks read, stages)`.
+fn clock_reads_of(db: &Database, expr: Expr) -> (u64, u64, u64) {
+    let clock = Arc::new(CountingClock::default());
+    let view = db.disk().lane_view(clock.clone(), 5, 0, None);
+    clock
+        .view
+        .set(Arc::downgrade(&view))
+        .expect("attached once");
+    let spec = PreparedQuery {
+        agg: AggregateFn::Count,
+        expr,
+        quota: Duration::from_millis(10),
+        seed: 9,
+        config: db.calibrated(EngineConfig::default()),
+    };
+    let report = spec.run(&view, db.catalog()).unwrap().report;
+    let reads = clock.reads.load(std::sync::atomic::Ordering::Relaxed);
+    (reads, view.stats().block_reads, report.stages.len() as u64)
+}
+
+/// Charges are free on a measured clock, so only the check before
+/// each block read can change an outcome: a query reads the clock
+/// once a block, plus a constant a stage.
+#[test]
+fn a_measured_clock_is_read_once_a_block() {
+    let (db, select) = scripted_db();
+    // The occupancy merge reads the clock once per 64 tuples it
+    // merges, so the projection's selection passes fewer than that in
+    // all: the merge is one read a stage.
+    let few = Expr::relation("t")
+        .select(Predicate::col_cmp(0, CmpOp::Lt, 40))
+        .project(vec![1]);
+    for (name, expr) in [("selection", select), ("projection", few)] {
+        let (reads, blocks, stages) = clock_reads_of(&db, expr);
+        assert!(blocks > 5_000, "{name}: {blocks} blocks");
+        assert!(
+            reads <= blocks + CLOCK_READS_PER_STAGE * stages,
+            "{name}: {reads} reads for {blocks} blocks in {stages} stages"
+        );
+    }
+}
+
+// ---------------------------------------------------------------
 // What a stage's block-read observation times
 // ---------------------------------------------------------------
 
