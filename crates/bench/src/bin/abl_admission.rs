@@ -44,8 +44,8 @@ fn build_db(seed: u64) -> Database {
     // Small enough that co-resident samplers (cluster sampling
     // without replacement, one seeded permutation per job) collide on
     // blocks within a granted quota — that collision is what the
-    // shared-draw broker pools, and what the clean-grid asserts below
-    // measure.
+    // batch's shared-draw pool dedups, and what the clean-grid asserts
+    // below measure.
     db.load_relation(
         "t",
         schema,

@@ -45,8 +45,6 @@ pub struct EngineConfig {
     pub memory: MemoryMode,
     /// Safety cap on stages.
     pub max_stages: usize,
-    /// Selection pushdown before compilation (on by default).
-    pub optimize: bool,
     /// How transient storage faults are retried (backoff charged to
     /// the query clock).
     pub retry: RetryPolicy,
@@ -90,7 +88,6 @@ impl Default for EngineConfig {
             fulfillment: Fulfillment::Full,
             memory: MemoryMode::DiskResident,
             max_stages: 1_000,
-            optimize: true,
             retry: RetryPolicy::default(),
             tracer: Tracer::disabled(),
             collect_metrics: false,

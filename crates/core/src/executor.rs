@@ -260,7 +260,7 @@ fn metrics_snapshot(
 }
 
 /// Compiles `COUNT(expr)` as a run of `config` evaluates it:
-/// normalized (selection pushdown shrinks every sorted run the
+/// selections pushed down (which shrinks every sorted run the
 /// full-fulfillment plan re-merges), transformed into Σᵢ cᵢ·COUNT(Eᵢ')
 /// (Section 2), each term a [`PhysTree`]. Returns the coefficients and
 /// the trees; `rng` seeds the leaf samplers. Charge-free.
@@ -271,16 +271,10 @@ pub(crate) fn compile_terms(
     config: &EngineConfig,
     rng: &mut Rng,
 ) -> Result<(Vec<i64>, Vec<PhysTree>), EngineError> {
-    let optimized;
-    let expr = if config.optimize {
-        optimized = push_selections(expr.clone(), &|name| {
-            catalog.schema_of(name).map(eram_storage::Schema::arity)
-        });
-        &optimized
-    } else {
-        expr
-    };
-    let rewrite = PieRewrite::rewrite(expr)?;
+    let pushed = push_selections(expr.clone(), &|name| {
+        catalog.schema_of(name).map(eram_storage::Schema::arity)
+    });
+    let rewrite = PieRewrite::rewrite(&pushed)?;
     let mut coefficients = Vec::with_capacity(rewrite.terms.len());
     let mut trees = Vec::with_capacity(rewrite.terms.len());
     for term in &rewrite.terms {
@@ -798,8 +792,8 @@ mod tests {
     use eram_relalg::{eval, CmpOp, Predicate};
     use eram_storage::ToJson;
     use eram_storage::{
-        Clock, ColumnType, DeviceProfile, FileId, HeapFile, Schema, SharedDrawBroker, SimClock,
-        Tuple, Value,
+        BlockCache, Clock, ColumnType, DeviceProfile, FileId, HeapFile, Schema, SimClock, Tuple,
+        Value,
     };
 
     fn setup(jitter: bool) -> (Arc<Disk>, Catalog) {
@@ -1064,25 +1058,36 @@ mod tests {
     #[test]
     fn selection_pushdown_buys_more_sample_for_the_same_quota() {
         // σ over a join: pushed down, the runs the join re-merges are
-        // ~100× smaller, so the same quota covers more blocks.
-        let run = |optimize: bool| {
+        // ~100× smaller, so the same quota covers more blocks. The
+        // engine always pushes down; the unpushed tree is built
+        // directly, and both run the same stages until the quota.
+        let expr = Expr::relation("r")
+            .join(Expr::relation("s"), vec![(0, 0)])
+            .select(Predicate::col_cmp(1, CmpOp::Lt, 1));
+        let quota = Duration::from_secs(5);
+        let blocks_within_quota = |pushed: bool| {
             let (disk, cat) = setup(false);
-            let expr = Expr::relation("r")
-                .join(Expr::relation("s"), vec![(0, 0)])
-                .select(Predicate::col_cmp(1, CmpOp::Lt, 1));
-            let mut cfg = config(12.0);
-            cfg.stopping = StoppingCriterion::SoftDeadline;
-            cfg.optimize = optimize;
-            count(&disk, &cat, &expr, Duration::from_secs(5), &cfg, 3)
+            let term = if pushed {
+                push_selections(expr.clone(), &|name| cat.schema_of(name).map(Schema::arity))
+            } else {
+                expr.clone()
+            };
+            let cfg = config(12.0);
+            let mut rng = Rng::seed_from_u64(3);
+            let mut tree = PhysTree::build(&term, &cat, &disk, &cfg, &mut rng).unwrap();
+            let mut banked = 0;
+            for _ in 0..1_000 {
+                let mut env = StageEnv::new(disk.clone(), &cfg, None, 0.002);
+                tree.advance(&mut env).unwrap();
+                if disk.clock().elapsed() > quota {
+                    break;
+                }
+                banked = tree.blocks_drawn();
+            }
+            banked
         };
-        let plain = run(false);
-        let pushed = run(true);
-        assert!(
-            pushed.report.blocks_evaluated() >= plain.report.blocks_evaluated(),
-            "pushed {} vs plain {} blocks",
-            pushed.report.blocks_evaluated(),
-            plain.report.blocks_evaluated()
-        );
+        let (plain, pushed) = (blocks_within_quota(false), blocks_within_quota(true));
+        assert!(pushed > plain, "pushed {pushed} vs plain {plain} blocks");
     }
 
     #[test]
@@ -1405,13 +1410,10 @@ mod tests {
         let quotas = [Duration::from_secs(6), Duration::from_secs(20)];
         // A lane: private clock, jitter stream and trace buffer over
         // the shared backend bytes.
-        let lane = |i: usize, broker: Option<Arc<SharedDrawBroker>>| {
+        let lane = |i: usize, pool: Option<Arc<BlockCache>>| {
             let clock: Arc<dyn Clock> = Arc::new(SimClock::new());
             let tracer = Tracer::recording(clock.clone());
-            (
-                disk.lane_view(clock, 40 + i as u64, i as u64, broker),
-                tracer,
-            )
+            (disk.lane_view(clock, 40 + i as u64, i as u64, pool), tracer)
         };
         let alone: Vec<(ExecOutcome, Vec<TraceRecord>)> = (0..2)
             .map(|i| {
@@ -1423,10 +1425,9 @@ mod tests {
             })
             .collect();
 
-        let broker = SharedDrawBroker::new(["r", "s"].map(|n| cat.relation(n).unwrap().file_id()));
+        let pool = Arc::new(BlockCache::unbounded());
         let cfg = config(12.0);
-        let lanes: Vec<(Arc<Disk>, Tracer)> =
-            (0..2).map(|i| lane(i, Some(broker.clone()))).collect();
+        let lanes: Vec<(Arc<Disk>, Tracer)> = (0..2).map(|i| lane(i, Some(pool.clone()))).collect();
         let mut runs: Vec<Option<StageRun>> = lanes
             .iter()
             .enumerate()

@@ -253,14 +253,30 @@ pub fn solve_fraction(
     target_secs: f64,
     eps_secs: f64,
 ) -> Option<(f64, StagePrediction)> {
+    bisect(
+        |f| predict_stage(trees, f, model, policy),
+        target_secs,
+        eps_secs,
+    )
+}
+
+/// Sample-Size-Determine's bisection over any stage cost that grows
+/// with `f`: the largest `f` found whose `cost(f).cost_secs` fits in
+/// `target_secs`, stopping early once within `eps_secs` below it.
+/// `None` when even `cost(0)` does not fit.
+pub fn bisect(
+    cost: impl Fn(f64) -> StagePrediction,
+    target_secs: f64,
+    eps_secs: f64,
+) -> Option<(f64, StagePrediction)> {
     debug_assert!(target_secs >= 0.0);
     // The smallest meaningful stage: the rounding in the leaf walk
     // draws one block per relation for any f ≈ 0.
-    let floor = predict_stage(trees, 0.0, model, policy);
+    let floor = cost(0.0);
     if floor.cost_secs > target_secs {
         return None;
     }
-    let ceiling = predict_stage(trees, 1.0, model, policy);
+    let ceiling = cost(1.0);
     if ceiling.cost_secs <= target_secs {
         return Some((1.0, ceiling));
     }
@@ -269,7 +285,7 @@ pub fn solve_fraction(
     let mut best = (0.0, floor);
     for _ in 0..64 {
         let f = (low + high) / 2.0;
-        let p = predict_stage(trees, f, model, policy);
+        let p = cost(f);
         if p.cost_secs <= target_secs {
             best = (f, p);
             low = f;

@@ -29,7 +29,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use eram_relalg::Catalog;
-use eram_storage::{Clock, Disk, SharedDrawBroker, SimClock};
+use eram_storage::{BlockCache, Clock, Disk, SimClock};
 
 use crate::executor::{EngineError, StageRun};
 use crate::obs::{TraceRecord, Tracer};
@@ -98,7 +98,7 @@ impl<'a> Lane<'a> {
         db: &'a Database,
         spec: &PreparedQuery,
         lane: usize,
-        broker: Option<Arc<SharedDrawBroker>>,
+        shared: Option<Arc<BlockCache>>,
     ) -> Self {
         let mut spec = spec.clone();
         let mut clock = db.disk().clock().clone();
@@ -112,7 +112,7 @@ impl<'a> Lane<'a> {
             clock.clone(),
             spec.seed ^ LANE_JITTER_SALT,
             lane as u64,
-            broker,
+            shared,
         );
         Lane {
             spec,
@@ -193,7 +193,8 @@ fn next_turn(bids: impl Iterator<Item = Option<Duration>>) -> Option<usize> {
 }
 
 /// Runs every prepared lane to completion, one turn at a time in
-/// least-virtual-time order, and returns the outcomes in lane order
+/// least-virtual-time order, every lane's base-relation draws pooled
+/// through one batch pool, and returns the outcomes in lane order
 /// plus the dispatch order (the sequence in which lanes received
 /// their *first* turn). A fresh lane bids zero, so when a lane's
 /// compile charges nothing it takes its second turn before the next
@@ -201,12 +202,12 @@ fn next_turn(bids: impl Iterator<Item = Option<Duration>>) -> Option<usize> {
 pub(super) fn run_interleaved(
     db: &Database,
     specs: &[PreparedQuery],
-    broker: Arc<SharedDrawBroker>,
 ) -> (Vec<LaneOutcome>, Vec<usize>) {
+    let pool = Arc::new(BlockCache::unbounded());
     let mut lanes: Vec<Lane<'_>> = specs
         .iter()
         .enumerate()
-        .map(|(lane, spec)| Lane::new(db, spec, lane, Some(broker.clone())))
+        .map(|(lane, spec)| Lane::new(db, spec, lane, Some(pool.clone())))
         .collect();
     let mut order = Vec::with_capacity(lanes.len());
     while let Some(lane) = next_turn(lanes.iter().map(Lane::bid)) {

@@ -272,7 +272,7 @@ pub struct TenantSlo {
     /// `ServerOutcome::stripped_of_schedule` for cross-mode diffs.
     pub blocks_shared: u64,
     /// Simulated I/O time those shared draws would have cost had the
-    /// disk profile been charged again (the broker still charges the
+    /// disk profile been charged again (a pool hit still charges the
     /// subscriber's own lane, so this is savings *attributable*, not
     /// savings already deducted from per-job clocks).
     pub charge_saved_ns: u64,
@@ -400,7 +400,8 @@ impl TenantLedger {
     }
 
     /// Credits shared block draws to `tenant`: `blocks` satisfied
-    /// from the broker pool, worth `saved_ns` of simulated disk time.
+    /// from the batch's shared-draw pool, worth `saved_ns` of
+    /// simulated disk time.
     /// The one counter pair that is not a fold of the decision log:
     /// sharing is mode-variant by design and must stay off the trace.
     /// No-op for the sequential oracle (both arguments 0 there).

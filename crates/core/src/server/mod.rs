@@ -66,9 +66,10 @@
 //! [`Concurrency::Sequential`] (each lane drained lazily at its
 //! dispatch point) and [`Concurrency::Interleaved`] (all admitted
 //! lanes stepped up front on the calling thread, one stage per turn
-//! in least-virtual-time order, base-relation draws pooled through a
-//! [`SharedDrawBroker`]) produce byte-identical per-job reports,
-//! traces, and schedule-stripped outcomes. Only
+//! in least-virtual-time order, base-relation draws pooled through one
+//! batch [`BlockCache`](eram_storage::BlockCache)) produce
+//! byte-identical per-job reports, traces, and schedule-stripped
+//! outcomes. Only
 //! [`ServerOutcome::schedule`] and the tenants' sharing counters —
 //! the makespan/IO story — are allowed to differ between modes; see
 //! [`ServerOutcome::stripped_of_schedule`].
@@ -101,7 +102,7 @@ use std::time::Duration;
 use eram_relalg::Expr;
 use eram_sampling::CountEstimate;
 use eram_storage::json::{unknown_variant, FromJson, JsonError, ToJson};
-use eram_storage::{json, json_record, json_unit_enum, Clock, Json, Rng, SharedDrawBroker};
+use eram_storage::{json, json_record, json_unit_enum, Clock, Json, Rng};
 
 use crate::aggregate::AggregateFn;
 use crate::config::EngineConfig;
@@ -134,8 +135,8 @@ pub enum Concurrency {
     #[default]
     Sequential,
     /// Step all admitted jobs a stage at a time (least lane progress
-    /// first, stable-EDF tiebreak), with the shared-draw broker
-    /// pooling base-relation reads across live jobs.
+    /// first, stable-EDF tiebreak), with one shared-draw pool serving
+    /// base-relation reads across live jobs.
     Interleaved,
 }
 
@@ -1289,7 +1290,7 @@ fn server_metrics(stats: &ServerStats, ledger: &TenantLedger) -> MetricsSnapshot
 /// The lane outcomes available before the replay starts, and the
 /// dispatch order so far. Interleaved mode runs every admitted lane up
 /// front — one stage per turn in least-virtual-time order, co-resident
-/// base-relation draws pooled through the broker — and the replay
+/// base-relation draws pooled through one batch pool — and the replay
 /// consumes the outcomes in canonical order. Sequential mode drains
 /// each lane lazily at its dispatch point, so jobs shed before
 /// dispatch never execute at all.
@@ -1300,14 +1301,7 @@ fn prerun(
 ) -> (Vec<Option<LaneOutcome>>, Vec<usize>) {
     match mode {
         Concurrency::Interleaved => {
-            let broker = SharedDrawBroker::new(
-                db.catalog()
-                    .names()
-                    .into_iter()
-                    .filter_map(|name| db.catalog().relation(name))
-                    .map(|file| file.file_id()),
-            );
-            let (outs, order) = run_interleaved(db, specs, broker);
+            let (outs, order) = run_interleaved(db, specs);
             (outs.into_iter().map(Some).collect(), order)
         }
         Concurrency::Sequential => (specs.iter().map(|_| None).collect(), Vec::new()),

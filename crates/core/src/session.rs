@@ -19,7 +19,7 @@ use crate::config::EngineConfig;
 use crate::costs::CostModel;
 use crate::executor::{EngineError, ExecOutcome, StageRun};
 use crate::obs::{Profiler, Tracer};
-use crate::ops::{BlockLayout, Fulfillment};
+use crate::ops::BlockLayout;
 use crate::retry::RetryPolicy;
 use crate::stopping::StoppingCriterion;
 use crate::strategy::TimeControlStrategy;
@@ -279,12 +279,6 @@ impl CountQuery<'_> {
         self
     }
 
-    /// Chooses the fulfillment plan.
-    pub fn fulfillment(mut self, fulfillment: Fulfillment) -> Self {
-        self.spec.config.fulfillment = fulfillment;
-        self
-    }
-
     /// Overrides the sampling seed (defaults to a per-query seed
     /// derived from the database seed).
     pub fn seed(mut self, seed: u64) -> Self {
@@ -427,7 +421,6 @@ mod tests {
             .within(Duration::from_secs(8))
             .strategy(OneAtATimeInterval::new(24.0))
             .stopping(StoppingCriterion::SoftDeadline)
-            .fulfillment(Fulfillment::Full)
             .seed(5)
             .run()
             .unwrap();

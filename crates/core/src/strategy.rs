@@ -34,7 +34,9 @@ use std::time::Duration;
 
 use crate::costs::CostModel;
 use crate::ops::PhysTree;
-use crate::predict::{count_operators, predict_stage, solve_fraction, SelPolicy, StagePrediction};
+use crate::predict::{
+    bisect, count_operators, predict_stage, solve_fraction, SelPolicy, StagePrediction,
+};
 use crate::seltrack::SelTracker;
 
 pub use crate::seltrack::SelectivityDefaults;
@@ -195,42 +197,16 @@ impl TimeControlStrategy for SingleInterval {
         remaining: Duration,
         _stage: usize,
     ) -> Option<StagePlan> {
-        let target = remaining.as_secs_f64();
-        let eps = self.epsilon.as_secs_f64();
-
         // Bisection on f with the variance-reserving effective cost.
-        let floor = self.effective_cost(trees, model, 0.0);
-        if floor.cost_secs > target {
-            return None;
-        }
-        let ceiling = self.effective_cost(trees, model, 1.0);
-        if ceiling.cost_secs <= target {
-            // Report the *mean* as the prediction (the reserve is
-            // headroom, not expected spend).
-            let mean = predict_stage(trees, 1.0, model, &SelPolicy::Mean);
-            return to_plan(Some((1.0, mean)));
-        }
-        let (mut low, mut high) = (0.0f64, 1.0f64);
-        let mut best = 0.0;
-        for _ in 0..64 {
-            let f = (low + high) / 2.0;
-            let p = self.effective_cost(trees, model, f);
-            if p.cost_secs <= target {
-                best = f;
-                low = f;
-            } else {
-                high = f;
-            }
-            if (p.cost_secs - target).abs() <= eps && p.cost_secs <= target {
-                best = f;
-                break;
-            }
-            if high - low < 1e-9 {
-                break;
-            }
-        }
-        let mean = predict_stage(trees, best, model, &SelPolicy::Mean);
-        to_plan(Some((best, mean)))
+        let (f, _) = bisect(
+            |f| self.effective_cost(trees, model, f),
+            remaining.as_secs_f64(),
+            self.epsilon.as_secs_f64(),
+        )?;
+        // Report the *mean* as the prediction (the reserve is
+        // headroom, not expected spend).
+        let mean = predict_stage(trees, f, model, &SelPolicy::Mean);
+        to_plan(Some((f, mean)))
     }
 }
 

@@ -1,39 +1,51 @@
-//! A block-granular LRU buffer cache.
+//! The block pool: an LRU buffer cache, or a served batch's
+//! shared-draw pool.
 //!
 //! The paper's prototype reads every block from disk ("all the input
 //! relations and all the intermediate relations are always kept on
-//! disks"), so the cache is **off by default** and the Section 5
-//! experiments run without it. It exists because the full-fulfillment
-//! plan re-reads every previous stage's runs at every stage — with a
-//! buffer pool those re-reads become cheap, which is a meaningful
-//! middle ground between the paper's disk-resident and main-memory
-//! designs. Enable it with [`crate::Disk::new_cached`].
+//! disks"), so the root disk's cache is **off by default** and the
+//! Section 5 experiments run without it. It exists because the
+//! full-fulfillment plan re-reads every previous stage's runs at every
+//! stage — with a buffer pool those re-reads become cheap, which is a
+//! meaningful middle ground between the paper's disk-resident and
+//! main-memory designs. Enable it with [`crate::Disk::new_cached`].
 //!
-//! The classic hash-map + recency-queue LRU behind one lock: O(1)
-//! amortized lookups, stale queue entries skipped lazily at eviction
-//! time, exact global LRU order. Every charged read happens on the
-//! thread that runs the stage, so the lock is never contended in the
-//! engine (the type is still `Sync`). Cached blocks are handed out as
-//! [`Arc<Block>`] clones — a pointer bump, not a copy — and a block
-//! never changes after it is appended, so an entry leaves only by
-//! eviction or with its file. Eviction depends only on the sequence
-//! of `get`/`put`/`invalidate_file` calls, so a deterministic caller
-//! sees a deterministic hit/miss pattern.
+//! The same map serves a batch of co-admitted jobs
+//! ([`BlockCache::unbounded`], handed to every lane view): the first
+//! lane to read a base-relation block publishes it, and later lanes
+//! skip the physical fetch. What a hit *costs* is not decided here
+//! but by [`crate::Disk::read_block`].
+//!
+//! Every entry is a slot: the block beside the digest recorded
+//! when it was appended, so a pool hit verifies without hashing the
+//! clean block again. The bounded pool is the classic hash-map +
+//! recency-queue LRU behind one lock: O(1) amortized lookups, stale
+//! queue entries skipped lazily at eviction time, exact global LRU
+//! order. The unbounded pool keeps no recency queue and never evicts.
+//! Every charged read happens on the thread that runs the stage, so
+//! the lock is never contended in the engine (the type is still
+//! `Sync`). Blocks are handed out as `Arc<Block>` clones — a pointer
+//! bump, not a copy — and a block never changes after it is appended,
+//! so an entry leaves only by eviction or with its file. Eviction
+//! depends only on the sequence of `get`/`put`/`invalidate_file`
+//! calls, so a deterministic caller sees a deterministic hit/miss
+//! pattern.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
 
-use crate::block::Block;
+use crate::backend::Slot;
 use crate::sync::Mutex;
 
 /// Key of a cached block.
 type Key = (u64, u64); // (file, index)
 
-/// The cache's whole state, under [`BlockCache`]'s one lock.
+/// The pool's whole state, under [`BlockCache`]'s one lock.
 #[derive(Debug)]
 struct Lru {
-    capacity: usize,
-    entries: HashMap<Key, (Arc<Block>, u64)>,
+    /// `None` for the unbounded pool, which tracks no recency.
+    capacity: Option<usize>,
+    /// Each block and digest beside the tick of its latest touch.
+    entries: HashMap<Key, (Slot, u64)>,
     recency: VecDeque<(Key, u64)>,
     tick: u64,
     hits: u64,
@@ -46,8 +58,11 @@ impl Lru {
     /// storms (`get`) nor temp-file churn (`put`) can grow the queue
     /// without limit.
     fn push_recency(&mut self, key: Key, tick: u64) {
+        let Some(capacity) = self.capacity else {
+            return;
+        };
         self.recency.push_back((key, tick));
-        if self.recency.len() > 8 * self.capacity {
+        if self.recency.len() > 8 * capacity {
             self.compact();
         }
     }
@@ -59,7 +74,10 @@ impl Lru {
     }
 
     fn evict_if_needed(&mut self) {
-        while self.entries.len() > self.capacity {
+        let Some(capacity) = self.capacity else {
+            return;
+        };
+        while self.entries.len() > capacity {
             match self.recency.pop_front() {
                 Some((key, tick)) => {
                     // Only evict if this queue entry is the key's
@@ -73,25 +91,25 @@ impl Lru {
         }
     }
 
-    fn get(&mut self, key: Key) -> Option<Arc<Block>> {
+    fn get(&mut self, key: Key) -> Option<Slot> {
         self.tick += 1;
         let tick = self.tick;
-        if let Some((block, t)) = self.entries.get_mut(&key) {
+        if let Some((slot, t)) = self.entries.get_mut(&key) {
             *t = tick;
-            let block = Arc::clone(block);
+            let slot = slot.clone();
             self.push_recency(key, tick);
             self.hits += 1;
-            Some(block)
+            Some(slot)
         } else {
             self.misses += 1;
             None
         }
     }
 
-    fn put(&mut self, key: Key, block: Arc<Block>) {
+    fn put(&mut self, key: Key, slot: Slot) {
         self.tick += 1;
         let tick = self.tick;
-        self.entries.insert(key, (block, tick));
+        self.entries.insert(key, (slot, tick));
         self.push_recency(key, tick);
         self.evict_if_needed();
     }
@@ -104,20 +122,32 @@ impl Lru {
     }
 }
 
-/// A fixed-capacity LRU cache of blocks.
+/// A pool of blocks, each beside its recorded digest: a
+/// fixed-capacity LRU, or an unbounded pool that never evicts.
 #[derive(Debug)]
 pub struct BlockCache(Mutex<Lru>);
 
 impl BlockCache {
-    /// Creates a cache holding up to `capacity` blocks.
+    /// Creates an LRU cache holding up to `capacity` blocks.
     ///
     /// # Panics
     /// Panics if `capacity` is zero (use no cache instead).
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "cache capacity must be positive");
+        Self::with_capacity(Some(capacity))
+    }
+
+    /// Creates a pool that keeps every block put into it and no
+    /// recency order — a served batch's shared draws, which the batch
+    /// bounds.
+    pub fn unbounded() -> Self {
+        Self::with_capacity(None)
+    }
+
+    fn with_capacity(capacity: Option<usize>) -> Self {
         BlockCache(Mutex::new(Lru {
             capacity,
-            entries: HashMap::with_capacity(capacity + 1),
+            entries: HashMap::with_capacity(capacity.map_or(0, |c| c + 1)),
             recency: VecDeque::new(),
             tick: 0,
             hits: 0,
@@ -145,16 +175,16 @@ impl BlockCache {
         self.0.lock().misses
     }
 
-    /// Looks a block up, refreshing its recency. Hits hand back a
-    /// shared `Arc` — no byte copy.
-    pub fn get(&self, file: u64, index: u64) -> Option<Arc<Block>> {
+    /// Looks a block and its digest up, refreshing its recency. Hits
+    /// hand back a shared `Arc` — no byte copy.
+    pub fn get(&self, file: u64, index: u64) -> Option<Slot> {
         self.0.lock().get((file, index))
     }
 
-    /// Inserts (or refreshes) a block, evicting the least recently
-    /// used one if over capacity.
-    pub fn put(&self, file: u64, index: u64, block: Arc<Block>) {
-        self.0.lock().put((file, index), block);
+    /// Inserts (or refreshes) a block and its digest, evicting the
+    /// least recently used one if over capacity.
+    pub fn put(&self, file: u64, index: u64, slot: Slot) {
+        self.0.lock().put((file, index), slot);
     }
 
     /// Drops every cached block of `file` (file freed), including
@@ -173,19 +203,29 @@ impl BlockCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::Block;
+    use std::sync::Arc;
 
-    fn block(tag: u8) -> Arc<Block> {
+    fn block(tag: u8) -> Slot {
         let mut b = Block::zeroed(16);
         b.bytes_mut()[0] = tag;
-        Arc::new(b)
+        let digest = b.checksum();
+        (Arc::new(b), digest)
+    }
+
+    fn tag(slot: Slot) -> u8 {
+        slot.0.bytes()[0]
     }
 
     #[test]
     fn hit_after_put_miss_before() {
         let c = BlockCache::new(4);
         assert!(c.get(1, 0).is_none());
-        c.put(1, 0, block(7));
-        assert_eq!(c.get(1, 0).unwrap().bytes()[0], 7);
+        let put = block(7);
+        c.put(1, 0, put.clone());
+        let got = c.get(1, 0).unwrap();
+        assert_eq!(got.1, put.1, "the digest travels with the block");
+        assert_eq!(tag(got), 7);
         assert_eq!(c.hits(), 1);
         assert_eq!(c.misses(), 1);
     }
@@ -224,7 +264,7 @@ mod tests {
         c.put(0, 1, block(2));
         c.put(0, 0, block(9)); // refresh 0 → 1 is LRU
         c.put(0, 2, block(3));
-        assert_eq!(c.get(0, 0).unwrap().bytes()[0], 9);
+        assert_eq!(tag(c.get(0, 0).unwrap()), 9);
         assert!(c.get(0, 1).is_none());
     }
 
@@ -281,6 +321,18 @@ mod tests {
             0,
             "invalidation must drop the file's recency entries"
         );
+    }
+
+    #[test]
+    fn an_unbounded_pool_keeps_every_block_and_no_recency() {
+        let c = BlockCache::unbounded();
+        for i in 0..10_000u64 {
+            c.put(i % 7, i, block(i as u8));
+        }
+        assert_eq!(c.len(), 10_000);
+        assert!((0..10_000u64).all(|i| c.get(i % 7, i).is_some_and(|s| tag(s) == i as u8)));
+        assert_eq!(c.hits(), 10_000);
+        assert_eq!(c.recency_len(), 0);
     }
 
     #[test]

@@ -45,9 +45,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::backend::{BlockBackend, FileBackend, MemoryBackend};
+use crate::backend::{BlockBackend, FileBackend, MemoryBackend, Slot};
 use crate::block::{Block, BLOCK_SIZE};
-use crate::broker::SharedDrawBroker;
 use crate::cache::BlockCache;
 use crate::clock::Clock;
 use crate::cost::{DeviceOp, DeviceProfile};
@@ -87,7 +86,8 @@ struct DiskLocal {
 
 /// High bit + lane tag marking virtual file ids handed out by lane
 /// views; backend ids are small integers, so the namespaces can never
-/// collide.
+/// collide. Through a lane view, an id without the tag is a base
+/// relation: the lane created none of it.
 const LANE_FILE_TAG: u64 = 0x8000_0000_0000_0000;
 
 /// Lane-local virtual file-id namespace: files created through a lane
@@ -114,12 +114,11 @@ pub struct Disk {
     /// Lane-local virtual file-id table; `None` on a root disk, whose
     /// ids are the backend's own.
     lane: Option<Mutex<LaneFiles>>,
-    /// Cross-lane draw pool, armed only on lane views serving a
-    /// concurrent batch.
-    broker: Option<Arc<SharedDrawBroker>>,
+    /// The batch's shared-draw pool, armed only on lane views serving
+    /// a concurrent batch.
+    shared: Option<Arc<BlockCache>>,
     clock: Arc<dyn Clock>,
     profile: DeviceProfile,
-    block_size: usize,
     reads: AtomicU64,
     writes: AtomicU64,
     tuple_cpu: AtomicU64,
@@ -136,28 +135,7 @@ pub struct Disk {
 impl Disk {
     /// Creates an in-memory disk with the paper's default 1 KB blocks.
     pub fn new(clock: Arc<dyn Clock>, profile: DeviceProfile, seed: u64) -> Arc<Self> {
-        Self::with_block_size(clock, profile, BLOCK_SIZE, seed)
-    }
-
-    /// Creates an in-memory disk with a custom block size.
-    ///
-    /// # Panics
-    /// Panics if `block_size` is zero.
-    pub fn with_block_size(
-        clock: Arc<dyn Clock>,
-        profile: DeviceProfile,
-        block_size: usize,
-        seed: u64,
-    ) -> Arc<Self> {
-        assert!(block_size > 0, "block size must be positive");
-        Self::with_backend(
-            clock,
-            profile,
-            block_size,
-            seed,
-            Box::new(MemoryBackend::new()),
-            None,
-        )
+        Self::with_backend(clock, profile, seed, Box::new(MemoryBackend::new()), None)
     }
 
     /// Creates a disk whose blocks live in real files under `dir`
@@ -173,7 +151,6 @@ impl Disk {
         Ok(Self::with_backend(
             clock,
             profile,
-            BLOCK_SIZE,
             seed,
             Box::new(backend),
             None,
@@ -183,7 +160,6 @@ impl Disk {
     fn with_backend(
         clock: Arc<dyn Clock>,
         profile: DeviceProfile,
-        block_size: usize,
         seed: u64,
         backend: Box<dyn BlockBackend>,
         cache: Option<BlockCache>,
@@ -196,10 +172,9 @@ impl Disk {
             }),
             cache,
             lane: None,
-            broker: None,
+            shared: None,
             clock,
             profile,
-            block_size,
             reads: AtomicU64::new(0),
             writes: AtomicU64::new(0),
             tuple_cpu: AtomicU64::new(0),
@@ -216,8 +191,9 @@ impl Disk {
     /// fresh instance of this disk's armed plan, with its own attempt
     /// counters) decides faults from the lane's own read history.
     /// Files created through the view get lane-deterministic virtual
-    /// ids. `broker`, when set, pools base-relation reads with other
-    /// lanes of the same batch — charge-transparent to this lane.
+    /// ids. `shared`, when set, is the batch's pool: base-relation
+    /// reads are pooled with the other lanes of the same batch —
+    /// charge-transparent to this lane (see [`Disk::read_block`]).
     ///
     /// Lane views carry no buffer cache: each job's charge stream
     /// must be independent of co-resident jobs, and a shared cache
@@ -227,7 +203,7 @@ impl Disk {
         clock: Arc<dyn Clock>,
         seed: u64,
         lane: u64,
-        broker: Option<Arc<SharedDrawBroker>>,
+        shared: Option<Arc<BlockCache>>,
     ) -> Arc<Disk> {
         let plan = self.fault_plan();
         Arc::new(Disk {
@@ -242,10 +218,9 @@ impl Disk {
                 next: 0,
                 map: HashMap::new(),
             })),
-            broker,
+            shared,
             clock,
             profile: self.profile.clone(),
-            block_size: self.block_size,
             reads: AtomicU64::new(0),
             writes: AtomicU64::new(0),
             tuple_cpu: AtomicU64::new(0),
@@ -268,14 +243,17 @@ impl Disk {
         }
     }
 
-    /// Appends `block` and its digest — the digest taken before the
-    /// backend lock is. Returns the block's index.
-    fn store(&self, file: FileId, block: &Arc<Block>) -> Result<u64> {
-        assert_eq!(block.len(), self.block_size, "block size mismatch");
-        let slot = (Arc::clone(block), block.checksum());
+    /// Appends `block` beside its digest — the digest taken before
+    /// the backend lock is. Returns the block's index and the slot
+    /// the backend now holds.
+    fn store(&self, file: FileId, block: Block) -> Result<(u64, Slot)> {
+        assert_eq!(block.len(), BLOCK_SIZE, "block size mismatch");
+        let digest = block.checksum();
+        let slot = (Arc::new(block), digest);
         let physical = self.physical(file);
-        let stored = self.backend.lock().append(physical, slot);
-        stored.map_err(|e| e.naming_file(file.0))
+        let stored = self.backend.lock().append(physical, slot.clone());
+        let index = stored.map_err(|e| e.naming_file(file.0))?;
+        Ok((index, slot))
     }
 
     /// Creates an in-memory disk fronted by an LRU buffer cache of
@@ -292,7 +270,6 @@ impl Disk {
         Self::with_backend(
             clock,
             profile,
-            BLOCK_SIZE,
             seed,
             Box::new(MemoryBackend::new()),
             Some(BlockCache::new(cache_blocks)),
@@ -336,9 +313,9 @@ impl Disk {
         &self.profile
     }
 
-    /// Block capacity in bytes.
+    /// Block capacity in bytes: every disk's is [`BLOCK_SIZE`].
     pub fn block_size(&self) -> usize {
-        self.block_size
+        BLOCK_SIZE
     }
 
     /// Allocates a new, empty file. Through a lane view the returned
@@ -390,10 +367,9 @@ impl Disk {
     pub fn append_block(&self, file: FileId, block: Block) -> Result<u64> {
         self.charge(DeviceOp::BlockWrite);
         self.writes.fetch_add(1, Ordering::Relaxed);
-        let block = Arc::new(block);
-        let index = self.store(file, &block)?;
+        let (index, slot) = self.store(file, block)?;
         if let Some(cache) = &self.cache {
-            cache.put(file.0, index, block);
+            cache.put(file.0, index, slot);
         }
         Ok(index)
     }
@@ -409,11 +385,27 @@ impl Disk {
     /// block was verified when it entered the cache, matching a real
     /// buffer pool where rot lives on the medium, not in RAM.
     ///
-    /// When a [`SharedDrawBroker`] is armed (lane views only), a read
-    /// of an eligible base-relation block that another lane already
-    /// fetched is served from the pool: the charge, fault decision,
-    /// and checksum verification are identical — only the physical
-    /// backend fetch is skipped.
+    /// A lane view serving a concurrent batch holds the batch's
+    /// shared-draw pool, a second [`BlockCache`] that the read
+    /// consults *after* the fault gate. When several live jobs sample
+    /// the same base relation, each of them pays its own charged read
+    /// — the per-job accounting the deadline math needs — but the
+    /// device only has to fetch a block once: the first lane to read
+    /// it publishes the clean, verified bytes with their recorded
+    /// digest, and a later lane that draws the same block skips the
+    /// physical backend fetch and nothing else. A pool hit charges
+    /// this lane's clock exactly like a backend read (the same
+    /// jittered cost from the lane's own RNG), consults the lane's
+    /// own fault injector, and verifies the same digest, so a lane
+    /// behaves byte-identically with the pool on or off; what changes
+    /// is the device-level total, counted by [`Disk::sharing`].
+    /// Feeding one uniform draw to several independent estimators
+    /// biases none of them: each job's sampler still picks blocks
+    /// uniformly from its own seeded stream, and the pool only dedups
+    /// the fetch when two streams collide. Only base relations are
+    /// pooled — the ids without the lane tag — because a job's
+    /// own run files are read by that job alone, so pooling them
+    /// would share nothing.
     ///
     /// Returns a shared [`Arc<Block>`]: cache and pool hits, and
     /// misses on the in-memory backend, hand back the block that is
@@ -424,7 +416,7 @@ impl Disk {
             .cache
             .as_ref()
             .and_then(|cache| cache.get(file.0, index));
-        if let Some(block) = cached {
+        if let Some((block, _)) = cached {
             self.charge(DeviceOp::CacheHit);
             return Ok(block);
         }
@@ -453,7 +445,7 @@ impl Disk {
                     )));
                 }
                 Some(FaultKind::Corrupt) => {
-                    corrupt_bit = Some(injector.corrupt_bit(file.0, index, self.block_size));
+                    corrupt_bit = Some(injector.corrupt_bit(file.0, index, BLOCK_SIZE));
                 }
                 None => {}
             }
@@ -461,12 +453,10 @@ impl Disk {
         drop(local);
         // Pool lookup happens only after the fault gate: a transient
         // failure never consults the pool, and a pool hit still pays
-        // spikes/corruption from this lane's own injector.
-        let broker = self
-            .broker
-            .as_ref()
-            .filter(|b| b.eligible(FileId(physical)));
-        let pooled = broker.and_then(|b| b.get(physical, index));
+        // spikes/corruption from this lane's own injector. A tagged id
+        // is one of this lane's own run files, never pooled.
+        let pool = self.shared.as_ref().filter(|_| file.0 & LANE_FILE_TAG == 0);
+        let pooled = pool.and_then(|pool| pool.get(physical, index));
         let from_pool = pooled.is_some();
         // The block and the digest recorded beside it when it was
         // written come from one lookup, under the one hold of the
@@ -502,11 +492,11 @@ impl Disk {
                 block: index,
             });
         }
-        if let Some(b) = broker.filter(|_| !from_pool) {
-            b.publish(physical, index, (Arc::clone(&block), expected));
+        if let Some(pool) = pool.filter(|_| !from_pool) {
+            pool.put(physical, index, (Arc::clone(&block), expected));
         }
         if let Some(cache) = &self.cache {
-            cache.put(file.0, index, Arc::clone(&block));
+            cache.put(file.0, index, (Arc::clone(&block), expected));
         }
         Ok(block)
     }
@@ -533,7 +523,7 @@ impl Disk {
     /// Appends a block without charging the clock — for loading base
     /// relations before the query's quota is armed, and for tests.
     pub fn append_block_uncharged(&self, file: FileId, block: Block) -> Result<u64> {
-        self.store(file, &Arc::new(block))
+        self.store(file, block).map(|(index, _)| index)
     }
 
     /// Samples the jittered duration for `op` from this view's RNG
@@ -580,7 +570,7 @@ impl Disk {
     /// Shared-draw counters for this view: `(blocks served from the
     /// pool, device nanoseconds those fetches would have cost)`.
     /// Kept out of [`DiskStats`] so per-job metric snapshots stay
-    /// identical whether or not a broker was armed.
+    /// identical whether or not a shared-draw pool was armed.
     pub fn sharing(&self) -> (u64, u64) {
         (
             self.shared_hits.load(Ordering::Relaxed),
@@ -592,7 +582,6 @@ impl Disk {
 impl std::fmt::Debug for Disk {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Disk")
-            .field("block_size", &self.block_size)
             .field("lane", &self.lane.is_some())
             .field("stats", &self.stats())
             .finish()
@@ -753,10 +742,10 @@ mod tests {
                 .with_transient(0.2)
                 .with_corruption(0.1),
         );
-        let broker = SharedDrawBroker::new([f]);
-        let counts = |broker: Option<&Arc<SharedDrawBroker>>| {
-            let lanes = [0, 1]
-                .map(|i| disk.lane_view(Arc::new(SimClock::new()), 1, i, broker.map(Arc::clone)));
+        let pool = Arc::new(BlockCache::unbounded());
+        let counts = |pool: Option<&Arc<BlockCache>>| {
+            let lanes =
+                [0, 1].map(|i| disk.lane_view(Arc::new(SimClock::new()), 1, i, pool.cloned()));
             lanes.map(|lane| {
                 let corrupt = (0..100u64)
                     .filter(|&i| matches!(lane.read_block(f, i), Err(StorageError::Corrupt { .. })))
@@ -772,11 +761,8 @@ mod tests {
             })
         };
         let alone = counts(None);
-        assert_eq!(counts(Some(&broker)), alone);
-        assert!(
-            broker.shared_hits() > 0,
-            "the second lane drew from the pool"
-        );
+        assert_eq!(counts(Some(&pool)), alone);
+        assert!(pool.hits() > 0, "the second lane drew from the pool");
     }
 
     #[test]
@@ -1108,21 +1094,21 @@ mod tests {
         b.bytes_mut()[5] = 0x55;
         disk.append_block_uncharged(f, b.clone()).unwrap();
 
-        // Reference lane: no broker.
+        // Reference lane: no pool.
         let solo_clock = Arc::new(SimClock::new());
         let solo = disk.lane_view(solo_clock.clone(), 42, 0, None);
         solo.read_block(f, 0).unwrap();
 
-        // Brokered pair: lane 0 publishes, lane 1 hits the pool.
-        let broker = SharedDrawBroker::new([f]);
+        // Pooled pair: lane 0 publishes, lane 1 hits the pool.
+        let pool = Arc::new(BlockCache::unbounded());
         let c0 = Arc::new(SimClock::new());
-        let l0 = disk.lane_view(c0.clone(), 42, 0, Some(Arc::clone(&broker)));
+        let l0 = disk.lane_view(c0.clone(), 42, 0, Some(Arc::clone(&pool)));
         let c1 = Arc::new(SimClock::new());
-        let l1 = disk.lane_view(c1.clone(), 42, 1, Some(Arc::clone(&broker)));
+        let l1 = disk.lane_view(c1.clone(), 42, 1, Some(Arc::clone(&pool)));
         assert_eq!(*l0.read_block(f, 0).unwrap(), b);
         assert_eq!(*l1.read_block(f, 0).unwrap(), b);
 
-        // Identical seed ⇒ identical charge, broker or not; the hit
+        // Identical seed ⇒ identical charge, pool or not; the hit
         // only changes the sharing counters.
         assert_eq!(c0.elapsed(), solo_clock.elapsed());
         assert_eq!(c1.elapsed(), solo_clock.elapsed());
@@ -1132,21 +1118,22 @@ mod tests {
         let (hits, saved) = l1.sharing();
         assert_eq!(hits, 1);
         assert!(saved > 0);
-        assert_eq!(broker.shared_hits(), 1);
-        assert_eq!(broker.published(), 1);
+        // One block published once, one hit served.
+        assert_eq!(pool.hits(), 1);
+        assert_eq!(pool.len(), 1);
     }
 
     #[test]
-    fn broker_ignores_unregistered_files() {
+    fn a_lane_never_pools_its_own_files() {
         let (_, disk) = sim_disk();
-        let f = disk.create_file();
-        disk.append_block_uncharged(f, Block::zeroed(disk.block_size()))
-            .unwrap();
-        let broker = SharedDrawBroker::new(std::iter::empty::<FileId>());
-        let lane = disk.lane_view(Arc::new(SimClock::new()), 1, 0, Some(Arc::clone(&broker)));
-        lane.read_block(f, 0).unwrap();
-        lane.read_block(f, 0).unwrap();
-        assert_eq!(broker.published(), 0);
+        let pool = Arc::new(BlockCache::unbounded());
+        let lane = disk.lane_view(Arc::new(SimClock::new()), 1, 0, Some(Arc::clone(&pool)));
+        let run = lane.create_file();
+        lane.append_block(run, tagged(&lane, 4)).unwrap();
+        lane.read_block(run, 0).unwrap();
+        lane.read_block(run, 0).unwrap();
+        assert!(pool.is_empty());
+        assert_eq!(pool.hits() + pool.misses(), 0, "never consulted");
         assert_eq!(lane.sharing(), (0, 0));
     }
 }

@@ -40,7 +40,6 @@
 
 pub mod backend;
 pub mod block;
-pub mod broker;
 pub mod cache;
 pub mod clock;
 pub mod columnar;
@@ -57,7 +56,6 @@ pub mod sync;
 pub mod tuple;
 
 pub use block::{Block, BlockId, BLOCK_SIZE};
-pub use broker::SharedDrawBroker;
 pub use cache::BlockCache;
 pub use clock::{Clock, Deadline, SimClock, WallClock};
 pub use columnar::{ColumnData, ColumnarBlock};

@@ -8,8 +8,7 @@ use std::time::Duration;
 use testkit::prelude::*;
 
 use eram_storage::{
-    Block, DeviceProfile, Disk, DiskStats, FaultPlan, FaultStats, FileId, SharedDrawBroker,
-    SimClock,
+    Block, BlockCache, DeviceProfile, Disk, DiskStats, FaultPlan, FaultStats, FileId, SimClock,
 };
 
 /// Blocks in the base relation; reads and hints also reach past it.
@@ -34,7 +33,7 @@ struct Observed {
     faults: Option<FaultStats>,
     cache: Option<(u64, u64)>,
     sharing: (u64, u64),
-    pool: Option<(u64, u64)>,
+    pool: Option<(u64, usize)>,
     elapsed: Duration,
 }
 
@@ -74,16 +73,16 @@ fn run(
                 .with_spikes(0.15, Duration::from_millis(3)),
         );
     }
-    let broker = matches!(kind, Kind::Lane).then(|| SharedDrawBroker::new([base]));
-    let disk = match &broker {
-        Some(broker) => {
+    let pool = matches!(kind, Kind::Lane).then(|| Arc::new(BlockCache::unbounded()));
+    let disk = match &pool {
+        Some(pool) => {
             // The sibling fetches half the relation first, so the
             // lane under test meets both pool hits and misses.
-            let sibling = root.lane_view(clock(), seed, 1, Some(Arc::clone(broker)));
+            let sibling = root.lane_view(clock(), seed, 1, Some(Arc::clone(pool)));
             for i in (0..BLOCKS).step_by(2) {
                 let _ = sibling.read_block(base, i);
             }
-            root.lane_view(clock(), seed, 0, Some(Arc::clone(broker)))
+            root.lane_view(clock(), seed, 0, Some(Arc::clone(pool)))
         }
         None => Arc::clone(&root),
     };
@@ -117,7 +116,7 @@ fn run(
         faults: disk.fault_stats(),
         cache: disk.cache_stats(),
         sharing: disk.sharing(),
-        pool: broker.map(|b| (b.shared_hits(), b.published())),
+        pool: pool.map(|p| (p.hits(), p.len())),
         elapsed: disk.clock().elapsed(),
     }
 }

@@ -207,10 +207,12 @@ proptest! {
     }
 }
 
-fn tagged_block(tag: u8) -> Arc<Block> {
+/// A block tagged in its first byte, beside its digest.
+fn tagged_block(tag: u8) -> (Arc<Block>, u64) {
     let mut b = Block::zeroed(32);
     b.bytes_mut()[0] = tag;
-    Arc::new(b)
+    let digest = b.checksum();
+    (Arc::new(b), digest)
 }
 
 #[test]
@@ -233,7 +235,7 @@ fn contended_cache_keeps_exact_accounting_and_bounds() {
                     // miss and get inserted under contention.
                     let key = (t as u64 * 7 + j * 13) % (2 * capacity as u64);
                     match cache.get(0, key) {
-                        Some(block) => {
+                        Some((block, _)) => {
                             // A hit must return the block that was put
                             // under this key — no cross-key tearing.
                             assert_eq!(block.bytes()[0], key as u8, "torn read for key {key}");
@@ -260,7 +262,7 @@ fn contended_cache_keeps_exact_accounting_and_bounds() {
     // The cache stays coherent after the storm: whatever is resident
     // reads back with the right payload.
     for key in 0..(2 * capacity as u64) {
-        if let Some(block) = cache.get(0, key) {
+        if let Some((block, _)) = cache.get(0, key) {
             assert_eq!(block.bytes()[0], key as u8);
         }
     }
@@ -289,7 +291,7 @@ fn invalidation_under_concurrent_readers_stays_consistent() {
                 }
                 for j in 0..2_000u64 {
                     let _ = cache.get(1, j % 8);
-                    if let Some(block) = cache.get(2, j % 8) {
+                    if let Some((block, _)) = cache.get(2, j % 8) {
                         assert_eq!(block.bytes()[0], 100 + (j % 8) as u8);
                     }
                 }
