@@ -1,7 +1,7 @@
 //! Ablation — admission control and overload shedding under offered
 //! load and fault storms.
 //!
-//! Sweeps the [`QueryServer`](eram_core::QueryServer) over a grid of
+//! Sweeps the [`QueryServer`] over a grid of
 //! offered load (how many tenants contend for the same horizon) and
 //! device weather (clean, transient faults, latency-spike storms),
 //! and reports where each offered job landed: admitted-and-met,

@@ -101,16 +101,13 @@ pub struct Cli {
     /// Write a clock-charged execution trace (JSONL) to this path
     /// after a one-shot query or a served batch.
     pub trace: Option<PathBuf>,
-    /// Collect and render storage/stage-loop metrics.
+    /// Collect storage/stage-loop metrics: rendered after a one-shot
+    /// query, attached to each served job's report under `--serve`.
     pub metrics: bool,
-    /// Collect the per-tenant SLO ledger and decision audit log into
-    /// the `--serve` outcome. Pure observation: the job table, trace,
-    /// and the rest of the outcome are identical with or without it.
-    pub ledger: bool,
     /// Lane scheduling for `--serve` (`seq` = one lane at a time,
     /// `interleaved` = least-virtual-time stages + shared block draws).
     /// Per-job reports and traces are byte-identical in either mode;
-    /// only the schedule report and sharing counters differ.
+    /// only the schedule report differs.
     pub concurrency: Concurrency,
     /// Profile the one-shot run and print the top phases by wall time
     /// after the health line. Pure observation: the estimate, trace,
@@ -163,7 +160,7 @@ one-shot query:
   --query EXPR --quota SECS [--profile]
   [--agg count|sum:COL|avg:COL|count:by:G|sum:COL:by:G|avg:COL:by:G]
 served batch:
-  --serve JOBS.json [--jobs-out FILE] [--ledger] [--concurrency seq|interleaved]";
+  --serve JOBS.json [--jobs-out FILE] [--concurrency seq|interleaved]";
 
 /// Flags that shape how the engine runs a query: they apply to
 /// `--query` and `--serve` alike.
@@ -177,7 +174,7 @@ const RUN_FLAGS: [&str; 5] = [
 /// Flags of a one-shot `--query`.
 const QUERY_FLAGS: [&str; 3] = ["--quota", "--agg", "--profile"];
 /// Flags of a `--serve` batch.
-const SERVE_FLAGS: [&str; 3] = ["--jobs-out", "--ledger", "--concurrency"];
+const SERVE_FLAGS: [&str; 2] = ["--jobs-out", "--concurrency"];
 
 impl Cli {
     /// Parses arguments (without the program name).
@@ -270,7 +267,6 @@ impl Cli {
                     ));
                 }
                 "--metrics" => cli.metrics = true,
-                "--ledger" => cli.ledger = true,
                 "--concurrency" => {
                     let mode = args
                         .next()
@@ -738,10 +734,11 @@ fn render_server(outcome: &ServerOutcome) -> String {
 
 /// Serves the `--serve` batch through the admission-controlled
 /// [`QueryServer`] and renders a per-job table. With `--jobs-out
-/// FILE` the full [`ServerOutcome`] JSON is written to `FILE`; with
-/// `--trace FILE` the interleaved server + engine trace is written as
-/// JSONL; with `--ledger` the outcome carries the per-tenant SLO
-/// ledger and decision audit log (for `eram-explain`).
+/// FILE` the full [`ServerOutcome`] JSON — the per-tenant SLO ledger
+/// and decision audit log included, for `eram-explain` — is written
+/// to `FILE`; with `--trace FILE` the interleaved server + engine
+/// trace is written as JSONL; with `--metrics` each job's report
+/// carries its own snapshot.
 pub fn run_serve(db: &mut Database, cli: &Cli) -> Result<String, CliError> {
     let path = cli.serve.as_ref().expect("caller checked");
     let text = std::fs::read_to_string(path)
@@ -757,7 +754,6 @@ pub fn run_serve(db: &mut Database, cli: &Cli) -> Result<String, CliError> {
     let server = QueryServer {
         config: ServerConfig {
             concurrency: cli.concurrency,
-            collect_ledger: cli.ledger,
             engine,
         },
     };
@@ -776,14 +772,11 @@ pub fn run_serve(db: &mut Database, cli: &Cli) -> Result<String, CliError> {
             schedule.charge_saved_ns as f64 / 1e9,
         ));
     }
-    if let Some(ledger) = &outcome.ledger {
-        rendered.push_str(&format!(
-            "\nledger: {} tenant(s), {} decision(s), {} refit(s)",
-            ledger.tenants.len(),
-            ledger.decisions.len(),
-            ledger.refits.len()
-        ));
-    }
+    rendered.push_str(&format!(
+        "\nledger: {} tenant(s), {} decision(s)",
+        outcome.ledger.tenants.len(),
+        outcome.ledger.decisions.len(),
+    ));
     if let Some(path) = &cli.jobs_out {
         std::fs::write(path, outcome.to_json())
             .map_err(|e| err(format!("--jobs-out {}: {e}", path.display())))?;
@@ -797,12 +790,6 @@ pub fn run_serve(db: &mut Database, cli: &Cli) -> Result<String, CliError> {
             tracer.record_count(),
             path.display()
         ));
-    }
-    if cli.metrics {
-        if let Some(metrics) = &outcome.metrics {
-            rendered.push('\n');
-            rendered.push_str(&render_metrics(metrics));
-        }
     }
     Ok(rendered)
 }
@@ -1254,11 +1241,9 @@ mod tests {
         assert!(Cli::parse(["--fault-spike", "2.0"]).is_err());
         assert!(Cli::parse(["--jobs-out", "x.json"]).is_err()); // no --serve
         assert!(Cli::parse(["--query", "r", "--quota", "1", "--serve", "jobs.json"]).is_err());
-        // `--ledger` is a serve-mode flag.
-        let cli = Cli::parse(["--serve", "jobs.json", "--ledger"]).unwrap();
-        assert!(cli.ledger);
-        assert!(Cli::parse(["--ledger"]).is_err());
-        assert!(Cli::parse(["--query", "r", "--quota", "1", "--ledger"]).is_err());
+        // Every outcome carries its ledger: `--ledger` is no flag.
+        let e = Cli::parse(["--serve", "jobs.json", "--ledger"]).unwrap_err();
+        assert!(e.0.contains("unknown argument \"--ledger\""), "{:?}", e.0);
     }
 
     #[test]
@@ -1293,69 +1278,15 @@ mod tests {
         assert!(rendered.contains("done (met)"), "{rendered}");
         assert!(rendered.contains("refused: infeasible"), "{rendered}");
         assert!(rendered.contains("offered 3 | admitted 2"), "{rendered}");
+        assert!(rendered.contains("ledger: 3 tenant(s)"), "{rendered}");
         let outcome: Json = json::from_str(&std::fs::read_to_string(&out_path).unwrap()).unwrap();
         assert_eq!(outcome["stats"]["offered"], Json::U64(3));
         assert_eq!(outcome["stats"]["refused"], Json::U64(1));
         assert_eq!(outcome["jobs"].as_array().unwrap().len(), 3);
-        let _ = std::fs::remove_file(csv);
-        let _ = std::fs::remove_file(jobs_path);
-        let _ = std::fs::remove_file(out_path);
-    }
-
-    #[test]
-    fn serve_with_ledger_rides_the_outcome_without_perturbing_it() {
-        let rows: String = (0..512).map(|i| format!("{i},{}\n", i % 100)).collect();
-        let csv = write_csv("served-ledger", &rows);
-        let jobs_path =
-            std::env::temp_dir().join(format!("eram-cli-ljobs-{}.json", std::process::id()));
-        let out_path =
-            std::env::temp_dir().join(format!("eram-cli-lout-{}.json", std::process::id()));
-        std::fs::write(
-            &jobs_path,
-            r#"[
-                {"name": "dash", "expr": "select[#1 < 50](t)", "deadline_secs": 8.0},
-                {"name": "tiny", "expr": "t", "deadline_secs": 0.05}
-            ]"#,
-        )
-        .unwrap();
-        let run = |ledger: bool| {
-            let mut args = vec![
-                "--load".to_string(),
-                format!("t={}:k:int,v:int", csv.display()),
-                "--serve".to_string(),
-                jobs_path.display().to_string(),
-                "--jobs-out".to_string(),
-                out_path.display().to_string(),
-            ];
-            if ledger {
-                args.push("--ledger".to_string());
-            }
-            let cli = Cli::parse(args).unwrap();
-            let mut db = build_database(&cli).unwrap();
-            let rendered = run_serve(&mut db, &cli).unwrap();
-            (rendered, std::fs::read_to_string(&out_path).unwrap())
-        };
-        let (plain_render, plain_json) = run(false);
-        let (ledger_render, ledger_json) = run(true);
-        assert!(!plain_render.contains("ledger:"), "{plain_render}");
-        assert!(
-            ledger_render.contains("ledger: 2 tenant(s)"),
-            "{ledger_render}"
-        );
-        let outcome: Json = json::from_str(&ledger_json).unwrap();
-        assert_eq!(
-            outcome["ledger"]["tenants"]["dash"]["completed"],
-            Json::U64(1)
-        );
-        assert_eq!(
-            outcome["ledger"]["tenants"]["tiny"]["refused"],
-            Json::U64(1)
-        );
-        // Pure observation: stripping the ledger restores the exact
-        // bytes of the ledger-off outcome.
-        let mut stripped: eram_core::ServerOutcome = json::from_str(&ledger_json).unwrap();
-        stripped.ledger = None;
-        assert_eq!(stripped.to_json(), plain_json);
+        // The ledger rides every outcome.
+        let tenants = &outcome["ledger"]["tenants"];
+        assert_eq!(tenants["dash"]["completed"], Json::U64(1));
+        assert_eq!(tenants["tiny"]["refused"], Json::U64(1));
         let _ = std::fs::remove_file(csv);
         let _ = std::fs::remove_file(jobs_path);
         let _ = std::fs::remove_file(out_path);

@@ -43,8 +43,6 @@ pub struct EngineConfig {
     pub fulfillment: Fulfillment,
     /// Disk-resident or main-memory evaluation.
     pub memory: MemoryMode,
-    /// Safety cap on stages.
-    pub max_stages: usize,
     /// How transient storage faults are retried (backoff charged to
     /// the query clock).
     pub retry: RetryPolicy,
@@ -87,7 +85,6 @@ impl Default for EngineConfig {
             defaults: SelectivityDefaults::default(),
             fulfillment: Fulfillment::Full,
             memory: MemoryMode::DiskResident,
-            max_stages: 1_000,
             retry: RetryPolicy::default(),
             tracer: Tracer::disabled(),
             collect_metrics: false,

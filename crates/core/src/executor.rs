@@ -38,6 +38,10 @@ use crate::report::{ExecutionReport, GroupReport, ReportHealth, StageReport};
 use crate::session::PreparedQuery;
 use crate::stopping::StoppingCriterion;
 
+/// Safety cap on the stages of one run; reaching it stops the loop
+/// with `stop_reason` `max_stages`.
+pub const MAX_STAGES: usize = 1_000;
+
 /// Errors from setting up or running a time-constrained count.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EngineError {
@@ -425,7 +429,7 @@ impl StageRun {
             self.stop_reason = "empty_rewrite";
             return Ok(false);
         }
-        if self.stages.len() >= config.max_stages {
+        if self.stages.len() >= MAX_STAGES {
             return Ok(false);
         }
         if self.trees.iter().all(PhysTree::exhausted) {

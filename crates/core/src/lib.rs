@@ -96,8 +96,8 @@ pub use report::{ExecutionReport, GroupReport, RefusalReason, ReportHealth, Stag
 pub use retry::RetryPolicy;
 pub use server::{
     Concurrency, DecisionAction, DecisionRecord, JobReport, JobState, LaneWindow, QueryServer,
-    RefitSample, ScheduleReport, ServerConfig, ServerJob, ServerOutcome, ServerStats, TenantLedger,
-    TenantSlo, DEFAULT_MIN_QUOTA,
+    ScheduleReport, ServerConfig, ServerJob, ServerOutcome, ServerStats, TenantLedger, TenantSlo,
+    DEFAULT_MIN_QUOTA,
 };
 pub use session::{CountQuery, Database, PreparedQuery, TimedCount};
 pub use stopping::{error_bound_satisfied, StoppingCriterion};

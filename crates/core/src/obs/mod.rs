@@ -59,11 +59,11 @@ mod tracer;
 /// [`ServerOutcome`](crate::server::ServerOutcome) JSON, and the
 /// bench suite's `BENCH_*.json` files. Bump it whenever any of those
 /// schemas changes shape. Additive extensions — new event names, new
-/// optional fields that default when absent — do not bump it: the serving
-/// layer's `server.decision` trace event, `server.*` metrics counters, and
-/// the optional `refusal` field on
-/// [`ReportHealth`](crate::ReportHealth) all ride schema v1, which
-/// existing readers tolerate by construction.
+/// optional fields that default when absent — do not bump it, and
+/// neither do removed fields a v1 reader defaults when absent (readers
+/// ignore unknown fields): the serving layer's `server.decision` trace
+/// event, the outcome's `ledger`, and the optional `refusal` field on
+/// [`ReportHealth`](crate::ReportHealth) all ride schema v1.
 pub const SCHEMA_VERSION: u32 = 1;
 
 pub use metrics::{Histogram, MetricsRegistry, MetricsSnapshot};

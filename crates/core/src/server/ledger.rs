@@ -18,20 +18,22 @@
 //! The decision log is the server's only observation sink: the
 //! serving loop appends one [`DecisionRecord`] per decision (and emits
 //! it as the one `server.decision` trace event), and everything else —
-//! the [`TenantSlo`] rows, the refit trajectory, and through the rows
-//! [`ServerStats`](super::ServerStats) and the `server.*` metrics — is
-//! [`TenantLedger::fold`] over that log. `eram-explain` runs the same
-//! fold over the `server.decision` lines of a trace
+//! the [`TenantSlo`] rows, and through the rows
+//! [`ServerStats`](super::ServerStats) — is [`TenantLedger::fold`] over
+//! that log; the overrun-refit trajectory is the log's `refit`
+//! records. `eram-explain` runs the same fold over the
+//! `server.decision` lines of a trace
 //! ([`DecisionRecord::from_trace_fields`]), so exactly one function
 //! knows what a refusal, a shed or a late answer counts as.
 //!
 //! The ledger is **pure observation**: building it draws no blocks,
-//! charges no clock time, and consumes no RNG. It rides
-//! [`ServerOutcome`](super::ServerOutcome) behind an `Option` that
-//! may be absent, so outcome JSON from before the ledger existed
-//! loads unchanged and a ledger-free outcome serializes
-//! byte-identically to the pre-ledger wire form (schema v1 is
-//! preserved — see [`crate::obs::SCHEMA_VERSION`]).
+//! charges no clock time, and consumes no RNG. Every
+//! [`ServerOutcome`](super::ServerOutcome) carries it, and it is the
+//! same under either concurrency mode: block sharing is the schedule's
+//! fact ([`ScheduleReport::lanes`](super::ScheduleReport::lanes)), not
+//! a tenant counter. Outcome JSON from before the ledger existed loads
+//! with an empty one (schema v1 is preserved — see
+//! [`crate::obs::SCHEMA_VERSION`]).
 
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -203,28 +205,6 @@ impl DecisionRecord {
     }
 }
 
-/// One observed overrun-refit step: the raw material of the EWMA that
-/// deflates future grants (Section 4's adaptive-coefficient idea, one
-/// level up).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct RefitSample {
-    /// Clock-charged timestamp of the refit.
-    pub t_ns: u64,
-    /// The job whose observed ratio drove this step.
-    pub job: String,
-    /// The clamped `spent / granted` ratio folded in.
-    pub ratio: f64,
-    /// The EWMA overrun factor *after* folding the ratio in.
-    pub overrun: f64,
-}
-
-json_record!(RefitSample {
-    t_ns: default,
-    job: required,
-    ratio: required,
-    overrun: required,
-});
-
 /// Per-tenant service-level counters: one row of
 /// [`TenantLedger::fold`].
 ///
@@ -266,16 +246,6 @@ pub struct TenantSlo {
     /// banked. High value-weighted slack means the tenant's important
     /// answers landed early; ~0 means they landed at the wire.
     pub value_weighted_slack_secs: f64,
-    /// Block draws this tenant's jobs satisfied from a co-resident
-    /// job's charged read (interleaved serving only; always 0 under
-    /// the sequential oracle). Stripped by
-    /// `ServerOutcome::stripped_of_schedule` for cross-mode diffs.
-    pub blocks_shared: u64,
-    /// Simulated I/O time those shared draws would have cost had the
-    /// disk profile been charged again (a pool hit still charges the
-    /// subscriber's own lane, so this is savings *attributable*, not
-    /// savings already deducted from per-job clocks).
-    pub charge_saved_ns: u64,
 }
 
 json_record!(TenantSlo {
@@ -291,8 +261,6 @@ json_record!(TenantSlo {
     granted_ns: default,
     spent_ns: default,
     value_weighted_slack_secs: default,
-    blocks_shared: default,
-    charge_saved_ns: default,
 });
 
 impl TenantSlo {
@@ -320,23 +288,19 @@ pub struct TenantLedger {
     pub tenants: BTreeMap<String, TenantSlo>,
     /// Every serving decision, in decision order.
     pub decisions: Vec<DecisionRecord>,
-    /// The overrun-refit trajectory, in observation order.
-    pub refits: Vec<RefitSample>,
 }
 
 json_record!(TenantLedger {
     schema_version: default,
     tenants: default,
     decisions: default,
-    refits: default,
 });
 
 impl TenantLedger {
-    /// The one fold. Every counter of every [`TenantSlo`] row (the
-    /// sharing credits aside) and the refit trajectory are computed
-    /// here, from the names of the offered jobs and the decision log —
-    /// the server's own log, the `server.decision` lines of a trace,
-    /// or the records a bare outcome's job reports imply.
+    /// The one fold. Every counter of every [`TenantSlo`] row is
+    /// computed here, from the names of the offered jobs and the
+    /// decision log — the server's own log or the `server.decision`
+    /// lines of a trace.
     pub fn fold<'a>(
         offered: impl IntoIterator<Item = &'a str>,
         decisions: Vec<DecisionRecord>,
@@ -345,7 +309,6 @@ impl TenantLedger {
         for name in offered {
             tenants.entry(name.to_string()).or_default().offered += 1;
         }
-        let mut refits = Vec::new();
         for d in &decisions {
             let slo = tenants.entry(d.job.clone()).or_default();
             let spent_ns = d.spent_ns.unwrap_or(0);
@@ -361,12 +324,7 @@ impl TenantLedger {
                     slo.granted_ns = slo.granted_ns.saturating_sub(taken);
                 }
                 // Server-wide state: no tenant counter moves.
-                DecisionAction::Refit => refits.push(RefitSample {
-                    t_ns: d.t_ns,
-                    job: d.job.clone(),
-                    ratio: d.ratio.unwrap_or(0.0),
-                    overrun: d.overrun.unwrap_or(1.0),
-                }),
+                DecisionAction::Refit => {}
                 DecisionAction::Watchdog => slo.watchdog_overruns += 1,
                 // A shed before dispatch and a failure at admission
                 // carry no `spent_ns`; a late shed and a mid-run
@@ -395,23 +353,7 @@ impl TenantLedger {
             schema_version: crate::obs::SCHEMA_VERSION,
             tenants,
             decisions,
-            refits,
         }
-    }
-
-    /// Credits shared block draws to `tenant`: `blocks` satisfied
-    /// from the batch's shared-draw pool, worth `saved_ns` of
-    /// simulated disk time.
-    /// The one counter pair that is not a fold of the decision log:
-    /// sharing is mode-variant by design and must stay off the trace.
-    /// No-op for the sequential oracle (both arguments 0 there).
-    pub fn credit_sharing(&mut self, tenant: &str, blocks: u64, saved_ns: u64) {
-        if blocks == 0 && saved_ns == 0 {
-            return;
-        }
-        let slo = self.tenants.entry(tenant.to_string()).or_default();
-        slo.blocks_shared += blocks;
-        slo.charge_saved_ns += saved_ns;
     }
 }
 
@@ -458,7 +400,6 @@ mod tests {
         assert!((slo.spend_ratio() - 0.9).abs() < 1e-12);
         assert!((slo.value_weighted_slack_secs - 6.0).abs() < 1e-12);
         assert_eq!(ledger.decisions.len(), 3);
-        assert!(ledger.refits.is_empty());
         assert_eq!(ledger.schema_version, crate::obs::SCHEMA_VERSION);
     }
 
@@ -500,23 +441,24 @@ mod tests {
         assert_eq!((b.spent_ns, b.shed, b.failed), (40, 1, 1));
     }
 
+    /// The refit trajectory is the log's `refit` records, kept as
+    /// written; they touch no per-tenant counter (server-wide state).
     #[test]
     fn refits_build_the_trajectory() {
-        let ledger = TenantLedger::fold(
-            [],
-            vec![DecisionRecord {
-                ratio: Some(2.0),
-                overrun: Some(1.3),
-                spent_ns: Some(2_000),
-                grant_ns: Some(1_000),
-                ..DecisionRecord::new(9, DecisionAction::Refit, "a")
-            }],
-        );
-        assert_eq!(ledger.refits.len(), 1);
-        assert_eq!(ledger.refits[0].job, "a");
-        assert_eq!(ledger.refits[0].ratio, 2.0);
-        assert_eq!(ledger.refits[0].overrun, 1.3);
-        // Refits touch no per-tenant counter (server-wide state).
+        let refit = DecisionRecord {
+            ratio: Some(2.0),
+            overrun: Some(1.3),
+            spent_ns: Some(2_000),
+            grant_ns: Some(1_000),
+            ..DecisionRecord::new(9, DecisionAction::Refit, "a")
+        };
+        let ledger = TenantLedger::fold([], vec![refit.clone()]);
+        let trajectory: Vec<&DecisionRecord> = ledger
+            .decisions
+            .iter()
+            .filter(|d| d.action == DecisionAction::Refit)
+            .collect();
+        assert_eq!(trajectory, [&refit]);
         assert_eq!(*ledger.tenants.get("a").unwrap(), TenantSlo::default());
     }
 

@@ -41,7 +41,7 @@
 //!    expression is broken fails alone (at admission, so it burns no
 //!    quota), and a watchdog records
 //!    any engine overshoot past 1.25 × the grant so a stuck stage is
-//!    visible in the trace and metrics.
+//!    visible in the trace and the ledger.
 //!
 //! **Deterministic replay**: admission order is canonical (stable
 //! EDF), all admission math is charge-free, grants and RNG seeds
@@ -69,12 +69,11 @@
 //! in least-virtual-time order, base-relation draws pooled through one
 //! batch [`BlockCache`](eram_storage::BlockCache)) produce
 //! byte-identical per-job reports, traces, and schedule-stripped
-//! outcomes. Only
-//! [`ServerOutcome::schedule`] and the tenants' sharing counters —
-//! the makespan/IO story — are allowed to differ between modes; see
-//! [`ServerOutcome::stripped_of_schedule`].
+//! outcomes. Only [`ServerOutcome::schedule`] — the makespan/IO
+//! story, per-lane sharing included — is allowed to differ between
+//! modes; see [`ServerOutcome::stripped_of_schedule`].
 //!
-//! **One decision log (admit → lanes → replay → fold)**:
+//! **One serving record (admit → lanes → replay → fold)**:
 //! [`QueryServer::run`] is four phases over one batch state. *Admit*
 //! (phase 1, charge-free) gives every offered job its verdict and the
 //! admitted ones their fixed quota; *lanes* prepares one execution
@@ -86,15 +85,12 @@
 //! emitted as a `server.decision` trace event carrying the inputs it
 //! was made from. *Fold* then computes everything the server reports
 //! about itself from that log: [`TenantLedger::fold`] yields the
-//! per-tenant [`TenantSlo`] rows and the refit trajectory,
-//! [`ServerStats`] is the column sum of the rows, the `server.*`
-//! metrics are those sums (and two histograms re-observed from the
-//! grant and refit records), and the ledger — rows, log, trajectory —
-//! rides [`ServerOutcome::ledger`] when
-//! [`ServerConfig::collect_ledger`] is set. Two things stay outside
-//! the log: a job being *offered* is not a decision (the fold takes
-//! the offered names), and sharing credits are mode-variant by design
-//! and must stay off the trace. See [`ledger`].
+//! per-tenant [`TenantSlo`] rows, [`ServerStats`] is their column
+//! sum, and the ledger — rows and log — rides every
+//! [`ServerOutcome::ledger`]. Each fact has one home: decisions and
+//! tenant rows in the ledger, sharing in the schedule's lanes. A job
+//! being *offered* is not a decision (the fold takes the offered
+//! names). See [`ledger`].
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -107,7 +103,7 @@ use eram_storage::{json, json_record, json_unit_enum, Clock, Json, Rng};
 use crate::aggregate::AggregateFn;
 use crate::config::EngineConfig;
 use crate::executor::{compile_terms, EngineError};
-use crate::obs::{MetricsRegistry, MetricsSnapshot, Profiler, Tracer};
+use crate::obs::{Profiler, Tracer};
 use crate::predict::{predict_stage, SelPolicy};
 use crate::report::{ExecutionReport, RefusalReason, ReportHealth};
 use crate::retry::RetryPolicy;
@@ -117,7 +113,7 @@ use crate::stopping::StoppingCriterion;
 mod lanes;
 pub mod ledger;
 
-pub use ledger::{DecisionAction, DecisionRecord, RefitSample, TenantLedger, TenantSlo};
+pub use ledger::{DecisionAction, DecisionRecord, TenantLedger, TenantSlo};
 
 use lanes::{run_interleaved, Lane, LaneOutcome};
 use ledger::duration_ns;
@@ -367,54 +363,6 @@ impl JobReport {
     pub fn met(&self) -> bool {
         self.state.is_done() && self.finished_at <= self.deadline
     }
-
-    /// The decision records this report alone implies: its admission
-    /// verdict, its grant and any watchdog trip if it ran, and its
-    /// terminal record, with `finished_at − started_at` as the time
-    /// spent whatever the terminal state. This is what a postmortem
-    /// folds when neither the ledger nor a trace of the run survives;
-    /// the inputs of each decision (slack, margin, refit factor) are
-    /// not recoverable, and stamps are batch-relative.
-    pub fn implied_decisions(&self) -> Vec<DecisionRecord> {
-        let spent = self.finished_at.saturating_sub(self.started_at);
-        let ran = !self.granted_quota.is_zero() || !spent.is_zero();
-        let at = |t: Duration, action| DecisionRecord {
-            grant_ns: ran.then(|| duration_ns(self.granted_quota)),
-            ..DecisionRecord::new(duration_ns(t), action, self.name.as_str())
-        };
-        let (action, reason, error) = match &self.state {
-            JobState::Done => (DecisionAction::Done, None, None),
-            JobState::Refused { reason } if self.state.is_shed() => {
-                (DecisionAction::Shed, Some(*reason), None)
-            }
-            JobState::Refused { reason } => (DecisionAction::Refuse, Some(*reason), None),
-            JobState::Failed { error } => (DecisionAction::Fail, None, Some(error.clone())),
-        };
-        let terminal = DecisionRecord {
-            reason,
-            error,
-            spent_ns: ran.then(|| duration_ns(spent)),
-            slack_ns: Some(duration_ns(self.deadline.saturating_sub(self.finished_at))),
-            value: Some(self.value),
-            met: self.state.is_done().then(|| self.met()),
-            ..at(self.finished_at, action)
-        };
-        if terminal.is_admission_verdict() {
-            return vec![terminal];
-        }
-        let mut implied = vec![at(Duration::ZERO, DecisionAction::Admit)];
-        if ran {
-            implied.push(at(self.started_at, DecisionAction::Grant));
-            if watchdog_trips(spent, self.granted_quota) {
-                implied.push(DecisionRecord {
-                    spent_ns: terminal.spent_ns,
-                    ..at(self.finished_at, DecisionAction::Watchdog)
-                });
-            }
-        }
-        implied.push(terminal);
-        implied
-    }
 }
 
 /// Batch-level accounting: every offered job lands in exactly one of
@@ -470,16 +418,12 @@ pub struct ServerOutcome {
     /// One report per offered job, in canonical admission (EDF)
     /// order: stable sort by deadline, submission order on ties.
     pub jobs: Vec<JobReport>,
-    /// Batch-level accounting.
+    /// Batch-level accounting: the column sums of the ledger's tenant
+    /// rows.
     pub stats: ServerStats,
-    /// Server-loop counters and histograms, when the server's
-    /// [`EngineConfig::collect_metrics`] was set.
-    pub metrics: Option<MetricsSnapshot>,
-    /// Per-tenant SLO counters and the decision audit log, when
-    /// [`ServerConfig::collect_ledger`] was set. Pure observation:
-    /// with the flag off this field stays off the wire and the
-    /// outcome JSON is byte-identical to pre-ledger writers.
-    pub ledger: Option<TenantLedger>,
+    /// Per-tenant SLO rows and the decision audit log they fold from.
+    /// Empty in outcomes from pre-ledger writers.
+    pub ledger: TenantLedger,
     /// How the batch was scheduled: per-lane windows, makespan, and
     /// shared-draw accounting. The only part of the outcome that is
     /// *allowed* to differ between concurrency modes (deterministic
@@ -493,8 +437,7 @@ json_record!(ServerOutcome {
     schema_version: required,
     jobs: required,
     stats: required,
-    metrics: omit_empty,
-    ledger: omit_empty,
+    ledger: default,
     schedule: omit_empty,
 });
 
@@ -505,23 +448,16 @@ impl ServerOutcome {
         eram_storage::json::to_string_pretty(self)
     }
 
-    /// The outcome minus everything mode-dependent: the schedule
-    /// report is dropped and the tenants' sharing counters zeroed.
-    /// Two serving runs that differ only in [`ServerConfig::concurrency`]
-    /// must produce byte-identical stripped outcomes — this is the
-    /// equivalence artifact the conformance suites and CI compare.
-    /// (jq equivalent: `del(.schedule) | (.ledger.tenants[]? |=
-    /// (.blocks_shared = 0 | .charge_saved_ns = 0))`.)
+    /// The outcome minus everything mode-dependent, which is the
+    /// schedule report alone. Two serving runs that differ only in
+    /// [`ServerConfig::concurrency`] must produce byte-identical
+    /// stripped outcomes — this is the equivalence artifact the
+    /// conformance suites and CI compare (jq: `del(.schedule)`).
     pub fn stripped_of_schedule(&self) -> ServerOutcome {
-        let mut out = self.clone();
-        out.schedule = None;
-        if let Some(ledger) = out.ledger.as_mut() {
-            for slo in ledger.tenants.values_mut() {
-                slo.blocks_shared = 0;
-                slo.charge_saved_ns = 0;
-            }
+        ServerOutcome {
+            schedule: None,
+            ..self.clone()
         }
-        out
     }
 }
 
@@ -610,24 +546,16 @@ pub struct ServerConfig {
     /// [`Concurrency::Interleaved`] (stages from all admitted lanes
     /// interleaved, base-relation draws shared). Per-job reports,
     /// traces, and the schedule-stripped outcome are byte-identical
-    /// across modes; only [`ServerOutcome::schedule`] and the
-    /// tenants' sharing counters differ. On a wall clock the server
-    /// always runs sequentially (there is no virtual time to order
-    /// the turns by).
+    /// across modes; only [`ServerOutcome::schedule`] differs. On a
+    /// wall clock the server always runs sequentially (there is no
+    /// virtual time to order the turns by).
     pub concurrency: Concurrency,
-    /// Attach the per-tenant SLO ledger and decision audit log as
-    /// [`ServerOutcome::ledger`]. The log is written either way (the
-    /// stats are its fold) and every record is emitted as a
-    /// `server.decision` trace event whenever a recording tracer is
-    /// attached, so the trace stream is identical with the flag on or
-    /// off.
-    pub collect_ledger: bool,
     /// What every lane runs under, [`Database::calibrated`] once per
     /// batch; admission prices each job on the same config. Its
     /// `tracer` is the one shared stream — the server's
     /// `server.decision` events and every job's engine spans, spliced
-    /// in canonical order — and its `collect_metrics` also turns on
-    /// the server-loop counters of [`ServerOutcome::metrics`]. Per
+    /// in canonical order — and its `collect_metrics` attaches each
+    /// job's own snapshot to its report. Per
     /// job the server overrides four fields: `stopping` is forced to
     /// [`StoppingCriterion::HardDeadline`], `retry` is the job's own
     /// when it carries one, `tracer` is the lane's private buffer, and
@@ -709,16 +637,9 @@ impl QueryServer {
         self
     }
 
-    /// Toggles metrics collection.
+    /// Toggles each job's metrics snapshot (on its report).
     pub fn metrics(mut self, on: bool) -> Self {
         self.config.engine.collect_metrics = on;
-        self
-    }
-
-    /// Toggles the per-tenant SLO ledger and decision audit log
-    /// ([`ServerOutcome::ledger`]).
-    pub fn ledger(mut self, on: bool) -> Self {
-        self.config.collect_ledger = on;
         self
     }
 
@@ -792,9 +713,7 @@ enum Verdict {
 impl Batch<'_> {
     /// Writes one serving decision: appended to the log and emitted as
     /// the `server.decision` trace event (the field closure is skipped
-    /// when tracing is off). The event does not depend on
-    /// [`ServerConfig::collect_ledger`], which is what makes that flag
-    /// trace-invisible.
+    /// when tracing is off).
     fn decide(&mut self, record: DecisionRecord) {
         self.engine
             .tracer
@@ -970,8 +889,7 @@ impl Batch<'_> {
             }
             let report = self.settle(job, quota, started_at, spent, result);
             // A result that landed past the deadline was dropped (late
-            // shed): its pool hits stay discarded lane work, never
-            // tenant credit.
+            // shed): its lane, pool hits included, is discarded work.
             schedule.lanes[lane].discarded = report.state.is_shed();
             self.reports[idx] = Some(report);
         }
@@ -1166,25 +1084,11 @@ impl Batch<'_> {
         }
     }
 
-    /// The fold: tenant rows and refit trajectory from the decision
-    /// log, the stats from the rows, the metrics from both.
+    /// The fold: tenant rows from the decision log, the stats from the
+    /// rows.
     fn fold(self, schedule: ScheduleReport) -> ServerOutcome {
-        let cfg = self.cfg;
         let offered = self.jobs.iter().map(|j| j.name.as_str());
-        let mut ledger = TenantLedger::fold(offered, self.decisions);
-        let stats = ServerStats::sum(ledger.tenants.values());
-        let metrics = self
-            .engine
-            .collect_metrics
-            .then(|| server_metrics(&stats, &ledger));
-        let ledger = cfg.collect_ledger.then(|| {
-            // Pool hits credit the tenant only where the lane's result
-            // was served; a discarded lane's stay schedule-level totals.
-            for lane in schedule.lanes.iter().filter(|lane| !lane.discarded) {
-                ledger.credit_sharing(&lane.job, lane.blocks_shared, lane.charge_saved_ns);
-            }
-            ledger
-        });
+        let ledger = TenantLedger::fold(offered, self.decisions);
         ServerOutcome {
             schema_version: crate::obs::SCHEMA_VERSION,
             jobs: self
@@ -1192,8 +1096,7 @@ impl Batch<'_> {
                 .into_iter()
                 .map(|r| r.expect("every offered job gets a report"))
                 .collect(),
-            stats,
-            metrics,
+            stats: ServerStats::sum(ledger.tenants.values()),
             ledger,
             schedule: Some(schedule),
         }
@@ -1251,40 +1154,6 @@ impl ServerStats {
         }
         s
     }
-}
-
-/// The `server.*` metrics: the stats under their counter names (a
-/// counter that never fired stays off the snapshot; `server.offered`
-/// is always present) and the two histograms re-observed from the
-/// grant and refit records.
-fn server_metrics(stats: &ServerStats, ledger: &TenantLedger) -> MetricsSnapshot {
-    let mut reg = MetricsRegistry::new();
-    reg.add("server.offered", stats.offered);
-    let counters = [
-        ("server.admitted", stats.admitted),
-        ("server.refused", stats.refused),
-        ("server.shed", stats.shed),
-        ("server.failed", stats.failed),
-        ("server.completed", stats.completed),
-        ("server.deadlines_met", stats.deadlines_met),
-        ("server.deadlines_missed", stats.deadlines_missed),
-        ("server.watchdog_overruns", stats.watchdog_overruns),
-    ];
-    for (name, n) in counters {
-        if n > 0 {
-            reg.add(name, n);
-        }
-    }
-    for d in &ledger.decisions {
-        if d.action == DecisionAction::Grant {
-            let grant = Duration::from_nanos(d.grant_ns.unwrap_or(0));
-            reg.observe("server.grant_secs", grant.as_secs_f64());
-        }
-    }
-    for refit in &ledger.refits {
-        reg.observe("server.overrun_ratio", refit.ratio);
-    }
-    reg.snapshot()
 }
 
 /// The lane outcomes available before the replay starts, and the
@@ -1778,7 +1647,6 @@ mod tests {
             let outcome = QueryServer::new()
                 .workers(workers)
                 .metrics(true)
-                .ledger(true)
                 .concurrency(mode)
                 .tracer(tracer.clone())
                 .run(&mut db, jobs);
@@ -1786,10 +1654,9 @@ mod tests {
         };
         let (seq, seq_trace) = run(Concurrency::Sequential, 1);
         let (inter, inter_trace) = run(Concurrency::Interleaved, 1);
-        // The tentpole invariant: per-job results, the ledger, the
-        // metrics, and every trace byte are mode-invariant; only the
-        // schedule report (and the sharing counters it feeds) may
-        // differ — and those strip away.
+        // The tentpole invariant: per-job results, the ledger, and
+        // every trace byte are mode-invariant; only the schedule report
+        // may differ — and it strips away.
         assert_eq!(
             seq_trace, inter_trace,
             "trace bytes must not depend on the scheduling mode"
@@ -1799,8 +1666,8 @@ mod tests {
             inter.stripped_of_schedule().to_json(),
             "stripped outcomes must not depend on the scheduling mode"
         );
-        // Worker count is lane-internal: even the schedule (sharing
-        // counters included) replays across it.
+        // Worker count is lane-internal: even the schedule (its
+        // sharing counters included) replays across it.
         let (inter4, inter4_trace) = run(Concurrency::Interleaved, 4);
         assert_eq!(inter_trace, inter4_trace);
         assert_eq!(inter.to_json(), inter4.to_json());
@@ -1829,31 +1696,11 @@ mod tests {
             i.makespan,
             s.makespan
         );
-        // Sharing credits land on tenants — and strip away.
-        let credited: u64 = inter
-            .ledger
-            .as_ref()
-            .unwrap()
-            .tenants
-            .values()
-            .map(|t| t.blocks_shared)
-            .sum();
-        let discarded: u64 = i
-            .lanes
-            .iter()
-            .filter(|l| l.discarded)
-            .map(|l| l.blocks_shared)
-            .sum();
-        assert_eq!(credited + discarded, i.blocks_shared);
-        let stripped = inter.stripped_of_schedule();
-        assert!(stripped
-            .ledger
-            .as_ref()
-            .unwrap()
-            .tenants
-            .values()
-            .all(|t| t.blocks_shared == 0 && t.charge_saved_ns == 0));
-        assert!(stripped.schedule.is_none());
+        // Sharing lives in the schedule alone: the lanes' pool hits
+        // sum to the batch's.
+        let per_lane: u64 = i.lanes.iter().map(|l| l.blocks_shared).sum();
+        assert_eq!(per_lane, i.blocks_shared);
+        assert!(inter.stripped_of_schedule().schedule.is_none());
     }
 
     #[test]
@@ -1868,25 +1715,27 @@ mod tests {
         assert_eq!(back, outcome);
         assert_eq!(back.stats.admitted, 1);
         assert_eq!(back.stats.refused, 1);
-        let m = back.metrics.expect("metrics were requested");
-        assert_eq!(m.counter("server.admitted"), 1);
-        assert_eq!(m.counter("server.refused"), 1);
-        assert_eq!(m.counter("server.offered"), 2);
+        assert_eq!(back.ledger.tenants.len(), 2);
+        let ok = back.jobs.iter().find(|j| j.name == "ok").unwrap();
+        let report = ok.report.as_ref().expect("ok ran");
+        assert!(
+            report.metrics.is_some(),
+            "each job carries its own snapshot"
+        );
 
-        // With the ledger and the interleaved schedule on board too.
+        // With the interleaved schedule on board too.
         let full = QueryServer::new()
-            .ledger(true)
             .concurrency(Concurrency::Interleaved)
             .run(&mut db, jobs);
-        assert!(full.ledger.is_some() && full.schedule.is_some());
+        assert!(full.schedule.is_some());
         let back: ServerOutcome = json::from_str(&full.to_json()).unwrap();
         assert_eq!(back, full);
     }
 
-    /// The wire shape older writers produced — no `metrics`, `ledger`
-    /// or `schedule`, a report without `schema_version`, `groups`,
+    /// The wire shape older writers produced — no `ledger` or
+    /// `schedule`, a report without `schema_version`, `groups`,
     /// `health`, `metrics` or `profile` — still loads, every absent
-    /// field at its default.
+    /// field at its default (the ledger empty).
     #[test]
     fn a_pre_ledger_outcome_document_still_loads() {
         let old = r#"{
@@ -1915,7 +1764,7 @@ mod tests {
                     "watchdog_overruns": 0}
         }"#;
         let outcome: ServerOutcome = json::from_str(old).unwrap();
-        assert!(outcome.metrics.is_none() && outcome.ledger.is_none());
+        assert_eq!(outcome.ledger, TenantLedger::default());
         assert!(outcome.schedule.is_none());
         let a = &outcome.jobs[0];
         assert!(a.met());
@@ -1950,8 +1799,8 @@ mod tests {
             ServerJob::count("tiny", sel(5), Duration::from_millis(50)),
             ServerJob::count("broken", Expr::relation("no_such"), Duration::from_secs(5)),
         ];
-        let outcome = QueryServer::new().ledger(true).run(&mut db, jobs);
-        let ledger = outcome.ledger.as_ref().expect("ledger was requested");
+        let outcome = QueryServer::new().run(&mut db, jobs);
+        let ledger = &outcome.ledger;
         assert_eq!(ledger.schema_version, crate::obs::SCHEMA_VERSION);
         // The completed tenant banked its spend against its grant and
         // some positive value-weighted slack.
@@ -1979,50 +1828,6 @@ mod tests {
         assert!(refusal.grant_ns.is_some());
         assert!(refusal.min_quota_ns.is_some());
         assert_eq!(refusal.margin, Some(SLACK_MARGIN));
-    }
-
-    /// The acceptance criterion: the ledger is pure observation. The
-    /// trace stream and the rest of the outcome are byte-identical
-    /// with the ledger on or off.
-    #[test]
-    fn ledger_is_trace_invisible_and_strips_to_disabled_bytes() {
-        let run = |with_ledger: bool| {
-            let mut db = db(43);
-            db.inject_faults(FaultPlan::new(3).with_transient(0.05));
-            let tracer = Tracer::recording(db.disk().clock().clone());
-            let jobs = vec![
-                ServerJob::count("a", sel(3), Duration::from_secs(6)),
-                ServerJob::count("b", sel(5), Duration::from_secs(14)),
-                ServerJob::count("tiny", sel(5), Duration::from_millis(50)),
-            ];
-            let outcome = QueryServer::new()
-                .metrics(true)
-                .ledger(with_ledger)
-                .tracer(tracer.clone())
-                .run(&mut db, jobs);
-            (outcome, tracer)
-        };
-        let (with, trace_with) = run(true);
-        let (without, trace_without) = run(false);
-        assert!(with.ledger.is_some());
-        assert!(without.ledger.is_none());
-        // The decision events are in the trace either way.
-        assert!(trace_with
-            .records()
-            .iter()
-            .any(|r| r.name == "server.decision"));
-        assert_eq!(
-            trace_with.to_jsonl(),
-            trace_without.to_jsonl(),
-            "trace must not depend on the ledger flag"
-        );
-        let mut stripped = with.clone();
-        stripped.ledger = None;
-        assert_eq!(
-            stripped.to_json(),
-            without.to_json(),
-            "outside the ledger field the outcome must be byte-identical"
-        );
     }
 
     /// The server's whole trace vocabulary is the one

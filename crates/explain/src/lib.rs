@@ -19,9 +19,9 @@
 //!   blocks) ate the slack inside it.
 //! * **Per-tenant SLO tables** ([`run_ledger`]) — admitted vs
 //!   refused vs shed, deadlines met vs missed, granted-vs-spent
-//!   quota, value-weighted slack: the engine's own fold
-//!   ([`TenantLedger::fold`]) over the run's decision records,
-//!   whichever artifact they survive in.
+//!   quota, value-weighted slack: the ledger the outcome carries, or
+//!   the engine's own fold ([`TenantLedger::fold`]) over a trace's
+//!   decision records — the same table from either artifact.
 //!
 //! Everything here is a pure function over already-recorded data: no
 //! clock, no RNG, no storage. Parsing validates `schema_version` on
@@ -39,7 +39,7 @@ use std::fmt::Write as _;
 
 use eram_core::obs::{TraceKind, TraceRecord, SCHEMA_VERSION};
 use eram_core::server::{DecisionAction, DecisionRecord, TenantLedger, TenantSlo};
-use eram_core::{ExecutionReport, JobReport, JobState, ServerOutcome};
+use eram_core::{ExecutionReport, JobState, ServerOutcome};
 use eram_storage::json::{FromJson, JsonError, ToJson};
 use eram_storage::{json, json_record, Json};
 
@@ -161,9 +161,7 @@ pub fn parse_outcome(input: &str) -> Result<ServerOutcome, ExplainError> {
         message: e.to_string(),
     })?;
     check_version("outcome", outcome.schema_version)?;
-    if let Some(ledger) = &outcome.ledger {
-        check_version("outcome.ledger", ledger.schema_version)?;
-    }
+    check_version("outcome.ledger", outcome.ledger.schema_version)?;
     Ok(outcome)
 }
 
@@ -558,18 +556,22 @@ pub struct JobWindow {
     pub job: String,
     /// Index of the grant record in the trace.
     pub start: usize,
-    /// Index one past the terminal (done/fail) record.
+    /// Index one past the terminal record: done, fail, or the shed of
+    /// an answer that landed past its deadline.
     pub end: usize,
     /// The granted quota.
     pub grant_ns: Option<u64>,
     /// Time the job consumed.
     pub spent_ns: Option<u64>,
-    /// Whether it answered by its deadline (done records only).
+    /// Whether it answered by its deadline: a done record's `met`,
+    /// `Some(false)` for a late shed, `None` for a failure.
     pub met: Option<bool>,
 }
 
 /// Carves a serving trace into per-job windows using the
-/// `server.decision` audit events.
+/// `server.decision` audit events. A window opens at a grant and
+/// closes at the same job's terminal record; a shed closes it only
+/// when it carries `late_ns` (the job ran, and its answer was late).
 pub fn job_windows(records: &[TraceRecord]) -> Vec<JobWindow> {
     let mut windows: Vec<JobWindow> = Vec::new();
     let mut open: Option<JobWindow> = None;
@@ -591,12 +593,16 @@ pub fn job_windows(records: &[TraceRecord]) -> Vec<JobWindow> {
                     met: None,
                 });
             }
-            "done" | "fail" => {
+            "done" | "fail" | "shed" => {
+                let late = f_u64(r, "late_ns").is_some();
+                if action == "shed" && !late {
+                    continue;
+                }
                 if let Some(mut w) = open.take() {
                     if w.job == job {
                         w.end = i + 1;
                         w.spent_ns = f_u64(r, "spent_ns");
-                        w.met = f_bool(r, "met");
+                        w.met = if late { Some(false) } else { f_bool(r, "met") };
                         windows.push(w);
                     }
                 }
@@ -656,25 +662,19 @@ fn trace_decisions(records: &[TraceRecord]) -> Vec<DecisionRecord> {
         .collect()
 }
 
-/// The ledger of a served run, from the best evidence at hand: the
-/// one the outcome carries (`--ledger`); else the engine's fold over
-/// the trace's decision records; else — only when neither exists —
-/// over the records the job reports imply. All three are the same
+/// The ledger of a served run: the one the outcome carries, else the
+/// engine's fold over the trace's decision records. Both are the same
 /// fold, so the tenant table does not depend on which artifact
-/// survived (the sharing credits aside: only a carried ledger has
-/// them). `None` when the artifacts hold no serving decision.
+/// survived. `None` when the artifacts hold no serving decision (a
+/// pre-ledger outcome carries an empty ledger).
 pub fn run_ledger(
     trace: Option<&[TraceRecord]>,
     outcome: Option<&ServerOutcome>,
 ) -> Option<TenantLedger> {
-    if let Some(ledger) = outcome.and_then(|o| o.ledger.as_ref()) {
-        return Some(ledger.clone());
+    if let Some(o) = outcome.filter(|o| !o.ledger.decisions.is_empty()) {
+        return Some(o.ledger.clone());
     }
-    let mut decisions = trace.map(trace_decisions).unwrap_or_default();
-    if decisions.is_empty() {
-        let jobs = outcome.map_or(&[][..], |o| &o.jobs);
-        decisions = jobs.iter().flat_map(JobReport::implied_decisions).collect();
-    }
+    let decisions = trace.map(trace_decisions).unwrap_or_default();
     // Every offered job draws exactly one admission verdict.
     let offered: Vec<String> = decisions
         .iter()
@@ -704,6 +704,11 @@ pub struct JobSummary {
     pub spent_ns: u64,
     /// Shedding value.
     pub value: f64,
+    /// Block draws the job's served lane fed from a co-resident job's
+    /// read (interleaved serving; 0 for a discarded lane).
+    pub blocks_shared: u64,
+    /// Device time (ns) those draws spared.
+    pub charge_saved_ns: u64,
 }
 
 json_record!(JobSummary {
@@ -713,6 +718,8 @@ json_record!(JobSummary {
     granted_ns: required,
     spent_ns: required,
     value: required,
+    blocks_shared: default,
+    charge_saved_ns: default,
 });
 
 /// A per-job slack attribution inside a serving trace.
@@ -815,20 +822,33 @@ pub fn postmortem(
         }
     }
     if let Some(outcome) = outcome {
+        // Sharing is the schedule's fact: a served lane's pool hits.
+        // Jobs and lanes are both in canonical order, and the jobs
+        // served from a lane are those that ran and were not shed.
+        let lanes = outcome.schedule.as_ref().map_or(&[][..], |s| &s.lanes);
+        let mut served_lanes = lanes.iter().filter(|l| !l.discarded).peekable();
         pm.jobs = outcome
             .jobs
             .iter()
-            .map(|j| JobSummary {
-                job: j.name.clone(),
-                state: match &j.state {
-                    JobState::Done => "done".to_string(),
-                    JobState::Refused { reason } => format!("refused:{}", reason.as_str()),
-                    JobState::Failed { .. } => "failed".to_string(),
-                },
-                met: j.met(),
-                granted_ns: j.granted_quota.as_nanos() as u64,
-                spent_ns: j.finished_at.saturating_sub(j.started_at).as_nanos() as u64,
-                value: j.value,
+            .map(|j| {
+                let ran = !j.state.is_refused() && !j.granted_quota.is_zero();
+                let served = ran
+                    .then(|| served_lanes.next_if(|l| l.job == j.name))
+                    .flatten();
+                JobSummary {
+                    job: j.name.clone(),
+                    state: match &j.state {
+                        JobState::Done => "done".to_string(),
+                        JobState::Refused { reason } => format!("refused:{}", reason.as_str()),
+                        JobState::Failed { .. } => "failed".to_string(),
+                    },
+                    met: j.met(),
+                    granted_ns: j.granted_quota.as_nanos() as u64,
+                    spent_ns: j.finished_at.saturating_sub(j.started_at).as_nanos() as u64,
+                    value: j.value,
+                    blocks_shared: served.map_or(0, |l| l.blocks_shared),
+                    charge_saved_ns: served.map_or(0, |l| l.charge_saved_ns),
+                }
             })
             .collect();
     }
@@ -1034,27 +1054,27 @@ impl Postmortem {
                     format!("{:.3}", t.slo.spend_ratio()),
                 );
             }
-            // Sharing savings: only rendered when the batch actually
-            // pooled draws (interleaved serving), so postmortems of
-            // sequential or pre-sharing artifacts are byte-unchanged.
-            let shared: u64 = self.tenants.iter().map(|t| t.slo.blocks_shared).sum();
-            if shared > 0 {
-                let saved: u64 = self.tenants.iter().map(|t| t.slo.charge_saved_ns).sum();
+        }
+        // Sharing savings: only rendered when the batch actually
+        // pooled draws (interleaved serving), so postmortems of
+        // sequential or pre-sharing artifacts are byte-unchanged.
+        let shared: u64 = self.jobs.iter().map(|j| j.blocks_shared).sum();
+        if shared > 0 {
+            let saved: u64 = self.jobs.iter().map(|j| j.charge_saved_ns).sum();
+            let _ = writeln!(
+                out,
+                "sharing savings: {shared} block draw(s) fed from co-resident reads, \
+                 {} ms of device time spared",
+                ms(saved)
+            );
+            for j in self.jobs.iter().filter(|j| j.blocks_shared > 0) {
                 let _ = writeln!(
                     out,
-                    "sharing savings: {shared} block draw(s) fed from co-resident reads, \
-                     {} ms of device time spared",
-                    ms(saved)
+                    "  {:<16} {:>6} shared  {:>10} ms spared",
+                    j.job,
+                    j.blocks_shared,
+                    ms(j.charge_saved_ns)
                 );
-                for t in self.tenants.iter().filter(|t| t.slo.blocks_shared > 0) {
-                    let _ = writeln!(
-                        out,
-                        "  {:<16} {:>6} shared  {:>10} ms spared",
-                        t.tenant,
-                        t.slo.blocks_shared,
-                        ms(t.slo.charge_saved_ns)
-                    );
-                }
             }
         }
         out
@@ -1360,6 +1380,43 @@ mod tests {
         assert_eq!(windows[1].met, None);
     }
 
+    /// A job whose answer landed past its deadline ends in a `shed`
+    /// record with `late_ns`: that closes its window as a miss, where
+    /// a shed before dispatch (no `late_ns`) closes nothing.
+    #[test]
+    fn job_windows_close_on_a_late_shed() {
+        let records = vec![
+            decision(0, "grant", "a", &[("grant_ns", Json::from(100u64))]),
+            rec(10, TraceKind::End, "block_draw", 1, Some(130), &[]),
+            decision(
+                130,
+                "shed",
+                "a",
+                &[
+                    ("spent_ns", Json::from(130u64)),
+                    ("late_ns", Json::from(30u64)),
+                ],
+            ),
+            decision(130, "shed", "b", &[]),
+            decision(130, "grant", "c", &[("grant_ns", Json::from(50u64))]),
+            decision(
+                170,
+                "done",
+                "c",
+                &[("spent_ns", Json::from(40u64)), ("met", Json::from(true))],
+            ),
+        ];
+        let windows = job_windows(&records);
+        let jobs: Vec<&str> = windows.iter().map(|w| w.job.as_str()).collect();
+        assert_eq!(jobs, ["a", "c"]);
+        assert_eq!((windows[0].start, windows[0].end), (0, 3));
+        assert_eq!(windows[0].spent_ns, Some(130));
+        assert_eq!(windows[0].met, Some(false));
+        let pm = postmortem(Some(&records), None, None);
+        let attributed: Vec<&str> = pm.job_attributions.iter().map(|a| a.job.as_str()).collect();
+        assert_eq!(attributed, ["a"], "the late job is the one that missed");
+    }
+
     #[test]
     fn postmortem_flags_overshot_jobs() {
         let records = vec![
@@ -1413,45 +1470,50 @@ mod tests {
             schema_version: SUPPORTED_SCHEMA_VERSION,
             ..Postmortem::default()
         };
-        let solo = TenantSlo {
-            offered: 1,
-            admitted: 1,
-            completed: 1,
-            deadlines_met: 1,
-            granted_ns: 2_000_000,
-            spent_ns: 1_000_000,
-            ..TenantSlo::default()
-        };
         pm.tenants.push(TenantRow {
             tenant: "solo".into(),
-            slo: solo,
+            slo: TenantSlo {
+                offered: 1,
+                granted_ns: 2_000_000,
+                spent_ns: 1_500_000,
+                ..TenantSlo::default()
+            },
         });
+        let solo = JobSummary {
+            job: "solo".into(),
+            state: "done".into(),
+            met: true,
+            granted_ns: 2_000_000,
+            spent_ns: 1_000_000,
+            value: 1.0,
+            ..JobSummary::default()
+        };
+        pm.jobs.push(solo.clone());
         let without = pm.render(Format::Text);
         assert!(
             !without.contains("sharing savings"),
             "sequential artifacts must render unchanged:\n{without}"
         );
-        pm.tenants.push(TenantRow {
-            tenant: "pooled".into(),
-            slo: TenantSlo {
-                spent_ns: 1_500_000,
-                blocks_shared: 12,
-                charge_saved_ns: 36_000_000,
-                ..solo
-            },
+        pm.jobs.push(JobSummary {
+            job: "pooled".into(),
+            blocks_shared: 12,
+            charge_saved_ns: 36_000_000,
+            ..solo
         });
-        // The wire form is the flat row it always was, ratio derived.
+        // The tenant row is the flat counters, ratio derived; the
+        // sharing columns ride the job summaries.
         let back: Postmortem = json::from_str(&pm.render(Format::Json)).unwrap();
         assert_eq!(back, pm);
-        let row = pm.tenants[1].to_json();
+        let row = pm.tenants[0].to_json();
         assert_eq!(row.get("spend_ratio").and_then(Json::as_f64), Some(0.75));
-        assert_eq!(row.get("blocks_shared").and_then(Json::as_u64), Some(12));
+        let job = pm.jobs[1].to_json();
+        assert_eq!(job.get("blocks_shared").and_then(Json::as_u64), Some(12));
         let with = pm.render(Format::Text);
         assert!(with.contains("sharing savings: 12 block draw(s)"), "{with}");
-        assert!(with.contains("pooled"), "{with}");
+        assert!(with.contains("  pooled "), "{with}");
         assert!(
-            !with.contains("solo             ") || !with.contains("solo   0 shared"),
-            "tenants with no sharing stay out of the savings list"
+            !with.contains("  solo "),
+            "jobs with no sharing stay out of the savings list:\n{with}"
         );
     }
 

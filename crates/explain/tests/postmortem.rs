@@ -6,8 +6,8 @@
 //!    fault-stormed run's postmortem names the overrunning stage and
 //!    the phase that consumed the slack.
 //! 3. **Serving forensics** — a serve yields the same tenant SLO
-//!    table whether the ledger, only the trace, or only the job
-//!    reports survived it, and the trace carves into per-job windows.
+//!    table whether the outcome (its ledger) or only the trace
+//!    survived it, and the trace carves into per-job windows.
 //! 4. **Golden postmortem** — the JSON rendering of the Figure 5.1
 //!    postmortem is pinned under `tests/golden/`; drift fails.
 //!    Regenerate with `BLESS=1 cargo test -p eram-explain` after an
@@ -145,8 +145,8 @@ fn deadline_missed_run_names_the_phase_that_consumed_the_slack() {
     );
 }
 
-/// Serves `jobs` with the ledger and a trace on; returns the outcome
-/// and the trace records.
+/// Serves `jobs` with a trace on; returns the outcome and the trace
+/// records.
 fn traced_serve(
     seed: u64,
     faults: FaultPlan,
@@ -155,38 +155,23 @@ fn traced_serve(
     let mut db = fig51_db(seed);
     db.inject_faults(faults);
     let tracer = Tracer::recording(db.disk().clock().clone());
-    let outcome = QueryServer::new()
-        .ledger(true)
-        .tracer(tracer.clone())
-        .run(&mut db, jobs);
+    let outcome = QueryServer::new().tracer(tracer.clone()).run(&mut db, jobs);
     (outcome, tracer.records())
 }
 
-/// One fold, three sources: the postmortem's tenant table is the
-/// ledger's when the outcome carries one, and without it the same
-/// table comes from the trace's decision lines, without the trace too
-/// from what the job reports imply, and from a trace alone — every
-/// column equal each time (a sequential serve shares no draws).
+/// One fold, two sources: the postmortem's tenant table is the
+/// outcome's ledger, and from the outcome alone, the trace alone or
+/// both it is the same table, every column equal.
 fn assert_table_is_source_independent(outcome: &ServerOutcome, records: &[TraceRecord]) {
-    let with_ledger = postmortem(Some(records), Some(outcome), None);
-    let ledger = outcome.ledger.as_ref().expect("served with the ledger on");
-    assert_eq!(with_ledger.tenants.len(), ledger.tenants.len());
-    for row in &with_ledger.tenants {
-        assert_eq!(Some(&row.slo), ledger.tenants.get(&row.tenant));
+    let both = postmortem(Some(records), Some(outcome), None);
+    assert_eq!(both.tenants.len(), outcome.ledger.tenants.len());
+    for row in &both.tenants {
+        assert_eq!(Some(&row.slo), outcome.ledger.tenants.get(&row.tenant));
     }
-    let mut bare = outcome.clone();
-    bare.ledger = None;
-    let from_trace = postmortem(Some(records), Some(&bare), None);
-    let from_reports = postmortem(None, Some(&bare), None);
+    let outcome_alone = postmortem(None, Some(outcome), None);
     let trace_alone = postmortem(Some(records), None, None);
-    for other in [&from_trace, &from_reports, &trace_alone] {
-        assert_eq!(other.tenants, with_ledger.tenants);
-    }
-    assert_eq!(
-        from_trace.render(Format::Text),
-        with_ledger.render(Format::Text),
-        "the postmortem must not depend on --ledger"
-    );
+    assert_eq!(outcome_alone.tenants, trace_alone.tenants);
+    assert_eq!(trace_alone.tenants, both.tenants);
 }
 
 #[test]
@@ -228,7 +213,7 @@ fn serving_postmortem_builds_tenant_tables_and_job_windows() {
     // dispatch is granted what it ran under.
     let late = rows.iter().find(|r| r.slo.shed == 1).expect("a late shed");
     assert!(late.slo.spent_ns > late.slo.granted_ns, "{text}");
-    let ledger = outcome.ledger.as_ref().unwrap();
+    let ledger = &outcome.ledger;
     let deflated = ledger.decisions.iter().find(|d| d.deflated_ns.is_some());
     let deflated = deflated.expect("a deflation");
     assert_eq!(
@@ -238,18 +223,30 @@ fn serving_postmortem_builds_tenant_tables_and_job_windows() {
     assert_table_is_source_independent(&outcome, &records);
 
     // The trace carves into one window per job that ran to a done
-    // record, and each window encloses that job's engine records.
+    // record or to a late shed, and each window encloses that job's
+    // engine records.
+    let late_sheds = ledger.decisions.iter().filter(|d| d.late_ns.is_some());
+    let late_sheds: Vec<&str> = late_sheds.map(|d| d.job.as_str()).collect();
+    assert_eq!(late_sheds, ["fast"]);
     let windows = job_windows(&records);
-    assert_eq!(windows.len() as u64, outcome.stats.completed);
+    assert_eq!(
+        windows.len() as u64,
+        outcome.stats.completed + late_sheds.len() as u64
+    );
     for w in &windows {
         assert!(w.grant_ns.unwrap_or(0) > 0, "{} got a grant", w.job);
-        assert_eq!(w.met, Some(true), "{} met its deadline", w.job);
+        let late = late_sheds.contains(&w.job.as_str());
+        assert_eq!(w.met, Some(!late), "{} met its deadline unless late", w.job);
         assert!(
             records[w.start..w.end].iter().any(|r| r.name == "execute"),
             "{}'s window holds its engine run",
             w.job
         );
     }
+    // The one job that missed is attributed.
+    let attributed = |job| pm.job_attributions.iter().find(|a| a.job == job);
+    let fast = attributed("fast").expect("the late-shed job is attributed");
+    assert_eq!(fast.met, Some(false));
 
     // Every read spiked past a small quota: watchdog trips and a
     // pre-dispatch shed, the same on every path.

@@ -7,7 +7,7 @@
 //! spikes — and (b) perfectly reproducible, so a failing chaos run can
 //! be replayed bit-for-bit from its seed.
 //!
-//! A [`FaultPlan`] describes *rates*; the [`FaultInjector`] turns the
+//! A [`FaultPlan`] describes *rates*; the `FaultInjector` turns the
 //! plan into concrete per-site decisions by hashing
 //! `(seed, file, block, attempt)` with a splitmix64-style mixer.
 //! Because the decision is a pure function of those inputs, the same

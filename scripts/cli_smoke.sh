@@ -70,7 +70,7 @@ for mode in seq interleaved; do
     for w in 1 4; do
         "$eram" --load t=smoke.csv:k:int,v:int --header \
             --fault-transient 0.08 --fault-spike 0.2 --fault-spike-ms 400 \
-            --serve jobs.json --ledger --concurrency "$mode" \
+            --serve jobs.json --concurrency "$mode" \
             --jobs-out outcome-$mode-$w.json --trace trace-$mode-$w.jsonl \
             --workers $w
     done
@@ -80,11 +80,9 @@ for mode in seq interleaved; do
 done
 # Trace bytes are mode-invariant outright...
 cmp trace-seq-1.jsonl trace-interleaved-1.jsonl
-# ...and outcomes agree once the schedule report and the
-# sharing counters it feeds are stripped.
+# ...and outcomes agree once the schedule report is stripped.
 for mode in seq interleaved; do
-    jq -S 'del(.schedule) | (.ledger.tenants[]? |= (.blocks_shared = 0 | .charge_saved_ns = 0))' \
-        outcome-$mode-1.json > stripped-$mode.json
+    jq -S 'del(.schedule)' outcome-$mode-1.json > stripped-$mode.json
 done
 cmp stripped-seq.json stripped-interleaved.json
 # The interleaved run actually pooled draws; the oracle never does.
@@ -95,7 +93,7 @@ echo "=== postmortem (eram-explain at workers 1 and 4)" >&2
 for w in 1 4; do
     "$eram" --load t=smoke.csv:k:int,v:int --header \
         --fault-transient 0.08 --fault-spike 0.2 --fault-spike-ms 400 \
-        --serve jobs.json --ledger \
+        --serve jobs.json \
         --jobs-out outcome-$w.json --trace trace-$w.jsonl \
         --workers $w
     "$explain" --trace trace-$w.jsonl --outcome outcome-$w.json \
@@ -108,14 +106,14 @@ done
 # ...and byte-identical across worker counts.
 cmp postmortem-1.json postmortem-4.json
 # The tenant table is one fold of the decision records: the
-# trace alone (no --outcome) gives the same rows as the
-# ledger run, sharing credits aside (only a ledger has them).
+# outcome alone (its ledger) and the trace alone give the same rows.
+"$explain" --outcome outcome-1.json --format json > postmortem-outcome-only.json
 "$explain" --trace trace-1.jsonl --format json > postmortem-trace-only.json
-for pm in postmortem-1 postmortem-trace-only; do
-    jq -S '.tenants | map(.blocks_shared = 0 | .charge_saved_ns = 0)' \
-        $pm.json > tenants-$pm.json
+jq -e '(.tenants | length) == 3' postmortem-outcome-only.json
+for src in outcome trace; do
+    jq -S '.tenants' postmortem-$src-only.json > tenants-$src-only.json
 done
-cmp tenants-postmortem-1.json tenants-postmortem-trace-only.json
+cmp tenants-outcome-only.json tenants-trace-only.json
 # The text rendering works on the same artifacts.
 "$explain" --trace trace-1.jsonl --outcome outcome-1.json > postmortem.txt
 grep -q "tenant SLO table" postmortem.txt

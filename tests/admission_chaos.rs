@@ -21,16 +21,16 @@
 //!    replay identically (property test).
 //! 6. **One decision log** — over a 400-cell storm grid, every
 //!    counter the server reports (stats, tenant rows, the trace's
-//!    decision lines, the records the job reports imply) is the same
-//!    fold of the same log, and the log accounts for every job.
+//!    decision lines) is the same fold of the same log, and the log
+//!    accounts for every job.
 
 use std::time::Duration;
 
 use testkit::prelude::*;
 
 use eram_core::{
-    Concurrency, Database, DecisionAction, DecisionRecord, JobReport, JobState, QueryServer,
-    RefusalReason, ServerJob, ServerOutcome, ServerStats, TenantLedger, TraceRecord, Tracer,
+    Concurrency, Database, DecisionAction, DecisionRecord, JobState, QueryServer, RefusalReason,
+    ServerJob, ServerOutcome, ServerStats, TenantLedger, TraceRecord, Tracer,
 };
 use eram_relalg::{CmpOp, Expr, Predicate};
 use eram_storage::{json, ColumnType, FaultPlan, Schema, Tuple, Value};
@@ -254,93 +254,10 @@ fn broken_expression_fails_alone_without_burning_quota() {
     assert_no_silent_blowouts(&outcome, "broken-expr");
 }
 
-/// Runs one storm batch at the given worker count and returns the
-/// replay artifacts (outcome JSON + trace JSONL).
-fn run_storm(seed: u64, transient: f64, spikes: f64, workers: usize) -> (String, String) {
-    let mut db = build_db(seed);
-    if transient > 0.0 || spikes > 0.0 {
-        db.inject_faults(
-            FaultPlan::new(seed ^ 0xC4A0)
-                .with_transient(transient)
-                .with_spikes(spikes, Duration::from_millis(400)),
-        );
-    }
-    let tracer = Tracer::recording(db.disk().clock().clone());
-    let outcome = QueryServer::new()
-        .workers(workers)
-        .metrics(true)
-        .tracer(tracer.clone())
-        .run(&mut db, storm_batch());
-    (outcome.to_json(), tracer.to_jsonl())
-}
-
-#[test]
-fn ci_selected_worker_count_matches_the_serial_reference() {
-    let (json_1, trace_1) = run_storm(51, 0.08, 0.2, 1);
-    let (json_4, trace_4) = run_storm(51, 0.08, 0.2, 4);
-    assert_eq!(json_1, json_4);
-    assert_eq!(trace_1, trace_4);
-    assert!(!trace_1.is_empty());
-}
-
-/// `run_storm` with the SLO ledger and decision audit enabled.
-fn run_storm_with_ledger(
-    seed: u64,
-    transient: f64,
-    spikes: f64,
-    workers: usize,
-) -> (ServerOutcome, String) {
-    let mut db = build_db(seed);
-    if transient > 0.0 || spikes > 0.0 {
-        db.inject_faults(
-            FaultPlan::new(seed ^ 0xC4A0)
-                .with_transient(transient)
-                .with_spikes(spikes, Duration::from_millis(400)),
-        );
-    }
-    let tracer = Tracer::recording(db.disk().clock().clone());
-    let outcome = QueryServer::new()
-        .workers(workers)
-        .metrics(true)
-        .ledger(true)
-        .tracer(tracer.clone())
-        .run(&mut db, storm_batch());
-    (outcome, tracer.to_jsonl())
-}
-
-/// The forensics acceptance criterion, end to end: the ledger and
-/// decision audit are pure observation. Trace JSONL is byte-identical
-/// with the ledger on or off, the ledger-stripped outcome JSON is
-/// byte-identical to the ledger-off outcome, and the ledger itself
-/// replays byte-identically across worker counts — all under the same
-/// fault storm the equivalence matrix runs.
-#[test]
-fn ledger_is_pure_observation_across_worker_counts() {
-    let (json_off, trace_off) = run_storm(51, 0.08, 0.2, 1);
-    for w in [1usize, 4] {
-        let (outcome, trace_on) = run_storm_with_ledger(51, 0.08, 0.2, w);
-        assert_eq!(
-            trace_on, trace_off,
-            "ledger must not touch the trace (workers={w})"
-        );
-        let ledger = outcome.ledger.as_ref().expect("ledger was requested");
-        assert!(!ledger.decisions.is_empty(), "the audit narrates the batch");
-        let with_json = outcome.to_json();
-        let mut stripped = outcome.clone();
-        stripped.ledger = None;
-        assert_eq!(
-            stripped.to_json(),
-            json_off,
-            "stripping the ledger restores the exact ledger-off bytes (workers={w})"
-        );
-        // The ledger-carrying outcome itself is worker-invariant.
-        let (again, _) = run_storm_with_ledger(51, 0.08, 0.2, 1);
-        assert_eq!(again.to_json(), with_json, "workers={w} vs 1");
-    }
-}
-
-/// `run_storm_with_ledger` under an explicit concurrency mode.
-fn run_storm_mode(
+/// Runs one storm batch at the given worker count and concurrency
+/// mode and returns the replay artifacts: the outcome (its ledger
+/// included) and the trace JSONL.
+fn run_storm(
     seed: u64,
     transient: f64,
     spikes: f64,
@@ -359,11 +276,25 @@ fn run_storm_mode(
     let outcome = QueryServer::new()
         .workers(workers)
         .metrics(true)
-        .ledger(true)
         .concurrency(mode)
         .tracer(tracer.clone())
         .run(&mut db, storm_batch());
     (outcome, tracer.to_jsonl())
+}
+
+/// The ledger-carrying outcome and the trace replay byte-identically
+/// at a CI-selected worker count.
+#[test]
+fn ci_selected_worker_count_matches_the_serial_reference() {
+    let (outcome_1, trace_1) = run_storm(51, 0.08, 0.2, 1, Concurrency::Sequential);
+    let (outcome_4, trace_4) = run_storm(51, 0.08, 0.2, 4, Concurrency::Sequential);
+    assert_eq!(outcome_1.to_json(), outcome_4.to_json());
+    assert_eq!(trace_1, trace_4);
+    assert!(!trace_1.is_empty());
+    assert!(
+        !outcome_1.ledger.decisions.is_empty(),
+        "the audit narrates the batch"
+    );
 }
 
 /// The five device weathers of the decision-log sweep: (transient
@@ -376,25 +307,13 @@ const WEATHERS: [(f64, f64); 5] = [
     (0.15, 0.4),
 ];
 
-/// A tenant table with the mode-variant sharing credits — the one
-/// pair of columns that is not a fold of the decision log — zeroed.
-fn sans_sharing(ledger: &TenantLedger) -> Vec<(String, eram_core::TenantSlo)> {
-    let mut rows: Vec<_> = ledger.tenants.clone().into_iter().collect();
-    for (_, slo) in &mut rows {
-        slo.blocks_shared = 0;
-        slo.charge_saved_ns = 0;
-    }
-    rows
-}
-
 /// One decision log, checked by search: 40 seeds × 5 weathers ×
 /// {sequential, interleaved}, workers alternating 1 and 4 — and from
 /// the artifacts of each cell alone (outcome JSON, trace JSONL):
 ///
 /// * `ServerStats` is the column sum of the tenant rows, and the rows
-///   are the fold of the trace's `server.decision` lines *and* of the
-///   records the bare job reports imply (so a postmortem prints the
-///   same table whether or not the ledger rode the outcome);
+///   are the fold of the trace's `server.decision` lines (so a
+///   postmortem prints the same table from either artifact);
 /// * every offered job has exactly one admission verdict and exactly
 ///   one terminal record, `offered = admitted + refused +
 ///   failed-at-admission`, `admitted = completed + shed +
@@ -409,9 +328,9 @@ fn decision_log_is_the_single_source_of_every_counter() {
             for mode in [Concurrency::Sequential, Concurrency::Interleaved] {
                 let workers = if (seed as usize + w) % 2 == 0 { 1 } else { 4 };
                 let cell = format!("seed={seed} weather={w} {mode:?} workers={workers}");
-                let (outcome, trace) = run_storm_mode(seed, transient, spikes, workers, mode);
+                let (outcome, trace) = run_storm(seed, transient, spikes, workers, mode);
                 let outcome: ServerOutcome = json::from_str(&outcome.to_json()).unwrap();
-                let ledger = outcome.ledger.as_ref().expect("ledger was requested");
+                let ledger = &outcome.ledger;
                 let names = || outcome.jobs.iter().map(|j| j.name.as_str());
                 assert_no_silent_blowouts(&outcome, &cell);
 
@@ -452,15 +371,7 @@ fn decision_log_is_the_single_source_of_every_counter() {
                 };
                 assert_eq!(unstamped(&traced), unstamped(&ledger.decisions), "[{cell}]");
                 let from_trace = TenantLedger::fold(names(), traced);
-                assert_eq!(sans_sharing(&from_trace), sans_sharing(ledger), "[{cell}]");
-                // ...and of what the bare job reports imply.
-                let implied = outcome.jobs.iter().flat_map(JobReport::implied_decisions);
-                let from_reports = TenantLedger::fold(names(), implied.collect());
-                assert_eq!(
-                    sans_sharing(&from_reports),
-                    sans_sharing(ledger),
-                    "[{cell}]"
-                );
+                assert_eq!(from_trace.tenants, ledger.tenants, "[{cell}]");
 
                 // The log accounts for every job, once.
                 let log = &ledger.decisions;
@@ -518,12 +429,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// The concurrency acceptance criterion: per-job reports, the
-    /// ledger, the metrics, and every trace byte are identical across
+    /// ledger, and every trace byte are identical across
     /// `--concurrency seq|interleaved` at any worker count — only the
-    /// schedule report and the per-tenant sharing counters it feeds
-    /// may differ between modes, and those differ *deterministically*
-    /// (byte-identical across worker counts and repeats within a
-    /// mode).
+    /// schedule report may differ between modes, and it differs
+    /// *deterministically* (byte-identical across worker counts and
+    /// repeats within a mode).
     #[test]
     fn any_storm_batch_is_concurrency_mode_invariant(
         seed in any::<u64>(),
@@ -531,23 +441,23 @@ proptest! {
         spikes in 0.0f64..0.4,
         workers in 2usize..=8,
     ) {
-        let (seq, seq_trace) = run_storm_mode(seed, transient, spikes, 1, Concurrency::Sequential);
+        let (seq, seq_trace) = run_storm(seed, transient, spikes, 1, Concurrency::Sequential);
         let (inter, inter_trace) =
-            run_storm_mode(seed, transient, spikes, 1, Concurrency::Interleaved);
+            run_storm(seed, transient, spikes, 1, Concurrency::Interleaved);
         prop_assert_eq!(&seq_trace, &inter_trace, "trace bytes must be mode-invariant");
         prop_assert_eq!(
             seq.stripped_of_schedule().to_json(),
             inter.stripped_of_schedule().to_json(),
             "stripped outcomes must be mode-invariant"
         );
-        // Within each mode the full outcome (schedule and sharing
-        // counters included) replays across worker counts.
+        // Within each mode the full outcome (the schedule included)
+        // replays across worker counts.
         let (seq_w, seq_w_trace) =
-            run_storm_mode(seed, transient, spikes, workers, Concurrency::Sequential);
+            run_storm(seed, transient, spikes, workers, Concurrency::Sequential);
         prop_assert_eq!(&seq_trace, &seq_w_trace, "workers={}", workers);
         prop_assert_eq!(seq.to_json(), seq_w.to_json(), "workers={}", workers);
         let (inter_w, inter_w_trace) =
-            run_storm_mode(seed, transient, spikes, workers, Concurrency::Interleaved);
+            run_storm(seed, transient, spikes, workers, Concurrency::Interleaved);
         prop_assert_eq!(&inter_trace, &inter_w_trace, "workers={}", workers);
         prop_assert_eq!(inter.to_json(), inter_w.to_json(), "workers={}", workers);
         // The schedule is always reported; the oracle never pools.
@@ -566,8 +476,8 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Any seeded storm batch replays byte-identically: across worker
-    /// counts and across repeated runs.
+    /// Any seeded storm batch replays byte-identically, its ledger
+    /// included: across worker counts and across repeated runs.
     #[test]
     fn any_storm_batch_replays_byte_identically(
         seed in any::<u64>(),
@@ -575,12 +485,17 @@ proptest! {
         spikes in 0.0f64..0.4,
         workers in 2usize..=8,
     ) {
-        let (json_1, trace_1) = run_storm(seed, transient, spikes, 1);
-        let (json_w, trace_w) = run_storm(seed, transient, spikes, workers);
+        let run = |workers| {
+            let (outcome, trace) =
+                run_storm(seed, transient, spikes, workers, Concurrency::Sequential);
+            (outcome.to_json(), trace)
+        };
+        let (json_1, trace_1) = run(1);
+        let (json_w, trace_w) = run(workers);
         prop_assert_eq!(&json_1, &json_w, "workers={}", workers);
         prop_assert_eq!(&trace_1, &trace_w, "workers={}", workers);
         // Repetition at the same worker count is also identical.
-        let (json_r, trace_r) = run_storm(seed, transient, spikes, 1);
+        let (json_r, trace_r) = run(1);
         prop_assert_eq!(&json_1, &json_r);
         prop_assert_eq!(&trace_1, &trace_r);
         // And the invariant holds for whatever the storm produced.

@@ -14,7 +14,12 @@ use std::time::Duration;
 
 use testkit::prelude::*;
 
-use eram_core::{Database, EngineConfig, EngineError, OneAtATimeInterval, StoppingCriterion};
+use eram_core::executor::MAX_STAGES;
+use eram_core::ops::PhysTree;
+use eram_core::{
+    CostModel, Database, EngineConfig, EngineError, StagePlan, StoppingCriterion,
+    TimeControlStrategy,
+};
 use eram_relalg::{CmpOp, Expr, ExprError, Predicate};
 use eram_storage::{json, ColumnType, FaultPlan, Schema, Tuple, Value};
 
@@ -91,21 +96,47 @@ fn zero_quota() {
     assert!(out.report.stages.is_empty());
 }
 
+/// Plans one block a stage, whatever the quota: only the stage cap
+/// can end a run over more blocks than the cap.
+#[derive(Debug)]
+struct OneBlockAStage;
+
+impl TimeControlStrategy for OneBlockAStage {
+    fn name(&self) -> &'static str {
+        "one-block-a-stage"
+    }
+
+    fn plan_stage(
+        &self,
+        _trees: &[PhysTree],
+        _model: &CostModel,
+        _remaining: Duration,
+        _stage: usize,
+    ) -> Option<StagePlan> {
+        Some(StagePlan {
+            fraction: 0.0, // a leaf draws at least one block
+            predicted: Duration::ZERO,
+            predicted_blocks: 1.0,
+        })
+    }
+}
+
 #[test]
 fn max_stages_caps_the_loop() {
+    // 10 000 tuples of 200 bytes: 2 000 blocks, twice the cap.
     let mut db = db_with(10_000, 5);
     let config = EngineConfig {
-        strategy: Arc::new(OneAtATimeInterval::new(72.0)),
-        max_stages: 2,
+        strategy: Arc::new(OneBlockAStage),
         ..Default::default()
     };
     let out = db
         .count(Expr::relation("t").select(Predicate::col_cmp(1, CmpOp::Lt, 2)))
-        .within(Duration::from_secs(600))
+        .within(Duration::from_secs(100_000))
         .config(config)
         .run()
         .unwrap();
-    assert!(out.report.stages.len() <= 2);
+    assert_eq!(out.report.stages.len(), MAX_STAGES);
+    assert_eq!(out.report.blocks_evaluated(), MAX_STAGES as u64);
 }
 
 #[test]

@@ -554,7 +554,7 @@ proptest! {
 }
 
 /// The same property over a real serving trace: every line a
-/// ledger-enabled faulted serve emits — decision audit included —
+/// faulted serve emits — decision audit included —
 /// round-trips byte-identically through [`TraceRecord`].
 #[test]
 fn server_trace_lines_round_trip_byte_identically() {
@@ -566,10 +566,7 @@ fn server_trace_lines_round_trip_byte_identically() {
         ServerJob::count("alpha", expr.clone(), Duration::from_secs(6)),
         ServerJob::count("tiny", expr, Duration::from_millis(1)),
     ];
-    QueryServer::new()
-        .ledger(true)
-        .tracer(tracer.clone())
-        .run(&mut db, jobs);
+    QueryServer::new().tracer(tracer.clone()).run(&mut db, jobs);
     let jsonl = tracer.to_jsonl();
     let mut decisions = 0usize;
     for line in jsonl.lines().skip(1) {
