@@ -561,10 +561,7 @@ impl StageRun {
         for (tree, tv) in self.trees.iter_mut().zip(self.values.iter_mut()) {
             match tree.advance(&mut env) {
                 Ok(delta) => {
-                    // Value/group accumulation walks row tuples; a
-                    // columnar delta (bare-leaf root under the
-                    // columnar layout) materializes here. COUNT
-                    // queries never look at the rows at all — the
+                    // COUNT queries never look at the rows — the
                     // trees were told so and may not have built any.
                     if reads_rows(agg) {
                         let rows = delta.into_rows();

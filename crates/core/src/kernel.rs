@@ -22,7 +22,7 @@
 
 use std::sync::Arc;
 
-use eram_storage::{ColumnarBlock, Tuple, Value};
+use eram_storage::{Tuple, Value};
 
 /// How merge keys are derived from a run's tuples.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,42 +54,6 @@ impl KeySpec {
             KeySpec::Whole => KeyColumn::Whole,
             KeySpec::Columns(cols) => {
                 KeyColumn::Extracted(tuples.iter().map(|t| t.project(cols)).collect())
-            }
-        }
-    }
-
-    /// Builds the key column for a columnar block's records (in
-    /// record order) by reading the key columns' typed arrays
-    /// directly — no intermediate row tuples are materialized, only
-    /// the key tuples themselves.
-    ///
-    /// Must agree with `column_for(&block.to_tuples())` key for key;
-    /// the kernel equivalence suite compares the two.
-    pub fn column_for_columnar(&self, block: &ColumnarBlock) -> KeyColumn {
-        match self {
-            KeySpec::Whole => KeyColumn::Whole,
-            KeySpec::Columns(_) => KeyColumn::Extracted(
-                self.extract_columnar(block)
-                    .expect("a Columns spec extracts keys")
-                    .into(),
-            ),
-        }
-    }
-
-    /// [`KeySpec::column_for_columnar`]'s owned form: the key tuples
-    /// in record order, ready for [`sort_run_with_keys`] without a
-    /// per-key clone out of a shared column. `None` for
-    /// [`KeySpec::Whole`], which has no extracted keys.
-    pub fn extract_columnar(&self, block: &ColumnarBlock) -> Option<Vec<Tuple>> {
-        match self {
-            KeySpec::Whole => None,
-            KeySpec::Columns(cols) => {
-                let key_cols: Vec<_> = cols.iter().map(|&c| block.column(c)).collect();
-                Some(
-                    (0..block.len())
-                        .map(|row| Tuple::new(key_cols.iter().map(|c| c.value(row)).collect()))
-                        .collect(),
-                )
             }
         }
     }
@@ -158,25 +122,6 @@ pub fn sort_run(tuples: &mut Vec<Tuple>, spec: &KeySpec) -> KeyColumn {
             KeyColumn::Extracted(keys.into())
         }
     }
-}
-
-/// [`sort_run`] for callers that already hold the merge keys — e.g.
-/// keys extracted straight from a columnar block without ever
-/// materializing row tuples. `keys[i]` must equal what the column
-/// spec would project from `tuples[i]`; given that, the stable
-/// pair-sort below produces exactly the order (and key column)
-/// `sort_run` with a [`KeySpec::Columns`] spec would.
-pub fn sort_run_with_keys(tuples: &mut Vec<Tuple>, keys: Vec<Tuple>) -> KeyColumn {
-    debug_assert_eq!(keys.len(), tuples.len());
-    let mut pairs: Vec<(Tuple, Tuple)> = keys.into_iter().zip(std::mem::take(tuples)).collect();
-    pairs.sort_by(|a, b| a.0.cmp(&b.0));
-    let mut keys = Vec::with_capacity(pairs.len());
-    tuples.reserve(pairs.len());
-    for (k, t) in pairs {
-        keys.push(k);
-        tuples.push(t);
-    }
-    KeyColumn::Extracted(keys.into())
 }
 
 /// End (exclusive) of the equal-key group starting at `i`.
@@ -322,25 +267,6 @@ mod tests {
     }
 
     #[test]
-    fn sort_run_with_keys_matches_sort_run_exactly() {
-        let spec = KeySpec::Columns(vec![1, 0]);
-        let mut via_spec: Vec<Tuple> = (0..40).map(|i| t(&[i % 3, i % 5, i])).collect();
-        let mut via_keys = via_spec.clone();
-        let prekeys: Vec<Tuple> = via_keys.iter().map(|x| spec.extract(x)).collect();
-
-        let k_spec = sort_run(&mut via_spec, &spec);
-        let k_keys = sort_run_with_keys(&mut via_keys, prekeys);
-        assert_eq!(via_keys, via_spec, "tuple order diverged");
-        for i in 0..via_spec.len() {
-            assert_eq!(
-                k_keys.key_at(&via_keys, i),
-                k_spec.key_at(&via_spec, i),
-                "key column diverged at {i}"
-            );
-        }
-    }
-
-    #[test]
     fn whole_spec_sorts_in_place_with_zero_extra_memory() {
         let mut tuples: Vec<Tuple> = (0..20).rev().map(|i| t(&[i, i % 4])).collect();
         let mut reference = tuples.clone();
@@ -392,32 +318,6 @@ mod tests {
         let mut rt = vec![t(&[1, 2])];
         let rk = sort_run(&mut rt, &KeySpec::Columns(vec![0]));
         assert!(merge_keyed(MergeKind::Join, &[], &lk, &rt, &rk).is_empty());
-    }
-
-    #[test]
-    fn column_for_columnar_matches_row_extraction() {
-        use eram_storage::{ColumnType, Schema};
-        let schema = Schema::new(vec![
-            ("a", ColumnType::Int),
-            ("b", ColumnType::Int),
-            ("c", ColumnType::Int),
-        ]);
-        let tuples: Vec<Tuple> = (0..20).map(|i| t(&[i % 3, i, i % 7])).collect();
-        let block = ColumnarBlock::from_tuples(&schema, &tuples).unwrap();
-        for spec in [
-            KeySpec::Columns(vec![0]),
-            KeySpec::Columns(vec![2, 0]),
-            KeySpec::Whole,
-        ] {
-            let from_cols = spec.column_for_columnar(&block);
-            for (i, tuple) in tuples.iter().enumerate() {
-                assert_eq!(
-                    from_cols.key_at(&tuples, i),
-                    spec.extract(tuple).values(),
-                    "columnar key misaligned at {i} for {spec:?}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -82,7 +82,7 @@ pub use aggregate::{AggregateFn, GroupSnapshot, GroupState, GroupedAccumulator, 
 pub use config::EngineConfig;
 pub use costs::{CostCoeff, CostModel};
 pub use executor::{term_estimate, term_estimate_with, EngineError, ExecOutcome, StageRun};
-pub use kernel::{merge_keyed, sort_run, sort_run_with_keys, KeyColumn, KeySpec, MergeKind};
+pub use kernel::{merge_keyed, sort_run, KeyColumn, KeySpec, MergeKind};
 pub use obs::{
     Histogram, MetricsRegistry, MetricsSnapshot, OperatorGuard, Phase, PhaseGuard, PhaseStats,
     PhaseTotals, ProfileSnapshot, Profiler, SpanGuard, TraceKind, TraceRecord, Tracer,

@@ -38,7 +38,7 @@ use eram_storage::{
 
 use crate::config::EngineConfig;
 use crate::costs::CostCoeff;
-use crate::kernel::{merge_keyed, sort_run, sort_run_with_keys, KeyColumn, KeySpec, MergeKind};
+use crate::kernel::{merge_keyed, sort_run, KeyColumn, KeySpec, MergeKind};
 use crate::obs::Phase;
 use crate::parallel::map_ordered;
 use crate::seltrack::SelTracker;
@@ -74,21 +74,21 @@ pub enum MemoryMode {
     MainMemory,
 }
 
-/// How sampled blocks are decoded and flowed between operators.
+/// How a leaf decodes the blocks it samples.
 ///
-/// Both layouts decode the same on-disk fixed-width pages and produce
-/// byte-identical reports and traces — the layout changes only *how*
-/// the pure-CPU operator kernels traverse a stage's data, never what
-/// they compute or charge.
+/// Both layouts read the same on-disk fixed-width pages, hand the
+/// operators above the same rows, and produce byte-identical reports
+/// and traces — the layout changes only how a leaf's scan traverses a
+/// page, never what it computes or charges.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BlockLayout {
-    /// Blocks decode to row [`Tuple`]s; operators walk tuples (the
-    /// original path, kept verbatim as the oracle).
+    /// A selection fused into the leaf evaluates on the encoded
+    /// records in the page, and only the records that pass are decoded.
     #[default]
     Row,
-    /// Blocks decode to per-column typed arrays ([`ColumnarBlock`]):
-    /// selection evaluates a per-column bitmap and materializes only
-    /// surviving rows; merge keys are read straight off key columns.
+    /// Each page decodes whole to per-column typed arrays
+    /// ([`ColumnarBlock`]); a fused selection evaluates as a bitmap
+    /// over them and only the rows that pass are gathered.
     Columnar,
 }
 
@@ -230,11 +230,8 @@ pub struct Delta {
 /// The form a delta's records travel in.
 #[derive(Debug, Clone)]
 pub enum Records {
-    /// Row tuples: every operator's output, and a row-layout leaf's.
+    /// Row tuples, whatever the leaf's layout.
     Rows(Vec<Tuple>),
-    /// Freshly decoded blocks of a leaf under
-    /// [`BlockLayout::Columnar`].
-    Columnar(Vec<ColumnarBlock>),
     /// Counted, never decoded: the term's root when the aggregate
     /// reads no rows (plain COUNT over a selection that ran inside
     /// the leaf's scan). No operator takes this form as input.
@@ -255,13 +252,11 @@ impl Delta {
     pub fn record_count(&self) -> usize {
         match &self.records {
             Records::Rows(tuples) => tuples.len(),
-            Records::Columnar(blocks) => blocks.iter().map(ColumnarBlock::len).sum(),
             Records::Counted(n) => *n,
         }
     }
 
-    /// Materializes the delta as row tuples, in record order. A no-op
-    /// (move) for row-form deltas.
+    /// The delta's row tuples, in record order.
     ///
     /// # Panics
     /// Panics on [`Records::Counted`]: its rows were never decoded
@@ -269,13 +264,6 @@ impl Delta {
     pub fn into_rows(self) -> Vec<Tuple> {
         match self.records {
             Records::Rows(tuples) => tuples,
-            Records::Columnar(blocks) => {
-                let mut rows = Vec::with_capacity(blocks.iter().map(ColumnarBlock::len).sum());
-                for block in &blocks {
-                    rows.extend(block.to_tuples());
-                }
-                rows
-            }
             Records::Counted(_) => unreachable!("a counted delta was built to be read by nobody"),
         }
     }
@@ -323,10 +311,15 @@ pub(crate) struct LeafNode {
     pub(crate) layout: BlockLayout,
 }
 
-/// A selection that runs inside its leaf's scan, on the page bytes.
+/// A selection that runs inside its leaf's scan, in the form each
+/// block layout evaluates it in.
 pub(crate) struct FusedScan {
-    /// The node's formula compiled against the leaf's record layout.
+    /// The node's formula compiled against the leaf's record layout:
+    /// a row-layout scan evaluates it on the page bytes.
     compiled: CompiledPredicate,
+    /// The node's formula as written: a columnar scan evaluates it as
+    /// a bitmap over the decoded block.
+    predicate: Predicate,
     /// Whether the passing records are decoded. False only at the
     /// root of a term whose aggregate reads no rows.
     materialize: bool,
@@ -335,9 +328,9 @@ pub(crate) struct FusedScan {
 pub(crate) struct SelectNode {
     pub(crate) child: Box<Node>,
     pub(crate) predicate: Predicate,
-    /// Set when the child is a row-layout leaf — the shape selection
-    /// push-down produces: the formula is then evaluated by the
-    /// leaf's scan and the row filter below never runs.
+    /// Set when the child is a leaf — the shape selection push-down
+    /// produces: the formula is then evaluated by the leaf's scan and
+    /// the row filter below never runs.
     pub(crate) fused: Option<FusedScan>,
     pub(crate) tracker: SelTracker,
     pub(crate) memory: MemoryMode,
@@ -566,8 +559,8 @@ fn read_block_resilient_raw(
     }
 }
 
-/// What a row-layout leaf's stage has read so far: records scanned,
-/// records that passed the filter, and — if asked for — their rows.
+/// What a leaf's stage has read so far: records scanned, records that
+/// passed the filter, and — if asked for — their rows.
 #[derive(Default)]
 struct Tally {
     scanned: usize,
@@ -576,10 +569,10 @@ struct Tally {
 }
 
 impl Tally {
-    /// Scans one fetched page in place: evaluates `filter` on each
-    /// encoded record and decodes a record only if it passes and
-    /// `materialize` asks for rows. Pure CPU — touches neither clock
-    /// nor tracer.
+    /// Scans one fetched page in place (the row layout): evaluates
+    /// `filter` on each encoded record and decodes a record only if it
+    /// passes and `materialize` asks for rows. Pure CPU — touches
+    /// neither clock nor tracer.
     fn scan(
         &mut self,
         file: &HeapFile,
@@ -602,24 +595,37 @@ impl Tally {
         }
         Ok(())
     }
+
+    /// Reads one page already decoded whole (the columnar layout):
+    /// evaluates `filter` as a bitmap over the block, then gathers the
+    /// rows that pass if `materialize` asks for them, or only counts
+    /// them. Pure CPU, like [`Tally::scan`].
+    fn columns(&mut self, block: &ColumnarBlock, filter: Option<&Predicate>, materialize: bool) {
+        let mask = filter.unwrap_or(&Predicate::True).eval_mask(block);
+        self.scanned += block.len();
+        self.passed += mask.iter().filter(|&&pass| pass).count();
+        if materialize {
+            self.rows.extend(block.gather(&mask));
+        }
+    }
 }
 
 impl LeafNode {
     fn advance(&mut self, env: &mut StageEnv<'_>) -> Result<Delta, StageError> {
-        self.scan(env, None, true).map(|(_, delta)| delta)
+        self.scan(env, None).map(|(_, delta)| delta)
     }
 
     /// One stage of the leaf: draws, then fetches and reads each drawn
     /// page in one pass. Returns the number of records scanned — each
     /// a leaf point newly covered — and a delta of those that passed
-    /// `filter`, decoded only if `materialize`. A columnar leaf
-    /// decodes whole blocks and takes no filter.
+    /// the `fused` selection, if any, decoded unless it says nobody
+    /// reads them. The only place the block layout is read.
     fn scan(
         &mut self,
         env: &mut StageEnv<'_>,
-        filter: Option<&CompiledPredicate>,
-        materialize: bool,
+        fused: Option<&FusedScan>,
     ) -> Result<(usize, Delta), StageError> {
+        let materialize = fused.map_or(true, |f| f.materialize);
         let total = self.sampler.population();
         let want = ((env.fraction * total as f64).round() as u64)
             .max(1)
@@ -643,14 +649,12 @@ impl LeafNode {
             }
         };
         (0..PREFETCH_AHEAD).for_each(|_| hint());
-        debug_assert!(self.layout == BlockLayout::Row || (filter.is_none() && materialize));
         let mut tally = Tally::default();
-        if materialize && filter.is_none() {
+        if fused.is_none() {
             tally
                 .rows
                 .reserve_exact(indices.len() * self.file.blocking_factor());
         }
-        let mut columnar = Vec::new();
         // The error of the first page whose scan fails: held until
         // every drawn block is fetched, so a failing stage charges
         // what a clean one does.
@@ -674,12 +678,15 @@ impl LeafNode {
                     let _phase = env.config.profiler.phase(Phase::BlockDecode);
                     let read = match self.layout {
                         BlockLayout::Row => {
+                            let filter = fused.map(|f| &f.compiled);
                             tally.scan(&self.file, *idx, &block, filter, materialize)
                         }
-                        BlockLayout::Columnar => self
-                            .file
-                            .decode_block_columnar(*idx, &block)
-                            .map(|decoded| columnar.push(decoded)),
+                        BlockLayout::Columnar => {
+                            let filter = fused.map(|f| &f.predicate);
+                            self.file
+                                .decode_block_columnar(*idx, &block)
+                                .map(|decoded| tally.columns(&decoded, filter, materialize))
+                        }
                     };
                     failed = read.err();
                 }
@@ -703,23 +710,20 @@ impl LeafNode {
         if let Some(e) = failed {
             return Err(StageError::Storage(e));
         }
-        let (scanned, records) = match self.layout {
-            BlockLayout::Row if materialize => (tally.scanned, Records::Rows(tally.rows)),
-            BlockLayout::Row => (tally.scanned, Records::Counted(tally.passed)),
-            BlockLayout::Columnar => (
-                columnar.iter().map(ColumnarBlock::len).sum(),
-                Records::Columnar(columnar),
-            ),
+        let records = if materialize {
+            Records::Rows(tally.rows)
+        } else {
+            Records::Counted(tally.passed)
         };
         env.observe(
             CostCoeff::BlockRead,
             indices.len() as f64,
             env.now() - start,
         );
-        let leaf_points = scanned as f64;
+        let leaf_points = tally.scanned as f64;
         self.cum_tuples += leaf_points;
         Ok((
-            scanned,
+            tally.scanned,
             Delta {
                 records,
                 leaf_points,
@@ -790,7 +794,7 @@ impl SelectNode {
             (Some(fused), Node::Leaf(leaf)) => {
                 // Attributed as `Node::advance` on the leaf would be.
                 let _op = env.config.profiler.operator(LEAF_LABEL);
-                leaf.scan(env, Some(&fused.compiled), fused.materialize)?
+                leaf.scan(env, Some(fused))?
             }
             (_, child) => {
                 let delta = child.advance(env)?;
@@ -803,12 +807,14 @@ impl SelectNode {
         let start = env.now();
         charge_chunked(env, DeviceOp::TupleCpu, n_in as u64, 5)?;
         let out = Delta {
+            leaf_points: child.leaf_points,
             records: if self.fused.is_some() {
                 child.records
             } else {
-                self.filter(child.records)
+                let mut rows = child.into_rows();
+                rows.retain(|t| self.predicate.eval(t));
+                Records::Rows(rows)
             },
-            leaf_points: child.leaf_points,
         };
         let n_out = out.record_count() as f64;
         env.observe(CostCoeff::ScanTuple, n_in as f64, env.now() - start);
@@ -820,30 +826,6 @@ impl SelectNode {
         self.cum_out += n_out;
         self.cum_leaf_points += out.leaf_points;
         Ok(out)
-    }
-
-    /// The selection over decoded input — what a child that is not a
-    /// row-layout leaf (an operator, a columnar leaf) delivers.
-    fn filter(&self, input: Records) -> Records {
-        match input {
-            Records::Rows(tuples) => Records::Rows(
-                tuples
-                    .into_iter()
-                    .filter(|t| self.predicate.eval(t))
-                    .collect(),
-            ),
-            // Columnar blocks evaluate the predicate as a per-column
-            // bitmap and materialize only surviving rows.
-            Records::Columnar(blocks) => {
-                let mut out = Vec::new();
-                for block in &blocks {
-                    let mask = self.predicate.eval_mask(block);
-                    out.extend(block.gather(&mask));
-                }
-                Records::Rows(out)
-            }
-            Records::Counted(_) => unreachable!("only a term's root is counted"),
-        }
     }
 }
 
@@ -869,28 +851,6 @@ fn charged_sort(
     Ok(keys)
 }
 
-/// [`charged_sort`] for a run whose merge keys were already extracted
-/// (columnar ingest reads them straight off the key columns):
-/// identical charges and observations, with the Schwartzian pairing
-/// built from the precomputed keys instead of re-projecting.
-fn charged_sort_prekeyed(
-    env: &mut StageEnv<'_>,
-    tuples: &mut Vec<Tuple>,
-    spec: &KeySpec,
-    prekeys: Vec<Tuple>,
-) -> Result<KeyColumn, StageError> {
-    let n = tuples.len();
-    if n < 2 {
-        return Ok(spec.column_for(tuples));
-    }
-    let units = n as f64 * (n as f64).log2();
-    let start = env.now();
-    charge_chunked(env, DeviceOp::Compare, units.ceil() as u64, 128)?;
-    let keys = sort_run_with_keys(tuples, prekeys);
-    env.observe(CostCoeff::SortUnit, units, env.now() - start);
-    Ok(keys)
-}
-
 impl ProjectNode {
     fn advance(&mut self, env: &mut StageEnv<'_>) -> Result<Delta, StageError> {
         let child = self.child.advance(env)?;
@@ -898,30 +858,16 @@ impl ProjectNode {
             return Err(StageError::Deadline);
         }
         let n_in = child.record_count();
+        let leaf_points = child.leaf_points;
         // Step 1+2 (Figure 4.7): project and sort the new tuples.
-        // Columnar blocks project straight from their typed columns —
-        // only the projected-out values are ever materialized.
         let mut projected: Vec<Tuple> = {
             let start = env.now();
             charge_chunked(env, DeviceOp::TupleCpu, n_in as u64, 5)?;
-            let columns = &self.columns;
-            let p: Vec<Tuple> = match &child.records {
-                Records::Rows(tuples) => tuples.iter().map(|t| t.project(columns)).collect(),
-                Records::Columnar(blocks) => blocks
-                    .iter()
-                    .flat_map(|block| {
-                        (0..block.len()).map(move |row| {
-                            Tuple::new(
-                                columns
-                                    .iter()
-                                    .map(|&c| block.column(c).value(row))
-                                    .collect(),
-                            )
-                        })
-                    })
-                    .collect(),
-                Records::Counted(_) => unreachable!("only a term's root is counted"),
-            };
+            let p: Vec<Tuple> = child
+                .into_rows()
+                .iter()
+                .map(|t| t.project(&self.columns))
+                .collect();
             env.observe(CostCoeff::ScanTuple, n_in as f64, env.now() - start);
             p
         };
@@ -958,8 +904,8 @@ impl ProjectNode {
         self.tracker
             .record_stage(new_groups.len() as f64, n_in as f64);
         self.cum_in += n_in as f64;
-        self.cum_leaf_points += child.leaf_points;
-        Ok(Delta::rows(new_groups, child.leaf_points))
+        self.cum_leaf_points += leaf_points;
+        Ok(Delta::rows(new_groups, leaf_points))
     }
 }
 
@@ -1123,29 +1069,8 @@ impl BinaryNode {
             self.kind.right_spec()
         };
         let leaf_points = delta.leaf_points;
-        // Columnar deltas read merge keys straight off the key
-        // columns before any row tuple exists; the prekeyed stable
-        // sort then reproduces `sort_run`'s order exactly. (A Whole
-        // spec keys on the full tuple, so there is nothing to skip —
-        // it takes the ordinary path.)
-        let prekeys: Option<Vec<Tuple>> = match (&delta.records, &spec) {
-            (Records::Columnar(blocks), KeySpec::Columns(_)) => {
-                let mut keys: Vec<Tuple> = Vec::with_capacity(delta.record_count());
-                for block in blocks {
-                    let mut ks = spec
-                        .extract_columnar(block)
-                        .expect("a Columns spec extracts keys");
-                    keys.append(&mut ks);
-                }
-                Some(keys)
-            }
-            _ => None,
-        };
         let mut tuples = delta.into_rows();
-        let keys = match prekeys {
-            Some(prekeys) => charged_sort_prekeyed(env, &mut tuples, &spec, prekeys)?,
-            None => charged_sort(env, &mut tuples, &spec)?,
-        };
+        let keys = charged_sort(env, &mut tuples, &spec)?;
         let n = tuples.len();
         let (file, decoded) = match self.memory {
             MemoryMode::DiskResident => {
@@ -1304,8 +1229,9 @@ impl Compiler<'_> {
             Expr::Select { input, predicate } => {
                 let (child, tracker, out_blocking) = self.unary(expr, input, OpKind::Select)?;
                 let fused = match &child {
-                    Node::Leaf(leaf) if leaf.layout == BlockLayout::Row => Some(FusedScan {
+                    Node::Leaf(leaf) => Some(FusedScan {
                         compiled: predicate.compile(leaf.file.schema())?,
+                        predicate: predicate.clone(),
                         materialize: true,
                     }),
                     _ => None,
@@ -1478,7 +1404,7 @@ impl PhysTree {
     /// Tells the term that nothing reads its output rows (a plain
     /// COUNT looks only at [`PhysTree::ones_found`]): a root selection
     /// fused into its leaf's scan then counts the records that pass
-    /// without decoding them. Any other root still builds its rows.
+    /// without building their rows. Any other root still builds them.
     pub(crate) fn count_only(&mut self) {
         if let Node::Select(SelectNode {
             fused: Some(fused), ..
@@ -1996,22 +1922,28 @@ mod tests {
     #[test]
     fn counting_scan_charges_and_counts_exactly_what_the_decoding_scan_does() {
         // A plain COUNT tells the tree nobody reads its rows: the
-        // fused scan then decodes nothing. Scanned, passed, coverage,
+        // fused scan then builds none — the row layout decodes no
+        // record, the columnar one counts its bitmap instead of
+        // gathering. Under either layout, scanned, passed, coverage,
         // the simulated clock and every cost observation must be what
-        // the materializing scan produces — only host work differs.
-        let run = |count_only: bool| {
+        // the materializing row scan produces — only host work differs.
+        let run = |block_layout: BlockLayout, count_only: bool| {
+            let cfg = EngineConfig {
+                block_layout,
+                ..EngineConfig::default()
+            };
             let (disk, cat) = setup(&[("r", rows(1_000))]);
             let expr = Expr::relation("r").select(
                 Predicate::col_cmp(1, CmpOp::Lt, 3).or(Predicate::col_cmp(0, CmpOp::Ge, 990)),
             );
             let mut tree =
-                PhysTree::build(&expr, &cat, &disk, paper(), &mut Rng::seed_from_u64(31)).unwrap();
+                PhysTree::build(&expr, &cat, &disk, &cfg, &mut Rng::seed_from_u64(31)).unwrap();
             if count_only {
                 tree.count_only();
             }
             let mut stages = Vec::new();
             for _ in 0..3 {
-                let mut e = env(&disk, 0.3);
+                let mut e = StageEnv::new(disk.clone(), &cfg, None, 0.3);
                 let delta = tree.advance(&mut e).unwrap();
                 assert_eq!(
                     matches!(delta.records, Records::Counted(_)),
@@ -2027,11 +1959,22 @@ mod tests {
                 disk.clock().elapsed(),
             )
         };
-        assert_eq!(run(true), run(false));
+        let oracle = run(BlockLayout::Row, false);
+        for (layout, count_only) in [
+            (BlockLayout::Row, true),
+            (BlockLayout::Columnar, false),
+            (BlockLayout::Columnar, true),
+        ] {
+            assert_eq!(
+                run(layout, count_only),
+                oracle,
+                "{layout:?}, count only {count_only}"
+            );
+        }
     }
 
     #[test]
-    fn selection_is_fused_only_directly_over_a_row_layout_leaf() {
+    fn selection_is_fused_only_directly_over_a_leaf() {
         let (disk, cat) = setup(&[("a", rows(50)), ("b", rows(50))]);
         let fused = |expr: &Expr, layout: BlockLayout| {
             let cfg = EngineConfig {
@@ -2052,7 +1995,7 @@ mod tests {
             .select(p.clone());
         let over_select = Expr::relation("a").select(p.clone()).select(p);
         assert!(fused(&over_leaf, BlockLayout::Row));
-        assert!(!fused(&over_leaf, BlockLayout::Columnar));
+        assert!(fused(&over_leaf, BlockLayout::Columnar));
         assert!(!fused(&over_join, BlockLayout::Row));
         assert!(!fused(&over_select, BlockLayout::Row));
     }

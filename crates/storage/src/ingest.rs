@@ -398,7 +398,9 @@ impl TupleSource for ParquetSource {
             )));
         }
         let n_rows = usize::try_from(cur.u64()?).map_err(|_| perr("row count overflows"))?;
-        // Decode column-major, then transpose into tuples.
+        // Decode column-major, then transpose into tuples. `n_rows` is
+        // the file's claim: each allocation is capped by the bytes that
+        // back it, so a hostile count fails as truncation instead.
         let mut columns: Vec<Vec<Value>> = Vec::with_capacity(n_columns);
         for col in schema.columns() {
             let tag = cur.take(1)?[0];
@@ -408,7 +410,7 @@ impl TupleSource for ParquetSource {
                     col.name, col.ty
                 )));
             }
-            let mut values = Vec::with_capacity(n_rows);
+            let mut values = Vec::with_capacity(n_rows.min(cur.bytes.len() - cur.pos));
             match col.ty {
                 ColumnType::Int => {
                     for _ in 0..n_rows {
@@ -443,7 +445,7 @@ impl TupleSource for ParquetSource {
         if cur.pos != cur.bytes.len() {
             return Err(perr("trailing bytes before footer magic"));
         }
-        let mut tuples = Vec::with_capacity(n_rows);
+        let mut tuples = Vec::with_capacity(columns.first().map_or(0, Vec::len));
         for row in 0..n_rows {
             let tuple = Tuple::new(columns.iter().map(|col| col[row].clone()).collect());
             schema.check_tuple(&tuple)?;
@@ -711,6 +713,15 @@ mod tests {
         let mut bad = good.clone();
         bad[0] = b'X';
         assert!(read(&bad).is_err());
+        // A row count no body backs fails as truncation, before any
+        // allocation sized by it.
+        for n_rows in [1u64 << 40, u64::MAX] {
+            for body in [&good, &write_parquet_subset(&schema(), &[]).unwrap()] {
+                let mut hostile = body.clone();
+                hostile[12..20].copy_from_slice(&n_rows.to_le_bytes());
+                assert!(read(&hostile).is_err(), "{n_rows} rows claimed");
+            }
+        }
         // Schema mismatch: drop a column from the reader's schema.
         let narrow = Schema::new(vec![("id", ColumnType::Int)]);
         assert!(read_tuples(

@@ -43,16 +43,25 @@ done
 
 echo "=== block-layout equivalence" >&2
 # Row scans evaluate the selection on the page bytes (and a
-# plain COUNT decodes nothing); columnar decodes, then
-# filters. The rendered result must not depend on which.
+# plain COUNT decodes nothing); columnar decodes each page, then
+# filters it inside the leaf. Every operator above the leaf gets the
+# same rows either way, so the rendered result must not depend on
+# which. The join needs --quota 60 to plan a stage at all; SUM over a
+# projection is refused, so projections run under COUNT only.
 rm -f out-row.txt out-columnar.txt
+run() {
+    "$eram" --load t=smoke.csv:k:int,v:int --header \
+        --layout "$layout" "$@" >> "out-$layout.txt"
+}
 for layout in row columnar; do
     for agg in count sum:0; do
         for query in 'select[#1 < 50](t)' 'select[#1 < 50 and not (#0 >= 400)](t)'; do
-            "$eram" --load t=smoke.csv:k:int,v:int --header \
-                --query "$query" --quota 10 --agg "$agg" \
-                --layout "$layout" >> "out-$layout.txt"
+            run --query "$query" --quota 10 --agg "$agg"
         done
+        run --query 'join[#0=#0](select[#1 < 50](t), t)' --quota 60 --agg "$agg"
+    done
+    for query in 'project[#1](t)' 'project[#1](select[#1 < 50](t))'; do
+        run --query "$query" --quota 10 --agg count
     done
 done
 cmp out-row.txt out-columnar.txt

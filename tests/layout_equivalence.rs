@@ -1,21 +1,24 @@
 //! Row-vs-columnar layout equivalence, locked down end to end.
 //!
-//! [`BlockLayout::Columnar`] changes how sampled blocks are decoded
-//! and how the pure-CPU operator kernels traverse a stage's data —
-//! per-column predicate bitmaps, gather-only materialization, merge
-//! keys read straight off key columns. It must change *nothing* else:
-//! a seeded `SimClock` run must produce a **byte-identical**
+//! [`BlockLayout::Columnar`] changes only how a leaf decodes the
+//! blocks it samples: each page is transposed whole into per-column
+//! arrays, and every operator above the leaf sees the same rows as
+//! under the row layout. It must change *nothing* else: a seeded
+//! `SimClock` run must produce a **byte-identical**
 //! [`eram_core::ExecutionReport`] (as JSON) and a byte-identical
 //! JSONL trace under either layout, at any worker count, under
 //! deadline aborts, and under injected storage faults — the same
 //! contract the worker pool and the run cache are held to.
 //!
-//! It is also the fused-versus-unfused oracle. Under the row layout a
-//! selection directly over a leaf runs inside the leaf's scan, on the
-//! page bytes, and decodes only the records that pass (none at all
-//! for a plain COUNT); the columnar layout always decodes first and
-//! filters after. Every case below that selects over a base relation
-//! therefore compares the two scans byte for byte.
+//! It is also the fused-versus-decode-first oracle. A selection
+//! directly over a leaf runs inside the leaf's scan under either
+//! layout. The row layout evaluates the compiled formula on the page
+//! bytes and decodes only the records that pass (none at all for a
+//! plain COUNT). The columnar layout decodes the whole page first and
+//! evaluates the formula as a bitmap (`Predicate::eval_mask`, an
+//! evaluator independent of the compiled one). Every case below that
+//! selects over a base relation therefore compares the two scans byte
+//! for byte.
 
 use std::time::Duration;
 
@@ -59,8 +62,8 @@ fn run_workload(
 
 #[test]
 fn join_reports_are_byte_identical_across_layouts() {
-    // The join path exercises every columnar kernel at once: leaf
-    // decode, ingest key extraction, prekeyed sorts, and run merges.
+    // The join path feeds a columnar leaf's rows to every kernel
+    // above it at once: ingest sorts, run writes, and run merges.
     let kind = WorkloadKind::Join {
         output_tuples: 70_000,
     };
@@ -84,9 +87,9 @@ fn join_reports_are_byte_identical_across_layouts() {
 
 #[test]
 fn intersect_reports_are_byte_identical_across_layouts() {
-    // Intersection keys on the whole tuple (`KeySpec::Whole`), the
-    // one ingest shape with no precomputed key column — the columnar
-    // path must fall back to the ordinary sort and still agree.
+    // Intersection keys on the whole tuple (`KeySpec::Whole`), so a
+    // row decoded from columns must equal the row-codec one in every
+    // field, not only the key.
     let kind = WorkloadKind::Intersect { overlap: 5_000 };
     let quota = Duration::from_secs_f64(2.5);
     for workers in [1, 4] {
@@ -220,9 +223,8 @@ fn grouped_sum_reports_are_byte_identical_across_layouts() {
     }
 }
 
-/// A SUM over a bare relation (no operator above the leaf): the root
-/// delta reaches the executor's value accumulator still in columnar
-/// form, exercising the boundary materialization.
+/// A SUM over a bare relation (no operator above the leaf): the leaf's
+/// unfiltered rows go straight to the executor's value accumulator.
 #[test]
 fn bare_leaf_sum_is_identical_across_layouts() {
     let run = |layout: BlockLayout, workers: usize| {
@@ -379,6 +381,19 @@ fn fused_scan_under_a_join_is_identical_across_layouts() {
     let query = "select[#2 < 2 and #3 != \"red\"](join[#1=#0](orders, dims))";
     assert_layouts_agree(AggregateFn::Count, query, QUOTA, None);
     assert_layouts_agree(AggregateFn::Sum { column: 7 }, query, QUOTA, None);
+}
+
+#[test]
+fn projection_reports_are_byte_identical_across_layouts() {
+    // A projection root takes the Goodman estimator path; it projects
+    // the rows its child hands up — a bare leaf's, or a fused scan's
+    // survivors.
+    for query in [
+        "project[#1](orders)",
+        "project[#1](select[#1 < 50](orders))",
+    ] {
+        assert_layouts_agree(AggregateFn::Count, query, QUOTA, None);
+    }
 }
 
 #[test]
