@@ -151,7 +151,7 @@ fn err(msg: impl Into<String>) -> CliError {
 /// Usage text.
 pub const USAGE: &str = "usage: eram --load NAME=FILE.csv:COL:TYPE[,COL:TYPE...] [--load ...]
 any mode (the database):
-  [--ingest csv|jsonl|parquet] [--device sun|modern] [--cache BLOCKS] [--seed N] [--header]
+  [--ingest csv|jsonl] [--device sun|modern] [--cache BLOCKS] [--seed N] [--header]
   [--fault-transient RATE] [--fault-corrupt RATE] [--fault-spike RATE]
   [--fault-spike-ms MS] [--fault-seed N]
 --query and --serve (how the engine runs; the interactive shell takes none of these):
@@ -306,7 +306,7 @@ impl Cli {
                 "--ingest" => {
                     let name = args
                         .next()
-                        .ok_or_else(|| err("--ingest needs a format (csv, jsonl, or parquet)"))?;
+                        .ok_or_else(|| err("--ingest needs a format (csv or jsonl)"))?;
                     cli.ingest = Some(
                         IngestFormat::parse(&name)
                             .map_err(|e| err(format!("bad --ingest {name:?}: {e}")))?,
@@ -463,7 +463,7 @@ pub fn build_database(cli: &Cli) -> Result<Database, CliError> {
         db.set_default_cost_model(eram_core::CostModel::modern_default());
     }
     // `--ingest csv` (and the no-flag default) honours `--header`;
-    // the other formats are self-describing per record.
+    // JSON lines are self-describing per record.
     let format = match cli.ingest {
         None | Some(IngestFormat::Csv { .. }) => IngestFormat::Csv {
             has_header: cli.header,
@@ -504,19 +504,12 @@ fn render_health(h: &ReportHealth) -> String {
     )
 }
 
-/// Renders the metrics snapshot: counters one per line, then
-/// histogram means (map order, i.e. sorted by name).
+/// Renders the metrics snapshot: counters one per line, sorted by
+/// name.
 fn render_metrics(m: &MetricsSnapshot) -> String {
     let mut out = String::from("metrics:");
     for (name, v) in &m.counters {
         out.push_str(&format!("\n  {name} = {v}"));
-    }
-    for (name, h) in &m.histograms {
-        let mean = h.mean().unwrap_or(0.0);
-        out.push_str(&format!(
-            "\n  {name}: n {} mean {mean:.4} min {:.4} max {:.4}",
-            h.count, h.min, h.max
-        ));
     }
     out
 }
@@ -1117,6 +1110,10 @@ mod tests {
         assert!(Cli::parse(["--layout"]).is_err());
         assert!(Cli::parse(["--ingest", "orc"]).is_err());
         assert!(Cli::parse(["--ingest"]).is_err());
+        // Names are case-folded before matching, and an unknown one is
+        // refused with the two formats there are.
+        let e = Cli::parse(["--ingest", "PARQUET"]).unwrap_err().to_string();
+        assert!(e.contains("csv") && e.contains("jsonl"), "{e}");
     }
 
     #[test]
@@ -1393,7 +1390,7 @@ mod tests {
         let rendered = run_one_shot(&mut db, &cli).unwrap();
         assert!(rendered.contains("trace:"), "{rendered}");
         assert!(rendered.contains("metrics:"), "{rendered}");
-        assert!(rendered.contains("core.stages"), "{rendered}");
+        assert!(rendered.contains("storage.block_reads"), "{rendered}");
         let trace = std::fs::read_to_string(&trace_path).unwrap();
         assert!(!trace.is_empty());
         // First line is the schema header, every later line a record.

@@ -84,9 +84,9 @@ pub use costs::{CostCoeff, CostModel};
 pub use executor::{term_estimate, term_estimate_with, EngineError, ExecOutcome, StageRun};
 pub use kernel::{merge_keyed, sort_run, KeyColumn, KeySpec, MergeKind};
 pub use obs::{
-    Histogram, MetricsRegistry, MetricsSnapshot, OperatorGuard, Phase, PhaseGuard, PhaseStats,
-    PhaseTotals, ProfileSnapshot, Profiler, SpanGuard, TraceKind, TraceRecord, Tracer,
-    ENGINE_OPERATOR, SCHEMA_VERSION,
+    Histogram, MetricsSnapshot, OperatorGuard, Phase, PhaseGuard, PhaseStats, PhaseTotals,
+    ProfileSnapshot, Profiler, SpanGuard, TraceKind, TraceRecord, Tracer, ENGINE_OPERATOR,
+    SCHEMA_VERSION,
 };
 pub use ops::{
     BlockLayout, Fulfillment, MemoryMode, StageError, StageHealth, DEFAULT_RUN_CACHE_TUPLES,

@@ -1,15 +1,15 @@
-//! Named counters and min/max/sum histograms.
+//! Named storage counters, and the min/max/sum histogram the profiler
+//! aggregates with.
 //!
-//! A [`MetricsRegistry`] is filled by the executor at the end of a
-//! run (from storage-counter deltas and the per-stage reports) and
-//! frozen into a [`MetricsSnapshot`] attached to
-//! [`ExecutionReport`](crate::ExecutionReport). Collection is opt-in;
-//! the hot path never touches the registry.
+//! A [`MetricsSnapshot`] is built by the executor at the end of a run
+//! from storage-counter deltas and attached to
+//! [`ExecutionReport`](crate::ExecutionReport). Collection is opt-in
+//! and never touches the hot path.
 //!
-//! Metric names are dotted strings: `storage.*` for disk-level
-//! counters (block reads/writes, cache hits, faults, checksum
-//! verifies), `core.*` for loop-level counters (stages, retries,
-//! blocks lost), `stage.*` and `estimate.*` for per-stage histograms.
+//! Counter names are dotted `storage.*` strings: block reads/writes,
+//! cache hits, faults, checksum verifies — what the disk saw, which
+//! the report does not carry. Stages, estimates and fault-tolerance
+//! accounting are the report's own fields and are not copied here.
 
 use std::collections::BTreeMap;
 
@@ -106,44 +106,7 @@ impl Histogram {
     }
 }
 
-/// A mutable registry of named counters and histograms.
-#[derive(Debug, Clone, Default)]
-pub struct MetricsRegistry {
-    counters: BTreeMap<String, u64>,
-    histograms: BTreeMap<String, Histogram>,
-}
-
-impl MetricsRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds `by` to the named counter (creating it at 0).
-    pub fn add(&mut self, name: &str, by: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += by;
-    }
-
-    /// Records one observation in the named histogram.
-    pub fn observe(&mut self, name: &str, v: f64) {
-        self.histograms
-            .entry(name.to_string())
-            .or_default()
-            .observe(v);
-    }
-
-    /// Freezes the registry into an immutable snapshot, stamped with
-    /// the current observability schema version.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            schema_version: crate::obs::SCHEMA_VERSION,
-            counters: self.counters.clone(),
-            histograms: self.histograms.clone(),
-        }
-    }
-}
-
-/// An immutable, serializable snapshot of a [`MetricsRegistry`].
+/// The storage counters one run moved, by name.
 ///
 /// Sorted maps keep serialization deterministic; the snapshot rides
 /// on [`ExecutionReport`](crate::ExecutionReport) behind
@@ -156,30 +119,31 @@ pub struct MetricsSnapshot {
     pub schema_version: u32,
     /// Monotone counters by name.
     pub counters: BTreeMap<String, u64>,
-    /// Histograms by name.
-    pub histograms: BTreeMap<String, Histogram>,
 }
 
 json_record!(MetricsSnapshot {
     schema_version: default,
     counters: default,
-    histograms: default,
 });
 
 impl MetricsSnapshot {
+    /// A snapshot of `counters`, stamped with the current
+    /// observability schema version.
+    pub(crate) fn new(counters: BTreeMap<String, u64>) -> Self {
+        MetricsSnapshot {
+            schema_version: crate::obs::SCHEMA_VERSION,
+            counters,
+        }
+    }
+
     /// The named counter's value, 0 when absent.
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// The named histogram, if any observation was recorded.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
     /// True when nothing was recorded.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.histograms.is_empty()
+        self.counters.is_empty()
     }
 }
 
@@ -188,12 +152,18 @@ mod tests {
     use super::*;
     use eram_storage::json;
 
+    fn snapshot(counters: &[(&str, u64)]) -> MetricsSnapshot {
+        MetricsSnapshot::new(
+            counters
+                .iter()
+                .map(|&(name, v)| (name.to_string(), v))
+                .collect(),
+        )
+    }
+
     #[test]
     fn counters_accumulate_and_default_to_zero() {
-        let mut reg = MetricsRegistry::new();
-        reg.add("storage.block_reads", 3);
-        reg.add("storage.block_reads", 4);
-        let snap = reg.snapshot();
+        let snap = snapshot(&[("storage.block_reads", 7)]);
         assert_eq!(snap.counter("storage.block_reads"), 7);
         assert_eq!(snap.counter("never.seen"), 0);
     }
@@ -285,11 +255,7 @@ mod tests {
 
     #[test]
     fn snapshot_serde_round_trips() {
-        let mut reg = MetricsRegistry::new();
-        reg.add("core.stages", 3);
-        reg.observe("stage.fraction", 0.1);
-        reg.observe("stage.fraction", 0.3);
-        let snap = reg.snapshot();
+        let snap = snapshot(&[("storage.block_reads", 3), ("storage.cache_hits", 1)]);
         assert_eq!(snap.schema_version, crate::obs::SCHEMA_VERSION);
         let json = json::to_string(&snap);
         let back: MetricsSnapshot = json::from_str(&json).unwrap();
@@ -300,12 +266,19 @@ mod tests {
 
     #[test]
     fn pre_versioning_snapshot_json_still_deserializes() {
-        // A snapshot serialized before `schema_version` and histogram
-        // `samples` existed: both default cleanly.
-        let old = r#"{"counters":{"core.stages":2},"histograms":{"stage.fraction":{"count":1,"sum":0.25,"min":0.25,"max":0.25}}}"#;
+        // A snapshot serialized before `schema_version` existed, and
+        // with the per-stage histograms snapshots used to copy from
+        // the report: the version defaults, the histograms are ignored.
+        let old = r#"{"counters":{"storage.block_reads":2},"histograms":{"stage.fraction":{"count":1,"sum":0.25,"min":0.25,"max":0.25}}}"#;
         let snap: MetricsSnapshot = json::from_str(old).unwrap();
         assert_eq!(snap.schema_version, 0);
-        let h = snap.histogram("stage.fraction").unwrap();
+        assert_eq!(
+            snap.counters,
+            snapshot(&[("storage.block_reads", 2)]).counters
+        );
+        // A histogram serialized before `samples` existed defaults it.
+        let h: Histogram =
+            json::from_str(r#"{"count":1,"sum":0.25,"min":0.25,"max":0.25}"#).unwrap();
         assert_eq!(h.count, 1);
         assert!(h.samples.is_empty());
         assert_eq!(h.p50(), None, "quantiles need retained samples");

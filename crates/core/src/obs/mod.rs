@@ -11,11 +11,10 @@
 //!   a trace of a seeded run is **bit-deterministic**: same seed, same
 //!   bytes, which turns traces into testable artifacts (see
 //!   `tests/observability.rs` and the committed golden trace).
-//! * [`MetricsRegistry`] / [`MetricsSnapshot`] — named counters and
-//!   min/max/sum histograms threaded through storage (blocks read,
-//!   cache hits, faults, checksum verifies) and core (stages, estimate
-//!   trajectory), snapshot-able into
-//!   [`ExecutionReport`](crate::ExecutionReport).
+//! * [`MetricsSnapshot`] — the storage counters a run moved (blocks
+//!   read, cache hits, faults, checksum verifies), attached to
+//!   [`ExecutionReport`](crate::ExecutionReport), which already holds
+//!   the stages, estimates and health.
 //! * [`Profiler`] — RAII phase timers over a fixed taxonomy (see
 //!   [`Phase`]) recording both the simulated-clock charge and the
 //!   real wall-clock nanoseconds per phase, aggregated per stage and
@@ -66,7 +65,7 @@ mod tracer;
 /// [`ReportHealth`](crate::ReportHealth) all ride schema v1.
 pub const SCHEMA_VERSION: u32 = 1;
 
-pub use metrics::{Histogram, MetricsRegistry, MetricsSnapshot};
+pub use metrics::{Histogram, MetricsSnapshot};
 pub use profiler::{
     OperatorGuard, Phase, PhaseGuard, PhaseStats, PhaseTotals, ProfileSnapshot, Profiler,
     ENGINE_OPERATOR,

@@ -190,7 +190,7 @@ pub struct ExecutionReport {
     /// Fault-tolerance accounting; absent in reports serialized
     /// before this field existed, which load with the default.
     pub health: ReportHealth,
-    /// Counters/histograms collected during the run, when metrics
+    /// Storage counters collected during the run, when metrics
     /// collection was requested. `None` serializes to nothing, so
     /// metrics-free reports keep their pre-existing JSON shape.
     pub metrics: Option<MetricsSnapshot>,
@@ -535,9 +535,7 @@ mod tests {
 
     #[test]
     fn metrics_snapshot_rides_the_report_round_trip() {
-        let mut reg = crate::obs::MetricsRegistry::new();
-        reg.add("core.stages", 2);
-        reg.observe("stage.fraction", 0.25);
+        let counters = [("storage.block_reads".to_string(), 2)].into();
         let r = ExecutionReport {
             schema_version: 0,
             quota: Duration::from_secs(2),
@@ -546,12 +544,12 @@ mod tests {
             final_estimate: est(1.0),
             groups: vec![],
             health: ReportHealth::default(),
-            metrics: Some(reg.snapshot()),
+            metrics: Some(MetricsSnapshot::new(counters)),
             profile: None,
         };
         let json = json::to_string(&r);
         let back: ExecutionReport = json::from_str(&json).unwrap();
         assert_eq!(back, r);
-        assert_eq!(back.metrics.unwrap().counter("core.stages"), 2);
+        assert_eq!(back.metrics.unwrap().counter("storage.block_reads"), 2);
     }
 }

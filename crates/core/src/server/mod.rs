@@ -1703,6 +1703,48 @@ mod tests {
         assert!(inter.stripped_of_schedule().schedule.is_none());
     }
 
+    /// On a real clock the lanes run on the shared clock and tracer,
+    /// the batch is served sequentially whatever was asked for, and no
+    /// lane is deflated and re-run — yet no admitted job ends late.
+    #[test]
+    fn a_wall_clock_batch_serves_sequentially_and_never_late() {
+        let mut db = Database::wall(31);
+        let schema =
+            Schema::new(vec![("k", ColumnType::Int), ("g", ColumnType::Int)]).padded_to(200);
+        db.load_relation(
+            "t",
+            schema,
+            (0..20_000).map(|i| Tuple::new(vec![Value::Int(i), Value::Int(i % 10)])),
+        )
+        .unwrap();
+        let tracer = Tracer::recording(db.disk().clock().clone());
+        let min = Duration::from_millis(5);
+        let jobs = vec![
+            ServerJob::count("a", sel(3), Duration::from_millis(400)).with_min_quota(min),
+            ServerJob::count("b", sel(7), Duration::from_millis(800)).with_min_quota(min),
+            ServerJob::count("instant", sel(5), Duration::from_micros(10)).with_min_quota(min),
+        ];
+        let outcome = QueryServer::new()
+            .concurrency(Concurrency::Interleaved)
+            .tracer(tracer.clone())
+            .run(&mut db, jobs);
+        let schedule = outcome
+            .schedule
+            .as_ref()
+            .expect("schedule is always reported");
+        assert_eq!(schedule.concurrency, Concurrency::Sequential);
+        assert_eq!(outcome.stats.offered, 3);
+        assert_no_silent_blowouts(&outcome);
+        let instant = outcome.jobs.iter().find(|j| j.name == "instant").unwrap();
+        assert!(instant.state.is_refused(), "{:?}", instant.state);
+        let decisions = tracer
+            .records()
+            .iter()
+            .filter(|r| r.name == "server.decision")
+            .count();
+        assert_eq!(decisions, outcome.ledger.decisions.len());
+    }
+
     #[test]
     fn outcome_json_round_trips() {
         let mut db = db(29);

@@ -148,8 +148,7 @@ impl Database {
         Ok(())
     }
 
-    /// Loads a relation from a file in any supported ingest format
-    /// (CSV, JSON-lines, or the Parquet subset). The parsed tuples
+    /// Loads a relation from a CSV or JSON-lines file. The parsed tuples
     /// land in the same [`HeapFile`] layout regardless of format, so
     /// queries over the relation are byte-identical across formats.
     pub fn load_ingest(
@@ -533,10 +532,7 @@ mod tests {
             .unwrap();
         assert!(tracer.record_count() > 0);
         let metrics = out.report.metrics.expect("metrics were requested");
-        assert_eq!(
-            metrics.counter("core.stages"),
-            out.report.stages.len() as u64
-        );
+        assert!(metrics.counter("storage.block_reads") > 0);
         // The trace is valid JSONL.
         for line in tracer.to_jsonl().lines() {
             Json::parse(line).unwrap();

@@ -64,10 +64,7 @@ pub use disk::{Disk, DiskStats, FileId};
 pub use error::{IoFault, StorageError};
 pub use fault::{FaultPlan, FaultStats};
 pub use heap::HeapFile;
-pub use ingest::{
-    read_tuples, write_parquet_subset, CsvSource, IngestFormat, JsonLinesSource, ParquetSource,
-    TupleSource,
-};
+pub use ingest::{read_tuples, IngestFormat};
 pub use json::{FromJson, Json, JsonError, ToJson};
 pub use rng::{Rng, SeedSeq};
 pub use schema::{parse_schema_spec, ColumnType, Schema};

@@ -1,4 +1,4 @@
-//! Ingestion round-trip: every supported input format must load the
+//! Ingestion round-trip: CSV and JSON lines must load the
 //! same logical relation into **byte-identical** storage, and queries
 //! over it must be byte-identical too — across formats, across block
 //! layouts, and across worker counts.
@@ -14,7 +14,7 @@ use std::time::Duration;
 
 use eram_core::{BlockLayout, Database, Tracer};
 use eram_relalg::{CmpOp, Expr, Predicate};
-use eram_storage::{json, write_parquet_subset, ColumnType, IngestFormat, Schema, Tuple, Value};
+use eram_storage::{json, ColumnType, IngestFormat, Schema, Tuple, Value};
 
 /// Four-column schema covering every [`ColumnType`], padded to the
 /// paper's 200-byte tuples (5 per block).
@@ -46,7 +46,7 @@ fn tmp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("eram-ingest-{name}-{}", std::process::id()))
 }
 
-/// Writes the fixture in all three formats and returns
+/// Writes the fixture in both formats and returns
 /// `(format, path)` pairs. Caller removes the files. `tag` names the
 /// calling test: tests run on parallel threads of one process, so
 /// each needs paths of its own.
@@ -81,17 +81,9 @@ fn write_fixtures(tag: &str, n: usize) -> Vec<(IngestFormat, PathBuf)> {
         .collect();
     std::fs::write(&jsonl_path, jsonl).unwrap();
 
-    let parquet_path = tmp(&format!("{tag}.parquet"));
-    std::fs::write(
-        &parquet_path,
-        write_parquet_subset(&schema(), &rows).unwrap(),
-    )
-    .unwrap();
-
     vec![
         (IngestFormat::Csv { has_header: true }, csv_path),
         (IngestFormat::JsonLines, jsonl_path),
-        (IngestFormat::Parquet, parquet_path),
     ]
 }
 
