@@ -187,10 +187,6 @@ pub struct TrialConfig {
     pub quota: Duration,
     /// LRU buffer-cache blocks in front of the device (0 = none).
     pub cache_blocks: usize,
-    /// When true, stage-1 selectivities are seeded from prestored
-    /// equi-depth histograms (the PsCo 84 / MuDe 88 alternative the
-    /// paper contrasts with) instead of the Figure 3.3 maxima.
-    pub seed_from_stats: bool,
     /// Fault plan to arm on each trial's device (`None` = clean). The
     /// plan seed is XOR-folded with the trial seed so independent
     /// trials see independent fault sites.
@@ -215,7 +211,6 @@ impl TrialConfig {
             kind,
             quota,
             cache_blocks: 0,
-            seed_from_stats: false,
             fault_plan: None,
             engine: EngineConfig {
                 strategy: Arc::new(OneAtATimeInterval::new(d_beta)),
@@ -227,48 +222,12 @@ impl TrialConfig {
     }
 }
 
-/// Seeds stage-1 selectivity assumptions from prestored equi-depth
-/// histograms over the workload's base relations (16 buckets per
-/// column). Falls back to `base` when statistics cannot cover the
-/// expression — the flexibility gap the paper's run-time approach
-/// fills.
-pub fn stats_seeded_defaults(
-    workload: &Workload,
-    base: SelectivityDefaults,
-) -> SelectivityDefaults {
-    let mut stats = eram_relalg::StatsCatalog::new();
-    for name in workload.db.catalog().names() {
-        if let Some(file) = workload.db.catalog().relation(name) {
-            if let Ok(ts) = eram_relalg::TableStats::build(file, 16) {
-                stats.insert(name, ts);
-            }
-        }
-    }
-    let Some(sel) = stats.top_operator_selectivity(&workload.expr) else {
-        return base;
-    };
-    let sel = sel.clamp(1e-9, 1.0);
-    let mut defaults = base;
-    match workload.expr.op_kind() {
-        Some(eram_relalg::OpKind::Select) => defaults.select = sel,
-        Some(eram_relalg::OpKind::Join) => defaults.join = sel,
-        Some(eram_relalg::OpKind::Project) => defaults.project = sel,
-        Some(eram_relalg::OpKind::Intersect) => defaults.intersect = Some(sel),
-        _ => {}
-    }
-    defaults
-}
-
 /// Runs one seeded trial.
 pub fn run_trial(config: &TrialConfig, seed: u64) -> TrialResult {
     let mut workload = Workload::build_on(config.kind, seed, config.cache_blocks);
     let truth = workload.truth;
-    let mut engine = config.engine.clone();
-    if config.seed_from_stats {
-        engine.defaults = stats_seeded_defaults(&workload, engine.defaults);
-    }
-    // Arm faults only after ground truth and prestored statistics are
-    // in hand: the injected rot afflicts the measured query alone.
+    // Arm faults only after ground truth is in hand: the injected rot
+    // afflicts the measured query alone.
     if let Some(plan) = config.fault_plan {
         let mut plan = plan;
         plan.seed ^= seed;
@@ -278,7 +237,7 @@ pub fn run_trial(config: &TrialConfig, seed: u64) -> TrialResult {
         .db
         .count(workload.expr.clone())
         .within(config.quota)
-        .config(engine)
+        .config(config.engine.clone())
         .seed(seed ^ 0x5EED)
         .run()
         .expect("experiment query must execute");

@@ -15,8 +15,8 @@
 //!
 //! plus ablations (`abl_strategies`, `abl_adaptive_costs`,
 //! `abl_fulfillment`, `abl_estimator_accuracy`, `abl_memory_mode`,
-//! `abl_prestored`, `abl_clustering`, `abl_faults`,
-//! `abl_convergence`, `abl_groupby`, `abl_admission`) for the design
+//! `abl_clustering`, `abl_faults`, `abl_convergence`, `abl_groupby`,
+//! `abl_admission`) for the design
 //! choices the paper discusses qualitatively.
 //!
 //! Every binary also emits a machine-readable `BENCH_<suite>.json`

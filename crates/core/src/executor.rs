@@ -36,7 +36,6 @@ use crate::obs::{MetricsSnapshot, Phase, SpanGuard};
 use crate::ops::{Fulfillment, PhysTree, StageEnv, StageError, StageHealth};
 use crate::report::{ExecutionReport, GroupReport, ReportHealth, StageReport};
 use crate::session::PreparedQuery;
-use crate::stopping::StoppingCriterion;
 
 /// Safety cap on the stages of one run; reaching it stops the loop
 /// with `stop_reason` `max_stages`.
@@ -54,6 +53,10 @@ pub enum EngineError {
     /// faults are retried and lost clusters are absorbed by estimator
     /// renormalization before this is ever surfaced.
     Storage(StorageError),
+    /// The stopping criterion cannot be evaluated (a precision
+    /// member's confidence outside `(0, 1)`); refused before any block
+    /// is read.
+    InvalidStopping(String),
 }
 
 impl std::fmt::Display for EngineError {
@@ -64,6 +67,7 @@ impl std::fmt::Display for EngineError {
                 write!(f, "unsupported aggregate: {msg}")
             }
             EngineError::Storage(e) => write!(f, "storage error: {e}"),
+            EngineError::InvalidStopping(msg) => write!(f, "invalid stopping criterion: {msg}"),
         }
     }
 }
@@ -299,10 +303,6 @@ pub struct StageRun {
     /// closes right as `total_elapsed` is read, so its duration
     /// equals the report's elapsed time exactly.
     root_span: SpanGuard,
-    /// Value-function tail ([AbGM 88]): past the quota, keep going
-    /// only while the next stage is expected to raise
-    /// value(t) × precision. `None` under a hard constraint.
-    value_tail: Option<Duration>,
     model: CostModel,
     stages: Vec<StageReport>,
     history: Vec<CountEstimate>,
@@ -328,6 +328,10 @@ impl StageRun {
     ) -> Result<Self, EngineError> {
         let (agg, config) = (spec.agg, spec.config.clone());
         agg.validate(&spec.expr, catalog)?;
+        config
+            .stopping
+            .validate()
+            .map_err(EngineError::InvalidStopping)?;
         let mut rng = Rng::seed_from_u64(spec.seed);
         let (coefficients, mut trees) =
             compile_terms(&spec.expr, catalog, disk, &config, &mut rng)?;
@@ -357,14 +361,6 @@ impl StageRun {
             .then(|| (disk.stats(), disk.cache_stats(), disk.fault_stats()));
         let deadline = Deadline::new(disk.clock().clone(), spec.quota);
         let root_span = config.tracer.span("execute");
-        let value_tail = if config.stopping.is_hard() {
-            None
-        } else {
-            config
-                .stopping
-                .value_function()
-                .filter(|zero_at| *zero_at > spec.quota)
-        };
         let hard_estimate = {
             let _phase = config.profiler.phase(Phase::EstimatorMath);
             combine(&coefficients, &trees, &values, agg)
@@ -383,7 +379,6 @@ impl StageRun {
             baseline,
             deadline,
             root_span,
-            value_tail,
             stages: Vec::new(),
             history: Vec::new(),
             health: StageHealth::default(),
@@ -406,7 +401,6 @@ impl StageRun {
         let config = &self.config;
         let (tracer, profiler) = (&config.tracer, &config.profiler);
         let hard = config.stopping.is_hard();
-        let value_tail = self.value_tail;
         if self.trees.is_empty() {
             // The rewrite proved COUNT(E) = 0 (e.g. E = A − A).
             self.stop_reason = "empty_rewrite";
@@ -419,11 +413,7 @@ impl StageRun {
             self.stop_reason = "census_complete";
             return Ok(false); // census complete — the estimate is exact
         }
-        let in_tail = value_tail.is_some() && self.deadline.expired();
-        let remaining = match value_tail {
-            Some(zero_at) if in_tail => zero_at.saturating_sub(self.deadline.spent()),
-            _ => self.deadline.remaining(),
-        };
+        let remaining = self.deadline.remaining();
         if remaining.is_zero() {
             self.stop_reason = "quota_exhausted";
             return Ok(false);
@@ -449,18 +439,16 @@ impl StageRun {
             });
         }
         let measured_hard = hard && !self.disk.clock().is_simulated();
-        let planning_remaining = if in_tail || measured_hard {
-            // Offer the strategy only half of what is left. In the
-            // tail, a stage sized to the whole decay would finish at
-            // zero value, and the utility gate below judges the
-            // trade. Under a hard deadline on a measured clock, a
-            // stage that overruns is aborted and banks nothing, and
-            // the cost coefficients fitted on a small probe stage
-            // under-predict a large one (cold caches, a neighbour) by
-            // up to 1.9×: half keeps such a stage inside the quota
-            // and leaves the next one the rest. A simulated clock
-            // charges exactly what the model predicts from, so it
-            // needs no reserve and plans as it always has.
+        let planning_remaining = if measured_hard {
+            // Offer the strategy only half of what is left. Under a
+            // hard deadline on a measured clock, a stage that overruns
+            // is aborted and banks nothing, and the cost coefficients
+            // fitted on a small probe stage under-predict a large one
+            // (cold caches, a neighbour) by up to 1.9×: half keeps
+            // such a stage inside the quota and leaves the next one
+            // the rest. A simulated clock charges exactly what the
+            // model predicts from, so it needs no reserve and plans
+            // as it always has.
             Duration::from_secs_f64(remaining.as_secs_f64() * 0.5)
         } else {
             remaining
@@ -490,35 +478,6 @@ impl StageRun {
                 ),
             ]
         });
-        if in_tail {
-            // Marginal-utility gate: run the tail stage only if the
-            // decayed value of a later, more precise answer beats
-            // delivering the current one now.
-            let zero_at = value_tail.expect("in_tail implies a tail");
-            let (quota, now) = (self.deadline.quota(), self.deadline.spent());
-            let current_est = self.estimate_now();
-            let precision_now = 1.0 / (1.0 + current_est.relative_half_width(0.95).min(1e9));
-            let utility_now =
-                StoppingCriterion::completion_value(quota, zero_at, now) * precision_now;
-            // The CI half-width shrinks like √(m/(m+Δm)).
-            let m = current_est.points_sampled.max(1.0);
-            let dm = if current_est.points_sampled > 0.0 {
-                let blocks_so_far: u64 = self.trees.iter().map(PhysTree::blocks_drawn).sum();
-                plan.predicted_blocks / (blocks_so_far.max(1) as f64) * m
-            } else {
-                m
-            };
-            let projected_hw =
-                current_est.relative_half_width(0.95).min(1e9) * (m / (m + dm)).sqrt();
-            let t_after = now + plan.predicted;
-            let utility_after =
-                StoppingCriterion::completion_value(quota, zero_at, t_after) / (1.0 + projected_hw);
-            if utility_after <= utility_now {
-                self.stop_reason = "value_tail_unprofitable";
-                return Ok(false);
-            }
-        }
-
         let stage_start = self.deadline.spent();
         // Every charge this stage makes (overhead, reads, CPU, retry
         // backoff) lands between this span's endpoints, so its
@@ -683,7 +642,7 @@ impl StageRun {
         // `precision_satisfied` are pure reads, so pre-evaluating
         // them does not change loop behaviour.
         let stopping_phase = profiler.phase(Phase::StoppingCheck);
-        let expired_now = self.deadline.expired() && value_tail.is_none();
+        let expired_now = self.deadline.expired();
         // For grouped runs, per-group convergence (every group frozen)
         // is a precision stop: the remaining quota has no loose group
         // left to spend on.
@@ -769,6 +728,7 @@ mod tests {
     use super::*;
     use crate::obs::{Profiler, TraceKind, TraceRecord, Tracer};
     use crate::seltrack::SelectivityDefaults;
+    use crate::stopping::StoppingCriterion;
     use crate::strategy::OneAtATimeInterval;
     use eram_relalg::{eval, CmpOp, Predicate};
     use eram_storage::ToJson;
@@ -1069,41 +1029,6 @@ mod tests {
         };
         let (plain, pushed) = (blocks_within_quota(false), blocks_within_quota(true));
         assert!(pushed > plain, "pushed {pushed} vs plain {plain} blocks");
-    }
-
-    #[test]
-    fn value_function_tail_extends_past_quota_but_not_to_zero_value() {
-        let (disk, cat) = setup(true);
-        let expr = Expr::relation("r").select(Predicate::col_cmp(1, CmpOp::Lt, 50));
-        let quota = Duration::from_secs(4);
-        let zero_at = Duration::from_secs(12);
-        let mut cfg = config(12.0);
-        cfg.stopping = StoppingCriterion::ValueFunction {
-            zero_value_at: zero_at,
-        };
-        let out = count(&disk, &cat, &expr, quota, &cfg, 21);
-        // The decaying tail may buy extra stages past the quota, but
-        // running to the zero-value point would be irrational.
-        assert!(out.report.total_elapsed < zero_at);
-        // The delivered (soft) estimate includes the tail work.
-        let last = out.report.stages.last().unwrap();
-        assert_eq!(out.estimate, last.estimate);
-        // Sanity: the answer is usable.
-        assert!(out.estimate.points_sampled > 0.0);
-    }
-
-    #[test]
-    fn value_function_with_no_tail_behaves_like_soft() {
-        let (disk, cat) = setup(false);
-        let expr = Expr::relation("r").select(Predicate::col_cmp(1, CmpOp::Lt, 50));
-        let quota = Duration::from_secs(4);
-        let mut cfg = config(12.0);
-        // zero_value_at == quota: the filter drops the tail entirely.
-        cfg.stopping = StoppingCriterion::ValueFunction {
-            zero_value_at: quota,
-        };
-        let out = count(&disk, &cat, &expr, quota, &cfg, 5);
-        assert!(out.report.total_elapsed <= quota + Duration::from_secs(1));
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //!    formulas");
 //! 6. repeat until a stopping criterion fires ([`stopping`]): the
 //!    hard deadline (timer interrupt; the in-flight stage is aborted
-//!    and wasted), a soft deadline, an error bound, or no-improvement.
+//!    and wasted), a soft deadline, or an error bound.
 //!
 //! The crate's public entry point is [`Database`] + [`CountQuery`]:
 //!

@@ -9,10 +9,12 @@
 //! allowed to finish). Precision-based criteria stop "whenever the
 //! precision of estimation has met the user's requirement or whenever
 //! the estimation does not improve much over the last few stages".
-//! Combinations are possible; [`StoppingCriterion::Combined`] stops
-//! as soon as *any* member fires.
-
-use std::time::Duration;
+//! The engine implements both time criteria and the precision target
+//! ([`StoppingCriterion::ErrorBound`], and its per-group form
+//! [`StoppingCriterion::GroupErrorBound`]); the "does not improve
+//! much" criterion is not implemented. Combinations are possible;
+//! [`StoppingCriterion::Combined`] stops as soon as *any* member
+//! fires.
 
 use eram_sampling::CountEstimate;
 
@@ -50,27 +52,6 @@ pub enum StoppingCriterion {
         confidence: f64,
         /// Minimum absorbed tuples before a group may freeze.
         min_tuples: u64,
-    },
-    /// Stop when the estimate changed by less than `epsilon`
-    /// (relative) for `stages` consecutive stages.
-    NoImprovement {
-        /// Relative change threshold.
-        epsilon: f64,
-        /// Consecutive quiet stages required.
-        stages: usize,
-    },
-    /// Soft deadline with a **value function** ([AbGM 88], the
-    /// paper's "by defining a value function for the completion time
-    /// of a query, the system decides when to stop processing the
-    /// query to get a higher value"): the answer is worth full value
-    /// until the quota, decays linearly to zero at `zero_value_at`
-    /// (measured from query start), and the loop keeps running past
-    /// the quota only while the next stage is expected to *increase*
-    /// `value(t) × precision(estimate)`.
-    ValueFunction {
-        /// Time (from query start) at which the answer's value
-        /// reaches zero. Must exceed the quota.
-        zero_value_at: Duration,
     },
     /// Stop as soon as any member criterion fires. Exactly one
     /// time-based member (hard or soft) should be present.
@@ -114,12 +95,20 @@ impl StoppingCriterion {
         }
     }
 
-    /// The value-function tail, if any member declares one.
-    pub fn value_function(&self) -> Option<Duration> {
+    /// Checks that every precision member (through `Combined`) names
+    /// a confidence strictly inside `(0, 1)`, the only levels an
+    /// interval exists for. The engine refuses any other criterion
+    /// before it reads a block, rather than panicking mid-query.
+    pub fn validate(&self) -> Result<(), String> {
         match self {
-            StoppingCriterion::ValueFunction { zero_value_at } => Some(*zero_value_at),
-            StoppingCriterion::Combined(members) => members.iter().find_map(Self::value_function),
-            _ => None,
+            StoppingCriterion::ErrorBound { confidence, .. }
+            | StoppingCriterion::GroupErrorBound { confidence, .. }
+                if !(*confidence > 0.0 && *confidence < 1.0) =>
+            {
+                Err(format!("confidence {confidence} is not inside (0, 1)"))
+            }
+            StoppingCriterion::Combined(members) => members.iter().try_for_each(Self::validate),
+            _ => Ok(()),
         }
     }
 
@@ -144,54 +133,24 @@ impl StoppingCriterion {
         }
     }
 
-    /// The value of an answer delivered at `t` under a linear decay
-    /// from full value at `quota` to zero at `zero_value_at`.
-    pub fn completion_value(quota: Duration, zero_value_at: Duration, t: Duration) -> f64 {
-        if t <= quota {
-            return 1.0;
-        }
-        if t >= zero_value_at || zero_value_at <= quota {
-            return 0.0;
-        }
-        let tail = (zero_value_at - quota).as_secs_f64();
-        1.0 - (t - quota).as_secs_f64() / tail
-    }
-
     /// Evaluates the precision-based members after a completed stage.
     /// `history` holds the estimates after each completed stage so
     /// far (most recent last). Returns true if the loop should stop
     /// even though time remains.
     pub fn precision_satisfied(&self, history: &[CountEstimate]) -> bool {
         match self {
-            StoppingCriterion::HardDeadline
-            | StoppingCriterion::SoftDeadline
-            | StoppingCriterion::ValueFunction { .. } => false,
+            StoppingCriterion::HardDeadline | StoppingCriterion::SoftDeadline => false,
             // Judged by the executor against per-group state, not the
             // composite estimate history.
             StoppingCriterion::GroupErrorBound { .. } => false,
             StoppingCriterion::ErrorBound { target, confidence } => history
                 .last()
                 .is_some_and(|e| error_bound_satisfied(e, *target, *confidence)),
-            StoppingCriterion::NoImprovement { epsilon, stages } => {
-                if history.len() < stages + 1 {
-                    return false;
-                }
-                history
-                    .windows(2)
-                    .rev()
-                    .take(*stages)
-                    .all(|w| relative_change(w[0].estimate, w[1].estimate) < *epsilon)
-            }
             StoppingCriterion::Combined(members) => {
                 members.iter().any(|m| m.precision_satisfied(history))
             }
         }
     }
-}
-
-fn relative_change(a: f64, b: f64) -> f64 {
-    let denom = a.abs().max(1.0);
-    (b - a).abs() / denom
 }
 
 #[cfg(test)]
@@ -238,25 +197,6 @@ mod tests {
     }
 
     #[test]
-    fn no_improvement_requires_consecutive_quiet_stages() {
-        let c = StoppingCriterion::NoImprovement {
-            epsilon: 0.01,
-            stages: 2,
-        };
-        let noisy = [est(100.0, 1.0), est(150.0, 1.0), est(150.5, 1.0)];
-        assert!(!c.precision_satisfied(&noisy));
-        let quiet = [
-            est(100.0, 1.0),
-            est(150.0, 1.0),
-            est(150.1, 1.0),
-            est(150.2, 1.0),
-        ];
-        assert!(c.precision_satisfied(&quiet));
-        // Too little history.
-        assert!(!c.precision_satisfied(&quiet[..2]));
-    }
-
-    #[test]
     fn combined_fires_on_any_member() {
         let c = StoppingCriterion::Combined(vec![
             StoppingCriterion::HardDeadline,
@@ -267,47 +207,6 @@ mod tests {
         ]);
         assert!(c.precision_satisfied(&[est(1000.0, 100.0)]));
         assert!(!c.precision_satisfied(&[est(1000.0, 90_000.0)]));
-    }
-
-    #[test]
-    fn completion_value_decays_linearly() {
-        let q = Duration::from_secs(10);
-        let z = Duration::from_secs(20);
-        assert_eq!(
-            StoppingCriterion::completion_value(q, z, Duration::from_secs(5)),
-            1.0
-        );
-        assert_eq!(StoppingCriterion::completion_value(q, z, q), 1.0);
-        let mid = StoppingCriterion::completion_value(q, z, Duration::from_secs(15));
-        assert!((mid - 0.5).abs() < 1e-12);
-        assert_eq!(StoppingCriterion::completion_value(q, z, z), 0.0);
-        assert_eq!(
-            StoppingCriterion::completion_value(q, z, Duration::from_secs(30)),
-            0.0
-        );
-        // Degenerate tail.
-        assert_eq!(
-            StoppingCriterion::completion_value(q, q, Duration::from_secs(11)),
-            0.0
-        );
-    }
-
-    #[test]
-    fn value_function_discovery() {
-        let vf = StoppingCriterion::ValueFunction {
-            zero_value_at: Duration::from_secs(20),
-        };
-        assert_eq!(vf.value_function(), Some(Duration::from_secs(20)));
-        assert!(!vf.is_hard());
-        let combined = StoppingCriterion::Combined(vec![
-            StoppingCriterion::ErrorBound {
-                target: 0.1,
-                confidence: 0.95,
-            },
-            vf,
-        ]);
-        assert_eq!(combined.value_function(), Some(Duration::from_secs(20)));
-        assert_eq!(StoppingCriterion::HardDeadline.value_function(), None);
     }
 
     #[test]

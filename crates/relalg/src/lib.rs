@@ -17,9 +17,6 @@
 //! * [`eval`] — an exact, set-semantics evaluator (ground truth for
 //!   the estimators; reads blocks *uncharged* so it never consumes a
 //!   query's simulated time quota);
-//! * [`histogram`] — the *prestored statistics* alternative the
-//!   paper contrasts with (equi-depth histograms per column, PsCo 84
-//!   / MuDe 88 style), for the comparison ablation;
 //! * [`parser`] — the textual query language (ERAM "uses relational
 //!   algebra expressions as its query language"); round-trips with
 //!   [`Expr`]'s `Display`;
@@ -35,7 +32,6 @@
 pub mod catalog;
 pub mod eval;
 pub mod expr;
-pub mod histogram;
 pub mod optimize;
 pub mod parser;
 pub mod pie;
@@ -43,7 +39,6 @@ pub mod predicate;
 
 pub use catalog::Catalog;
 pub use expr::{Expr, ExprError, OpKind};
-pub use histogram::{EquiDepthHistogram, StatsCatalog, TableStats};
 pub use optimize::push_selections;
 pub use parser::{parse_expr, parse_predicate, ParseError};
 pub use pie::{CountTerm, PieRewrite};

@@ -55,4 +55,4 @@ pub use goodman::goodman_estimate;
 pub use plan::BlockSampler;
 pub use srs::{sample_without_replacement, srs_proportion_variance};
 pub use stats::{normal_cdf, normal_quantile, RunningMoments};
-pub use zerosel::{zero_selectivity_closed, zero_selectivity_hypergeometric};
+pub use zerosel::zero_selectivity_closed;

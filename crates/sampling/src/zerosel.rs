@@ -13,14 +13,9 @@
 //! having observed **zero** 1-points in `m` sampled points, find the
 //! largest 1-point count `K` that would still produce an all-zero
 //! sample with probability at least `1 − confidence`, and use `K/N`
-//! as the working selectivity. Two variants:
-//!
-//! * [`zero_selectivity_closed`] — the with-replacement (binomial)
-//!   bound `sel = 1 − (1−confidence)^{1/m}`, a closed formula exactly
-//!   as the paper describes;
-//! * [`zero_selectivity_hypergeometric`] — the without-replacement
-//!   (hypergeometric) bound, exact for SRS-WOR, solved by binary
-//!   search on `K` with a log-space product.
+//! as the working selectivity. [`zero_selectivity_closed`] is the
+//! with-replacement (binomial) bound `sel = 1 − (1−confidence)^{1/m}`,
+//! a closed formula exactly as the paper describes.
 
 /// Closed-form (binomial) zero-selectivity bound: the selectivity
 /// `s` with `(1−s)^m = 1 − confidence`.
@@ -38,55 +33,6 @@ pub fn zero_selectivity_closed(m: f64, confidence: f64) -> f64 {
         return 1.0;
     }
     1.0 - (1.0 - confidence).powf(1.0 / m)
-}
-
-/// Exact (hypergeometric) zero-selectivity bound for sampling `m` of
-/// `n` points without replacement: `K*/n` where `K*` is the largest
-/// count of 1-points with `P(no 1-point in the sample) ≥ 1 −
-/// confidence`, i.e. `Π_{j=0}^{m−1} (n−K−j)/(n−j) ≥ 1 − confidence`.
-///
-/// Returns 1.0 when `m = 0` and 0.0 when `m = n` (a census that saw
-/// no 1-points proves there are none).
-///
-/// # Panics
-/// Panics if `m > n` or `confidence` is outside `(0, 1)`.
-pub fn zero_selectivity_hypergeometric(n: u64, m: u64, confidence: f64) -> f64 {
-    assert!(m <= n, "sample larger than population");
-    assert!(
-        confidence > 0.0 && confidence < 1.0,
-        "confidence must be in (0,1)"
-    );
-    if m == 0 {
-        return 1.0;
-    }
-    if m == n {
-        return 0.0;
-    }
-    let log_alpha = (1.0 - confidence).ln();
-
-    // log P(zero ones | K) is decreasing in K; binary search the
-    // largest K with log P ≥ log α.
-    let log_p_zero = |k: u64| -> f64 {
-        if k > n - m {
-            return f64::NEG_INFINITY;
-        }
-        let mut lp = 0.0;
-        for j in 0..m {
-            lp += ((n - k - j) as f64).ln() - ((n - j) as f64).ln();
-        }
-        lp
-    };
-
-    let (mut lo, mut hi) = (0u64, n); // invariant: log_p_zero(lo) ≥ log α
-    while lo + 1 < hi {
-        let mid = lo + (hi - lo) / 2;
-        if log_p_zero(mid) >= log_alpha {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    lo as f64 / n as f64
 }
 
 #[cfg(test)]
@@ -116,60 +62,8 @@ mod tests {
     }
 
     #[test]
-    fn hypergeometric_bound_is_consistent() {
-        let n = 10_000u64;
-        let m = 100u64;
-        let s = zero_selectivity_hypergeometric(n, m, 0.95);
-        assert!(s > 0.0 && s < 1.0);
-        // K = s·n must make an all-zero sample plausible at 5%:
-        // with replacement bound is close for small m/n.
-        let closed = zero_selectivity_closed(m as f64, 0.95);
-        assert!(
-            (s - closed).abs() < 0.2 * closed,
-            "hyper {s} vs closed {closed}"
-        );
-        // Without replacement is (weakly) tighter or equal.
-        assert!(s <= closed + 1.0 / n as f64);
-    }
-
-    #[test]
-    fn census_proves_zero() {
-        assert_eq!(zero_selectivity_hypergeometric(50, 50, 0.95), 0.0);
-    }
-
-    #[test]
-    fn no_sample_is_uninformative() {
-        assert_eq!(zero_selectivity_hypergeometric(50, 0, 0.95), 1.0);
-    }
-
-    #[test]
-    fn bound_verified_against_direct_probability() {
-        // For the returned K* = s·n, P(all-zero sample) ≥ α must hold,
-        // and fail for K*+1.
-        let n = 500u64;
-        let m = 20u64;
-        let conf = 0.9;
-        let alpha = 1.0 - conf;
-        let s = zero_selectivity_hypergeometric(n, m, conf);
-        let k_star = (s * n as f64).round() as u64;
-        let p = |k: u64| -> f64 {
-            (0..m)
-                .map(|j| (n - k - j) as f64 / (n - j) as f64)
-                .product()
-        };
-        assert!(p(k_star) >= alpha - 1e-12);
-        assert!(p(k_star + 1) < alpha);
-    }
-
-    #[test]
-    #[should_panic(expected = "sample larger")]
-    fn hyper_rejects_oversample() {
-        let _ = zero_selectivity_hypergeometric(5, 6, 0.9);
-    }
-
-    #[test]
     #[should_panic(expected = "confidence")]
-    fn hyper_rejects_bad_confidence() {
-        let _ = zero_selectivity_hypergeometric(5, 2, 1.0);
+    fn closed_rejects_bad_confidence() {
+        let _ = zero_selectivity_closed(10.0, 1.0);
     }
 }

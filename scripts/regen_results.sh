@@ -11,8 +11,11 @@
 # Usage: scripts/regen_results.sh [RUNS]
 #   RUNS defaults to 200 (the paper's trial count per row).
 #        scripts/regen_results.sh check
-#   Only the fast sweeps, into a temp dir, each file compared byte for
-#   byte with results/ci/: the whole bench-regression job.
+#   First checks that every sweep binary has its committed table, its
+#   BENCH file and a `run` line below, and that every committed table
+#   or BENCH file has its binary. Then only the fast sweeps, into a
+#   temp dir, each file compared byte for byte with results/ci/: the
+#   whole bench-regression job.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -36,11 +39,37 @@ ci_sweeps() {
     done
 }
 
+# Prints a FAIL line for each binary without its output or `run` line,
+# and for each committed output without its binary.
+sweep_files() {
+    for src in crates/bench/src/bin/*.rs; do
+        bin="$(basename "$src" .rs)"
+        for f in "results/$bin.txt" "results/BENCH_$bin.json"; do
+            [ -f "$f" ] || echo "FAIL $f: $src has no committed output — run scripts/regen_results.sh"
+        done
+        grep -Eq "^run $bin( |\$)" scripts/regen_results.sh ||
+            echo "FAIL $src: no \`run $bin\` line in scripts/regen_results.sh"
+    done
+    for f in results/*.txt results/BENCH_*.json; do
+        [ -e "$f" ] || continue
+        bin="$(basename "$f")"
+        bin="${bin#BENCH_}"
+        bin="${bin%.*}"
+        [ -f "crates/bench/src/bin/$bin.rs" ] ||
+            echo "FAIL $f: no binary crates/bench/src/bin/$bin.rs writes it — delete it"
+    done
+}
+
 if [ "${1:-}" = check ]; then
+    status=0
+    orphans="$(sweep_files)"
+    if [ -n "$orphans" ]; then
+        echo "$orphans"
+        status=1
+    fi
     fresh="$(mktemp -d)"
     trap 'rm -rf "$fresh"' EXIT
     ci_sweeps "$fresh"
-    status=0
     for name in $( (ls results/ci; ls "$fresh") | sort -u); do
         if [ ! -f "results/ci/$name" ]; then
             echo "FAIL results/ci/$name: swept but not committed — run scripts/regen_results.sh and commit results/ci/"
@@ -78,7 +107,6 @@ run abl_adaptive_costs --runs "$RUNS"
 run abl_fulfillment --runs "$RUNS"
 run abl_estimator_accuracy --runs "$RUNS"
 run abl_memory_mode --runs "$RUNS"
-run abl_prestored --runs "$RUNS"
 run abl_clustering --runs "$RUNS"
 run abl_faults --runs "$RUNS"
 run abl_convergence

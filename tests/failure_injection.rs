@@ -17,7 +17,7 @@ use testkit::prelude::*;
 use eram_core::executor::MAX_STAGES;
 use eram_core::ops::PhysTree;
 use eram_core::{
-    CostModel, Database, EngineConfig, EngineError, StagePlan, StoppingCriterion,
+    AggregateFn, CostModel, Database, EngineConfig, EngineError, StagePlan, StoppingCriterion,
     TimeControlStrategy,
 };
 use eram_relalg::{CmpOp, Expr, ExprError, Predicate};
@@ -209,6 +209,52 @@ fn error_bound_with_zero_truth_falls_back_to_deadline() {
         .unwrap();
     assert!(out.report.total_elapsed <= Duration::from_secs(6));
     assert_eq!(out.estimate.estimate, 0.0);
+}
+
+/// A precision member whose confidence has no interval (0, 1, NaN) is
+/// refused before the first block is read, top-level, inside
+/// `Combined` and per group, rather than panicking mid-query.
+#[test]
+fn out_of_range_confidence_is_refused_before_any_read() {
+    let mut db = db_with(5_000, 10);
+    for confidence in [0.0, 1.0, f64::NAN] {
+        let bound = StoppingCriterion::ErrorBound {
+            target: 0.5,
+            confidence,
+        };
+        let cases = [
+            (AggregateFn::Count, bound.clone()),
+            (
+                AggregateFn::Count,
+                StoppingCriterion::Combined(vec![StoppingCriterion::HardDeadline, bound]),
+            ),
+            (
+                AggregateFn::AvgBy {
+                    column: 0,
+                    group: 1,
+                },
+                StoppingCriterion::GroupErrorBound {
+                    target: 0.5,
+                    confidence,
+                    min_tuples: 1,
+                },
+            ),
+        ];
+        for (agg, stopping) in cases {
+            let reads = db.disk().stats().block_reads;
+            let err = db
+                .aggregate(agg, Expr::relation("t").select(Predicate::True))
+                .within(Duration::from_secs(5))
+                .stopping(stopping.clone())
+                .run()
+                .unwrap_err();
+            assert!(
+                matches!(err, EngineError::InvalidStopping(_)),
+                "{stopping:?}: {err}"
+            );
+            assert_eq!(db.disk().stats().block_reads, reads, "{stopping:?}");
+        }
+    }
 }
 
 /// The paper's Figure 5.1 selection setup (10 000 tuples, 10 s quota)

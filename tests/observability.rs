@@ -578,37 +578,52 @@ fn server_trace_lines_round_trip_byte_identically() {
 
 #[test]
 fn trace_stop_reasons_are_from_the_documented_set() {
-    let known: [&str; 9] = [
+    let known: [&str; 8] = [
         "max_stages",
         "census_complete",
         "quota_exhausted",
         "leftover_too_small",
-        "value_tail_unprofitable",
         "aborted",
         "quota_expired",
         "precision_satisfied",
         "empty_rewrite",
     ];
     let mut seen: BTreeMap<String, usize> = BTreeMap::new();
-    let cases: [(Expr, Duration); 3] = [
+    let precise = StoppingCriterion::Combined(vec![
+        StoppingCriterion::HardDeadline,
+        StoppingCriterion::ErrorBound {
+            target: 0.2,
+            confidence: 0.95,
+        },
+    ]);
+    let cases: [(Expr, Duration, StoppingCriterion); 4] = [
         // Hard deadline on a big relation: expires mid-flight.
-        (fig51_expr(), Duration::from_secs(10)),
+        (
+            fig51_expr(),
+            Duration::from_secs(10),
+            StoppingCriterion::HardDeadline,
+        ),
         // Census: quota vastly exceeds a full scan of the relation.
         (
             Expr::relation("r").select(Predicate::col_cmp(1, CmpOp::Lt, 50)),
             Duration::from_secs(100_000),
+            StoppingCriterion::HardDeadline,
         ),
         // Empty rewrite.
         (
             Expr::relation("r").difference(Expr::relation("r")),
             Duration::from_secs(5),
+            StoppingCriterion::HardDeadline,
         ),
+        // A ±20 % target the stages meet well inside a generous quota.
+        (fig51_expr(), Duration::from_secs(100), precise),
     ];
-    for (i, (expr, quota)) in cases.into_iter().enumerate() {
+    for (i, (expr, quota, stopping)) in cases.into_iter().enumerate() {
         let mut db = fig51_db(20 + i as u64);
         let tracer = Tracer::recording(db.disk().clock().clone());
         db.count(expr)
             .within(quota)
+            .stopping(stopping)
             .seed(i as u64)
             .tracer(tracer.clone())
             .run()
@@ -634,5 +649,9 @@ fn trace_stop_reasons_are_from_the_documented_set() {
     assert!(
         seen.contains_key("empty_rewrite"),
         "self-difference must short-circuit: {seen:?}"
+    );
+    assert!(
+        seen.contains_key("precision_satisfied"),
+        "a met error bound must stop the run: {seen:?}"
     );
 }
