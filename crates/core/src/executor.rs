@@ -25,7 +25,7 @@ use eram_relalg::{push_selections, Catalog, Expr, ExprError, PieRewrite};
 use eram_sampling::{
     AggregateEstimator, CountEstimate, DistinctCount, DistinctEstimator, Linear, SrsCount,
 };
-use eram_storage::{Deadline, DeviceOp, Disk, DiskStats, FaultStats, Json, Rng, StorageError};
+use eram_storage::{Deadline, DeviceOp, Disk, DiskStats, Json, Rng, StorageError};
 
 use crate::aggregate::{
     avg_estimate, sum_estimate, AggregateFn, GroupSnapshot, GroupedAccumulator, TermValues,
@@ -201,55 +201,6 @@ fn reads_rows(agg: AggregateFn) -> bool {
     agg.column().is_some() || agg.group_by().is_some()
 }
 
-/// Storage counter values captured before the stage loop runs, so the
-/// metrics snapshot reports this run's deltas rather than the disk's
-/// lifetime totals.
-type MetricsBaseline = (DiskStats, Option<(u64, u64)>, Option<FaultStats>);
-
-/// Builds the metrics snapshot from storage-counter deltas — what the
-/// disk saw, which the report does not carry. Runs once, after the
-/// loop — never on the hot path.
-fn metrics_snapshot(disk: &Disk, baseline: MetricsBaseline) -> MetricsSnapshot {
-    let (s0, cache0, faults0) = baseline;
-    let s1 = disk.stats();
-    let mut counters = vec![
-        ("storage.block_reads", s1.block_reads - s0.block_reads),
-        ("storage.block_writes", s1.block_writes - s0.block_writes),
-        ("storage.tuple_cpu", s1.tuple_cpu - s0.tuple_cpu),
-        ("storage.compares", s1.compares - s0.compares),
-        (
-            "storage.checksum_verifies",
-            s1.checksum_verifies - s0.checksum_verifies,
-        ),
-    ];
-    if let Some((hits1, misses1)) = disk.cache_stats() {
-        let (hits0, misses0) = cache0.unwrap_or((0, 0));
-        counters.push(("storage.cache_hits", hits1 - hits0));
-        counters.push(("storage.cache_misses", misses1 - misses0));
-    }
-    if let Some(f1) = disk.fault_stats() {
-        let f0 = faults0.unwrap_or_default();
-        counters.push((
-            "storage.faults_transient",
-            f1.transient_errors - f0.transient_errors,
-        ));
-        counters.push((
-            "storage.faults_corrupt",
-            f1.corrupt_reads - f0.corrupt_reads,
-        ));
-        counters.push((
-            "storage.latency_spikes",
-            f1.latency_spikes - f0.latency_spikes,
-        ));
-    }
-    MetricsSnapshot::new(
-        counters
-            .into_iter()
-            .map(|(name, v)| (name.to_string(), v))
-            .collect(),
-    )
-}
-
 /// Compiles `COUNT(expr)` as a run of `config` evaluates it:
 /// selections pushed down (which shrinks every sorted run the
 /// full-fulfillment plan re-merges), transformed into Σᵢ cᵢ·COUNT(Eᵢ')
@@ -297,7 +248,9 @@ pub struct StageRun {
     grouped: Option<GroupedAccumulator>,
     delivered_groups: Vec<GroupSnapshot>,
     groups_converged: bool,
-    baseline: Option<MetricsBaseline>,
+    /// With metrics on, the disk's reading as the run starts and
+    /// whether a fault plan was armed then.
+    metrics_from: Option<(DiskStats, bool)>,
     deadline: Deadline,
     /// Opens at the same clock instant the deadline is armed and
     /// closes right as `total_elapsed` is read, so its duration
@@ -356,9 +309,9 @@ impl StageRun {
             trees.iter_mut().for_each(PhysTree::count_only);
         }
         let values = vec![TermValues::default(); trees.len()];
-        let baseline: Option<MetricsBaseline> = config
+        let metrics_from = config
             .collect_metrics
-            .then(|| (disk.stats(), disk.cache_stats(), disk.fault_stats()));
+            .then(|| (disk.stats(), disk.fault_plan().is_some()));
         let deadline = Deadline::new(disk.clock().clone(), spec.quota);
         let root_span = config.tracer.span("execute");
         let hard_estimate = {
@@ -376,7 +329,7 @@ impl StageRun {
             grouped: agg.group_by().map(|_| GroupedAccumulator::new()),
             delivered_groups: Vec::new(),
             groups_converged: false,
-            baseline,
+            metrics_from,
             deadline,
             root_span,
             stages: Vec::new(),
@@ -687,7 +640,12 @@ impl StageRun {
             degraded: self.health.blocks_lost > 0,
             refusal: None,
         };
-        let metrics = self.baseline.map(|b| metrics_snapshot(&self.disk, b));
+        let metrics = self.metrics_from.map(|(before, armed)| {
+            let disk = &self.disk;
+            let armed = armed || disk.fault_plan().is_some();
+            let cached = disk.cache_stats().is_some();
+            MetricsSnapshot::storage(&disk.stats().since(&before), cached, armed)
+        });
         // A completed census makes every still-live group's estimate
         // exact (its variance formulas collapse at m = N) — the
         // small-group fallback. Frozen groups keep their honest sampled

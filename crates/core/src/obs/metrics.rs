@@ -2,9 +2,9 @@
 //! aggregates with.
 //!
 //! A [`MetricsSnapshot`] is built by the executor at the end of a run
-//! from storage-counter deltas and attached to
-//! [`ExecutionReport`](crate::ExecutionReport). Collection is opt-in
-//! and never touches the hot path.
+//! from the delta of the disk's one [`DiskStats`] account and attached
+//! to [`ExecutionReport`](crate::ExecutionReport). Collection is
+//! opt-in and never touches the hot path.
 //!
 //! Counter names are dotted `storage.*` strings: block reads/writes,
 //! cache hits, faults, checksum verifies — what the disk saw, which
@@ -13,7 +13,7 @@
 
 use std::collections::BTreeMap;
 
-use eram_storage::json_record;
+use eram_storage::{json_record, DiskStats};
 
 /// Summary statistics of an observed series: count, sum, min, max,
 /// plus the retained samples for quantile queries.
@@ -134,6 +134,29 @@ impl MetricsSnapshot {
             schema_version: crate::obs::SCHEMA_VERSION,
             counters,
         }
+    }
+
+    /// The storage counters one run moved, from `d`, the disk's
+    /// reading at the end since the one at the start. The cache
+    /// counters appear only on a `cached` disk, the fault counters
+    /// only when a plan was `armed` at the start or the end of the
+    /// run, and the shared-draw pool's never: a lane's snapshot is the
+    /// same with the pool on or off.
+    pub(crate) fn storage(d: &DiskStats, cached: bool, armed: bool) -> Self {
+        let counters = [
+            ("block_reads", d.block_reads, true),
+            ("block_writes", d.block_writes, true),
+            ("tuple_cpu", d.tuple_cpu, true),
+            ("compares", d.compares, true),
+            ("checksum_verifies", d.checksum_verifies, true),
+            ("cache_hits", d.cache_hits, cached),
+            ("cache_misses", d.cache_misses, cached),
+            ("faults_transient", d.faults_transient, armed),
+            ("faults_corrupt", d.faults_corrupt, armed),
+            ("latency_spikes", d.latency_spikes, armed),
+        ];
+        let shown = counters.into_iter().filter(|c| c.2);
+        Self::new(shown.map(|(n, v, _)| (format!("storage.{n}"), v)).collect())
     }
 
     /// The named counter's value, 0 when absent.

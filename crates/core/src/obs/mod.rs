@@ -12,9 +12,10 @@
 //!   bytes, which turns traces into testable artifacts (see
 //!   `tests/observability.rs` and the committed golden trace).
 //! * [`MetricsSnapshot`] — the storage counters a run moved (blocks
-//!   read, cache hits, faults, checksum verifies), attached to
-//!   [`ExecutionReport`](crate::ExecutionReport), which already holds
-//!   the stages, estimates and health.
+//!   read, cache hits, faults, checksum verifies): the run's delta of
+//!   the disk view's one [`DiskStats`](eram_storage::DiskStats)
+//!   account, attached to [`ExecutionReport`](crate::ExecutionReport),
+//!   which already holds the stages, estimates and health.
 //! * [`Profiler`] — RAII phase timers over a fixed taxonomy (see
 //!   [`Phase`]) recording both the simulated-clock charge and the
 //!   real wall-clock nanoseconds per phase, aggregated per stage and

@@ -534,7 +534,7 @@ mod tests {
     }
 
     #[test]
-    fn metrics_snapshot_rides_the_report_round_trip() {
+    fn the_metrics_snapshot_rides_the_report_round_trip() {
         let counters = [("storage.block_reads".to_string(), 2)].into();
         let r = ExecutionReport {
             schema_version: 0,

@@ -97,9 +97,11 @@ pub struct SelTracker {
     cum_tuples: f64,
     /// `Σⱼ pointsⱼ` — sampled points over all stages so far.
     cum_points: f64,
-    /// Confidence for the zero-selectivity floor.
-    zero_sel_confidence: f64,
 }
+
+/// Confidence of the zero-selectivity floor: a median-level
+/// combinatorial bound (Section 3.4).
+const ZERO_SEL_CONFIDENCE: f64 = 0.50;
 
 impl SelTracker {
     /// Creates a tracker with the Figure 3.3 first-stage assumption:
@@ -116,21 +118,7 @@ impl SelTracker {
             total_points,
             cum_tuples: 0.0,
             cum_points: 0.0,
-            zero_sel_confidence: 0.50,
         }
-    }
-
-    /// Sets the confidence level of the zero-selectivity floor
-    /// (default 0.50 — a median-level combinatorial bound; higher
-    /// values make the engine more conservative after all-zero
-    /// samples).
-    pub fn with_zero_sel_confidence(mut self, confidence: f64) -> Self {
-        assert!(
-            confidence > 0.0 && confidence < 1.0,
-            "confidence must be in (0,1)"
-        );
-        self.zero_sel_confidence = confidence;
-        self
     }
 
     /// Overrides the first-stage assumed selectivity (the paper's
@@ -173,7 +161,7 @@ impl SelTracker {
         } else {
             // Section 3.4: a zero sample selectivity is replaced by a
             // combinatorial upper bound so later stages stay safe.
-            zero_selectivity_closed(self.cum_points, self.zero_sel_confidence)
+            zero_selectivity_closed(self.cum_points, ZERO_SEL_CONFIDENCE)
         }
     }
 

@@ -22,14 +22,14 @@
 //! EDF index — a pure stable-EDF pick would replay sequential order
 //! verbatim and interleave nothing). The resulting schedule is a pure
 //! function of the lanes' charge streams, so the shared-draw pool
-//! fills in the same order on every run and the sharing counters
+//! fills in the same order on every run and each lane's pool counters
 //! replay exactly.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use eram_relalg::Catalog;
-use eram_storage::{BlockCache, Clock, Disk, SimClock};
+use eram_storage::{BlockCache, Clock, Disk, DiskStats, SimClock};
 
 use crate::executor::{EngineError, StageRun};
 use crate::obs::{TraceRecord, Tracer};
@@ -52,13 +52,10 @@ pub(super) struct LaneOutcome {
     /// wall clock (then its spans went straight to the shared
     /// tracer).
     pub records: Vec<TraceRecord>,
-    /// Charged block reads on the lane disk.
-    pub reads: u64,
-    /// Reads served from the batch's shared-draw pool (each still
-    /// charged to this lane in full).
-    pub blocks_shared: u64,
-    /// Device time (ns) those pool hits spared the physical device.
-    pub charge_saved_ns: u64,
+    /// What the lane disk did: its charged reads, and those of them
+    /// the batch's shared-draw pool served (each still charged to
+    /// this lane in full) with the device time they spared.
+    pub disk: DiskStats,
 }
 
 /// Where a lane stands between turns. One per lane and moved only
@@ -159,7 +156,6 @@ impl<'a> Lane<'a> {
         loop {
             match self.progress {
                 Progress::Done(result) => {
-                    let (blocks_shared, charge_saved_ns) = self.disk.sharing();
                     return LaneOutcome {
                         result,
                         spent: self.clock.elapsed().saturating_sub(self.start),
@@ -171,9 +167,7 @@ impl<'a> Lane<'a> {
                         } else {
                             Vec::new()
                         },
-                        reads: self.disk.stats().block_reads,
-                        blocks_shared,
-                        charge_saved_ns,
+                        disk: self.disk.stats(),
                     };
                 }
                 _ => self.turn(),

@@ -191,9 +191,6 @@ pub struct ServerJob {
     /// Relative worth used by the shedding policy (default 1.0).
     /// Higher-value jobs survive triage longer.
     pub value: f64,
-    /// Per-job retry policy for transient storage faults; `None`
-    /// inherits the server's [`EngineConfig::retry`].
-    pub retry: Option<RetryPolicy>,
 }
 
 impl ServerJob {
@@ -208,7 +205,6 @@ impl ServerJob {
             desired_quota: deadline,
             min_quota: DEFAULT_MIN_QUOTA,
             value: 1.0,
-            retry: None,
         }
     }
 
@@ -233,12 +229,6 @@ impl ServerJob {
     /// Sets the shedding value (relative worth under triage).
     pub fn with_value(mut self, value: f64) -> Self {
         self.value = value;
-        self
-    }
-
-    /// Sets a per-job retry policy for transient storage faults.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = Some(retry);
         self
     }
 }
@@ -556,10 +546,10 @@ pub struct ServerConfig {
     /// `server.decision` events and every job's engine spans, spliced
     /// in canonical order — and its `collect_metrics` attaches each
     /// job's own snapshot to its report. Per
-    /// job the server overrides four fields: `stopping` is forced to
-    /// [`StoppingCriterion::HardDeadline`], `retry` is the job's own
-    /// when it carries one, `tracer` is the lane's private buffer, and
-    /// `profiler` is off (a served batch renders no per-job profile).
+    /// job the server overrides three fields: `stopping` is forced to
+    /// [`StoppingCriterion::HardDeadline`], `tracer` is the lane's
+    /// private buffer, and `profiler` is off (a served batch renders
+    /// no per-job profile).
     pub engine: EngineConfig,
 }
 
@@ -799,7 +789,6 @@ impl Batch<'_> {
             let job = &self.jobs[idx];
             let config = EngineConfig {
                 stopping: StoppingCriterion::HardDeadline,
-                retry: job.retry.unwrap_or(self.engine.retry),
                 profiler: Profiler::disabled(),
                 ..self.engine.clone()
             };
@@ -1127,13 +1116,14 @@ impl ScheduleReport {
     /// Adds one lane attempt's device totals and fills the lane's
     /// window with it.
     fn consume(&mut self, lane: usize, out: &LaneOutcome) {
-        self.charged_blocks += out.reads;
-        self.blocks_shared += out.blocks_shared;
-        self.charge_saved_ns += out.charge_saved_ns;
+        let disk = &out.disk;
+        self.charged_blocks += disk.block_reads;
+        self.blocks_shared += disk.pool_hits;
+        self.charge_saved_ns += disk.pool_saved_ns;
         let window = &mut self.lanes[lane];
         window.spent = out.spent;
-        window.blocks_shared = out.blocks_shared;
-        window.charge_saved_ns = out.charge_saved_ns;
+        window.blocks_shared = disk.pool_hits;
+        window.charge_saved_ns = disk.pool_saved_ns;
     }
 }
 

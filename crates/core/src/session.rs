@@ -184,18 +184,6 @@ impl Database {
         self.disk.set_fault_plan(plan);
     }
 
-    /// Disarms fault injection (previously corrupted sites heal:
-    /// corruption is injected on read, not persisted to the backend).
-    pub fn clear_faults(&self) {
-        self.disk.clear_fault_plan();
-    }
-
-    /// Cumulative injected-fault counts since the plan was armed, or
-    /// `None` when no plan is active.
-    pub fn fault_stats(&self) -> Option<eram_storage::FaultStats> {
-        self.disk.fault_stats()
-    }
-
     /// Exact `COUNT(expr)` computed outside the quota mechanism
     /// (ground truth for experiments).
     pub fn exact_count(&self, expr: &Expr) -> Result<u64, EngineError> {
@@ -490,16 +478,19 @@ mod tests {
                 .with_corruption(0.02),
         );
         let expr = Expr::relation("t").select(Predicate::col_cmp(1, CmpOp::Eq, 0));
-        let out = db.count(expr).within(Duration::from_secs(6)).run().unwrap();
+        let within = Duration::from_secs(6);
+        let out = db.count(expr.clone()).within(within).run().unwrap();
         assert!(out.estimate.estimate >= 0.0);
         let h = out.report.health;
         assert!(h.faults_seen > 0);
         assert_eq!(h.degraded, h.blocks_lost > 0);
-        let stats = db.fault_stats().expect("plan is armed");
-        assert!(stats.transient_errors + stats.corrupt_reads > 0);
+        let stats = db.disk().stats();
+        assert!(stats.faults_transient + stats.faults_corrupt > 0);
         // Disarming returns the device to clean operation.
-        db.clear_faults();
-        assert!(db.fault_stats().is_none());
+        db.disk().clear_fault_plan();
+        let clean = db.count(expr).within(within).run().unwrap();
+        assert_eq!(clean.report.health.faults_seen, 0);
+        assert_eq!(db.disk().stats().faults_transient, stats.faults_transient);
     }
 
     #[test]

@@ -48,8 +48,6 @@ struct Lru {
     entries: HashMap<Key, (Slot, u64)>,
     recency: VecDeque<(Key, u64)>,
     tick: u64,
-    hits: u64,
-    misses: u64,
 }
 
 impl Lru {
@@ -98,10 +96,8 @@ impl Lru {
             *t = tick;
             let slot = slot.clone();
             self.push_recency(key, tick);
-            self.hits += 1;
             Some(slot)
         } else {
-            self.misses += 1;
             None
         }
     }
@@ -150,8 +146,6 @@ impl BlockCache {
             entries: HashMap::with_capacity(capacity.map_or(0, |c| c + 1)),
             recency: VecDeque::new(),
             tick: 0,
-            hits: 0,
-            misses: 0,
         }))
     }
 
@@ -163,16 +157,6 @@ impl BlockCache {
     /// True when nothing is cached.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Cache hits observed.
-    pub fn hits(&self) -> u64 {
-        self.0.lock().hits
-    }
-
-    /// Cache misses observed.
-    pub fn misses(&self) -> u64 {
-        self.0.lock().misses
     }
 
     /// Looks a block and its digest up, refreshing its recency. Hits
@@ -226,8 +210,6 @@ mod tests {
         let got = c.get(1, 0).unwrap();
         assert_eq!(got.1, put.1, "the digest travels with the block");
         assert_eq!(tag(got), 7);
-        assert_eq!(c.hits(), 1);
-        assert_eq!(c.misses(), 1);
     }
 
     #[test]
@@ -331,7 +313,6 @@ mod tests {
         }
         assert_eq!(c.len(), 10_000);
         assert!((0..10_000u64).all(|i| c.get(i % 7, i).is_some_and(|s| tag(s) == i as u8)));
-        assert_eq!(c.hits(), 10_000);
         assert_eq!(c.recency_len(), 0);
     }
 

@@ -28,11 +28,13 @@
 //! # Lane views
 //!
 //! A disk is split into *shared* state (the backend's blocks, each
-//! with its digest — one copy per physical device) and
-//! *per-view* state (the jitter RNG, the fault injector's attempt
-//! counters, and the activity counters). [`Disk::lane_view`] derives
-//! a second handle onto the same backend whose charges go to a
-//! different clock and whose RNG/fault streams are private: the query
+//! with its digest — one copy per physical device) and *per-view*
+//! state (the jitter RNG, the fault injector's attempt counters, and
+//! the view's one [`DiskStats`] account of what it did: device
+//! charges, cache and pool outcomes, injected faults).
+//! [`Disk::lane_view`] derives a second handle onto the same backend
+//! whose charges go to a different clock and whose RNG/fault streams
+//! are private, and whose account starts at zero: the query
 //! server gives each admitted job such a lane so interleaved
 //! execution charges every job exactly as if it ran alone. Files
 //! created through a lane get lane-local *virtual* ids (translated at
@@ -51,7 +53,7 @@ use crate::cache::BlockCache;
 use crate::clock::Clock;
 use crate::cost::{DeviceOp, DeviceProfile};
 use crate::error::{IoFault, StorageError};
-use crate::fault::{FaultInjector, FaultKind, FaultPlan, FaultStats};
+use crate::fault::{FaultInjector, FaultKind, FaultPlan};
 use crate::rng::Rng;
 use crate::sync::Mutex;
 use crate::Result;
@@ -60,19 +62,78 @@ use crate::Result;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FileId(pub u64);
 
-/// Counters of physical activity on a disk.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DiskStats {
-    /// Charged block reads.
-    pub block_reads: u64,
+/// Declares [`DiskStats`] and its live twin `Counters` (one atomic
+/// per field) from one list, so a counter cannot be added to one and
+/// not the other.
+macro_rules! disk_stats {
+    ($($(#[$doc:meta])* $field:ident,)*) => {
+        /// What one disk view did since it was made: every counter of
+        /// its activity, in one record. The counters are lifetime
+        /// totals — arming, re-arming or clearing a fault plan resets
+        /// none of them — so [`DiskStats::since`] of two readings of
+        /// one view is exactly what happened in between.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct DiskStats {
+            $($(#[$doc])* pub $field: u64,)*
+        }
+
+        impl DiskStats {
+            /// What happened between `before` and `self`, two readings
+            /// of one view (`before` the earlier).
+            pub fn since(&self, before: &DiskStats) -> DiskStats {
+                DiskStats {
+                    $($field: self.$field - before.$field,)*
+                }
+            }
+        }
+
+        #[derive(Default)]
+        struct Counters {
+            $($field: AtomicU64,)*
+        }
+
+        impl Counters {
+            fn load(&self) -> DiskStats {
+                DiskStats {
+                    $($field: self.$field.load(Ordering::Relaxed),)*
+                }
+            }
+        }
+    };
+}
+
+disk_stats! {
+    /// Charged block reads that reached the fault gate: every read
+    /// but a buffer-cache hit.
+    block_reads,
     /// Charged block writes.
-    pub block_writes: u64,
+    block_writes,
     /// Charged tuple-CPU units.
-    pub tuple_cpu: u64,
+    tuple_cpu,
     /// Charged comparison units.
-    pub compares: u64,
+    compares,
     /// Checksum verifications performed on charged reads.
-    pub checksum_verifies: u64,
+    checksum_verifies,
+    /// Charged reads served by the buffer cache.
+    cache_hits,
+    /// Charged reads the buffer cache did not hold.
+    cache_misses,
+    /// Charged reads served from the batch's shared-draw pool: a
+    /// physical fetch avoided, the reader still charged in full.
+    pool_hits,
+    /// Device time (ns) those pool hits would have cost.
+    pool_saved_ns,
+    /// Injected transient read errors.
+    faults_transient,
+    /// Injected corruptions, each surfaced as a checksum mismatch.
+    faults_corrupt,
+    /// Injected latency spikes charged to the clock.
+    latency_spikes,
+}
+
+/// Adds `n` to a live counter.
+fn add(counter: &AtomicU64, n: u64) {
+    counter.fetch_add(n, Ordering::Relaxed);
 }
 
 /// Per-view state: the jitter RNG and the fault injector's attempt
@@ -119,17 +180,7 @@ pub struct Disk {
     shared: Option<Arc<BlockCache>>,
     clock: Arc<dyn Clock>,
     profile: DeviceProfile,
-    reads: AtomicU64,
-    writes: AtomicU64,
-    tuple_cpu: AtomicU64,
-    compares: AtomicU64,
-    verifies: AtomicU64,
-    /// Charged reads served from the shared-draw pool (a physical
-    /// fetch avoided; the subscriber was still charged in full).
-    shared_hits: AtomicU64,
-    /// Total device time (ns) those pool hits would have cost the
-    /// physical device.
-    saved_ns: AtomicU64,
+    counters: Counters,
 }
 
 impl Disk {
@@ -175,13 +226,7 @@ impl Disk {
             shared: None,
             clock,
             profile,
-            reads: AtomicU64::new(0),
-            writes: AtomicU64::new(0),
-            tuple_cpu: AtomicU64::new(0),
-            compares: AtomicU64::new(0),
-            verifies: AtomicU64::new(0),
-            shared_hits: AtomicU64::new(0),
-            saved_ns: AtomicU64::new(0),
+            counters: Counters::default(),
         })
     }
 
@@ -221,13 +266,7 @@ impl Disk {
             shared,
             clock,
             profile: self.profile.clone(),
-            reads: AtomicU64::new(0),
-            writes: AtomicU64::new(0),
-            tuple_cpu: AtomicU64::new(0),
-            compares: AtomicU64::new(0),
-            verifies: AtomicU64::new(0),
-            shared_hits: AtomicU64::new(0),
-            saved_ns: AtomicU64::new(0),
+            counters: Counters::default(),
         })
     }
 
@@ -276,14 +315,17 @@ impl Disk {
         )
     }
 
-    /// Cache hit/miss counters, if a cache is attached.
+    /// `(cache_hits, cache_misses)` of [`Disk::stats`], if a cache is
+    /// attached.
     pub fn cache_stats(&self) -> Option<(u64, u64)> {
-        self.cache.as_ref().map(|c| (c.hits(), c.misses()))
+        let stats = self.cache.as_ref().map(|_| self.stats());
+        stats.map(|s| (s.cache_hits, s.cache_misses))
     }
 
     /// Arms fault injection: every subsequent charged read runs
     /// through the plan's deterministic fault decisions. Replaces any
-    /// previously armed plan (and its counters).
+    /// previously armed plan and its attempt counters; the faults it
+    /// injected stay counted in [`Disk::stats`].
     pub fn set_fault_plan(&self, plan: FaultPlan) {
         self.local.lock().faults = Some(FaultInjector::new(plan));
     }
@@ -296,11 +338,6 @@ impl Disk {
     /// The armed fault plan, if any.
     pub fn fault_plan(&self) -> Option<FaultPlan> {
         self.local.lock().faults.as_ref().map(|i| *i.plan())
-    }
-
-    /// Counters of faults injected so far, if a plan is armed.
-    pub fn fault_stats(&self) -> Option<FaultStats> {
-        self.local.lock().faults.as_ref().map(|i| i.stats())
     }
 
     /// The clock charged by this disk.
@@ -366,7 +403,7 @@ impl Disk {
     /// Panics if the block's size differs from the disk's block size.
     pub fn append_block(&self, file: FileId, block: Block) -> Result<u64> {
         self.charge(DeviceOp::BlockWrite);
-        self.writes.fetch_add(1, Ordering::Relaxed);
+        add(&self.counters.block_writes, 1);
         let (index, slot) = self.store(file, block)?;
         if let Some(cache) = &self.cache {
             cache.put(file.0, index, slot);
@@ -398,7 +435,7 @@ impl Disk {
     /// jittered cost from the lane's own RNG), consults the lane's
     /// own fault injector, and verifies the same digest, so a lane
     /// behaves byte-identically with the pool on or off; what changes
-    /// is the device-level total, counted by [`Disk::sharing`].
+    /// is the device-level total, counted in [`DiskStats::pool_hits`].
     /// Feeding one uniform draw to several independent estimators
     /// biases none of them: each job's sampler still picks blocks
     /// uniformly from its own seeded stream, and the pool only dedups
@@ -411,14 +448,15 @@ impl Disk {
     /// misses on the in-memory backend, hand back the block that is
     /// held there without copying its bytes.
     pub fn read_block(&self, file: FileId, index: u64) -> Result<Arc<Block>> {
+        let counters = &self.counters;
         // Cache lookup first: a hit never touches the backend lock.
-        let cached = self
-            .cache
-            .as_ref()
-            .and_then(|cache| cache.get(file.0, index));
-        if let Some((block, _)) = cached {
-            self.charge(DeviceOp::CacheHit);
-            return Ok(block);
+        if let Some(cache) = &self.cache {
+            if let Some((block, _)) = cache.get(file.0, index) {
+                add(&counters.cache_hits, 1);
+                self.charge(DeviceOp::CacheHit);
+                return Ok(block);
+            }
+            add(&counters.cache_misses, 1);
         }
         let physical = self.physical(file);
         // The charge and the fault decision share one hold of the
@@ -427,15 +465,17 @@ impl Disk {
         // Spikes charge the clock directly.
         let mut local = self.local.lock();
         let cost = self.sample_charge(&mut local, DeviceOp::BlockRead);
-        self.reads.fetch_add(1, Ordering::Relaxed);
+        add(&counters.block_reads, 1);
         let mut corrupt_bit = None;
         if let Some(injector) = local.faults.as_mut() {
             let outcome = injector.on_read(file.0, index);
             if let Some(spike) = outcome.spike {
+                add(&counters.latency_spikes, 1);
                 self.clock.charge(spike);
             }
             match outcome.kind {
                 Some(FaultKind::Transient) => {
+                    add(&counters.faults_transient, 1);
                     return Err(StorageError::Io(IoFault::new(
                         std::io::ErrorKind::Interrupted,
                         format!(
@@ -445,6 +485,7 @@ impl Disk {
                     )));
                 }
                 Some(FaultKind::Corrupt) => {
+                    add(&counters.faults_corrupt, 1);
                     corrupt_bit = Some(injector.corrupt_bit(file.0, index, BLOCK_SIZE));
                 }
                 None => {}
@@ -463,9 +504,8 @@ impl Disk {
         // backend lock a miss takes.
         let (fetched, expected) = match pooled {
             Some(slot) => {
-                self.shared_hits.fetch_add(1, Ordering::Relaxed);
-                self.saved_ns
-                    .fetch_add(cost.as_nanos() as u64, Ordering::Relaxed);
+                add(&counters.pool_hits, 1);
+                add(&counters.pool_saved_ns, cost.as_nanos() as u64);
                 slot
             }
             None => {
@@ -485,7 +525,7 @@ impl Disk {
             }
             None => fetched,
         };
-        self.verifies.fetch_add(1, Ordering::Relaxed);
+        add(&counters.checksum_verifies, 1);
         if block.checksum() != expected {
             return Err(StorageError::Corrupt {
                 file: file.0,
@@ -542,12 +582,8 @@ impl Disk {
     /// clock) and updates the activity counters.
     pub fn charge(&self, op: DeviceOp) {
         match op {
-            DeviceOp::TupleCpu(n) => {
-                self.tuple_cpu.fetch_add(n, Ordering::Relaxed);
-            }
-            DeviceOp::Compare(n) => {
-                self.compares.fetch_add(n, Ordering::Relaxed);
-            }
+            DeviceOp::TupleCpu(n) => add(&self.counters.tuple_cpu, n),
+            DeviceOp::Compare(n) => add(&self.counters.compares, n),
             _ => {}
         }
         // A measured clock is never charged: skip the view's lock too.
@@ -556,26 +592,9 @@ impl Disk {
         }
     }
 
-    /// Snapshot of the physical activity counters.
+    /// A reading of this view's activity counters.
     pub fn stats(&self) -> DiskStats {
-        DiskStats {
-            block_reads: self.reads.load(Ordering::Relaxed),
-            block_writes: self.writes.load(Ordering::Relaxed),
-            tuple_cpu: self.tuple_cpu.load(Ordering::Relaxed),
-            compares: self.compares.load(Ordering::Relaxed),
-            checksum_verifies: self.verifies.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Shared-draw counters for this view: `(blocks served from the
-    /// pool, device nanoseconds those fetches would have cost)`.
-    /// Kept out of [`DiskStats`] so per-job metric snapshots stay
-    /// identical whether or not a shared-draw pool was armed.
-    pub fn sharing(&self) -> (u64, u64) {
-        (
-            self.shared_hits.load(Ordering::Relaxed),
-            self.saved_ns.load(Ordering::Relaxed),
-        )
+        self.counters.load()
     }
 }
 
@@ -750,19 +769,33 @@ mod tests {
                 let corrupt = (0..100u64)
                     .filter(|&i| matches!(lane.read_block(f, i), Err(StorageError::Corrupt { .. })))
                     .count() as u64;
-                let (stats, faults) = (lane.stats(), lane.fault_stats().unwrap());
-                assert!(faults.transient_errors > 0 && corrupt > 0);
-                assert_eq!(faults.corrupt_reads, corrupt, "every flip was caught");
+                let stats = lane.stats();
+                assert!(stats.faults_transient > 0 && corrupt > 0);
+                assert_eq!(stats.faults_corrupt, corrupt, "every flip was caught");
                 assert_eq!(
                     stats.checksum_verifies,
-                    stats.block_reads - faults.transient_errors
+                    stats.block_reads - stats.faults_transient
                 );
                 stats
             })
         };
         let alone = counts(None);
-        assert_eq!(counts(Some(&pool)), alone);
-        assert!(pool.hits() > 0, "the second lane drew from the pool");
+        let pooled = counts(Some(&pool));
+        assert!(
+            pooled[1].pool_hits > 0,
+            "the second lane drew from the pool"
+        );
+        assert_eq!(pooled.map(unpooled), alone);
+    }
+
+    /// A reading with the pool's counters cleared: what a lane saw
+    /// had it read without a shared-draw pool.
+    fn unpooled(stats: DiskStats) -> DiskStats {
+        DiskStats {
+            pool_hits: 0,
+            pool_saved_ns: 0,
+            ..stats
+        }
     }
 
     #[test]
@@ -885,9 +918,9 @@ mod tests {
         // ...and retry it until it succeeds (attempt-varying faults).
         let recovered = (0..64).any(|_| disk.read_block(f, failed).is_ok());
         assert!(recovered, "transient fault never cleared on retry");
-        let stats = disk.fault_stats().unwrap();
-        assert!(stats.transient_errors >= 1);
-        assert_eq!(stats.corrupt_reads, 0);
+        let stats = disk.stats();
+        assert!(stats.faults_transient >= 1);
+        assert_eq!(stats.faults_corrupt, 0);
     }
 
     #[test]
@@ -916,7 +949,7 @@ mod tests {
         }
         // Ground truth is unaffected: the backend bytes stay clean.
         assert!(disk.read_block_uncharged(f, 0).is_ok());
-        assert!(disk.fault_stats().unwrap().corrupt_reads >= 3);
+        assert!(disk.stats().faults_corrupt >= 3);
     }
 
     #[test]
@@ -930,7 +963,7 @@ mod tests {
         disk.read_block(f, 0).unwrap();
         let cost = clock.elapsed() - t0;
         assert_eq!(cost, disk.profile().block_read + Duration::from_millis(500));
-        assert_eq!(disk.fault_stats().unwrap().latency_spikes, 1);
+        assert_eq!(disk.stats().latency_spikes, 1);
     }
 
     #[test]
@@ -939,11 +972,17 @@ mod tests {
         let f = disk.create_file();
         disk.append_block_uncharged(f, Block::zeroed(disk.block_size()))
             .unwrap();
-        disk.set_fault_plan(crate::FaultPlan::new(4).with_transient(1.0));
+        let plan = crate::FaultPlan::new(4).with_transient(1.0);
+        disk.set_fault_plan(plan);
         assert!(disk.read_block(f, 0).is_err());
         disk.clear_fault_plan();
         assert!(disk.read_block(f, 0).is_ok());
-        assert!(disk.fault_stats().is_none());
+        assert!(disk.fault_plan().is_none());
+        // The counters outlive the plan, and re-arming adds to them.
+        assert_eq!(disk.stats().faults_transient, 1);
+        disk.set_fault_plan(plan);
+        assert!(disk.read_block(f, 0).is_err());
+        assert_eq!(disk.stats().faults_transient, 2);
     }
 
     #[test]
@@ -1082,8 +1121,8 @@ mod tests {
         // Same plan, fresh attempt counters: both lanes see the same
         // first-attempt pattern regardless of each other's reads.
         assert_eq!(pattern(&lane_a), pattern(&lane_b));
-        assert!(disk.fault_stats().unwrap().transient_errors == 0);
-        assert!(lane_a.fault_stats().unwrap().transient_errors > 0);
+        assert_eq!(disk.stats().faults_transient, 0);
+        assert!(lane_a.stats().faults_transient > 0);
     }
 
     #[test]
@@ -1109,17 +1148,14 @@ mod tests {
         assert_eq!(*l1.read_block(f, 0).unwrap(), b);
 
         // Identical seed ⇒ identical charge, pool or not; the hit
-        // only changes the sharing counters.
+        // only changes the pool's counters.
         assert_eq!(c0.elapsed(), solo_clock.elapsed());
         assert_eq!(c1.elapsed(), solo_clock.elapsed());
         assert_eq!(l0.stats(), solo.stats());
-        assert_eq!(l1.stats(), solo.stats());
-        assert_eq!(l0.sharing().0, 0);
-        let (hits, saved) = l1.sharing();
-        assert_eq!(hits, 1);
-        assert!(saved > 0);
+        assert_eq!(unpooled(l1.stats()), solo.stats());
         // One block published once, one hit served.
-        assert_eq!(pool.hits(), 1);
+        assert_eq!(l1.stats().pool_hits, 1);
+        assert!(l1.stats().pool_saved_ns > 0);
         assert_eq!(pool.len(), 1);
     }
 
@@ -1130,10 +1166,14 @@ mod tests {
         let lane = disk.lane_view(Arc::new(SimClock::new()), 1, 0, Some(Arc::clone(&pool)));
         let run = lane.create_file();
         lane.append_block(run, tagged(&lane, 4)).unwrap();
-        lane.read_block(run, 0).unwrap();
-        lane.read_block(run, 0).unwrap();
-        assert!(pool.is_empty());
-        assert_eq!(pool.hits() + pool.misses(), 0, "never consulted");
-        assert_eq!(lane.sharing(), (0, 0));
+        // A decoy under the run's physical id: a read that consulted
+        // the pool would hand it back.
+        let decoy = tagged(&lane, 9);
+        let digest = decoy.checksum();
+        pool.put(lane.physical(run), 0, (Arc::new(decoy), digest));
+        assert_eq!(*lane.read_block(run, 0).unwrap(), tagged(&lane, 4));
+        assert_eq!(*lane.read_block(run, 0).unwrap(), tagged(&lane, 4));
+        assert_eq!(pool.len(), 1, "never published");
+        assert_eq!(lane.stats().pool_hits, 0);
     }
 }

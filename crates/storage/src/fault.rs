@@ -90,28 +90,12 @@ impl FaultPlan {
         self.spike = spike;
         self
     }
-
-    /// True if the plan can never produce a fault.
-    pub fn is_noop(&self) -> bool {
-        self.transient_rate == 0.0 && self.corrupt_rate == 0.0 && self.spike_rate == 0.0
-    }
 }
 
 impl Default for FaultPlan {
     fn default() -> Self {
         FaultPlan::new(0)
     }
-}
-
-/// Counters of faults actually injected, for report plumbing.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultStats {
-    /// Transient read errors surfaced to callers.
-    pub transient_errors: u64,
-    /// Reads that returned a corrupt block (checksum mismatch).
-    pub corrupt_reads: u64,
-    /// Latency spikes charged to the clock.
-    pub latency_spikes: u64,
 }
 
 /// What the injector decided for one read attempt.
@@ -131,14 +115,15 @@ pub(crate) struct FaultOutcome {
     pub(crate) kind: Option<FaultKind>,
 }
 
-/// Turns a [`FaultPlan`] into deterministic per-read decisions.
+/// Turns a [`FaultPlan`] into deterministic per-read decisions. What
+/// it decided is counted by the disk that asked, in its
+/// [`DiskStats`](crate::DiskStats).
 #[derive(Debug)]
 pub(crate) struct FaultInjector {
     plan: FaultPlan,
     /// Read attempts seen per (file, block) site, so transient faults
     /// can differ between retries of the same block.
     attempts: HashMap<(u64, u64), u64>,
-    stats: FaultStats,
 }
 
 // Domain-separation salts for the three independent fault decisions.
@@ -169,7 +154,6 @@ impl FaultInjector {
         FaultInjector {
             plan,
             attempts: HashMap::new(),
-            stats: FaultStats::default(),
         }
     }
 
@@ -177,18 +161,14 @@ impl FaultInjector {
         &self.plan
     }
 
-    pub(crate) fn stats(&self) -> FaultStats {
-        self.stats
-    }
-
     /// True if the site (file, block) is permanently corrupt under
-    /// this plan. Pure — does not touch counters.
+    /// this plan. Pure — does not count an attempt.
     pub(crate) fn site_is_corrupt(&self, file: u64, block: u64) -> bool {
         decide(self.plan.seed, SALT_CORRUPT, file, block, 0) < self.plan.corrupt_rate
     }
 
-    /// Decides the outcome of one charged read attempt and updates
-    /// the injected-fault counters.
+    /// Decides the outcome of one charged read attempt, counting the
+    /// attempt against its site.
     pub(crate) fn on_read(&mut self, file: u64, block: u64) -> FaultOutcome {
         let attempt = {
             let n = self.attempts.entry((file, block)).or_insert(0);
@@ -198,7 +178,6 @@ impl FaultInjector {
         let spike = if self.plan.spike_rate > 0.0
             && decide(self.plan.seed, SALT_SPIKE, file, block, attempt) < self.plan.spike_rate
         {
-            self.stats.latency_spikes += 1;
             Some(self.plan.spike)
         } else {
             None
@@ -209,10 +188,8 @@ impl FaultInjector {
             && decide(self.plan.seed, SALT_TRANSIENT, file, block, attempt)
                 < self.plan.transient_rate
         {
-            self.stats.transient_errors += 1;
             Some(FaultKind::Transient)
         } else if self.site_is_corrupt(file, block) {
-            self.stats.corrupt_reads += 1;
             Some(FaultKind::Corrupt)
         } else {
             None
@@ -243,7 +220,6 @@ mod tests {
             assert!(out.kind.is_none());
             assert!(out.spike.is_none());
         }
-        assert_eq!(inj.stats(), FaultStats::default());
     }
 
     #[test]

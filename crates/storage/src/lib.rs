@@ -62,7 +62,7 @@ pub use columnar::{ColumnData, ColumnarBlock};
 pub use cost::{DeviceOp, DeviceProfile};
 pub use disk::{Disk, DiskStats, FileId};
 pub use error::{IoFault, StorageError};
-pub use fault::{FaultPlan, FaultStats};
+pub use fault::FaultPlan;
 pub use heap::HeapFile;
 pub use ingest::{read_tuples, IngestFormat};
 pub use json::{FromJson, Json, JsonError, ToJson};

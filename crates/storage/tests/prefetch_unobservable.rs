@@ -8,7 +8,7 @@ use std::time::Duration;
 use testkit::prelude::*;
 
 use eram_storage::{
-    Block, BlockCache, DeviceProfile, Disk, DiskStats, FaultPlan, FaultStats, FileId, SimClock,
+    Block, BlockCache, DeviceProfile, Disk, DiskStats, FaultPlan, FileId, SimClock,
 };
 
 /// Blocks in the base relation; reads and hints also reach past it.
@@ -30,10 +30,8 @@ enum Kind {
 struct Observed {
     reads: Vec<Result<Vec<u8>, String>>,
     stats: DiskStats,
-    faults: Option<FaultStats>,
-    cache: Option<(u64, u64)>,
-    sharing: (u64, u64),
-    pool: Option<(u64, usize)>,
+    /// Blocks the shared-draw pool holds.
+    pool: Option<usize>,
     elapsed: Duration,
 }
 
@@ -113,10 +111,7 @@ fn run(
     Observed {
         reads: outcomes,
         stats: disk.stats(),
-        faults: disk.fault_stats(),
-        cache: disk.cache_stats(),
-        sharing: disk.sharing(),
-        pool: pool.map(|p| (p.hits(), p.len())),
+        pool: pool.map(|p| p.len()),
         elapsed: disk.clock().elapsed(),
     }
 }
@@ -153,8 +148,8 @@ fn the_twins_exercise_what_they_claim_to() {
     // faults, cache hits, pool hits and every error: pin that once.
     let reads: Vec<(usize, u64)> = (0..200u64).map(|i| ((i % 4) as usize, i % 44)).collect();
     let faulty = run(Kind::Faulty, 3, &reads, None);
-    let faults = faulty.faults.unwrap();
-    assert!(faults.transient_errors > 0 && faults.corrupt_reads > 0 && faults.latency_spikes > 0);
+    let faults = faulty.stats;
+    assert!(faults.faults_transient > 0 && faults.faults_corrupt > 0 && faults.latency_spikes > 0);
     let errors = |needle: &str| {
         faulty
             .reads
@@ -163,7 +158,7 @@ fn the_twins_exercise_what_they_claim_to() {
     };
     assert!(errors("unknown file") && errors("out of range"));
     let cached = run(Kind::Cached, 3, &reads, None);
-    assert!(cached.cache.unwrap().0 > 0);
+    assert!(cached.stats.cache_hits > 0);
     let lane = run(Kind::Lane, 3, &reads, None);
-    assert!(lane.sharing.0 > 0 && lane.pool.unwrap().1 > 0);
+    assert!(lane.stats.pool_hits > 0 && lane.pool.unwrap() > 0);
 }

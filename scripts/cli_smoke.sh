@@ -63,6 +63,11 @@ for layout in row columnar; do
     for query in 'project[#1](t)' 'project[#1](select[#1 < 50](t))'; do
         run --query "$query" --quota 10 --agg count
     done
+    # On a cached, fault-armed disk the rendered storage.* counters
+    # (cache hits and misses, faults, spikes) must not depend on the
+    # layout either.
+    run --query 'join[#0=#0](select[#1 < 50](t), t)' --quota 60 --agg count \
+        --metrics --cache 8 --fault-transient 0.05 --fault-spike 0.02
 done
 cmp out-row.txt out-columnar.txt
 

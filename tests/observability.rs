@@ -3,14 +3,16 @@
 //! 1. **Determinism** — same data seed + query seed on a `SimClock`
 //!    produce a byte-identical JSONL trace, run after run.
 //! 2. **Golden trace** — one Figure 5.1 selection query's trace is
-//!    pinned under `tests/golden/`; any drift in the span taxonomy,
-//!    record schema, or charged timestamps fails with a line diff.
+//!    pinned under `tests/golden/`, beside the report of one cached,
+//!    fault-armed run with all ten `storage.*` counters; any drift in
+//!    the span taxonomy, record schema, charged timestamps or counter
+//!    set fails with a line diff.
 //!    Regenerate with `BLESS=1 cargo test -p eram-bench --test
 //!    observability` after an intentional change.
 //! 3. **Accounting invariants** — stage spans partition the charged
 //!    time, the `execute` span equals `total_elapsed`, and the
-//!    metrics snapshot agrees with the fault injector, the report
-//!    health, and the device counters.
+//!    metrics snapshot agrees with the disk's own counters and the
+//!    report health, even when a fault plan is re-armed mid-run.
 //! 4. **Well-formedness** (property-based) — for arbitrary
 //!    expressions and quotas: spans nest, stage indices and
 //!    timestamps are monotone, every executed stage emits exactly one
@@ -26,17 +28,23 @@ use std::time::Duration;
 use testkit::prelude::*;
 
 use eram_core::{
-    Database, MetricsSnapshot, Profiler, QueryServer, ReportHealth, ServerJob, StoppingCriterion,
-    TraceKind, TraceRecord, Tracer, SCHEMA_VERSION,
+    AggregateFn, Database, EngineConfig, MetricsSnapshot, Profiler, QueryServer, ReportHealth,
+    ServerJob, StageRun, StoppingCriterion, TraceKind, TraceRecord, Tracer, SCHEMA_VERSION,
 };
 use eram_relalg::{CmpOp, Expr, Predicate};
-use eram_storage::{json, ColumnType, FaultPlan, Json, Schema, ToJson, Tuple, Value};
+use eram_storage::{
+    json, ColumnType, DeviceProfile, FaultPlan, Json, Schema, ToJson, Tuple, Value,
+};
 
 /// The paper's Figure 5.1 artificial relation: 10 000 tuples of
 /// 200 bytes, value column uniform over 0..100 so `#1 < 50` selects
 /// 5 000 tuples.
 fn fig51_db(seed: u64) -> Database {
-    let mut db = Database::sim_default(seed);
+    fig51_on(Database::sim_default(seed))
+}
+
+/// Loads the Figure 5.1 relation `r` into `db`.
+fn fig51_on(mut db: Database) -> Database {
     let schema = Schema::new(vec![("k", ColumnType::Int), ("v", ColumnType::Int)]).padded_to(200);
     db.load_relation(
         "r",
@@ -143,6 +151,38 @@ fn golden_trace_is_stable() {
     testkit::assert_golden(Path::new(GOLDEN), &trace);
 }
 
+const GOLDEN_METRICS: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../../tests/golden/metrics.report.json"
+);
+
+/// The pretty report of one seeded metrics run of a self-join on a
+/// cached disk with transient, corruption and spike faults armed, so
+/// every `storage.*` counter — device, cache and fault — appears in
+/// its snapshot.
+#[test]
+fn golden_metrics_report_is_stable() {
+    let mut db = fig51_on(Database::sim_cached(DeviceProfile::sun_3_60(), 4, 64));
+    db.inject_faults(
+        FaultPlan::new(0x3E7)
+            .with_transient(0.05)
+            .with_corruption(0.02)
+            .with_spikes(0.03, Duration::from_millis(40)),
+    );
+    let out = db
+        .count(Expr::relation("r").join(Expr::relation("r"), vec![(1, 1)]))
+        .within(Duration::from_secs(10))
+        .seed(11)
+        .metrics(true)
+        .run()
+        .unwrap();
+    let m = out.report.metrics.as_ref().expect("metrics requested");
+    assert_eq!(m.counters.len(), 10, "{:?}", m.counters);
+    assert!(m.counter("storage.cache_hits") > 0 && m.counter("storage.latency_spikes") > 0);
+    let report = json::to_string_pretty(&out.report) + "\n";
+    testkit::assert_golden(Path::new(GOLDEN_METRICS), &report);
+}
+
 const GOLDEN_GROUPED: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/../../tests/golden/groupby_sum.trace.jsonl"
@@ -241,7 +281,6 @@ fn metrics_agree_with_injector_health_and_device_counters() {
             .with_transient(0.08)
             .with_corruption(0.02),
     );
-    let faults_before = db.fault_stats().expect("plan armed");
     let disk_before = db.disk().stats();
     let out = db
         .count(fig51_expr())
@@ -251,7 +290,6 @@ fn metrics_agree_with_injector_health_and_device_counters() {
         .run()
         .unwrap();
     let disk_after = db.disk().stats();
-    let faults_after = db.fault_stats().expect("plan still armed");
     let m = out.report.metrics.as_ref().expect("metrics requested");
     let h = out.report.health;
 
@@ -266,14 +304,45 @@ fn metrics_agree_with_injector_health_and_device_counters() {
         disk_after.checksum_verifies - disk_before.checksum_verifies
     );
 
-    // The fault metrics are exactly what the injector reports.
-    let transient = faults_after.transient_errors - faults_before.transient_errors;
-    let corrupt = faults_after.corrupt_reads - faults_before.corrupt_reads;
+    // The fault metrics are exactly what the injector decided.
+    let transient = disk_after.faults_transient - disk_before.faults_transient;
+    let corrupt = disk_after.faults_corrupt - disk_before.faults_corrupt;
     assert_eq!(m.counter("storage.faults_transient"), transient);
     assert_eq!(m.counter("storage.faults_corrupt"), corrupt);
     assert!(transient + corrupt > 0, "8%+2% rates must fault");
     // Every injected error surfaced to the loop as an observed fault.
     assert_eq!(h.faults_seen, transient + corrupt);
+}
+
+/// Re-arming a plan mid-run starts a fresh injector, but the metrics
+/// delta is taken over the disk's lifetime counters: it counts what
+/// the run saw on either side of the re-arm, and never runs backwards.
+#[test]
+fn rearming_faults_mid_run_keeps_the_metrics_delta_whole() {
+    let mut db = fig51_db(5);
+    let plan = FaultPlan::new(0x5EA)
+        .with_transient(0.10)
+        .with_corruption(0.02);
+    db.inject_faults(plan);
+    db.count(fig51_expr())
+        .within(Duration::from_secs(20))
+        .seed(1)
+        .run()
+        .unwrap();
+    let config = EngineConfig {
+        collect_metrics: true,
+        ..EngineConfig::default()
+    };
+    let mut spec = db.prepare(AggregateFn::Count, fig51_expr(), config);
+    spec.quota = Duration::from_secs(2);
+    let mut run = StageRun::start(db.disk(), db.catalog(), &spec).unwrap();
+    assert!(run.step().unwrap(), "the run outlives its first stage");
+    db.inject_faults(plan);
+    while run.step().unwrap() {}
+    let out = run.finish();
+    let m = out.report.metrics.as_ref().expect("metrics requested");
+    let faults = m.counter("storage.faults_transient") + m.counter("storage.faults_corrupt");
+    assert_eq!(faults, out.report.health.faults_seen);
 }
 
 #[test]
@@ -325,7 +394,7 @@ fn report_health_serde_round_trips_with_partial_defaults() {
 }
 
 #[test]
-fn metrics_snapshot_counters_survive_the_report_round_trip() {
+fn the_metrics_snapshot_counters_survive_the_report_round_trip() {
     let mut db = fig51_db(3);
     let out = db
         .count(fig51_expr())

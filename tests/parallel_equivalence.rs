@@ -16,8 +16,9 @@
 //! 4. **Property** — arbitrary seeds, quotas, and worker counts
 //!    replay identically (property test).
 //! 5. **Cache stress** — the [`eram_storage::BlockCache`]
-//!    under concurrent readers/writers keeps exact hit/miss
-//!    accounting and never exceeds capacity.
+//!    under concurrent readers/writers, alone and behind a cached
+//!    [`eram_storage::Disk`], keeps exact hit/miss accounting and
+//!    never exceeds capacity.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -27,7 +28,10 @@ use testkit::prelude::*;
 use eram_bench::{Workload, WorkloadKind};
 use eram_core::{AggregateFn, Database, Tracer};
 use eram_relalg::{CmpOp, Expr, Predicate};
-use eram_storage::{json, Block, BlockCache, ColumnType, Schema, Tuple, Value};
+use eram_storage::{
+    json, Block, BlockCache, ColumnType, DeviceProfile, Disk, Schema, SimClock, Tuple, Value,
+    BLOCK_SIZE,
+};
 
 /// Runs one seeded workload query at the given worker count and
 /// returns the serialized report plus the JSONL trace.
@@ -218,42 +222,31 @@ fn tagged_block(tag: u8) -> (Arc<Block>, u64) {
 #[test]
 fn contended_cache_keeps_exact_accounting_and_bounds() {
     let capacity = 64;
+    let keys = 2 * capacity as u64;
+    let (threads, lookups_per_thread) = (8, 2_000u64);
+    // Each thread walks twice the capacity deterministically: half the
+    // keys are resident before the storm, half miss under contention.
+    let storm = |lookup: &(dyn Fn(u64) + Sync)| {
+        std::thread::scope(|scope| {
+            for t in 0..threads {
+                scope.spawn(move || {
+                    (0..lookups_per_thread).for_each(|j| lookup((t * 7 + j * 13) % keys))
+                });
+            }
+        })
+    };
+
+    // The cache alone, `get` then `put` on a miss: eviction holds the
+    // capacity bound, and a hit returns the block put under its key —
+    // no cross-key tearing.
     let cache = BlockCache::new(capacity);
-    // Pre-populate the lower key range so readers see real hits.
     for i in 0..capacity as u64 {
         cache.put(0, i, tagged_block(i as u8));
     }
-    let threads = 8;
-    let lookups_per_thread = 2_000u64;
-    std::thread::scope(|scope| {
-        for t in 0..threads {
-            let cache = &cache;
-            scope.spawn(move || {
-                for j in 0..lookups_per_thread {
-                    // Deterministic per-thread walk over twice the
-                    // capacity: half the keys were pre-populated, half
-                    // miss and get inserted under contention.
-                    let key = (t as u64 * 7 + j * 13) % (2 * capacity as u64);
-                    match cache.get(0, key) {
-                        Some((block, _)) => {
-                            // A hit must return the block that was put
-                            // under this key — no cross-key tearing.
-                            assert_eq!(block.bytes()[0], key as u8, "torn read for key {key}");
-                        }
-                        None => cache.put(0, key, tagged_block(key as u8)),
-                    }
-                }
-            });
-        }
+    storm(&|key| match cache.get(0, key) {
+        Some((block, _)) => assert_eq!(block.bytes()[0], key as u8, "torn read for key {key}"),
+        None => cache.put(0, key, tagged_block(key as u8)),
     });
-    let total_lookups = threads as u64 * lookups_per_thread;
-    assert_eq!(
-        cache.hits() + cache.misses(),
-        total_lookups,
-        "every lookup is exactly one hit or one miss"
-    );
-    assert!(cache.hits() > 0, "pre-populated keys must hit");
-    assert!(cache.misses() > 0, "the upper key range must miss");
     assert!(
         cache.len() <= capacity,
         "eviction must hold the capacity bound under contention: {} > {capacity}",
@@ -261,11 +254,42 @@ fn contended_cache_keeps_exact_accounting_and_bounds() {
     );
     // The cache stays coherent after the storm: whatever is resident
     // reads back with the right payload.
-    for key in 0..(2 * capacity as u64) {
+    for key in 0..keys {
         if let Some((block, _)) = cache.get(0, key) {
             assert_eq!(block.bytes()[0], key as u8);
         }
     }
+
+    // The same storm behind a cached disk: every read is counted once,
+    // as a hit or as a miss, in the view's one account.
+    let disk = Disk::new_cached(
+        Arc::new(SimClock::new()),
+        DeviceProfile::sun_3_60(),
+        5,
+        capacity,
+    );
+    let file = disk.create_file();
+    for key in 0..keys {
+        let mut b = Block::zeroed(BLOCK_SIZE);
+        b.bytes_mut()[0] = key as u8;
+        disk.append_block_uncharged(file, b).unwrap();
+    }
+    for key in 0..capacity as u64 {
+        disk.read_block(file, key).unwrap();
+    }
+    let before = disk.stats();
+    storm(&|key| {
+        let block = disk.read_block(file, key).unwrap();
+        assert_eq!(block.bytes()[0], key as u8, "torn read for key {key}");
+    });
+    let counted = disk.stats().since(&before);
+    assert_eq!(
+        counted.cache_hits + counted.cache_misses,
+        threads * lookups_per_thread,
+        "every read is exactly one hit or one miss"
+    );
+    assert!(counted.cache_hits > 0, "resident keys must hit");
+    assert!(counted.cache_misses > 0, "the upper key range must miss");
 }
 
 #[test]

@@ -1,6 +1,7 @@
 //! Property tests on the time-control loop's invariants.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock, Weak};
 use std::time::Duration;
 
 use testkit::prelude::*;
@@ -149,27 +150,66 @@ fn risk_decreases_with_d_beta_in_aggregate() {
 // ---------------------------------------------------------------
 
 /// A clock that is a script of the disk view it times: every charged
-/// block read costs `unit`, except that reads after the first
+/// block read costs [`SCRIPT_UNIT`], except that reads after the first
 /// `probe_reads` cost `slowdown ×` that — the shape a real host
 /// shows, where the coefficients fitted on a small first stage
-/// under-predict the large stages planned from them. Charges are
-/// ignored, so whether the engine takes the clock for simulated or
-/// measured is the `simulated` flag alone.
+/// under-predict the large stages planned from them — and once the
+/// profiler's handle ([`PhaseEdges`]) has timed a phase edge, the
+/// clock stands [`DRAW_COST`] further on. It counts how often it is
+/// read. Charges are ignored, so whether the engine takes the clock
+/// for simulated or measured is the `simulated` flag alone.
 struct ScriptedClock {
-    view: std::sync::OnceLock<std::sync::Weak<Disk>>,
-    unit: Duration,
+    view: OnceLock<Weak<Disk>>,
     probe_reads: u64,
     slowdown: f64,
     simulated: bool,
+    /// Times the clock was read.
+    readings: AtomicU64,
+    /// Phase edges (opens and closes) the profiler timed.
+    phase_edges: AtomicU64,
+}
+
+impl ScriptedClock {
+    /// A lane view of `db`'s disk timed by a new script, and the
+    /// script.
+    fn attach(
+        db: &Database,
+        probe_reads: u64,
+        slowdown: f64,
+        simulated: bool,
+    ) -> (Arc<Disk>, Arc<ScriptedClock>) {
+        let clock = Arc::new(ScriptedClock {
+            view: OnceLock::new(),
+            probe_reads,
+            slowdown,
+            simulated,
+            readings: AtomicU64::new(0),
+            phase_edges: AtomicU64::new(0),
+        });
+        let view = db.disk().lane_view(clock.clone(), 5, 0, None);
+        clock
+            .view
+            .set(Arc::downgrade(&view))
+            .expect("attached once");
+        (view, clock)
+    }
+
+    /// A measured script on which every block read costs
+    /// [`SCRIPT_UNIT`].
+    fn flat(db: &Database) -> (Arc<Disk>, Arc<ScriptedClock>) {
+        Self::attach(db, u64::MAX, 1.0, false)
+    }
 }
 
 impl Clock for ScriptedClock {
     fn elapsed(&self) -> Duration {
-        let view = self.view.get().and_then(std::sync::Weak::upgrade);
+        self.readings.fetch_add(1, Ordering::Relaxed);
+        let view = self.view.get().and_then(Weak::upgrade);
         let reads = view.map_or(0, |v| v.stats().block_reads);
         let slow = reads.saturating_sub(self.probe_reads);
-        self.unit
-            .mul_f64((reads - slow) as f64 + self.slowdown * slow as f64)
+        let drawn = self.phase_edges.load(Ordering::Relaxed) > 0;
+        SCRIPT_UNIT.mul_f64((reads - slow) as f64 + self.slowdown * slow as f64)
+            + if drawn { DRAW_COST } else { Duration::ZERO }
     }
 
     fn charge(&self, _d: Duration) {}
@@ -199,23 +239,6 @@ fn scripted_db() -> (Database, Expr) {
     )
 }
 
-/// A lane view of `db`'s disk timed by the script.
-fn scripted_view(db: &Database, probe_reads: u64, slowdown: f64, simulated: bool) -> Arc<Disk> {
-    let clock = Arc::new(ScriptedClock {
-        view: std::sync::OnceLock::new(),
-        unit: SCRIPT_UNIT,
-        probe_reads,
-        slowdown,
-        simulated,
-    });
-    let view = db.disk().lane_view(clock.clone(), 5, 0, None);
-    clock
-        .view
-        .set(Arc::downgrade(&view))
-        .expect("attached once");
-    view
-}
-
 /// `COUNT(expr)` within `quota` under the hard deadline, on the
 /// script whose first stage is the probe and whose later reads cost
 /// `slowdown ×` the probe's. Stage 1's size depends on the quota and
@@ -237,11 +260,11 @@ fn run_with_slow_large_stages(
         seed: 9,
         config: db.calibrated(EngineConfig::default()),
     };
-    let flat = scripted_view(db, u64::MAX, 1.0, simulated);
+    let (flat, _) = ScriptedClock::attach(db, u64::MAX, 1.0, simulated);
     let mut probe = StageRun::start(&flat, db.catalog(), &spec).unwrap();
     probe.step().unwrap();
     let probe_reads = probe.finish().report.stages[0].blocks_drawn;
-    let view = scripted_view(db, probe_reads, slowdown, simulated);
+    let (view, _) = ScriptedClock::attach(db, probe_reads, slowdown, simulated);
     spec.run(&view, db.catalog()).unwrap().report
 }
 
@@ -300,43 +323,15 @@ fn measured_hard_deadline_always_banks_stage_two() {
 // How often a measured clock is read
 // ---------------------------------------------------------------
 
-/// A measured clock on which every block read of the attached view
-/// costs [`SCRIPT_UNIT`], counting how often it is read.
-#[derive(Default)]
-struct CountingClock {
-    view: std::sync::OnceLock<std::sync::Weak<Disk>>,
-    reads: std::sync::atomic::AtomicU64,
-}
-
-impl Clock for CountingClock {
-    fn elapsed(&self) -> Duration {
-        self.reads
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let view = self.view.get().and_then(std::sync::Weak::upgrade);
-        SCRIPT_UNIT * view.map_or(0, |v| v.stats().block_reads) as u32
-    }
-
-    fn charge(&self, _d: Duration) {}
-
-    fn is_simulated(&self) -> bool {
-        false
-    }
-}
-
 /// Clock reads a query may make per stage beyond one per block: the
 /// stage loop's planning, stopping check and report, the leaf's
 /// observation, and each operator's charges and observations.
 const CLOCK_READS_PER_STAGE: u64 = 24;
 
-/// `COUNT(expr)` within 10 ms under the hard deadline on the counting
-/// clock: `(clock reads, blocks read, stages)`.
+/// `COUNT(expr)` within 10 ms under the hard deadline on a flat
+/// script: `(clock reads, blocks read, stages)`.
 fn clock_reads_of(db: &Database, expr: Expr) -> (u64, u64, u64) {
-    let clock = Arc::new(CountingClock::default());
-    let view = db.disk().lane_view(clock.clone(), 5, 0, None);
-    clock
-        .view
-        .set(Arc::downgrade(&view))
-        .expect("attached once");
+    let (view, clock) = ScriptedClock::flat(db);
     let spec = PreparedQuery {
         agg: AggregateFn::Count,
         expr,
@@ -345,7 +340,7 @@ fn clock_reads_of(db: &Database, expr: Expr) -> (u64, u64, u64) {
         config: db.calibrated(EngineConfig::default()),
     };
     let report = spec.run(&view, db.catalog()).unwrap().report;
-    let reads = clock.reads.load(std::sync::atomic::Ordering::Relaxed);
+    let reads = clock.readings.load(Ordering::Relaxed);
     (reads, view.stats().block_reads, report.stages.len() as u64)
 }
 
@@ -375,45 +370,20 @@ fn a_measured_clock_is_read_once_a_block() {
 // What a stage's block-read observation times
 // ---------------------------------------------------------------
 
-/// What the sampler's one-off O(relation) shuffle costs on the script
-/// below: a thousand block reads' worth.
+/// What the sampler's one-off O(relation) shuffle costs on the
+/// script: a thousand block reads' worth. The first profiled phase of
+/// the run — the leaf's `rng_draw`, which brackets the sampler's draw
+/// and nothing else — is the one that pays it.
 const DRAW_COST: Duration = Duration::from_micros(1_500);
 
-/// A measured clock on which every block read of the attached view
-/// costs [`SCRIPT_UNIT`] and the first profiled phase of the run —
-/// the leaf's `rng_draw`, which brackets the sampler's draw and
-/// nothing else — costs [`DRAW_COST`].
-#[derive(Default)]
-struct DrawClock {
-    view: std::sync::OnceLock<std::sync::Weak<Disk>>,
-    phase_edges: std::sync::atomic::AtomicU64,
-}
-
-impl Clock for DrawClock {
-    fn elapsed(&self) -> Duration {
-        let view = self.view.get().and_then(std::sync::Weak::upgrade);
-        let reads = view.map_or(0, |v| v.stats().block_reads) as u32;
-        let drawing = self.phase_edges.load(std::sync::atomic::Ordering::Relaxed) > 0;
-        SCRIPT_UNIT * reads + if drawing { DRAW_COST } else { Duration::ZERO }
-    }
-
-    fn charge(&self, _d: Duration) {}
-
-    fn is_simulated(&self) -> bool {
-        false
-    }
-}
-
-/// The handle the profiler times phases with: the same time, and
-/// every phase edge (open or close) counted.
-struct PhaseEdges(Arc<DrawClock>);
+/// The handle the profiler times phases with: the script's time, and
+/// every phase edge (open or close) counted on it.
+struct PhaseEdges(Arc<ScriptedClock>);
 
 impl Clock for PhaseEdges {
     fn elapsed(&self) -> Duration {
         let now = self.0.elapsed();
-        self.0
-            .phase_edges
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.0.phase_edges.fetch_add(1, Ordering::Relaxed);
         now
     }
 
@@ -430,12 +400,7 @@ impl Clock for PhaseEdges {
 #[test]
 fn block_read_observation_excludes_the_samplers_draw() {
     let (db, expr) = scripted_db();
-    let clock = Arc::new(DrawClock::default());
-    let view = db.disk().lane_view(clock.clone(), 5, 0, None);
-    clock
-        .view
-        .set(Arc::downgrade(&view))
-        .expect("attached once");
+    let (view, clock) = ScriptedClock::flat(&db);
     let config = EngineConfig {
         profiler: Profiler::recording(Arc::new(PhaseEdges(clock.clone()))),
         ..EngineConfig::default()
