@@ -14,9 +14,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use eram_core::{
-    EngineConfig, ExecutionReport, OneAtATimeInterval, SelectivityDefaults, StoppingCriterion,
-};
+use eram_core::{EngineConfig, ExecutionReport, OneAtATimeInterval, StoppingCriterion};
 use eram_storage::{json_record, FaultPlan, SeedSeq};
 
 use crate::workload::{Workload, WorkloadKind};
@@ -203,9 +201,11 @@ impl TrialConfig {
     /// finishes so ovsp is measurable, while the hard-view columns
     /// come from the report.
     pub fn paper(kind: WorkloadKind, quota: Duration, d_beta: f64) -> TrialConfig {
-        let defaults = match kind {
-            WorkloadKind::Join { .. } => SelectivityDefaults::paper_join_experiment(),
-            _ => SelectivityDefaults::default(),
+        // The Section 5 join experiment assumed a join selectivity of
+        // 0.1 before its first sample, not Figure 3.3's maximum of 1.
+        let join_selectivity = match kind {
+            WorkloadKind::Join { .. } => 0.1,
+            _ => 1.0,
         };
         TrialConfig {
             kind,
@@ -215,7 +215,7 @@ impl TrialConfig {
             engine: EngineConfig {
                 strategy: Arc::new(OneAtATimeInterval::new(d_beta)),
                 stopping: StoppingCriterion::SoftDeadline,
-                defaults,
+                join_selectivity,
                 ..EngineConfig::default()
             },
         }

@@ -32,8 +32,7 @@ use std::sync::Arc;
 
 use eram_core::{
     AggregateFn, BlockLayout, Concurrency, Database, EngineConfig, MetricsSnapshot,
-    ProfileSnapshot, Profiler, QueryServer, ReportHealth, ServerConfig, ServerJob, ServerOutcome,
-    Tracer,
+    ProfileSnapshot, Profiler, QueryServer, ReportHealth, ServerJob, ServerOutcome, Tracer,
 };
 use eram_relalg::parse_expr;
 use eram_storage::{
@@ -623,7 +622,8 @@ pub struct JobSpec {
     pub min_quota_secs: Option<f64>,
     /// Desired quota cap in seconds (default: the full deadline).
     pub desired_secs: Option<f64>,
-    /// Relative worth under overload shedding (default 1.0).
+    /// Relative worth under overload shedding, finite and
+    /// non-negative (default 1.0).
     pub value: Option<f64>,
     /// Aggregate: `count` | `sum:COL` | `avg:COL`, each optionally
     /// suffixed `:by:G` for GROUP BY (default `count`).
@@ -666,6 +666,15 @@ impl JobSpec {
                     )));
                 }
             }
+        }
+        // Shedding ranks jobs by value per slack, and the outcome
+        // writes the value back: a negative one would be shed first,
+        // an infinite one serializes as `null`.
+        if self.value.is_some_and(|v| !(v.is_finite() && v >= 0.0)) {
+            return Err(err(format!(
+                "job {}: value must be a finite, non-negative number",
+                self.name
+            )));
         }
         let mut job = ServerJob::new(
             self.name,
@@ -745,10 +754,8 @@ pub fn run_serve(db: &mut Database, cli: &Cli) -> Result<String, CliError> {
     let engine = cli.engine_config(db.disk().clock());
     let tracer = engine.tracer.clone();
     let server = QueryServer {
-        config: ServerConfig {
-            concurrency: cli.concurrency,
-            engine,
-        },
+        concurrency: cli.concurrency,
+        engine,
     };
     let outcome = server.run(db, jobs);
     let mut rendered = render_server(&outcome);
@@ -1320,6 +1327,25 @@ mod tests {
         assert_eq!(job.desired_quota, Duration::from_secs(2));
         assert_eq!(job.value, 3.0);
         assert_eq!(job.agg, AggregateFn::Avg { column: 1 });
+    }
+
+    #[test]
+    fn job_spec_value_must_be_finite_and_non_negative() {
+        for value in ["1e400", "-3", "-1e400"] {
+            let spec: JobSpec = json::from_str(&format!(
+                r#"{{"name": "x", "expr": "t", "deadline_secs": 1.0, "value": {value}}}"#
+            ))
+            .unwrap();
+            let e = spec.into_job().unwrap_err();
+            assert_eq!(
+                e.0, "job x: value must be a finite, non-negative number",
+                "value {value}"
+            );
+        }
+        let spec: JobSpec =
+            json::from_str(r#"{"name": "x", "expr": "t", "deadline_secs": 1.0, "value": 0}"#)
+                .unwrap();
+        assert_eq!(spec.into_job().unwrap().value, 0.0);
     }
 
     #[test]

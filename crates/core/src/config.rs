@@ -2,15 +2,18 @@
 //!
 //! The paper's stage loop (Figure 3.1) is parameterised by a quota
 //! `T`, a risk multiplier `d_β` (inside the time-control strategy), a
-//! fulfillment plan and the Section-4 cost coefficients; this
-//! reproduction adds a handful of wall-clock-only choices (workers,
-//! run budget, block layout) and its observers. [`EngineConfig`] is
-//! the only struct that declares any of them, or its default.
-//! Everything else *holds* one: a [`crate::PreparedQuery`] carries
-//! the config its run uses, the stage loop owns a copy and lends it
-//! to every stage's [`crate::ops::StageEnv`], a
-//! [`crate::ServerConfig`] embeds the one its lanes start from, and
-//! the CLI and the experiment harness each build exactly one.
+//! fulfillment plan, the Section-4 cost coefficients and the stage-1
+//! join selectivity (Figure 3.3's other first-stage assumptions are
+//! constants of [`crate::seltrack`]); this reproduction adds a
+//! handful of wall-clock-only choices (workers, run budget, block
+//! layout) and its observers. [`EngineConfig`] is the only struct
+//! that declares any of them, or its default. Everything else
+//! *holds* one: a [`crate::PreparedQuery`] carries the config its run
+//! uses, the stage loop owns a copy and lends it to every stage's
+//! [`crate::ops::StageEnv`], a [`crate::QueryServer`] holds the one
+//! its lanes start from beside its one serving-only setting,
+//! `concurrency`, and the CLI and the experiment harness each build
+//! exactly one.
 
 use std::sync::Arc;
 
@@ -18,7 +21,6 @@ use crate::costs::CostModel;
 use crate::obs::{Profiler, Tracer};
 use crate::ops::{BlockLayout, Fulfillment, MemoryMode, DEFAULT_RUN_CACHE_TUPLES};
 use crate::retry::RetryPolicy;
-use crate::seltrack::SelectivityDefaults;
 use crate::stopping::StoppingCriterion;
 use crate::strategy::{OneAtATimeInterval, TimeControlStrategy};
 
@@ -37,8 +39,14 @@ pub struct EngineConfig {
     /// device ([`crate::Database::calibrated`]); a run started with
     /// neither begins from [`CostModel::generic_default`].
     pub cost_model: Option<CostModel>,
-    /// Stage-1 selectivity assumptions.
-    pub defaults: SelectivityDefaults,
+    /// The selectivity a join is assumed to have before its first
+    /// sample. Figure 3.3 assumes the maximum, 1 (as for Select and
+    /// Project; Intersect assumes `1/max(|r₁|,|r₂|)`); the paper's
+    /// own join experiment assumed 0.1, because "if the maximum
+    /// selectivity of 1 were assumed, the sample size was so small
+    /// that the system clock did not provide enough accuracy". In
+    /// `(0, 1]`.
+    pub join_selectivity: f64,
     /// Binary-operator fulfillment plan.
     pub fulfillment: Fulfillment,
     /// Disk-resident or main-memory evaluation.
@@ -82,7 +90,7 @@ impl Default for EngineConfig {
             strategy: Arc::new(OneAtATimeInterval::default()),
             stopping: StoppingCriterion::HardDeadline,
             cost_model: None,
-            defaults: SelectivityDefaults::default(),
+            join_selectivity: 1.0,
             fulfillment: Fulfillment::Full,
             memory: MemoryMode::DiskResident,
             retry: RetryPolicy::default(),

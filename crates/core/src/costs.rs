@@ -12,10 +12,10 @@
 //! [`CostModel`] holds the per-unit coefficients the cost formulas of
 //! [`crate::predict`] consume. The physical operators time each of
 //! their steps (temp write, sort, merge, scan, block read) and report
-//! `(coefficient, units, measured duration)`; the model folds the
-//! observation in with an exponential moving average, so by stage 2
-//! the formulas reflect the actual device and tuple sizes rather than
-//! the designers' guesses.
+//! `(coefficient, units, measured duration)`; the model takes each
+//! coefficient from its latest measurement, so by stage 2 the
+//! formulas reflect the actual device and tuple sizes rather than the
+//! designers' guesses.
 
 use std::time::Duration;
 
@@ -70,8 +70,6 @@ fn index(c: CostCoeff) -> usize {
 pub struct CostModel {
     /// Seconds per unit, indexed by [`CostCoeff`].
     per_unit: [f64; 6],
-    /// EMA smoothing: weight of the newest observation.
-    alpha: f64,
     /// When false, observations are ignored (the paper's fixed-form
     /// baseline, used by the adaptivity ablation).
     adaptive: bool,
@@ -97,7 +95,6 @@ impl CostModel {
                 0.011,  // WriteTuple  (truth ≈ 0.0064)
                 0.300,  // StageOverhead (truth ≈ 0.180)
             ],
-            alpha: 1.0,
             adaptive: true,
         }
     }
@@ -115,7 +112,6 @@ impl CostModel {
                 0.5e-6, // WriteTuple
                 100e-6, // StageOverhead
             ],
-            alpha: 1.0,
             adaptive: true,
         }
     }
@@ -138,7 +134,6 @@ impl CostModel {
                 write / bf + tuple * 0.0, // WriteTuple: amortized page write
                 profile.stage_overhead.as_secs_f64(),
             ],
-            alpha: 1.0,
             adaptive: true,
         }
     }
@@ -147,21 +142,6 @@ impl CostModel {
     pub fn frozen(mut self) -> Self {
         self.adaptive = false;
         self
-    }
-
-    /// Sets the EMA weight of new observations.
-    ///
-    /// # Panics
-    /// Panics if `alpha` is outside `(0, 1]`.
-    pub fn with_alpha(mut self, alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0,1]");
-        self.alpha = alpha;
-        self
-    }
-
-    /// Whether run-time adaptation is enabled.
-    pub fn is_adaptive(&self) -> bool {
-        self.adaptive
     }
 
     /// Current per-unit cost of a coefficient, in seconds.
@@ -174,16 +154,14 @@ impl CostModel {
         self.per_unit(c) * units.max(0.0)
     }
 
-    /// Folds in a measured step: `units` units of `c` took
-    /// `elapsed`. Ignored when `units` is not positive or the model
-    /// is frozen.
+    /// Takes a measured step as `c`'s coefficient: `units` units of
+    /// `c` took `elapsed`. Ignored when `units` is not positive or the
+    /// model is frozen.
     pub fn observe(&mut self, c: CostCoeff, units: f64, elapsed: Duration) {
         if !self.adaptive || units <= 0.0 {
             return;
         }
-        let observed = elapsed.as_secs_f64() / units;
-        let v = &mut self.per_unit[index(c)];
-        *v = self.alpha * observed + (1.0 - self.alpha) * *v;
+        self.per_unit[index(c)] = elapsed.as_secs_f64() / units;
     }
 }
 
@@ -207,17 +185,13 @@ mod tests {
 
     #[test]
     fn observation_moves_coefficient_toward_truth() {
-        let mut m = CostModel::generic_default().with_alpha(0.5);
-        let before = m.per_unit(CostCoeff::BlockRead);
+        let mut m = CostModel::generic_default();
         // True device: 30 ms per block; observe 100 blocks taking 3 s.
         m.observe(CostCoeff::BlockRead, 100.0, Duration::from_secs(3));
-        let after = m.per_unit(CostCoeff::BlockRead);
-        assert!((after - (0.5 * 0.03 + 0.5 * before)).abs() < 1e-12);
-        // Repeated observation converges.
-        for _ in 0..20 {
-            m.observe(CostCoeff::BlockRead, 100.0, Duration::from_secs(3));
-        }
-        assert!((m.per_unit(CostCoeff::BlockRead) - 0.03).abs() < 1e-6);
+        assert_eq!(m.per_unit(CostCoeff::BlockRead), 3.0 / 100.0);
+        // The newest measurement replaces the coefficient outright.
+        m.observe(CostCoeff::BlockRead, 100.0, Duration::from_secs(5));
+        assert_eq!(m.per_unit(CostCoeff::BlockRead), 5.0 / 100.0);
     }
 
     #[test]
@@ -226,7 +200,6 @@ mod tests {
         let before = m.per_unit(CostCoeff::MergeTuple);
         m.observe(CostCoeff::MergeTuple, 1_000.0, Duration::from_secs(60));
         assert_eq!(m.per_unit(CostCoeff::MergeTuple), before);
-        assert!(!m.is_adaptive());
     }
 
     #[test]
@@ -248,12 +221,6 @@ mod tests {
         assert!(
             (m.per_unit(CostCoeff::StageOverhead) - p.stage_overhead.as_secs_f64()).abs() < 1e-12
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha")]
-    fn alpha_bounds_enforced() {
-        let _ = CostModel::generic_default().with_alpha(0.0);
     }
 
     #[test]

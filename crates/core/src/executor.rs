@@ -685,7 +685,6 @@ impl StageRun {
 mod tests {
     use super::*;
     use crate::obs::{Profiler, TraceKind, TraceRecord, Tracer};
-    use crate::seltrack::SelectivityDefaults;
     use crate::stopping::StoppingCriterion;
     use crate::strategy::OneAtATimeInterval;
     use eram_relalg::{eval, CmpOp, Predicate};
@@ -1196,15 +1195,15 @@ mod tests {
         for phase in [Phase::Planning, Phase::StoppingCheck, Phase::EstimatorMath] {
             let stats = snap
                 .phases
-                .get(phase.name())
-                .unwrap_or_else(|| panic!("missing phase {}", phase.name()));
-            assert!(stats.calls > 0, "{} has no calls", phase.name());
+                .get(phase.label())
+                .unwrap_or_else(|| panic!("missing phase {}", phase.label()));
+            assert!(stats.calls > 0, "{} has no calls", phase.label());
         }
         // Leaf work lands under the leaf operator, engine work under
         // the engine pseudo-operator.
         let leaf = snap.per_operator.get("leaf").expect("leaf operator cell");
-        assert!(leaf.contains_key(Phase::RngDraw.name()));
-        assert!(leaf.contains_key(Phase::BlockDecode.name()));
+        assert!(leaf.contains_key(Phase::RngDraw.label()));
+        assert!(leaf.contains_key(Phase::BlockDecode.label()));
         assert!(snap.per_operator.contains_key(crate::obs::ENGINE_OPERATOR));
         // Per-stage attribution covers every executed stage index,
         // plus at most the stage-0 preamble and a final stage that
@@ -1222,6 +1221,36 @@ mod tests {
         // Ranking is by wall time, descending.
         for pair in top.windows(2) {
             assert!(pair[0].1.wall_ns >= pair[1].1.wall_ns);
+        }
+    }
+
+    /// Each phase's wall figures are read from one kept sample per
+    /// call, in nearest-rank order.
+    #[test]
+    fn a_profiled_run_keeps_one_wall_sample_per_call() {
+        let (disk, cat) = setup(false);
+        let mut config = config(12.0);
+        config.profiler = Profiler::recording(disk.clock().clone());
+        let spec = PreparedQuery {
+            agg: AggregateFn::Count,
+            expr: Expr::relation("r").join(Expr::relation("s"), vec![(0, 0)]),
+            quota: Duration::from_secs(30),
+            seed: 7,
+            config: config.clone(),
+        };
+        let mut run = StageRun::start(&disk, &cat, &spec).unwrap();
+        while run.step().unwrap() {}
+        let out = run.finish();
+        assert!(out.report.completed_stages() >= 2);
+        let snap = out.report.profile.as_ref().unwrap();
+        let kept = config.profiler.wall_sample_counts();
+        assert!(snap.phases.contains_key(Phase::RunMerge.label()));
+        assert_eq!(snap.phases.len(), kept.len());
+        for (name, s) in &snap.phases {
+            let quantiles = [s.wall_min_ns, s.wall_p50_ns, s.wall_p95_ns, s.wall_max_ns];
+            let ordered = quantiles.windows(2).all(|w| w[0] <= w[1]);
+            assert!(ordered, "{name}: {quantiles:?}");
+            assert_eq!(s.calls, kept[name.as_str()] as u64, "{name}");
         }
     }
 
@@ -1326,7 +1355,7 @@ mod tests {
         let expr = Expr::relation("r").join(Expr::relation("s"), vec![(0, 0)]);
         let truth = eval::exact_count(&expr, &cat).unwrap() as f64; // 5000
         let mut cfg = config(12.0);
-        cfg.defaults = SelectivityDefaults::paper_join_experiment();
+        cfg.join_selectivity = 0.1;
         let out = count(&disk, &cat, &expr, Duration::from_secs(30), &cfg, 7);
         assert!(out.report.completed_stages() >= 1);
         // Join sampling on a sparse key space is noisy; require the
@@ -1346,7 +1375,7 @@ mod tests {
         let (disk, cat) = setup(false);
         let expr = Expr::relation("r").join(Expr::relation("s"), vec![(0, 0)]);
         let mut cfg = config(12.0);
-        cfg.defaults = SelectivityDefaults::paper_join_experiment();
+        cfg.join_selectivity = 0.1;
         let lane = disk.lane_view(Arc::new(SimClock::new()), 3, 0, None);
         let mut first_free = disk.create_file().0 + 1;
         for view in [&disk, &lane] {

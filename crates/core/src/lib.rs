@@ -84,9 +84,8 @@ pub use costs::{CostCoeff, CostModel};
 pub use executor::{term_estimate, term_estimate_with, EngineError, ExecOutcome, StageRun};
 pub use kernel::{merge_keyed, sort_run, KeyColumn, KeySpec, MergeKind};
 pub use obs::{
-    Histogram, MetricsSnapshot, OperatorGuard, Phase, PhaseGuard, PhaseStats, PhaseTotals,
-    ProfileSnapshot, Profiler, SpanGuard, TraceKind, TraceRecord, Tracer, ENGINE_OPERATOR,
-    SCHEMA_VERSION,
+    MetricsSnapshot, OperatorGuard, Phase, PhaseGuard, PhaseStats, PhaseTotals, ProfileSnapshot,
+    Profiler, SpanGuard, TraceKind, TraceRecord, Tracer, ENGINE_OPERATOR, SCHEMA_VERSION,
 };
 pub use ops::{
     BlockLayout, Fulfillment, MemoryMode, StageError, StageHealth, DEFAULT_RUN_CACHE_TUPLES,
@@ -96,12 +95,11 @@ pub use report::{ExecutionReport, GroupReport, RefusalReason, ReportHealth, Stag
 pub use retry::RetryPolicy;
 pub use server::{
     Concurrency, DecisionAction, DecisionRecord, JobReport, JobState, LaneWindow, QueryServer,
-    ScheduleReport, ServerConfig, ServerJob, ServerOutcome, ServerStats, TenantLedger, TenantSlo,
+    ScheduleReport, ServerJob, ServerOutcome, ServerStats, TenantLedger, TenantSlo,
     DEFAULT_MIN_QUOTA,
 };
 pub use session::{CountQuery, Database, PreparedQuery, TimedCount};
 pub use stopping::{error_bound_satisfied, StoppingCriterion};
 pub use strategy::{
-    HeuristicStrategy, OneAtATimeInterval, SelectivityDefaults, SingleInterval, StagePlan,
-    TimeControlStrategy,
+    HeuristicStrategy, OneAtATimeInterval, SingleInterval, StagePlan, TimeControlStrategy,
 };

@@ -1,5 +1,4 @@
-//! Named storage counters, and the min/max/sum histogram the profiler
-//! aggregates with.
+//! Named storage counters: what the disk saw during one run.
 //!
 //! A [`MetricsSnapshot`] is built by the executor at the end of a run
 //! from the delta of the disk's one [`DiskStats`] account and attached
@@ -14,97 +13,6 @@
 use std::collections::BTreeMap;
 
 use eram_storage::{json_record, DiskStats};
-
-/// Summary statistics of an observed series: count, sum, min, max,
-/// plus the retained samples for quantile queries.
-///
-/// Non-finite observations are ignored (a raw `NaN` would make the
-/// snapshot unserializable as JSON).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct Histogram {
-    /// Number of finite observations.
-    pub count: u64,
-    /// Sum of observations.
-    pub sum: f64,
-    /// Smallest observation (0 when empty).
-    pub min: f64,
-    /// Largest observation (0 when empty).
-    pub max: f64,
-    /// Every finite observation, in arrival order (quantiles sort a
-    /// copy on demand). Omitted from JSON when empty, so snapshots
-    /// from before this field deserialize unchanged.
-    pub samples: Vec<f64>,
-}
-
-json_record!(Histogram {
-    count: required,
-    sum: required,
-    min: required,
-    max: required,
-    samples: omit_empty,
-});
-
-impl Histogram {
-    /// Records one observation; non-finite values are dropped.
-    pub fn observe(&mut self, v: f64) {
-        if !v.is_finite() {
-            return;
-        }
-        if self.count == 0 {
-            self.min = v;
-            self.max = v;
-        } else {
-            self.min = self.min.min(v);
-            self.max = self.max.max(v);
-        }
-        self.count += 1;
-        self.sum += v;
-        self.samples.push(v);
-    }
-
-    /// Mean of the observations, or `None` when empty.
-    pub fn mean(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.sum / self.count as f64)
-    }
-
-    /// Smallest observation, or `None` when empty (unlike the raw
-    /// `min` field, which is 0 for an empty histogram).
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest observation, or `None` when empty.
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-
-    /// Nearest-rank quantile over the retained samples, or `None`
-    /// when empty (or when the histogram was deserialized from a
-    /// pre-`samples` snapshot) or `q` is outside `[0, 1]`. Never a
-    /// surprising 0: an empty histogram is `None`, a single-sample
-    /// histogram returns that sample for every `q`, and on tiny
-    /// counts the nearest-rank convention picks a real observation
-    /// (`q = 0` the minimum, `q = 1` the maximum).
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.samples.is_empty() || !(0.0..=1.0).contains(&q) {
-            return None;
-        }
-        let mut sorted = self.samples.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("samples are finite"));
-        let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-        Some(sorted[rank - 1])
-    }
-
-    /// Median (nearest-rank), or `None` when empty.
-    pub fn p50(&self) -> Option<f64> {
-        self.quantile(0.50)
-    }
-
-    /// 95th percentile (nearest-rank), or `None` when empty.
-    pub fn p95(&self) -> Option<f64> {
-        self.quantile(0.95)
-    }
-}
 
 /// The storage counters one run moved, by name.
 ///
@@ -192,91 +100,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_tracks_bounds_and_ignores_non_finite() {
-        let mut h = Histogram::default();
-        h.observe(2.0);
-        h.observe(f64::NAN);
-        h.observe(f64::INFINITY);
-        h.observe(-1.0);
-        h.observe(5.0);
-        assert_eq!(h.count, 3);
-        assert_eq!(h.min, -1.0);
-        assert_eq!(h.max, 5.0);
-        assert_eq!(h.sum, 6.0);
-        assert_eq!(h.samples, vec![2.0, -1.0, 5.0]);
-        assert_eq!(h.mean(), Some(2.0));
-        assert_eq!(Histogram::default().mean(), None);
-    }
-
-    #[test]
-    fn empty_histogram_has_no_statistics() {
-        let h = Histogram::default();
-        assert_eq!(h.min(), None);
-        assert_eq!(h.max(), None);
-        assert_eq!(h.p50(), None);
-        assert_eq!(h.p95(), None);
-        assert_eq!(h.quantile(0.0), None);
-        assert_eq!(h.quantile(1.0), None);
-    }
-
-    #[test]
-    fn single_value_histogram_pins_every_quantile() {
-        let mut h = Histogram::default();
-        h.observe(7.5);
-        assert_eq!(h.min(), Some(7.5));
-        assert_eq!(h.max(), Some(7.5));
-        assert_eq!(h.p50(), Some(7.5));
-        assert_eq!(h.p95(), Some(7.5));
-        assert_eq!(h.quantile(0.0), Some(7.5));
-        assert_eq!(h.quantile(1.0), Some(7.5));
-    }
-
-    #[test]
-    fn tiny_sample_counts_pick_real_observations() {
-        // Two samples: nearest-rank p50 is the lower one, p95 the
-        // upper — never an interpolated value or a surprising 0.
-        let mut h = Histogram::default();
-        h.observe(10.0);
-        h.observe(20.0);
-        assert_eq!(h.p50(), Some(10.0));
-        assert_eq!(h.p95(), Some(20.0));
-        assert_eq!(h.quantile(0.0), Some(10.0));
-        assert_eq!(h.quantile(1.0), Some(20.0));
-        // Three samples: the median is the middle observation.
-        h.observe(30.0);
-        assert_eq!(h.p50(), Some(20.0));
-        assert_eq!(h.p95(), Some(30.0));
-        assert_eq!(h.quantile(0.0), Some(10.0));
-    }
-
-    #[test]
-    fn skewed_histogram_quantiles_follow_nearest_rank() {
-        // 99 small observations and one enormous outlier: the median
-        // ignores the outlier, p95 still does, max sees it.
-        let mut h = Histogram::default();
-        for i in 1..=99 {
-            h.observe(i as f64);
-        }
-        h.observe(1e9);
-        assert_eq!(h.count, 100);
-        assert_eq!(h.p50(), Some(50.0));
-        assert_eq!(h.p95(), Some(95.0));
-        assert_eq!(h.min(), Some(1.0));
-        assert_eq!(h.max(), Some(1e9));
-        // Out-of-range quantiles are rejected rather than clamped.
-        assert_eq!(h.quantile(-0.1), None);
-        assert_eq!(h.quantile(1.1), None);
-        // Arrival order does not matter.
-        let mut rev = Histogram::default();
-        rev.observe(1e9);
-        for i in (1..=99).rev() {
-            rev.observe(i as f64);
-        }
-        assert_eq!(rev.p50(), h.p50());
-        assert_eq!(rev.p95(), h.p95());
-    }
-
-    #[test]
     fn snapshot_serde_round_trips() {
         let snap = snapshot(&[("storage.block_reads", 3), ("storage.cache_hits", 1)]);
         assert_eq!(snap.schema_version, crate::obs::SCHEMA_VERSION);
@@ -299,12 +122,5 @@ mod tests {
             snap.counters,
             snapshot(&[("storage.block_reads", 2)]).counters
         );
-        // A histogram serialized before `samples` existed defaults it.
-        let h: Histogram =
-            json::from_str(r#"{"count":1,"sum":0.25,"min":0.25,"max":0.25}"#).unwrap();
-        assert_eq!(h.count, 1);
-        assert!(h.samples.is_empty());
-        assert_eq!(h.p50(), None, "quantiles need retained samples");
-        assert_eq!(h.mean(), Some(0.25));
     }
 }

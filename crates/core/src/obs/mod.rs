@@ -1,4 +1,5 @@
-//! Observability: clock-charged tracing and a metrics registry.
+//! Observability: clock-charged tracing, a run's storage counters,
+//! and phase profiling.
 //!
 //! The paper's stage loop (Figure 3.1) is an adaptive control loop —
 //! revise selectivities, size the sample, draw blocks, evaluate, check
@@ -66,9 +67,15 @@ mod tracer;
 /// [`ReportHealth`](crate::ReportHealth) all ride schema v1.
 pub const SCHEMA_VERSION: u32 = 1;
 
-pub use metrics::{Histogram, MetricsSnapshot};
+pub use metrics::MetricsSnapshot;
 pub use profiler::{
     OperatorGuard, Phase, PhaseGuard, PhaseStats, PhaseTotals, ProfileSnapshot, Profiler,
     ENGINE_OPERATOR,
 };
 pub use tracer::{SpanGuard, TraceKind, TraceRecord, Tracer};
+
+/// `d` in whole nanoseconds, saturating at `u64::MAX` (about 584
+/// years): how every observability record stamps a clock reading.
+pub(crate) fn duration_ns(d: std::time::Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
+}

@@ -46,8 +46,7 @@ use std::time::Instant;
 
 use eram_storage::{json_record, json_unit_enum, Clock, Mutex};
 
-use super::metrics::Histogram;
-use super::SCHEMA_VERSION;
+use super::{duration_ns, SCHEMA_VERSION};
 
 /// Operator label used for engine-level phases (planning, estimator
 /// math, stopping checks) that run outside any operator's `advance`.
@@ -90,36 +89,6 @@ json_unit_enum!(Phase {
     StoppingCheck = "stopping_check",
 });
 
-impl Phase {
-    /// Every phase, in a fixed order.
-    pub const ALL: [Phase; 9] = [
-        Phase::BlockDecode,
-        Phase::RunMerge,
-        Phase::EstimatorMath,
-        Phase::RngDraw,
-        Phase::Cache,
-        Phase::RetryBackoff,
-        Phase::SelectivityRevision,
-        Phase::Planning,
-        Phase::StoppingCheck,
-    ];
-
-    /// The phase's snake_case name (the JSON wire form).
-    pub fn name(self) -> &'static str {
-        match self {
-            Phase::BlockDecode => "block_decode",
-            Phase::RunMerge => "run_merge",
-            Phase::EstimatorMath => "estimator_math",
-            Phase::RngDraw => "rng_draw",
-            Phase::Cache => "cache",
-            Phase::RetryBackoff => "retry_backoff",
-            Phase::SelectivityRevision => "selectivity_revision",
-            Phase::Planning => "planning",
-            Phase::StoppingCheck => "stopping_check",
-        }
-    }
-}
-
 /// Accumulated totals for one (stage, operator, phase) cell or one
 /// rolled-up view of such cells.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -138,11 +107,11 @@ json_record!(PhaseTotals {
     wall_ns: required,
 });
 
-impl PhaseTotals {
-    fn add(&mut self, sim_ns: u64, wall_ns: u64) {
-        self.calls += 1;
-        self.sim_ns += sim_ns;
-        self.wall_ns += wall_ns;
+impl std::ops::AddAssign for PhaseTotals {
+    fn add_assign(&mut self, rhs: PhaseTotals) {
+        self.calls += rhs.calls;
+        self.sim_ns += rhs.sim_ns;
+        self.wall_ns += rhs.wall_ns;
     }
 }
 
@@ -233,9 +202,23 @@ impl ProfileSnapshot {
 #[derive(Default)]
 struct ProfState {
     stage: usize,
-    operators: Vec<String>,
-    cells: BTreeMap<(usize, String, Phase), PhaseTotals>,
-    wall: BTreeMap<Phase, Histogram>,
+    operators: Vec<&'static str>,
+    cells: BTreeMap<(usize, &'static str, Phase), PhaseTotals>,
+    /// Every closed guard's wall nanoseconds, by phase, in arrival
+    /// order until a snapshot sorts them.
+    wall: BTreeMap<Phase, Vec<u64>>,
+}
+
+/// Sorts one phase's wall samples (non-empty) and reads their
+/// `[min, p50, p95, max]` by nearest rank: the `q`-quantile is the
+/// sample of rank `⌈q·n⌉`, clamped to `1..=n`, so every figure is a
+/// real observation and `q = 0` / `q = 1` are the extremes.
+fn wall_quantiles(samples: &mut [u64]) -> [u64; 4] {
+    samples.sort_unstable();
+    [0.0, 0.50, 0.95, 1.0].map(|q| {
+        let rank = ((q * samples.len() as f64).ceil() as usize).clamp(1, samples.len());
+        samples[rank - 1]
+    })
 }
 
 struct ProfilerInner {
@@ -301,9 +284,9 @@ impl Profiler {
     /// timed while the guard lives are attributed to `name`. Guards
     /// nest lexically (a binary operator advancing its children).
     #[must_use = "dropping the guard immediately pops the operator"]
-    pub fn operator(&self, name: &str) -> OperatorGuard {
+    pub fn operator(&self, name: &'static str) -> OperatorGuard {
         if let Some(inner) = &self.inner {
-            inner.state.lock().operators.push(name.to_string());
+            inner.state.lock().operators.push(name);
         }
         OperatorGuard {
             profiler: self.clone(),
@@ -331,13 +314,13 @@ impl Profiler {
     /// `None` when disabled.
     pub fn snapshot(&self) -> Option<ProfileSnapshot> {
         let inner = self.inner.as_ref()?;
-        let state = inner.state.lock();
+        let mut state = inner.state.lock();
         let mut snap = ProfileSnapshot {
             schema_version: SCHEMA_VERSION,
             ..ProfileSnapshot::default()
         };
         for ((stage, operator, phase), totals) in &state.cells {
-            let name = phase.name().to_string();
+            let name = phase.label().to_string();
             let agg = snap.phases.entry(name.clone()).or_default();
             agg.calls += totals.calls;
             agg.sim_ns += totals.sim_ns;
@@ -350,28 +333,32 @@ impl Profiler {
                 .or_default() += *totals;
             *snap
                 .per_operator
-                .entry(operator.clone())
+                .entry(operator.to_string())
                 .or_default()
                 .entry(name)
                 .or_default() += *totals;
         }
-        for (phase, hist) in &state.wall {
-            if let Some(stats) = snap.phases.get_mut(phase.name()) {
-                stats.wall_min_ns = hist.min().unwrap_or(0.0) as u64;
-                stats.wall_max_ns = hist.max().unwrap_or(0.0) as u64;
-                stats.wall_p50_ns = hist.p50().unwrap_or(0.0) as u64;
-                stats.wall_p95_ns = hist.p95().unwrap_or(0.0) as u64;
+        for (phase, samples) in &mut state.wall {
+            if let Some(s) = snap.phases.get_mut(phase.label()) {
+                [s.wall_min_ns, s.wall_p50_ns, s.wall_p95_ns, s.wall_max_ns] =
+                    wall_quantiles(samples);
             }
         }
         Some(snap)
     }
 }
 
-impl std::ops::AddAssign for PhaseTotals {
-    fn add_assign(&mut self, rhs: PhaseTotals) {
-        self.calls += rhs.calls;
-        self.sim_ns += rhs.sim_ns;
-        self.wall_ns += rhs.wall_ns;
+#[cfg(test)]
+impl Profiler {
+    /// How many wall samples the profiler keeps, by phase label.
+    pub(crate) fn wall_sample_counts(&self) -> BTreeMap<&'static str, usize> {
+        let inner = self.inner.as_ref().expect("a recording profiler");
+        let state = inner.state.lock();
+        state
+            .wall
+            .iter()
+            .map(|(p, v)| (p.label(), v.len()))
+            .collect()
     }
 }
 
@@ -408,26 +395,17 @@ impl Drop for PhaseGuard {
         let wall_ns = duration_ns(wall_start.elapsed());
         let mut state = inner.state.lock();
         let stage = state.stage;
-        let operator = state
-            .operators
-            .last()
-            .cloned()
-            .unwrap_or_else(|| ENGINE_OPERATOR.to_string());
-        state
+        let operator = state.operators.last().copied().unwrap_or(ENGINE_OPERATOR);
+        *state
             .cells
             .entry((stage, operator, self.phase))
-            .or_default()
-            .add(sim_ns, wall_ns);
-        state
-            .wall
-            .entry(self.phase)
-            .or_default()
-            .observe(wall_ns as f64);
+            .or_default() += PhaseTotals {
+            calls: 1,
+            sim_ns,
+            wall_ns,
+        };
+        state.wall.entry(self.phase).or_default().push(wall_ns);
     }
-}
-
-fn duration_ns(d: std::time::Duration) -> u64 {
-    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
 #[cfg(test)]
@@ -566,11 +544,27 @@ mod tests {
     }
 
     #[test]
-    fn phase_names_match_the_serde_rendering() {
-        for phase in Phase::ALL {
-            let json = json::to_string(&phase);
-            assert_eq!(json, format!("\"{}\"", phase.name()));
-        }
+    fn one_sample_pins_every_quantile() {
+        assert_eq!(wall_quantiles(&mut [7]), [7, 7, 7, 7]);
+    }
+
+    #[test]
+    fn tiny_sample_counts_pick_real_observations() {
+        // Two samples: nearest-rank p50 is the lower one, p95 the
+        // upper — never an interpolated value.
+        assert_eq!(wall_quantiles(&mut [10, 20]), [10, 10, 20, 20]);
+        // Three samples: the median is the middle observation.
+        assert_eq!(wall_quantiles(&mut [10, 20, 30]), [10, 20, 30, 30]);
+    }
+
+    #[test]
+    fn skewed_samples_follow_nearest_rank_in_any_arrival_order() {
+        // 99 small calls and one enormous outlier: the median and p95
+        // ignore the outlier, the maximum sees it.
+        let mut calls: Vec<u64> = (1..=99).chain([1_000_000_000]).collect();
+        assert_eq!(wall_quantiles(&mut calls), [1, 50, 95, 1_000_000_000]);
+        let mut reversed: Vec<u64> = [1_000_000_000].into_iter().chain((1..=99).rev()).collect();
+        assert_eq!(wall_quantiles(&mut reversed), [1, 50, 95, 1_000_000_000]);
     }
 
     #[test]

@@ -13,6 +13,8 @@ use std::sync::Arc;
 
 use eram_storage::{json, json_record, json_unit_enum, Clock, Json, Mutex};
 
+use super::duration_ns;
+
 /// What a [`TraceRecord`] denotes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceKind {
@@ -276,10 +278,6 @@ impl Drop for SpanGuard {
             });
         }
     }
-}
-
-fn duration_ns(d: std::time::Duration) -> u64 {
-    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
 #[cfg(test)]

@@ -1285,8 +1285,7 @@ impl Compiler<'_> {
         let before = self.total_points;
         let child = self.node(input)?;
         let subtree_points = self.total_points / before.max(1.0);
-        let tracker = SelTracker::new(kind, subtree_points, 0.0)
-            .with_initial(self.config.defaults.initial_for(kind, 0.0));
+        let tracker = SelTracker::new(kind, subtree_points, 0.0);
         Ok((child, tracker, self.out_blocking(expr)?))
     }
 
@@ -1305,8 +1304,10 @@ impl Compiler<'_> {
         let right_points = self.total_points / mid.max(1.0);
         let op_kind = kind.op_kind();
         let max_operand = left_points.max(right_points);
-        let tracker = SelTracker::new(op_kind, left_points * right_points, max_operand)
-            .with_initial(self.config.defaults.initial_for(op_kind, max_operand));
+        let mut tracker = SelTracker::new(op_kind, left_points * right_points, max_operand);
+        if let BinKind::Join { .. } = kind {
+            tracker = tracker.with_initial(self.config.join_selectivity);
+        }
         Ok(Node::Binary(BinaryNode {
             in_schema_left: left.output_schema(self.catalog)?,
             in_schema_right: right.output_schema(self.catalog)?,
@@ -2119,7 +2120,7 @@ mod tests {
             .map(|runs| runs.iter().map(|r| r.decoded.is_some()).collect());
         let profile = cfg.profiler.snapshot().unwrap();
         let decodes = profile.per_operator["join"]
-            .get(Phase::BlockDecode.name())
+            .get(Phase::BlockDecode.label())
             .map_or(0, |p| p.calls);
         (
             (stages, tree.points_covered(), disk.clock().elapsed()),

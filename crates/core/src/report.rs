@@ -73,20 +73,9 @@ json_unit_enum!(RefusalReason {
     Shed = "shed",
 });
 
-impl RefusalReason {
-    /// Stable lowercase label (the JSON wire form).
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            RefusalReason::Infeasible => "infeasible",
-            RefusalReason::Overloaded => "overloaded",
-            RefusalReason::Shed => "shed",
-        }
-    }
-}
-
 impl std::fmt::Display for RefusalReason {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
+        f.write_str(self.label())
     }
 }
 
@@ -488,7 +477,7 @@ mod tests {
         let back: ReportHealth = json::from_str(&json).unwrap();
         assert_eq!(back, refused);
         assert_eq!(RefusalReason::Shed.to_string(), "shed");
-        assert_eq!(RefusalReason::Infeasible.as_str(), "infeasible");
+        assert_eq!(RefusalReason::Infeasible.label(), "infeasible");
     }
 
     #[test]

@@ -24,67 +24,6 @@
 use eram_relalg::OpKind;
 use eram_sampling::{srs_proportion_variance, zero_selectivity_closed};
 
-/// First-stage selectivity assumptions, overridable per operator
-/// kind.
-///
-/// Figure 3.3 assigns the maximum (1) to Select/Project/Join and
-/// `1/max(|r₁|,|r₂|)` to Intersect. The paper's own join experiment
-/// overrode the join assumption to 0.1 ("if the maximum selectivity
-/// of 1 were assumed, the sample size was so small that the system
-/// clock did not provide enough accuracy"); [`SelectivityDefaults`]
-/// makes that override a first-class knob.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SelectivityDefaults {
-    /// Stage-1 selectivity for Select (Figure 3.3: 1).
-    pub select: f64,
-    /// Stage-1 selectivity for Project (Figure 3.3: 1).
-    pub project: f64,
-    /// Stage-1 selectivity for Join (Figure 3.3: 1; the paper's
-    /// experiment used 0.1).
-    pub join: f64,
-    /// Stage-1 selectivity for Intersect, or `None` for the
-    /// Figure 3.3 rule `1/max(|r₁|,|r₂|)`.
-    pub intersect: Option<f64>,
-}
-
-impl Default for SelectivityDefaults {
-    fn default() -> Self {
-        SelectivityDefaults {
-            select: 1.0,
-            project: 1.0,
-            join: 1.0,
-            intersect: None,
-        }
-    }
-}
-
-impl SelectivityDefaults {
-    /// The Figure 3.3 defaults with the paper's join override (0.1)
-    /// applied — what the Section 5 join experiment ran with.
-    pub fn paper_join_experiment() -> Self {
-        SelectivityDefaults {
-            join: 0.1,
-            ..Self::default()
-        }
-    }
-
-    /// Resolves the stage-1 assumption for an operator kind.
-    pub fn initial_for(&self, kind: OpKind, max_operand_tuples: f64) -> f64 {
-        match kind {
-            OpKind::Select => self.select,
-            OpKind::Project => self.project,
-            OpKind::Join => self.join,
-            OpKind::Intersect => self.intersect.unwrap_or(if max_operand_tuples > 0.0 {
-                1.0 / max_operand_tuples
-            } else {
-                1.0
-            }),
-            // Union/Difference never survive the PIE rewrite.
-            OpKind::Union | OpKind::Difference => 1.0,
-        }
-    }
-}
-
 /// Tracks one operator's sample selectivity across stages.
 #[derive(Debug, Clone)]
 pub struct SelTracker {

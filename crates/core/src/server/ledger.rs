@@ -357,10 +357,6 @@ impl TenantLedger {
     }
 }
 
-pub(super) fn duration_ns(d: Duration) -> u64 {
-    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -35,7 +35,7 @@
 //!    [`RefusalReason::Shed`]. Eviction is triage: better one
 //!    explicit casualty than a cascade of silent misses.
 //! 4. **Per-job isolation** — each job runs with its own budget-
-//!    capped [`RetryPolicy`] under a forced
+//!    capped [`RetryPolicy`](crate::RetryPolicy) under a forced
 //!    [`StoppingCriterion::HardDeadline`]; a job that hits corrupt
 //!    blocks degrades alone (its own `health.degraded`), a job whose
 //!    expression is broken fails alone (at admission, so it burns no
@@ -103,10 +103,9 @@ use eram_storage::{json, json_record, json_unit_enum, Clock, Json, Rng};
 use crate::aggregate::AggregateFn;
 use crate::config::EngineConfig;
 use crate::executor::{compile_terms, EngineError};
-use crate::obs::{Profiler, Tracer};
+use crate::obs::{duration_ns, Profiler, Tracer};
 use crate::predict::{predict_stage, SelPolicy};
 use crate::report::{ExecutionReport, RefusalReason, ReportHealth};
-use crate::retry::RetryPolicy;
 use crate::session::{Database, PreparedQuery, TimedCount};
 use crate::stopping::StoppingCriterion;
 
@@ -116,7 +115,6 @@ pub mod ledger;
 pub use ledger::{DecisionAction, DecisionRecord, TenantLedger, TenantSlo};
 
 use lanes::{run_interleaved, Lane, LaneOutcome};
-use ledger::duration_ns;
 
 /// How [`QueryServer`] executes its admitted batch.
 ///
@@ -440,9 +438,10 @@ impl ServerOutcome {
 
     /// The outcome minus everything mode-dependent, which is the
     /// schedule report alone. Two serving runs that differ only in
-    /// [`ServerConfig::concurrency`] must produce byte-identical
-    /// stripped outcomes — this is the equivalence artifact the
-    /// conformance suites and CI compare (jq: `del(.schedule)`).
+    /// [`QueryServer::concurrency`](field@QueryServer::concurrency)
+    /// must produce byte-identical stripped outcomes — this is the
+    /// equivalence artifact the conformance suites and CI compare (jq:
+    /// `del(.schedule)`).
     pub fn stripped_of_schedule(&self) -> ServerOutcome {
         ServerOutcome {
             schedule: None,
@@ -526,33 +525,6 @@ json_record!(ScheduleReport {
     lanes: required,
 });
 
-/// Tunables for a [`QueryServer`]: the two settings that exist only
-/// when serving, and the [`EngineConfig`] everything else is read
-/// from.
-#[derive(Debug, Clone, Default)]
-pub struct ServerConfig {
-    /// How admitted lanes are scheduled: [`Concurrency::Sequential`]
-    /// (one lane at a time, in canonical EDF order) or
-    /// [`Concurrency::Interleaved`] (stages from all admitted lanes
-    /// interleaved, base-relation draws shared). Per-job reports,
-    /// traces, and the schedule-stripped outcome are byte-identical
-    /// across modes; only [`ServerOutcome::schedule`] differs. On a
-    /// wall clock the server always runs sequentially (there is no
-    /// virtual time to order the turns by).
-    pub concurrency: Concurrency,
-    /// What every lane runs under, [`Database::calibrated`] once per
-    /// batch; admission prices each job on the same config. Its
-    /// `tracer` is the one shared stream — the server's
-    /// `server.decision` events and every job's engine spans, spliced
-    /// in canonical order — and its `collect_metrics` attaches each
-    /// job's own snapshot to its report. Per
-    /// job the server overrides three fields: `stopping` is forced to
-    /// [`StoppingCriterion::HardDeadline`], `tracer` is the lane's
-    /// private buffer, and `profiler` is off (a served batch renders
-    /// no per-job profile).
-    pub engine: EngineConfig,
-}
-
 /// Fraction of a job's slack granted as quota; the rest is scheduling
 /// margin for the engine's block-granularity abort overshoot and
 /// fault-storm overshoot.
@@ -598,8 +570,26 @@ const MIN_SLACK_SECS: f64 = 1e-9;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct QueryServer {
-    /// The serving tunables.
-    pub config: ServerConfig,
+    /// How admitted lanes are scheduled: [`Concurrency::Sequential`]
+    /// (one lane at a time, in canonical EDF order) or
+    /// [`Concurrency::Interleaved`] (stages from all admitted lanes
+    /// interleaved, base-relation draws shared). Per-job reports,
+    /// traces, and the schedule-stripped outcome are byte-identical
+    /// across modes; only [`ServerOutcome::schedule`] differs. On a
+    /// wall clock the server always runs sequentially (there is no
+    /// virtual time to order the turns by).
+    pub concurrency: Concurrency,
+    /// What every lane runs under, [`Database::calibrated`] once per
+    /// batch; admission prices each job on the same config. Its
+    /// `tracer` is the one shared stream — the server's
+    /// `server.decision` events and every job's engine spans, spliced
+    /// in canonical order — and its `collect_metrics` attaches each
+    /// job's own snapshot to its report. Per job the server overrides
+    /// three fields: `stopping` is forced to
+    /// [`StoppingCriterion::HardDeadline`], `tracer` is the lane's
+    /// private buffer, and `profiler` is off (a served batch renders
+    /// no per-job profile).
+    pub engine: EngineConfig,
 }
 
 impl QueryServer {
@@ -610,33 +600,27 @@ impl QueryServer {
 
     /// Sets per-job worker threads.
     pub fn workers(mut self, workers: usize) -> Self {
-        self.config.engine.workers = workers;
-        self
-    }
-
-    /// Replaces the default retry policy.
-    pub fn retry(mut self, retry: RetryPolicy) -> Self {
-        self.config.engine.retry = retry;
+        self.engine.workers = workers;
         self
     }
 
     /// Attaches a tracer (use [`Tracer::recording`] with the
     /// database's clock for clock-stamped, replayable traces).
     pub fn tracer(mut self, tracer: Tracer) -> Self {
-        self.config.engine.tracer = tracer;
+        self.engine.tracer = tracer;
         self
     }
 
     /// Toggles each job's metrics snapshot (on its report).
     pub fn metrics(mut self, on: bool) -> Self {
-        self.config.engine.collect_metrics = on;
+        self.engine.collect_metrics = on;
         self
     }
 
     /// Selects the lane scheduling mode (see
-    /// [`ServerConfig::concurrency`]).
+    /// [`QueryServer::concurrency`](field@QueryServer::concurrency)).
     pub fn concurrency(mut self, mode: Concurrency) -> Self {
-        self.config.concurrency = mode;
+        self.concurrency = mode;
         self
     }
 
@@ -648,8 +632,8 @@ impl QueryServer {
         // function of the submitted job list.
         jobs.sort_by_key(|j| j.deadline);
         let mut batch = Batch {
-            cfg: &self.config,
-            engine: db.calibrated(self.config.engine.clone()),
+            concurrency: self.concurrency,
+            engine: db.calibrated(self.engine.clone()),
             jobs: &jobs,
             clock: db.disk().clock().clone(),
             decisions: Vec::new(),
@@ -668,8 +652,9 @@ impl QueryServer {
 /// One batch in flight: what the phases of [`QueryServer::run`] hand
 /// each other.
 struct Batch<'a> {
-    cfg: &'a ServerConfig,
-    /// `cfg.engine`, calibrated to the database being served.
+    concurrency: Concurrency,
+    /// The server's engine config, calibrated to the database being
+    /// served.
     engine: EngineConfig,
     /// The offered jobs, in canonical (stable EDF) order.
     jobs: &'a [ServerJob],
@@ -807,11 +792,11 @@ impl Batch<'_> {
     /// identical lane outcomes, so every report field, decision record
     /// and trace byte written here is mode-invariant.
     fn replay(&mut self, db: &Database, mut specs: Vec<PreparedQuery>) -> ScheduleReport {
-        let (cfg, jobs) = (self.cfg, self.jobs);
+        let jobs = self.jobs;
         // Interleaving needs a virtual clock to define the turn
         // order; a wall clock always serves sequentially.
         let mode = if self.clock.is_simulated() {
-            cfg.concurrency
+            self.concurrency
         } else {
             Concurrency::Sequential
         };
@@ -1500,7 +1485,7 @@ mod tests {
             let mut db = db(24);
             let join = Expr::relation("t").join(Expr::relation("t"), vec![(0, 0)]);
             let mut server = QueryServer::new().metrics(true);
-            server.config.engine.memory = memory;
+            server.engine.memory = memory;
             let job = ServerJob::count("join", join, Duration::from_secs(30));
             let outcome = server.run(&mut db, vec![job]);
             let report = outcome.jobs[0].report.as_ref().expect("the join ran");

@@ -39,8 +39,6 @@ use crate::predict::{
 };
 use crate::seltrack::SelTracker;
 
-pub use crate::seltrack::SelectivityDefaults;
-
 /// What the strategy decided for the upcoming stage.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StagePlan {

@@ -839,7 +839,7 @@ pub fn postmortem(
                     job: j.name.clone(),
                     state: match &j.state {
                         JobState::Done => "done".to_string(),
-                        JobState::Refused { reason } => format!("refused:{}", reason.as_str()),
+                        JobState::Refused { reason } => format!("refused:{reason}"),
                         JobState::Failed { .. } => "failed".to_string(),
                     },
                     met: j.met(),

@@ -284,23 +284,6 @@ impl Expr {
         }
     }
 
-    /// Base-relation names in left-to-right leaf order (with repeats —
-    /// each occurrence is its own dimension of the point space).
-    pub fn base_relations(&self) -> Vec<&str> {
-        let mut out = Vec::new();
-        self.collect_relations(&mut out);
-        out
-    }
-
-    fn collect_relations<'a>(&'a self, out: &mut Vec<&'a str>) {
-        if let Expr::Relation(name) = self {
-            out.push(name);
-        }
-        for c in self.children() {
-            c.collect_relations(out);
-        }
-    }
-
     /// True if the expression contains a projection anywhere
     /// (COUNT then needs Goodman's estimator).
     pub fn contains_projection(&self) -> bool {
@@ -547,7 +530,6 @@ mod tests {
                     .project(vec![0])
                     .join(Expr::relation("r2").project(vec![0]), vec![(0, 0)]),
             );
-        assert_eq!(e.base_relations(), vec!["r1", "r2", "r1", "r2"]);
         assert!(e.contains_projection());
         assert!(e.contains_union_or_difference());
         assert_eq!(e.num_operators(), 6);

@@ -91,19 +91,6 @@ impl PieRewrite {
     pub fn is_trivial(&self) -> bool {
         self.terms.len() == 1 && self.terms[0].coefficient == 1
     }
-
-    /// The single `+1` term of a trivial rewrite — the form
-    /// non-additive aggregates (AVG, GROUP BY) require, since their
-    /// per-partition statistics cannot be combined across
-    /// inclusion–exclusion terms. `None` when the rewrite is not
-    /// trivial.
-    pub fn single_term(&self) -> Option<&CountTerm> {
-        if self.is_trivial() {
-            self.terms.first()
-        } else {
-            None
-        }
-    }
 }
 
 /// A monomial: the (sorted, deduplicated) set of intersected atoms.
@@ -294,16 +281,12 @@ mod tests {
         let r = PieRewrite::rewrite(&e).unwrap();
         assert!(r.is_trivial());
         assert!(!r.terms[0].expr.contains_union_or_difference());
-        let term = r.single_term().expect("trivial rewrite has one term");
-        assert_eq!(term.coefficient, 1);
-        assert_eq!(&term.expr, &r.terms[0].expr);
     }
 
     #[test]
     fn union_gives_classic_three_terms() {
         let r = PieRewrite::rewrite(&a().union(b())).unwrap();
         assert_eq!(coeffs(&r), vec![1, 1, -1]);
-        assert!(r.single_term().is_none(), "non-trivial rewrite");
         let negative = &r.terms[2].expr;
         assert_eq!(negative, &a().intersect(b()));
     }

@@ -73,12 +73,6 @@ impl BlockSampler {
         slice
     }
 
-    /// All blocks drawn so far, in draw order (the paper's
-    /// `SAMPLE-SET`).
-    pub fn sample_set(&self) -> &[u64] {
-        &self.perm[..self.cursor]
-    }
-
     /// Returns the `n` most recently drawn blocks to the population
     /// (clamped to the number actually drawn).
     ///
@@ -119,12 +113,13 @@ mod tests {
 
     #[test]
     fn sample_set_accumulates_in_draw_order() {
-        let rng = Rng::seed_from_u64(8);
-        let mut s = BlockSampler::new(20, rng);
-        let first: Vec<u64> = s.draw(5).to_vec();
-        let second: Vec<u64> = s.draw(3).to_vec();
-        let combined: Vec<u64> = first.iter().chain(second.iter()).copied().collect();
-        assert_eq!(s.sample_set(), combined.as_slice());
+        // The paper's SAMPLE-SET grows stage by stage: two staged draws
+        // hand out exactly what one draw of their total would.
+        let mut staged = BlockSampler::new(20, Rng::seed_from_u64(8));
+        let mut sample_set = staged.draw(5).to_vec();
+        sample_set.extend_from_slice(staged.draw(3));
+        let mut once = BlockSampler::new(20, Rng::seed_from_u64(8));
+        assert_eq!(once.draw(8), sample_set.as_slice());
     }
 
     #[test]
@@ -175,7 +170,7 @@ mod tests {
             (s.population(), s.remaining(), s.drawn()),
             (1_000, 1_000, 0)
         );
-        assert!(s.sample_set().is_empty());
+        assert!(s.perm.is_empty(), "no permutation before the first draw");
         s.unconsume(5); // nothing drawn: a no-op, still no permutation
         assert_eq!(s.remaining(), 1_000);
         let mut eager: Vec<u64> = (0..1_000).collect();

@@ -129,11 +129,6 @@ impl RunningMoments {
             self.m2 / (self.n - 1) as f64
         }
     }
-
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
 }
 
 #[cfg(test)]
@@ -183,7 +178,6 @@ mod tests {
         assert!((m.mean() - 5.0).abs() < 1e-12);
         // Unbiased variance of this classic data set is 32/7.
         assert!((m.variance() - 32.0 / 7.0).abs() < 1e-12);
-        assert!((m.std_dev() - (32.0f64 / 7.0).sqrt()).abs() < 1e-12);
     }
 
     #[test]

@@ -91,12 +91,6 @@ impl SimClock {
             nanos: AtomicU64::new(0),
         }
     }
-
-    /// Resets the clock to t = 0 (useful between experiment runs that
-    /// share a clock).
-    pub fn reset(&self) {
-        self.nanos.store(0, Ordering::Relaxed);
-    }
 }
 
 impl Clock for SimClock {
@@ -189,14 +183,6 @@ mod tests {
         c.charge(Duration::from_millis(12));
         assert_eq!(c.elapsed(), Duration::from_millis(42));
         assert!(c.is_simulated());
-    }
-
-    #[test]
-    fn sim_clock_reset_returns_to_zero() {
-        let c = SimClock::new();
-        c.charge(Duration::from_secs(5));
-        c.reset();
-        assert_eq!(c.elapsed(), Duration::ZERO);
     }
 
     #[test]

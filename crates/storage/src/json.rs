@@ -906,16 +906,24 @@ macro_rules! json_record {
     (@absent $mode:ident) => { Some(::std::default::Default::default) };
 }
 
-/// Implements [`ToJson`] and [`FromJson`] for an enum of unit variants
-/// as the listed string labels.
+/// Gives an enum of unit variants the listed string labels: a
+/// `label()` method, and [`ToJson`] / [`FromJson`] as those labels.
 #[macro_export]
 macro_rules! json_unit_enum {
     ($ty:ident { $($variant:ident = $label:literal),* $(,)? }) => {
+        impl $ty {
+            /// The variant's label: its JSON form, and its name in
+            /// rendered text.
+            pub fn label(&self) -> &'static str {
+                match self {
+                    $($ty::$variant => $label),*
+                }
+            }
+        }
+
         impl $crate::json::ToJson for $ty {
             fn to_json(&self) -> $crate::json::Json {
-                $crate::json::Json::from(match self {
-                    $($ty::$variant => $label),*
-                })
+                $crate::json::Json::from(self.label())
             }
         }
 
@@ -1182,6 +1190,7 @@ mod tests {
 
     #[test]
     fn unit_enums_are_their_labels() {
+        assert_eq!(Mode::VerySlow.label(), "very_slow");
         assert_eq!(to_string(&Mode::VerySlow), r#""very_slow""#);
         assert_eq!(from_str::<Mode>(r#""fast""#).unwrap(), Mode::Fast);
         let err = from_str::<Mode>(r#""medium""#).unwrap_err();

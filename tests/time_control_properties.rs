@@ -412,7 +412,7 @@ fn block_read_observation_excludes_the_samplers_draw() {
 
     // The clock did advance during the draw, and only there.
     let profile = config.profiler.snapshot().unwrap();
-    let draw = profile.per_operator["leaf"][Phase::RngDraw.name()];
+    let draw = profile.per_operator["leaf"][Phase::RngDraw.label()];
     assert_eq!((draw.calls, draw.sim_ns), (1, DRAW_COST.as_nanos() as u64));
     let blocks = view.stats().block_reads;
     assert_eq!(blocks, 78);
