@@ -7,7 +7,7 @@
 //! paper's ("zero output tuples", "5,000 output tuples", "70,000
 //! output tuples", …).
 
-use eram_core::Database;
+use eram_core::{Database, Store};
 use eram_relalg::{CmpOp, Expr, Predicate};
 use eram_storage::{ColumnType, Rng, Schema, Tuple, Value};
 
@@ -112,11 +112,11 @@ impl Workload {
     /// blocks in front of the simulated device (0 = none, the
     /// paper's setup).
     pub fn build_on(kind: WorkloadKind, seed: u64, cache_blocks: usize) -> Workload {
-        let mut db = if cache_blocks > 0 {
-            Database::sim_cached(eram_storage::DeviceProfile::sun_3_60(), seed, cache_blocks)
-        } else {
-            Database::sim_default(seed)
+        let store = Store {
+            cache_blocks,
+            ..Store::default()
         };
+        let mut db = Database::open(store, seed).expect("an in-memory store always opens");
         let n = RELATION_TUPLES as i64;
         match kind {
             WorkloadKind::Select { output_tuples } => {

@@ -25,29 +25,19 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
+use std::num::{NonZeroU64, NonZeroUsize};
 use std::path::PathBuf;
+use std::str::FromStr;
 use std::time::Duration;
 
 use std::sync::Arc;
 
 use eram_core::{
-    AggregateFn, BlockLayout, Concurrency, Database, EngineConfig, MetricsSnapshot,
-    ProfileSnapshot, Profiler, QueryServer, ReportHealth, ServerJob, ServerOutcome, Tracer,
+    AggregateFn, BlockLayout, Concurrency, Database, Device, EngineConfig, MetricsSnapshot,
+    ProfileSnapshot, Profiler, QueryServer, ReportHealth, ServerJob, ServerOutcome, Store, Tracer,
 };
 use eram_relalg::parse_expr;
-use eram_storage::{
-    json, json_record, parse_schema_spec, Clock, DeviceProfile, FaultPlan, IngestFormat,
-};
-
-/// Which simulated device profile to run on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Device {
-    /// The paper's SUN 3/60 (seconds-scale quotas).
-    #[default]
-    Sun,
-    /// A modern NVMe-scale device (millisecond quotas).
-    Modern,
-}
+use eram_storage::{json, json_record, parse_schema_spec, Clock, FaultPlan, IngestFormat};
 
 /// One `--load` directive.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -65,7 +55,8 @@ pub struct LoadSpec {
 pub struct Cli {
     /// Relations to load.
     pub loads: Vec<LoadSpec>,
-    /// Device profile.
+    /// Simulated device: `sun` (the paper's SUN 3/60, seconds-scale
+    /// quotas) or `modern` (NVMe-scale, millisecond quotas).
     pub device: Device,
     /// Buffer-cache blocks (0 = none, the paper's setup).
     pub cache_blocks: usize,
@@ -89,9 +80,8 @@ pub struct Cli {
     /// Probability a charged block read suffers an extra latency
     /// spike.
     pub fault_spike: f64,
-    /// Duration of one latency spike, in milliseconds (default
-    /// 1000 when `--fault-spike` is set without `--fault-spike-ms`).
-    pub fault_spike_ms: u64,
+    /// Duration of one latency spike, in milliseconds (`None`: 1000).
+    pub fault_spike_ms: Option<u64>,
     /// Serve a JSON batch of deadline-bound jobs from this file
     /// through the admission-controlled query server.
     pub serve: Option<PathBuf>,
@@ -189,107 +179,55 @@ impl Cli {
             given.push(a.clone());
             match a.as_str() {
                 "--load" => {
-                    let spec = args
-                        .next()
-                        .ok_or_else(|| err("--load needs NAME=FILE:SCHEMA"))?;
+                    let spec: String = value(&mut args, "--load needs NAME=FILE:SCHEMA")?;
                     cli.loads.push(parse_load(&spec)?);
                 }
                 "--device" => {
                     cli.device = match args.next().as_deref() {
-                        Some("sun") => Device::Sun,
+                        Some("sun") => Device::Sun3_60,
                         Some("modern") => Device::Modern,
                         other => return Err(err(format!("bad --device {other:?}"))),
                     };
                 }
-                "--cache" => {
-                    cli.cache_blocks = args
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| err("--cache needs a block count"))?;
-                }
-                "--seed" => {
-                    cli.seed = args
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| err("--seed needs an integer"))?;
-                }
+                "--cache" => cli.cache_blocks = value(&mut args, "--cache needs a block count")?,
+                "--seed" => cli.seed = value(&mut args, "--seed needs an integer")?,
                 "--header" => cli.header = true,
-                "--query" => {
-                    cli.query = Some(
-                        args.next()
-                            .ok_or_else(|| err("--query needs an expression"))?,
-                    )
-                }
+                "--query" => cli.query = Some(value(&mut args, "--query needs an expression")?),
                 "--quota" => {
-                    let secs = args.next().ok_or_else(|| err("--quota needs seconds"))?;
+                    let secs: String = value(&mut args, "--quota needs seconds")?;
                     cli.quota = Some(parse_secs(&secs).map_err(|e| err(format!("--quota: {e}")))?);
                 }
                 "--agg" => {
-                    cli.agg = parse_agg(&args.next().ok_or_else(|| {
-                        err("--agg needs count|sum:COL|avg:COL (optionally :by:G)")
-                    })?)?;
+                    let need = "--agg needs count|sum:COL|avg:COL (optionally :by:G)";
+                    cli.agg = parse_agg(&value::<String>(&mut args, need)?)?;
                 }
                 "--fault-seed" => {
-                    cli.fault_seed = args
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| err("--fault-seed needs an integer"))?;
+                    cli.fault_seed = value(&mut args, "--fault-seed needs an integer")?
                 }
-                "--fault-transient" => {
-                    cli.fault_transient = parse_rate(args.next(), "--fault-transient")?;
-                }
-                "--fault-corrupt" => {
-                    cli.fault_corrupt = parse_rate(args.next(), "--fault-corrupt")?;
-                }
-                "--fault-spike" => {
-                    cli.fault_spike = parse_rate(args.next(), "--fault-spike")?;
-                }
+                "--fault-transient" => cli.fault_transient = parse_rate(&mut args, &a)?,
+                "--fault-corrupt" => cli.fault_corrupt = parse_rate(&mut args, &a)?,
+                "--fault-spike" => cli.fault_spike = parse_rate(&mut args, &a)?,
                 "--fault-spike-ms" => {
-                    cli.fault_spike_ms = args
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| err("--fault-spike-ms needs milliseconds"))?;
+                    let need = "--fault-spike-ms needs a positive millisecond count";
+                    cli.fault_spike_ms = Some(value::<NonZeroU64>(&mut args, need)?.get());
                 }
-                "--serve" => {
-                    cli.serve = Some(PathBuf::from(
-                        args.next().ok_or_else(|| err("--serve needs a path"))?,
-                    ));
-                }
-                "--jobs-out" => {
-                    cli.jobs_out = Some(PathBuf::from(
-                        args.next().ok_or_else(|| err("--jobs-out needs a path"))?,
-                    ));
-                }
-                "--trace" => {
-                    cli.trace = Some(PathBuf::from(
-                        args.next().ok_or_else(|| err("--trace needs a path"))?,
-                    ));
-                }
+                "--serve" => cli.serve = Some(value(&mut args, "--serve needs a path")?),
+                "--jobs-out" => cli.jobs_out = Some(value(&mut args, "--jobs-out needs a path")?),
+                "--trace" => cli.trace = Some(value(&mut args, "--trace needs a path")?),
                 "--metrics" => cli.metrics = true,
                 "--concurrency" => {
-                    let mode = args
-                        .next()
-                        .ok_or_else(|| err("--concurrency needs seq|interleaved"))?;
+                    let mode: String = value(&mut args, "--concurrency needs seq|interleaved")?;
                     cli.concurrency = Concurrency::parse(&mode)
                         .ok_or_else(|| err(format!("unknown concurrency mode {mode:?}")))?;
                 }
                 "--profile" => cli.profile = true,
                 "--workers" => {
-                    let n: usize = args
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| err("--workers needs a thread count"))?;
-                    if n == 0 {
-                        return Err(err("--workers must be at least 1"));
-                    }
-                    cli.workers = n;
+                    let need = "--workers needs a thread count of at least 1";
+                    cli.workers = value::<NonZeroUsize>(&mut args, need)?.get();
                 }
                 "--run-cache-tuples" => {
-                    let n: usize = args
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| err("--run-cache-tuples needs a tuple count (0 = off)"))?;
-                    cli.run_cache_tuples = Some(n);
+                    let need = "--run-cache-tuples needs a tuple count (0 = off)";
+                    cli.run_cache_tuples = Some(value(&mut args, need)?);
                 }
                 "--layout" => {
                     cli.layout = match args.next().as_deref() {
@@ -303,9 +241,7 @@ impl Cli {
                     };
                 }
                 "--ingest" => {
-                    let name = args
-                        .next()
-                        .ok_or_else(|| err("--ingest needs a format (csv or jsonl)"))?;
+                    let name: String = value(&mut args, "--ingest needs a format (csv or jsonl)")?;
                     cli.ingest = Some(
                         IngestFormat::parse(&name)
                             .map_err(|e| err(format!("bad --ingest {name:?}: {e}")))?,
@@ -317,6 +253,14 @@ impl Cli {
         }
         if cli.query.is_some() && cli.quota.is_none() {
             return Err(err("--query requires --quota"));
+        }
+        if cli.fault_spike_ms.is_some() && cli.fault_spike == 0.0 {
+            return Err(err("--fault-spike-ms requires a nonzero --fault-spike"));
+        }
+        if given.iter().any(|g| g == "--fault-seed") && cli.fault_plan().is_none() {
+            return Err(err(
+                "--fault-seed requires a nonzero --fault-transient, --fault-corrupt or --fault-spike",
+            ));
         }
         if cli.query.is_some() && cli.serve.is_some() {
             return Err(err("--query and --serve are mutually exclusive"));
@@ -390,12 +334,8 @@ impl Cli {
             .with_transient(self.fault_transient)
             .with_corruption(self.fault_corrupt);
         if self.fault_spike > 0.0 {
-            let spike_ms = if self.fault_spike_ms == 0 {
-                1000
-            } else {
-                self.fault_spike_ms
-            };
-            plan = plan.with_spikes(self.fault_spike, Duration::from_millis(spike_ms));
+            let spike = Duration::from_millis(self.fault_spike_ms.unwrap_or(1000));
+            plan = plan.with_spikes(self.fault_spike, spike);
         }
         Some(plan)
     }
@@ -412,11 +352,16 @@ pub fn parse_secs(text: &str) -> Result<Duration, CliError> {
         .ok_or_else(|| err(format!("{text:?} is not a non-negative number of seconds")))
 }
 
-fn parse_rate(arg: Option<String>, flag: &str) -> Result<f64, CliError> {
-    let rate: f64 = arg
+/// The next argument parsed as a `T`, or `need` as the error.
+fn value<T: FromStr>(args: &mut impl Iterator<Item = String>, need: &str) -> Result<T, CliError> {
+    args.next()
         .and_then(|v| v.parse().ok())
-        .ok_or_else(|| err(format!("{flag} needs a probability")))?;
-    if !rate.is_finite() || !(0.0..=1.0).contains(&rate) {
+        .ok_or_else(|| err(need))
+}
+
+fn parse_rate(args: &mut impl Iterator<Item = String>, flag: &str) -> Result<f64, CliError> {
+    let rate: f64 = value(args, &format!("{flag} needs a probability"))?;
+    if !(0.0..=1.0).contains(&rate) {
         return Err(err(format!("{flag} must be a probability in [0, 1]")));
     }
     Ok(rate)
@@ -449,18 +394,12 @@ fn parse_agg(text: &str) -> Result<AggregateFn, CliError> {
 
 /// Builds the database and loads every `--load` relation.
 pub fn build_database(cli: &Cli) -> Result<Database, CliError> {
-    let profile = match cli.device {
-        Device::Sun => DeviceProfile::sun_3_60(),
-        Device::Modern => DeviceProfile::modern(),
+    let store = Store {
+        device: cli.device,
+        dir: None,
+        cache_blocks: cli.cache_blocks,
     };
-    let mut db = if cli.cache_blocks > 0 {
-        Database::sim_cached(profile, cli.seed, cli.cache_blocks)
-    } else {
-        Database::sim(profile, cli.seed)
-    };
-    if cli.device == Device::Modern {
-        db.set_default_cost_model(eram_core::CostModel::modern_default());
-    }
+    let mut db = Database::open(store, cli.seed).map_err(|e| err(e.to_string()))?;
     // `--ingest csv` (and the no-flag default) honours `--header`;
     // JSON lines are self-describing per record.
     let format = match cli.ingest {
@@ -584,6 +523,17 @@ pub fn run_one_shot(db: &mut Database, cli: &Cli) -> Result<String, CliError> {
         rendered.push('\n');
         rendered.push_str(&render_profile(snap, 5));
     }
+    write_trace(cli, &tracer, &mut rendered)?;
+    if let Some(metrics) = &out.report.metrics {
+        rendered.push('\n');
+        rendered.push_str(&render_metrics(metrics));
+    }
+    Ok(rendered)
+}
+
+/// With `--trace FILE`, writes `tracer`'s records to `FILE` as JSONL
+/// and says so in `rendered`.
+fn write_trace(cli: &Cli, tracer: &Tracer, rendered: &mut String) -> Result<(), CliError> {
     if let Some(path) = &cli.trace {
         std::fs::write(path, tracer.to_jsonl())
             .map_err(|e| err(format!("--trace {}: {e}", path.display())))?;
@@ -593,11 +543,7 @@ pub fn run_one_shot(db: &mut Database, cli: &Cli) -> Result<String, CliError> {
             path.display()
         ));
     }
-    if let Some(metrics) = &out.report.metrics {
-        rendered.push('\n');
-        rendered.push_str(&render_metrics(metrics));
-    }
-    Ok(rendered)
+    Ok(())
 }
 
 /// One job in a `--serve` batch file: a JSON array of these.
@@ -782,15 +728,7 @@ pub fn run_serve(db: &mut Database, cli: &Cli) -> Result<String, CliError> {
             .map_err(|e| err(format!("--jobs-out {}: {e}", path.display())))?;
         rendered.push_str(&format!("\noutcome: {}", path.display()));
     }
-    if let Some(path) = &cli.trace {
-        std::fs::write(path, tracer.to_jsonl())
-            .map_err(|e| err(format!("--trace {}: {e}", path.display())))?;
-        rendered.push_str(&format!(
-            "\ntrace: {} records → {}",
-            tracer.record_count(),
-            path.display()
-        ));
-    }
+    write_trace(cli, &tracer, &mut rendered)?;
     Ok(rendered)
 }
 
@@ -1229,7 +1167,7 @@ mod tests {
         ])
         .unwrap();
         assert_eq!(cli.fault_spike, 0.2);
-        assert_eq!(cli.fault_spike_ms, 500);
+        assert_eq!(cli.fault_spike_ms, Some(500));
         assert_eq!(cli.serve, Some(PathBuf::from("jobs.json")));
         assert_eq!(cli.jobs_out, Some(PathBuf::from("out.json")));
         let plan = cli.fault_plan().expect("spike rate is nonzero");
@@ -1248,6 +1186,40 @@ mod tests {
         // Every outcome carries its ledger: `--ledger` is no flag.
         let e = Cli::parse(["--serve", "jobs.json", "--ledger"]).unwrap_err();
         assert!(e.0.contains("unknown argument \"--ledger\""), "{:?}", e.0);
+    }
+
+    #[test]
+    fn a_zero_spike_duration_is_refused() {
+        let e = Cli::parse(["--fault-spike", "0.1", "--fault-spike-ms", "0"]).unwrap_err();
+        assert!(
+            e.0.contains("--fault-spike-ms needs a positive"),
+            "{:?}",
+            e.0
+        );
+    }
+
+    #[test]
+    fn a_spike_duration_without_a_spike_rate_is_refused() {
+        for args in [
+            vec!["--fault-spike-ms", "400"],
+            vec!["--fault-transient", "0.1", "--fault-spike-ms", "400"],
+            vec!["--fault-spike", "0", "--fault-spike-ms", "400"],
+        ] {
+            let e = Cli::parse(args).unwrap_err();
+            assert!(e.0.contains("--fault-spike-ms requires"), "{:?}", e.0);
+        }
+    }
+
+    #[test]
+    fn a_fault_seed_without_a_rate_is_refused() {
+        for args in [
+            vec!["--fault-seed", "7"],
+            vec!["--fault-seed", "7", "--fault-transient", "0"],
+        ] {
+            let e = Cli::parse(args).unwrap_err();
+            assert!(e.0.contains("--fault-seed requires"), "{:?}", e.0);
+        }
+        assert!(Cli::parse(["--fault-seed", "7", "--fault-corrupt", "0.01"]).is_ok());
     }
 
     #[test]

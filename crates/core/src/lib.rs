@@ -98,7 +98,7 @@ pub use server::{
     ScheduleReport, ServerJob, ServerOutcome, ServerStats, TenantLedger, TenantSlo,
     DEFAULT_MIN_QUOTA,
 };
-pub use session::{CountQuery, Database, PreparedQuery, TimedCount};
+pub use session::{CountQuery, Database, Device, PreparedQuery, Store};
 pub use stopping::{error_bound_satisfied, StoppingCriterion};
 pub use strategy::{
     HeuristicStrategy, OneAtATimeInterval, SingleInterval, StagePlan, TimeControlStrategy,

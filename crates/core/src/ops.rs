@@ -440,10 +440,9 @@ impl Node {
         }
     }
 
-    /// Remaining un-drawn blocks, minimized over leaves (0 when any
-    /// leaf is exhausted ⇒ no further stage can cover new points for
-    /// every dimension... each leaf may still have stock; we stop when
-    /// *all* leaves are exhausted).
+    /// Remaining un-drawn blocks, maximized over leaves: 0 only when
+    /// *every* leaf is exhausted, the point past which no stage can
+    /// draw a new block.
     pub(crate) fn max_remaining_blocks(&self) -> u64 {
         match self {
             Node::Leaf(n) => n.sampler.remaining(),

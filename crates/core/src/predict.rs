@@ -242,7 +242,8 @@ fn nlogn(n: f64) -> f64 {
 }
 
 /// Solves Figure 3.4's Sample-Size-Determine: bisection on `f` until
-/// the predicted stage cost is within `eps_secs` of `target_secs`.
+/// the predicted stage cost is within [`EPSILON_SECS`] of
+/// `target_secs`.
 /// Returns `None` when even the minimum stage (one block per
 /// relation) does not fit — the loop should stop and the leftover is
 /// wasted.
@@ -251,23 +252,21 @@ pub fn solve_fraction(
     model: &CostModel,
     policy: &SelPolicy<'_>,
     target_secs: f64,
-    eps_secs: f64,
 ) -> Option<(f64, StagePrediction)> {
-    bisect(
-        |f| predict_stage(trees, f, model, policy),
-        target_secs,
-        eps_secs,
-    )
+    bisect(|f| predict_stage(trees, f, model, policy), target_secs)
 }
+
+/// Sample-Size-Determine's tolerance `ε` on the predicted-vs-target
+/// cost: 50 ms, for every strategy.
+pub const EPSILON_SECS: f64 = 0.05;
 
 /// Sample-Size-Determine's bisection over any stage cost that grows
 /// with `f`: the largest `f` found whose `cost(f).cost_secs` fits in
-/// `target_secs`, stopping early once within `eps_secs` below it.
-/// `None` when even `cost(0)` does not fit.
+/// `target_secs`, stopping early once within [`EPSILON_SECS`] below
+/// it. `None` when even `cost(0)` does not fit.
 pub fn bisect(
     cost: impl Fn(f64) -> StagePrediction,
     target_secs: f64,
-    eps_secs: f64,
 ) -> Option<(f64, StagePrediction)> {
     debug_assert!(target_secs >= 0.0);
     // The smallest meaningful stage: the rounding in the leaf walk
@@ -292,7 +291,7 @@ pub fn bisect(
         } else {
             high = f;
         }
-        if (p.cost_secs - target_secs).abs() <= eps_secs && p.cost_secs <= target_secs {
+        if (p.cost_secs - target_secs).abs() <= EPSILON_SECS && p.cost_secs <= target_secs {
             return Some((f, p));
         }
         // Overshooting candidate: keep narrowing from below.
@@ -389,7 +388,7 @@ mod tests {
         let model = CostModel::generic_default();
         let policy = SelPolicy::Inflated { d_beta: 0.0 };
         let trees = [t];
-        let (f, p) = solve_fraction(&trees, &model, &policy, 10.0, 0.05).unwrap();
+        let (f, p) = solve_fraction(&trees, &model, &policy, 10.0).unwrap();
         assert!(f > 0.0 && f <= 1.0);
         assert!(p.cost_secs <= 10.0);
         assert!(
@@ -409,7 +408,7 @@ mod tests {
         let trees = [t];
         let mut last_f = 0.0;
         for target in [2.0, 5.0, 20.0, 100.0] {
-            let (f, _) = solve_fraction(&trees, &model, &policy, target, 0.05).unwrap();
+            let (f, _) = solve_fraction(&trees, &model, &policy, target).unwrap();
             assert!(f >= last_f, "fraction must grow with target");
             last_f = f;
         }
@@ -422,7 +421,7 @@ mod tests {
         let t = tree(&expr, &disk, &cat);
         let model = CostModel::generic_default();
         let policy = SelPolicy::Mean;
-        assert!(solve_fraction(&[t], &model, &policy, 1e-6, 1e-9).is_none());
+        assert!(solve_fraction(&[t], &model, &policy, 1e-6).is_none());
     }
 
     #[test]
@@ -432,7 +431,7 @@ mod tests {
         let t = tree(&expr, &disk, &cat);
         let model = CostModel::generic_default();
         let policy = SelPolicy::Mean;
-        let (f, _) = solve_fraction(&[t], &model, &policy, 1e9, 0.05).unwrap();
+        let (f, _) = solve_fraction(&[t], &model, &policy, 1e9).unwrap();
         assert_eq!(f, 1.0);
     }
 

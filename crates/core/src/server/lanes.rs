@@ -31,9 +31,9 @@ use std::time::Duration;
 use eram_relalg::Catalog;
 use eram_storage::{BlockCache, Clock, Disk, DiskStats, SimClock};
 
-use crate::executor::{EngineError, StageRun};
+use crate::executor::{EngineError, ExecOutcome, StageRun};
 use crate::obs::{TraceRecord, Tracer};
-use crate::session::{Database, PreparedQuery, TimedCount};
+use crate::session::{Database, PreparedQuery};
 
 /// XOR'd into the per-query sampling seed to derive the lane disk's
 /// jitter-RNG stream: the lane must not replay the sampling stream as
@@ -44,7 +44,7 @@ pub(super) const LANE_JITTER_SALT: u64 = 0xD15C_1A9E;
 pub(super) struct LaneOutcome {
     /// The engine result (the same shape `Database::aggregate` runs
     /// return).
-    pub result: Result<TimedCount, EngineError>,
+    pub result: Result<ExecOutcome, EngineError>,
     /// Charged time on the lane's own clock.
     pub spent: Duration,
     /// The lane's trace records, timestamped on the lane clock from
@@ -67,7 +67,7 @@ enum Progress {
     /// Compiled; the next turn runs one stage.
     Running(StageRun),
     /// Finished (or failed); takes no more turns.
-    Done(Result<TimedCount, EngineError>),
+    Done(Result<ExecOutcome, EngineError>),
 }
 
 /// One prepared job on its own lane of the database's disk.

@@ -102,11 +102,11 @@ use eram_storage::{json, json_record, json_unit_enum, Clock, Json, Rng};
 
 use crate::aggregate::AggregateFn;
 use crate::config::EngineConfig;
-use crate::executor::{compile_terms, EngineError};
-use crate::obs::{duration_ns, Profiler, Tracer};
+use crate::executor::{compile_terms, EngineError, ExecOutcome};
+use crate::obs::{duration_ns, Profiler};
 use crate::predict::{predict_stage, SelPolicy};
 use crate::report::{ExecutionReport, RefusalReason, ReportHealth};
-use crate::session::{Database, PreparedQuery, TimedCount};
+use crate::session::{Database, PreparedQuery};
 use crate::stopping::StoppingCriterion;
 
 mod lanes;
@@ -598,25 +598,6 @@ impl QueryServer {
         Self::default()
     }
 
-    /// Sets per-job worker threads.
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.engine.workers = workers;
-        self
-    }
-
-    /// Attaches a tracer (use [`Tracer::recording`] with the
-    /// database's clock for clock-stamped, replayable traces).
-    pub fn tracer(mut self, tracer: Tracer) -> Self {
-        self.engine.tracer = tracer;
-        self
-    }
-
-    /// Toggles each job's metrics snapshot (on its report).
-    pub fn metrics(mut self, on: bool) -> Self {
-        self.engine.collect_metrics = on;
-        self
-    }
-
     /// Selects the lane scheduling mode (see
     /// [`QueryServer::concurrency`](field@QueryServer::concurrency)).
     pub fn concurrency(mut self, mode: Concurrency) -> Self {
@@ -996,7 +977,7 @@ impl Batch<'_> {
         quota: Duration,
         started_at: Duration,
         spent: Duration,
-        result: Result<TimedCount, EngineError>,
+        result: Result<ExecOutcome, EngineError>,
     ) -> JobReport {
         let finished_at = started_at + spent;
         let ran = ran_record(self.at(finished_at), job, quota, spent);
@@ -1333,7 +1314,7 @@ fn scale(d: Duration, x: f64) -> Duration {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::obs::TraceRecord;
+    use crate::obs::{TraceRecord, Tracer};
     use crate::ops::MemoryMode;
     use eram_relalg::{CmpOp, Predicate};
     use eram_storage::{ColumnType, FaultPlan, Schema, Tuple, Value};
@@ -1353,6 +1334,14 @@ mod tests {
 
     fn sel(k: i64) -> Expr {
         Expr::relation("t").select(Predicate::col_cmp(1, CmpOp::Lt, k))
+    }
+
+    /// The default engine with every event going to `tracer`.
+    fn traced(tracer: &Tracer) -> EngineConfig {
+        EngineConfig {
+            tracer: tracer.clone(),
+            ..EngineConfig::default()
+        }
     }
 
     /// The acceptance invariant: every offered job ends answered by
@@ -1484,7 +1473,8 @@ mod tests {
         let block_writes = |memory: MemoryMode| {
             let mut db = db(24);
             let join = Expr::relation("t").join(Expr::relation("t"), vec![(0, 0)]);
-            let mut server = QueryServer::new().metrics(true);
+            let mut server = QueryServer::new();
+            server.engine.collect_metrics = true;
             server.engine.memory = memory;
             let job = ServerJob::count("join", join, Duration::from_secs(30));
             let outcome = server.run(&mut db, vec![job]);
@@ -1592,11 +1582,17 @@ mod tests {
                 ServerJob::count("b", sel(5), Duration::from_secs(14)),
                 ServerJob::count("c", sel(7), Duration::from_secs(15)).with_value(0.5),
             ];
-            let outcome = QueryServer::new()
-                .workers(workers)
-                .metrics(true)
-                .tracer(tracer.clone())
-                .run(&mut db, jobs);
+            let engine = EngineConfig {
+                workers,
+                collect_metrics: true,
+                tracer: tracer.clone(),
+                ..EngineConfig::default()
+            };
+            let outcome = QueryServer {
+                concurrency: Concurrency::default(),
+                engine,
+            }
+            .run(&mut db, jobs);
             (outcome.to_json(), tracer.to_jsonl())
         };
         let (json1, trace1) = run(1);
@@ -1619,12 +1615,17 @@ mod tests {
                 ServerJob::count("b", sel(5), Duration::from_secs(14)),
                 ServerJob::count("c", sel(7), Duration::from_secs(15)).with_value(0.5),
             ];
-            let outcome = QueryServer::new()
-                .workers(workers)
-                .metrics(true)
-                .concurrency(mode)
-                .tracer(tracer.clone())
-                .run(&mut db, jobs);
+            let engine = EngineConfig {
+                workers,
+                collect_metrics: true,
+                tracer: tracer.clone(),
+                ..EngineConfig::default()
+            };
+            let outcome = QueryServer {
+                concurrency: mode,
+                engine,
+            }
+            .run(&mut db, jobs);
             (outcome, tracer.to_jsonl())
         };
         let (seq, seq_trace) = run(Concurrency::Sequential, 1);
@@ -1699,10 +1700,11 @@ mod tests {
             ServerJob::count("b", sel(7), Duration::from_millis(800)).with_min_quota(min),
             ServerJob::count("instant", sel(5), Duration::from_micros(10)).with_min_quota(min),
         ];
-        let outcome = QueryServer::new()
-            .concurrency(Concurrency::Interleaved)
-            .tracer(tracer.clone())
-            .run(&mut db, jobs);
+        let outcome = QueryServer {
+            concurrency: Concurrency::Interleaved,
+            engine: traced(&tracer),
+        }
+        .run(&mut db, jobs);
         let schedule = outcome
             .schedule
             .as_ref()
@@ -1727,7 +1729,9 @@ mod tests {
             ServerJob::count("ok", sel(5), Duration::from_secs(6)),
             ServerJob::count("tiny", sel(5), Duration::from_millis(50)),
         ];
-        let outcome = QueryServer::new().metrics(true).run(&mut db, jobs.clone());
+        let mut server = QueryServer::new();
+        server.engine.collect_metrics = true;
+        let outcome = server.run(&mut db, jobs.clone());
         let back: ServerOutcome = json::from_str(&outcome.to_json()).unwrap();
         assert_eq!(back, outcome);
         assert_eq!(back.stats.admitted, 1);
@@ -1859,7 +1863,11 @@ mod tests {
             ServerJob::count("ok", sel(5), Duration::from_secs(6)),
             ServerJob::count("tiny", sel(5), Duration::from_millis(50)),
         ];
-        let _ = QueryServer::new().tracer(tracer.clone()).run(&mut db, jobs);
+        let _ = QueryServer {
+            engine: traced(&tracer),
+            ..QueryServer::new()
+        }
+        .run(&mut db, jobs);
         let records = tracer.records();
         let server: Vec<&TraceRecord> = records
             .iter()
@@ -1901,7 +1909,11 @@ mod tests {
             ServerJob::count("tail", sel(9), Duration::from_secs(26))
                 .with_desired_quota(Duration::from_secs(4)),
         ];
-        let _ = QueryServer::new().tracer(tracer.clone()).run(&mut db, jobs);
+        let _ = QueryServer {
+            engine: traced(&tracer),
+            ..QueryServer::new()
+        }
+        .run(&mut db, jobs);
         let decisions: Vec<DecisionRecord> = tracer
             .records()
             .iter()

@@ -2,16 +2,20 @@
 //! time-constrained `COUNT` queries of.
 //!
 //! A [`Database`] bundles the clock, the device, and the catalog.
-//! [`Database::sim_default`] gives the paper's simulated SUN 3/60
-//! (deterministic, fast, jittered); [`Database::wall`] measures real
-//! time — the mode an embedding real-time application would use.
+//! [`Database::open`] builds every one from a [`Store`]: the
+//! [`Device`] (clock, cost profile, prior coefficients), memory or a
+//! directory of files, and the buffer cache. A [`Device::Wall`] store
+//! over files is the paper's own setting: a hard deadline on real
+//! time over disk-resident relations.
 
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
 use eram_relalg::{eval, Catalog, Expr};
 use eram_storage::{
-    Clock, DeviceProfile, Disk, HeapFile, IngestFormat, Schema, SeedSeq, SimClock, Tuple, WallClock,
+    Clock, DeviceProfile, Disk, HeapFile, IngestFormat, Schema, SeedSeq, SimClock, StorageError,
+    Tuple, WallClock,
 };
 
 use crate::aggregate::AggregateFn;
@@ -24,8 +28,41 @@ use crate::retry::RetryPolicy;
 use crate::stopping::StoppingCriterion;
 use crate::strategy::TimeControlStrategy;
 
-/// The result of a time-constrained count (re-exported outcome type).
-pub type TimedCount = ExecOutcome;
+/// The device a database runs on: its clock, its cost profile, and
+/// the prior cost coefficients a query starts from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Device {
+    /// The paper's SUN 3/60 on a simulated clock, 1989-scale prior.
+    #[default]
+    Sun3_60,
+    /// NVMe-scale, on a simulated clock; microsecond-scale prior.
+    Modern,
+    /// Real wall-clock time: charges are free and the quota
+    /// constrains actual execution; microsecond-scale prior.
+    Wall,
+}
+
+/// Everything [`Database::open`] needs to build the disk.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Store {
+    /// Clock, profile and prior coefficients.
+    pub device: Device,
+    /// Memory, or one file per relation or temporary under this
+    /// existing directory (one store per directory).
+    pub dir: Option<PathBuf>,
+    /// Blocks of LRU buffer cache (0 = none, the paper's setup).
+    pub cache_blocks: usize,
+}
+
+impl Store {
+    /// An in-memory, uncached store on `device`.
+    pub fn on(device: Device) -> Self {
+        Store {
+            device,
+            ..Store::default()
+        }
+    }
+}
 
 /// A self-contained ERAM instance: clock + device + catalog.
 pub struct Database {
@@ -33,66 +70,60 @@ pub struct Database {
     catalog: Catalog,
     seeds: SeedSeq,
     query_counter: u64,
-    /// Initial cost model handed to queries (1989-scale for the
-    /// simulated SUN 3/60, microsecond-scale for wall clocks).
+    /// The device's prior, handed to queries that bring none.
     default_cost_model: CostModel,
 }
 
 impl Database {
-    fn on(disk: Arc<Disk>, seeds: SeedSeq, default_cost_model: CostModel) -> Self {
-        Database {
+    /// Opens a database on `store`, its disk seeded from `seed`. Fails
+    /// only when the store's directory cannot hold files.
+    pub fn open(store: Store, seed: u64) -> Result<Self, StorageError> {
+        let (clock, profile, prior): (Arc<dyn Clock>, _, _) = match store.device {
+            Device::Sun3_60 => (
+                Arc::new(SimClock::new()),
+                DeviceProfile::sun_3_60(),
+                CostModel::generic_default(),
+            ),
+            Device::Modern => (
+                Arc::new(SimClock::new()),
+                DeviceProfile::modern(),
+                CostModel::modern_default(),
+            ),
+            Device::Wall => (
+                Arc::new(WallClock::new()),
+                DeviceProfile::sun_3_60(),
+                CostModel::modern_default(),
+            ),
+        };
+        let seeds = SeedSeq::new(seed);
+        let (dir, cache) = (store.dir.as_deref(), store.cache_blocks);
+        let disk = Disk::open(clock, profile, seeds.derive(0xD15C), dir, cache)?;
+        Ok(Database {
             disk,
             catalog: Catalog::new(),
             seeds,
             query_counter: 0,
-            default_cost_model,
-        }
+            default_cost_model: prior,
+        })
     }
 
-    /// A database on a simulated device with the given profile.
-    pub fn sim(profile: DeviceProfile, seed: u64) -> Self {
-        let seeds = SeedSeq::new(seed);
-        let clock: Arc<dyn Clock> = Arc::new(SimClock::new());
-        let disk = Disk::new(clock, profile, seeds.derive(0xD15C));
-        Self::on(disk, seeds, CostModel::generic_default())
-    }
-
-    /// A database on the paper-calibrated simulated SUN 3/60.
+    /// The paper-calibrated simulated SUN 3/60, in memory.
     pub fn sim_default(seed: u64) -> Self {
-        Self::sim(DeviceProfile::sun_3_60(), seed)
+        Self::open(Store::on(Device::Sun3_60), seed).expect("an in-memory store always opens")
     }
 
-    /// A database on a simulated device fronted by an LRU buffer
-    /// cache of `cache_blocks` blocks — the middle ground between the
-    /// paper's disk-resident design and its main-memory variant
-    /// (full-fulfillment re-reads of previous stages' runs become
-    /// cheap).
-    pub fn sim_cached(profile: DeviceProfile, seed: u64, cache_blocks: usize) -> Self {
-        let seeds = SeedSeq::new(seed);
-        let clock: Arc<dyn Clock> = Arc::new(SimClock::new());
-        let disk = Disk::new_cached(clock, profile, seeds.derive(0xD15C), cache_blocks);
-        Self::on(disk, seeds, CostModel::generic_default())
-    }
-
-    /// A database on the simulated *modern* device
-    /// ([`DeviceProfile::modern`]) with matching microsecond-scale
-    /// initial cost coefficients.
+    /// The simulated NVMe-scale device, in memory.
     pub fn sim_modern(seed: u64) -> Self {
-        let mut db = Self::sim(DeviceProfile::modern(), seed);
-        db.default_cost_model = CostModel::modern_default();
-        db
+        Self::open(Store::on(Device::Modern), seed).expect("an in-memory store always opens")
     }
 
-    /// Replaces the initial cost model handed to new queries. Use
-    /// when the device's cost scale differs from the profile preset
-    /// (a query can still carry its own in
-    /// [`EngineConfig::cost_model`]).
-    pub fn set_default_cost_model(&mut self, model: CostModel) {
-        self.default_cost_model = model;
+    /// Real wall-clock time, in memory.
+    pub fn wall(seed: u64) -> Self {
+        Self::open(Store::on(Device::Wall), seed).expect("an in-memory store always opens")
     }
 
     /// `config` calibrated to this database's device: a config that
-    /// names no cost model of its own gets the database's default.
+    /// names no cost model of its own gets the device's prior.
     /// Every run a database starts — the query builder's, the
     /// server's admission pricing and its lanes — passes through
     /// here, so the default is resolved in one place.
@@ -103,29 +134,6 @@ impl Database {
         config
     }
 
-    /// A simulated database whose blocks live in real files under
-    /// `dir` (for data sets larger than RAM). The directory must
-    /// exist.
-    pub fn sim_file_backed(
-        profile: DeviceProfile,
-        seed: u64,
-        dir: &std::path::Path,
-    ) -> Result<Self, eram_storage::StorageError> {
-        let seeds = SeedSeq::new(seed);
-        let clock: Arc<dyn Clock> = Arc::new(SimClock::new());
-        let disk = Disk::file_backed(clock, profile, seeds.derive(0xD15C), dir)?;
-        Ok(Self::on(disk, seeds, CostModel::generic_default()))
-    }
-
-    /// A database measuring real wall-clock time (charges are free;
-    /// the quota constrains actual execution).
-    pub fn wall(seed: u64) -> Self {
-        let seeds = SeedSeq::new(seed);
-        let clock: Arc<dyn Clock> = Arc::new(WallClock::new());
-        let disk = Disk::new(clock, DeviceProfile::sun_3_60(), seeds.derive(0xD15C));
-        Self::on(disk, seeds, CostModel::modern_default())
-    }
-
     /// Loads (or replaces) a base relation.
     ///
     /// Relations follow the paper's **set semantics** ("a relation
@@ -134,15 +142,12 @@ impl Database {
     /// (scanning to check would defeat bulk loading) but makes
     /// estimates count the multiset while [`Database::exact_count`]
     /// deduplicates.
-    pub fn load_relation<I>(
+    pub fn load_relation(
         &mut self,
         name: impl Into<String>,
         schema: Schema,
-        tuples: I,
-    ) -> Result<(), eram_storage::StorageError>
-    where
-        I: IntoIterator<Item = Tuple>,
-    {
+        tuples: impl IntoIterator<Item = Tuple>,
+    ) -> Result<(), StorageError> {
         let hf = HeapFile::load(self.disk.clone(), schema, tuples)?;
         self.catalog.register(name, hf);
         Ok(())
@@ -157,9 +162,8 @@ impl Database {
         schema: Schema,
         path: &std::path::Path,
         format: IngestFormat,
-    ) -> Result<usize, eram_storage::StorageError> {
-        let file = std::fs::File::open(path)?;
-        let mut reader = std::io::BufReader::new(file);
+    ) -> Result<usize, StorageError> {
+        let mut reader = std::io::BufReader::new(std::fs::File::open(path)?);
         let tuples = eram_storage::read_tuples(format, &mut reader, &schema)?;
         let n = tuples.len();
         self.load_relation(name, schema, tuples)?;
@@ -247,6 +251,8 @@ pub struct CountQuery<'db> {
     spec: PreparedQuery,
 }
 
+/// Each setting's meaning is documented once, on its [`EngineConfig`]
+/// field; [`CountQuery::config`] replaces them all, so call it first.
 impl CountQuery<'_> {
     /// Sets the time quota `T` (default 1 s).
     pub fn within(mut self, quota: Duration) -> Self {
@@ -254,13 +260,13 @@ impl CountQuery<'_> {
         self
     }
 
-    /// Replaces the time-control strategy.
+    /// Sets [`EngineConfig::strategy`].
     pub fn strategy(mut self, strategy: impl TimeControlStrategy + 'static) -> Self {
         self.spec.config.strategy = Arc::new(strategy);
         self
     }
 
-    /// Replaces the stopping criterion.
+    /// Sets [`EngineConfig::stopping`].
     pub fn stopping(mut self, stopping: StoppingCriterion) -> Self {
         self.spec.config.stopping = stopping;
         self
@@ -273,77 +279,58 @@ impl CountQuery<'_> {
         self
     }
 
-    /// Replaces the retry policy for transient storage faults.
+    /// Sets [`EngineConfig::retry`].
     pub fn retry(mut self, retry: RetryPolicy) -> Self {
         self.spec.config.retry = retry;
         self
     }
 
-    /// Attaches an execution tracer. Use
-    /// [`Tracer::recording`] with the database's clock (e.g.
-    /// `db.disk().clock().clone()`) so span durations are stamped in
-    /// charged time. Call after [`CountQuery::config`], which replaces
-    /// the whole config including the tracer.
+    /// Sets [`EngineConfig::tracer`]; a [`Tracer::recording`] on
+    /// `db.disk().clock()` stamps spans in charged time.
     pub fn tracer(mut self, tracer: Tracer) -> Self {
         self.spec.config.tracer = tracer;
         self
     }
 
-    /// Enables metrics collection: the report's `metrics` field gets a
-    /// [`crate::MetricsSnapshot`] of storage and stage-loop counters.
+    /// Sets [`EngineConfig::collect_metrics`].
     pub fn metrics(mut self, on: bool) -> Self {
         self.spec.config.collect_metrics = on;
         self
     }
 
-    /// Attaches a phase profiler. Use [`Profiler::recording`] with
-    /// the database's clock (e.g. `db.disk().clock().clone()`) so the
-    /// simulated column reads charged time; the report's `profile`
-    /// field then carries a [`crate::ProfileSnapshot`]. Profiling is
-    /// pure observation — seeded results are byte-identical with it
-    /// on or off.
+    /// Sets [`EngineConfig::profiler`]; a [`Profiler::recording`] on
+    /// `db.disk().clock()` reads charged time in its simulated column.
     pub fn profiler(mut self, profiler: Profiler) -> Self {
         self.spec.config.profiler = profiler;
         self
     }
 
-    /// Sets the worker-thread count for the pure-CPU portions of each
-    /// stage. Estimates, reports, and traces are byte-identical at
-    /// any worker count; values above 1 only change wall-clock time.
-    /// Zero is treated as 1.
+    /// Sets [`EngineConfig::workers`].
     pub fn workers(mut self, workers: usize) -> Self {
         self.spec.config.workers = workers;
         self
     }
 
-    /// Sets each binary operator's budget, in tuples, for sorted
-    /// runs that keep their decoded tuples; `0` keeps none. A kept
-    /// run only skips its re-decode — every block read is still
-    /// charged — so estimates, reports, and traces are byte-identical
-    /// at any setting.
+    /// Sets [`EngineConfig::run_cache_tuples`].
     pub fn run_cache(mut self, tuples: usize) -> Self {
         self.spec.config.run_cache_tuples = tuples;
         self
     }
 
-    /// Selects how sampled blocks are decoded and traversed: row
-    /// tuples (the default) or per-column typed arrays with bitmap
-    /// selection. Estimates, reports, and traces are byte-identical
-    /// under either layout; only wall-clock time changes.
+    /// Sets [`EngineConfig::block_layout`].
     pub fn block_layout(mut self, layout: BlockLayout) -> Self {
         self.spec.config.block_layout = layout;
         self
     }
 
-    /// Replaces the whole config in one call (every setting is a
-    /// public field of [`EngineConfig`]).
+    /// Replaces the whole config in one call.
     pub fn config(mut self, config: EngineConfig) -> Self {
         self.spec.config = self.db.calibrated(config);
         self
     }
 
     /// Runs the stage loop.
-    pub fn run(self) -> Result<TimedCount, EngineError> {
+    pub fn run(self) -> Result<ExecOutcome, EngineError> {
         self.spec.run(&self.db.disk, &self.db.catalog)
     }
 }
@@ -416,6 +403,30 @@ mod tests {
     }
 
     #[test]
+    fn each_device_names_its_clock_profile_and_prior() {
+        let (sun, modern) = (DeviceProfile::sun_3_60(), DeviceProfile::modern());
+        let (generic, fast) = (CostModel::generic_default(), CostModel::modern_default());
+        for (device, simulated, profile, prior) in [
+            (Device::Sun3_60, true, &sun, &generic),
+            (Device::Modern, true, &modern, &fast),
+            (Device::Wall, false, &sun, &fast),
+        ] {
+            for cache_blocks in [0, 16] {
+                let store = Store {
+                    cache_blocks,
+                    ..Store::on(device)
+                };
+                let db = Database::open(store, 1).unwrap();
+                assert_eq!(db.disk().clock().is_simulated(), simulated, "{device:?}");
+                assert_eq!(db.disk().profile(), profile, "{device:?}");
+                let calibrated = db.calibrated(EngineConfig::default());
+                assert_eq!(calibrated.cost_model.as_ref(), Some(prior), "{device:?}");
+                assert_eq!(db.disk().cache_stats().is_some(), cache_blocks > 0);
+            }
+        }
+    }
+
+    #[test]
     fn exact_count_available_for_ground_truth() {
         let db = populated(2);
         let expr = Expr::relation("t").select(Predicate::col_cmp(1, CmpOp::Eq, 0));
@@ -441,7 +452,7 @@ mod tests {
         // collide by chance (the estimate lives on the coarse lattice
         // n·ones/m), so require only that the three runs are not all
         // identical.
-        let key = |o: &TimedCount| (o.estimate.estimate, o.report.blocks_evaluated());
+        let key = |o: &ExecOutcome| (o.estimate.estimate, o.report.blocks_evaluated());
         assert!(
             key(&a) != key(&b) || key(&b) != key(&c),
             "three distinct-seed queries produced identical samples: {:?}",

@@ -82,17 +82,12 @@ pub struct OneAtATimeInterval {
     /// underestimated selectivity. The paper sweeps {0, 12, 24, 48,
     /// 72}; 0 makes `sel⁺` the plain mean (≈ 50 % risk).
     pub d_beta: f64,
-    /// Bisection tolerance `ε` on the predicted-vs-target cost.
-    pub epsilon: Duration,
 }
 
 impl OneAtATimeInterval {
-    /// Creates the strategy with the given `d_β` and a 50 ms `ε`.
+    /// Creates the strategy with the given `d_β`.
     pub fn new(d_beta: f64) -> Self {
-        OneAtATimeInterval {
-            d_beta,
-            epsilon: Duration::from_millis(50),
-        }
+        OneAtATimeInterval { d_beta }
     }
 }
 
@@ -122,7 +117,6 @@ impl TimeControlStrategy for OneAtATimeInterval {
             model,
             &policy,
             remaining.as_secs_f64(),
-            self.epsilon.as_secs_f64(),
         ))
     }
 }
@@ -132,17 +126,12 @@ impl TimeControlStrategy for OneAtATimeInterval {
 pub struct SingleInterval {
     /// The `d_α` multiplier on the whole-query cost deviation.
     pub d_alpha: f64,
-    /// Bisection tolerance on the effective-cost-vs-target match.
-    pub epsilon: Duration,
 }
 
 impl SingleInterval {
-    /// Creates the strategy with the given `d_α` and a 50 ms `ε`.
+    /// Creates the strategy with the given `d_α`.
     pub fn new(d_alpha: f64) -> Self {
-        SingleInterval {
-            d_alpha,
-            epsilon: Duration::from_millis(50),
-        }
+        SingleInterval { d_alpha }
     }
 
     /// `μ(f) + d_α·√(V̂ar(f))`: mean cost plus the reserved deviation,
@@ -199,7 +188,6 @@ impl TimeControlStrategy for SingleInterval {
         let (f, _) = bisect(
             |f| self.effective_cost(trees, model, f),
             remaining.as_secs_f64(),
-            self.epsilon.as_secs_f64(),
         )?;
         // Report the *mean* as the prediction (the reserve is
         // headroom, not expected spend).
@@ -219,8 +207,6 @@ pub struct HeuristicStrategy {
     /// (protects against underestimated selectivities without any
     /// statistics).
     pub safety: f64,
-    /// Bisection tolerance.
-    pub epsilon: Duration,
     /// When true (default), stages after the first target the whole
     /// remainder; when false, every stage targets `spend_share` —
     /// the *probing* mode suited to error-constrained evaluation,
@@ -241,7 +227,6 @@ impl HeuristicStrategy {
         HeuristicStrategy {
             spend_share,
             safety,
-            epsilon: Duration::from_millis(50),
             commit_after_first: true,
         }
     }
@@ -284,13 +269,7 @@ impl TimeControlStrategy for HeuristicStrategy {
         };
         let target = remaining.as_secs_f64() * share / self.safety;
         let policy = SelPolicy::Mean;
-        let plan = to_plan(solve_fraction(
-            trees,
-            model,
-            &policy,
-            target,
-            self.epsilon.as_secs_f64(),
-        ))?;
+        let plan = to_plan(solve_fraction(trees, model, &policy, target))?;
         // A stage that cannot fit in the *remaining* quota even at the
         // safety-deflated target is still refused by solve_fraction;
         // additionally refuse if the safety-inflated prediction would

@@ -155,7 +155,9 @@ fn traced_serve(
     let mut db = fig51_db(seed);
     db.inject_faults(faults);
     let tracer = Tracer::recording(db.disk().clock().clone());
-    let outcome = QueryServer::new().tracer(tracer.clone()).run(&mut db, jobs);
+    let mut server = QueryServer::new();
+    server.engine.tracer = tracer.clone();
+    let outcome = server.run(&mut db, jobs);
     (outcome, tracer.records())
 }
 

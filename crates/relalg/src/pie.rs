@@ -85,12 +85,6 @@ impl PieRewrite {
         });
         Ok(PieRewrite { terms })
     }
-
-    /// True if the original expression needed no rewriting (single
-    /// positive term equal to the input, modulo projection pushing).
-    pub fn is_trivial(&self) -> bool {
-        self.terms.len() == 1 && self.terms[0].coefficient == 1
-    }
 }
 
 /// A monomial: the (sorted, deduplicated) set of intersected atoms.
@@ -279,7 +273,7 @@ mod tests {
             .select(Predicate::col_cmp(0, CmpOp::Gt, 0))
             .intersect(b());
         let r = PieRewrite::rewrite(&e).unwrap();
-        assert!(r.is_trivial());
+        assert_eq!(coeffs(&r), vec![1]);
         assert!(!r.terms[0].expr.contains_union_or_difference());
     }
 

@@ -17,7 +17,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use crate::block::Block;
-use crate::error::StorageError;
+use crate::error::{IoFault, StorageError};
 use crate::Result;
 
 /// What a verified read needs: a block and the digest its writer
@@ -152,11 +152,17 @@ impl BlockBackend for MemoryBackend {
 }
 
 /// Blocks held in one OS file per logical file under a directory;
-/// the digests, one per block, stay in memory.
+/// the digests, one per block, stay in memory. A file is created
+/// only where none exists, so a second backend on the same directory
+/// fails instead of truncating the first one's files; the files
+/// still held are removed when the backend drops, since nothing in
+/// them can be read without the digests.
 pub(crate) struct FileBackend {
     dir: PathBuf,
     block_size: usize,
-    files: HashMap<u64, (File, Vec<u64>)>,
+    /// Each id handed out and not freed: its open file and digests,
+    /// or the error that kept it from opening, reported at first use.
+    files: HashMap<u64, Result<(File, Vec<u64>)>>,
     next_file: u64,
 }
 
@@ -181,44 +187,65 @@ impl FileBackend {
     fn path(&self, file: u64) -> PathBuf {
         self.dir.join(format!("eram-{file}.blk"))
     }
+
+    /// The open file `file` and its digests, or why there is none.
+    fn opened(&self, file: u64) -> Result<&(File, Vec<u64>)> {
+        let entry = self
+            .files
+            .get(&file)
+            .ok_or(StorageError::UnknownFile(file))?;
+        entry.as_ref().map_err(Clone::clone)
+    }
+}
+
+impl Drop for FileBackend {
+    fn drop(&mut self) {
+        for (&file, entry) in &self.files {
+            if entry.is_ok() {
+                let _ = std::fs::remove_file(self.path(file));
+            }
+        }
+    }
 }
 
 impl BlockBackend for FileBackend {
     fn create_file(&mut self) -> u64 {
         let id = self.next_file;
         self.next_file += 1;
-        // Creation is lazy-tolerant: failures surface on first use.
-        if let Ok(f) = OpenOptions::new()
+        let path = self.path(id);
+        let opened = OpenOptions::new()
             .read(true)
             .write(true)
-            .create(true)
-            .truncate(true)
-            .open(self.path(id))
-        {
-            self.files.insert(id, (f, Vec::new()));
-        }
+            .create_new(true)
+            .open(&path);
+        let entry = opened.map(|f| (f, Vec::new())).map_err(|e| {
+            let message = format!("cannot create {}: {e}", path.display());
+            StorageError::Io(IoFault::new(e.kind(), message))
+        });
+        self.files.insert(id, entry);
         id
     }
 
     fn free_file(&mut self, file: u64) {
-        if self.files.remove(&file).is_some() {
+        if let Some(Ok(_)) = self.files.remove(&file) {
             let _ = std::fs::remove_file(self.path(file));
         }
     }
 
     fn num_blocks(&self, file: u64) -> Option<u64> {
-        self.files
-            .get(&file)
+        self.opened(file)
+            .ok()
             .map(|(_, digests)| digests.len() as u64)
     }
 
     fn append(&mut self, file: u64, slot: Slot) -> Result<u64> {
         use std::os::unix::fs::FileExt;
         let block_size = self.block_size as u64;
-        let (f, digests) = self
-            .files
-            .get_mut(&file)
-            .ok_or(StorageError::UnknownFile(file))?;
+        let entry = self.files.get_mut(&file);
+        let (f, digests) = entry
+            .ok_or(StorageError::UnknownFile(file))?
+            .as_mut()
+            .map_err(|e| e.clone())?;
         let index = digests.len() as u64;
         f.write_all_at(slot.0.bytes(), index * block_size)?;
         digests.push(slot.1);
@@ -227,10 +254,7 @@ impl BlockBackend for FileBackend {
 
     fn read(&self, file: u64, index: u64) -> Result<Slot> {
         use std::os::unix::fs::FileExt;
-        let (f, digests) = self
-            .files
-            .get(&file)
-            .ok_or(StorageError::UnknownFile(file))?;
+        let (f, digests) = self.opened(file)?;
         let digest = digests[position(digests.len(), file, index)?];
         let mut block = Block::zeroed(self.block_size);
         f.read_exact_at(block.bytes_mut(), index * self.block_size as u64)?;

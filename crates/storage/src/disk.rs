@@ -186,7 +186,7 @@ pub struct Disk {
 impl Disk {
     /// Creates an in-memory disk with the paper's default 1 KB blocks.
     pub fn new(clock: Arc<dyn Clock>, profile: DeviceProfile, seed: u64) -> Arc<Self> {
-        Self::with_backend(clock, profile, seed, Box::new(MemoryBackend::new()), None)
+        Self::open(clock, profile, seed, None, 0).expect("an in-memory disk always opens")
     }
 
     /// Creates a disk whose blocks live in real files under `dir`
@@ -198,36 +198,39 @@ impl Disk {
         seed: u64,
         dir: &std::path::Path,
     ) -> Result<Arc<Self>> {
-        let backend = FileBackend::new(dir, BLOCK_SIZE)?;
-        Ok(Self::with_backend(
-            clock,
-            profile,
-            seed,
-            Box::new(backend),
-            None,
-        ))
+        Self::open(clock, profile, seed, Some(dir), 0)
     }
 
-    fn with_backend(
+    /// Creates a disk with the paper's default 1 KB blocks: in
+    /// memory, or in one file per relation/temporary under `dir`
+    /// (which must exist), fronted by an LRU buffer cache of
+    /// `cache_blocks` blocks (0 = none, the paper's setup). Charged
+    /// reads that hit the cache cost [`DeviceProfile::cache_hit`]
+    /// instead of a full block read.
+    pub fn open(
         clock: Arc<dyn Clock>,
         profile: DeviceProfile,
         seed: u64,
-        backend: Box<dyn BlockBackend>,
-        cache: Option<BlockCache>,
-    ) -> Arc<Self> {
-        Arc::new(Disk {
+        dir: Option<&std::path::Path>,
+        cache_blocks: usize,
+    ) -> Result<Arc<Self>> {
+        let backend: Box<dyn BlockBackend> = match dir {
+            Some(dir) => Box::new(FileBackend::new(dir, BLOCK_SIZE)?),
+            None => Box::new(MemoryBackend::new()),
+        };
+        Ok(Arc::new(Disk {
             backend: Arc::new(Mutex::new(backend)),
             local: Mutex::new(DiskLocal {
                 rng: Rng::seed_from_u64(seed),
                 faults: None,
             }),
-            cache,
+            cache: (cache_blocks > 0).then(|| BlockCache::new(cache_blocks)),
             lane: None,
             shared: None,
             clock,
             profile,
             counters: Counters::default(),
-        })
+        }))
     }
 
     /// Derives a per-job lane view of this disk: same backend bytes
@@ -296,23 +299,17 @@ impl Disk {
     }
 
     /// Creates an in-memory disk fronted by an LRU buffer cache of
-    /// `cache_blocks` blocks. Charged reads that hit the cache cost
-    /// [`DeviceProfile::cache_hit`] instead of a full block read.
-    /// The paper's prototype has no cache; this is the middle ground
-    /// between its disk-resident and main-memory designs.
+    /// `cache_blocks` blocks (0 = none) — the middle ground between
+    /// the paper's disk-resident and main-memory designs; its
+    /// prototype has no cache.
     pub fn new_cached(
         clock: Arc<dyn Clock>,
         profile: DeviceProfile,
         seed: u64,
         cache_blocks: usize,
     ) -> Arc<Self> {
-        Self::with_backend(
-            clock,
-            profile,
-            seed,
-            Box::new(MemoryBackend::new()),
-            Some(BlockCache::new(cache_blocks)),
-        )
+        Self::open(clock, profile, seed, None, cache_blocks)
+            .expect("an in-memory disk always opens")
     }
 
     /// `(cache_hits, cache_misses)` of [`Disk::stats`], if a cache is

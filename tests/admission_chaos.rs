@@ -29,8 +29,8 @@ use std::time::Duration;
 use testkit::prelude::*;
 
 use eram_core::{
-    Concurrency, Database, DecisionAction, DecisionRecord, JobState, QueryServer, RefusalReason,
-    ServerJob, ServerOutcome, ServerStats, TenantLedger, TraceRecord, Tracer,
+    Concurrency, Database, DecisionAction, DecisionRecord, EngineConfig, JobState, QueryServer,
+    RefusalReason, ServerJob, ServerOutcome, ServerStats, TenantLedger, TraceRecord, Tracer,
 };
 use eram_relalg::{CmpOp, Expr, Predicate};
 use eram_storage::{json, ColumnType, FaultPlan, Schema, Tuple, Value};
@@ -273,12 +273,17 @@ fn run_storm(
         );
     }
     let tracer = Tracer::recording(db.disk().clock().clone());
-    let outcome = QueryServer::new()
-        .workers(workers)
-        .metrics(true)
-        .concurrency(mode)
-        .tracer(tracer.clone())
-        .run(&mut db, storm_batch());
+    let engine = EngineConfig {
+        workers,
+        collect_metrics: true,
+        tracer: tracer.clone(),
+        ..EngineConfig::default()
+    };
+    let outcome = QueryServer {
+        concurrency: mode,
+        engine,
+    }
+    .run(&mut db, storm_batch());
     (outcome, tracer.to_jsonl())
 }
 

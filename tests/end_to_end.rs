@@ -7,7 +7,8 @@ use std::time::Duration;
 
 use eram_bench::{Workload, WorkloadKind};
 use eram_core::{
-    Database, HeuristicStrategy, OneAtATimeInterval, SingleInterval, StoppingCriterion,
+    Database, Device, HeuristicStrategy, OneAtATimeInterval, SingleInterval, StoppingCriterion,
+    Store,
 };
 use eram_relalg::{CmpOp, Expr, Predicate};
 use eram_storage::{ColumnType, Schema, Tuple, Value};
@@ -237,10 +238,13 @@ fn file_backed_store_end_to_end() {
             .unwrap()
     };
 
-    let mut mem_db = Database::sim(eram_storage::DeviceProfile::sun_3_60(), 42);
+    let mut mem_db = Database::open(Store::default(), 42).unwrap();
     let mem = run(&mut mem_db);
-    let mut file_db =
-        Database::sim_file_backed(eram_storage::DeviceProfile::sun_3_60(), 42, &dir).unwrap();
+    let on_files = Store {
+        dir: Some(dir.clone()),
+        ..Store::default()
+    };
+    let mut file_db = Database::open(on_files, 42).unwrap();
     let file = run(&mut file_db);
 
     assert_eq!(mem.estimate, file.estimate);
@@ -250,5 +254,99 @@ fn file_backed_store_end_to_end() {
     );
     // Real files were created for the relation and temporaries.
     assert!(std::fs::read_dir(&dir).unwrap().count() > 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A fresh, empty directory for one test's store.
+fn store_dir(label: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("eram-{label}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// The block files under `dir`.
+fn block_files(dir: &std::path::Path) -> usize {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .filter(|e| {
+            let name = e.as_ref().unwrap().file_name();
+            name.to_string_lossy().starts_with("eram-")
+        })
+        .count()
+}
+
+/// The paper's setting end to end: a hard deadline on a real clock
+/// over relations that live in files. A quota far above the census
+/// answers exactly; the files live as long as the database.
+#[test]
+fn wall_clock_file_backed_query_answers_exactly() {
+    let dir = store_dir("wall-files");
+    let store = Store {
+        device: Device::Wall,
+        dir: Some(dir.clone()),
+        cache_blocks: 0,
+    };
+    let mut db = Database::open(store, 5).unwrap();
+    let schema = Schema::new(vec![("k", ColumnType::Int), ("g", ColumnType::Int)]).padded_to(200);
+    db.load_relation(
+        "t",
+        schema,
+        (0..3_000).map(|i| Tuple::new(vec![Value::Int(i), Value::Int(i % 10)])),
+    )
+    .unwrap();
+    assert!(block_files(&dir) > 0);
+    let expr = Expr::relation("t").select(Predicate::col_cmp(1, CmpOp::Lt, 3));
+    let exact = db.exact_count(&expr).unwrap();
+    let quota = Duration::from_secs(2);
+    let out = db.count(expr).within(quota).run().unwrap();
+    assert_eq!(out.estimate.estimate, exact as f64);
+    assert!(
+        out.report.total_elapsed <= quota,
+        "{:?}",
+        out.report.total_elapsed
+    );
+    drop(db);
+    assert_eq!(block_files(&dir), 0, "a dropped store leaves no block file");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Two file stores on one directory: the second refuses to create a
+/// file the first holds, naming it, instead of truncating it — and
+/// dropping the second leaves the first's file in place.
+#[test]
+fn a_second_file_store_on_one_directory_refuses_the_first_ones_files() {
+    let dir = store_dir("shared-dir");
+    let on_files = Store {
+        dir: Some(dir.clone()),
+        ..Store::default()
+    };
+    let load = |db: &mut Database| {
+        let schema =
+            Schema::new(vec![("k", ColumnType::Int), ("g", ColumnType::Int)]).padded_to(200);
+        db.load_relation(
+            "t",
+            schema,
+            (0..4_000).map(|i| Tuple::new(vec![Value::Int(i), Value::Int(i % 50)])),
+        )
+    };
+    let mut first = Database::open(on_files.clone(), 42).unwrap();
+    load(&mut first).unwrap();
+    let mut second = Database::open(on_files, 43).unwrap();
+    let refused = load(&mut second).unwrap_err().to_string();
+    assert!(refused.contains("eram-0.blk"), "{refused}");
+    drop(second);
+
+    let expr = Expr::relation("t").select(Predicate::col_cmp(1, CmpOp::Lt, 10));
+    assert_eq!(first.exact_count(&expr).unwrap(), 800);
+    let out = first
+        .count(expr)
+        .within(Duration::from_secs(5))
+        .run()
+        .unwrap();
+    assert_eq!(out.report.health.blocks_lost, 0);
+    assert!(!out.report.health.degraded);
+    assert!(out.estimate.estimate > 0.0);
+    drop(first);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -29,12 +29,10 @@ use testkit::prelude::*;
 
 use eram_core::{
     AggregateFn, Database, EngineConfig, MetricsSnapshot, Profiler, QueryServer, ReportHealth,
-    ServerJob, StageRun, StoppingCriterion, TraceKind, TraceRecord, Tracer, SCHEMA_VERSION,
+    ServerJob, StageRun, StoppingCriterion, Store, TraceKind, TraceRecord, Tracer, SCHEMA_VERSION,
 };
 use eram_relalg::{CmpOp, Expr, Predicate};
-use eram_storage::{
-    json, ColumnType, DeviceProfile, FaultPlan, Json, Schema, ToJson, Tuple, Value,
-};
+use eram_storage::{json, ColumnType, FaultPlan, Json, Schema, ToJson, Tuple, Value};
 
 /// The paper's Figure 5.1 artificial relation: 10 000 tuples of
 /// 200 bytes, value column uniform over 0..100 so `#1 < 50` selects
@@ -162,7 +160,11 @@ const GOLDEN_METRICS: &str = concat!(
 /// its snapshot.
 #[test]
 fn golden_metrics_report_is_stable() {
-    let mut db = fig51_on(Database::sim_cached(DeviceProfile::sun_3_60(), 4, 64));
+    let cached = Store {
+        cache_blocks: 64,
+        ..Store::default()
+    };
+    let mut db = fig51_on(Database::open(cached, 4).unwrap());
     db.inject_faults(
         FaultPlan::new(0x3E7)
             .with_transient(0.05)
@@ -623,7 +625,9 @@ fn server_trace_lines_round_trip_byte_identically() {
         ServerJob::count("alpha", expr.clone(), Duration::from_secs(6)),
         ServerJob::count("tiny", expr, Duration::from_millis(1)),
     ];
-    QueryServer::new().tracer(tracer.clone()).run(&mut db, jobs);
+    let mut server = QueryServer::new();
+    server.engine.tracer = tracer.clone();
+    server.run(&mut db, jobs);
     let jsonl = tracer.to_jsonl();
     let mut decisions = 0usize;
     for line in jsonl.lines().skip(1) {
