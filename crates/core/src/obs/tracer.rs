@@ -141,7 +141,23 @@ impl Tracer {
         K: Into<String>,
         F: FnOnce() -> Vec<(K, Json)>,
     {
-        self.emit(TraceKind::Event, name, fields);
+        self.emit(TraceKind::Event, None, name, fields);
+    }
+
+    /// Emits a point-in-time event stamped `t_ns` instead of the
+    /// clock's current reading: for a caller that decides on a
+    /// timeline of its own (the server's virtual batch timeline) and
+    /// must not stamp its decisions with the moment it reports them.
+    /// The buffer keeps emission order, so a stamp the caller chose
+    /// can precede a record already in it (under a wall clock, a
+    /// server decision precedes its lane's last records by the
+    /// server's own overhead); no reader orders records by stamp.
+    pub fn event_at<K, F>(&self, t_ns: u64, name: &'static str, fields: F)
+    where
+        K: Into<String>,
+        F: FnOnce() -> Vec<(K, Json)>,
+    {
+        self.emit(TraceKind::Event, Some(t_ns), name, fields);
     }
 
     /// Emits a per-stage summary record (kind `stage`), used for the
@@ -150,7 +166,7 @@ impl Tracer {
     where
         F: FnOnce() -> Vec<(&'static str, Json)>,
     {
-        self.emit(TraceKind::Stage, name, fields);
+        self.emit(TraceKind::Stage, None, name, fields);
     }
 
     /// Splices pre-recorded records (a per-job lane trace, stamped
@@ -169,13 +185,14 @@ impl Tracer {
         }
     }
 
-    fn emit<K, F>(&self, kind: TraceKind, name: &'static str, fields: F)
+    /// Pushes one record stamped `at`, or the clock's reading if `None`.
+    fn emit<K, F>(&self, kind: TraceKind, at: Option<u64>, name: &'static str, fields: F)
     where
         K: Into<String>,
         F: FnOnce() -> Vec<(K, Json)>,
     {
         if let Some(inner) = &self.inner {
-            let t_ns = duration_ns(inner.clock.elapsed());
+            let t_ns = at.unwrap_or_else(|| duration_ns(inner.clock.elapsed()));
             let fields = fields().into_iter().map(|(k, v)| (k.into(), v)).collect();
             let mut state = inner.state.lock();
             let stage = state.stage;

@@ -634,8 +634,9 @@ impl LeafNode {
             let _phase = env.config.profiler.phase(Phase::RngDraw);
             self.sampler.draw(want).to_vec()
         };
-        // Taken after the draw: the sampler's one-off O(relation)
-        // shuffle is not a per-block cost.
+        // Taken after the draw: drawing is the generator's cost (and,
+        // at a leaf's first stage, the sampler's identity fill), not
+        // a per-block read cost.
         let start = env.now();
         // The whole stage is known before its first block is read, so
         // the disk hears of each batch `PREFETCH_AHEAD` batches early.

@@ -668,12 +668,12 @@ enum Verdict {
 
 impl Batch<'_> {
     /// Writes one serving decision: appended to the log and emitted as
-    /// the `server.decision` trace event (the field closure is skipped
-    /// when tracing is off).
+    /// the `server.decision` trace event stamped with the record's own
+    /// `t_ns` (the field closure is skipped when tracing is off).
     fn decide(&mut self, record: DecisionRecord) {
         self.engine
             .tracer
-            .event("server.decision", || record.trace_fields());
+            .event_at(record.t_ns, "server.decision", || record.trace_fields());
         self.decisions.push(record);
     }
 
@@ -1892,22 +1892,21 @@ mod tests {
             ]
         );
 
-        // A storm cell of `tests/admission_chaos.rs` in which a slipped
-        // timeline deflates one dispatch and a spiked stage lands
-        // another answer late.
+        // Every read spikes 3 s, whichever blocks are drawn. `fast`'s
+        // 2 s deadline is shorter than its first read, so its answer
+        // lands late. That slips `mid` to a ≈3.2 s start with ≈2.8 s
+        // of slack: still room for its 2.15 s quota times the ≈1.23
+        // refit factor, so it is dispatched, but its first read lands
+        // past the deadline too, and the dispatch-time grant
+        // (0.9 × 2.8 s / 1.23 ≈ 2.05 s) deflates it.
         let mut db = self::db(4);
-        db.inject_faults(
-            FaultPlan::new(4 ^ 0xC4A0)
-                .with_transient(0.15)
-                .with_spikes(0.4, Duration::from_millis(400)),
-        );
+        db.inject_faults(FaultPlan::new(4 ^ 0xC4A0).with_spikes(1.0, Duration::from_secs(3)));
         let tracer = Tracer::recording(db.disk().clock().clone());
         let jobs = vec![
-            ServerJob::count("fast", sel(3), Duration::from_secs(4)),
-            ServerJob::count("mid", sel(5), Duration::from_secs(10)).with_value(2.0),
-            ServerJob::count("slow", sel(7), Duration::from_secs(18)).with_value(0.5),
-            ServerJob::count("tail", sel(9), Duration::from_secs(26))
-                .with_desired_quota(Duration::from_secs(4)),
+            ServerJob::count("fast", sel(3), Duration::from_secs(2)),
+            ServerJob::count("mid", sel(5), Duration::from_secs(6))
+                .with_value(2.0)
+                .with_desired_quota(Duration::from_millis(2_150)),
         ];
         let _ = QueryServer {
             engine: traced(&tracer),
@@ -1928,6 +1927,47 @@ mod tests {
         assert_eq!(late.action, DecisionAction::Shed);
         assert_eq!(late.reason, Some(RefusalReason::Shed));
         assert!(late.late_ns.unwrap() > 0 && late.spent_ns.unwrap() > 0);
+    }
+
+    /// A `server.decision` event is stamped with its record's own
+    /// `t_ns`, so the decisions read back from the trace alone are the
+    /// ledger's, timeline included, under both lane modes and for a
+    /// batch that starts after an earlier one on the same session
+    /// clock; and the stamps keep the trace monotone.
+    #[test]
+    fn decisions_read_from_the_trace_are_the_ledger_with_its_stamps() {
+        let mut db = db(4);
+        db.inject_faults(FaultPlan::new(4 ^ 0xC4A0).with_spikes(1.0, Duration::from_secs(3)));
+        for concurrency in [Concurrency::Sequential, Concurrency::Interleaved] {
+            let tracer = Tracer::recording(db.disk().clock().clone());
+            let jobs = vec![
+                ServerJob::count("fast", sel(3), Duration::from_secs(2)),
+                ServerJob::count("mid", sel(5), Duration::from_secs(6))
+                    .with_desired_quota(Duration::from_millis(2_150)),
+                ServerJob::count("ok", sel(7), Duration::from_secs(40)),
+                ServerJob::count("tiny", sel(9), Duration::from_millis(50)),
+            ];
+            let outcome = QueryServer {
+                engine: traced(&tracer),
+                concurrency,
+            }
+            .run(&mut db, jobs);
+            let records = tracer.records();
+            let from_trace: Vec<DecisionRecord> = records
+                .iter()
+                .filter(|r| r.name == "server.decision")
+                .map(|r| DecisionRecord::from_trace_fields(r.t_ns, &r.fields).unwrap())
+                .collect();
+            assert_eq!(from_trace, outcome.ledger.decisions, "{concurrency:?}");
+            let stamps: std::collections::BTreeSet<u64> =
+                from_trace.iter().map(|d| d.t_ns).collect();
+            assert!(stamps.len() > 2, "{concurrency:?}: {stamps:?}");
+            assert!(
+                records.windows(2).all(|w| w[0].t_ns <= w[1].t_ns),
+                "{concurrency:?}: trace stamps go backwards"
+            );
+        }
+        assert!(db.disk().clock().elapsed() > Duration::ZERO);
     }
 
     // ---- Pure shedding-policy unit tests (no engine time). ----

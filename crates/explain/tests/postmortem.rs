@@ -178,19 +178,28 @@ fn assert_table_is_source_independent(outcome: &ServerOutcome, records: &[TraceR
 
 #[test]
 fn serving_postmortem_builds_tenant_tables_and_job_windows() {
-    // A storm cell of `tests/admission_chaos.rs` with a deflated
-    // dispatch and a late shed, plus an infeasible job.
+    // A deflated dispatch and a late shed, plus an infeasible job,
+    // forced by arithmetic whichever blocks are drawn: every read
+    // spikes 3 s, so one stage overhead plus one read is T ≈ 3.2 s.
+    // - `fast` (2.5 s) lands its first read late: a late shed, and
+    //   a refit factor of ≈ 1.13.
+    // - `mid` starts at T with 3.8 s of slack. Its 3.28 s quota
+    //   (× 1.13 ≈ 3.7 s) still fits, but exceeds T, so the attempt
+    //   reads a second block and would land late. The dispatch-time
+    //   grant 0.9 × 3.8 / 1.13 ≈ 3.04 s is below T: the deflated
+    //   re-run reads one block and lands on time.
+    // - `slow` and `tail` have slack to spare past one extra read.
     let sel = |k| Expr::relation("r").select(Predicate::col_cmp(1, CmpOp::Lt, k));
     let (outcome, records) = traced_serve(
         4,
-        FaultPlan::new(4 ^ 0xC4A0)
-            .with_transient(0.15)
-            .with_spikes(0.4, Duration::from_millis(400)),
+        FaultPlan::new(4 ^ 0xC4A0).with_spikes(1.0, Duration::from_secs(3)),
         vec![
-            ServerJob::count("fast", sel(30), Duration::from_secs(4)),
-            ServerJob::count("mid", sel(50), Duration::from_secs(10)).with_value(2.0),
-            ServerJob::count("slow", sel(70), Duration::from_secs(18)).with_value(0.5),
-            ServerJob::count("tail", sel(90), Duration::from_secs(26))
+            ServerJob::count("fast", sel(30), Duration::from_millis(2_500)),
+            ServerJob::count("mid", sel(50), Duration::from_secs(7))
+                .with_value(2.0)
+                .with_desired_quota(Duration::from_millis(3_280)),
+            ServerJob::count("slow", sel(70), Duration::from_secs(60)).with_value(0.5),
+            ServerJob::count("tail", sel(90), Duration::from_secs(70))
                 .with_desired_quota(Duration::from_secs(4)),
             ServerJob::count("tiny", fig51_expr(), Duration::from_millis(1)),
         ],

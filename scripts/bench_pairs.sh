@@ -18,7 +18,11 @@
 # wins at least nine in ten and the medians differ, in its favour, by
 # more than the parent's interquartile range. On a simulated workload (one that prints a
 # sim_fingerprint) the exact metrics must agree across every run of
-# both sides: a difference is flagged and the exit status is 1.
+# both sides: a difference is flagged and the exit status is 1. A
+# flagged row prints each side's distinct values and, for a metric
+# with a BENCHMARK.json bound, the change's median move beside that
+# bound, so a change that moves the simulated stream can show where
+# its columns landed.
 set -euo pipefail
 
 usage() {
@@ -143,19 +147,40 @@ jq -r '.end_to_end[] | "\(.name) \(.better) \(.unit)"' BENCHMARK.json |
 if ! grep -q " sim_fingerprint " "$out"/parent.*.txt "$out"/change.*.txt; then
     exit 0
 fi
+
+# distinct SIDE METRIC: the distinct values of a side's runs, one a line.
+distinct() {
+    if [ "$2" = sim_fingerprint ]; then
+        cat "$out/$1".*.txt | awk '$2 == "sim_fingerprint" { print $3 }' | sort -u
+    else
+        jq -r --arg m "$2" '.metrics[$m].value' "$out/$1".*.json | sort -u
+    fi
+}
+
+# median SIDE METRIC: the median of a side's runs.
+median() {
+    values "$1" "$2" | sort -g | awk '{ v[NR] = $1 } END {
+        print NR % 2 ? v[(NR + 1) / 2] : (v[NR / 2] + v[NR / 2 + 1]) / 2 }'
+}
+
 differs=0
 for metric in rel_half_width_p50 utilization_pct on_time_pct met_pct sim_makespan_ms \
     phys_reads_per_block ok_pct sim_fingerprint; do
-    if [ "$metric" = sim_fingerprint ]; then
-        seen="$(cat "$out"/*.txt | awk '$2 == "sim_fingerprint" { print $3 }' | sort -u)"
-    else
-        seen="$(jq -r --arg m "$metric" '.metrics[$m].value' "$out"/*.json | sort -u)"
+    parent_seen="$(distinct parent "$metric")"
+    change_seen="$(distinct change "$metric")"
+    if [ "$(printf '%s\n%s\n' "$parent_seen" "$change_seen" | sort -u | wc -l)" -eq 1 ]; then
+        echo "exact $metric ok: $parent_seen"
+        continue
     fi
-    if [ "$(printf '%s\n' "$seen" | wc -l)" -ne 1 ]; then
-        echo "exact $metric DIFFERS: $(printf '%s ' $seen)"
-        differs=1
-    else
-        echo "exact $metric ok: $seen"
+    differs=1
+    line="exact $metric DIFFERS: parent $(printf '%s ' $parent_seen)| change $(printf '%s ' $change_seen)"
+    if [ "$metric" != sim_fingerprint ]; then
+        bound="$(jq -r --arg m "$metric" '.end_to_end[] | select(.name == $m) | .bound' BENCHMARK.json)"
+        line="$line$(awk -v p="$(median parent "$metric")" -v c="$(median change "$metric")" \
+            -v b="$bound" 'BEGIN {
+                move = p != 0 ? sprintf("%+.2f %%", 100 * (c - p) / p) : (c == p ? "0 %" : "from 0")
+                printf "| median move %s, bound %g %%", move, 100 * b }')"
     fi
+    echo "$line"
 done
 exit "$differs"

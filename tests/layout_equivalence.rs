@@ -412,9 +412,11 @@ fn fused_scan_aborted_mid_draw_is_identical_across_layouts() {
     // Latency spikes the cost model cannot foresee push a stage past
     // the hard deadline inside its draw: the pages already fetched
     // are dropped with the stage — nothing decoded on the way out
-    // under either layout.
+    // under either layout. Every read spikes, so the first stage's
+    // 12 blocks (sized from the prior, whatever the draw) cost 3 s in
+    // spikes alone against a 2.5 s quota: the abort is certain.
     let spikes: fn() -> FaultPlan =
-        || FaultPlan::new(7).with_spikes(0.5, Duration::from_millis(150));
+        || FaultPlan::new(7).with_spikes(1.0, Duration::from_millis(250));
     let query = "select[#1 < 300 and #3 != \"red\"](orders)";
     for agg in [AggregateFn::Count, AggregateFn::Sum { column: 1 }] {
         let report = assert_layouts_agree(agg, query, QUOTA, Some(spikes));

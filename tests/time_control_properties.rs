@@ -370,10 +370,11 @@ fn a_measured_clock_is_read_once_a_block() {
 // What a stage's block-read observation times
 // ---------------------------------------------------------------
 
-/// What the sampler's one-off O(relation) shuffle costs on the
-/// script: a thousand block reads' worth. The first profiled phase of
-/// the run — the leaf's `rng_draw`, which brackets the sampler's draw
-/// and nothing else — is the one that pays it.
+/// What the script charges for the sampler's draw: a thousand block
+/// reads' worth, so a start time taken before the draw cannot hide in
+/// the observation. The first profiled phase of the run — the leaf's
+/// `rng_draw`, which brackets the sampler's draw and nothing else — is
+/// the one that pays it.
 const DRAW_COST: Duration = Duration::from_micros(1_500);
 
 /// The handle the profiler times phases with: the script's time, and
