@@ -5,7 +5,7 @@
 //! with `--json PATH`). Each row is a label and its **`simulated`**
 //! columns — computed on the simulated clock from seeded trials, so
 //! the whole file is a pure function of the seeds: byte-identical
-//! across runs, machines, and worker counts, and compared with `cmp`
+//! across runs, machines, and core counts, and compared with `cmp`
 //! (`scripts/regen_results.sh check`). Host wall time is not recorded
 //! here; `benchmark/` measures it.
 

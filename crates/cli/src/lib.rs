@@ -25,7 +25,7 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-use std::num::{NonZeroU64, NonZeroUsize};
+use std::num::NonZeroU64;
 use std::path::PathBuf;
 use std::str::FromStr;
 use std::time::Duration;
@@ -102,10 +102,6 @@ pub struct Cli {
     /// after the health line. Pure observation: the estimate, trace,
     /// and report are identical with or without it.
     pub profile: bool,
-    /// Worker threads for the pure-CPU stage work (0, what `Default`
-    /// leaves, runs inline like 1). Estimates and traces are
-    /// identical at any worker count.
-    pub workers: usize,
     /// Tuple budget of each binary operator for runs that keep their
     /// decoded tuples (`Some(0)` keeps none; `None` is the engine
     /// default).
@@ -144,7 +140,7 @@ any mode (the database):
   [--fault-transient RATE] [--fault-corrupt RATE] [--fault-spike RATE]
   [--fault-spike-ms MS] [--fault-seed N]
 --query and --serve (how the engine runs; the interactive shell takes none of these):
-  [--trace FILE] [--metrics] [--workers N] [--run-cache-tuples N] [--layout row|columnar]
+  [--trace FILE] [--metrics] [--run-cache-tuples N] [--layout row|columnar]
 one-shot query:
   --query EXPR --quota SECS [--profile]
   [--agg count|sum:COL|avg:COL|count:by:G|sum:COL:by:G|avg:COL:by:G]
@@ -153,13 +149,7 @@ served batch:
 
 /// Flags that shape how the engine runs a query: they apply to
 /// `--query` and `--serve` alike.
-const RUN_FLAGS: [&str; 5] = [
-    "--trace",
-    "--metrics",
-    "--workers",
-    "--run-cache-tuples",
-    "--layout",
-];
+const RUN_FLAGS: [&str; 4] = ["--trace", "--metrics", "--run-cache-tuples", "--layout"];
 /// Flags of a one-shot `--query`.
 const QUERY_FLAGS: [&str; 3] = ["--quota", "--agg", "--profile"];
 /// Flags of a `--serve` batch.
@@ -221,10 +211,6 @@ impl Cli {
                         .ok_or_else(|| err(format!("unknown concurrency mode {mode:?}")))?;
                 }
                 "--profile" => cli.profile = true,
-                "--workers" => {
-                    let need = "--workers needs a thread count of at least 1";
-                    cli.workers = value::<NonZeroUsize>(&mut args, need)?.get();
-                }
                 "--run-cache-tuples" => {
                     let need = "--run-cache-tuples needs a tuple count (0 = off)";
                     cli.run_cache_tuples = Some(value(&mut args, need)?);
@@ -314,7 +300,6 @@ impl Cli {
             } else {
                 Profiler::disabled()
             },
-            workers: self.workers,
             block_layout: self.layout,
             ..EngineConfig::default()
         };
@@ -844,8 +829,6 @@ mod tests {
             "2.5",
             "--agg",
             "sum:1",
-            "--workers",
-            "4",
             "--run-cache-tuples",
             "4096",
         ])
@@ -859,7 +842,6 @@ mod tests {
         assert!(cli.header);
         assert_eq!(cli.quota, Some(Duration::from_millis(2500)));
         assert_eq!(cli.agg, AggregateFn::Sum { column: 1 });
-        assert_eq!(cli.workers, 4);
         assert_eq!(cli.run_cache_tuples, Some(4096));
     }
 
@@ -874,13 +856,22 @@ mod tests {
         assert!(Cli::parse(["--query", "r"]).is_err()); // no quota
         assert!(Cli::parse(["--flux"]).is_err());
         assert!(Cli::parse(["--cache"]).is_err());
-        assert!(Cli::parse(["--workers"]).is_err()); // missing count
-        assert!(Cli::parse(["--workers", "0"]).is_err());
-        assert!(Cli::parse(["--workers", "two"]).is_err());
         assert!(Cli::parse(["--run-cache-tuples"]).is_err()); // missing count
         assert!(Cli::parse(["--run-cache-tuples", "many"]).is_err());
         assert!(Cli::parse(["--concurrency"]).is_err()); // missing mode
         assert!(Cli::parse(["--concurrency", "parallel"]).is_err());
+    }
+
+    #[test]
+    fn workers_is_an_unknown_argument() {
+        // Every stage runs on the calling thread; the flag that once
+        // sized a worker pool is refused like any other typo.
+        let e = Cli::parse(["--query", "r", "--quota", "1", "--workers", "4"]).unwrap_err();
+        assert!(
+            e.0.starts_with("unknown argument \"--workers\""),
+            "{:?}",
+            e.0
+        );
     }
 
     #[test]
@@ -977,8 +968,8 @@ mod tests {
         assert_eq!(cli.run_cache_tuples, Some(0));
     }
 
-    /// `--serve` used to drop every engine flag but `--workers` on the
-    /// way to the lanes; both run modes now consume this one config.
+    /// `--serve` used to drop most engine flags on the way to the
+    /// lanes; both run modes now consume this one config.
     #[test]
     fn serve_builds_the_same_engine_config_a_query_would() {
         let clock: Arc<dyn Clock> = Arc::new(eram_storage::SimClock::new());
@@ -987,8 +978,6 @@ mod tests {
             "columnar",
             "--run-cache-tuples",
             "0",
-            "--workers",
-            "4",
             "--metrics",
             "--trace",
             "t.jsonl",
@@ -1001,7 +990,6 @@ mod tests {
             let config = cli.engine_config(&clock);
             assert_eq!(config.block_layout, BlockLayout::Columnar, "{mode:?}");
             assert_eq!(config.run_cache_tuples, 0, "{mode:?}");
-            assert_eq!(config.workers, 4, "{mode:?}");
             assert!(
                 config.collect_metrics && config.tracer.is_enabled(),
                 "{mode:?}"
@@ -1031,11 +1019,7 @@ mod tests {
         // Serve-only and run-only flags need their mode.
         let e = Cli::parse(["--concurrency", "interleaved"]).unwrap_err();
         assert!(e.0.contains("--concurrency requires --serve"), "{:?}", e.0);
-        for flag in [
-            &["--workers", "2"][..],
-            &["--layout", "row"],
-            &["--metrics"],
-        ] {
+        for flag in [&["--layout", "row"][..], &["--metrics"]] {
             let e = Cli::parse(flag.iter().copied()).unwrap_err();
             assert!(e.0.contains("requires --query or --serve"), "{:?}", e.0);
         }
@@ -1461,8 +1445,6 @@ mod tests {
             "select[#1 >= 50](orders)".to_string(),
             "--quota".to_string(),
             "60".to_string(),
-            "--workers".to_string(),
-            "4".to_string(),
         ])
         .unwrap();
         let mut db = build_database(&cli).unwrap();
@@ -1522,7 +1504,7 @@ mod tests {
             "18446744073709551616",
             "",
         ];
-        const NUMERIC_FLAGS: [&str; 10] = [
+        const NUMERIC_FLAGS: [&str; 9] = [
             "--cache",
             "--seed",
             "--quota",
@@ -1531,7 +1513,6 @@ mod tests {
             "--fault-corrupt",
             "--fault-spike",
             "--fault-spike-ms",
-            "--workers",
             "--run-cache-tuples",
         ];
         let csv = write_csv("hostile", "0,5\n1,15\n2,25\n3,35\n");

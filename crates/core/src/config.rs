@@ -5,8 +5,8 @@
 //! fulfillment plan, the Section-4 cost coefficients and the stage-1
 //! join selectivity (Figure 3.3's other first-stage assumptions are
 //! constants of [`crate::seltrack`]); this reproduction adds a
-//! handful of wall-clock-only choices (workers, run budget, block
-//! layout) and its observers. [`EngineConfig`] is the only struct
+//! handful of wall-clock-only choices (run budget, block layout)
+//! and its observers. [`EngineConfig`] is the only struct
 //! that declares any of them, or its default. Everything else
 //! *holds* one: a [`crate::PreparedQuery`] carries the config its run
 //! uses, the stage loop owns a copy and lends it to every stage's
@@ -18,6 +18,7 @@
 use std::sync::Arc;
 
 use crate::costs::CostModel;
+use crate::executor::EngineError;
 use crate::obs::{Profiler, Tracer};
 use crate::ops::{BlockLayout, Fulfillment, MemoryMode, DEFAULT_RUN_CACHE_TUPLES};
 use crate::retry::RetryPolicy;
@@ -65,12 +66,6 @@ pub struct EngineConfig {
     /// [`crate::ProfileSnapshot`] in the report's `profile` field.
     /// Pure observation: it never charges the clock.
     pub profiler: Profiler,
-    /// Worker threads for the pure-CPU portions of each stage (run
-    /// merges, run decodes). Charged work — clock, tracer, deadline —
-    /// always runs on the calling thread in canonical order, so
-    /// results are byte-identical at any worker count; `0` and `1`
-    /// (the default) both run everything inline.
-    pub workers: usize,
     /// Budget (in tuples) each binary node has for sorted runs that
     /// keep their decoded tuples; `0` keeps none. Full fulfillment
     /// re-reads every old run once per new stage; a run that kept its
@@ -97,7 +92,6 @@ impl Default for EngineConfig {
             tracer: Tracer::disabled(),
             collect_metrics: false,
             profiler: Profiler::disabled(),
-            workers: 1,
             run_cache_tuples: DEFAULT_RUN_CACHE_TUPLES,
             block_layout: BlockLayout::default(),
         }
@@ -105,6 +99,26 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
+    /// Checks every setting a run would otherwise assert mid-query:
+    /// the stopping criterion's confidences, `join_selectivity` in
+    /// `(0, 1]` and a retry backoff that stays a finite duration. A
+    /// one-shot run and a served batch both refuse a config that
+    /// fails here before they read a block.
+    pub fn validate(&self) -> Result<(), EngineError> {
+        let refuse = |msg: String| Err(EngineError::InvalidConfig(msg));
+        if let Err(e) = self.stopping.validate() {
+            return refuse(format!("stopping: {e}"));
+        }
+        let sel = self.join_selectivity;
+        if !(sel > 0.0 && sel <= 1.0) {
+            return refuse(format!("join_selectivity {sel} is not inside (0, 1]"));
+        }
+        if let Err(e) = self.retry.validate() {
+            return refuse(format!("retry: {e}"));
+        }
+        Ok(())
+    }
+
     /// The coefficients a run of this config starts from.
     pub fn initial_cost_model(&self) -> CostModel {
         self.cost_model

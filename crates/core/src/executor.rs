@@ -53,10 +53,9 @@ pub enum EngineError {
     /// faults are retried and lost clusters are absorbed by estimator
     /// renormalization before this is ever surfaced.
     Storage(StorageError),
-    /// The stopping criterion cannot be evaluated (a precision
-    /// member's confidence outside `(0, 1)`); refused before any block
-    /// is read.
-    InvalidStopping(String),
+    /// A setting of the [`EngineConfig`] is outside its range (see
+    /// [`EngineConfig::validate`]); refused before any block is read.
+    InvalidConfig(String),
 }
 
 impl std::fmt::Display for EngineError {
@@ -67,7 +66,7 @@ impl std::fmt::Display for EngineError {
                 write!(f, "unsupported aggregate: {msg}")
             }
             EngineError::Storage(e) => write!(f, "storage error: {e}"),
-            EngineError::InvalidStopping(msg) => write!(f, "invalid stopping criterion: {msg}"),
+            EngineError::InvalidConfig(msg) => write!(f, "invalid engine config: {msg}"),
         }
     }
 }
@@ -258,7 +257,10 @@ pub struct StageRun {
     root_span: SpanGuard,
     model: CostModel,
     stages: Vec<StageReport>,
-    history: Vec<CountEstimate>,
+    /// The estimate the run would deliver now: banked after every
+    /// stage within the quota, and under a soft deadline after the
+    /// overrunning stage too.
+    latest: Option<CountEstimate>,
     health: StageHealth,
     hard_estimate: CountEstimate,
     stop_reason: &'static str,
@@ -281,10 +283,7 @@ impl StageRun {
     ) -> Result<Self, EngineError> {
         let (agg, config) = (spec.agg, spec.config.clone());
         agg.validate(&spec.expr, catalog)?;
-        config
-            .stopping
-            .validate()
-            .map_err(EngineError::InvalidStopping)?;
+        config.validate()?;
         let mut rng = Rng::seed_from_u64(spec.seed);
         let (coefficients, mut trees) =
             compile_terms(&spec.expr, catalog, disk, &config, &mut rng)?;
@@ -333,7 +332,7 @@ impl StageRun {
             deadline,
             root_span,
             stages: Vec::new(),
-            history: Vec::new(),
+            latest: None,
             health: StageHealth::default(),
             hard_estimate,
             stop_reason: "max_stages",
@@ -508,10 +507,10 @@ impl StageRun {
         });
         if within {
             self.hard_estimate = estimate;
-            self.history.push(estimate);
+            self.latest = Some(estimate);
         } else if !hard {
             // Soft constraint: the overrunning stage still delivers.
-            self.history.push(estimate);
+            self.latest = Some(estimate);
         }
         if let Some(acc) = self.grouped.as_mut() {
             // Grouped runs have a trivial rewrite, so the one term's
@@ -526,7 +525,7 @@ impl StageRun {
                 }
             }
             if within || !hard {
-                // Mirror the estimate-history rule: a hard-deadline
+                // Mirror the latest-estimate rule: a hard-deadline
                 // abort must not leak post-quota group state, so the
                 // delivered snapshots stay at the last banked stage.
                 self.delivered_groups = acc.snapshots(agg, n, m);
@@ -599,7 +598,8 @@ impl StageRun {
         // For grouped runs, per-group convergence (every group frozen)
         // is a precision stop: the remaining quota has no loose group
         // left to spend on.
-        let precision = config.stopping.precision_satisfied(&self.history) || self.groups_converged;
+        let precision =
+            config.stopping.precision_satisfied(self.latest.as_ref()) || self.groups_converged;
         let stop = aborted || expired_now || precision;
         tracer.event("stopping_check", || {
             vec![
@@ -631,7 +631,7 @@ impl StageRun {
         let delivered = if self.config.stopping.is_hard() {
             self.hard_estimate
         } else {
-            self.history.last().copied().unwrap_or(self.hard_estimate)
+            self.latest.unwrap_or(self.hard_estimate)
         };
         let health = ReportHealth {
             faults_seen: self.health.faults_seen,
@@ -1141,13 +1141,12 @@ mod tests {
     }
 
     #[test]
-    fn profiling_is_pure_observation_at_any_worker_count() {
+    fn profiling_is_pure_observation() {
         let expr = Expr::relation("r").select(Predicate::col_cmp(1, CmpOp::Lt, 50));
-        let run_with = |profile: bool, workers: usize| {
+        let run_with = |profile: bool| {
             let (disk, cat) = setup(false);
             let mut cfg = config(12.0);
             cfg.stopping = StoppingCriterion::HardDeadline;
-            cfg.workers = workers;
             let tracer = Tracer::recording(disk.clock().clone());
             cfg.tracer = tracer.clone();
             if profile {
@@ -1156,29 +1155,26 @@ mod tests {
             let out = count(&disk, &cat, &expr, Duration::from_secs(5), &cfg, 99);
             (out, tracer.to_jsonl())
         };
-        let (base, base_trace) = run_with(false, 1);
+        let (base, base_trace) = run_with(false);
         assert!(base.report.profile.is_none());
-        for workers in [1usize, 4] {
-            let (prof, prof_trace) = run_with(true, workers);
-            // Identical simulated results: same estimate bits, same
-            // charged time, same stage reports, byte-identical trace.
-            assert_eq!(
-                base.estimate.estimate.to_bits(),
-                prof.estimate.estimate.to_bits(),
-                "workers={workers}"
-            );
-            assert_eq!(base.report.total_elapsed, prof.report.total_elapsed);
-            assert_eq!(base.report.stages, prof.report.stages);
-            assert_eq!(base_trace, prof_trace, "workers={workers}");
-            // The report differs only in the profile payload: strip
-            // it and the JSON must match byte for byte.
-            let mut a = base.report.to_json();
-            let mut b = prof.report.to_json();
-            a.remove("profile");
-            b.remove("profile");
-            assert_eq!(a, b, "workers={workers}");
-            assert!(prof.report.profile.is_some());
-        }
+        let (prof, prof_trace) = run_with(true);
+        // Identical simulated results: same estimate bits, same
+        // charged time, same stage reports, byte-identical trace.
+        assert_eq!(
+            base.estimate.estimate.to_bits(),
+            prof.estimate.estimate.to_bits()
+        );
+        assert_eq!(base.report.total_elapsed, prof.report.total_elapsed);
+        assert_eq!(base.report.stages, prof.report.stages);
+        assert_eq!(base_trace, prof_trace);
+        // The report differs only in the profile payload: strip it
+        // and the JSON must match byte for byte.
+        let mut a = base.report.to_json();
+        let mut b = prof.report.to_json();
+        a.remove("profile");
+        b.remove("profile");
+        assert_eq!(a, b);
+        assert!(prof.report.profile.is_some());
     }
 
     #[test]

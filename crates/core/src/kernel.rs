@@ -17,8 +17,8 @@
 //! merges must agree tuple for tuple on any pair of key-sorted runs.
 //!
 //! Everything here is pure CPU — no clock, no tracer, no deadline —
-//! which is what lets the executor fan pair merges across worker
-//! threads without moving a single simulated tick.
+//! so a merge moves no simulated tick; the executor charges its
+//! comparisons separately.
 
 use std::sync::Arc;
 
@@ -139,9 +139,9 @@ fn group_end(tuples: &[Tuple], keys: &KeyColumn, i: usize) -> usize {
 /// The inner loop is allocation-free: the merge head and both
 /// group-end scans compare borrowed key slices by index, and the
 /// output is reserved from each group product before emitting. Pure
-/// CPU — touches neither the clock, the tracer, nor the deadline —
-/// so pair merges may run on worker threads; the caller charges
-/// comparisons and records cost observations serially beforehand.
+/// CPU — touches neither the clock, the tracer, nor the deadline;
+/// the caller charges comparisons and records cost observations
+/// beforehand.
 pub fn merge_keyed(
     kind: MergeKind,
     lt: &[Tuple],

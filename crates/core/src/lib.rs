@@ -68,7 +68,6 @@ pub mod executor;
 pub mod kernel;
 pub mod obs;
 pub mod ops;
-pub mod parallel;
 pub mod predict;
 pub mod report;
 pub mod retry;
@@ -90,7 +89,6 @@ pub use obs::{
 pub use ops::{
     BlockLayout, Fulfillment, MemoryMode, StageError, StageHealth, DEFAULT_RUN_CACHE_TUPLES,
 };
-pub use parallel::map_ordered;
 pub use report::{ExecutionReport, GroupReport, RefusalReason, ReportHealth, StageReport};
 pub use retry::RetryPolicy;
 pub use server::{

@@ -17,17 +17,14 @@
 //! never charges the session clock, never touches the RNG, and all
 //! guards open and close on the calling thread, so a seeded run
 //! produces byte-identical simulated results with profiling on or
-//! off, at any worker count. Wall-clock time spent inside
-//! [`map_ordered`](crate::parallel::map_ordered) worker pools is
-//! measured on the calling thread around the fan-out, so pool time is
-//! attributed to the phase that spawned it.
+//! off.
 //!
 //! # Phase taxonomy
 //!
 //! | phase | where it is charged |
 //! |---|---|
-//! | `block_decode` | reading a fetched block: a leaf's scan of each block as it is read (one call per block), and the decode fan-out of a run re-read that did not keep its tuples (one call per run) |
-//! | `run_merge` | merging sorted run pairs (binary-operator fan-out) |
+//! | `block_decode` | reading a fetched block: a leaf's scan of each block as it is read (one call per block), and the decode of a run re-read that did not keep its tuples (one call per run) |
+//! | `run_merge` | merging a binary operator's sorted run pairs (one call per stage) |
 //! | `estimator_math` | combining stage estimates into the running estimator |
 //! | `rng_draw` | drawing the stage's block sample from the sampler RNG |
 //! | `cache` | the block-fetch path through the buffer cache / device |
@@ -59,7 +56,8 @@ pub enum Phase {
     /// Reading fetched blocks: scanning their records in place and
     /// decoding the ones an operator reads into typed tuples.
     BlockDecode,
-    /// Merging sorted run pairs in a binary operator.
+    /// Merging a binary operator's sorted run pairs, all of a stage's
+    /// pairs under one guard.
     RunMerge,
     /// Combining a stage estimate into the running estimator.
     EstimatorMath,

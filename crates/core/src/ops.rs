@@ -40,7 +40,6 @@ use crate::config::EngineConfig;
 use crate::costs::CostCoeff;
 use crate::kernel::{merge_keyed, sort_run, KeyColumn, KeySpec, MergeKind};
 use crate::obs::Phase;
-use crate::parallel::map_ordered;
 use crate::seltrack::SelTracker;
 
 /// Which sample combinations binary operators evaluate each stage.
@@ -168,8 +167,8 @@ pub struct StepObservation {
 pub struct StageEnv<'a> {
     /// The device (charges the clock).
     pub disk: Arc<Disk>,
-    /// The run's settings: retry policy, tracer, profiler and worker
-    /// count are read from here at their use sites.
+    /// The run's settings: retry policy, tracer, profiler and block
+    /// layout are read from here at their use sites.
     pub config: &'a EngineConfig,
     /// Hard deadline to honour mid-stage, if any.
     pub deadline: Option<&'a Deadline>,
@@ -485,8 +484,8 @@ impl Node {
 
 /// Reads one raw block through the stage's retry policy, leaving the
 /// (pure) decode to the caller — a leaf scans the block at once, a
-/// run re-read fans its blocks out to the workers, and a run that
-/// kept its tuples skips it entirely.
+/// run re-read decodes its blocks after the charged fetch loop, and a
+/// run that kept its tuples skips it entirely.
 ///
 /// * Transient faults are retried up to `retry.max_attempts` total
 ///   attempts, with the backoff *charged to the clock* — recovery
@@ -659,11 +658,10 @@ impl LeafNode {
         // every drawn block is fetched, so a failing stage charges
         // what a clean one does.
         let mut failed = None;
-        // One pass, serial: each drawn block is fetched — every
-        // charge, retry, deadline check and trace event on this
-        // thread in draw order, so the simulated clock advances
-        // identically at any worker count — and read while its lines
-        // are still warm, inside the deadline checks.
+        // One pass: each drawn block is fetched — every charge,
+        // retry, deadline check and trace event in draw order — and
+        // read while its lines are still warm, inside the deadline
+        // checks.
         for (k, idx) in indices.iter().enumerate() {
             if k > 0 && k % PREFETCH_BATCH == 0 {
                 hint();
@@ -909,8 +907,8 @@ impl ProjectNode {
     }
 }
 
-/// One merge pair staged for the parallel phase: both runs' tuples
-/// and their precomputed key columns.
+/// One merge pair staged for the merge phase: both runs' tuples and
+/// their precomputed key columns.
 type StagedPair = (Arc<[Tuple]>, KeyColumn, Arc<[Tuple]>, KeyColumn);
 
 impl BinKind {
@@ -1001,12 +999,10 @@ impl BinaryNode {
             Fulfillment::Partial => vec![(l_end - 1, r_end - 1)],
         };
 
-        // Charged phase, serial: per-pair run reads, comparison
-        // charges, and cost observations in the canonical pair order
-        // — the simulated clock and the trace advance exactly as a
-        // single-threaded run's would. A run that kept its tuples
-        // still pays every block read (and consumes every fault draw)
-        // of its file; only the re-decode is skipped.
+        // Charged phase: per-pair run reads, comparison charges, and
+        // cost observations in the canonical pair order. A run that
+        // kept its tuples still pays every block read (and consumes
+        // every fault draw) of its file; only the re-decode is skipped.
         let (left_spec, right_spec) = (self.kind.left_spec(), self.kind.right_spec());
         let mut staged: Vec<StagedPair> = Vec::with_capacity(pairs.len());
         for &(li, ri) in &pairs {
@@ -1027,22 +1023,17 @@ impl BinaryNode {
             leaf_points += lrun.leaf_points * rrun.leaf_points;
             staged.push((lt, lk, rt, rk));
         }
-        // Merge phase, parallel: each pair's keyed merge is pure CPU
-        // over the staged runs and their precomputed key columns;
-        // results concatenate in pair order. The phase guard wraps the
-        // whole fan-out on this thread, so worker-pool time is
-        // attributed to `run_merge`.
-        let merged = {
+        // Merge phase: each pair's keyed merge is pure CPU over the
+        // staged runs and their precomputed key columns; results
+        // concatenate in pair order under one `run_merge` guard.
+        let out: Vec<Tuple> = {
             let _phase = env.config.profiler.phase(Phase::RunMerge);
             let mk = self.kind.merge_kind();
-            map_ordered(env.config.workers, staged, move |_, (lt, lk, rt, rk)| {
-                merge_keyed(mk, &lt, &lk, &rt, &rk)
-            })
+            staged
+                .into_iter()
+                .flat_map(|(lt, lk, rt, rk)| merge_keyed(mk, &lt, &lk, &rt, &rk))
+                .collect()
         };
-        let mut out: Vec<Tuple> = Vec::with_capacity(merged.iter().map(Vec::len).sum());
-        for m in merged {
-            out.extend(m);
-        }
 
         // Materialize the operator's new output (kept on disk in the
         // prototype's design: "all the intermediate relations are
@@ -1157,17 +1148,17 @@ fn read_run(
     if let (true, Some(tuples)) = (complete, &run.decoded) {
         return Ok((tuples.clone(), run.keys.clone()));
     }
-    // Decode phase, parallel: pure CPU over the fetched raw blocks,
-    // recombined in block order.
-    let decoded = {
-        let _phase = env.config.profiler.phase(Phase::BlockDecode);
-        map_ordered(env.config.workers, fetched, |_, (idx, block)| {
-            file.decode_block(idx, &block)
-        })
-    };
+    // Decode phase: pure CPU over the fetched raw blocks, in block
+    // order.
     let mut out: Vec<Tuple> = Vec::with_capacity(file.num_tuples() as usize);
-    for d in decoded {
-        out.extend(d.map_err(StageError::Storage)?);
+    {
+        let _phase = env.config.profiler.phase(Phase::BlockDecode);
+        for (idx, block) in fetched {
+            out.extend(
+                file.decode_block(idx, &block)
+                    .map_err(StageError::Storage)?,
+            );
+        }
     }
     let keys = if complete {
         run.keys.clone()
@@ -1716,24 +1707,19 @@ mod tests {
         // and the sampler must not. A 40-block stage is cut after
         // exactly `k` reads, inside, at the edge of and past the
         // first window.
-        for workers in [1, 4] {
-            for k in [0u32, 1, 3, 8, 15, 16, 17, 30] {
-                let (disk, mut tree) = leaf_twin();
-                let cfg = EngineConfig {
-                    workers,
-                    ..EngineConfig::default()
-                };
-                let quota = disk.profile().block_read * k;
-                let deadline = Deadline::new(disk.clock().clone(), quota);
-                let mut e = StageEnv::new(disk.clone(), &cfg, Some(&deadline), 0.1);
-                assert!(matches!(tree.advance(&mut e), Err(StageError::Deadline)));
-                assert_eq!(disk.stats().block_reads, u64::from(k), "workers {workers}");
-                assert_eq!(disk.clock().elapsed(), quota);
-                let leaf = leaf_of(&mut tree);
-                assert_eq!(leaf.sampler.drawn(), u64::from(k));
-                assert_eq!(leaf.sampler.remaining(), 400 - u64::from(k));
-                assert_eq!(leaf.cum_tuples, 0.0, "a cut stage delivers nothing");
-            }
+        for k in [0u32, 1, 3, 8, 15, 16, 17, 30] {
+            let (disk, mut tree) = leaf_twin();
+            let cfg = EngineConfig::default();
+            let quota = disk.profile().block_read * k;
+            let deadline = Deadline::new(disk.clock().clone(), quota);
+            let mut e = StageEnv::new(disk.clone(), &cfg, Some(&deadline), 0.1);
+            assert!(matches!(tree.advance(&mut e), Err(StageError::Deadline)));
+            assert_eq!(disk.stats().block_reads, u64::from(k));
+            assert_eq!(disk.clock().elapsed(), quota);
+            let leaf = leaf_of(&mut tree);
+            assert_eq!(leaf.sampler.drawn(), u64::from(k));
+            assert_eq!(leaf.sampler.remaining(), 400 - u64::from(k));
+            assert_eq!(leaf.cum_tuples, 0.0, "a cut stage delivers nothing");
         }
     }
 
@@ -1884,38 +1870,35 @@ mod tests {
         // counts what a clean twin's does, wherever the bad page falls
         // in the draw.
         for block_layout in [BlockLayout::Row, BlockLayout::Columnar] {
-            for workers in [1, 4] {
-                let cfg = EngineConfig {
-                    workers,
-                    block_layout,
-                    ..EngineConfig::default()
-                };
-                let run = |bad: Option<u64>| {
-                    let (disk, cat) = planted(bad);
-                    let mut tree = PhysTree::build(
-                        &Expr::relation("r"),
-                        &cat,
-                        &disk,
-                        &cfg,
-                        &mut Rng::seed_from_u64(43),
-                    )
-                    .unwrap();
-                    let mut e = StageEnv::new(disk.clone(), &cfg, None, 1.0);
-                    let out = tree.advance(&mut e).map(|d| d.record_count());
-                    (out, disk.stats(), disk.clock().elapsed())
-                };
-                let (clean, stats, elapsed) = run(None);
-                assert_eq!(clean, Ok(100));
-                assert_eq!(stats.block_reads, 20);
-                for bad in 0..20 {
-                    let (out, s, t) = run(Some(bad));
-                    let case = format!("{block_layout:?}, workers {workers}, block {bad}");
-                    assert!(
-                        matches!(out, Err(StageError::Storage(_))),
-                        "{case}: {out:?}"
-                    );
-                    assert_eq!((s, t), (stats, elapsed), "{case}");
-                }
+            let cfg = EngineConfig {
+                block_layout,
+                ..EngineConfig::default()
+            };
+            let run = |bad: Option<u64>| {
+                let (disk, cat) = planted(bad);
+                let mut tree = PhysTree::build(
+                    &Expr::relation("r"),
+                    &cat,
+                    &disk,
+                    &cfg,
+                    &mut Rng::seed_from_u64(43),
+                )
+                .unwrap();
+                let mut e = StageEnv::new(disk.clone(), &cfg, None, 1.0);
+                let out = tree.advance(&mut e).map(|d| d.record_count());
+                (out, disk.stats(), disk.clock().elapsed())
+            };
+            let (clean, stats, elapsed) = run(None);
+            assert_eq!(clean, Ok(100));
+            assert_eq!(stats.block_reads, 20);
+            for bad in 0..20 {
+                let (out, s, t) = run(Some(bad));
+                let case = format!("{block_layout:?}, block {bad}");
+                assert!(
+                    matches!(out, Err(StageError::Storage(_))),
+                    "{case}: {out:?}"
+                );
+                assert_eq!((s, t), (stats, elapsed), "{case}");
             }
         }
     }
@@ -1999,35 +1982,6 @@ mod tests {
         assert!(fused(&over_leaf, BlockLayout::Columnar));
         assert!(!fused(&over_join, BlockLayout::Row));
         assert!(!fused(&over_select, BlockLayout::Row));
-    }
-
-    #[test]
-    fn worker_count_does_not_change_stage_output() {
-        // The parallel phases (block decode, pair merges) are pure:
-        // outputs, coverage, and simulated cost must be identical at
-        // any worker count.
-        let a: Vec<(i64, i64)> = (0..60).map(|i| (i % 6, i)).collect();
-        let b: Vec<(i64, i64)> = (0..40).map(|i| (i % 6, -i)).collect();
-        let run = |workers: usize| {
-            let (disk, cat) = setup(&[("a", a.clone()), ("b", b.clone())]);
-            let expr = Expr::relation("a").join(Expr::relation("b"), vec![(0, 0)]);
-            let mut tree =
-                PhysTree::build(&expr, &cat, &disk, paper(), &mut Rng::seed_from_u64(29)).unwrap();
-            let cfg = EngineConfig {
-                workers,
-                ..EngineConfig::default()
-            };
-            let mut outputs = Vec::new();
-            for _ in 0..3 {
-                let mut e = StageEnv::new(disk.clone(), &cfg, None, 0.4);
-                outputs.push(tree.advance(&mut e).unwrap().into_rows());
-            }
-            (outputs, tree.points_covered(), disk.clock().elapsed())
-        };
-        let serial = run(1);
-        for workers in [2, 4, 8] {
-            assert_eq!(run(workers), serial, "divergence at workers={workers}");
-        }
     }
 
     #[test]

@@ -46,6 +46,32 @@ impl RetryPolicy {
         }
     }
 
+    /// Checks that every backoff the policy can charge is a finite
+    /// duration: `backoff_factor` must be a finite number `≥ 0`, and
+    /// the longest backoff must fit a [`Duration`].
+    /// [`RetryPolicy::backoff_for`] panics on a policy that fails
+    /// here.
+    pub fn validate(&self) -> Result<(), String> {
+        let factor = self.backoff_factor;
+        if !(factor.is_finite() && factor >= 0.0) {
+            return Err(format!(
+                "backoff_factor {factor} is not a finite number ≥ 0"
+            ));
+        }
+        // Growing or shrinking, the longest backoff is the first or
+        // the last one charged (after attempt `max_attempts - 1`).
+        let last = self.max_attempts.saturating_sub(1).max(1);
+        for attempt in [1, last] {
+            let secs = self.backoff.as_secs_f64() * factor.powi(attempt.saturating_sub(1) as i32);
+            if !self.backoff.is_zero() && Duration::try_from_secs_f64(secs).is_err() {
+                return Err(format!(
+                    "the backoff after attempt {attempt} overflows a duration"
+                ));
+            }
+        }
+        Ok(())
+    }
+
     /// Backoff to charge after failed attempt number `attempt`
     /// (1-based): `backoff · factor^(attempt-1)`.
     pub fn backoff_for(&self, attempt: u32) -> Duration {
@@ -99,6 +125,29 @@ mod tests {
     fn default_backoff_stays_below_a_block_read() {
         let p = RetryPolicy::default();
         assert!(p.backoff_for(1) < Duration::from_millis(30));
+    }
+
+    #[test]
+    fn validate_passes_every_policy_whose_backoffs_are_computable() {
+        let with = |backoff_factor: f64, max_attempts: u32| RetryPolicy {
+            max_attempts,
+            backoff_factor,
+            ..RetryPolicy::default()
+        };
+        for ok in [
+            RetryPolicy::default(),
+            RetryPolicy::none(),
+            with(0.0, 4),
+            with(0.5, 4),
+            with(1e6, 5),
+        ] {
+            assert_eq!(ok.validate(), Ok(()), "{ok:?}");
+            for attempt in 1..ok.max_attempts {
+                ok.backoff_for(attempt);
+            }
+        }
+        // One more retry and the last backoff no longer fits.
+        assert!(with(1e6, 6).validate().is_err());
     }
 
     #[test]

@@ -46,10 +46,9 @@
 //! **Deterministic replay**: admission order is canonical (stable
 //! EDF), all admission math is charge-free, grants and RNG seeds
 //! derive from the database seed and the call sequence, and the
-//! engine's own stage loop is byte-identical at any worker count. A
-//! seeded multi-job run therefore produces byte-identical
-//! [`ServerOutcome`] JSON and trace JSONL across `--workers 1/4` and
-//! across repeated runs (on a simulated clock).
+//! engine's own stage loop runs on the calling thread. A seeded
+//! multi-job run therefore produces byte-identical [`ServerOutcome`]
+//! JSON and trace JSONL across repeated runs (on a simulated clock).
 //!
 //! **Concurrency (vector-clock charge accounting)**: every admitted
 //! job executes on its own *lane* — a private virtual clock, RNG
@@ -431,7 +430,7 @@ json_record!(ServerOutcome {
 
 impl ServerOutcome {
     /// Deterministic pretty JSON (the replay artifact: byte-identical
-    /// across worker counts and repeated seeded runs).
+    /// across repeated seeded runs).
     pub fn to_json(&self) -> String {
         eram_storage::json::to_string_pretty(self)
     }
@@ -588,7 +587,9 @@ pub struct QueryServer {
     /// three fields: `stopping` is forced to
     /// [`StoppingCriterion::HardDeadline`], `tracer` is the lane's
     /// private buffer, and `profiler` is off (a served batch renders
-    /// no per-job profile).
+    /// no per-job profile). If the result fails
+    /// [`EngineConfig::validate`], every job ends
+    /// [`JobState::Failed`] at admission.
     pub engine: EngineConfig,
 }
 
@@ -694,6 +695,9 @@ impl Batch<'_> {
     /// makes each lane a pure function of the admitted set,
     /// independent of how the other lanes are scheduled.
     fn admit(&mut self, db: &Database) {
+        // Every lane runs one config; a setting out of its range fails
+        // each job here, before it is priced or run.
+        let invalid = self.lane_config().validate().err();
         let mut projected = Duration::ZERO;
         for (idx, job) in self.jobs.iter().enumerate() {
             // Admission is charge-free, so this stamp is the batch
@@ -710,7 +714,11 @@ impl Batch<'_> {
                 margin: Some(SLACK_MARGIN),
                 ..DecisionRecord::new(t_ns, action, job.name.as_str())
             };
-            match admission_verdict(db, &self.engine, job, grant, alone) {
+            let verdict = match &invalid {
+                Some(e) => Verdict::Fail(e.to_string()),
+                None => admission_verdict(db, &self.engine, job, grant, alone),
+            };
+            match verdict {
                 Verdict::Refuse { reason, floor } => {
                     self.decide(DecisionRecord {
                         reason: Some(reason),
@@ -753,17 +761,23 @@ impl Batch<'_> {
         let mut specs = Vec::with_capacity(self.admitted.len());
         for &idx in &self.admitted {
             let job = &self.jobs[idx];
-            let config = EngineConfig {
-                stopping: StoppingCriterion::HardDeadline,
-                profiler: Profiler::disabled(),
-                ..self.engine.clone()
-            };
             specs.push(PreparedQuery {
                 quota: self.grants[idx],
-                ..db.prepare(job.agg, job.expr.clone(), config)
+                ..db.prepare(job.agg, job.expr.clone(), self.lane_config())
             });
         }
         specs
+    }
+
+    /// The config every lane runs: the server's, under a hard
+    /// deadline and with no profiler (a served batch renders no
+    /// per-job profile). Each lane swaps in its own tracer buffer.
+    fn lane_config(&self) -> EngineConfig {
+        EngineConfig {
+            stopping: StoppingCriterion::HardDeadline,
+            profiler: Profiler::disabled(),
+            ..self.engine.clone()
+        }
     }
 
     /// Phase 2: the canonical control replay (replan-and-shed, refit)
@@ -1572,8 +1586,8 @@ mod tests {
     }
 
     #[test]
-    fn replay_is_byte_identical_across_workers_and_repeats() {
-        let run = |workers: usize| {
+    fn replay_is_byte_identical_across_repeats() {
+        let run = || {
             let mut db = db(41);
             db.inject_faults(FaultPlan::new(3).with_transient(0.05));
             let tracer = Tracer::recording(db.disk().clock().clone());
@@ -1583,7 +1597,6 @@ mod tests {
                 ServerJob::count("c", sel(7), Duration::from_secs(15)).with_value(0.5),
             ];
             let engine = EngineConfig {
-                workers,
                 collect_metrics: true,
                 tracer: tracer.clone(),
                 ..EngineConfig::default()
@@ -1595,18 +1608,15 @@ mod tests {
             .run(&mut db, jobs);
             (outcome.to_json(), tracer.to_jsonl())
         };
-        let (json1, trace1) = run(1);
-        let (json4, trace4) = run(4);
-        assert_eq!(json1, json4, "reports must not depend on worker count");
-        assert_eq!(trace1, trace4, "traces must not depend on worker count");
-        let (json1b, trace1b) = run(1);
+        let (json1, trace1) = run();
+        let (json1b, trace1b) = run();
         assert_eq!(json1, json1b, "repeated runs must be byte-identical");
         assert_eq!(trace1, trace1b);
     }
 
     #[test]
     fn interleaved_matches_the_sequential_oracle() {
-        let run = |mode: Concurrency, workers: usize| {
+        let run = |mode: Concurrency| {
             let mut db = db(41);
             db.inject_faults(FaultPlan::new(3).with_transient(0.05));
             let tracer = Tracer::recording(db.disk().clock().clone());
@@ -1616,7 +1626,6 @@ mod tests {
                 ServerJob::count("c", sel(7), Duration::from_secs(15)).with_value(0.5),
             ];
             let engine = EngineConfig {
-                workers,
                 collect_metrics: true,
                 tracer: tracer.clone(),
                 ..EngineConfig::default()
@@ -1628,8 +1637,8 @@ mod tests {
             .run(&mut db, jobs);
             (outcome, tracer.to_jsonl())
         };
-        let (seq, seq_trace) = run(Concurrency::Sequential, 1);
-        let (inter, inter_trace) = run(Concurrency::Interleaved, 1);
+        let (seq, seq_trace) = run(Concurrency::Sequential);
+        let (inter, inter_trace) = run(Concurrency::Interleaved);
         // The tentpole invariant: per-job results, the ledger, and
         // every trace byte are mode-invariant; only the schedule report
         // may differ — and it strips away.
@@ -1642,11 +1651,10 @@ mod tests {
             inter.stripped_of_schedule().to_json(),
             "stripped outcomes must not depend on the scheduling mode"
         );
-        // Worker count is lane-internal: even the schedule (its
-        // sharing counters included) replays across it.
-        let (inter4, inter4_trace) = run(Concurrency::Interleaved, 4);
-        assert_eq!(inter_trace, inter4_trace);
-        assert_eq!(inter.to_json(), inter4.to_json());
+        // Even the schedule (its sharing counters included) replays.
+        let (again, again_trace) = run(Concurrency::Interleaved);
+        assert_eq!(inter_trace, again_trace);
+        assert_eq!(inter.to_json(), again.to_json());
         // The mode-dependent surface.
         let s = seq.schedule.as_ref().expect("schedule is always reported");
         let i = inter

@@ -305,9 +305,12 @@ impl CountQuery<'_> {
         self
     }
 
-    /// Sets [`EngineConfig::workers`].
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.spec.config.workers = workers;
+    /// Does nothing: every stage runs on the calling thread. Kept
+    /// only because the wall-clock benchmark's engine binding calls
+    /// it on every query; the benchmark change of ROADMAP item 1
+    /// deletes it.
+    #[deprecated(note = "stage work always runs on the calling thread; this call does nothing")]
+    pub fn workers(self, _workers: usize) -> Self {
         self
     }
 
@@ -539,6 +542,31 @@ mod tests {
         for line in tracer.to_jsonl().lines() {
             Json::parse(line).unwrap();
         }
+    }
+
+    #[test]
+    #[allow(deprecated)]
+    fn the_leftover_workers_setter_changes_no_byte() {
+        let run = |workers: Option<usize>| {
+            let mut db = populated(9);
+            let tracer = Tracer::recording(db.disk().clock().clone());
+            let expr = Expr::relation("t").join(Expr::relation("t"), vec![(1, 1)]);
+            let mut query = db
+                .count(expr)
+                .within(Duration::from_secs(6))
+                .tracer(tracer.clone());
+            if let Some(n) = workers {
+                query = query.workers(n);
+            }
+            let out = query.run().unwrap();
+            (
+                eram_storage::json::to_string(&out.report),
+                tracer.to_jsonl(),
+            )
+        };
+        let (report, trace) = run(None);
+        assert!(!trace.is_empty());
+        assert_eq!(run(Some(8)), (report, trace));
     }
 
     #[test]

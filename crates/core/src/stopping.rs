@@ -116,7 +116,7 @@ impl StoppingCriterion {
     /// min_tuples)`, if any member declares one. The executor
     /// evaluates it against the [`GroupedAccumulator`] — unlike the
     /// scalar criteria it cannot be judged from the composite
-    /// estimate history alone.
+    /// estimate alone.
     ///
     /// [`GroupedAccumulator`]: crate::aggregate::GroupedAccumulator
     pub fn group_error_bound(&self) -> Option<(f64, f64, u64)> {
@@ -134,20 +134,20 @@ impl StoppingCriterion {
     }
 
     /// Evaluates the precision-based members after a completed stage.
-    /// `history` holds the estimates after each completed stage so
-    /// far (most recent last). Returns true if the loop should stop
+    /// `latest` is the estimate the run would deliver now (`None`
+    /// before any stage has). Returns true if the loop should stop
     /// even though time remains.
-    pub fn precision_satisfied(&self, history: &[CountEstimate]) -> bool {
+    pub fn precision_satisfied(&self, latest: Option<&CountEstimate>) -> bool {
         match self {
             StoppingCriterion::HardDeadline | StoppingCriterion::SoftDeadline => false,
             // Judged by the executor against per-group state, not the
-            // composite estimate history.
+            // composite estimate.
             StoppingCriterion::GroupErrorBound { .. } => false,
-            StoppingCriterion::ErrorBound { target, confidence } => history
-                .last()
-                .is_some_and(|e| error_bound_satisfied(e, *target, *confidence)),
+            StoppingCriterion::ErrorBound { target, confidence } => {
+                latest.is_some_and(|e| error_bound_satisfied(e, *target, *confidence))
+            }
             StoppingCriterion::Combined(members) => {
-                members.iter().any(|m| m.precision_satisfied(history))
+                members.iter().any(|m| m.precision_satisfied(latest))
             }
         }
     }
@@ -189,11 +189,11 @@ mod tests {
             confidence: 0.95,
         };
         // Wide interval: sd = 300 on estimate 1000 → rel half width ≈ 0.59.
-        assert!(!c.precision_satisfied(&[est(1000.0, 90_000.0)]));
+        assert!(!c.precision_satisfied(Some(&est(1000.0, 90_000.0))));
         // Tight: sd = 10 on 1000 → ≈ 0.0196.
-        assert!(c.precision_satisfied(&[est(1000.0, 100.0)]));
-        // Empty history never satisfies.
-        assert!(!c.precision_satisfied(&[]));
+        assert!(c.precision_satisfied(Some(&est(1000.0, 100.0))));
+        // No estimate yet never satisfies.
+        assert!(!c.precision_satisfied(None));
     }
 
     #[test]
@@ -205,8 +205,8 @@ mod tests {
                 confidence: 0.95,
             },
         ]);
-        assert!(c.precision_satisfied(&[est(1000.0, 100.0)]));
-        assert!(!c.precision_satisfied(&[est(1000.0, 90_000.0)]));
+        assert!(c.precision_satisfied(Some(&est(1000.0, 100.0))));
+        assert!(!c.precision_satisfied(Some(&est(1000.0, 90_000.0))));
     }
 
     #[test]
@@ -218,9 +218,9 @@ mod tests {
         };
         assert_eq!(g.group_error_bound(), Some((0.1, 0.95, 8)));
         assert!(!g.is_hard());
-        // Never satisfied from the composite history — the executor
+        // Never satisfied from the composite estimate — the executor
         // judges it from per-group state.
-        assert!(!g.precision_satisfied(&[est(1000.0, 1.0)]));
+        assert!(!g.precision_satisfied(Some(&est(1000.0, 1.0))));
         let combined =
             StoppingCriterion::Combined(vec![StoppingCriterion::HardDeadline, g.clone()]);
         assert!(combined.is_hard());
@@ -234,7 +234,7 @@ mod tests {
             target: 0.05,
             confidence: 0.95,
         };
-        assert!(!c.precision_satisfied(&[est(0.0, 0.0)]));
+        assert!(!c.precision_satisfied(Some(&est(0.0, 0.0))));
     }
 
     #[test]
@@ -246,10 +246,10 @@ mod tests {
             target: f64::INFINITY,
             confidence: 0.95,
         };
-        assert!(!c.precision_satisfied(&[est(0.0, 0.0)]));
+        assert!(!c.precision_satisfied(Some(&est(0.0, 0.0))));
         // A positive estimate under the same unbounded target still
         // satisfies (its half-width is finite).
-        assert!(c.precision_satisfied(&[est(1000.0, 90_000.0)]));
+        assert!(c.precision_satisfied(Some(&est(1000.0, 90_000.0))));
     }
 
     #[test]

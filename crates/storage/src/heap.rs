@@ -162,8 +162,7 @@ impl HeapFile {
 
     /// Decodes the tuples stored in `block`, which must be block
     /// `index` of this file. Pure CPU work: charges nothing and
-    /// touches no shared state, so callers may decode fetched blocks
-    /// on worker threads.
+    /// touches no shared state.
     pub fn decode_block(&self, index: u64, block: &Block) -> Result<Vec<Tuple>> {
         let records = self.records(index, block);
         let mut out = Vec::with_capacity(records.len());
@@ -191,8 +190,7 @@ impl HeapFile {
 
     /// Decodes the tuples stored in `block` into a per-column typed
     /// layout instead of row tuples. Same contract as
-    /// [`HeapFile::decode_block`] — pure CPU, worker-thread safe —
-    /// and `decode_block_columnar(i, b)?.to_tuples()` is exactly
+    /// [`HeapFile::decode_block`] — pure CPU — and `decode_block_columnar(i, b)?.to_tuples()` is exactly
     /// `decode_block(i, b)?`.
     pub fn decode_block_columnar(&self, index: u64, block: &Block) -> Result<ColumnarBlock> {
         let n = usize::try_from(self.tuples_in_block(index)).expect("fits usize");

@@ -1,8 +1,9 @@
 //! The workspace's lock: [`std::sync::Mutex`] without poisoning.
 //!
-//! A worker that panics while holding a lock is contained where it is
-//! joined (see `eram_core::parallel`); it must not also turn every
-//! later `lock()` elsewhere into a second panic. Every structure
+//! A thread that panics while holding a lock (one of the experiment
+//! harness's trial threads, say) is contained where it is joined; it
+//! must not also turn every later `lock()` elsewhere into a second
+//! panic. Every structure
 //! guarded here is updated in steps that each leave it valid (counters,
 //! append-only buffers, LRU maps), so the data behind a poisoned lock
 //! is safe to keep using.

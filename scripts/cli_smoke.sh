@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
-# The CLI byte-identity checks, end to end on the built binaries: the
-# --workers smoke, block-layout equivalence, the ingestion round-trip,
-# serving equivalence across modes and worker counts, and the
-# eram-explain postmortem. One release build; the first failed check
+# The CLI byte-identity checks, end to end on the built binaries:
+# block-layout equivalence, the ingestion round-trip, serving
+# equivalence across concurrency modes, and the eram-explain
+# postmortem. One release build; the first failed check
 # exits nonzero. Needs jq.
 #
 # Usage: scripts/cli_smoke.sh [OUTDIR]
@@ -33,13 +33,6 @@ cat > jobs.json <<'EOF'
   {"name": "audit", "expr": "t", "deadline_secs": 25.0, "desired_secs": 5.0, "value": 0.5}
 ]
 EOF
-
-echo "=== --workers smoke" >&2
-for w in 1 4; do
-    "$eram" --load t=smoke.csv:k:int,v:int --header \
-        --query 'select[#1 < 50](t)' --quota 10 \
-        --workers $w
-done
 
 echo "=== block-layout equivalence" >&2
 # Row scans evaluate the selection on the page bytes (and a
@@ -79,57 +72,42 @@ echo "=== ingestion round-trip" >&2
 # Same records, same seeds — the report must be identical.
 cmp out-csv.txt out-jsonl.txt
 
-echo "=== concurrency equivalence (seq vs interleaved, workers 1 vs 4)" >&2
+echo "=== concurrency equivalence (seq vs interleaved)" >&2
 for mode in seq interleaved; do
-    for w in 1 4; do
-        "$eram" --load t=smoke.csv:k:int,v:int --header \
-            --fault-transient 0.08 --fault-spike 0.2 --fault-spike-ms 400 \
-            --serve jobs.json --concurrency "$mode" \
-            --jobs-out outcome-$mode-$w.json --trace trace-$mode-$w.jsonl \
-            --workers $w
-    done
-    # Worker count never changes a byte within a mode.
-    cmp outcome-$mode-1.json outcome-$mode-4.json
-    cmp trace-$mode-1.jsonl trace-$mode-4.jsonl
+    "$eram" --load t=smoke.csv:k:int,v:int --header \
+        --fault-transient 0.08 --fault-spike 0.2 --fault-spike-ms 400 \
+        --serve jobs.json --concurrency "$mode" \
+        --jobs-out outcome-$mode.json --trace trace-$mode.jsonl
 done
 # Trace bytes are mode-invariant outright...
-cmp trace-seq-1.jsonl trace-interleaved-1.jsonl
+cmp trace-seq.jsonl trace-interleaved.jsonl
 # ...and outcomes agree once the schedule report is stripped.
 for mode in seq interleaved; do
-    jq -S 'del(.schedule)' outcome-$mode-1.json > stripped-$mode.json
+    jq -S 'del(.schedule)' outcome-$mode.json > stripped-$mode.json
 done
 cmp stripped-seq.json stripped-interleaved.json
 # The interleaved run actually pooled draws; the oracle never does.
-jq -e '.schedule.blocks_shared > 0' outcome-interleaved-1.json
-jq -e '.schedule.blocks_shared == 0' outcome-seq-1.json
+jq -e '.schedule.blocks_shared > 0' outcome-interleaved.json
+jq -e '.schedule.blocks_shared == 0' outcome-seq.json
 
-echo "=== postmortem (eram-explain at workers 1 and 4)" >&2
-for w in 1 4; do
-    "$eram" --load t=smoke.csv:k:int,v:int --header \
-        --fault-transient 0.08 --fault-spike 0.2 --fault-spike-ms 400 \
-        --serve jobs.json \
-        --jobs-out outcome-$w.json --trace trace-$w.jsonl \
-        --workers $w
-    "$explain" --trace trace-$w.jsonl --outcome outcome-$w.json \
-        --format json > postmortem-$w.json
-    # Miss attribution and the tenant SLO tables must be present.
-    jq -e '.miss_attribution != null' postmortem-$w.json
-    jq -e '(.tenants | length) == 3' postmortem-$w.json
-    jq -e '(.jobs | length) == 3' postmortem-$w.json
-done
-# ...and byte-identical across worker counts.
-cmp postmortem-1.json postmortem-4.json
+echo "=== postmortem (eram-explain over the sequential serve)" >&2
+"$explain" --trace trace-seq.jsonl --outcome outcome-seq.json \
+    --format json > postmortem.json
+# Miss attribution and the tenant SLO tables must be present.
+jq -e '.miss_attribution != null' postmortem.json
+jq -e '(.tenants | length) == 3' postmortem.json
+jq -e '(.jobs | length) == 3' postmortem.json
 # The tenant table is one fold of the decision records: the
 # outcome alone (its ledger) and the trace alone give the same rows.
-"$explain" --outcome outcome-1.json --format json > postmortem-outcome-only.json
-"$explain" --trace trace-1.jsonl --format json > postmortem-trace-only.json
+"$explain" --outcome outcome-seq.json --format json > postmortem-outcome-only.json
+"$explain" --trace trace-seq.jsonl --format json > postmortem-trace-only.json
 jq -e '(.tenants | length) == 3' postmortem-outcome-only.json
 for src in outcome trace; do
     jq -S '.tenants' postmortem-$src-only.json > tenants-$src-only.json
 done
 cmp tenants-outcome-only.json tenants-trace-only.json
 # The text rendering works on the same artifacts.
-"$explain" --trace trace-1.jsonl --outcome outcome-1.json > postmortem.txt
+"$explain" --trace trace-seq.jsonl --outcome outcome-seq.json > postmortem.txt
 grep -q "tenant SLO table" postmortem.txt
 
 echo "cli smoke: all checks passed" >&2

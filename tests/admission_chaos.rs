@@ -4,8 +4,7 @@
 //! structured [`RefusalReason`]**, or **shed with a structured
 //! reason** — never a silent deadline blowout. On top of that, a
 //! seeded multi-job run must replay **byte-identically** (outcome
-//! JSON and trace JSONL both) at any worker count and across
-//! repeated runs.
+//! JSON and trace JSONL both) across repeated runs.
 //!
 //! 1. **Storm sweeps** — transient/corruption/spike storms at swept
 //!    rates; the acceptance invariant holds in every cell.
@@ -15,11 +14,9 @@
 //!    `ReportHealth`.
 //! 3. **Fault isolation** — a job over a corrupt region degrades
 //!    alone; a broken expression fails alone at admission.
-//! 4. **Worker identity** — one storm batch at `workers = 4`
-//!    against the serial reference.
-//! 5. **Property** — arbitrary seeds, storms, and worker counts
-//!    replay identically (property test).
-//! 6. **One decision log** — over a 400-cell storm grid, every
+//! 4. **Property** — arbitrary seeds and storms replay identically
+//!    and are mode-invariant (property tests).
+//! 5. **One decision log** — over a 400-cell storm grid, every
 //!    counter the server reports (stats, tenant rows, the trace's
 //!    decision lines) is the same fold of the same log, and the log
 //!    accounts for every job.
@@ -254,16 +251,9 @@ fn broken_expression_fails_alone_without_burning_quota() {
     assert_no_silent_blowouts(&outcome, "broken-expr");
 }
 
-/// Runs one storm batch at the given worker count and concurrency
-/// mode and returns the replay artifacts: the outcome (its ledger
+/// Runs one storm batch in the given concurrency mode and returns the replay artifacts: the outcome (its ledger
 /// included) and the trace JSONL.
-fn run_storm(
-    seed: u64,
-    transient: f64,
-    spikes: f64,
-    workers: usize,
-    mode: Concurrency,
-) -> (ServerOutcome, String) {
+fn run_storm(seed: u64, transient: f64, spikes: f64, mode: Concurrency) -> (ServerOutcome, String) {
     let mut db = build_db(seed);
     if transient > 0.0 || spikes > 0.0 {
         db.inject_faults(
@@ -274,7 +264,6 @@ fn run_storm(
     }
     let tracer = Tracer::recording(db.disk().clock().clone());
     let engine = EngineConfig {
-        workers,
         collect_metrics: true,
         tracer: tracer.clone(),
         ..EngineConfig::default()
@@ -285,21 +274,6 @@ fn run_storm(
     }
     .run(&mut db, storm_batch());
     (outcome, tracer.to_jsonl())
-}
-
-/// The ledger-carrying outcome and the trace replay byte-identically
-/// at a CI-selected worker count.
-#[test]
-fn ci_selected_worker_count_matches_the_serial_reference() {
-    let (outcome_1, trace_1) = run_storm(51, 0.08, 0.2, 1, Concurrency::Sequential);
-    let (outcome_4, trace_4) = run_storm(51, 0.08, 0.2, 4, Concurrency::Sequential);
-    assert_eq!(outcome_1.to_json(), outcome_4.to_json());
-    assert_eq!(trace_1, trace_4);
-    assert!(!trace_1.is_empty());
-    assert!(
-        !outcome_1.ledger.decisions.is_empty(),
-        "the audit narrates the batch"
-    );
 }
 
 /// The five device weathers of the decision-log sweep: (transient
@@ -313,7 +287,7 @@ const WEATHERS: [(f64, f64); 5] = [
 ];
 
 /// One decision log, checked by search: 40 seeds × 5 weathers ×
-/// {sequential, interleaved}, workers alternating 1 and 4 — and from
+/// {sequential, interleaved} — and from
 /// the artifacts of each cell alone (outcome JSON, trace JSONL):
 ///
 /// * `ServerStats` is the column sum of the tenant rows, and the rows
@@ -331,9 +305,8 @@ fn decision_log_is_the_single_source_of_every_counter() {
     for seed in 0..40u64 {
         for (w, &(transient, spikes)) in WEATHERS.iter().enumerate() {
             for mode in [Concurrency::Sequential, Concurrency::Interleaved] {
-                let workers = if (seed as usize + w) % 2 == 0 { 1 } else { 4 };
-                let cell = format!("seed={seed} weather={w} {mode:?} workers={workers}");
-                let (outcome, trace) = run_storm(seed, transient, spikes, workers, mode);
+                let cell = format!("seed={seed} weather={w} {mode:?}");
+                let (outcome, trace) = run_storm(seed, transient, spikes, mode);
                 let outcome: ServerOutcome = json::from_str(&outcome.to_json()).unwrap();
                 let ledger = &outcome.ledger;
                 let names = || outcome.jobs.iter().map(|j| j.name.as_str());
@@ -435,36 +408,22 @@ proptest! {
 
     /// The concurrency acceptance criterion: per-job reports, the
     /// ledger, and every trace byte are identical across
-    /// `--concurrency seq|interleaved` at any worker count — only the
-    /// schedule report may differ between modes, and it differs
-    /// *deterministically* (byte-identical across worker counts and
-    /// repeats within a mode).
+    /// `--concurrency seq|interleaved` — only the schedule report may
+    /// differ between modes.
     #[test]
     fn any_storm_batch_is_concurrency_mode_invariant(
         seed in any::<u64>(),
         transient in 0.0f64..0.15,
         spikes in 0.0f64..0.4,
-        workers in 2usize..=8,
     ) {
-        let (seq, seq_trace) = run_storm(seed, transient, spikes, 1, Concurrency::Sequential);
-        let (inter, inter_trace) =
-            run_storm(seed, transient, spikes, 1, Concurrency::Interleaved);
+        let (seq, seq_trace) = run_storm(seed, transient, spikes, Concurrency::Sequential);
+        let (inter, inter_trace) = run_storm(seed, transient, spikes, Concurrency::Interleaved);
         prop_assert_eq!(&seq_trace, &inter_trace, "trace bytes must be mode-invariant");
         prop_assert_eq!(
             seq.stripped_of_schedule().to_json(),
             inter.stripped_of_schedule().to_json(),
             "stripped outcomes must be mode-invariant"
         );
-        // Within each mode the full outcome (the schedule included)
-        // replays across worker counts.
-        let (seq_w, seq_w_trace) =
-            run_storm(seed, transient, spikes, workers, Concurrency::Sequential);
-        prop_assert_eq!(&seq_trace, &seq_w_trace, "workers={}", workers);
-        prop_assert_eq!(seq.to_json(), seq_w.to_json(), "workers={}", workers);
-        let (inter_w, inter_w_trace) =
-            run_storm(seed, transient, spikes, workers, Concurrency::Interleaved);
-        prop_assert_eq!(&inter_trace, &inter_w_trace, "workers={}", workers);
-        prop_assert_eq!(inter.to_json(), inter_w.to_json(), "workers={}", workers);
         // The schedule is always reported; the oracle never pools.
         let s = seq.schedule.as_ref().expect("schedule rides every outcome");
         prop_assert_eq!(s.blocks_shared, 0);
@@ -481,26 +440,20 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Any seeded storm batch replays byte-identically, its ledger
-    /// included: across worker counts and across repeated runs.
+    /// Any seeded storm batch replays byte-identically across
+    /// repeated runs, its ledger included.
     #[test]
     fn any_storm_batch_replays_byte_identically(
         seed in any::<u64>(),
         transient in 0.0f64..0.15,
         spikes in 0.0f64..0.4,
-        workers in 2usize..=8,
     ) {
-        let run = |workers| {
-            let (outcome, trace) =
-                run_storm(seed, transient, spikes, workers, Concurrency::Sequential);
+        let run = || {
+            let (outcome, trace) = run_storm(seed, transient, spikes, Concurrency::Sequential);
             (outcome.to_json(), trace)
         };
-        let (json_1, trace_1) = run(1);
-        let (json_w, trace_w) = run(workers);
-        prop_assert_eq!(&json_1, &json_w, "workers={}", workers);
-        prop_assert_eq!(&trace_1, &trace_w, "workers={}", workers);
-        // Repetition at the same worker count is also identical.
-        let (json_r, trace_r) = run(1);
+        let (json_1, trace_1) = run();
+        let (json_r, trace_r) = run();
         prop_assert_eq!(&json_1, &json_r);
         prop_assert_eq!(&trace_1, &trace_r);
         // And the invariant holds for whatever the storm produced.

@@ -17,8 +17,8 @@ use testkit::prelude::*;
 use eram_core::executor::MAX_STAGES;
 use eram_core::ops::PhysTree;
 use eram_core::{
-    AggregateFn, CostModel, Database, EngineConfig, EngineError, StagePlan, StoppingCriterion,
-    TimeControlStrategy,
+    AggregateFn, CostModel, Database, EngineConfig, EngineError, JobState, QueryServer,
+    RetryPolicy, ServerJob, StagePlan, StoppingCriterion, TimeControlStrategy,
 };
 use eram_relalg::{CmpOp, Expr, ExprError, Predicate};
 use eram_storage::{json, ColumnType, FaultPlan, Schema, Tuple, Value};
@@ -249,12 +249,120 @@ fn out_of_range_confidence_is_refused_before_any_read() {
                 .run()
                 .unwrap_err();
             assert!(
-                matches!(err, EngineError::InvalidStopping(_)),
+                matches!(err, EngineError::InvalidConfig(_)),
                 "{stopping:?}: {err}"
             );
             assert_eq!(db.disk().stats().block_reads, reads, "{stopping:?}");
         }
     }
+}
+
+/// Engine settings outside their range, each of which used to panic
+/// mid-query: a join's stage-1 selectivity outside (0, 1] (at the
+/// join's compile) and a retry backoff factor that is negative, not
+/// finite or large enough to overflow a duration (at the first
+/// transient fault).
+fn out_of_range_configs() -> Vec<EngineConfig> {
+    let retry = |backoff_factor: f64| EngineConfig {
+        retry: RetryPolicy {
+            backoff_factor,
+            ..RetryPolicy::default()
+        },
+        ..EngineConfig::default()
+    };
+    let join_selectivity = |join_selectivity: f64| EngineConfig {
+        join_selectivity,
+        ..EngineConfig::default()
+    };
+    vec![
+        join_selectivity(0.0),
+        join_selectivity(-0.5),
+        join_selectivity(1.5),
+        join_selectivity(f64::NAN),
+        retry(-1.0),
+        retry(f64::NAN),
+        retry(f64::INFINITY),
+        retry(1e300),
+    ]
+}
+
+/// A join over a faulty device, so both settings are reached.
+fn faulty_join_db() -> (Database, Expr) {
+    let mut db = db_with(2_000, 12);
+    let schema = Schema::new(vec![("k", ColumnType::Int), ("g", ColumnType::Int)]).padded_to(200);
+    db.load_relation(
+        "u",
+        schema,
+        (0..2_000).map(|i| Tuple::new(vec![Value::Int(i), Value::Int(i % 5)])),
+    )
+    .unwrap();
+    db.inject_faults(FaultPlan::new(12).with_transient(0.3));
+    let join = Expr::relation("t").join(Expr::relation("u"), vec![(0, 0)]);
+    (db, join)
+}
+
+#[test]
+fn out_of_range_settings_are_refused_before_any_read() {
+    let (mut db, join) = faulty_join_db();
+    for config in out_of_range_configs() {
+        let reads = db.disk().stats().block_reads;
+        let err = db
+            .count(join.clone())
+            .within(Duration::from_secs(5))
+            .config(config.clone())
+            .run()
+            .unwrap_err();
+        assert!(
+            matches!(err, EngineError::InvalidConfig(_)),
+            "{config:?}: {err}"
+        );
+        assert_eq!(db.disk().stats().block_reads, reads, "{config:?}");
+    }
+}
+
+#[test]
+fn a_served_batch_under_out_of_range_settings_fails_every_job() {
+    let (mut db, join) = faulty_join_db();
+    let jobs = || {
+        vec![
+            ServerJob::count("join", join.clone(), Duration::from_secs(20)),
+            ServerJob::count("scan", Expr::relation("t"), Duration::from_secs(30)),
+        ]
+    };
+    for engine in out_of_range_configs() {
+        let reads = db.disk().stats().block_reads;
+        let outcome = QueryServer {
+            engine: engine.clone(),
+            ..QueryServer::default()
+        }
+        .run(&mut db, jobs());
+        for job in &outcome.jobs {
+            assert!(
+                matches!(job.state, JobState::Failed { .. }),
+                "{engine:?}: {} ended {:?}",
+                job.name,
+                job.state
+            );
+        }
+        assert_eq!(db.disk().stats().block_reads, reads, "{engine:?}");
+    }
+    // The lanes run under a hard deadline whatever the server's own
+    // criterion says, so a criterion they override is not refused.
+    let outcome = QueryServer {
+        engine: EngineConfig {
+            stopping: StoppingCriterion::ErrorBound {
+                target: 0.1,
+                confidence: 1.5,
+            },
+            ..EngineConfig::default()
+        },
+        ..QueryServer::default()
+    }
+    .run(&mut db, jobs());
+    assert!(outcome
+        .jobs
+        .iter()
+        .all(|job| !matches!(job.state, JobState::Failed { .. })));
 }
 
 /// The paper's Figure 5.1 selection setup (10 000 tuples, 10 s quota)

@@ -1,7 +1,7 @@
 //! Ingestion round-trip: CSV and JSON lines must load the
 //! same logical relation into **byte-identical** storage, and queries
-//! over it must be byte-identical too — across formats, across block
-//! layouts, and across worker counts.
+//! over it must be byte-identical too — across formats and across
+//! block layouts.
 //!
 //! The pipeline under test: fixture file → [`IngestFormat`] reader →
 //! [`Database::load_ingest`] → [`HeapFile`] pages → seeded query.
@@ -123,9 +123,9 @@ fn all_formats_load_byte_identical_heap_files() {
 }
 
 #[test]
-fn queries_over_any_format_are_identical_across_layouts_and_workers() {
+fn queries_over_any_format_are_identical_across_layouts() {
     let fixtures = write_fixtures("queries", 600);
-    let run = |format: IngestFormat, path: &PathBuf, layout: BlockLayout, workers: usize| {
+    let run = |format: IngestFormat, path: &PathBuf, layout: BlockLayout| {
         let mut db = Database::sim_default(5);
         db.load_ingest("r", schema(), path, format).unwrap();
         let tracer = Tracer::recording(db.disk().clock().clone());
@@ -133,7 +133,6 @@ fn queries_over_any_format_are_identical_across_layouts_and_workers() {
         let out = db
             .count(expr)
             .within(Duration::from_secs(2))
-            .workers(workers)
             .block_layout(layout)
             .seed(19)
             .tracer(tracer.clone())
@@ -142,20 +141,12 @@ fn queries_over_any_format_are_identical_across_layouts_and_workers() {
         (json::to_string(&out.report), tracer.to_jsonl())
     };
     let (ref_format, ref_path) = &fixtures[0];
-    let (ref_report, ref_trace) = run(*ref_format, ref_path, BlockLayout::Row, 1);
+    let (ref_report, ref_trace) = run(*ref_format, ref_path, BlockLayout::Row);
     for (format, path) in &fixtures {
         for layout in [BlockLayout::Row, BlockLayout::Columnar] {
-            for workers in [1, 4] {
-                let (report, trace) = run(*format, path, layout, workers);
-                assert_eq!(
-                    report, ref_report,
-                    "report diverged: {format:?} {layout:?} workers={workers}"
-                );
-                assert_eq!(
-                    trace, ref_trace,
-                    "trace diverged: {format:?} {layout:?} workers={workers}"
-                );
-            }
+            let (report, trace) = run(*format, path, layout);
+            assert_eq!(report, ref_report, "report diverged: {format:?} {layout:?}");
+            assert_eq!(trace, ref_trace, "trace diverged: {format:?} {layout:?}");
         }
     }
     for (_, path) in fixtures {

@@ -6,9 +6,9 @@
 //! under the row layout. It must change *nothing* else: a seeded
 //! `SimClock` run must produce a **byte-identical**
 //! [`eram_core::ExecutionReport`] (as JSON) and a byte-identical
-//! JSONL trace under either layout, at any worker count, under
-//! deadline aborts, and under injected storage faults — the same
-//! contract the worker pool and the run cache are held to.
+//! JSONL trace under either layout, under deadline aborts, and under
+//! injected storage faults — the same contract the run cache is held
+//! to.
 //!
 //! It is also the fused-versus-decode-first oracle. A selection
 //! directly over a leaf runs inside the leaf's scan under either
@@ -38,7 +38,6 @@ fn render(report: &ExecutionReport, tracer: &Tracer) -> (String, String) {
 fn run_workload(
     kind: WorkloadKind,
     layout: BlockLayout,
-    workers: usize,
     seed: u64,
     quota: Duration,
     faults: Option<FaultPlan>,
@@ -51,7 +50,6 @@ fn run_workload(
     let out =
         w.db.count(w.expr.clone())
             .within(quota)
-            .workers(workers)
             .block_layout(layout)
             .seed(seed ^ 0x5EED)
             .tracer(tracer.clone())
@@ -68,21 +66,14 @@ fn join_reports_are_byte_identical_across_layouts() {
         output_tuples: 70_000,
     };
     let quota = Duration::from_secs_f64(2.5);
-    for workers in [1, 4] {
-        let (report_row, trace_row) =
-            run_workload(kind, BlockLayout::Row, workers, 42, quota, None);
-        let (report_col, trace_col) =
-            run_workload(kind, BlockLayout::Columnar, workers, 42, quota, None);
-        assert!(!trace_row.is_empty());
-        assert_eq!(
-            report_row, report_col,
-            "ExecutionReport diverged across layouts at workers={workers}"
-        );
-        assert_eq!(
-            trace_row, trace_col,
-            "trace diverged across layouts at workers={workers}"
-        );
-    }
+    let (report_row, trace_row) = run_workload(kind, BlockLayout::Row, 42, quota, None);
+    let (report_col, trace_col) = run_workload(kind, BlockLayout::Columnar, 42, quota, None);
+    assert!(!trace_row.is_empty());
+    assert_eq!(
+        report_row, report_col,
+        "ExecutionReport diverged across layouts"
+    );
+    assert_eq!(trace_row, trace_col, "trace diverged across layouts");
 }
 
 #[test]
@@ -92,17 +83,10 @@ fn intersect_reports_are_byte_identical_across_layouts() {
     // field, not only the key.
     let kind = WorkloadKind::Intersect { overlap: 5_000 };
     let quota = Duration::from_secs_f64(2.5);
-    for workers in [1, 4] {
-        let (report_row, trace_row) =
-            run_workload(kind, BlockLayout::Row, workers, 11, quota, None);
-        let (report_col, trace_col) =
-            run_workload(kind, BlockLayout::Columnar, workers, 11, quota, None);
-        assert_eq!(
-            report_row, report_col,
-            "intersect diverged across layouts at workers={workers}"
-        );
-        assert_eq!(trace_row, trace_col);
-    }
+    let (report_row, trace_row) = run_workload(kind, BlockLayout::Row, 11, quota, None);
+    let (report_col, trace_col) = run_workload(kind, BlockLayout::Columnar, 11, quota, None);
+    assert_eq!(report_row, report_col, "intersect diverged across layouts");
+    assert_eq!(trace_row, trace_col);
 }
 
 #[test]
@@ -114,16 +98,10 @@ fn hard_deadline_abort_is_identical_across_layouts() {
         output_tuples: 10_000,
     };
     let quota = Duration::from_millis(600);
-    for workers in [1, 4] {
-        let (report_row, trace_row) = run_workload(kind, BlockLayout::Row, workers, 7, quota, None);
-        let (report_col, trace_col) =
-            run_workload(kind, BlockLayout::Columnar, workers, 7, quota, None);
-        assert_eq!(
-            report_row, report_col,
-            "abort path diverged across layouts at workers={workers}"
-        );
-        assert_eq!(trace_row, trace_col);
-    }
+    let (report_row, trace_row) = run_workload(kind, BlockLayout::Row, 7, quota, None);
+    let (report_col, trace_col) = run_workload(kind, BlockLayout::Columnar, 7, quota, None);
+    assert_eq!(report_row, report_col, "abort path diverged across layouts");
+    assert_eq!(trace_row, trace_col);
 }
 
 #[test]
@@ -136,23 +114,14 @@ fn faulted_runs_are_identical_across_layouts() {
     };
     let quota = Duration::from_secs_f64(2.5);
     let plan = || FaultPlan::new(9).with_corruption(0.05).with_transient(0.05);
-    for workers in [1, 4] {
-        let (report_row, trace_row) =
-            run_workload(kind, BlockLayout::Row, workers, 23, quota, Some(plan()));
-        let (report_col, trace_col) = run_workload(
-            kind,
-            BlockLayout::Columnar,
-            workers,
-            23,
-            quota,
-            Some(plan()),
-        );
-        assert_eq!(
-            report_row, report_col,
-            "faulted run diverged across layouts at workers={workers}"
-        );
-        assert_eq!(trace_row, trace_col);
-    }
+    let (report_row, trace_row) = run_workload(kind, BlockLayout::Row, 23, quota, Some(plan()));
+    let (report_col, trace_col) =
+        run_workload(kind, BlockLayout::Columnar, 23, quota, Some(plan()));
+    assert_eq!(
+        report_row, report_col,
+        "faulted run diverged across layouts"
+    );
+    assert_eq!(trace_row, trace_col);
 }
 
 /// A three-group relation with distinct per-group value dispersion,
@@ -187,7 +156,7 @@ fn grouped_db(seed: u64) -> Database {
 
 /// Runs one grouped-SUM query under the given layout and returns the
 /// serialized report plus the JSONL trace.
-fn run_grouped_sum(layout: BlockLayout, workers: usize, seed: u64) -> (String, String) {
+fn run_grouped_sum(layout: BlockLayout, seed: u64) -> (String, String) {
     let mut db = grouped_db(seed);
     let tracer = Tracer::recording(db.disk().clock().clone());
     let expr = Expr::relation("g").select(Predicate::col_cmp(1, CmpOp::Lt, 700));
@@ -200,7 +169,6 @@ fn run_grouped_sum(layout: BlockLayout, workers: usize, seed: u64) -> (String, S
             expr,
         )
         .within(Duration::from_secs_f64(2.5))
-        .workers(workers)
         .block_layout(layout)
         .seed(seed ^ 0x5EED)
         .tracer(tracer.clone())
@@ -211,29 +179,26 @@ fn run_grouped_sum(layout: BlockLayout, workers: usize, seed: u64) -> (String, S
 
 #[test]
 fn grouped_sum_reports_are_byte_identical_across_layouts() {
-    for workers in [1, 4] {
-        let (report_row, trace_row) = run_grouped_sum(BlockLayout::Row, workers, 37);
-        let (report_col, trace_col) = run_grouped_sum(BlockLayout::Columnar, workers, 37);
-        assert!(report_row.contains("groups"), "grouped report present");
-        assert_eq!(
-            report_row, report_col,
-            "grouped report diverged across layouts at workers={workers}"
-        );
-        assert_eq!(trace_row, trace_col);
-    }
+    let (report_row, trace_row) = run_grouped_sum(BlockLayout::Row, 37);
+    let (report_col, trace_col) = run_grouped_sum(BlockLayout::Columnar, 37);
+    assert!(report_row.contains("groups"), "grouped report present");
+    assert_eq!(
+        report_row, report_col,
+        "grouped report diverged across layouts"
+    );
+    assert_eq!(trace_row, trace_col);
 }
 
 /// A SUM over a bare relation (no operator above the leaf): the leaf's
 /// unfiltered rows go straight to the executor's value accumulator.
 #[test]
 fn bare_leaf_sum_is_identical_across_layouts() {
-    let run = |layout: BlockLayout, workers: usize| {
+    let run = |layout: BlockLayout| {
         let mut db = grouped_db(97);
         let tracer = Tracer::recording(db.disk().clock().clone());
         let out = db
             .aggregate(AggregateFn::Sum { column: 1 }, Expr::relation("g"))
             .within(Duration::from_secs_f64(1.5))
-            .workers(workers)
             .block_layout(layout)
             .seed(0xBEEF)
             .tracer(tracer.clone())
@@ -241,15 +206,13 @@ fn bare_leaf_sum_is_identical_across_layouts() {
             .expect("bare-leaf query must execute");
         render(&out.report, &tracer)
     };
-    for workers in [1, 4] {
-        let (report_row, trace_row) = run(BlockLayout::Row, workers);
-        let (report_col, trace_col) = run(BlockLayout::Columnar, workers);
-        assert_eq!(
-            report_row, report_col,
-            "bare-leaf sum diverged across layouts at workers={workers}"
-        );
-        assert_eq!(trace_row, trace_col);
-    }
+    let (report_row, trace_row) = run(BlockLayout::Row);
+    let (report_col, trace_col) = run(BlockLayout::Columnar);
+    assert_eq!(
+        report_row, report_col,
+        "bare-leaf sum diverged across layouts"
+    );
+    assert_eq!(trace_row, trace_col);
 }
 
 /// 10 000 orders carrying every column type — a string tag and a
@@ -292,9 +255,9 @@ fn orders_db(seed: u64) -> Database {
     db
 }
 
-/// Runs `agg(query)` over [`orders_db`] under both layouts at workers
-/// 1 and 4 and requires byte-identical reports and traces. Returns
-/// the (row, workers = 1) report for shape assertions.
+/// Runs `agg(query)` over [`orders_db`] under both layouts and
+/// requires byte-identical reports and traces. Returns the row
+/// layout's report for shape assertions.
 fn assert_layouts_agree(
     agg: AggregateFn,
     query: &str,
@@ -302,7 +265,7 @@ fn assert_layouts_agree(
     faults: Option<fn() -> FaultPlan>,
 ) -> String {
     let expr = parse_expr(query).expect("test query parses");
-    let run = |layout: BlockLayout, workers: usize| {
+    let run = |layout: BlockLayout| {
         let mut db = orders_db(61);
         if let Some(plan) = faults {
             db.inject_faults(plan());
@@ -311,7 +274,6 @@ fn assert_layouts_agree(
         let out = db
             .aggregate(agg, expr.clone())
             .within(quota)
-            .workers(workers)
             .block_layout(layout)
             .seed(0xC0FFEE)
             .tracer(tracer.clone())
@@ -319,21 +281,17 @@ fn assert_layouts_agree(
             .expect("query must execute");
         render(&out.report, &tracer)
     };
-    let mut first = None;
-    for workers in [1, 4] {
-        let (report_row, trace_row) = run(BlockLayout::Row, workers);
-        let (report_col, trace_col) = run(BlockLayout::Columnar, workers);
-        assert_eq!(
-            report_row, report_col,
-            "{agg} of {query}: report diverged across layouts at workers={workers}"
-        );
-        assert_eq!(
-            trace_row, trace_col,
-            "{agg} of {query}: trace diverged across layouts at workers={workers}"
-        );
-        first.get_or_insert(report_row);
-    }
-    first.expect("ran at least once")
+    let (report_row, trace_row) = run(BlockLayout::Row);
+    let (report_col, trace_col) = run(BlockLayout::Columnar);
+    assert_eq!(
+        report_row, report_col,
+        "{agg} of {query}: report diverged across layouts"
+    );
+    assert_eq!(
+        trace_row, trace_col,
+        "{agg} of {query}: trace diverged across layouts"
+    );
+    report_row
 }
 
 const QUOTA: Duration = Duration::from_millis(2_500);

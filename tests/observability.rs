@@ -88,12 +88,12 @@ fn identical_seeds_yield_byte_identical_jsonl() {
 }
 
 /// The profiler is pure observation: attaching it must not perturb
-/// the charged clock, the RNG, the trace, or the report — at any
-/// worker count. This is the end-to-end (Database-level) counterpart
-/// of the executor's unit test.
+/// the charged clock, the RNG, the trace, or the report. This is the
+/// end-to-end (Database-level) counterpart of the executor's unit
+/// test.
 #[test]
 fn profiling_never_perturbs_trace_or_report() {
-    let run = |profile: bool, workers: usize| {
+    let run = |profile: bool| {
         let mut db = fig51_db(42);
         let tracer = Tracer::recording(db.disk().clock().clone());
         let profiler = if profile {
@@ -107,35 +107,28 @@ fn profiling_never_perturbs_trace_or_report() {
             .seed(7)
             .tracer(tracer.clone())
             .profiler(profiler)
-            .workers(workers)
             .run()
             .unwrap();
         (out, tracer.to_jsonl())
     };
-    let (base, base_trace) = run(false, 1);
+    let (base, base_trace) = run(false);
     assert!(base.report.profile.is_none());
-    for workers in [1usize, 4] {
-        let (prof, prof_trace) = run(true, workers);
-        assert_eq!(prof_trace, base_trace, "workers={workers}");
-        assert_eq!(
-            prof.estimate.estimate.to_bits(),
-            base.estimate.estimate.to_bits()
-        );
-        let snap = prof.report.profile.as_ref().expect("profiler attached");
-        assert_eq!(snap.schema_version, SCHEMA_VERSION);
-        assert!(snap.total_wall_ns() > 0);
-        // Everything except the profile field is byte-identical.
-        let strip = |r: &eram_core::ExecutionReport| {
-            let mut v = r.to_json();
-            v.remove("profile");
-            v
-        };
-        assert_eq!(
-            strip(&prof.report),
-            strip(&base.report),
-            "workers={workers}"
-        );
-    }
+    let (prof, prof_trace) = run(true);
+    assert_eq!(prof_trace, base_trace);
+    assert_eq!(
+        prof.estimate.estimate.to_bits(),
+        base.estimate.estimate.to_bits()
+    );
+    let snap = prof.report.profile.as_ref().expect("profiler attached");
+    assert_eq!(snap.schema_version, SCHEMA_VERSION);
+    assert!(snap.total_wall_ns() > 0);
+    // Everything except the profile field is byte-identical.
+    let strip = |r: &eram_core::ExecutionReport| {
+        let mut v = r.to_json();
+        v.remove("profile");
+        v
+    };
+    assert_eq!(strip(&prof.report), strip(&base.report));
 }
 
 const GOLDEN: &str = concat!(

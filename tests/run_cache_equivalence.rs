@@ -3,11 +3,11 @@
 //! A binary operator's sorted run keeps its decoded tuples while the
 //! node's `run_cache_tuples` budget has room, and serves re-reads
 //! from them while still charging every simulated block read of its
-//! file. The observable contract is therefore the same as the worker
-//! pool's: a seeded `SimClock` run must produce a **byte-identical**
+//! file. The observable contract is therefore that a seeded
+//! `SimClock` run must produce a **byte-identical**
 //! [`eram_core::ExecutionReport`] (as JSON) and a byte-identical
-//! JSONL trace with the budget at any size — including off — at any
-//! worker count, and under injected storage faults.
+//! JSONL trace with the budget at any size — including off — and
+//! under injected storage faults.
 
 use std::time::Duration;
 
@@ -21,7 +21,6 @@ use eram_storage::{json, ColumnType, FaultPlan, Schema, Tuple, Value};
 /// default run budget.
 fn run_workload(
     kind: WorkloadKind,
-    workers: usize,
     seed: u64,
     quota: Duration,
     cache_tuples: Option<usize>,
@@ -35,7 +34,6 @@ fn run_workload(
     let mut query =
         w.db.count(w.expr.clone())
             .within(quota)
-            .workers(workers)
             .seed(seed ^ 0x5EED)
             .tracer(tracer.clone());
     if let Some(tuples) = cache_tuples {
@@ -51,19 +49,14 @@ fn join_reports_are_byte_identical_with_cache_on_and_off() {
         output_tuples: 70_000,
     };
     let quota = Duration::from_secs_f64(2.5);
-    for workers in [1, 4] {
-        let (report_on, trace_on) = run_workload(kind, workers, 42, quota, None, None);
-        let (report_off, trace_off) = run_workload(kind, workers, 42, quota, Some(0), None);
-        assert!(!trace_on.is_empty());
-        assert_eq!(
-            report_on, report_off,
-            "ExecutionReport diverged with the run cache off at workers={workers}"
-        );
-        assert_eq!(
-            trace_on, trace_off,
-            "trace diverged with the run cache off at workers={workers}"
-        );
-    }
+    let (report_on, trace_on) = run_workload(kind, 42, quota, None, None);
+    let (report_off, trace_off) = run_workload(kind, 42, quota, Some(0), None);
+    assert!(!trace_on.is_empty());
+    assert_eq!(
+        report_on, report_off,
+        "ExecutionReport diverged with the run cache off"
+    );
+    assert_eq!(trace_on, trace_off, "trace diverged with the run cache off");
 }
 
 #[test]
@@ -74,15 +67,15 @@ fn tiny_cache_bounds_are_also_invisible() {
         output_tuples: 70_000,
     };
     let quota = Duration::from_secs_f64(2.5);
-    let (report_default, trace_default) = run_workload(kind, 1, 17, quota, None, None);
-    let (report_tiny, trace_tiny) = run_workload(kind, 1, 17, quota, Some(64), None);
+    let (report_default, trace_default) = run_workload(kind, 17, quota, None, None);
+    let (report_tiny, trace_tiny) = run_workload(kind, 17, quota, Some(64), None);
     assert_eq!(report_default, report_tiny);
     assert_eq!(trace_default, trace_tiny);
 }
 
 /// A grouped-SUM run over an interleaved three-group relation; the
 /// run cache must stay invisible to the per-group report too.
-fn run_grouped_sum(workers: usize, seed: u64, cache_tuples: Option<usize>) -> (String, String) {
+fn run_grouped_sum(seed: u64, cache_tuples: Option<usize>) -> (String, String) {
     let mut db = Database::sim_default(seed);
     let schema = Schema::new(vec![
         ("k", ColumnType::Int),
@@ -118,7 +111,6 @@ fn run_grouped_sum(workers: usize, seed: u64, cache_tuples: Option<usize>) -> (S
             expr,
         )
         .within(Duration::from_secs_f64(2.5))
-        .workers(workers)
         .seed(seed ^ 0x5EED)
         .tracer(tracer.clone());
     if let Some(tuples) = cache_tuples {
@@ -130,16 +122,14 @@ fn run_grouped_sum(workers: usize, seed: u64, cache_tuples: Option<usize>) -> (S
 
 #[test]
 fn grouped_sum_reports_are_byte_identical_with_cache_on_and_off() {
-    for workers in [1, 4] {
-        let (report_on, trace_on) = run_grouped_sum(workers, 37, None);
-        let (report_off, trace_off) = run_grouped_sum(workers, 37, Some(0));
-        assert!(report_on.contains("\"groups\""), "grouped report present");
-        assert_eq!(
-            report_on, report_off,
-            "grouped report diverged with the run cache off at workers={workers}"
-        );
-        assert_eq!(trace_on, trace_off);
-    }
+    let (report_on, trace_on) = run_grouped_sum(37, None);
+    let (report_off, trace_off) = run_grouped_sum(37, Some(0));
+    assert!(report_on.contains("\"groups\""), "grouped report present");
+    assert_eq!(
+        report_on, report_off,
+        "grouped report diverged with the run cache off"
+    );
+    assert_eq!(trace_on, trace_off);
 }
 
 #[test]
@@ -153,15 +143,13 @@ fn faulted_runs_stay_identical_with_and_without_the_cache() {
     };
     let quota = Duration::from_secs_f64(2.5);
     let plan = || FaultPlan::new(9).with_corruption(0.05).with_transient(0.05);
-    for workers in [1, 4] {
-        let (report_on, trace_on) = run_workload(kind, workers, 23, quota, None, Some(plan()));
-        let (report_off, trace_off) = run_workload(kind, workers, 23, quota, Some(0), Some(plan()));
-        assert_eq!(
-            report_on, report_off,
-            "faulted run diverged with the run cache off at workers={workers}"
-        );
-        assert_eq!(trace_on, trace_off);
-    }
+    let (report_on, trace_on) = run_workload(kind, 23, quota, None, Some(plan()));
+    let (report_off, trace_off) = run_workload(kind, 23, quota, Some(0), Some(plan()));
+    assert_eq!(
+        report_on, report_off,
+        "faulted run diverged with the run cache off"
+    );
+    assert_eq!(trace_on, trace_off);
 }
 
 #[test]
@@ -176,20 +164,17 @@ fn heavy_chaos_cannot_expose_stale_cached_runs() {
     };
     let quota = Duration::from_secs_f64(2.5);
     let plan = || FaultPlan::new(31).with_corruption(0.2).with_transient(0.2);
-    for workers in [1, 4] {
-        let (report_on, trace_on) = run_workload(kind, workers, 51, quota, None, Some(plan()));
-        let (report_tiny, trace_tiny) =
-            run_workload(kind, workers, 51, quota, Some(256), Some(plan()));
-        let (report_off, trace_off) = run_workload(kind, workers, 51, quota, Some(0), Some(plan()));
-        assert_eq!(
-            report_on, report_off,
-            "heavy-chaos run diverged with the run cache off at workers={workers}"
-        );
-        assert_eq!(
-            report_tiny, report_off,
-            "heavy-chaos run diverged with a tiny run cache at workers={workers}"
-        );
-        assert_eq!(trace_on, trace_off);
-        assert_eq!(trace_tiny, trace_off);
-    }
+    let (report_on, trace_on) = run_workload(kind, 51, quota, None, Some(plan()));
+    let (report_tiny, trace_tiny) = run_workload(kind, 51, quota, Some(256), Some(plan()));
+    let (report_off, trace_off) = run_workload(kind, 51, quota, Some(0), Some(plan()));
+    assert_eq!(
+        report_on, report_off,
+        "heavy-chaos run diverged with the run cache off"
+    );
+    assert_eq!(
+        report_tiny, report_off,
+        "heavy-chaos run diverged with a tiny run cache"
+    );
+    assert_eq!(trace_on, trace_off);
+    assert_eq!(trace_tiny, trace_off);
 }
