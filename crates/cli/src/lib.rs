@@ -102,12 +102,6 @@ pub struct Cli {
     /// after the health line. Pure observation: the estimate, trace,
     /// and report are identical with or without it.
     pub profile: bool,
-    /// Tuple budget of each binary operator for runs that keep their
-    /// decoded tuples (`Some(0)` keeps none; `None` is the engine
-    /// default).
-    /// Wall-clock only: estimates and traces are identical at any
-    /// setting.
-    pub run_cache_tuples: Option<usize>,
     /// How sampled blocks are decoded and traversed (`row` or
     /// `columnar`). Wall-clock only: estimates and traces are
     /// identical under either layout.
@@ -140,7 +134,7 @@ any mode (the database):
   [--fault-transient RATE] [--fault-corrupt RATE] [--fault-spike RATE]
   [--fault-spike-ms MS] [--fault-seed N]
 --query and --serve (how the engine runs; the interactive shell takes none of these):
-  [--trace FILE] [--metrics] [--run-cache-tuples N] [--layout row|columnar]
+  [--trace FILE] [--metrics] [--layout row|columnar]
 one-shot query:
   --query EXPR --quota SECS [--profile]
   [--agg count|sum:COL|avg:COL|count:by:G|sum:COL:by:G|avg:COL:by:G]
@@ -149,7 +143,7 @@ served batch:
 
 /// Flags that shape how the engine runs a query: they apply to
 /// `--query` and `--serve` alike.
-const RUN_FLAGS: [&str; 4] = ["--trace", "--metrics", "--run-cache-tuples", "--layout"];
+const RUN_FLAGS: [&str; 3] = ["--trace", "--metrics", "--layout"];
 /// Flags of a one-shot `--query`.
 const QUERY_FLAGS: [&str; 3] = ["--quota", "--agg", "--profile"];
 /// Flags of a `--serve` batch.
@@ -211,10 +205,6 @@ impl Cli {
                         .ok_or_else(|| err(format!("unknown concurrency mode {mode:?}")))?;
                 }
                 "--profile" => cli.profile = true,
-                "--run-cache-tuples" => {
-                    let need = "--run-cache-tuples needs a tuple count (0 = off)";
-                    cli.run_cache_tuples = Some(value(&mut args, need)?);
-                }
                 "--layout" => {
                     cli.layout = match args.next().as_deref() {
                         Some("row") => BlockLayout::Row,
@@ -288,7 +278,7 @@ impl Cli {
     /// and [`run_serve`] both run under it. `clock` stamps the tracer
     /// and the profiler (the database's own).
     pub fn engine_config(&self, clock: &Arc<dyn Clock>) -> EngineConfig {
-        let mut config = EngineConfig {
+        EngineConfig {
             tracer: if self.trace.is_some() {
                 Tracer::recording(clock.clone())
             } else {
@@ -302,11 +292,7 @@ impl Cli {
             },
             block_layout: self.layout,
             ..EngineConfig::default()
-        };
-        if let Some(tuples) = self.run_cache_tuples {
-            config.run_cache_tuples = tuples;
         }
-        config
     }
 
     /// The fault plan the flags describe, or `None` when every rate
@@ -829,8 +815,6 @@ mod tests {
             "2.5",
             "--agg",
             "sum:1",
-            "--run-cache-tuples",
-            "4096",
         ])
         .unwrap();
         assert_eq!(cli.loads.len(), 1);
@@ -842,7 +826,6 @@ mod tests {
         assert!(cli.header);
         assert_eq!(cli.quota, Some(Duration::from_millis(2500)));
         assert_eq!(cli.agg, AggregateFn::Sum { column: 1 });
-        assert_eq!(cli.run_cache_tuples, Some(4096));
     }
 
     #[test]
@@ -856,22 +839,23 @@ mod tests {
         assert!(Cli::parse(["--query", "r"]).is_err()); // no quota
         assert!(Cli::parse(["--flux"]).is_err());
         assert!(Cli::parse(["--cache"]).is_err());
-        assert!(Cli::parse(["--run-cache-tuples"]).is_err()); // missing count
-        assert!(Cli::parse(["--run-cache-tuples", "many"]).is_err());
         assert!(Cli::parse(["--concurrency"]).is_err()); // missing mode
         assert!(Cli::parse(["--concurrency", "parallel"]).is_err());
     }
 
     #[test]
     fn workers_is_an_unknown_argument() {
-        // Every stage runs on the calling thread; the flag that once
-        // sized a worker pool is refused like any other typo.
-        let e = Cli::parse(["--query", "r", "--quota", "1", "--workers", "4"]).unwrap_err();
-        assert!(
-            e.0.starts_with("unknown argument \"--workers\""),
-            "{:?}",
-            e.0
-        );
+        // Every stage runs on the calling thread and every sorted run
+        // keeps its tuples; the flags that once sized a worker pool and
+        // a run budget are refused like any other typo.
+        for (flag, value) in [("--workers", "4"), ("--run-cache-tuples", "0")] {
+            let e = Cli::parse(["--query", "r", "--quota", "1", flag, value]).unwrap_err();
+            assert!(
+                e.0.starts_with(&format!("unknown argument {flag:?}")),
+                "{:?}",
+                e.0
+            );
+        }
     }
 
     #[test]
@@ -958,30 +942,12 @@ mod tests {
         assert!(!e.0.contains("--agg"), "batch errors must not blame a flag");
     }
 
-    #[test]
-    fn run_cache_zero_is_off_and_default_is_engine_choice() {
-        assert_eq!(
-            Cli::parse(Vec::<String>::new()).unwrap().run_cache_tuples,
-            None
-        );
-        let cli = Cli::parse(["--serve", "jobs.json", "--run-cache-tuples", "0"]).unwrap();
-        assert_eq!(cli.run_cache_tuples, Some(0));
-    }
-
     /// `--serve` used to drop most engine flags on the way to the
     /// lanes; both run modes now consume this one config.
     #[test]
     fn serve_builds_the_same_engine_config_a_query_would() {
         let clock: Arc<dyn Clock> = Arc::new(eram_storage::SimClock::new());
-        let engine_flags = [
-            "--layout",
-            "columnar",
-            "--run-cache-tuples",
-            "0",
-            "--metrics",
-            "--trace",
-            "t.jsonl",
-        ];
+        let engine_flags = ["--layout", "columnar", "--metrics", "--trace", "t.jsonl"];
         for mode in [
             &["--serve", "jobs.json"][..],
             &["--query", "r", "--quota", "1"],
@@ -989,7 +955,6 @@ mod tests {
             let cli = Cli::parse(mode.iter().chain(&engine_flags).copied()).unwrap();
             let config = cli.engine_config(&clock);
             assert_eq!(config.block_layout, BlockLayout::Columnar, "{mode:?}");
-            assert_eq!(config.run_cache_tuples, 0, "{mode:?}");
             assert!(
                 config.collect_metrics && config.tracer.is_enabled(),
                 "{mode:?}"
@@ -1000,7 +965,6 @@ mod tests {
             .unwrap()
             .engine_config(&clock);
         let defaults = EngineConfig::default();
-        assert_eq!(config.run_cache_tuples, defaults.run_cache_tuples);
         assert_eq!(config.block_layout, defaults.block_layout);
         assert!(!config.tracer.is_enabled() && !config.profiler.is_enabled());
     }
@@ -1504,7 +1468,7 @@ mod tests {
             "18446744073709551616",
             "",
         ];
-        const NUMERIC_FLAGS: [&str; 9] = [
+        const NUMERIC_FLAGS: [&str; 8] = [
             "--cache",
             "--seed",
             "--quota",
@@ -1513,7 +1477,6 @@ mod tests {
             "--fault-corrupt",
             "--fault-spike",
             "--fault-spike-ms",
-            "--run-cache-tuples",
         ];
         let csv = write_csv("hostile", "0,5\n1,15\n2,25\n3,35\n");
         let load = format!("t={}:k:int,v:int", csv.display());

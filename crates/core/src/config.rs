@@ -4,10 +4,10 @@
 //! `T`, a risk multiplier `d_β` (inside the time-control strategy), a
 //! fulfillment plan, the Section-4 cost coefficients and the stage-1
 //! join selectivity (Figure 3.3's other first-stage assumptions are
-//! constants of [`crate::seltrack`]); this reproduction adds a
-//! handful of wall-clock-only choices (run budget, block layout)
-//! and its observers. [`EngineConfig`] is the only struct
-//! that declares any of them, or its default. Everything else
+//! constants of [`crate::seltrack`]); this reproduction adds one
+//! wall-clock-only choice (block layout) and its observers.
+//! [`EngineConfig`] is the only struct that declares any of them, or
+//! its default. Everything else
 //! *holds* one: a [`crate::PreparedQuery`] carries the config its run
 //! uses, the stage loop owns a copy and lends it to every stage's
 //! [`crate::ops::StageEnv`], a [`crate::QueryServer`] holds the one
@@ -20,7 +20,7 @@ use std::sync::Arc;
 use crate::costs::CostModel;
 use crate::executor::EngineError;
 use crate::obs::{Profiler, Tracer};
-use crate::ops::{BlockLayout, Fulfillment, MemoryMode, DEFAULT_RUN_CACHE_TUPLES};
+use crate::ops::{BlockLayout, Fulfillment, MemoryMode};
 use crate::retry::RetryPolicy;
 use crate::stopping::StoppingCriterion;
 use crate::strategy::{OneAtATimeInterval, TimeControlStrategy};
@@ -66,13 +66,6 @@ pub struct EngineConfig {
     /// [`crate::ProfileSnapshot`] in the report's `profile` field.
     /// Pure observation: it never charges the clock.
     pub profiler: Profiler,
-    /// Budget (in tuples) each binary node has for sorted runs that
-    /// keep their decoded tuples; `0` keeps none. Full fulfillment
-    /// re-reads every old run once per new stage; a run that kept its
-    /// tuples serves those re-reads from memory while still charging
-    /// the exact block reads of its file, so results are
-    /// byte-identical either way.
-    pub run_cache_tuples: usize,
     /// Decode target for sampled blocks (row tuples or per-column
     /// typed arrays). Wall-clock only: results are byte-identical
     /// under either layout.
@@ -92,7 +85,6 @@ impl Default for EngineConfig {
             tracer: Tracer::disabled(),
             collect_metrics: false,
             profiler: Profiler::disabled(),
-            run_cache_tuples: DEFAULT_RUN_CACHE_TUPLES,
             block_layout: BlockLayout::default(),
         }
     }

@@ -91,10 +91,6 @@ pub enum BlockLayout {
     Columnar,
 }
 
-/// Default [`EngineConfig::run_cache_tuples`] budget: one million tuples
-/// (~200 MB of decoded 200-byte paper tuples) held per binary node.
-pub const DEFAULT_RUN_CACHE_TUPLES: usize = 1 << 20;
-
 /// Why a stage ended before completing its planned work.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StageError {
@@ -275,13 +271,9 @@ pub(crate) struct Run {
     /// in the main-memory variant.
     file: Option<HeapFile>,
     /// The tuples as sorted at ingest, shared immutably so repeated
-    /// merges never copy them: always kept by a main-memory run, and
-    /// by a disk-resident one while the node's
-    /// [`EngineConfig::run_cache_tuples`] budget had room. A run file
-    /// never changes once written, so they stay what decoding it
-    /// yields.
-    decoded: Option<Arc<[Tuple]>>,
-    tuples: u64,
+    /// merges never copy them. A run file never changes once written,
+    /// so they stay what decoding it yields.
+    tuples: Arc<[Tuple]>,
     /// Merge keys extracted once at ingest, aligned index-for-index
     /// with the run's tuples (Schwartzian transform): merges compare
     /// precomputed keys instead of re-projecting per comparison.
@@ -368,12 +360,6 @@ pub(crate) struct BinaryNode {
     pub(crate) out_blocking: f64,
     pub(crate) left_runs: Vec<Run>,
     pub(crate) right_runs: Vec<Run>,
-    /// What is left of [`EngineConfig::run_cache_tuples`]: a run of
-    /// either side keeps its decoded tuples if they fit, and takes
-    /// them off this. Every run read is charged in full either way,
-    /// so the budget changes wall-clock time only — never simulated
-    /// results.
-    pub(crate) run_room: usize,
     pub(crate) cum_out: f64,
     pub(crate) cum_leaf_points: f64,
 }
@@ -947,12 +933,12 @@ impl BinKind {
 impl BinaryNode {
     /// Total tuples across the left-side runs ingested so far.
     pub(crate) fn left_runs_tuples(&self) -> f64 {
-        self.left_runs.iter().map(|r| r.tuples as f64).sum()
+        self.left_runs.iter().map(|r| r.tuples.len() as f64).sum()
     }
 
     /// Total tuples across the right-side runs ingested so far.
     pub(crate) fn right_runs_tuples(&self) -> f64 {
-        self.right_runs.iter().map(|r| r.tuples as f64).sum()
+        self.right_runs.iter().map(|r| r.tuples.len() as f64).sum()
     }
 
     /// Number of left-side runs (one per stage so far).
@@ -1000,8 +986,8 @@ impl BinaryNode {
         };
 
         // Charged phase: per-pair run reads, comparison charges, and
-        // cost observations in the canonical pair order. A run that
-        // kept its tuples still pays every block read (and consumes
+        // cost observations in the canonical pair order. A run keeps
+        // its tuples yet still pays every block read (and consumes
         // every fault draw) of its file; only the re-decode is skipped.
         let (left_spec, right_spec) = (self.kind.left_spec(), self.kind.right_spec());
         let mut staged: Vec<StagedPair> = Vec::with_capacity(pairs.len());
@@ -1019,7 +1005,7 @@ impl BinaryNode {
                 env.now() - start,
             );
             let (lrun, rrun) = (&self.left_runs[li], &self.right_runs[ri]);
-            pair_points += lrun.tuples as f64 * rrun.tuples as f64;
+            pair_points += lrun.tuples.len() as f64 * rrun.tuples.len() as f64;
             leaf_points += lrun.leaf_points * rrun.leaf_points;
             staged.push((lt, lk, rt, rk));
         }
@@ -1063,7 +1049,7 @@ impl BinaryNode {
         let mut tuples = delta.into_rows();
         let keys = charged_sort(env, &mut tuples, &spec)?;
         let n = tuples.len();
-        let (file, decoded) = match self.memory {
+        let file = match self.memory {
             MemoryMode::DiskResident => {
                 let schema = if left {
                     self.in_schema_left.clone()
@@ -1076,22 +1062,16 @@ impl BinaryNode {
                     .map_err(StageError::Storage)?;
                 file.flush().map_err(StageError::Storage)?;
                 env.observe(CostCoeff::WriteTuple, n as f64, env.now() - start);
-                // The sorted tuples just written stay with the run
-                // while the budget has room: the fixed-width encoding
-                // round-trips bit-faithfully, so they equal what
-                // re-decoding the file would produce.
-                let keep = n <= self.run_room;
-                if keep {
-                    self.run_room -= n;
-                }
-                (Some(file), keep.then(|| tuples.into()))
+                Some(file)
             }
-            MemoryMode::MainMemory => (None, Some(tuples.into())),
+            MemoryMode::MainMemory => None,
         };
+        // The sorted tuples stay with the run: the fixed-width encoding
+        // round-trips bit-faithfully, so they equal what re-decoding
+        // the file would produce.
         let run = Run {
             file,
-            decoded,
-            tuples: n as u64,
+            tuples: tuples.into(),
             keys,
             leaf_points,
         };
@@ -1114,11 +1094,10 @@ impl BinaryNode {
 ///
 /// The tuples a run kept sit *behind* the charged fetch loop, never
 /// in front of it: every block read is charged (and every fault-plan
-/// draw consumed) exactly as for a run that kept nothing, and only a
-/// complete read is then served from memory. A degraded read (lost
-/// blocks) yields a subsequence of the run, so the ingest-time key
-/// column no longer aligns; such reads decode the survivors and
-/// rebuild their keys.
+/// draw consumed), and only a complete read is then served from
+/// memory. A degraded read (lost blocks) yields a subsequence of the
+/// run, so the ingest-time key column no longer aligns; such reads
+/// decode the survivors and rebuild their keys.
 fn read_run(
     env: &mut StageEnv<'_>,
     run: &Run,
@@ -1128,11 +1107,7 @@ fn read_run(
         if env.expired() {
             return Err(StageError::Deadline);
         }
-        let tuples = run
-            .decoded
-            .clone()
-            .expect("a run with no file keeps its tuples");
-        return Ok((tuples, run.keys.clone()));
+        return Ok((run.tuples.clone(), run.keys.clone()));
     };
     let mut fetched: Vec<(u64, Arc<Block>)> = Vec::with_capacity(file.num_blocks() as usize);
     let mut complete = true;
@@ -1145,10 +1120,10 @@ fn read_run(
             None => complete = false,
         }
     }
-    if let (true, Some(tuples)) = (complete, &run.decoded) {
-        return Ok((tuples.clone(), run.keys.clone()));
+    if complete {
+        return Ok((run.tuples.clone(), run.keys.clone()));
     }
-    // Decode phase: pure CPU over the fetched raw blocks, in block
+    // Decode phase: pure CPU over the surviving raw blocks, in block
     // order.
     let mut out: Vec<Tuple> = Vec::with_capacity(file.num_tuples() as usize);
     {
@@ -1160,11 +1135,7 @@ fn read_run(
             );
         }
     }
-    let keys = if complete {
-        run.keys.clone()
-    } else {
-        spec.column_for(&out)
-    };
+    let keys = spec.column_for(&out);
     Ok((out.into(), keys))
 }
 
@@ -1311,7 +1282,6 @@ impl Compiler<'_> {
             out_blocking: self.out_blocking(expr)?,
             left_runs: Vec::new(),
             right_runs: Vec::new(),
-            run_room: self.config.run_cache_tuples,
             cum_out: 0.0,
             cum_leaf_points: 0.0,
         }))
@@ -1327,7 +1297,7 @@ impl Compiler<'_> {
 impl PhysTree {
     /// Compiles a union/difference-free expression against stored
     /// relations as `config` plans it (selectivity defaults,
-    /// fulfillment, memory mode, run budget, block layout). `rng`
+    /// fulfillment, memory mode, block layout). `rng`
     /// seeds the per-leaf block samplers.
     pub fn build(
         expr: &Expr,
@@ -2035,96 +2005,134 @@ mod tests {
         );
     }
 
-    /// What the simulation can see of a join: each stage's output and
-    /// cost observations, then coverage and the simulated clock.
-    type JoinSim = (Vec<(Vec<Tuple>, Vec<StepObservation>)>, f64, Duration);
-
-    /// Three stages of a join (25 + 15 tuples a stage) under a
-    /// `run_cache_tuples` budget. Returns what the simulation sees,
-    /// which runs kept their tuples (left side, right side), and how
-    /// often the join itself — its leaves aside — decoded blocks.
-    fn join_under_budget(
-        run_cache_tuples: usize,
-        faults: Option<eram_storage::FaultPlan>,
-    ) -> (JoinSim, [Vec<bool>; 2], u64) {
+    /// Three stages of a join, each drawing 0.4 of both inputs, with a
+    /// recording profiler. Returns the tree, the config it ran under
+    /// and the disk its runs live on.
+    fn three_join_stages() -> (PhysTree, EngineConfig, Arc<Disk>) {
         let a: Vec<(i64, i64)> = (0..60).map(|i| (i % 6, i)).collect();
         let b: Vec<(i64, i64)> = (0..40).map(|i| (i % 6, -i)).collect();
         let (disk, cat) = setup(&[("a", a), ("b", b)]);
-        if let Some(plan) = faults {
-            disk.set_fault_plan(plan);
-        }
         let expr = Expr::relation("a").join(Expr::relation("b"), vec![(0, 0)]);
         let cfg = EngineConfig {
-            run_cache_tuples,
             profiler: crate::obs::Profiler::recording(disk.clock().clone()),
             ..EngineConfig::default()
         };
         let mut tree =
             PhysTree::build(&expr, &cat, &disk, &cfg, &mut Rng::seed_from_u64(31)).unwrap();
-        let mut stages = Vec::new();
         for _ in 0..3 {
             let mut e = StageEnv::new(disk.clone(), &cfg, None, 0.4);
-            let out = tree.advance(&mut e).unwrap().into_rows();
-            stages.push((out, e.observations));
+            tree.advance(&mut e).unwrap();
         }
+        (tree, cfg, disk)
+    }
+
+    fn join_of(tree: &PhysTree) -> &BinaryNode {
         let Node::Binary(join) = &tree.root else {
             panic!("join root");
         };
-        let kept = [&join.left_runs, &join.right_runs]
-            .map(|runs| runs.iter().map(|r| r.decoded.is_some()).collect());
+        join
+    }
+
+    /// Each side's runs with the key spec they are merged on.
+    fn sides(join: &BinaryNode) -> [(&[Run], KeySpec); 2] {
+        [
+            (&join.left_runs, join.kind.left_spec()),
+            (&join.right_runs, join.kind.right_spec()),
+        ]
+    }
+
+    /// The keys of `column` over `tuples`, one owned key per tuple.
+    fn keys_of(column: &KeyColumn, tuples: &[Tuple]) -> Vec<Vec<Value>> {
+        (0..tuples.len())
+            .map(|i| column.key_at(tuples, i).to_vec())
+            .collect()
+    }
+
+    /// What the join's own operator label spent in `phase`, in calls.
+    fn join_calls(cfg: &EngineConfig, phase: Phase) -> u64 {
         let profile = cfg.profiler.snapshot().unwrap();
-        let decodes = profile.per_operator["join"]
-            .get(Phase::BlockDecode.label())
-            .map_or(0, |p| p.calls);
-        (
-            (stages, tree.points_covered(), disk.clock().elapsed()),
-            kept,
-            decodes,
-        )
+        profile.per_operator["join"]
+            .get(phase.label())
+            .map_or(0, |p| p.calls)
     }
 
     #[test]
     fn run_cache_does_not_change_results_or_charges() {
-        // The tuples a run keeps must be invisible to the simulation:
-        // identical outputs, observations, coverage and simulated
-        // clock with the budget on or off — it only skips wall-clock
-        // re-decode work. Full fulfillment reads 2 + 6 + 10 runs over
-        // three stages; with room for all of them none is decoded.
-        let (unbounded, kept, decodes) = join_under_budget(DEFAULT_RUN_CACHE_TUPLES, None);
-        assert_eq!(kept, [vec![true; 3], vec![true; 3]]);
-        assert_eq!(decodes, 0);
-        assert_eq!(join_under_budget(0, None).0, unbounded);
-    }
-
-    #[test]
-    fn a_zero_budget_keeps_no_run_and_every_run_read_decodes() {
-        let (sim, kept, decodes) = join_under_budget(0, None);
-        assert_eq!(kept, [vec![false; 3], vec![false; 3]]);
-        assert_eq!(decodes, 18, "the later stages' re-reads included");
-        assert_eq!(sim, join_under_budget(DEFAULT_RUN_CACHE_TUPLES, None).0);
-    }
-
-    #[test]
-    fn a_budget_goes_to_the_first_runs_that_fit() {
-        // Room for the first left run (25 tuples) and for none after
-        // it: that one run is kept for good, and its three reads are
-        // the only ones not decoded.
-        let (sim, kept, decodes) = join_under_budget(25, None);
-        assert_eq!(kept, [vec![true, false, false], vec![false; 3]]);
-        assert_eq!(decodes, 18 - 3);
-        assert_eq!(sim, join_under_budget(DEFAULT_RUN_CACHE_TUPLES, None).0);
+        // Every run keeps its tuples, and they are exactly what
+        // decoding its file yields, keys included. Full fulfillment
+        // reads 1 + 3 + 5 run pairs over three stages: each of those
+        // reads fetches every block of both runs, yet a clean join
+        // never decodes a block under its own label.
+        let (tree, cfg, _disk) = three_join_stages();
+        let [left, right] = sides(join_of(&tree)).map(|(runs, spec)| {
+            assert_eq!(runs.len(), 3);
+            let mut blocks = Vec::new();
+            for run in runs {
+                let file = run.file.as_ref().expect("a disk-resident run");
+                let decoded = file.scan_uncharged().unwrap();
+                assert_eq!(*run.tuples, *decoded);
+                assert_eq!(
+                    keys_of(&run.keys, &run.tuples),
+                    keys_of(&spec.column_for(&decoded), &decoded)
+                );
+                blocks.push(file.num_blocks());
+            }
+            blocks
+        });
+        let grid: u64 = (0..3)
+            .map(|new| {
+                let with_right: u64 = (0..=new).map(|r| left[new] + right[r]).sum();
+                let with_left: u64 = (0..new).map(|l| left[l] + right[new]).sum();
+                with_right + with_left
+            })
+            .sum();
+        assert_eq!(join_calls(&cfg, Phase::Cache), grid);
+        assert_eq!(join_calls(&cfg, Phase::BlockDecode), 0);
     }
 
     #[test]
     fn degraded_run_reads_bypass_the_cache() {
-        // Corrupt run blocks drop tuples from the merge; the full
-        // copy a run kept must NOT paper over the loss. Degraded
-        // reads decode the survivors and rebuild their keys, so the
-        // plans stay identical under faults whatever the budget.
-        let plan = || Some(eram_storage::FaultPlan::new(41).with_corruption(0.3));
-        let (kept_all, _, decodes) = join_under_budget(DEFAULT_RUN_CACHE_TUPLES, plan());
-        assert!(decodes > 0, "no run read was degraded");
-        assert_eq!(kept_all, join_under_budget(0, plan()).0);
+        // Corrupt run blocks drop tuples from the merge; the full copy
+        // a run kept must NOT paper over the loss. The oracle is the
+        // file decoded over exactly the blocks that survive, keyed by
+        // `KeySpec::column_for`.
+        let (tree, cfg, disk) = three_join_stages();
+        disk.set_fault_plan(eram_storage::FaultPlan::new(41).with_corruption(0.3));
+        let mut degraded = 0;
+        for (runs, spec) in sides(join_of(&tree)) {
+            for run in runs {
+                let file = run.file.as_ref().expect("a disk-resident run");
+                let mut survivors = Vec::new();
+                for b in 0..file.num_blocks() {
+                    match file.read_block_raw(b) {
+                        Ok(block) => survivors.extend(file.decode_block(b, &block).unwrap()),
+                        Err(StorageError::Corrupt { .. }) => {}
+                        Err(e) => panic!("unexpected {e}"),
+                    }
+                }
+                let mut e = StageEnv::new(disk.clone(), &cfg, None, 0.4);
+                let (tuples, keys) = {
+                    let _op = cfg.profiler.operator(tree.root.op_label());
+                    read_run(&mut e, run, &spec).unwrap()
+                };
+                assert_eq!(*tuples, *survivors);
+                assert_eq!(
+                    keys_of(&keys, &tuples),
+                    keys_of(&spec.column_for(&survivors), &survivors)
+                );
+                if e.health.blocks_lost > 0 {
+                    degraded += 1;
+                    assert!(tuples.len() < run.tuples.len());
+                    let mut kept = run.tuples.iter();
+                    assert!(
+                        tuples.iter().all(|t| kept.any(|k| k == t)),
+                        "a degraded read is a subsequence of the kept tuples"
+                    );
+                }
+            }
+        }
+        assert!(degraded > 0, "no run read was degraded");
+        assert!(join_calls(&cfg, Phase::BlockDecode) > 0);
     }
 
     /// A leaf's stage scan over pages already fetched, in order:

@@ -47,10 +47,11 @@ impl RetryPolicy {
     }
 
     /// Checks that every backoff the policy can charge is a finite
-    /// duration: `backoff_factor` must be a finite number `≥ 0`, and
-    /// the longest backoff must fit a [`Duration`].
-    /// [`RetryPolicy::backoff_for`] panics on a policy that fails
-    /// here.
+    /// duration the simulated clock can count: `backoff_factor` must
+    /// be a finite number `≥ 0`, and the longest backoff must fit in
+    /// `u64` nanoseconds (~584 years), the
+    /// [`eram_storage::SimClock`]'s range. [`RetryPolicy::backoff_for`]
+    /// panics on a policy whose backoff does not fit a [`Duration`].
     pub fn validate(&self) -> Result<(), String> {
         let factor = self.backoff_factor;
         if !(factor.is_finite() && factor >= 0.0) {
@@ -63,9 +64,11 @@ impl RetryPolicy {
         let last = self.max_attempts.saturating_sub(1).max(1);
         for attempt in [1, last] {
             let secs = self.backoff.as_secs_f64() * factor.powi(attempt.saturating_sub(1) as i32);
-            if !self.backoff.is_zero() && Duration::try_from_secs_f64(secs).is_err() {
+            let fits = Duration::try_from_secs_f64(secs)
+                .is_ok_and(|d| u64::try_from(d.as_nanos()).is_ok());
+            if !self.backoff.is_zero() && !fits {
                 return Err(format!(
-                    "the backoff after attempt {attempt} overflows a duration"
+                    "the backoff after attempt {attempt} overflows u64 nanoseconds"
                 ));
             }
         }
@@ -139,15 +142,16 @@ mod tests {
             RetryPolicy::none(),
             with(0.0, 4),
             with(0.5, 4),
-            with(1e6, 5),
+            with(1e3, 6),
         ] {
             assert_eq!(ok.validate(), Ok(()), "{ok:?}");
             for attempt in 1..ok.max_attempts {
                 ok.backoff_for(attempt);
             }
         }
-        // One more retry and the last backoff no longer fits.
-        assert!(with(1e6, 6).validate().is_err());
+        // One more retry and the last backoff (1.5e13 s) no longer
+        // fits the simulated clock, though it fits a `Duration`.
+        assert!(with(1e3, 7).validate().is_err());
     }
 
     #[test]

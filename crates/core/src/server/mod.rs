@@ -1321,8 +1321,10 @@ fn unanswered(job: &ServerJob, at: Duration, state: JobState) -> JobReport {
     }
 }
 
+/// `d × x`, saturating at [`Duration::MAX`]: a deadline near the top
+/// of the range scales past it.
 fn scale(d: Duration, x: f64) -> Duration {
-    Duration::from_secs_f64(d.as_secs_f64() * x)
+    Duration::try_from_secs_f64(d.as_secs_f64() * x).unwrap_or(Duration::MAX)
 }
 
 #[cfg(test)]
@@ -1976,6 +1978,40 @@ mod tests {
             );
         }
         assert!(db.disk().clock().elapsed() > Duration::ZERO);
+    }
+
+    /// A deadline near `Duration::MAX` scales past it in the grant and
+    /// the watchdog grace; every job must still be served or refused
+    /// with a reason, in both lane modes.
+    #[test]
+    fn deadlines_near_duration_max_are_served() {
+        let mut db = db(6);
+        let huge = [1.84e19, 1.7e19, 1.5e19].map(Duration::from_secs_f64);
+        for concurrency in [Concurrency::Sequential, Concurrency::Interleaved] {
+            for n in 1..=huge.len() {
+                let mut jobs: Vec<ServerJob> = huge[..n]
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &deadline)| ServerJob::count(format!("eon{i}"), sel(3), deadline))
+                    .collect();
+                jobs.push(ServerJob::count("ok", sel(7), Duration::from_secs(40)));
+                let outcome = QueryServer {
+                    engine: EngineConfig::default(),
+                    concurrency,
+                }
+                .run(&mut db, jobs);
+                assert_eq!(outcome.jobs.len(), n + 1);
+                for job in &outcome.jobs {
+                    assert!(
+                        !matches!(job.state, JobState::Failed { .. }),
+                        "{concurrency:?}: {} ended {:?}",
+                        job.name,
+                        job.state
+                    );
+                }
+                assert_no_silent_blowouts(&outcome);
+            }
+        }
     }
 
     // ---- Pure shedding-policy unit tests (no engine time). ----

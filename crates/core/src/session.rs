@@ -314,9 +314,12 @@ impl CountQuery<'_> {
         self
     }
 
-    /// Sets [`EngineConfig::run_cache_tuples`].
-    pub fn run_cache(mut self, tuples: usize) -> Self {
-        self.spec.config.run_cache_tuples = tuples;
+    /// Does nothing: every sorted run keeps its tuples. Kept only
+    /// because the wall-clock benchmark's engine binding calls it for
+    /// one probe; the `[benchmark]` change of ROADMAP item 1 deletes
+    /// it.
+    #[deprecated(note = "every sorted run keeps its tuples; this call does nothing")]
+    pub fn run_cache(self, _tuples: usize) -> Self {
         self
     }
 
@@ -547,7 +550,7 @@ mod tests {
     #[test]
     #[allow(deprecated)]
     fn the_leftover_workers_setter_changes_no_byte() {
-        let run = |workers: Option<usize>| {
+        let run = |setter: Option<fn(CountQuery<'_>) -> CountQuery<'_>>| {
             let mut db = populated(9);
             let tracer = Tracer::recording(db.disk().clock().clone());
             let expr = Expr::relation("t").join(Expr::relation("t"), vec![(1, 1)]);
@@ -555,8 +558,8 @@ mod tests {
                 .count(expr)
                 .within(Duration::from_secs(6))
                 .tracer(tracer.clone());
-            if let Some(n) = workers {
-                query = query.workers(n);
+            if let Some(set) = setter {
+                query = set(query);
             }
             let out = query.run().unwrap();
             (
@@ -566,7 +569,8 @@ mod tests {
         };
         let (report, trace) = run(None);
         assert!(!trace.is_empty());
-        assert_eq!(run(Some(8)), (report, trace));
+        assert_eq!(run(Some(|q| q.workers(8))), (report.clone(), trace.clone()));
+        assert_eq!(run(Some(|q| q.run_cache(0))), (report, trace));
     }
 
     #[test]

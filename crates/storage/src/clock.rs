@@ -77,8 +77,10 @@ impl Clock for WallClock {
 /// Deterministic virtual clock; advances only via [`Clock::charge`].
 ///
 /// Internally a single atomic nanosecond counter, so charging from the
-/// evaluation inner loop is a `fetch_add` — cheap enough to call per
-/// block or per tuple batch.
+/// evaluation inner loop is one saturating compare-and-swap — cheap
+/// enough to call per block or per tuple batch. Time never runs
+/// backwards: a charge past `u64::MAX` nanoseconds (~584 years) pins
+/// the clock there.
 #[derive(Debug, Default)]
 pub struct SimClock {
     nanos: AtomicU64,
@@ -100,7 +102,12 @@ impl Clock for SimClock {
 
     fn charge(&self, d: Duration) {
         let n = u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
-        self.nanos.fetch_add(n, Ordering::Relaxed);
+        // Never `None`, so the update always applies.
+        let _ = self
+            .nanos
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |now| {
+                Some(now.saturating_add(n))
+            });
     }
 
     fn is_simulated(&self) -> bool {
@@ -183,6 +190,19 @@ mod tests {
         c.charge(Duration::from_millis(12));
         assert_eq!(c.elapsed(), Duration::from_millis(42));
         assert!(c.is_simulated());
+    }
+
+    #[test]
+    fn a_huge_charge_never_runs_time_backwards() {
+        let c = SimClock::new();
+        c.charge(Duration::from_secs(5));
+        let mut before = c.elapsed();
+        for _ in 0..2 {
+            c.charge(Duration::MAX);
+            assert!(c.elapsed() >= before, "{:?} < {before:?}", c.elapsed());
+            before = c.elapsed();
+        }
+        assert_eq!(before, Duration::from_nanos(u64::MAX));
     }
 
     #[test]

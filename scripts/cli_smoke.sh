@@ -30,7 +30,8 @@ cat > jobs.json <<'EOF'
 [
   {"name": "dash", "expr": "select[#1 < 50](t)", "deadline_secs": 8.0},
   {"name": "tiny", "expr": "t", "deadline_secs": 0.05},
-  {"name": "audit", "expr": "t", "deadline_secs": 25.0, "desired_secs": 5.0, "value": 0.5}
+  {"name": "audit", "expr": "t", "deadline_secs": 25.0, "desired_secs": 5.0, "value": 0.5},
+  {"name": "eon", "expr": "t", "deadline_secs": 1.7e19}
 ]
 EOF
 
@@ -95,13 +96,13 @@ echo "=== postmortem (eram-explain over the sequential serve)" >&2
     --format json > postmortem.json
 # Miss attribution and the tenant SLO tables must be present.
 jq -e '.miss_attribution != null' postmortem.json
-jq -e '(.tenants | length) == 3' postmortem.json
-jq -e '(.jobs | length) == 3' postmortem.json
+jq -e '(.tenants | length) == 4' postmortem.json
+jq -e '(.jobs | length) == 4' postmortem.json
 # The tenant table is one fold of the decision records: the
 # outcome alone (its ledger) and the trace alone give the same rows.
 "$explain" --outcome outcome-seq.json --format json > postmortem-outcome-only.json
 "$explain" --trace trace-seq.jsonl --format json > postmortem-trace-only.json
-jq -e '(.tenants | length) == 3' postmortem-outcome-only.json
+jq -e '(.tenants | length) == 4' postmortem-outcome-only.json
 for src in outcome trace; do
     jq -S '.tenants' postmortem-$src-only.json > tenants-$src-only.json
 done

@@ -261,7 +261,9 @@ fn out_of_range_confidence_is_refused_before_any_read() {
 /// mid-query: a join's stage-1 selectivity outside (0, 1] (at the
 /// join's compile) and a retry backoff factor that is negative, not
 /// finite or large enough to overflow a duration (at the first
-/// transient fault).
+/// transient fault); and a backoff that fits a duration but not the
+/// simulated clock's `u64` nanoseconds, which used to wrap the clock
+/// backwards.
 fn out_of_range_configs() -> Vec<EngineConfig> {
     let retry = |backoff_factor: f64| EngineConfig {
         retry: RetryPolicy {
@@ -283,6 +285,13 @@ fn out_of_range_configs() -> Vec<EngineConfig> {
         retry(f64::NAN),
         retry(f64::INFINITY),
         retry(1e300),
+        EngineConfig {
+            retry: RetryPolicy {
+                backoff: Duration::from_secs(1_000_000_000_000),
+                ..RetryPolicy::default()
+            },
+            ..EngineConfig::default()
+        },
     ]
 }
 
