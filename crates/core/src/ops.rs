@@ -820,7 +820,7 @@ impl SelectNode {
 /// comparison.
 fn charged_sort(
     env: &mut StageEnv<'_>,
-    tuples: &mut Vec<Tuple>,
+    tuples: &mut [Tuple],
     spec: &KeySpec,
 ) -> Result<KeyColumn, StageError> {
     let n = tuples.len();
@@ -1058,8 +1058,7 @@ impl BinaryNode {
                 };
                 let start = env.now();
                 let mut file = HeapFile::create(env.disk.clone(), schema, true);
-                file.append_all(tuples.iter().cloned())
-                    .map_err(StageError::Storage)?;
+                file.append_all(&tuples).map_err(StageError::Storage)?;
                 file.flush().map_err(StageError::Storage)?;
                 env.observe(CostCoeff::WriteTuple, n as f64, env.now() - start);
                 Some(file)

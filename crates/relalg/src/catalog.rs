@@ -124,7 +124,7 @@ mod tests {
             DeviceProfile::sun_3_60().without_jitter(),
             0,
         );
-        let hf = HeapFile::load(disk, schema, std::iter::empty()).unwrap();
+        let hf = HeapFile::load(disk, schema, std::iter::empty::<Tuple>()).unwrap();
         c.register("r", hf);
         assert_eq!(c.len(), 1);
         assert!(c.relation("r").is_some());

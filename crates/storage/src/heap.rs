@@ -4,7 +4,15 @@
 //! (temporary) result as a sequence of blocks, `blocking_factor`
 //! tuples per block. It is the object the cluster sampling plan draws
 //! from: "disk blocks are randomly chosen from each operand relation".
+//!
+//! A write encodes each record into the file's open page the moment it
+//! is appended ([`HeapFile::append`] borrows the tuple, so a caller
+//! that keeps its tuples copies none), and the page goes to the disk
+//! when it fills or at [`HeapFile::flush`]. The page is allocated at
+//! the first append after a write, so a handle that is only read never
+//! holds one.
 
+use std::borrow::Borrow;
 use std::sync::Arc;
 
 use crate::block::Block;
@@ -23,7 +31,9 @@ pub struct HeapFile {
     schema: Arc<Schema>,
     blocking_factor: usize,
     n_tuples: u64,
-    pending: Vec<Tuple>,
+    /// The page the next record is encoded into; `None` until the
+    /// first append after a write.
+    page: Option<Block>,
     charged_writes: bool,
 }
 
@@ -45,21 +55,19 @@ impl HeapFile {
             schema: Arc::new(schema),
             blocking_factor,
             n_tuples: 0,
-            pending: Vec::with_capacity(blocking_factor),
+            page: None,
             charged_writes,
         }
     }
 
     /// Bulk-loads a base relation without charging the clock.
-    pub fn load<I: IntoIterator<Item = Tuple>>(
+    pub fn load(
         disk: Arc<Disk>,
         schema: Schema,
-        tuples: I,
+        tuples: impl IntoIterator<Item = impl Borrow<Tuple>>,
     ) -> Result<Self> {
         let mut hf = HeapFile::create(disk, schema, false);
-        for t in tuples {
-            hf.append(t)?;
-        }
+        hf.append_all(tuples)?;
         hf.flush()?;
         Ok(hf)
     }
@@ -117,46 +125,57 @@ impl HeapFile {
     }
 
     /// Appends a tuple, writing out a block whenever one fills.
-    pub fn append(&mut self, t: Tuple) -> Result<()> {
-        self.schema.check_tuple(&t)?;
-        self.pending.push(t);
+    ///
+    /// The record is encoded into the open page at once, so a tuple
+    /// that does not match the schema is refused here and leaves the
+    /// file as it was: the next tuple takes its slot.
+    pub fn append(&mut self, t: impl Borrow<Tuple>) -> Result<()> {
+        let rec = self.schema.record_size();
+        let slot = usize::try_from(self.n_tuples % self.blocking_factor as u64).expect("fits");
+        let page = self
+            .page
+            .get_or_insert_with(|| Block::zeroed(self.disk.block_size()));
+        self.schema.encode_into(
+            t.borrow(),
+            &mut page.bytes_mut()[slot * rec..(slot + 1) * rec],
+        )?;
         self.n_tuples += 1;
-        if self.pending.len() == self.blocking_factor {
-            self.write_pending()?;
+        if slot + 1 == self.blocking_factor {
+            self.write_page()?;
         }
         Ok(())
     }
 
-    /// Appends many tuples.
-    pub fn append_all<I: IntoIterator<Item = Tuple>>(&mut self, tuples: I) -> Result<()> {
+    /// Appends many tuples, owned or borrowed.
+    pub fn append_all(
+        &mut self,
+        tuples: impl IntoIterator<Item = impl Borrow<Tuple>>,
+    ) -> Result<()> {
         for t in tuples {
             self.append(t)?;
         }
         Ok(())
     }
 
-    /// Writes out any partially filled tail block. Must be called
-    /// before reading a file that was just written.
+    /// Writes out a partially filled tail page. Must be called before
+    /// reading a file that was just written, and ends its writes: a
+    /// second flush writes nothing.
     pub fn flush(&mut self) -> Result<()> {
-        if !self.pending.is_empty() {
-            self.write_pending()?;
+        if self.n_tuples % self.blocking_factor as u64 != 0 {
+            self.write_page()?;
         }
         Ok(())
     }
 
-    fn write_pending(&mut self) -> Result<()> {
-        let mut block = Block::zeroed(self.disk.block_size());
-        let rec = self.schema.record_size();
-        for (i, t) in self.pending.iter().enumerate() {
-            self.schema
-                .encode_into(t, &mut block.bytes_mut()[i * rec..(i + 1) * rec])?;
+    /// Appends the open page, if any, to the file.
+    fn write_page(&mut self) -> Result<()> {
+        if let Some(page) = self.page.take() {
+            if self.charged_writes {
+                self.disk.append_block(self.file, page)?;
+            } else {
+                self.disk.append_block_uncharged(self.file, page)?;
+            }
         }
-        if self.charged_writes {
-            self.disk.append_block(self.file, block)?;
-        } else {
-            self.disk.append_block_uncharged(self.file, block)?;
-        }
-        self.pending.clear();
         Ok(())
     }
 
@@ -342,6 +361,114 @@ mod tests {
         let bad = Tuple::new(vec![Value::Bool(true), Value::Int(0)]);
         assert!(hf.append(bad).is_err());
         assert_eq!(hf.num_tuples(), 0);
+    }
+
+    fn mixed_schema() -> Schema {
+        Schema::new(vec![
+            ("id", ColumnType::Int),
+            ("x", ColumnType::Float),
+            ("name", ColumnType::Str { width: 6 }),
+        ])
+        .padded_to(200)
+    }
+
+    fn mixed_tuple(i: i64) -> Tuple {
+        let name = "abcdef"[..(i % 7) as usize].to_string();
+        Tuple::new(vec![
+            Value::Int(i),
+            Value::Float(i as f64 / 3.0),
+            Value::Str(name),
+        ])
+    }
+
+    /// Every block of `hf`, read back without charging the clock.
+    fn blocks_of(disk: &Disk, hf: &HeapFile) -> Vec<Block> {
+        (0..hf.num_blocks())
+            .map(|b| disk.read_block_uncharged(hf.file_id(), b).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn borrowed_and_owned_appends_write_identical_blocks() {
+        let (_, disk) = test_disk();
+        let tuples: Vec<Tuple> = (0..13).map(mixed_tuple).collect();
+        let mut borrowed = HeapFile::create(disk.clone(), mixed_schema(), true);
+        let mut owned = HeapFile::create(disk.clone(), mixed_schema(), true);
+        for t in &tuples {
+            borrowed.append(t).unwrap();
+            owned.append(t.clone()).unwrap();
+        }
+        borrowed.flush().unwrap();
+        owned.flush().unwrap();
+        let (a, b) = (blocks_of(&disk, &borrowed), blocks_of(&disk, &owned));
+        assert_eq!(a.len(), 3);
+        assert_eq!(a, b);
+        let schema = mixed_schema();
+        let mut expected = vec![0u8; schema.record_size()];
+        for (index, (x, y)) in a.iter().zip(&b).enumerate() {
+            assert_eq!(x.checksum(), y.checksum());
+            let records = borrowed.records(index as u64, x);
+            for (i, record) in records.enumerate() {
+                schema
+                    .encode_into(&tuples[index * 5 + i], &mut expected)
+                    .unwrap();
+                assert_eq!(record, &expected[..], "record {i} of block {index}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_refused_tuple_leaves_the_file_as_it_was() {
+        let (_, disk) = test_disk();
+        let good: Vec<Tuple> = (0..7).map(mixed_tuple).collect();
+        let bad = [
+            Tuple::new(vec![Value::Int(1)]),
+            Tuple::new(vec![Value::Int(1), Value::Int(2), Value::Str("a".into())]),
+            Tuple::new(vec![
+                Value::Int(1),
+                Value::Float(2.0),
+                Value::Str("seven!!".into()),
+            ]),
+        ];
+        let clean = HeapFile::load(disk.clone(), mixed_schema(), &good).unwrap();
+        let mut hf = HeapFile::create(disk.clone(), mixed_schema(), false);
+        for (i, t) in good.iter().enumerate() {
+            // Refusals land on an empty page, mid-page and on the
+            // last slot of a page.
+            if [0, 2, 4].contains(&i) {
+                for b in &bad {
+                    let (tuples, blocks) = (hf.num_tuples(), hf.num_blocks());
+                    assert!(hf.append(b).is_err());
+                    assert_eq!((hf.num_tuples(), hf.num_blocks()), (tuples, blocks));
+                }
+            }
+            hf.append(t).unwrap();
+        }
+        hf.flush().unwrap();
+        assert_eq!(blocks_of(&disk, &hf), blocks_of(&disk, &clean));
+        assert_eq!(hf.scan_uncharged().unwrap(), good);
+    }
+
+    #[test]
+    fn flush_writes_a_partial_page_exactly_once() {
+        let (_, disk) = test_disk();
+        let mut hf = HeapFile::create(disk.clone(), int_schema(), true);
+        hf.append_all((0..7).map(|i| int_tuple(i, 0))).unwrap();
+        assert_eq!(disk.stats().block_writes, 1, "the full page, at once");
+        hf.flush().unwrap();
+        assert_eq!(disk.stats().block_writes, 2);
+        hf.flush().unwrap();
+        assert_eq!(
+            disk.stats().block_writes,
+            2,
+            "a second flush writes nothing"
+        );
+        assert_eq!(hf.scan_uncharged().unwrap().len(), 7);
+        // A file that ends on a full page has nothing left to flush.
+        let mut full = HeapFile::create(disk.clone(), int_schema(), true);
+        full.append_all((0..5).map(|i| int_tuple(i, 0))).unwrap();
+        full.flush().unwrap();
+        assert_eq!(disk.stats().block_writes, 3);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 # The alternated-pairs protocol of a performance claim, as one command
 # (.claude/skills/verify/SKILL.md, "A performance claim").
 #
-# Usage: scripts/bench_pairs.sh PARENT WORKLOAD [--pairs 10] [--seed 1] [--seconds 12]
+# Usage: scripts/bench_pairs.sh PARENT WORKLOAD [--pairs 10] [--seed 1] [--seconds 12] [--layers]
 #
 # Extracts PARENT (any commit-ish) into .bench_build/<sha>/ and builds
 # its benchmark and the working tree's, offline, before timing
@@ -23,17 +23,27 @@
 # with a BENCHMARK.json bound, the change's median move beside that
 # bound, so a change that moves the simulated stream can show where
 # its columns landed.
+#
+# With --layers every run is traced instead (`--trace 1`) and the same
+# table is printed for BENCHMARK.json's per-layer metrics: where a
+# saving sits, layer by layer. That mode has no exact columns to check
+# and exits 0 once every run was correct.
 set -euo pipefail
 
 usage() {
-    echo "usage: scripts/bench_pairs.sh PARENT WORKLOAD [--pairs N] [--seed S] [--seconds S]" >&2
+    echo "usage: scripts/bench_pairs.sh PARENT WORKLOAD [--pairs N] [--seed S] [--seconds S] [--layers]" >&2
     exit 2
 }
 [ $# -ge 2 ] || usage
 rev="$1" workload="$2"
 shift 2
-pairs=10 seed=1 seconds=12
+pairs=10 seed=1 seconds=12 trace=0 section=end_to_end
 while [ $# -gt 0 ]; do
+    if [ "$1" = --layers ]; then
+        trace=1 section=per_layer
+        shift
+        continue
+    fi
     [ $# -ge 2 ] || usage
     case "$1" in
     --pairs) pairs="$2" ;;
@@ -70,7 +80,7 @@ trap 'rm -rf "$out"' EXIT
 run() {
     local log="$out/$1.$3"
     if ! (cd "$2" && bash benchmark/run.sh --workload "$workload" --seed "$seed" \
-        --seconds "$seconds" --trace 0) >"$log.txt" 2>"$log.err"; then
+        --seconds "$seconds" --trace "$trace") >"$log.txt" 2>"$log.err"; then
         echo "pair $3: the $1 run failed" >&2
         tail -n 20 "$log.err" >&2
         exit 1
@@ -100,8 +110,10 @@ values() {
     done
 }
 
-echo "== $workload: parent ${sha:0:7} vs the working tree, seed $seed, $pairs pairs of ${seconds} s"
-jq -r '.end_to_end[] | "\(.name) \(.better) \(.unit)"' BENCHMARK.json |
+title="== $workload: parent ${sha:0:7} vs the working tree, seed $seed, $pairs pairs of ${seconds} s"
+[ "$trace" = 0 ] || title="$title, traced"
+echo "$title"
+jq -r --arg s "$section" '.[$s][] | "\(.name) \(.better) \(.unit)"' BENCHMARK.json |
     while read -r metric better unit; do
         paste <(values parent "$metric") <(values change "$metric") |
             awk -v metric="$metric" -v better="$better" -v unit="$unit" -v pairs="$pairs" '
@@ -144,7 +156,7 @@ jq -r '.end_to_end[] | "\(.name) \(.better) \(.unit)"' BENCHMARK.json |
     done
 
 # The exact columns of a simulated workload, and its fingerprint.
-if ! grep -q " sim_fingerprint " "$out"/parent.*.txt "$out"/change.*.txt; then
+if [ "$trace" = 1 ] || ! grep -q " sim_fingerprint " "$out"/parent.*.txt "$out"/change.*.txt; then
     exit 0
 fi
 
