@@ -620,8 +620,8 @@ impl LeafNode {
             self.sampler.draw(want).to_vec()
         };
         // Taken after the draw: drawing is the generator's cost (and,
-        // at a leaf's first stage, the sampler's identity fill), not
-        // a per-block read cost.
+        // at the first draw past 1/128 of the relation, the sampler's
+        // identity fill), not a per-block read cost.
         let start = env.now();
         // The whole stage is known before its first block is read, so
         // the disk hears of each batch `PREFETCH_AHEAD` batches early.

@@ -11,34 +11,73 @@
 //! reach: fixing the next `d` positions of a Fisher–Yates shuffle is
 //! distributionally identical to drawing `d` more blocks uniformly
 //! from the not-yet-sampled remainder, and it costs `d` generator
-//! calls and `d` swaps per stage, with no rejection.
+//! calls per stage, with no rejection. While the draws stay within
+//! 1/128 of the relation the unfixed rest of the permutation is
+//! implicit (only the positions a swap displaced are stored), so a
+//! query that reads a few dozen blocks pays for a few dozen, not for
+//! the whole relation.
+
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use eram_storage::Rng;
 
 /// Draws disk blocks of one relation, without replacement, across
 /// stages.
 ///
-/// The first [`BlockSampler::draw`] writes the identity permutation,
-/// one sequential fill with no generator call; a plan compiled only
-/// to be costed (admission control prices every offered job this way)
-/// allocates nothing. Each draw then fixes the positions it hands
-/// out, front to back: position `k` swaps with a uniform pick from
-/// `k..=n−1`, one generator call per position, so past that fill a
-/// stage that takes `d` blocks costs `d` generator calls and `d`
-/// swaps, however large the relation. Positions below the `shuffled`
-/// high-water mark are never re-fixed, so blocks returned by
-/// [`BlockSampler::unconsume`] are handed out again without a
-/// generator call. The sampler owns its generator, so when a draw runs
-/// cannot change what it produces.
+/// Each draw fixes the positions it hands out, front to back: position
+/// `k` swaps with a uniform pick from `k..=n−1`, one generator call
+/// per position. Positions below the `shuffled` high-water mark are
+/// never re-fixed, so blocks returned by [`BlockSampler::unconsume`]
+/// are handed out again without a generator call. The sampler owns
+/// its generator, so when a draw runs cannot change what it produces.
+///
+/// The permutation starts sparse: only the fixed prefix is stored,
+/// beside a map of the unfixed positions a swap displaced (every other
+/// position still holds its own index), so a stage that takes `d`
+/// blocks costs `d` generator calls and at most `2d` map operations,
+/// however large the relation. The first draw that reaches past
+/// `n/128` writes the rest of the identity permutation, applies the
+/// map and drops it; from then on a position costs one swap in place.
+/// Both representations give the same blocks in the same order. A
+/// plan compiled only to be costed (admission control prices every
+/// offered job this way) allocates nothing.
 #[derive(Debug, Clone)]
 pub struct BlockSampler {
     num_blocks: u64,
     rng: Rng,
-    /// Empty until the first draw; then `perm[..shuffled]` is the
-    /// fixed prefix of the permutation.
+    /// `perm[..shuffled]` is the fixed prefix of the permutation; once
+    /// dense, `perm` holds all `num_blocks` positions.
     perm: Vec<u64>,
+    /// While sparse, each unfixed position (`≥ shuffled`) whose value
+    /// is not its own index, mapped to that value; `None` once dense.
+    moved: Option<HashMap<u64, u64, BuildHasherDefault<FoldHasher>>>,
     shuffled: usize,
     cursor: usize,
+}
+
+/// A multiply-fold hasher for `u64` keys: the full product with an
+/// odd constant, high half folded onto low. The keys are permutation
+/// positions the sampler's own generator picks, never outside input,
+/// so nothing here needs SipHash's resistance to chosen keys.
+#[derive(Default)]
+struct FoldHasher(u64);
+
+impl Hasher for FoldHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        let m = u128::from(x ^ self.0) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = (m as u64) ^ ((m >> 64) as u64);
+    }
 }
 
 impl BlockSampler {
@@ -49,6 +88,7 @@ impl BlockSampler {
             num_blocks,
             rng,
             perm: Vec::new(),
+            moved: Some(HashMap::default()),
             shuffled: 0,
             cursor: 0,
         }
@@ -72,18 +112,41 @@ impl BlockSampler {
     /// Draws up to `d` new blocks (fewer if the relation is nearly
     /// exhausted), returning their indices.
     pub fn draw(&mut self, d: u64) -> &[u64] {
-        if self.perm.is_empty() {
-            self.perm = (0..self.num_blocks).collect();
-        }
-        let n = self.perm.len();
+        let n = usize::try_from(self.num_blocks).expect("a relation's blocks fit in memory");
         let take = usize::try_from(d)
             .unwrap_or(usize::MAX)
             .min(n - self.cursor);
         let end = self.cursor + take;
-        // `k < end <= n`, so `n - 1` cannot underflow inside the loop.
-        for k in self.shuffled..end {
-            let j = self.rng.gen_range(k as u64..=(n - 1) as u64) as usize;
-            self.perm.swap(k, j);
+        // Past the knee a swap in place is cheaper than the map's two
+        // operations by more than the fill costs (DESIGN.md §6, "The
+        // generator").
+        if end > n / 128 {
+            if let Some(moved) = self.moved.take() {
+                self.perm.extend(self.shuffled as u64..n as u64);
+                for (p, v) in moved {
+                    self.perm[p as usize] = v;
+                }
+            }
+        }
+        // `k < end <= n`, so `n - 1` cannot underflow inside the loops.
+        if let Some(moved) = &mut self.moved {
+            moved.reserve(end.saturating_sub(self.shuffled));
+            for k in self.shuffled..end {
+                let j = self.rng.gen_range(k as u64..=(n - 1) as u64);
+                let k = k as u64;
+                let at_k = moved.remove(&k).unwrap_or(k);
+                let v = if j == k {
+                    at_k
+                } else {
+                    moved.insert(j, at_k).unwrap_or(j)
+                };
+                self.perm.push(v);
+            }
+        } else {
+            for k in self.shuffled..end {
+                let j = self.rng.gen_range(k as u64..=(n - 1) as u64) as usize;
+                self.perm.swap(k, j);
+            }
         }
         self.shuffled = self.shuffled.max(end);
         let slice = &self.perm[self.cursor..end];
@@ -99,10 +162,10 @@ impl BlockSampler {
     /// back, or those clusters become permanently unsampleable and
     /// the estimator's renormalization silently loses their points.
     /// Rewinding the permutation cursor is exact: the un-consumed
-    /// blocks sit below the `shuffled` mark, so the next draw hands
-    /// them out first, in the same order and with no generator call,
-    /// preserving the without-replacement guarantee and the draw
-    /// distribution.
+    /// blocks sit below the `shuffled` mark, in the fixed prefix of
+    /// either representation, so the next draw hands them out first,
+    /// in the same order and with no generator call, preserving the
+    /// without-replacement guarantee and the draw distribution.
     pub fn unconsume(&mut self, n: u64) {
         let back = usize::try_from(n).unwrap_or(usize::MAX).min(self.cursor);
         self.cursor -= back;
@@ -114,6 +177,174 @@ mod tests {
     use super::*;
     use eram_storage::Rng;
     use std::collections::HashSet;
+
+    /// The dense sampler, the reference the sparse one must reproduce:
+    /// the first draw writes the whole identity permutation and every
+    /// position is fixed by a swap in place.
+    #[derive(Debug, Clone)]
+    struct DenseSampler {
+        num_blocks: u64,
+        rng: Rng,
+        perm: Vec<u64>,
+        shuffled: usize,
+        cursor: usize,
+    }
+
+    impl DenseSampler {
+        fn new(num_blocks: u64, rng: Rng) -> Self {
+            DenseSampler {
+                num_blocks,
+                rng,
+                perm: Vec::new(),
+                shuffled: 0,
+                cursor: 0,
+            }
+        }
+
+        fn drawn(&self) -> u64 {
+            self.cursor as u64
+        }
+
+        fn remaining(&self) -> u64 {
+            self.num_blocks - self.cursor as u64
+        }
+
+        fn draw(&mut self, d: u64) -> &[u64] {
+            if self.perm.is_empty() {
+                self.perm = (0..self.num_blocks).collect();
+            }
+            let n = self.perm.len();
+            let take = usize::try_from(d)
+                .unwrap_or(usize::MAX)
+                .min(n - self.cursor);
+            let end = self.cursor + take;
+            // `k < end <= n`, so `n - 1` cannot underflow inside the loop.
+            for k in self.shuffled..end {
+                let j = self.rng.gen_range(k as u64..=(n - 1) as u64) as usize;
+                self.perm.swap(k, j);
+            }
+            self.shuffled = self.shuffled.max(end);
+            let slice = &self.perm[self.cursor..end];
+            self.cursor = end;
+            slice
+        }
+
+        fn unconsume(&mut self, n: u64) {
+            let back = usize::try_from(n).unwrap_or(usize::MAX).min(self.cursor);
+            self.cursor -= back;
+        }
+    }
+
+    /// One step of a draw script.
+    #[derive(Debug, Clone, Copy)]
+    enum Step {
+        Draw(u64),
+        Unconsume(u64),
+    }
+
+    /// Runs `steps` on a sparse and a dense sampler of the same seed
+    /// and asserts, after every step, the same blocks, the same counts
+    /// and the same next generator output.
+    fn assert_same_stream(n: u64, seed: u64, steps: &[Step]) {
+        let mut sparse = BlockSampler::new(n, Rng::seed_from_u64(seed));
+        let mut dense = DenseSampler::new(n, Rng::seed_from_u64(seed));
+        for (i, &step) in steps.iter().enumerate() {
+            match step {
+                Step::Draw(d) => assert_eq!(
+                    sparse.draw(d),
+                    dense.draw(d),
+                    "n={n} seed={seed} step {i}: {step:?}"
+                ),
+                Step::Unconsume(u) => {
+                    sparse.unconsume(u);
+                    dense.unconsume(u);
+                }
+            }
+            assert_eq!(
+                (sparse.drawn(), sparse.remaining()),
+                (dense.drawn(), dense.remaining()),
+                "n={n} seed={seed} step {i}: {step:?}"
+            );
+            assert_eq!(
+                sparse.rng.clone().next_u64(),
+                dense.rng.clone().next_u64(),
+                "n={n} seed={seed} step {i}: {step:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn the_sparse_sampler_draws_the_dense_samplers_stream() {
+        for n in [0u64, 1, 2, 5, 127, 128, 129, 1_000, 40_000] {
+            let knee = n / 128;
+            // Scripted: stay sparse, cross the densify point in the
+            // middle of a draw, rewind across it, redraw through it,
+            // then run the relation dry and over-rewind.
+            let scripted = [
+                Step::Draw(0),
+                Step::Draw(knee / 2),
+                Step::Draw(knee - knee / 2),
+                Step::Unconsume(knee / 3),
+                Step::Draw(knee / 3),
+                Step::Draw(knee + 3),
+                Step::Unconsume(knee + 6),
+                Step::Draw(2 * knee + 5),
+                Step::Draw(n),
+                Step::Draw(1),
+                Step::Unconsume(n + 1),
+                Step::Draw(n / 2 + 1),
+            ];
+            for seed in 0..4 {
+                assert_same_stream(n, seed, &scripted);
+            }
+            // Random scripts: draw sizes around the densify point and
+            // rewinds of up to what was drawn, plus a few past it.
+            let mut pick = Rng::seed_from_u64(n ^ 0xD2A3);
+            for seed in 0..40 {
+                let steps: Vec<Step> = (0..12)
+                    .map(|_| match pick.gen_range(0..=5) {
+                        0 => Step::Unconsume(pick.gen_range(0..=knee + 2)),
+                        1 => Step::Unconsume(pick.gen_range(0..=n + 1)),
+                        2 => Step::Draw(pick.gen_range(0..=n + 1)),
+                        _ => Step::Draw(pick.gen_range(0..=knee + 1)),
+                    })
+                    .collect();
+                assert_same_stream(n, 100 + seed, &steps);
+            }
+        }
+    }
+
+    #[test]
+    fn a_small_draw_stores_only_the_blocks_it_drew() {
+        // A 26-block draw from 40 000 blocks holds a 26-entry prefix and
+        // at most 26 displaced positions: no 40 000-entry buffer.
+        let mut s = BlockSampler::new(40_000, Rng::seed_from_u64(11));
+        assert_eq!(s.draw(26).len(), 26);
+        assert_eq!(s.perm.len(), 26);
+        assert!(s.perm.capacity() < 40_000, "{}", s.perm.capacity());
+        let moved = s.moved.as_ref().expect("a 26-block draw stays sparse");
+        assert!(moved.len() <= 26, "{}", moved.len());
+        assert!(moved.capacity() < 40_000, "{}", moved.capacity());
+    }
+
+    #[test]
+    fn a_draw_past_a_128th_of_the_relation_densifies() {
+        // 40 000 / 128 = 312: a draw ending at 312 stays sparse, the one
+        // that reaches 313 writes the whole permutation and drops the map.
+        let mut s = BlockSampler::new(40_000, Rng::seed_from_u64(11));
+        s.draw(300);
+        s.draw(12);
+        assert_eq!(s.perm.len(), 312);
+        assert!(s.moved.is_some());
+        s.draw(1);
+        assert_eq!(s.perm.len(), 40_000);
+        assert!(s.moved.is_none());
+        // A rewind does not make it sparse again.
+        s.unconsume(313);
+        s.draw(1);
+        assert_eq!(s.perm.len(), 40_000);
+        assert!(s.moved.is_none());
+    }
 
     #[test]
     fn staged_draws_never_repeat() {

@@ -93,6 +93,12 @@ pub enum StorageError {
         /// Actual string length in bytes.
         len: usize,
     },
+    /// An append to a heap file whose partial tail page a flush
+    /// already wrote: the file's writes are over.
+    AppendAfterFlush {
+        /// The flushed file.
+        file: u64,
+    },
     /// Underlying file-backed store failed.
     Io(IoFault),
 }
@@ -160,6 +166,10 @@ impl fmt::Display for StorageError {
                     "string of {len} bytes exceeds fixed column width {width}"
                 )
             }
+            StorageError::AppendAfterFlush { file } => write!(
+                f,
+                "append to file {file} after a flush wrote its partial tail page"
+            ),
             StorageError::Io(fault) => write!(f, "storage I/O error: {fault}"),
         }
     }

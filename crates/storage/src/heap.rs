@@ -128,10 +128,16 @@ impl HeapFile {
     ///
     /// The record is encoded into the open page at once, so a tuple
     /// that does not match the schema is refused here and leaves the
-    /// file as it was: the next tuple takes its slot.
+    /// file as it was: the next tuple takes its slot. So is any tuple
+    /// after a [`HeapFile::flush`] that wrote a partial page
+    /// ([`StorageError::AppendAfterFlush`]): its slot is in a block
+    /// already written.
     pub fn append(&mut self, t: impl Borrow<Tuple>) -> Result<()> {
         let rec = self.schema.record_size();
         let slot = usize::try_from(self.n_tuples % self.blocking_factor as u64).expect("fits");
+        if slot != 0 && self.page.is_none() {
+            return Err(StorageError::AppendAfterFlush { file: self.file.0 });
+        }
         let page = self
             .page
             .get_or_insert_with(|| Block::zeroed(self.disk.block_size()));
@@ -158,8 +164,10 @@ impl HeapFile {
     }
 
     /// Writes out a partially filled tail page. Must be called before
-    /// reading a file that was just written, and ends its writes: a
-    /// second flush writes nothing.
+    /// reading a file that was just written. A flush that writes a
+    /// partial page ends the file's writes: a later append is refused
+    /// and a second flush writes nothing. When the tuples fill whole
+    /// blocks there is no page to write, and appends may go on.
     pub fn flush(&mut self) -> Result<()> {
         if self.n_tuples % self.blocking_factor as u64 != 0 {
             self.write_page()?;
@@ -352,6 +360,41 @@ mod tests {
             hf.read_block_uncharged(1),
             Err(StorageError::BlockOutOfRange { .. })
         ));
+    }
+
+    #[test]
+    fn append_after_a_partial_flush_is_refused() {
+        let (_, disk) = test_disk();
+        let mut hf = HeapFile::create(disk, int_schema(), false);
+        hf.append_all((0..3).map(|i| int_tuple(i, 0))).unwrap();
+        hf.flush().unwrap();
+        assert_eq!(
+            hf.append(int_tuple(3, 0)),
+            Err(StorageError::AppendAfterFlush {
+                file: hf.file_id().0
+            })
+        );
+        hf.flush().unwrap();
+        assert_eq!((hf.num_tuples(), hf.num_blocks()), (3, 1));
+        let keys: Vec<Value> = hf
+            .scan_uncharged()
+            .unwrap()
+            .iter()
+            .map(|t| t.values()[0].clone())
+            .collect();
+        assert_eq!(keys, [0, 1, 2].map(Value::Int));
+    }
+
+    #[test]
+    fn append_after_a_flush_of_whole_blocks_goes_on() {
+        let (_, disk) = test_disk();
+        let mut hf = HeapFile::create(disk, int_schema(), false);
+        hf.append_all((0..5).map(|i| int_tuple(i, 0))).unwrap();
+        hf.flush().unwrap();
+        hf.append_all((5..7).map(|i| int_tuple(i, 0))).unwrap();
+        hf.flush().unwrap();
+        let expected: Vec<Tuple> = (0..7).map(|i| int_tuple(i, 0)).collect();
+        assert_eq!(hf.scan_uncharged().unwrap(), expected);
     }
 
     #[test]

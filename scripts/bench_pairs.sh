@@ -3,6 +3,7 @@
 # (.claude/skills/verify/SKILL.md, "A performance claim").
 #
 # Usage: scripts/bench_pairs.sh PARENT WORKLOAD [--pairs 10] [--seed 1] [--seconds 12] [--layers]
+#                               [--record FILE]
 #
 # Extracts PARENT (any commit-ish) into .bench_build/<sha>/ and builds
 # its benchmark and the working tree's, offline, before timing
@@ -28,16 +29,28 @@
 # table is printed for BENCHMARK.json's per-layer metrics: where a
 # saving sits, layer by layer. That mode has no exact columns to check
 # and exits 0 once every run was correct.
+#
+# With --record FILE it also appends to FILE one JSON line per metric
+# the table reports: the parent SHA, the change's (HEAD, marked
+# `-dirty` when the working tree differs from it), the git tree id of
+# the working tree as built (untracked files included, ignored ones
+# not; HEAD's tree when clean), the workload, seed, pairs and seconds,
+# whether the runs were traced, both sides' median and quartiles, the
+# wins, "holds", and a host note (nproc, the CPU model, the load
+# average when the runs ended). The printed table and the exit status
+# stay as they are without it. perf/trajectory.jsonl is the committed
+# file of these records; a `-dirty` record there was measured before
+# its change was committed and belongs to the commit that appends it.
 set -euo pipefail
 
 usage() {
-    echo "usage: scripts/bench_pairs.sh PARENT WORKLOAD [--pairs N] [--seed S] [--seconds S] [--layers]" >&2
+    echo "usage: scripts/bench_pairs.sh PARENT WORKLOAD [--pairs N] [--seed S] [--seconds S] [--layers] [--record FILE]" >&2
     exit 2
 }
 [ $# -ge 2 ] || usage
 rev="$1" workload="$2"
 shift 2
-pairs=10 seed=1 seconds=12 trace=0 section=end_to_end
+pairs=10 seed=1 seconds=12 trace=0 section=end_to_end record=
 while [ $# -gt 0 ]; do
     if [ "$1" = --layers ]; then
         trace=1 section=per_layer
@@ -49,11 +62,16 @@ while [ $# -gt 0 ]; do
     --pairs) pairs="$2" ;;
     --seed) seed="$2" ;;
     --seconds) seconds="$2" ;;
+    --record) record="$2" ;;
     *) usage ;;
     esac
     shift 2
 done
 [ "$pairs" -ge 1 ] 2>/dev/null || usage
+case "$record" in
+"" | /*) ;;
+*) record="$PWD/$record" ;;
+esac
 
 cd "$(dirname "$0")/.."
 root="$PWD"
@@ -74,6 +92,19 @@ done
 
 out="$(mktemp -d)"
 trap 'rm -rf "$out"' EXIT
+
+# The change as built, for --record. A dirty tree is named by content
+# as well: its git tree id, written through a copy of the index so the
+# real one is left alone.
+if [ -n "$record" ]; then
+    change="$(git rev-parse HEAD)" tree="$(git rev-parse "HEAD^{tree}")"
+    if [ -n "$(git status --porcelain)" ]; then
+        change="$change-dirty"
+        cp "$(git rev-parse --git-path index)" "$out/index"
+        GIT_INDEX_FILE="$out/index" git add -A
+        tree="$(GIT_INDEX_FILE="$out/index" git write-tree)"
+    fi
+fi
 
 # run SIDE DIR PAIR: one benchmark process; its stdout kept, its last
 # line checked.
@@ -110,13 +141,19 @@ values() {
     done
 }
 
+# One line per reported metric, for --record: name, unit, better, the
+# parent's median, q1 and q3, the change's, the wins and holds (0/1).
+summary="$out/summary.tsv"
+: >"$summary"
+
 title="== $workload: parent ${sha:0:7} vs the working tree, seed $seed, $pairs pairs of ${seconds} s"
 [ "$trace" = 0 ] || title="$title, traced"
 echo "$title"
 jq -r --arg s "$section" '.[$s][] | "\(.name) \(.better) \(.unit)"' BENCHMARK.json |
     while read -r metric better unit; do
         paste <(values parent "$metric") <(values change "$metric") |
-            awk -v metric="$metric" -v better="$better" -v unit="$unit" -v pairs="$pairs" '
+            awk -v metric="$metric" -v better="$better" -v unit="$unit" -v pairs="$pairs" \
+                -v summary="$summary" '
             function fmt(x) {
                 if (x != x + 0) return x
                 return (x >= 1e5 || x <= -1e5) ? sprintf("%.0f", x) : sprintf("%.6g", x)
@@ -152,8 +189,34 @@ jq -r --arg s "$section" '.[$s][] | "\(.name) \(.better) \(.unit)"' BENCHMARK.js
                 printf "  median [q1, q3]: parent %s [%s, %s] -> change %s [%s, %s]  %s  wins %d/%d%s\n",
                     fmt(pm), fmt(pq1), fmt(pq3), fmt(cm), fmt(cq1), fmt(cq3), delta, wins, pairs,
                     holds ? "  holds" : ""
+                printf "%s\t%s\t%s\t%.10g\t%.10g\t%.10g\t%.10g\t%.10g\t%.10g\t%d\t%d\n",
+                    metric, unit, better, pm, pq1, pq3, cm, cq1, cq3, wins, holds >>summary
             }'
     done
+
+if [ -n "$record" ]; then
+    cpu="$(awk -F': *' '/^model name/ { print $2; exit }' /proc/cpuinfo)"
+    load="$(cut -d' ' -f1-3 /proc/loadavg)" date="$(date -u +%Y-%m-%dT%H:%M:%SZ)"
+    traced=false
+    [ "$trace" = 0 ] || traced=true
+    while IFS=$'\t' read -r metric unit better pm pq1 pq3 cm cq1 cq3 wins holds; do
+        jq -nc --arg parent "$sha" --arg change "$change" --arg tree "$tree" \
+            --arg workload "$workload" \
+            --argjson seed "$seed" --argjson pairs "$pairs" --argjson seconds "$seconds" \
+            --argjson traced "$traced" --arg metric "$metric" --arg unit "$unit" \
+            --arg better "$better" --argjson pm "$pm" --argjson pq1 "$pq1" --argjson pq3 "$pq3" \
+            --argjson cm "$cm" --argjson cq1 "$cq1" --argjson cq3 "$cq3" \
+            --argjson wins "$wins" --argjson holds "$holds" \
+            --argjson nproc "$(nproc)" --arg cpu "$cpu" --arg load "$load" --arg date "$date" '{
+                parent: $parent, change: $change, tree: $tree, date: $date, workload: $workload,
+                seed: $seed, pairs: $pairs, seconds: $seconds, traced: $traced,
+                metric: $metric, unit: $unit, better: $better,
+                parent_median: $pm, parent_q1: $pq1, parent_q3: $pq3,
+                change_median: $cm, change_q1: $cq1, change_q3: $cq3,
+                wins: $wins, holds: ($holds == 1),
+                host: { nproc: $nproc, cpu: $cpu, loadavg: $load } }' >>"$record"
+    done <"$summary"
+fi
 
 # The exact columns of a simulated workload, and its fingerprint.
 if [ "$trace" = 1 ] || ! grep -q " sim_fingerprint " "$out"/parent.*.txt "$out"/change.*.txt; then
