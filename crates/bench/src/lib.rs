@@ -14,7 +14,7 @@
 //! | `fig5_3_join`       | Figure 5.3  | join with 70 000 output tuples, 2.5 s quota, assumed stage-1 selectivity 0.1 |
 //!
 //! plus ablations (`abl_strategies`, `abl_adaptive_costs`,
-//! `abl_fulfillment`, `abl_estimator_accuracy`, `abl_memory_mode`,
+//! `abl_fulfillment`, `abl_estimator_accuracy`, `abl_buffer_cache`,
 //! `abl_clustering`, `abl_faults`, `abl_convergence`, `abl_groupby`,
 //! `abl_admission`) for the design
 //! choices the paper discusses qualitatively.

@@ -4,7 +4,8 @@
 //! `T`, a risk multiplier `d_β` (inside the time-control strategy), a
 //! fulfillment plan, the Section-4 cost coefficients and the stage-1
 //! join selectivity (Figure 3.3's other first-stage assumptions are
-//! constants of [`crate::seltrack`]); this reproduction adds one
+//! constants of [`crate::seltrack`]). Every plan is the paper's
+//! disk-resident one ([`crate::ops`]); this reproduction adds one
 //! wall-clock-only choice (block layout) and its observers.
 //! [`EngineConfig`] is the only struct that declares any of them, or
 //! its default. Everything else
@@ -20,7 +21,7 @@ use std::sync::Arc;
 use crate::costs::CostModel;
 use crate::executor::EngineError;
 use crate::obs::{Profiler, Tracer};
-use crate::ops::{BlockLayout, Fulfillment, MemoryMode};
+use crate::ops::{BlockLayout, Fulfillment};
 use crate::retry::RetryPolicy;
 use crate::stopping::StoppingCriterion;
 use crate::strategy::{OneAtATimeInterval, TimeControlStrategy};
@@ -50,8 +51,6 @@ pub struct EngineConfig {
     pub join_selectivity: f64,
     /// Binary-operator fulfillment plan.
     pub fulfillment: Fulfillment,
-    /// Disk-resident or main-memory evaluation.
-    pub memory: MemoryMode,
     /// How transient storage faults are retried (backoff charged to
     /// the query clock).
     pub retry: RetryPolicy,
@@ -80,7 +79,6 @@ impl Default for EngineConfig {
             cost_model: None,
             join_selectivity: 1.0,
             fulfillment: Fulfillment::Full,
-            memory: MemoryMode::DiskResident,
             retry: RetryPolicy::default(),
             tracer: Tracer::disabled(),
             collect_metrics: false,

@@ -86,7 +86,7 @@ pub use obs::{
     MetricsSnapshot, OperatorGuard, Phase, PhaseGuard, PhaseStats, PhaseTotals, ProfileSnapshot,
     Profiler, SpanGuard, TraceKind, TraceRecord, Tracer, ENGINE_OPERATOR, SCHEMA_VERSION,
 };
-pub use ops::{BlockLayout, Fulfillment, MemoryMode, StageError, StageHealth};
+pub use ops::{BlockLayout, Fulfillment, StageError, StageHealth};
 pub use report::{ExecutionReport, GroupReport, RefusalReason, ReportHealth, StageReport};
 pub use retry::RetryPolicy;
 pub use server::{

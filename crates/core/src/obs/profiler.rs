@@ -23,7 +23,7 @@
 //!
 //! | phase | where it is charged |
 //! |---|---|
-//! | `block_decode` | reading a fetched block: a leaf's scan of each block as it is read (one call per block), and the decode of a run re-read that did not keep its tuples (one call per run) |
+//! | `block_decode` | reading a fetched block: a leaf's scan of each block as it is read (one call per block); a run re-read serves the tuples its run kept and never decodes |
 //! | `run_merge` | merging a binary operator's sorted run pairs (one call per stage) |
 //! | `estimator_math` | combining stage estimates into the running estimator |
 //! | `rng_draw` | drawing the stage's block sample from the sampler RNG |

@@ -24,6 +24,11 @@
 //! maintaining group occupancies for Goodman's estimator. Every step
 //! charges the device clock *and* reports its measured duration so
 //! the adaptive cost model can re-fit its coefficients.
+//!
+//! This is the paper's one evaluation design: "all the input
+//! relations and all the intermediate relations are always kept on
+//! disks". Every operator charges the write of its output, and every
+//! sorted run has its file, re-read (and charged) at each merge.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -51,26 +56,6 @@ pub enum Fulfillment {
     Full,
     /// Combine only same-stage samples ([HoOT 88a]'s cheaper plan).
     Partial,
-}
-
-/// Where intermediate results live during evaluation.
-///
-/// The paper's prototype keeps "all the input relations and all the
-/// intermediate relations ... always on disks", motivated by very
-/// large databases; it also announces a main-memory variant: "after
-/// samples are taken, all data processing is confined to the main
-/// memory ... the sampling approach with a time-control mechanism
-/// can be efficiently implemented and will be very promising for
-/// real-time database applications". Both are implemented.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MemoryMode {
-    /// Intermediate results are written to and re-read from disk
-    /// (the prototype's design; the Section 4 cost formulas).
-    #[default]
-    DiskResident,
-    /// After sample blocks are read, all processing stays in memory:
-    /// no temporary files, no output materialization.
-    MainMemory,
 }
 
 /// How a leaf decodes the blocks it samples.
@@ -267,9 +252,8 @@ impl Delta {
 /// One sorted run of a binary operator's input (a stage's worth).
 pub(crate) struct Run {
     /// The temporary file the run was written to, re-read (charged)
-    /// at every merge — the prototype's disk-resident design. `None`
-    /// in the main-memory variant.
-    file: Option<HeapFile>,
+    /// at every merge — the prototype's disk-resident design.
+    file: HeapFile,
     /// The tuples as sorted at ingest, shared immutably so repeated
     /// merges never copy them. A run file never changes once written,
     /// so they stay what decoding it yields.
@@ -282,15 +266,25 @@ pub(crate) struct Run {
     leaf_points: f64,
 }
 
+impl Run {
+    /// The share of the run's tuples that a read of `read` of them
+    /// served: exactly 1 for a complete read, and for an empty run.
+    fn surviving_share(&self, read: usize) -> f64 {
+        if self.tuples.is_empty() {
+            1.0
+        } else {
+            read as f64 / self.tuples.len() as f64
+        }
+    }
+}
+
 /// A run file is a temporary of the operator that wrote it: its
 /// blocks go back to the disk with the run. Freeing charges nothing
 /// and file ids are never reused, so no later charge, fault decision
 /// or trace byte depends on it.
 impl Drop for Run {
     fn drop(&mut self) {
-        if let Some(file) = &self.file {
-            file.disk().free_file(file.file_id());
-        }
+        self.file.disk().free_file(self.file.file_id());
     }
 }
 
@@ -324,7 +318,6 @@ pub(crate) struct SelectNode {
     /// the row filter below never runs.
     pub(crate) fused: Option<FusedScan>,
     pub(crate) tracker: SelTracker,
-    pub(crate) memory: MemoryMode,
     pub(crate) out_blocking: f64,
     pub(crate) cum_out: f64,
     pub(crate) cum_leaf_points: f64,
@@ -334,7 +327,6 @@ pub(crate) struct ProjectNode {
     pub(crate) child: Box<Node>,
     pub(crate) columns: Vec<usize>,
     pub(crate) tracker: SelTracker,
-    pub(crate) memory: MemoryMode,
     pub(crate) out_blocking: f64,
     /// Distinct groups seen so far with their sample occupancies
     /// (Goodman's estimator input).
@@ -354,7 +346,6 @@ pub(crate) struct BinaryNode {
     pub(crate) right: Box<Node>,
     pub(crate) tracker: SelTracker,
     pub(crate) fulfillment: Fulfillment,
-    pub(crate) memory: MemoryMode,
     pub(crate) in_schema_left: Schema,
     pub(crate) in_schema_right: Schema,
     pub(crate) out_blocking: f64,
@@ -802,9 +793,7 @@ impl SelectNode {
         };
         let n_out = out.record_count() as f64;
         env.observe(CostCoeff::ScanTuple, n_in as f64, env.now() - start);
-        if self.memory == MemoryMode::DiskResident {
-            charge_tuple_writes(env, n_out, self.out_blocking)?;
-        }
+        charge_tuple_writes(env, n_out, self.out_blocking)?;
 
         self.tracker.record_stage(n_out, n_in as f64);
         self.cum_out += n_out;
@@ -880,10 +869,8 @@ impl ProjectNode {
             }
         }
         env.observe(CostCoeff::MergeTuple, merge_units, env.now() - start);
-        if self.memory == MemoryMode::DiskResident {
-            // Rewrite the distinct file with the enlarged group set.
-            charge_tuple_writes(env, self.occupancy.len() as f64, self.out_blocking)?;
-        }
+        // Rewrite the distinct file with the enlarged group set.
+        charge_tuple_writes(env, self.occupancy.len() as f64, self.out_blocking)?;
 
         self.tracker
             .record_stage(new_groups.len() as f64, n_in as f64);
@@ -1004,9 +991,12 @@ impl BinaryNode {
                 (lt.len() + rt.len()) as f64,
                 env.now() - start,
             );
+            // A pair covers what it merged: lost run blocks take their
+            // tuples' share of the run's leaf points with them.
             let (lrun, rrun) = (&self.left_runs[li], &self.right_runs[ri]);
-            pair_points += lrun.tuples.len() as f64 * rrun.tuples.len() as f64;
-            leaf_points += lrun.leaf_points * rrun.leaf_points;
+            pair_points += lt.len() as f64 * rt.len() as f64;
+            leaf_points += (lrun.leaf_points * lrun.surviving_share(lt.len()))
+                * (rrun.leaf_points * rrun.surviving_share(rt.len()));
             staged.push((lt, lk, rt, rk));
         }
         // Merge phase: each pair's keyed merge is pure CPU over the
@@ -1024,9 +1014,7 @@ impl BinaryNode {
         // Materialize the operator's new output (kept on disk in the
         // prototype's design: "all the intermediate relations are
         // always kept on disks").
-        if self.memory == MemoryMode::DiskResident {
-            charge_tuple_writes(env, out.len() as f64, self.out_blocking)?;
-        }
+        charge_tuple_writes(env, out.len() as f64, self.out_blocking)?;
 
         self.tracker.record_stage(out.len() as f64, pair_points);
         self.cum_out += out.len() as f64;
@@ -1049,22 +1037,16 @@ impl BinaryNode {
         let mut tuples = delta.into_rows();
         let keys = charged_sort(env, &mut tuples, &spec)?;
         let n = tuples.len();
-        let file = match self.memory {
-            MemoryMode::DiskResident => {
-                let schema = if left {
-                    self.in_schema_left.clone()
-                } else {
-                    self.in_schema_right.clone()
-                };
-                let start = env.now();
-                let mut file = HeapFile::create(env.disk.clone(), schema, true);
-                file.append_all(&tuples).map_err(StageError::Storage)?;
-                file.flush().map_err(StageError::Storage)?;
-                env.observe(CostCoeff::WriteTuple, n as f64, env.now() - start);
-                Some(file)
-            }
-            MemoryMode::MainMemory => None,
+        let schema = if left {
+            self.in_schema_left.clone()
+        } else {
+            self.in_schema_right.clone()
         };
+        let start = env.now();
+        let mut file = HeapFile::create(env.disk.clone(), schema, true);
+        file.append_all(&tuples).map_err(StageError::Storage)?;
+        file.flush().map_err(StageError::Storage)?;
+        env.observe(CostCoeff::WriteTuple, n as f64, env.now() - start);
         // The sorted tuples stay with the run: the fixed-width encoding
         // round-trips bit-faithfully, so they equal what re-decoding
         // the file would produce.
@@ -1085,55 +1067,38 @@ impl BinaryNode {
 
 /// Reads a whole sorted run, honouring the deadline at block
 /// granularity, and returns it as a shared slice plus its aligned
-/// merge-key column. Disk-resident runs charge block reads; in-memory
-/// runs are free — that asymmetry *is* the main-memory variant's
-/// advantage. Run blocks go through the same retry-or-drop policy as
-/// sample blocks: a lost run block under-merges its tuples, which is
-/// degradation, not failure.
+/// merge-key column. Every block read is charged (and every fault-plan
+/// draw consumed). Run blocks go through the same retry-or-drop policy
+/// as sample blocks: a lost run block under-merges its tuples, which
+/// is degradation, not failure.
 ///
 /// The tuples a run kept sit *behind* the charged fetch loop, never
-/// in front of it: every block read is charged (and every fault-plan
-/// draw consumed), and only a complete read is then served from
-/// memory. A degraded read (lost blocks) yields a subsequence of the
-/// run, so the ingest-time key column no longer aligns; such reads
-/// decode the survivors and rebuild their keys.
+/// in front of it, and no block is decoded: the run was appended in
+/// sorted order, so block `b` holds `tuples[b·bf .. min((b+1)·bf, n)]`
+/// for the file's blocking factor `bf`. A complete read serves the
+/// kept tuples and keys as they are; a degraded read (lost blocks)
+/// serves the kept tuples of the surviving blocks, and rebuilds their
+/// keys, since the ingest-time key column no longer aligns.
 fn read_run(
     env: &mut StageEnv<'_>,
     run: &Run,
     spec: &KeySpec,
 ) -> Result<(Arc<[Tuple]>, KeyColumn), StageError> {
-    let Some(file) = &run.file else {
-        if env.expired() {
-            return Err(StageError::Deadline);
-        }
-        return Ok((run.tuples.clone(), run.keys.clone()));
-    };
-    let mut fetched: Vec<(u64, Arc<Block>)> = Vec::with_capacity(file.num_blocks() as usize);
+    let mut survivors: Vec<&[Tuple]> = Vec::with_capacity(run.file.num_blocks() as usize);
     let mut complete = true;
-    for b in 0..file.num_blocks() {
+    for (b, kept) in run.tuples.chunks(run.file.blocking_factor()).enumerate() {
         if env.expired() {
             return Err(StageError::Deadline);
         }
-        match read_block_resilient_raw(env, file, b)? {
-            Some(block) => fetched.push((b, block)),
+        match read_block_resilient_raw(env, &run.file, b as u64)? {
+            Some(_) => survivors.push(kept),
             None => complete = false,
         }
     }
     if complete {
         return Ok((run.tuples.clone(), run.keys.clone()));
     }
-    // Decode phase: pure CPU over the surviving raw blocks, in block
-    // order.
-    let mut out: Vec<Tuple> = Vec::with_capacity(file.num_tuples() as usize);
-    {
-        let _phase = env.config.profiler.phase(Phase::BlockDecode);
-        for (idx, block) in fetched {
-            out.extend(
-                file.decode_block(idx, &block)
-                    .map_err(StageError::Storage)?,
-            );
-        }
-    }
+    let out = survivors.concat();
     let keys = spec.column_for(&out);
     Ok((out.into(), keys))
 }
@@ -1202,7 +1167,6 @@ impl Compiler<'_> {
                     predicate: predicate.clone(),
                     fused,
                     tracker,
-                    memory: self.config.memory,
                     out_blocking,
                     cum_out: 0.0,
                     cum_leaf_points: 0.0,
@@ -1214,7 +1178,6 @@ impl Compiler<'_> {
                     child: Box::new(child),
                     columns: columns.clone(),
                     tracker,
-                    memory: self.config.memory,
                     out_blocking,
                     occupancy: BTreeMap::new(),
                     cum_in: 0.0,
@@ -1277,7 +1240,6 @@ impl Compiler<'_> {
             right: Box::new(r),
             tracker,
             fulfillment: self.config.fulfillment,
-            memory: self.config.memory,
             out_blocking: self.out_blocking(expr)?,
             left_runs: Vec::new(),
             right_runs: Vec::new(),
@@ -1296,7 +1258,7 @@ impl Compiler<'_> {
 impl PhysTree {
     /// Compiles a union/difference-free expression against stored
     /// relations as `config` plans it (selectivity defaults,
-    /// fulfillment, memory mode, block layout). `rng`
+    /// fulfillment, block layout). `rng`
     /// seeds the per-leaf block samplers.
     pub fn build(
         expr: &Expr,
@@ -1964,46 +1926,6 @@ mod tests {
         assert_eq!(d.record_count(), 5); // one block of 5 tuples
     }
 
-    #[test]
-    fn main_memory_mode_matches_disk_results_cheaper() {
-        let a: Vec<(i64, i64)> = (0..60).map(|i| (i, 0)).collect();
-        let b: Vec<(i64, i64)> = (30..90).map(|i| (i, 0)).collect();
-        let (disk, cat) = setup(&[("a", a), ("b", b)]);
-        let expr = Expr::relation("a").intersect(Expr::relation("b"));
-        let build = |memory: MemoryMode| {
-            let cfg = EngineConfig {
-                memory,
-                ..EngineConfig::default()
-            };
-            PhysTree::build(&expr, &cat, &disk, &cfg, &mut Rng::seed_from_u64(77)).unwrap()
-        };
-        let mut on_disk = build(MemoryMode::DiskResident);
-        let t0 = disk.clock().elapsed();
-        for _ in 0..3 {
-            let mut e = env(&disk, 0.4);
-            on_disk.advance(&mut e).unwrap();
-        }
-        let disk_cost = disk.clock().elapsed() - t0;
-
-        let mut in_mem = build(MemoryMode::MainMemory);
-        let t1 = disk.clock().elapsed();
-        for _ in 0..3 {
-            let mut e = env(&disk, 0.4);
-            in_mem.advance(&mut e).unwrap();
-        }
-        let mem_cost = disk.clock().elapsed() - t1;
-
-        // Identical answers (same seed → same sample order)…
-        assert_eq!(on_disk.ones_found(), in_mem.ones_found());
-        assert_eq!(on_disk.points_covered(), in_mem.points_covered());
-        assert_eq!(on_disk.ones_found(), 30.0);
-        // …at a fraction of the simulated cost.
-        assert!(
-            mem_cost < disk_cost / 2,
-            "main memory {mem_cost:?} vs disk {disk_cost:?}"
-        );
-    }
-
     /// Three stages of a join, each drawing 0.4 of both inputs, with a
     /// recording profiler. Returns the tree, the config it ran under
     /// and the disk its runs live on.
@@ -2067,7 +1989,7 @@ mod tests {
             assert_eq!(runs.len(), 3);
             let mut blocks = Vec::new();
             for run in runs {
-                let file = run.file.as_ref().expect("a disk-resident run");
+                let file = &run.file;
                 let decoded = file.scan_uncharged().unwrap();
                 assert_eq!(*run.tuples, *decoded);
                 assert_eq!(
@@ -2094,13 +2016,14 @@ mod tests {
         // Corrupt run blocks drop tuples from the merge; the full copy
         // a run kept must NOT paper over the loss. The oracle is the
         // file decoded over exactly the blocks that survive, keyed by
-        // `KeySpec::column_for`.
+        // `KeySpec::column_for`; the read itself slices the kept
+        // tuples and decodes nothing.
         let (tree, cfg, disk) = three_join_stages();
         disk.set_fault_plan(eram_storage::FaultPlan::new(41).with_corruption(0.3));
         let mut degraded = 0;
         for (runs, spec) in sides(join_of(&tree)) {
             for run in runs {
-                let file = run.file.as_ref().expect("a disk-resident run");
+                let file = &run.file;
                 let mut survivors = Vec::new();
                 for b in 0..file.num_blocks() {
                     match file.read_block_raw(b) {
@@ -2131,7 +2054,7 @@ mod tests {
             }
         }
         assert!(degraded > 0, "no run read was degraded");
-        assert!(join_calls(&cfg, Phase::BlockDecode) > 0);
+        assert_eq!(join_calls(&cfg, Phase::BlockDecode), 0);
     }
 
     /// A leaf's stage scan over pages already fetched, in order:

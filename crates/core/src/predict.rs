@@ -13,14 +13,16 @@
 //! merge grid (eq. 4.4, including the cross-stage run pairs that make
 //! join/intersect stage cost grow with the stage number); projection
 //! sort + dedup merge (Figure 4.7) — using the adaptive coefficients
-//! of [`CostModel`]. Which selectivity each operator contributes is
+//! of [`CostModel`]. Every operator's output write is priced; at the
+//! root it is the only term that grows with the root's selectivity,
+//! so it is where `d_β`'s inflation reaches the root's prediction. Which selectivity each operator contributes is
 //! delegated to a [`SelPolicy`], so the same walk serves the
 //! One-at-a-Time-Interval strategy (inflated `sel⁺`), the
 //! Single-Interval strategy (means, then per-operator perturbations
 //! for the variance), and the heuristic.
 
 use crate::costs::{CostCoeff, CostModel};
-use crate::ops::{BinaryNode, Fulfillment, MemoryMode, Node, PhysTree};
+use crate::ops::{BinaryNode, Fulfillment, Node, PhysTree};
 use crate::seltrack::SelTracker;
 
 /// How the prediction walk turns a tracker into a selectivity.
@@ -141,10 +143,7 @@ impl Walk<'_> {
                 let n_in = child.out_tuples;
                 let sel = self.policy.selectivity(my_index, &s.tracker, n_in);
                 let out = sel * n_in;
-                let write = match s.memory {
-                    MemoryMode::DiskResident => self.model.predict(CostCoeff::WriteTuple, out),
-                    MemoryMode::MainMemory => 0.0,
-                };
+                let write = self.model.predict(CostCoeff::WriteTuple, out);
                 let cost = child.cost + self.model.predict(CostCoeff::ScanTuple, n_in) + write;
                 NodePrediction {
                     out_tuples: out,
@@ -158,12 +157,7 @@ impl Walk<'_> {
                 let sel = self.policy.selectivity(my_index, &p.tracker, n);
                 let new_groups = sel * n;
                 let cum = p.occupancy.len() as f64;
-                let write = match p.memory {
-                    MemoryMode::DiskResident => {
-                        self.model.predict(CostCoeff::WriteTuple, cum + new_groups)
-                    }
-                    MemoryMode::MainMemory => 0.0,
-                };
+                let write = self.model.predict(CostCoeff::WriteTuple, cum + new_groups);
                 let cost = child.cost
                     + self.model.predict(CostCoeff::ScanTuple, n)
                     + self.model.predict(CostCoeff::SortUnit, nlogn(n))
@@ -183,13 +177,8 @@ impl Walk<'_> {
                 let (pair_points, merge_units) = binary_pairs(b, n_l, n_r);
                 let sel = self.policy.selectivity(my_index, &b.tracker, pair_points);
                 let out = sel * pair_points;
-                let write = match b.memory {
-                    MemoryMode::DiskResident => {
-                        self.model.predict(CostCoeff::WriteTuple, n_l + n_r)
-                            + self.model.predict(CostCoeff::WriteTuple, out)
-                    }
-                    MemoryMode::MainMemory => 0.0,
-                };
+                let write = self.model.predict(CostCoeff::WriteTuple, n_l + n_r)
+                    + self.model.predict(CostCoeff::WriteTuple, out);
                 let cost = left.cost
                     + right.cost
                     + self

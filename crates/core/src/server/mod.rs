@@ -1331,7 +1331,7 @@ fn scale(d: Duration, x: f64) -> Duration {
 mod tests {
     use super::*;
     use crate::obs::{TraceRecord, Tracer};
-    use crate::ops::MemoryMode;
+    use crate::ops::Fulfillment;
     use eram_relalg::{CmpOp, Predicate};
     use eram_storage::{ColumnType, FaultPlan, Schema, Tuple, Value};
 
@@ -1482,25 +1482,24 @@ mod tests {
     }
 
     /// The lanes run under the server's [`EngineConfig`], whatever it
-    /// sets: a join served with main-memory evaluation writes no run
-    /// files, where the default (disk-resident) one does.
+    /// sets: a join served under partial fulfillment re-reads fewer
+    /// run blocks than under the default full fulfillment.
     #[test]
     fn lanes_run_under_the_servers_engine_config() {
-        let block_writes = |memory: MemoryMode| {
+        let block_reads = |fulfillment: Fulfillment| {
             let mut db = db(24);
             let join = Expr::relation("t").join(Expr::relation("t"), vec![(0, 0)]);
             let mut server = QueryServer::new();
             server.engine.collect_metrics = true;
-            server.engine.memory = memory;
+            server.engine.fulfillment = fulfillment;
             let job = ServerJob::count("join", join, Duration::from_secs(30));
             let outcome = server.run(&mut db, vec![job]);
             let report = outcome.jobs[0].report.as_ref().expect("the join ran");
             assert!(report.completed_stages() >= 1);
             let metrics = report.metrics.as_ref().expect("metrics were requested");
-            metrics.counter("storage.block_writes")
+            metrics.counter("storage.block_reads")
         };
-        assert!(block_writes(MemoryMode::DiskResident) > 0);
-        assert_eq!(block_writes(MemoryMode::MainMemory), 0);
+        assert!(block_reads(Fulfillment::Partial) < block_reads(Fulfillment::Full));
     }
 
     #[test]

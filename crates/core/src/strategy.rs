@@ -331,28 +331,38 @@ mod tests {
         assert!(plan.predicted >= Duration::from_secs(8), "uses most of it");
     }
 
+    /// `d_β` reaches every root the engine builds: after one observed
+    /// stage, an inflated selectivity shrinks stage 2 of a selection,
+    /// an intersection and a join alike.
     #[test]
     fn higher_d_beta_means_smaller_stage() {
         let (disk, cat) = setup();
-        let mut tree = select_tree(&disk, &cat);
-        // Observe some data so inflation differs from the mean.
-        let cfg = EngineConfig::default();
-        let mut env = StageEnv::new(disk.clone(), &cfg, None, 0.005);
-        tree.advance(&mut env).unwrap();
-        let trees = [tree];
-        let model = CostModel::generic_default();
-        let f0 = OneAtATimeInterval::new(0.0)
-            .plan_stage(&trees, &model, Duration::from_secs(5), 2)
-            .unwrap()
-            .fraction;
-        let f48 = OneAtATimeInterval::new(48.0)
-            .plan_stage(&trees, &model, Duration::from_secs(5), 2)
-            .unwrap()
-            .fraction;
-        assert!(
-            f48 < f0,
-            "inflated selectivity must shrink the stage: {f48} vs {f0}"
-        );
+        let r = || Expr::relation("r");
+        for expr in [
+            r().select(Predicate::col_cmp(1, CmpOp::Lt, 5)),
+            r().intersect(r()),
+            r().join(r(), vec![(1, 1)]),
+        ] {
+            let cfg = EngineConfig::default();
+            let mut tree =
+                PhysTree::build(&expr, &cat, &disk, &cfg, &mut Rng::seed_from_u64(17)).unwrap();
+            // Observe some data so inflation differs from the mean.
+            let mut env = StageEnv::new(disk.clone(), &cfg, None, 0.005);
+            tree.advance(&mut env).unwrap();
+            let trees = [tree];
+            let model = CostModel::generic_default();
+            let fraction = |d_beta: f64| {
+                OneAtATimeInterval::new(d_beta)
+                    .plan_stage(&trees, &model, Duration::from_secs(60), 2)
+                    .unwrap_or_else(|| panic!("{expr}: no stage 2 at d_beta {d_beta}"))
+                    .fraction
+            };
+            let (f0, f48) = (fraction(0.0), fraction(48.0));
+            assert!(
+                f48 < f0,
+                "{expr}: inflated selectivity must shrink the stage: {f48} vs {f0}"
+            );
+        }
     }
 
     #[test]

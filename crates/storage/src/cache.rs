@@ -6,9 +6,9 @@
 //! disks"), so the root disk's cache is **off by default** and the
 //! Section 5 experiments run without it. It exists because the
 //! full-fulfillment plan re-reads every previous stage's runs at every
-//! stage — with a buffer pool those re-reads become cheap, which is a
-//! meaningful middle ground between the paper's disk-resident and
-//! main-memory designs. Enable it with [`crate::Disk::new_cached`].
+//! stage — with a buffer pool those re-reads become cheap, while every
+//! write and every read is still charged as the Section 4 cost
+//! formulas price it. Enable it with [`crate::Disk::new_cached`].
 //!
 //! The same map serves a batch of co-admitted jobs
 //! ([`BlockCache::unbounded`], handed to every lane view): the first

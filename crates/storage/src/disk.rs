@@ -185,6 +185,7 @@ pub struct Disk {
 
 impl Disk {
     /// Creates an in-memory disk with the paper's default 1 KB blocks.
+    /// Panics on a profile [`Disk::open`] refuses.
     pub fn new(clock: Arc<dyn Clock>, profile: DeviceProfile, seed: u64) -> Arc<Self> {
         Self::open(clock, profile, seed, None, 0).expect("an in-memory disk always opens")
     }
@@ -206,7 +207,9 @@ impl Disk {
     /// (which must exist), fronted by an LRU buffer cache of
     /// `cache_blocks` blocks (0 = none, the paper's setup). Charged
     /// reads that hit the cache cost [`DeviceProfile::cache_hit`]
-    /// instead of a full block read.
+    /// instead of a full block read. A profile whose `jitter_rel` is
+    /// NaN or outside [`DeviceProfile::with_jitter`]'s `[0, 1)` is
+    /// [`StorageError::InvalidProfile`].
     pub fn open(
         clock: Arc<dyn Clock>,
         profile: DeviceProfile,
@@ -214,6 +217,12 @@ impl Disk {
         dir: Option<&std::path::Path>,
         cache_blocks: usize,
     ) -> Result<Arc<Self>> {
+        if !(0.0..1.0).contains(&profile.jitter_rel) {
+            return Err(StorageError::InvalidProfile(format!(
+                "relative jitter {} is outside [0, 1)",
+                profile.jitter_rel
+            )));
+        }
         let backend: Box<dyn BlockBackend> = match dir {
             Some(dir) => Box::new(FileBackend::new(dir, BLOCK_SIZE)?),
             None => Box::new(MemoryBackend::new()),
@@ -299,9 +308,8 @@ impl Disk {
     }
 
     /// Creates an in-memory disk fronted by an LRU buffer cache of
-    /// `cache_blocks` blocks (0 = none) — the middle ground between
-    /// the paper's disk-resident and main-memory designs; its
-    /// prototype has no cache.
+    /// `cache_blocks` blocks (0 = none); the paper's prototype has no
+    /// cache. Panics on a profile [`Disk::open`] refuses.
     pub fn new_cached(
         clock: Arc<dyn Clock>,
         profile: DeviceProfile,
@@ -626,6 +634,27 @@ mod tests {
         assert_eq!(idx, 0);
         assert_eq!(*disk.read_block(f, 0).unwrap(), b);
         assert_eq!(disk.num_blocks(f).unwrap(), 1);
+    }
+
+    #[test]
+    fn open_refuses_a_jitter_no_charge_can_be_drawn_from() {
+        let open = |jitter_rel: f64| {
+            let profile = DeviceProfile {
+                jitter_rel,
+                ..DeviceProfile::modern()
+            };
+            Disk::open(Arc::new(SimClock::new()), profile, 1, None, 0)
+        };
+        for bad in [f64::NAN, -0.5, 1.0, 3.0] {
+            let err = open(bad)
+                .err()
+                .unwrap_or_else(|| panic!("jitter {bad} was accepted"));
+            assert!(matches!(err, StorageError::InvalidProfile(_)), "{err}");
+        }
+        // 0.9 is the jitter soak's level.
+        for good in [0.0, 0.9] {
+            assert!(open(good).is_ok(), "jitter {good} was refused");
+        }
     }
 
     #[test]

@@ -99,6 +99,8 @@ pub enum StorageError {
         /// The flushed file.
         file: u64,
     },
+    /// A device profile no charge can be drawn from.
+    InvalidProfile(String),
     /// Underlying file-backed store failed.
     Io(IoFault),
 }
@@ -170,6 +172,7 @@ impl fmt::Display for StorageError {
                 f,
                 "append to file {file} after a flush wrote its partial tail page"
             ),
+            StorageError::InvalidProfile(msg) => write!(f, "invalid device profile: {msg}"),
             StorageError::Io(fault) => write!(f, "storage I/O error: {fault}"),
         }
     }

@@ -106,7 +106,7 @@ run abl_strategies --runs "$RUNS"
 run abl_adaptive_costs --runs "$RUNS"
 run abl_fulfillment --runs "$RUNS"
 run abl_estimator_accuracy --runs "$RUNS"
-run abl_memory_mode --runs "$RUNS"
+run abl_buffer_cache --runs "$RUNS"
 run abl_clustering --runs "$RUNS"
 run abl_faults --runs "$RUNS"
 run abl_convergence

@@ -431,6 +431,46 @@ fn chaos_selection_200_runs_all_deliver_under_faults() {
     );
 }
 
+/// A lost run-file block takes its tuples' share of the run's leaf
+/// points out of the coverage, so COUNT(t ⋈ u) under 5 % corruption
+/// stays unbiased and its interval keeps its coverage. On the key
+/// `j % 5` every leaf block holds one tuple of each key, so a clean
+/// run of this join is exact.
+#[test]
+fn a_join_under_run_block_corruption_stays_unbiased() {
+    let (mut db, _) = faulty_join_db();
+    let join = Expr::relation("t").join(Expr::relation("u"), vec![(1, 1)]);
+    let truth = db.exact_count(&join).unwrap() as f64; // 800 000
+    let runs = 100u64;
+    let (mut ratios, mut covered) = (Vec::new(), 0u64);
+    for i in 0..runs {
+        db.inject_faults(FaultPlan::new(0xD3_0000 + i).with_corruption(0.05));
+        let out = db
+            .count(join.clone())
+            .within(Duration::from_secs(10))
+            .seed(i)
+            .run()
+            .expect("a corrupted run still delivers");
+        ratios.push(out.estimate.estimate / truth);
+        let (lo, hi) = out.estimate.ci(0.95);
+        if lo <= truth && truth <= hi {
+            covered += 1;
+        }
+    }
+    let n = ratios.len() as f64;
+    let mean = ratios.iter().sum::<f64>() / n;
+    let var = ratios.iter().map(|r| (r - mean).powi(2)).sum::<f64>() / (n - 1.0);
+    let se = (var / n).sqrt();
+    assert!(
+        (mean - 1.0).abs() <= 3.0 * se,
+        "mean estimate/truth {mean:.4} (se {se:.4})"
+    );
+    assert!(
+        covered * 10 >= runs * 9,
+        "95% CI covered truth in only {covered}/{runs} runs"
+    );
+}
+
 /// Retry backoff is charged to the clock, so a fault storm cannot
 /// stretch the hard deadline: a tiny quota under heavy transient
 /// faults still ends on time.

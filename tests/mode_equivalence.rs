@@ -2,9 +2,6 @@
 //!
 //! * Full fulfillment drained to a census finds *exactly* the true
 //!   count, whatever the stage schedule.
-//! * Main-memory evaluation produces identical results to
-//!   disk-resident evaluation under the same seed (it only changes
-//!   cost, never answers).
 //! * Partial fulfillment covers a subset of full fulfillment's
 //!   points, and a single full-relation stage makes them equal.
 
@@ -12,7 +9,7 @@ use std::sync::Arc;
 
 use testkit::prelude::*;
 
-use eram_core::ops::{Fulfillment, MemoryMode, PhysTree, StageEnv};
+use eram_core::ops::{Fulfillment, PhysTree, StageEnv};
 use eram_core::EngineConfig;
 use eram_relalg::{eval, Catalog, CmpOp, Expr, Predicate};
 use eram_storage::{
@@ -72,13 +69,11 @@ fn drain(
     disk: &Arc<Disk>,
     cat: &Catalog,
     fulfillment: Fulfillment,
-    memory: MemoryMode,
     seed: u64,
     fractions: &[f64],
 ) -> PhysTree {
     let config = EngineConfig {
         fulfillment,
-        memory,
         ..EngineConfig::default()
     };
     let mut tree =
@@ -113,35 +108,11 @@ proptest! {
             &disk,
             &cat,
             Fulfillment::Full,
-            MemoryMode::DiskResident,
             seed,
             &[f1, f2],
         );
         prop_assert_eq!(tree.ones_found(), truth, "{}", expr);
         prop_assert_eq!(tree.points_covered(), tree.total_points());
-    }
-
-    #[test]
-    fn main_memory_matches_disk_resident(
-        rows_a in arb_rows(),
-        rows_b in arb_rows(),
-        expr in arb_sji(),
-        seed in 0u64..1000,
-        f in 0.1f64..0.8,
-    ) {
-        let (disk, cat) = setup(&rows_a, &rows_b);
-        let on_disk = drain(
-            &expr, &disk, &cat,
-            Fulfillment::Full, MemoryMode::DiskResident,
-            seed, &[f],
-        );
-        let in_mem = drain(
-            &expr, &disk, &cat,
-            Fulfillment::Full, MemoryMode::MainMemory,
-            seed, &[f],
-        );
-        prop_assert_eq!(on_disk.ones_found(), in_mem.ones_found());
-        prop_assert_eq!(on_disk.points_covered(), in_mem.points_covered());
     }
 
     #[test]
@@ -157,12 +128,12 @@ proptest! {
         // Multi-stage partial covers no more than multi-stage full.
         let full = drain(
             &expr, &disk, &cat,
-            Fulfillment::Full, MemoryMode::DiskResident,
+            Fulfillment::Full,
             seed, &[0.4],
         );
         let partial = drain(
             &expr, &disk, &cat,
-            Fulfillment::Partial, MemoryMode::DiskResident,
+            Fulfillment::Partial,
             seed, &[0.4],
         );
         prop_assert!(partial.points_covered() <= full.points_covered());
@@ -171,7 +142,7 @@ proptest! {
         // One full-relation stage: partial == census too.
         let partial_one = drain(
             &expr, &disk, &cat,
-            Fulfillment::Partial, MemoryMode::DiskResident,
+            Fulfillment::Partial,
             seed, &[1.0],
         );
         prop_assert_eq!(partial_one.ones_found(), truth);
